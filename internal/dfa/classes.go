@@ -91,67 +91,113 @@ func ParseLayout(s string) (Layout, error) {
 // numClasses ≤ 128, i.e. the table shrinks at least 2×.
 const autoClassThreshold = 128
 
-// computeClasses partitions the byte alphabet into equivalence classes
-// over a flat (256-wide) transition table: classOf[b1] == classOf[b2]
-// iff trans[s*256+b1] == trans[s*256+b2] for every state s. Classes are
+// computeClasses partitions the columns of a row-major table with the
+// given row width into equivalence classes: classOf[c1] == classOf[c2]
+// iff trans[r*width+c1] == trans[r*width+c2] for every row r. Over a flat
+// (256-wide) transition table the columns are bytes and the result is the
+// byte-class map; over class-width rows it says which of the
+// constructor's alphabet classes no state tells apart. Classes are
 // numbered deterministically by first occurrence (classOf[0] == 0), so
 // identical automata always produce identical maps.
 //
-// The partition is refined one state row at a time: after processing row
-// s, two bytes share a class iff they agreed on rows 0..s. Each step is
-// exact, so a single pass over all rows yields the full equivalence; the
-// loop exits early once all 256 classes are distinct.
-func computeClasses(trans []uint32, numStates int) (classOf []uint8, numClasses int) {
-	cur := make([]int, 256) // all bytes start equivalent
-	next := make([]int, 256)
+// The partition is refined one row at a time: after processing row r,
+// two columns share a class iff they agreed on rows 0..r. Each step is
+// exact, so a single pass over all rows yields the full equivalence. A
+// row that splits no class — almost all of them, since at most width-1
+// rows can — costs one compare per column against its class's first
+// column; the loop exits early once every column is its own class.
+func computeClasses(trans []uint32, width int) (classOf []uint8, numClasses int) {
+	cur := make([]int, width) // all columns start equivalent
+	next := make([]int, width)
+	first := make([]int, width) // first column of each class
 	numClasses = 1
-	refined := make(map[uint64]int, 64)
-	for s := 0; s < numStates && numClasses < 256; s++ {
-		row := trans[s*256 : (s+1)*256]
-		clear(refined)
-		n := 0
-		for b := 0; b < 256; b++ {
-			key := uint64(cur[b])<<32 | uint64(row[b])
-			id, ok := refined[key]
-			if !ok {
-				id = n
-				n++
-				refined[key] = id
+	for base := 0; base+width <= len(trans) && numClasses < width; base += width {
+		row := trans[base : base+width]
+		splits := false
+		for c, to := range row {
+			if to != row[first[cur[c]]] {
+				splits = true
+				break
 			}
-			next[b] = id
+		}
+		if !splits {
+			continue
+		}
+		n := 0
+		for c, to := range row {
+			id := -1
+			for j := 0; j < n; j++ {
+				if f := first[j]; cur[f] == cur[c] && row[f] == to {
+					id = j
+					break
+				}
+			}
+			if id < 0 {
+				id = n
+				first[n] = c
+				n++
+			}
+			next[c] = id
 		}
 		cur, next = next, cur
 		numClasses = n
 	}
-	classOf = make([]uint8, 256)
-	for b, c := range cur {
-		classOf[b] = uint8(c)
+	classOf = make([]uint8, width)
+	for c, id := range cur {
+		classOf[c] = uint8(id)
 	}
 	return classOf, numClasses
 }
 
-// compressed returns the byte-class form of a flat-layout DFA. The
-// successor function is preserved exactly — for every state and byte,
-// Next is unchanged — so match streams are byte-for-byte identical; only
-// the storage layout differs. Decision sets are shared with the
-// receiver, which stays valid: both views are immutable.
-func (d *DFA) compressed() *DFA {
-	if d.classOf != nil {
-		return d
+// plainTable returns the transition table in the receiver's own row
+// width with plain state numbers as entries: the table itself for the
+// flat layout, an unscaled copy for the classed ones.
+func (d *DFA) plainTable() []uint32 {
+	if d.classOf == nil {
+		return d.trans
 	}
-	classOf, k := computeClasses(d.trans, d.numStates)
-	// One representative byte per class; any member works because the
+	plain := make([]uint32, len(d.trans))
+	for i, to := range d.trans {
+		plain[i] = to / uint32(d.numClasses)
+	}
+	return plain
+}
+
+// compressed returns the byte-class form of a DFA: the exact column
+// quotient of its table, whichever layout that table is in (the
+// constructor hands over class-width rows whose columns no state may
+// tell apart any more, most of all after minimization). The successor
+// function is preserved exactly — for every state and byte, Next is
+// unchanged — so match streams are byte-for-byte identical; only the
+// storage layout differs. Decision sets are shared with the receiver,
+// which stays valid: both views are immutable.
+func (d *DFA) compressed() *DFA {
+	w := d.numClasses
+	plain := d.plainTable()
+	colClass, k := computeClasses(plain, w)
+	if d.classOf != nil && k == w {
+		return d // already the quotient, and numbered by first byte
+	}
+	classOf := make([]uint8, 256)
+	for b := range classOf {
+		col := b
+		if d.classOf != nil {
+			col = int(d.classOf[b])
+		}
+		classOf[b] = colClass[col]
+	}
+	// One representative column per class; any member works because the
 	// class is defined by column equality.
 	rep := make([]int, k)
-	for b := 255; b >= 0; b-- {
-		rep[classOf[b]] = b
+	for col := w - 1; col >= 0; col-- {
+		rep[colClass[col]] = col
 	}
 	ct := make([]uint32, d.numStates*k)
 	for s := 0; s < d.numStates; s++ {
-		row := d.trans[s*256 : (s+1)*256]
+		row := plain[s*w : (s+1)*w]
 		out := ct[s*k : (s+1)*k]
-		for c, b := range rep {
-			out[c] = row[b] * uint32(k) // pre-scaled: successor row base
+		for c, col := range rep {
+			out[c] = row[col] * uint32(k) // pre-scaled: successor row base
 		}
 	}
 	return &DFA{
@@ -185,12 +231,28 @@ func (d *DFA) flattened() []uint32 {
 	return out
 }
 
-// applyLayout resolves the requested layout against the flat automaton
-// the constructor and minimizer produce.
+// flat returns the flat-layout form of a DFA, sharing its decision sets.
+func (d *DFA) flat() *DFA {
+	if d.classOf == nil {
+		return d
+	}
+	return &DFA{
+		numStates:   d.numStates,
+		start:       d.start,
+		trans:       d.flattened(),
+		numClasses:  256,
+		acceptStart: d.acceptStart,
+		accepts:     d.accepts,
+	}
+}
+
+// applyLayout resolves the requested layout against the class-width
+// automaton the constructor and minimizer produce; the 256-wide table is
+// materialised only when the flat layout is the outcome.
 func (d *DFA) applyLayout(l Layout) *DFA {
 	switch l {
 	case LayoutFlat:
-		return d
+		return d.flat()
 	case LayoutClassed:
 		return d.compressed()
 	case LayoutClassed2:
@@ -202,6 +264,6 @@ func (d *DFA) applyLayout(l Layout) *DFA {
 		if c.numClasses <= autoClassThreshold {
 			return c
 		}
-		return d
+		return d.flat()
 	}
 }

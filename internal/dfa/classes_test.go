@@ -27,7 +27,7 @@ func TestClassMapIsExactQuotient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		classOf, k := computeClasses(flat.trans, flat.numStates)
+		classOf, k := computeClasses(flat.trans, 256)
 		if k < 1 || k > 256 {
 			t.Fatalf("%v: %d classes", srcs, k)
 		}

@@ -35,10 +35,8 @@
 package dfa
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"matchfilter/internal/nfa"
@@ -46,10 +44,12 @@ import (
 )
 
 // DefaultMaxStates is the construction budget used when Options.MaxStates
-// is zero. A state costs 1 KiB of transition table, so the default bounds
-// the table at 128 MiB — comfortably above every constructible pattern
-// set shipped in internal/patterns, and exceeded (by design) by the
-// B217p-style sets.
+// is zero. During construction a state costs its residue (a few NFA
+// state ids for decomposed sets) and one row of 4 bytes per alphabet
+// class; only a flat-layout result pays 1 KiB of table per state, which
+// the default bounds at 128 MiB. That is comfortably above every
+// constructible pattern set shipped in internal/patterns, and exceeded
+// (by design) by the B217p-style sets.
 const DefaultMaxStates = 1 << 17
 
 // ErrTooManyStates is returned (wrapped) when subset construction exceeds
@@ -104,10 +104,11 @@ type DFA struct {
 	accepts     [][]int32 // match ids for states >= acceptStart, indexed by state-acceptStart
 }
 
-// FromNFA runs subset construction on n. Construction always builds the
-// flat table first (minimization also operates on it); the requested
-// layout is applied as a final repacking step, so layout choice can
-// never change the automaton's language or decision sets.
+// FromNFA runs subset construction on n. Construction and minimization
+// work on class-width rows (one column per NFA byte class, see
+// constructor); the requested layout is applied as a final repacking
+// step, so layout choice can never change the automaton's language or
+// decision sets.
 func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -125,133 +126,236 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 	return d.applyLayout(opts.Layout), nil
 }
 
-// constructor holds the working state of subset construction.
+// constructor holds the working state of subset construction. It works
+// per NFA byte class instead of per byte, and per residue instead of per
+// closure (DESIGN.md "Subset construction"):
+//
+//   - The alphabet is partitioned once by the distinct class bitmaps on
+//     NFA transitions. Classes are ordered by smallest member byte, so
+//     walking them in order discovers successor states in the order a
+//     byte-by-byte walk would, and state numbering is the same.
+//   - The invariant core C is the greatest set of NFA states with
+//     C ⊆ succ(start, k) and C ⊆ succ(C, k) for every class k (succ being
+//     the ε-closed successor set). By induction every DFA state other
+//     than the start contains C, so a state is stored and interned as
+//     its residue closure \ C, and C's own successors and match ids are
+//     computed once per class instead of once per state and byte.
+//     Anchored-only rule sets have C = ∅ and residue = closure.
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
+	closures  [][]nfa.StateID // ε-closure of each NFA state
 
-	seen   []bool            // scratch for epsilon closures
-	subset map[string]uint32 // closure key -> DFA state
-	queue  []closureEntry    // worklist of unexplored states
+	classOf []uint8 // byte → alphabet class
+	rep     []byte  // smallest byte of each class
 
-	trans   [][]uint32 // per explored state: 256 targets
-	accepts [][]int32  // per state: sorted match ids (nil if none)
-}
+	inCore      []bool          // membership in C
+	coreSucc    [][]nfa.StateID // per class: succ(C, k) \ C, sorted
+	coreMatches []int32         // match ids of C, sorted
+	// startFull marks state 0 as holding the whole start closure because
+	// it does not contain C. No other state can equal it, so it is never
+	// interned.
+	startFull bool
 
-type closureEntry struct {
-	id      uint32
-	closure []nfa.StateID
+	// DFA states in discovery order, which is also exploration order.
+	// State i is C ∪ arena[off[i]:off[i+1]] (state 0 without C when
+	// startFull).
+	arena   []nfa.StateID
+	off     []uint32
+	accepts [][]int32         // per state: sorted match ids (nil if none)
+	byHash  map[uint64]uint32 // residue hash → newest state with it, +1
+	chain   []uint32          // per state: older state with the same hash, +1
+	rows    []uint32          // per explored state: len(rep) targets
 }
 
 func newConstructor(n *nfa.NFA, maxStates int) *constructor {
-	return &constructor{
+	c := &constructor{
 		n:         n,
 		maxStates: maxStates,
-		seen:      make([]bool, n.NumStates()),
-		subset:    make(map[string]uint32, 1024),
+		closures:  n.Closures(),
+		inCore:    make([]bool, n.NumStates()),
+		off:       []uint32{0},
+		byHash:    make(map[uint64]uint32, 1024),
 	}
+	// One 0/1 membership row per distinct transition bitmap: two bytes
+	// are in the same class iff they agree on every row.
+	distinct := make(map[regexparse.Class]bool)
+	var member []uint32
+	for i := range n.States {
+		for _, t := range n.States[i].Trans {
+			if distinct[t.Class] {
+				continue
+			}
+			distinct[t.Class] = true
+			for b := 0; b < regexparse.AlphabetSize; b++ {
+				member = append(member, uint32(t.Class[b>>6]>>(b&63))&1)
+			}
+		}
+	}
+	var k int
+	c.classOf, k = computeClasses(member, regexparse.AlphabetSize)
+	c.rep = make([]byte, k)
+	for b := regexparse.AlphabetSize - 1; b >= 0; b-- {
+		c.rep[c.classOf[b]] = byte(b)
+	}
+	return c
 }
 
-// intern returns the DFA state for a closure, creating it if new.
-func (c *constructor) intern(closure []nfa.StateID) (uint32, error) {
-	key := closureKey(closure)
-	if id, ok := c.subset[key]; ok {
-		return id, nil
+// succ appends to dst the ε-closed successors of set on byte b that lie
+// outside the core, then sorts and deduplicates dst.
+func (c *constructor) succ(dst, set []nfa.StateID, b byte) []nfa.StateID {
+	for _, s := range set {
+		for _, t := range c.n.States[s].Trans {
+			if !t.Class.Contains(b) {
+				continue
+			}
+			for _, q := range c.closures[t.To] {
+				if !c.inCore[q] {
+					dst = append(dst, q)
+				}
+			}
+		}
 	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// findCore computes the invariant core from the start closure, fills
+// inCore, coreSucc and coreMatches, and returns the core's size.
+func (c *constructor) findCore(start []nfa.StateID) int {
+	// C starts as ∩ₖ succ(start, k) and shrinks until C ⊆ succ(C, k) for
+	// every k. Each step is monotone, so the fixed point is the greatest.
+	var core, buf []nfa.StateID
+	for k, b := range c.rep {
+		buf = c.succ(buf[:0], start, b)
+		if k == 0 {
+			core = slices.Clone(buf)
+		} else {
+			core = intersect(core, buf)
+		}
+	}
+	for shrunk := len(core) > 0; shrunk; {
+		shrunk = false
+		for _, b := range c.rep {
+			buf = c.succ(buf[:0], core, b)
+			if kept := intersect(core, buf); len(kept) < len(core) {
+				core, shrunk = kept, true
+			}
+		}
+	}
+	for _, s := range core {
+		c.inCore[s] = true
+	}
+	c.coreSucc = make([][]nfa.StateID, len(c.rep))
+	for k, b := range c.rep {
+		c.coreSucc[k] = c.succ(nil, core, b)
+	}
+	c.coreMatches = c.matchSet(core, nil)
+	return len(core)
+}
+
+// intersect filters sorted a down to its members also in sorted b, in
+// place.
+func intersect(a, b []nfa.StateID) []nfa.StateID {
+	out := a[:0]
+	for _, s := range a {
+		if _, ok := slices.BinarySearch(b, s); ok {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// add appends a new DFA state with the given stored set and match ids.
+func (c *constructor) add(set []nfa.StateID, matches []int32) (uint32, error) {
 	if len(c.accepts) >= c.maxStates {
 		return 0, fmt.Errorf("%w: more than %d states", ErrTooManyStates, c.maxStates)
 	}
-	id := uint32(len(c.accepts))
-	c.subset[key] = id
-	c.accepts = append(c.accepts, matchSet(c.n, closure))
-	c.queue = append(c.queue, closureEntry{id: id, closure: closure})
+	c.arena = append(c.arena, set...)
+	c.off = append(c.off, uint32(len(c.arena)))
+	c.accepts = append(c.accepts, matches)
+	c.chain = append(c.chain, 0)
+	return uint32(len(c.accepts) - 1), nil
+}
+
+// intern returns the DFA state C ∪ residue, creating it if new.
+func (c *constructor) intern(residue []nfa.StateID) (uint32, error) {
+	h := uint64(len(residue))
+	for _, s := range residue {
+		h = (h ^ uint64(uint32(s))) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	for p := c.byHash[h]; p != 0; p = c.chain[p-1] {
+		if slices.Equal(c.arena[c.off[p-1]:c.off[p]], residue) {
+			return p - 1, nil
+		}
+	}
+	id, err := c.add(residue, c.matchSet(residue, c.coreMatches))
+	if err != nil {
+		return 0, err
+	}
+	c.chain[id] = c.byHash[h]
+	c.byHash[h] = id + 1
 	return id, nil
 }
 
 func (c *constructor) run() error {
-	startClosure := c.n.EpsClosure([]nfa.StateID{c.n.Start}, c.seen)
-	if _, err := c.intern(startClosure); err != nil {
+	start := c.closures[c.n.Start]
+	coreSize := c.findCore(start)
+	var residue []nfa.StateID
+	for _, s := range start {
+		if !c.inCore[s] {
+			residue = append(residue, s)
+		}
+	}
+	var err error
+	if c.startFull = len(start)-len(residue) < coreSize; c.startFull {
+		_, err = c.add(start, c.matchSet(start, nil))
+	} else {
+		_, err = c.intern(residue)
+	}
+	if err != nil {
 		return err
 	}
 
-	var buckets [regexparse.AlphabetSize][]nfa.StateID
-	for len(c.queue) > 0 {
-		entry := c.queue[0]
-		c.queue = c.queue[1:]
-
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-		for _, s := range entry.closure {
-			for _, t := range c.n.States[s].Trans {
-				to := t.To
-				forEachClassByte(t.Class, func(b byte) {
-					buckets[b] = append(buckets[b], to)
-				})
+	for cur := 0; cur < len(c.accepts); cur++ {
+		set := c.arena[c.off[cur]:c.off[cur+1]]
+		withCore := cur > 0 || !c.startFull
+		for k, b := range c.rep {
+			residue = residue[:0]
+			if withCore {
+				residue = append(residue, c.coreSucc[k]...)
 			}
-		}
-
-		row := make([]uint32, regexparse.AlphabetSize)
-		// Bytes with identical raw target sets share the same successor;
-		// cache on the raw-set key to skip redundant closure work.
-		local := make(map[string]uint32, 8)
-		for b := 0; b < regexparse.AlphabetSize; b++ {
-			targets := buckets[b]
-			slices.Sort(targets)
-			targets = slices.Compact(targets)
-			rawKey := closureKey(targets)
-			if id, ok := local[rawKey]; ok {
-				row[b] = id
-				continue
-			}
-			closure := c.n.EpsClosure(targets, c.seen)
-			id, err := c.intern(closure)
+			residue = c.succ(residue, set, b)
+			id, err := c.intern(residue)
 			if err != nil {
 				return err
 			}
-			local[rawKey] = id
-			row[b] = id
+			c.rows = append(c.rows, id)
 		}
-		c.trans = append(c.trans, row)
 	}
 	return nil
 }
 
 // finish renumbers states so accepting ones form a contiguous tail and
-// packs the transition rows into one flat array.
+// packs the rows into a classed table over the constructor's alphabet
+// classes. Columns may still be equal; applyLayout takes the quotient.
 func (c *constructor) finish() *DFA {
-	numStates := len(c.trans)
-	perm := make([]uint32, numStates) // old -> new
-	numAccept := 0
-	for _, m := range c.accepts {
-		if m != nil {
-			numAccept++
-		}
-	}
-	acceptStart := uint32(numStates - numAccept)
-	nextPlain, nextAccept := uint32(0), acceptStart
-	for s, m := range c.accepts {
-		if m == nil {
-			perm[s] = nextPlain
-			nextPlain++
-		} else {
-			perm[s] = nextAccept
-			nextAccept++
-		}
-	}
-
+	numStates, k := len(c.accepts), len(c.rep)
+	perm, acceptStart := acceptTail(numStates, func(s int) bool { return c.accepts[s] != nil })
 	d := &DFA{
 		numStates:   numStates,
-		start:       perm[0], // state 0 was interned first from the start closure
-		trans:       make([]uint32, numStates*regexparse.AlphabetSize),
-		numClasses:  regexparse.AlphabetSize,
+		start:       perm[0], // state 0 was created first, from the start closure
+		trans:       make([]uint32, numStates*k),
+		numClasses:  k,
+		classOf:     c.classOf,
 		acceptStart: acceptStart,
-		accepts:     make([][]int32, numAccept),
+		accepts:     make([][]int32, uint32(numStates)-acceptStart),
 	}
-	for old, row := range c.trans {
-		base := int(perm[old]) * regexparse.AlphabetSize
-		for b, to := range row {
-			d.trans[base+b] = perm[to]
+	for old := 0; old < numStates; old++ {
+		base := int(perm[old]) * k
+		for j, to := range c.rows[old*k : (old+1)*k] {
+			d.trans[base+j] = perm[to] * uint32(k) // pre-scaled, see classes.go
 		}
 		if m := c.accepts[old]; m != nil {
 			d.accepts[perm[old]-acceptStart] = m
@@ -260,42 +364,44 @@ func (c *constructor) finish() *DFA {
 	return d
 }
 
-// matchSet returns the sorted, deduplicated match ids of a closure, or nil
-// when the closure is not accepting.
-func matchSet(n *nfa.NFA, closure []nfa.StateID) []int32 {
-	var ids []int32
-	for _, s := range closure {
-		for _, id := range n.States[s].Matches {
+// acceptTail returns the renumbering of n states that moves the accepting
+// ones to a contiguous tail, keeping relative order on both sides, and the
+// first accepting number.
+func acceptTail(n int, accepting func(int) bool) (perm []uint32, acceptStart uint32) {
+	perm = make([]uint32, n) // old -> new
+	acceptStart = uint32(n)
+	for s := 0; s < n; s++ {
+		if accepting(s) {
+			acceptStart--
+		}
+	}
+	nextPlain, nextAccept := uint32(0), acceptStart
+	for s := 0; s < n; s++ {
+		if accepting(s) {
+			perm[s] = nextAccept
+			nextAccept++
+		} else {
+			perm[s] = nextPlain
+			nextPlain++
+		}
+	}
+	return perm, acceptStart
+}
+
+// matchSet returns the sorted, deduplicated union of base and the match
+// ids of set, or base itself (possibly nil) when set reports none.
+func (c *constructor) matchSet(set []nfa.StateID, base []int32) []int32 {
+	ids := slices.Clip(base)
+	for _, s := range set {
+		for _, id := range c.n.States[s].Matches {
 			ids = append(ids, int32(id))
 		}
 	}
-	if ids == nil {
-		return nil
+	if len(ids) == len(base) {
+		return base
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
-}
-
-// closureKey encodes a sorted state list as a map key.
-func closureKey(states []nfa.StateID) string {
-	buf := make([]byte, 4*len(states))
-	for i, s := range states {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(s))
-	}
-	return string(buf)
-}
-
-// forEachClassByte invokes fn for every byte in the class, scanning the
-// bitmap words directly to avoid a temporary slice.
-func forEachClassByte(cl regexparse.Class, fn func(b byte)) {
-	for w := 0; w < 4; w++ {
-		word := cl[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			fn(byte(w*64 + bit))
-			word &^= 1 << bit
-		}
-	}
 }
 
 // NumStates returns the number of DFA states, the "DFA Qs" column of

@@ -94,7 +94,7 @@ func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 	// are unscaled on encode (their in-memory entries are pre-scaled row
 	// bases) and rescaled on decode, keeping stored images portable and
 	// the per-entry bounds check meaningful.
-	wireTrans := d.trans
+	wireTrans := d.plainTable()
 	if d.classOf == nil {
 		write(uint8(wireLayoutFlat))
 		write(uint32(d.numClasses))
@@ -106,10 +106,6 @@ func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 		}
 		write(uint32(d.numClasses))
 		write(d.classOf)
-		wireTrans = make([]uint32, len(d.trans))
-		for i, to := range d.trans {
-			wireTrans[i] = to / uint32(d.numClasses)
-		}
 	}
 	write(uint32(len(wireTrans)))
 	write(wireTrans)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"slices"
-
-	"matchfilter/internal/regexparse"
 )
 
 // minimize returns an equivalent DFA with the minimum number of states,
@@ -14,34 +12,26 @@ import (
 // states merge only if they report identical match-id sets and have
 // pairwise-equivalent successors on every byte.
 //
-// minimize is layout-preserving: the refinement itself runs on the flat
-// table (FromNFA calls it before applyLayout), and a classed receiver is
-// flattened, minimized, and re-compressed. Byte-class compression is a
-// column quotient and commutes with this row quotient, so the order
-// loses nothing.
+// minimize is layout-preserving and runs over the receiver's own columns
+// (FromNFA calls it on the constructor's class-width rows, before
+// applyLayout): states agree on every byte iff they agree on every
+// column, so the partition, and with it the numbering of the result, is
+// the one a 256-wide refinement would reach. A classed result keeps the
+// receiver's class map; merging states can make columns equal, which the
+// column quotient in compressed() then removes.
 func (d *DFA) minimize() *DFA {
-	if d.classOf != nil {
-		flat := &DFA{
-			numStates:   d.numStates,
-			start:       d.start,
-			trans:       d.flattened(),
-			numClasses:  regexparse.AlphabetSize,
-			acceptStart: d.acceptStart,
-			accepts:     d.accepts,
-		}
-		return flat.minimize().compressed()
-	}
-	n := d.numStates
+	n, k := d.numStates, d.numClasses
+	trans := d.plainTable()
 	group := make([]uint32, n)
 
-	// Initial partition: group by decision set.
+	// Initial partition: group by decision set, the non-accepting states
+	// being the group of the empty set. Only groups that have a state are
+	// counted — the refinement stops when a round leaves the count as it
+	// was, so a reserved but empty non-accepting group would end it early
+	// on an automaton whose every state accepts.
 	acceptGroups := make(map[string]uint32)
-	numGroups := uint32(1) // group 0 = non-accepting
+	numGroups := uint32(0)
 	for s := 0; s < n; s++ {
-		if !d.Accepting(uint32(s)) {
-			group[s] = 0
-			continue
-		}
 		key := int32sKey(d.Matches(uint32(s)))
 		g, ok := acceptGroups[key]
 		if !ok {
@@ -52,19 +42,19 @@ func (d *DFA) minimize() *DFA {
 		group[s] = g
 	}
 
-	// Refine: a state's signature is its group plus the groups of its 256
-	// successors. Iterate until the number of groups stabilizes.
+	// Refine: a state's signature is its group plus the groups of its
+	// successors, one per column. Iterate until the number of groups
+	// stabilizes.
 	seed := maphash.MakeSeed()
 	next := make([]uint32, n)
-	sig := make([]byte, 4+4*regexparse.AlphabetSize)
+	sig := make([]byte, 4+4*k)
 	for {
 		buckets := make(map[uint64][]int, numGroups*2)
 		var order []uint64 // deterministic group numbering
 		for s := 0; s < n; s++ {
 			binary.LittleEndian.PutUint32(sig[0:], group[s])
-			base := s * regexparse.AlphabetSize
-			for b := 0; b < regexparse.AlphabetSize; b++ {
-				binary.LittleEndian.PutUint32(sig[4+4*b:], group[d.trans[base+b]])
+			for c, to := range trans[s*k : (s+1)*k] {
+				binary.LittleEndian.PutUint32(sig[4+4*c:], group[to])
 			}
 			h := maphash.Bytes(seed, sig)
 			if _, ok := buckets[h]; !ok {
@@ -89,11 +79,12 @@ func (d *DFA) minimize() *DFA {
 		group, next = next, group
 	}
 
-	return d.rebuild(group, int(numGroups))
+	return d.rebuild(trans, group, int(numGroups))
 }
 
-// rebuild materializes the quotient automaton given a state→group map.
-func (d *DFA) rebuild(group []uint32, numGroups int) *DFA {
+// rebuild materializes the quotient automaton given the receiver's plain
+// table and a state→group map, in the receiver's layout.
+func (d *DFA) rebuild(trans, group []uint32, numGroups int) *DFA {
 	rep := make([]int, numGroups) // a representative state per group
 	for i := range rep {
 		rep[i] = -1
@@ -106,38 +97,25 @@ func (d *DFA) rebuild(group []uint32, numGroups int) *DFA {
 
 	// Renumber groups so accepting ones form a contiguous tail, keeping
 	// the fast accept test of the engine.
-	perm := make([]uint32, numGroups)
-	numAccept := 0
-	for _, r := range rep {
-		if d.Accepting(uint32(r)) {
-			numAccept++
-		}
-	}
-	acceptStart := uint32(numGroups - numAccept)
-	nextPlain, nextAccept := uint32(0), acceptStart
-	for g, r := range rep {
-		if d.Accepting(uint32(r)) {
-			perm[g] = nextAccept
-			nextAccept++
-		} else {
-			perm[g] = nextPlain
-			nextPlain++
-		}
-	}
+	perm, acceptStart := acceptTail(numGroups, func(g int) bool { return d.Accepting(uint32(rep[g])) })
 
+	k, scale := d.numClasses, uint32(1)
+	if d.classOf != nil {
+		scale = uint32(k) // classed entries are pre-scaled row bases
+	}
 	out := &DFA{
 		numStates:   numGroups,
 		start:       perm[group[d.start]],
-		trans:       make([]uint32, numGroups*regexparse.AlphabetSize),
-		numClasses:  regexparse.AlphabetSize,
+		trans:       make([]uint32, numGroups*k),
+		numClasses:  k,
+		classOf:     d.classOf,
 		acceptStart: acceptStart,
-		accepts:     make([][]int32, numAccept),
+		accepts:     make([][]int32, uint32(numGroups)-acceptStart),
 	}
 	for g, r := range rep {
-		base := int(perm[g]) * regexparse.AlphabetSize
-		rbase := r * regexparse.AlphabetSize
-		for b := 0; b < regexparse.AlphabetSize; b++ {
-			out.trans[base+b] = perm[group[d.trans[rbase+b]]]
+		base := int(perm[g]) * k
+		for c, to := range trans[r*k : (r+1)*k] {
+			out.trans[base+c] = perm[group[to]] * scale
 		}
 		if m := d.Matches(uint32(r)); m != nil {
 			out.accepts[perm[g]-acceptStart] = slices.Clone(m)

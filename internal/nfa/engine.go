@@ -15,11 +15,7 @@ type Engine struct {
 
 // NewEngine precomputes epsilon closures and returns a matcher for n.
 func NewEngine(n *NFA) *Engine {
-	seen := make([]bool, n.NumStates())
-	closures := make([][]StateID, n.NumStates())
-	for s := range closures {
-		closures[s] = n.EpsClosure([]StateID{StateID(s)}, seen)
-	}
+	closures := n.Closures()
 	return &Engine{
 		n:        n,
 		closures: closures,

@@ -278,32 +278,44 @@ func (n *NFA) MemoryImageBytes() int {
 	return total
 }
 
-// EpsClosure returns the epsilon closure of the given states (including
-// themselves) as a sorted, deduplicated slice. The seen scratch slice must
-// have length NumStates and be all-false; it is reset before return.
-func (n *NFA) EpsClosure(states []StateID, seen []bool) []StateID {
-	var out []StateID
-	var stack []StateID
+// EpsClosure appends to dst the epsilon closure of the given states
+// (including themselves), sorted and deduplicated, and returns the
+// extended slice. dst doubles as the traversal worklist, so a caller that
+// reuses dst[:0] across calls allocates nothing. The seen scratch slice
+// must have length NumStates and be all-false; it is reset before return.
+func (n *NFA) EpsClosure(dst, states []StateID, seen []bool) []StateID {
+	base := len(dst)
 	for _, s := range states {
 		if !seen[s] {
 			seen[s] = true
-			stack = append(stack, s)
+			dst = append(dst, s)
 		}
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, s)
-		for _, t := range n.States[s].Eps {
+	for i := base; i < len(dst); i++ {
+		for _, t := range n.States[dst[i]].Eps {
 			if !seen[t] {
 				seen[t] = true
-				stack = append(stack, t)
+				dst = append(dst, t)
 			}
 		}
 	}
-	for _, s := range out {
+	for _, s := range dst[base:] {
 		seen[s] = false
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[base:])
+	return dst
+}
+
+// Closures returns the epsilon closure of every state, indexed by state
+// and sorted. It is the one closure precompute shared by the simulation
+// engine, subset construction and the splitter's product searches.
+func (n *NFA) Closures() [][]StateID {
+	closures := make([][]StateID, len(n.States))
+	seen := make([]bool, len(n.States))
+	var buf []StateID
+	for s := range closures {
+		buf = n.EpsClosure(buf[:0], []StateID{StateID(s)}, seen)
+		closures[s] = slices.Clone(buf)
+	}
+	return closures
 }

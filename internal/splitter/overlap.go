@@ -29,21 +29,9 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 		return false, err
 	}
 
-	seenA := make([]bool, na.NumStates())
-	seenB := make([]bool, nb.NumStates())
-
-	// accepting[s] is true when s's epsilon closure contains A's accept.
-	acceptingA := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seenA) {
-			if len(na.States[q].Matches) > 0 {
-				acceptingA[s] = true
-				break
-			}
-		}
-	}
-
-	startB := nb.EpsClosure([]nfa.StateID{nb.Start}, seenB)
+	closA, closB := na.Closures(), nb.Closures()
+	acceptingA := acceptClosed(na, closA)
+	startB := closB[nb.Start]
 
 	type pair struct{ a, b nfa.StateID }
 	visited := make(map[pair]bool)
@@ -72,8 +60,6 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 		}
 	}
 
-	scratchA := make([]bool, na.NumStates())
-	scratchB := make([]bool, nb.NumStates())
 	for len(frontier) > 0 {
 		cur := frontier
 		frontier = nil
@@ -83,10 +69,8 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 					if ta.Class.Intersect(tb.Class).IsEmpty() {
 						continue
 					}
-					closA := na.EpsClosure([]nfa.StateID{ta.To}, scratchA)
-					closB := nb.EpsClosure([]nfa.StateID{tb.To}, scratchB)
-					for _, qa := range closA {
-						for _, qb := range closB {
+					for _, qa := range closA[ta.To] {
+						for _, qb := range closB[tb.To] {
 							if push(pair{qa, qb}, 1) {
 								return true, nil
 							}
@@ -97,6 +81,21 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// acceptClosed reports, per state, whether its epsilon closure contains
+// an accepting state.
+func acceptClosed(n *nfa.NFA, closures [][]nfa.StateID) []bool {
+	accepting := make([]bool, n.NumStates())
+	for s, closure := range closures {
+		for _, q := range closure {
+			if len(n.States[q].Matches) > 0 {
+				accepting[s] = true
+				break
+			}
+		}
+	}
+	return accepting
 }
 
 // InfixOverlap reports whether some word of L(a) occurs as a factor
@@ -122,18 +121,9 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 		return false, err
 	}
 
-	seenA := make([]bool, na.NumStates())
-
-	acceptingA := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seenA) {
-			if len(na.States[q].Matches) > 0 {
-				acceptingA[s] = true
-				break
-			}
-		}
-	}
-	startA := na.EpsClosure([]nfa.StateID{na.Start}, seenA)
+	closA, closB := na.Closures(), nb.Closures()
+	acceptingA := acceptClosed(na, closA)
+	startA := closA[na.Start]
 
 	type pair struct{ a, b nfa.StateID }
 	visited := make(map[pair]bool)
@@ -159,8 +149,6 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 		}
 	}
 
-	scratchA := make([]bool, na.NumStates())
-	scratchB := make([]bool, nb.NumStates())
 	for len(frontier) > 0 {
 		cur := frontier
 		frontier = nil
@@ -170,10 +158,8 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 					if ta.Class.Intersect(tb.Class).IsEmpty() {
 						continue
 					}
-					closA := na.EpsClosure([]nfa.StateID{ta.To}, scratchA)
-					closB := nb.EpsClosure([]nfa.StateID{tb.To}, scratchB)
-					for _, qa := range closA {
-						for _, qb := range closB {
+					for _, qa := range closA[ta.To] {
+						for _, qb := range closB[tb.To] {
 							if push(pair{qa, qb}, 1) {
 								return true, nil
 							}
@@ -217,16 +203,7 @@ func classInFinalPosition(x regexparse.Class, a *regexparse.Node) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	seen := make([]bool, na.NumStates())
-	acceptish := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seen) {
-			if len(na.States[q].Matches) > 0 {
-				acceptish[s] = true
-				break
-			}
-		}
-	}
+	acceptish := acceptClosed(na, na.Closures())
 	for i := range na.States {
 		for _, t := range na.States[i].Trans {
 			if acceptish[t.To] && !t.Class.Intersect(x).IsEmpty() {
