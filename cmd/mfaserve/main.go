@@ -850,6 +850,8 @@ func registerBuildMetrics(reg *telemetry.Registry, cur func() core.BuildStats) {
 	g("mfa_build_image_bytes", "total static memory image (DFA + filter program)", func(st core.BuildStats) int { return st.MemoryImageBytes() })
 	g("mfa_build_mem_bits", "per-flow filter memory width w", func(st core.BuildStats) int { return st.MemBits })
 	g("mfa_build_counters", "filter counter registers compiled from bounded repeats", func(st core.BuildStats) int { return st.Counters })
+	g("mfa_build_accept_programs", "distinct decision sets compiled to accept programs", func(st core.BuildStats) int { return st.AcceptPrograms })
+	g("mfa_build_accept_program_bytes", "resident bytes of the accept programs, derived at load and not part of the image", func(st core.BuildStats) int { return st.AcceptProgramBytes })
 	reg.GaugeFunc("mfa_build_seconds", "wall time core.Compile spent on the serving pattern set: what the last start or reload cost (0 for a loaded -engine image)",
 		func() float64 { return cur().BuildTime.Seconds() })
 	// Info-style metric: the layout name rides in the label, value is 1

@@ -286,18 +286,14 @@ func (b *FlowBatcher) retireInto(la *batchLane) {
 	}
 }
 
-// acceptScaled runs the filter program for an accepting row base st
-// (pre-scaled by la.k; for flat lanes k is 1 and st a plain state).
+// acceptScaled fires the accept program of an accepting row base st of
+// the 1-byte table (pre-scaled by la.k; for flat lanes k is 1 and st a
+// plain state) under the lane's panic guard. The odd tail step of a
+// classed2 round lands on the same table and comes through here too.
 func (b *FlowBatcher) acceptScaled(la *batchLane, st uint32, pos int64) {
 	defer b.reap(la)
 	b.cur = la.tag
-	r := la.r
-	m := r.mfa
-	for _, id := range m.accepts[(st-la.scaledAccept)/la.k] {
-		if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos); ok {
-			la.cb(ruleID, pos)
-		}
-	}
+	la.r.fire((st-la.scaledAccept)/la.k, pos, la.cb)
 }
 
 // sameMFA reports whether every lane runs the same automaton — the
@@ -561,7 +557,7 @@ func (b *FlowBatcher) lockstepPairs(lanes []*batchLane) {
 				}
 				base := la.trans[(la.st/la.k2)*la.k+uint32(la.classOf[la.data[la.i+p]])]
 				if base >= la.scaledAccept {
-					b.oddAccept(la, base, la.pos+int64(p))
+					b.acceptScaled(la, base, la.pos+int64(p))
 				}
 				la.st = (base / la.k) * la.k2
 			}
@@ -630,7 +626,7 @@ func (b *FlowBatcher) lockstepPairsShared(active []*batchLane, m *MFA) {
 				}
 				base := la.trans[(la.st/la.k2)*la.k+uint32(la.classOf[la.data[la.i+p]])]
 				if base >= la.scaledAccept {
-					b.oddAccept(la, base, la.pos+int64(p))
+					b.acceptScaled(la, base, la.pos+int64(p))
 				}
 				la.st = (base / la.k) * la.k2
 			}
@@ -649,18 +645,4 @@ func (b *FlowBatcher) pairSlowLane(la *batchLane, j int) uint32 {
 	b.cur = la.tag
 	i := la.i + j
 	return la.r.pairSlow(la.st/la.k2, la.data[i], la.data[i+1], la.pos+int64(j), la.cb)
-}
-
-// oddAccept runs the filter program for an accepting 1-byte tail step
-// of a classed2 lane, under the lane's panic guard.
-func (b *FlowBatcher) oddAccept(la *batchLane, base uint32, pos int64) {
-	defer b.reap(la)
-	b.cur = la.tag
-	r := la.r
-	m := r.mfa
-	for _, id := range m.accepts[(base-la.scaledAccept)/la.k] {
-		if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos); ok {
-			la.cb(ruleID, pos)
-		}
-	}
 }

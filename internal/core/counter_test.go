@@ -301,6 +301,13 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 		trials = 5
 	}
 
+	// Trial 0 is fixed: a line end that completes ab\n fires, in one
+	// decision set, a reporter, the clear of cd's guard bit, the reset of
+	// gh's counter and the guarded reporter of kl.*\n — every kind of op
+	// an accept program composes, in one program.
+	mixed := []string{"ab\n", "cd[^\n]*ef", "gh[^\n]{10,20}ij", "kl.*\n"}
+	mixedWords := []string{"ab\n", "cd", "ef", "gh", "ij", "kl", ".........."}
+
 	for trial := 0; trial < trials; trial++ {
 		// 1–3 random rules, each word-gap-word[-gap-word].
 		numRules := 1 + rng.Intn(3)
@@ -315,6 +322,10 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 				sb.WriteString(words[rng.Intn(len(words))])
 			}
 			sources = append(sources, sb.String())
+		}
+		words := words
+		if trial == 0 {
+			sources, words = mixed, mixedWords
 		}
 		rules := mustRules(t, sources...)
 		gt := groundTruth(t, rules)
@@ -338,6 +349,9 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			}
 			inputs = append(inputs, []byte(in.String()))
 		}
+		if trial == 0 { // all four rules match, two of them on one line end
+			inputs = append(inputs, []byte("klab\ncdxxefgh..........ij\nab\ngh....\n......ij cd\nef"))
+		}
 
 		for _, layout := range layouts {
 			opts := counterOpts()
@@ -345,6 +359,9 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			m, err := Compile(rules, opts)
 			if err != nil {
 				t.Fatalf("trial %d layout %v rules %v: %v", trial, layout, sources, err)
+			}
+			if w := m.Stats().AcceptWidest; trial == 0 && (w.IDs != 4 || w.Ops != 5) {
+				t.Fatalf("mixed set: widest decision set %+v, want 4 ids (report, reset, guarded report, clear group) in 5 ops", w)
 			}
 			for ii, input := range inputs {
 				want := dfaEvents(gt, input)

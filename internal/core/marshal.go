@@ -74,31 +74,7 @@ func readMFA(r io.Reader) (*MFA, error) {
 			}
 		}
 	}
-	trans, classOf, stride := d.ScanTable()
-	trans2, stride2 := d.PairTable()
-	return &MFA{
-		engine:      dfa.NewEngine(d),
-		prog:        prog,
-		trans:       trans,
-		classOf:     classOf,
-		stride:      stride,
-		trans2:      trans2,
-		stride2:     stride2,
-		acceptStart: d.AcceptStart(),
-		accepts:     d.AcceptSets(),
-		stats: BuildStats{
-			DFAStates:     d.NumStates(),
-			MemBits:       prog.MemBits(),
-			PosRegs:       prog.NumRegs(),
-			Counters:      prog.NumCounters(),
-			InternalIDs:   prog.NumIDs() - 1,
-			DFABytes:      d.MemoryImageBytes(),
-			FilterBytes:   prog.MemoryImageBytes(),
-			DFATableBytes: d.TableBytes(),
-			DFAClasses:    d.NumClasses(),
-			DFALayout:     d.Layout().String(),
-		},
-	}, nil
+	return newMFA(d, prog, BuildStats{MemBits: prog.MemBits()}), nil
 }
 
 // writeString writes a length-prefixed string; readString reverses it.

@@ -81,6 +81,14 @@ type BuildStats struct {
 	DFATableBytes int
 	DFAClasses    int
 	DFALayout     string
+	// The accept programs derived from the decision sets (DESIGN.md §21):
+	// how many distinct sets were compiled, the widest set as ids → ops
+	// (what one visit of the costliest accepting state runs), and the
+	// programs' resident size. They are rebuilt on load, never
+	// serialized, and so reported beside the Figure 2 image, not in it.
+	AcceptPrograms     int
+	AcceptWidest       struct{ IDs, Ops int }
+	AcceptProgramBytes int
 }
 
 // MemoryImageBytes is the total static image (Figure 2).
@@ -107,7 +115,38 @@ type MFA struct {
 	trans2      []uint32
 	stride2     int
 	acceptStart uint32
-	accepts     [][]int32
+	// fires[q-acceptStart] is the accept program of accepting state q:
+	// the filter actions of its decision set, composed.
+	fires []filter.AcceptProgram
+}
+
+// newMFA is the one constructor behind Compile and ReadMFA: it derives
+// everything that is not part of the serialized image — the hot-loop
+// table views and the accept programs — and fills in the statistics that
+// follow from the automaton and the filter program alone (stats carries
+// the rest). The caller has checked that every decision-set id has an
+// action slot.
+func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
+	m := &MFA{engine: dfa.NewEngine(d), prog: prog, acceptStart: d.AcceptStart()}
+	m.trans, m.classOf, m.stride = d.ScanTable()
+	m.trans2, m.stride2 = d.PairTable()
+	var composed filter.ComposeStats
+	m.fires, composed = prog.Compose(d.AcceptSets())
+
+	stats.DFAStates = d.NumStates()
+	stats.PosRegs = prog.NumRegs()
+	stats.Counters = prog.NumCounters()
+	stats.InternalIDs = prog.NumIDs() - 1
+	stats.DFABytes = d.MemoryImageBytes()
+	stats.FilterBytes = prog.MemoryImageBytes()
+	stats.DFATableBytes = d.TableBytes()
+	stats.DFAClasses = d.NumClasses()
+	stats.DFALayout = d.Layout().String()
+	stats.AcceptPrograms = composed.Programs
+	stats.AcceptWidest = composed.Widest
+	stats.AcceptProgramBytes = composed.Bytes
+	m.stats = stats
+	return m
 }
 
 // MatchFunc receives a confirmed match: the original rule id and the
@@ -148,39 +187,16 @@ func Compile(rules []Rule, opts Options) (*MFA, error) {
 	}
 	dfaTime := time.Since(startDFA)
 
-	prog := res.Program()
-	trans, classOf, stride := d.ScanTable()
-	trans2, stride2 := d.PairTable()
-	m := &MFA{
-		engine:      dfa.NewEngine(d),
-		prog:        prog,
-		trans:       trans,
-		classOf:     classOf,
-		stride:      stride,
-		trans2:      trans2,
-		stride2:     stride2,
-		acceptStart: d.AcceptStart(),
-		accepts:     d.AcceptSets(),
-		stats: BuildStats{
-			Split:        res.Stats,
-			NumRules:     len(rules),
-			NumFragments: len(res.Fragments),
-			NFAStates:    n.NumStates(),
-			DFAStates:    d.NumStates(),
-			MemBits:      res.MemBits,
-			PosRegs:      res.NumRegs,
-			Counters:     prog.NumCounters(),
-			InternalIDs:  prog.NumIDs() - 1,
-			BuildTime:    time.Since(startAll),
-			SplitTime:    splitTime,
-			DFATime:      dfaTime,
-			DFABytes:      d.MemoryImageBytes(),
-			FilterBytes:   prog.MemoryImageBytes(),
-			DFATableBytes: d.TableBytes(),
-			DFAClasses:    d.NumClasses(),
-			DFALayout:     d.Layout().String(),
-		},
-	}
+	m := newMFA(d, res.Program(), BuildStats{
+		Split:        res.Stats,
+		NumRules:     len(rules),
+		NumFragments: len(res.Fragments),
+		NFAStates:    n.NumStates(),
+		MemBits:      res.MemBits,
+		SplitTime:    splitTime,
+		DFATime:      dfaTime,
+	})
+	m.stats.BuildTime = time.Since(startAll)
 	return m, nil
 }
 
@@ -288,10 +304,6 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // odd-length chunk with a single 1-byte step.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	m := r.mfa
-	prog := m.prog
-	mem := r.mem
-	regs := r.regs
-	ctrs := r.ctrs
 	trans := m.trans
 	acceptStart := m.acceptStart
 	state := r.dfa.State()
@@ -315,11 +327,7 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 		if n < len(data) { // odd tail: one 1-byte classed step
 			base := trans[state*k+uint32(classOf[data[n]])]
 			if base >= acceptStart*k {
-				for _, id := range m.accepts[(base-acceptStart*k)/k] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
+				r.fire((base-acceptStart*k)/k, pos, onMatch)
 			}
 			state = base / k
 			pos++
@@ -334,11 +342,7 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 		for i := 0; i < len(data); i++ {
 			st = trans[st+uint32(classOf[data[i]])]
 			if st >= scaledAccept {
-				for _, id := range m.accepts[(st-scaledAccept)/k] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
+				r.fire((st-scaledAccept)/k, pos, onMatch)
 			}
 			pos++
 		}
@@ -347,16 +351,21 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 		for i := 0; i < len(data); i++ {
 			state = trans[int(state)<<8|int(data[i])]
 			if state >= acceptStart {
-				for _, id := range m.accepts[state-acceptStart] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
+				r.fire(state-acceptStart, pos, onMatch)
 			}
 			pos++
 		}
 	}
 	r.dfa.SetState(state, pos)
+}
+
+// fire hands one accept visit to the filter: it runs the accept program
+// of accepting state acceptStart+accept — f composed over the state's
+// decision set — on the flow's memory, registers and counters, and
+// onMatch receives the rules it confirms. Every scan loop, sequential or
+// batched, reaches the filter through here.
+func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
+	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)
 }
 
 // pairSlow replays one classed2 pair through the 1-byte table, running
@@ -370,25 +379,18 @@ func (r *Runner) pairSlow(state uint32, b1, b2 byte, pos int64, onMatch MatchFun
 	scaledAccept := m.acceptStart * k
 	midBase := m.trans[state*k+uint32(m.classOf[b1])]
 	if midBase >= scaledAccept {
-		for _, id := range m.accepts[(midBase-scaledAccept)/k] {
-			if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos); ok {
-				onMatch(ruleID, pos)
-			}
-		}
+		r.fire((midBase-scaledAccept)/k, pos, onMatch)
 	}
 	finBase := m.trans[midBase+uint32(m.classOf[b2])]
 	if finBase >= scaledAccept {
-		for _, id := range m.accepts[(finBase-scaledAccept)/k] {
-			if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos+1); ok {
-				onMatch(ruleID, pos+1)
-			}
-		}
+		r.fire((finBase-scaledAccept)/k, pos+1, onMatch)
 	}
 	return (finBase / k) * uint32(m.stride2)
 }
 
 // FeedCount advances the flow and returns only the number of confirmed
-// matches; the benchmark loop, free of callback allocation.
+// matches: Feed with a counting callback, for benchmarks and callers that
+// need no match details. The callback is one closure per call.
 func (r *Runner) FeedCount(data []byte) int64 {
 	var count int64
 	r.Feed(data, func(int32, int64) { count++ })

@@ -1,0 +1,231 @@
+package filter
+
+import (
+	"slices"
+	"unsafe"
+)
+
+// Accept programs (DESIGN.md §21). An accepting DFA state q fires its
+// whole decision set Dq(q) = d1 < … < dk at one position, so the filter
+// work of a visit is the composition f(·,d1) ∘ … ∘ f(·,dk). That
+// composition is compiled once, ahead of time, into a straight-line op
+// list with every operand resolved — bit → word and mask, clear group →
+// its masks, counter → its block in the flow's Counters — and run by the
+// one interpreter below. ApplyAll(id) is the one-id case: every installed
+// action is compiled as a singleton program.
+
+// opKind selects what one op does. The first three are guards: when the
+// condition fails the interpreter skips the rest of the guarded action.
+type opKind uint8
+
+const (
+	opTestBit   opKind = iota // some bit of mask must be set in word at
+	opTestGap                 // register at recorded at least a bytes ago
+	opTestCtr                 // counter block holds a witness aged in [a, b]
+	opSetBits                 // m[at] |= mask
+	opClearBits               // m[at] &^= mask
+	opRecordPos               // register at keeps its first position
+	opCtrRecord               // counter block gains a witness at pos
+	opCtrReset                // counter block loses its witnesses before pos
+	opReport                  // confirm rule a
+)
+
+type op struct {
+	kind opKind
+	skip uint16 // guards: following ops that belong to the guarded action
+	at   int32  // memory word, 0-based register, or counter block offset
+	n    int32  // counter ops: words in the block
+	a, b int32
+	mask uint64
+}
+
+// AcceptProgram is the compiled composition of one decision set's
+// actions. It is immutable and shared by every flow.
+type AcceptProgram []op
+
+// Run applies the program's actions in decision-set order to one flow's
+// state at pos, passing every confirmed rule id to emit. Nil regs or cs
+// fail the gap or counter conditions and drop their updates.
+func (ap AcceptProgram) Run(m Memory, regs Registers, cs Counters, pos int64, emit func(ruleID int32, pos int64)) {
+	for pc := 0; pc < len(ap); pc++ {
+		o := &ap[pc]
+		switch o.kind {
+		case opTestBit:
+			if m[o.at]&o.mask == 0 {
+				pc += int(o.skip)
+			}
+		case opTestGap:
+			if regs == nil || regs[o.at] == 0 || pos+1-regs[o.at] < int64(o.a) {
+				pc += int(o.skip)
+			}
+		case opTestCtr:
+			if cs == nil || !ctrBlock(cs[o.at:o.at+o.n]).test(o.a, o.b, pos) {
+				pc += int(o.skip)
+			}
+		case opSetBits:
+			m[o.at] |= o.mask
+		case opClearBits:
+			m[o.at] &^= o.mask
+		case opRecordPos:
+			if regs != nil && regs[o.at] == 0 {
+				regs[o.at] = pos + 1
+			}
+		case opCtrRecord:
+			if cs != nil {
+				ctrBlock(cs[o.at : o.at+o.n]).record(pos)
+			}
+		case opCtrReset:
+			if cs != nil {
+				ctrBlock(cs[o.at : o.at+o.n]).reset(pos)
+			}
+		case opReport:
+			emit(o.a, pos)
+		}
+	}
+}
+
+// composer appends compiled actions to one op arena.
+type composer struct {
+	p   *Program
+	ops []op
+	// run is where the mergeable tail of the arena starts: ops[run:] are
+	// effects that execute together or not at all, with no guard between
+	// them, so none of them reads memory.
+	run int
+	// last holds, per memory word, 1 + the arena index of the newest
+	// set/clear op on it; an index below run is stale.
+	last []int32
+}
+
+func (p *Program) newComposer() composer {
+	return composer{p: p, last: make([]int32, (p.memBits+63)/64)}
+}
+
+// begin starts a new program at the end of the arena.
+func (c *composer) begin() int {
+	c.run = len(c.ops)
+	return c.run
+}
+
+// action appends a's ops. Effects keep the order ApplyAll always gave
+// them: position record, counter record, counter reset, set, clear,
+// clear group, report.
+func (c *composer) action(a Action) {
+	start := len(c.ops)
+	if a.Test != NoBit {
+		c.ops = append(c.ops, op{kind: opTestBit, at: int32(a.Test >> 6), mask: 1 << (a.Test & 63)})
+	}
+	if a.GapReg != NoReg {
+		c.ops = append(c.ops, op{kind: opTestGap, at: int32(a.GapReg - 1), a: a.MinGap})
+	}
+	if a.TestCtr != NoCtr {
+		c.ctr(opTestCtr, a.TestCtr)
+	}
+	guards := len(c.ops) - start
+	if guards > 0 {
+		c.run = len(c.ops)
+	}
+	if a.SetPos != NoReg {
+		c.ops = append(c.ops, op{kind: opRecordPos, at: int32(a.SetPos - 1)})
+	}
+	if a.SetCtr != NoCtr {
+		c.ctr(opCtrRecord, a.SetCtr)
+	}
+	if a.ResetCtr != NoCtr {
+		c.ctr(opCtrReset, a.ResetCtr)
+	}
+	if a.Set != NoBit {
+		c.mask(opSetBits, int32(a.Set>>6), 1<<(a.Set&63))
+	}
+	if a.Clear != NoBit {
+		c.mask(opClearBits, int32(a.Clear>>6), 1<<(a.Clear&63))
+	}
+	if a.ClearGroup != 0 {
+		for _, g := range c.p.clearGroups[a.ClearGroup-1] {
+			c.mask(opClearBits, int32(g.Word), g.Mask)
+		}
+	}
+	if a.Report != NoReport {
+		c.ops = append(c.ops, op{kind: opReport, a: a.Report})
+	}
+	if guards > 0 {
+		for g := 0; g < guards; g++ {
+			c.ops[start+g].skip = uint16(len(c.ops) - (start + g) - 1)
+		}
+		c.run = len(c.ops)
+	}
+}
+
+func (c *composer) ctr(kind opKind, ctr int16) {
+	d := c.p.counters[ctr-1]
+	c.ops = append(c.ops, op{kind: kind, at: c.p.ctrOff[ctr-1], n: int32(1 + d.spanWords()), a: d.MinGap, b: d.MaxGap})
+}
+
+// mask appends a set or clear of mask in one memory word, or folds it
+// into the newest op on that word when that op is of the same kind and in
+// the current run. Folding moves the new op back past the ops in between;
+// none of them touches the word (the op folded into is the newest that
+// does) and none reads memory (a run holds no guard), so their read and
+// write sets are disjoint from its own and the order of effects on every
+// bit, register and counter is the order of the ids.
+func (c *composer) mask(kind opKind, word int32, mask uint64) {
+	if j := int(c.last[word]) - 1; j >= c.run && c.ops[j].kind == kind {
+		c.ops[j].mask |= mask
+		return
+	}
+	c.ops = append(c.ops, op{kind: kind, at: word, mask: mask})
+	c.last[word] = int32(len(c.ops))
+}
+
+// ComposeStats describes the programs Compose built.
+type ComposeStats struct {
+	Programs int                    // distinct decision sets
+	Widest   struct{ IDs, Ops int } // the widest decision set: its ids, the ops they compiled to
+	Bytes    int                    // resident size: the ops plus one slice header per set
+}
+
+// Compose compiles one accept program per decision set, each distinct
+// set once: out[i] runs the actions of sets[i] in order. Every id must
+// be below NumIDs. The work is linear in the total number of ids.
+func (p *Program) Compose(sets [][]int32) ([]AcceptProgram, ComposeStats) {
+	type span struct {
+		ids        []int32
+		start, end int
+		next       int32 // 1 + index of the previous span with the same hash
+	}
+	c := p.newComposer()
+	var spans []span
+	byHash := make(map[uint64]int32)
+	of := make([]int32, len(sets))
+	st := ComposeStats{}
+next:
+	for i, ids := range sets {
+		h := uint64(14695981039346656037)
+		for _, id := range ids {
+			h = (h ^ uint64(uint32(id))) * 1099511628211
+		}
+		for j := byHash[h]; j != 0; j = spans[j-1].next {
+			if slices.Equal(spans[j-1].ids, ids) {
+				of[i] = j - 1
+				continue next
+			}
+		}
+		start := c.begin()
+		for _, id := range ids {
+			c.action(p.actions[id])
+		}
+		spans = append(spans, span{ids: ids, start: start, end: len(c.ops), next: byHash[h]})
+		of[i] = int32(len(spans) - 1)
+		byHash[h] = int32(len(spans))
+		if len(ids) > st.Widest.IDs {
+			st.Widest.IDs, st.Widest.Ops = len(ids), len(c.ops)-start
+		}
+	}
+	out := make([]AcceptProgram, len(sets))
+	for i, s := range of {
+		out[i] = c.ops[spans[s].start:spans[s].end:spans[s].end]
+	}
+	st.Programs = len(spans)
+	st.Bytes = len(c.ops)*int(unsafe.Sizeof(op{})) + len(out)*int(unsafe.Sizeof(out[0]))
+	return out, st
+}

@@ -134,7 +134,7 @@ func (c Counters) Clone() Counters {
 // counter image against the program's layout: every counter base word
 // present in cs must lie in [0, pos]. Bases only ever hold positions the
 // flow has passed, so anything else marks a corrupted or foreign context;
-// a base beyond pos would additionally break ctrRecord's window
+// a base beyond pos would additionally break ctrBlock.record's window
 // arithmetic. Bitmap bits are not constrained — stray witnesses cannot
 // index out of range, only report matches the context claimed.
 func (p *Program) ValidateCounters(cs Counters, pos int64) error {
@@ -150,16 +150,20 @@ func (p *Program) ValidateCounters(cs Counters, pos int64) error {
 	return nil
 }
 
-// ctrRecord records a witness at pos in counter c, rebasing the bitmap
-// window forward (in whole words) when pos has outrun it. Rebasing drops
-// only positions whose age already exceeds MaxGap+1 at pos — and ages
-// only grow — so no witness that could still satisfy a future test is
-// lost.
-func (p *Program) ctrRecord(cs Counters, c int16, pos int64) {
-	off := p.ctrOff[c-1]
-	w := p.counters[c-1].spanWords()
-	base := int64(cs[off])
-	bm := cs[off+1 : int(off)+1+w]
+// ctrBlock is one counter's words within a flow's Counters: the base
+// position, then spanWords bitmap words. Accept programs carry each
+// counter op's block bounds resolved, so nothing here consults the
+// Program.
+type ctrBlock []uint64
+
+// record adds a witness at pos, rebasing the bitmap window forward (in
+// whole words) when pos has outrun it. Rebasing drops only positions
+// whose age already exceeds MaxGap+1 at pos — and ages only grow — so no
+// witness that could still satisfy a future test is lost.
+func (b ctrBlock) record(pos int64) {
+	bm := b[1:]
+	w := len(bm)
+	base := int64(b[0])
 	idx := pos - base
 	if idx < 0 {
 		// Unreachable under the SetContext invariant (base <= restore
@@ -170,40 +174,34 @@ func (p *Program) ctrRecord(cs Counters, c int16, pos int64) {
 	if idx >= int64(w)*64 {
 		shift := idx/64 - int64(w-1)
 		if shift >= int64(w) {
-			for i := range bm {
-				bm[i] = 0
-			}
+			clear(bm)
 		} else {
 			copy(bm, bm[shift:])
-			for i := int64(w) - shift; i < int64(w); i++ {
-				bm[i] = 0
-			}
+			clear(bm[int64(w)-shift:])
 		}
 		base += shift * 64
-		cs[off] = uint64(base)
+		b[0] = uint64(base)
 		idx = pos - base
 	}
 	bm[idx>>6] |= 1 << uint(idx&63)
 }
 
-// ctrTest reports whether counter c holds a witness whose distance from
-// pos lies within the counter's [MinGap, MaxGap] window.
-func (p *Program) ctrTest(cs Counters, c int16, pos int64) bool {
-	ctr := p.counters[c-1]
-	off := p.ctrOff[c-1]
-	w := ctr.spanWords()
-	base := int64(cs[off])
-	bm := cs[off+1 : int(off)+1+w]
-	lo := pos - int64(ctr.MaxGap)
-	hi := pos - int64(ctr.MinGap)
-	if hi < base || lo >= base+int64(w)*64 {
+// test reports whether the block holds a witness whose distance from pos
+// lies within [minGap, maxGap].
+func (b ctrBlock) test(minGap, maxGap int32, pos int64) bool {
+	bm := b[1:]
+	base := int64(b[0])
+	end := base + int64(len(bm))*64
+	lo := pos - int64(maxGap)
+	hi := pos - int64(minGap)
+	if hi < base || lo >= end {
 		return false
 	}
 	if lo < base {
 		lo = base
 	}
-	if hi >= base+int64(w)*64 {
-		hi = base + int64(w)*64 - 1
+	if hi >= end {
+		hi = end - 1
 	}
 	loIdx, hiIdx := lo-base, hi-base
 	loWord, hiWord := int(loIdx>>6), int(hiIdx>>6)
@@ -223,29 +221,22 @@ func (p *Program) ctrTest(cs Counters, c int16, pos int64) bool {
 	return false
 }
 
-// ctrReset kills every witness recorded strictly before pos. It
-// implements the classed-gap invalidation rule: a byte outside the gap
-// class at pos invalidates every witness whose gap would contain that
-// byte, while a witness recorded at pos itself (the forbidden byte being
-// the recording fragment's final byte, not a gap byte) survives.
-func (p *Program) ctrReset(cs Counters, c int16, pos int64) {
-	off := p.ctrOff[c-1]
-	w := p.counters[c-1].spanWords()
-	base := int64(cs[off])
-	bm := cs[off+1 : int(off)+1+w]
-	idx := pos - base
+// reset kills every witness recorded strictly before pos. It implements
+// the classed-gap invalidation rule: a byte outside the gap class at pos
+// invalidates every witness whose gap would contain that byte, while a
+// witness recorded at pos itself (the forbidden byte being the recording
+// fragment's final byte, not a gap byte) survives.
+func (b ctrBlock) reset(pos int64) {
+	bm := b[1:]
+	idx := pos - int64(b[0])
 	if idx <= 0 {
 		return
 	}
-	if idx >= int64(w)*64 {
-		for i := range bm {
-			bm[i] = 0
-		}
+	if idx >= int64(len(bm))*64 {
+		clear(bm)
 		return
 	}
 	word := int(idx >> 6)
-	for i := 0; i < word; i++ {
-		bm[i] = 0
-	}
+	clear(bm[:word])
 	bm[word] &= ^uint64(0) << uint(idx&63)
 }

@@ -185,6 +185,13 @@ type Program struct {
 	counters []Counter
 	ctrOff   []int32 // block offset of each counter in a Counters slice
 	ctrTotal int     // total words of per-flow counter state
+
+	// The action table compiled (accept.go): singles[id] bounds the
+	// one-id accept program of actions[id] in compiled.ops. Operands are
+	// resolved when an action is installed, which is why the clear groups
+	// and counters it names must already be registered.
+	compiled composer
+	singles  [][2]int32
 }
 
 // NewProgram returns a program with capacity for internal ids
@@ -200,11 +207,14 @@ func NewProgramRegs(numIDs, memBits, numRegs int) *Program {
 	for i := range actions {
 		actions[i] = DropAction
 	}
-	return &Program{
+	p := &Program{
 		actions: actions,
 		memBits: memBits,
 		numRegs: numRegs,
+		singles: make([][2]int32, numIDs),
 	}
+	p.compiled = p.newComposer()
+	return p
 }
 
 // CheckAction validates an action against the program's dimensions and
@@ -247,7 +257,15 @@ func (p *Program) SetAction(id int32, a Action) {
 	if err := p.CheckAction(id, a); err != nil {
 		panic(err.Error())
 	}
+	p.install(id, a)
+}
+
+// install stores a checked action and compiles its singleton program.
+func (p *Program) install(id int32, a Action) {
 	p.actions[id] = a
+	start := p.compiled.begin()
+	p.compiled.action(a)
+	p.singles[id] = [2]int32{int32(start), int32(len(p.compiled.ops))}
 }
 
 // AddClearGroup registers a word-mask clear group, returning its 1-based
@@ -301,13 +319,16 @@ func (p *Program) NumActiveActions() int {
 	return n
 }
 
-// MemoryImageBytes returns the static storage the filter engine needs:
-// the action table at 16 bytes per entry (five int16 indices, an int32
-// report id and an int32 gap, with alignment), mirroring the paper's
-// bytecode layout discussion extended with the counting registers. A
-// program with counter registers pays the wider 24-byte action record
-// (three more int16 slots, with alignment) plus 8 bytes per counter
-// descriptor.
+// MemoryImageBytes returns the filter's share of the Figure 2 memory
+// image: the action table in the packed record the paper's bytecode
+// discussion implies — 16 bytes per entry (five int16 indices, an int32
+// report id and an int32 gap, with alignment), or 24 bytes once the
+// program has counter registers (three more int16 slots, with alignment)
+// plus 8 bytes per counter descriptor. It is an accounting model of that
+// record, not a size of anything this package stores or writes: the
+// MFFLT1/MFFLT2 wire records are 24 and 28 bytes (they carry the
+// clear-group index too), the Action struct is 32, and the compiled ops
+// derived from the table are reported apart (ComposeStats.Bytes).
 func (p *Program) MemoryImageBytes() int {
 	if len(p.counters) == 0 {
 		return len(p.actions) * 16
@@ -348,16 +369,6 @@ func (m Memory) Reset() {
 // Bit reports the value of bit i.
 func (m Memory) Bit(i int16) bool {
 	return m[i>>6]&(1<<(i&63)) != 0
-}
-
-// setBit sets bit i.
-func (m Memory) setBit(i int16) {
-	m[i>>6] |= 1 << (i & 63)
-}
-
-// clearBit clears bit i.
-func (m Memory) clearBit(i int16) {
-	m[i>>6] &^= 1 << (i & 63)
 }
 
 // Clone returns an independent copy, used when flow contexts are saved.
@@ -426,47 +437,15 @@ func (p *Program) ApplyAt(m Memory, regs Registers, id int32, pos int64) (report
 // ApplyAll is the full filtering transition function: ApplyAt extended
 // with the flow's counter state. A nil cs fails every counter test and
 // drops counter updates, mirroring how a nil regs fails gap conditions.
+// It runs the id's singleton accept program, so a decision set applied
+// id by id and its composed program (Compose) share one interpreter.
 func (p *Program) ApplyAll(m Memory, regs Registers, cs Counters, id int32, pos int64) (reportID int32, confirmed bool) {
-	a := p.Action(id)
-	if a.Test != NoBit && !m.Bit(a.Test) {
+	if uint32(id) >= uint32(len(p.singles)) {
 		return 0, false
 	}
-	if a.GapReg != NoReg {
-		if regs == nil {
-			return 0, false
-		}
-		recorded := regs[a.GapReg-1]
-		if recorded == 0 || pos+1-recorded < int64(a.MinGap) {
-			return 0, false
-		}
-	}
-	if a.TestCtr != NoCtr {
-		if cs == nil || !p.ctrTest(cs, a.TestCtr, pos) {
-			return 0, false
-		}
-	}
-	if a.SetPos != NoReg && regs != nil && regs[a.SetPos-1] == 0 {
-		regs[a.SetPos-1] = pos + 1
-	}
-	if a.SetCtr != NoCtr && cs != nil {
-		p.ctrRecord(cs, a.SetCtr, pos)
-	}
-	if a.ResetCtr != NoCtr && cs != nil {
-		p.ctrReset(cs, a.ResetCtr, pos)
-	}
-	if a.Set != NoBit {
-		m.setBit(a.Set)
-	}
-	if a.Clear != NoBit {
-		m.clearBit(a.Clear)
-	}
-	if a.ClearGroup != 0 {
-		for _, op := range p.clearGroups[a.ClearGroup-1] {
-			m[op.Word] &^= op.Mask
-		}
-	}
-	if a.Report != NoReport {
-		return a.Report, true
-	}
-	return 0, false
+	s := p.singles[id]
+	AcceptProgram(p.compiled.ops[s[0]:s[1]]).Run(m, regs, cs, pos, func(ruleID int32, _ int64) {
+		reportID, confirmed = ruleID, true
+	})
+	return reportID, confirmed
 }

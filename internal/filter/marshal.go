@@ -269,7 +269,7 @@ func ReadProgram(r io.Reader) (*Program, error) {
 		if err := p.CheckAction(int32(id), a); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
-		p.actions[id] = a
+		p.install(int32(id), a)
 	}
 	return p, nil
 }
