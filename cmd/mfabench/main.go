@@ -8,7 +8,7 @@
 //	mfabench -exp table5 -sets C7p,C8
 //	mfabench -exp fig4 -scale 0.25    # smaller traces, faster run
 //	mfabench -exp fig5 -bytes 524288
-//	mfabench -exp layout -json layout.json    # flat/classed/classed2 + batching
+//	mfabench -exp layout -json layout.json    # flat/classed + batching
 //	mfabench -exp engine -json results.json   # machine-readable rows too
 //	mfabench -exp engine -batch 8             # batched rows at lockstep width 8
 //

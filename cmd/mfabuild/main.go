@@ -35,7 +35,7 @@ func run() error {
 	showFilters := flag.Bool("filters", false, "dump the generated filter program")
 	showFragments := flag.Bool("fragments", false, "list the decomposed fragments")
 	maxStates := flag.Int("max-states", 0, "DFA state budget (0 = default)")
-	layout := flag.String("layout", "", "transition-table layout: flat, classed, classed2 (empty = auto; classed2 falls back to classed when its pair table would exceed the build cap)")
+	layout := flag.String("layout", "", "transition-table layout: auto, flat, classed (empty = auto)")
 	output := flag.String("o", "", "write the compiled engine to this file for mfascan -engine")
 	check := flag.Bool("check", true, "self-check the compiled automaton (scan a built-in trace, round-trip a flow context) before reporting or writing it")
 	counters := flag.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion")

@@ -151,7 +151,7 @@ func run() (int, error) {
 	sourceQueue := flag.Int("source-queue", 256, "per-source handoff queue depth (segments)")
 	shards := flag.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 4096, "per-shard queue depth (segments)")
-	layoutFlag := flag.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed, classed2 (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
+	layoutFlag := flag.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
 	batchFlows := flag.Int("batch-flows", 0, "scan up to this many flows per shard in lockstep (0 or 1 = scan-on-arrival; capped at 16, see DESIGN.md §18)")
 	drop := flag.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
 	maxFlows := flag.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
@@ -857,7 +857,7 @@ func registerBuildMetrics(reg *telemetry.Registry, cur func() core.BuildStats) {
 	// Info-style metric: the layout name rides in the label, value is 1
 	// on the serving layout's series. All layouts are registered so the
 	// series set is stable across reloads that change layout.
-	for _, layout := range []string{"flat", "classed", "classed2"} {
+	for _, layout := range []string{"flat", "classed"} {
 		layout := layout
 		reg.GaugeFunc("mfa_build_dfa_layout_info",
 			"transition-table layout of the serving engine (1 on the active layout's series)",

@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/engine"
 	"matchfilter/internal/flow"
 )
@@ -32,11 +31,10 @@ func EngineTrace(scale float64) TraceProfile {
 
 // EngineScalingResult is one row of the scaling experiment.
 type EngineScalingResult struct {
-	Set     string
-	Shards  int // 0 = the sequential flow.ScanPcap baseline
+	Set    string
+	Shards int // 0 = the sequential flow.ScanPcap baseline
 	// BatchFlows and Layout are set on batched rows: the lockstep width K
-	// and the table layout the batched runners used ("classed2", or
-	// "classed" when the pair-table build fell back on that set).
+	// and the table layout of the set's MFA.
 	BatchFlows int
 	Layout     string
 	Throughput
@@ -49,9 +47,8 @@ type EngineScalingResult struct {
 // it approaches the core count on parallel hardware and ≈1× on one core
 // (the dispatch layer's channel handoff is the residual cost). When
 // batchFlows > 1, each shard count is additionally measured with batched
-// lockstep scanning (engine.Config.BatchFlows) over the 2-byte-stride
-// layout — the DESIGN.md §18 configuration, whose single-core speedup is
-// the headline number of that section.
+// lockstep scanning (engine.Config.BatchFlows), the DESIGN.md §18
+// configuration.
 func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardCounts []int, batchFlows int) ([]EngineScalingResult, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4, 8}
@@ -114,22 +111,17 @@ func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardC
 		}
 
 		if batchFlows > 1 {
-			// Batched lockstep rows: same trace, classed2 tables. The match
-			// cross-check below is the layout/batching equivalence claim
-			// exercised end-to-end at benchmark scale.
-			m2, err := compileLayout(e.Set, dfa.LayoutClassed2)
-			if err != nil {
-				return nil, err
-			}
-			layout := m2.Stats().DFALayout
-			newBatched := func() flow.Runner { return m2.NewRunner() }
+			// Batched lockstep rows: same trace, same automaton. The match
+			// cross-check below is the batching equivalence claim exercised
+			// end-to-end at benchmark scale.
+			layout := e.MFA.Stats().DFALayout
 			for _, shards := range shardCounts {
 				cfg := engine.Config{Shards: shards, QueueDepth: 4096, BatchFlows: batchFlows}
-				if _, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newBatched, nil); err != nil {
+				if _, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newRunner, nil); err != nil {
 					return nil, err
 				}
 				start := time.Now()
-				st, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newBatched, nil)
+				st, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newRunner, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -6,6 +6,8 @@ package bench
 
 import (
 	"io"
+	"runtime"
+	"runtime/debug"
 
 	"matchfilter/internal/telemetry"
 )
@@ -59,9 +61,49 @@ type JSONRow struct {
 	Failed      bool   `json:"failed,omitempty"`
 }
 
+// JSONEnv records where a report was measured, once per file, so numbers
+// from different hosts, toolchains or commits are never compared blind.
+type JSONEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	// Commit is the VCS revision stamped into the binary, "+dirty" when
+	// the tree was modified; empty for builds without VCS stamping
+	// (-buildvcs=false, or go run outside a repository).
+	Commit string `json:"commit,omitempty"`
+}
+
+func currentEnv() JSONEnv {
+	env := JSONEnv{
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		var dirty string
+		for _, kv := range info.Settings {
+			switch {
+			case kv.Key == "vcs.revision":
+				env.Commit = kv.Value
+			case kv.Key == "vcs.modified" && kv.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+		if env.Commit != "" {
+			env.Commit += dirty
+		}
+	}
+	return env
+}
+
 // JSONReport accumulates rows across the experiments of one mfabench run
 // and is written as a single document by Write.
 type JSONReport struct {
+	Env  JSONEnv   `json:"env"`
 	Rows []JSONRow `json:"rows"`
 }
 
@@ -134,10 +176,8 @@ func (r *JSONReport) AddEngineScaling(results []EngineScalingResult) {
 }
 
 // AddLayout appends table-layout rows (experiment "layout"): one
-// single-flow row per (set, layout) — the classed2 row reports the layout
-// the build actually produced, so a fallback set emits a second
-// "classed" row rather than a fictitious "classed2" one — plus one
-// batched row per (set, layout, K) lockstep measurement.
+// single-flow row per (set, layout) plus one batched row per (set,
+// layout, K) lockstep measurement.
 func (r *JSONReport) AddLayout(results []LayoutResult) {
 	for _, lr := range results {
 		flat := r.throughputRow("layout", lr.Set, lr.Flat)
@@ -152,13 +192,6 @@ func (r *JSONReport) AddLayout(results []LayoutResult) {
 		classed.TableBytes = lr.ClassedTableBytes
 		classed.Classes = lr.Classes
 		r.Rows = append(r.Rows, classed)
-
-		classed2 := r.throughputRow("layout", lr.Set, lr.Classed2)
-		classed2.Engine = EngineMFA.String()
-		classed2.Layout = lr.Classed2Layout
-		classed2.TableBytes = lr.Classed2TableBytes
-		classed2.Classes = lr.Classes
-		r.Rows = append(r.Rows, classed2)
 
 		for _, bt := range lr.Batched {
 			row := r.throughputRow("layout", lr.Set, bt.Throughput)
@@ -201,5 +234,6 @@ func (r *JSONReport) Write(w io.Writer) error {
 	if r.Rows == nil {
 		r.Rows = []JSONRow{} // an empty run still yields a valid document
 	}
+	r.Env = currentEnv()
 	return telemetry.WriteJSONValue(w, r)
 }

@@ -26,37 +26,28 @@ var BatchKs = []int{1, 4, 8, 16}
 // split into K equal sub-streams scanned as K concurrent flows by one
 // core.FlowBatcher.
 type BatchThroughput struct {
-	Layout string // layout the lanes ran on ("flat", "classed", "classed2")
+	Layout string // layout the lanes ran on ("flat" or "classed")
 	K      int
 	Throughput
 }
 
 // LayoutResult compares the transition-table layouts of one set's MFA:
-// identical automaton, flat 256-wide table, the byte-class compressed
-// one, and the 2-byte-stride pair table built over the classes.
+// identical automaton, all 256 columns or the byte-class quotient.
 type LayoutResult struct {
 	Set     string
 	States  int
 	Classes int
 	// FlatTableBytes and ClassedTableBytes are the transition-table image
 	// sizes (the classed figure includes its 256-byte class map);
-	// Reduction is flat divided by classed. Classed2TableBytes adds the
-	// derived pair table (it includes the retained 1-byte table the slow
-	// and tail paths use).
-	FlatTableBytes     int
-	ClassedTableBytes  int
-	Classed2TableBytes int
-	Reduction          float64
-	// Classed2Layout is the layout the classed2 build actually produced:
-	// "classed2", or "classed" when the pair table would exceed
-	// dfa.Classed2MaxTableBytes and the build fell back.
-	Classed2Layout string
-	// Flat, Classed and Classed2 are single-flow scan throughputs over
-	// the same payload: a text-like trace salted with the set's own
-	// literals, the Figure 4 payload model.
-	Flat     Throughput
-	Classed  Throughput
-	Classed2 Throughput
+	// Reduction is flat divided by classed.
+	FlatTableBytes    int
+	ClassedTableBytes int
+	Reduction         float64
+	// Flat and Classed are single-flow scan throughputs over the same
+	// payload: a text-like trace salted with the set's own literals, the
+	// Figure 4 payload model.
+	Flat    Throughput
+	Classed Throughput
 	// Batched holds the lockstep measurements: layout × K over the same
 	// payload split into K concurrent flows.
 	Batched []BatchThroughput
@@ -117,8 +108,8 @@ func measureBatched(m *core.MFA, payload []byte, k int) Throughput {
 	}, payload)
 }
 
-// MeasureLayout builds all three layouts of one set's MFA and measures
-// them over the same payload, single-flow and batched.
+// MeasureLayout builds both layouts of one set's MFA and measures them
+// over the same payload, single-flow and batched.
 func MeasureLayout(set string, bytesN int, seed int64) (LayoutResult, error) {
 	flat, err := compileLayout(set, dfa.LayoutFlat)
 	if err != nil {
@@ -128,26 +119,19 @@ func MeasureLayout(set string, bytesN int, seed int64) (LayoutResult, error) {
 	if err != nil {
 		return LayoutResult{}, err
 	}
-	classed2, err := compileLayout(set, dfa.LayoutClassed2)
-	if err != nil {
-		return LayoutResult{}, err
-	}
 	payload, err := layoutPayload(set, bytesN, seed)
 	if err != nil {
 		return LayoutResult{}, err
 	}
-	fs, cs, c2s := flat.Stats(), classed.Stats(), classed2.Stats()
+	fs, cs := flat.Stats(), classed.Stats()
 	res := LayoutResult{
-		Set:                set,
-		States:             cs.DFAStates,
-		Classes:            cs.DFAClasses,
-		FlatTableBytes:     fs.DFATableBytes,
-		ClassedTableBytes:  cs.DFATableBytes,
-		Classed2TableBytes: c2s.DFATableBytes,
-		Classed2Layout:     c2s.DFALayout,
-		Flat:               Measure(func(data []byte) int64 { return flat.NewRunner().FeedCount(data) }, payload),
-		Classed:            Measure(func(data []byte) int64 { return classed.NewRunner().FeedCount(data) }, payload),
-		Classed2:           Measure(func(data []byte) int64 { return classed2.NewRunner().FeedCount(data) }, payload),
+		Set:               set,
+		States:            cs.DFAStates,
+		Classes:           cs.DFAClasses,
+		FlatTableBytes:    fs.DFATableBytes,
+		ClassedTableBytes: cs.DFATableBytes,
+		Flat:              Measure(func(data []byte) int64 { return flat.NewRunner().FeedCount(data) }, payload),
+		Classed:           Measure(func(data []byte) int64 { return classed.NewRunner().FeedCount(data) }, payload),
 	}
 	if cs.DFATableBytes > 0 {
 		res.Reduction = float64(fs.DFATableBytes) / float64(cs.DFATableBytes)
@@ -156,7 +140,6 @@ func MeasureLayout(set string, bytesN int, seed int64) (LayoutResult, error) {
 		res.Batched = append(res.Batched,
 			BatchThroughput{Layout: "flat", K: k, Throughput: measureBatched(flat, payload, k)},
 			BatchThroughput{Layout: "classed", K: k, Throughput: measureBatched(classed, payload, k)},
-			BatchThroughput{Layout: c2s.DFALayout, K: k, Throughput: measureBatched(classed2, payload, k)},
 		)
 	}
 	return res, nil
@@ -169,9 +152,9 @@ func LayoutComparison(w io.Writer, sets []string, bytesN int, seed int64) ([]Lay
 	if len(sets) == 0 {
 		sets = LayoutSets
 	}
-	fmt.Fprintln(w, "Transition-table layouts: flat (256-wide) vs byte-class compressed vs 2-byte stride")
+	fmt.Fprintln(w, "Transition-table layouts: flat (256-wide) vs byte-class compressed")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Set\tstates\tclasses\tflat table\tclassed table\tclassed2 table\treduction\tflat MB/s\tclassed MB/s\tclassed2 MB/s")
+	fmt.Fprintln(tw, "Set\tstates\tclasses\tflat table\tclassed table\treduction\tflat MB/s\tclassed MB/s")
 	var all []LayoutResult
 	for _, set := range sets {
 		res, err := MeasureLayout(set, bytesN, seed)
@@ -179,20 +162,15 @@ func LayoutComparison(w io.Writer, sets []string, bytesN int, seed int64) ([]Lay
 			return nil, err
 		}
 		all = append(all, res)
-		c2 := fmt.Sprintf("%d", res.Classed2TableBytes)
-		if res.Classed2Layout != "classed2" {
-			c2 += "*" // fell back: pair table over dfa.Classed2MaxTableBytes
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%.1fx\t%.0f\t%.0f\t%.0f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1fx\t%.0f\t%.0f\n",
 			res.Set, res.States, res.Classes,
-			res.FlatTableBytes, res.ClassedTableBytes, c2, res.Reduction,
-			res.Flat.MBps(), res.Classed.MBps(), res.Classed2.MBps())
+			res.FlatTableBytes, res.ClassedTableBytes, res.Reduction,
+			res.Flat.MBps(), res.Classed.MBps())
 	}
 	if err := tw.Flush(); err != nil {
 		return nil, err
 	}
-	fmt.Fprintln(w, "(classed table bytes include the 256-byte class map; classed2 includes the")
-	fmt.Fprintln(w, " retained 1-byte table; * marks a fallback to classed — pair table too large.")
+	fmt.Fprintln(w, "(classed table bytes include the 256-byte class map.")
 	fmt.Fprintln(w, " Same automaton, same match stream — see the layout equivalence tests.)")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Batched lockstep: K concurrent flows per flush window (MB/s, aggregate)")

@@ -16,14 +16,14 @@ package core
 // order, runs its own filter memory/registers, and reports through its
 // own callback, so every flow's (ruleID, pos) stream is byte-identical
 // to what the sequential scanner produces — property-tested in
-// batch_test.go and layout_equiv_test.go across all three layouts.
+// batch_test.go and layout_equiv_test.go across both layouts.
 //
 // A batch may mix runners from different MFAs (multi-tenant shards,
-// cross-generation drains): lanes carry their own table views and are
-// partitioned by layout, lockstepping flat, classed, and classed2
-// lanes separately. Whenever a partition holds a single lane the
-// batcher falls through to the plain Feed loop, so fewer-than-K ready
-// flows never pay lockstep overhead.
+// cross-generation drains) and of either layout: every automaton is the
+// one table shape of internal/dfa, so lanes carry their own table views
+// and one loop steps them all. Whenever a single lane is left the batcher
+// falls through to the plain Feed loop, so fewer-than-K ready flows never
+// pay lockstep overhead.
 
 // MaxBatchFlows caps the lockstep width. 16 lanes saturate the
 // load-miss parallelism of current cores (10–16 outstanding L1 misses)
@@ -41,18 +41,14 @@ type batchLane struct {
 
 	// Views resolved at flush time from r's MFA, cached in the lane so
 	// the round loop never chases r→mfa→field pointers.
-	trans   []uint32
-	trans2  []uint32
-	classOf []uint8
-	k       uint32 // 1-byte row stride (1 for flat: states are unscaled)
-	k2      uint32 // pair-row stride (classed2 only)
-	div     uint32 // st → plain state divisor at write-back
+	trans        []uint32
+	classOf      []uint8
+	k            uint32 // row stride
+	scaledAccept uint32 // acceptStart × k
 
-	st           uint32 // layout-internal cursor: state, row base, or pair-row base
-	pos          int64
-	i            int // bytes of data consumed
-	scaledAccept uint32
-	scaled2      uint32 // classed2: acceptStart × k2
+	st  uint32 // cursor: the row base of the current state
+	pos int64
+	i   int // bytes of data consumed
 
 	// dead marks a lane whose match callback (or filter program)
 	// panicked: the lane stops stepping, its remaining chunks are
@@ -153,44 +149,17 @@ func (b *FlowBatcher) Flush() {
 	work := b.lanes
 	b.lanes = b.lanes[:0]
 	b.cur = nil
-	if len(work) == 0 {
+	switch len(work) {
+	case 0:
 		return
-	}
-	if len(work) == 1 {
+	case 1:
 		b.feedLane(&work[0])
-		b.finish()
-		return
-	}
-	var flat, classed, pairs [MaxBatchFlows]*batchLane
-	nf, nc, np := 0, 0, 0
-	for i := range work {
-		la := &work[i]
-		switch m := la.r.mfa; {
-		case m.trans2 != nil:
-			pairs[np] = la
-			np++
-		case m.classOf != nil:
-			classed[nc] = la
-			nc++
-		default:
-			flat[nf] = la
-			nf++
+	default:
+		var lanes [MaxBatchFlows]*batchLane
+		for i := range work {
+			lanes[i] = &work[i]
 		}
-	}
-	if np == 1 {
-		b.feedLane(pairs[0])
-	} else if np > 1 {
-		b.lockstepPairs(pairs[:np])
-	}
-	if nc == 1 {
-		b.feedLane(classed[0])
-	} else if nc > 1 {
-		b.lockstepClassed(classed[:nc])
-	}
-	if nf == 1 {
-		b.feedLane(flat[0])
-	} else if nf > 1 {
-		b.lockstepFlat(flat[:nf])
+		b.lockstep(lanes[:len(work)])
 	}
 	b.finish()
 }
@@ -264,7 +233,7 @@ func advance(active []*batchLane, l int) []*batchLane {
 			la.i = 0
 		}
 		if la.i == len(la.data) {
-			la.r.dfa.SetState(la.st/la.div, la.pos)
+			la.r.dfa.SetState(la.st/la.k, la.pos)
 		} else {
 			active[n] = la
 			n++
@@ -278,7 +247,7 @@ func advance(active []*batchLane, l int) []*batchLane {
 // the plain Feed loop is strictly faster.
 func (b *FlowBatcher) retireInto(la *batchLane) {
 	defer b.reap(la)
-	la.r.dfa.SetState(la.st/la.div, la.pos)
+	la.r.dfa.SetState(la.st/la.k, la.pos)
 	b.cur = la.tag
 	la.r.Feed(la.data[la.i:], la.cb)
 	for _, d := range la.more {
@@ -286,110 +255,56 @@ func (b *FlowBatcher) retireInto(la *batchLane) {
 	}
 }
 
-// acceptScaled fires the accept program of an accepting row base st of
-// the 1-byte table (pre-scaled by la.k; for flat lanes k is 1 and st a
-// plain state) under the lane's panic guard. The odd tail step of a
-// classed2 round lands on the same table and comes through here too.
+// acceptScaled fires the accept program of an accepting row base st
+// under the lane's panic guard.
 func (b *FlowBatcher) acceptScaled(la *batchLane, st uint32, pos int64) {
 	defer b.reap(la)
 	b.cur = la.tag
 	la.r.fire((st-la.scaledAccept)/la.k, pos, la.cb)
 }
 
-// sameMFA reports whether every lane runs the same automaton — the
-// dominant single-tenant case, where the lockstep loop can hoist the
-// table views into locals instead of re-reading them from the lane
-// structs at every step.
-func sameMFA(lanes []*batchLane) bool {
-	m := lanes[0].r.mfa
-	for _, la := range lanes[1:] {
-		if la.r.mfa != m {
-			return false
-		}
-	}
-	return true
-}
-
-// batchBlock is the strip length of the homogeneous lockstep loops: each
-// lane advances batchBlock bytes before the loop moves on to the next
-// lane. Per-lane bookkeeping (cursor loads, window slice headers)
-// amortizes over the strip while the out-of-order window still spans
-// several lanes' strips, keeping multiple independent table-load chains
-// in flight. Must stay even (the pair loop steps two bytes at a time).
+// batchBlock is the strip length of the lockstep loop: each lane advances
+// batchBlock bytes before the loop moves on to the next lane. Per-lane
+// bookkeeping (table views, cursor, window slice header) amortizes over
+// the strip while the out-of-order window still spans several lanes'
+// strips, keeping multiple independent table-load chains in flight.
 const batchBlock = 8
 
-// lockstepClassed steps ≥2 classed-layout lanes in lockstep. The inner
-// loop is lane-inner/position-outer: each iteration issues one table
-// load per lane, and the lanes' loads are mutually independent.
-func (b *FlowBatcher) lockstepClassed(lanes []*batchLane) {
-	for _, la := range lanes {
+// lockstep steps ≥2 lanes in lockstep, a round at a time: every active
+// lane advances by the shortest remaining chunk, strip-mined so that the
+// lanes' mutually independent table loads interleave. The round's cursors
+// and windows live in stack arrays; each lane's table views are read once
+// per strip, so lanes of one MFA and of several cost the same loop.
+func (b *FlowBatcher) lockstep(active []*batchLane) {
+	for _, la := range active {
 		m := la.r.mfa
 		la.trans = m.trans
 		la.classOf = m.classOf
 		la.k = uint32(m.stride)
-		la.div = la.k
 		la.scaledAccept = m.acceptStart * la.k
 		la.st = la.r.dfa.State() * la.k
 		la.pos = la.r.dfa.Pos()
 	}
-	if sameMFA(lanes) {
-		b.lockstepClassedShared(lanes, lanes[0].r.mfa)
-		return
-	}
-	active := lanes
-	for len(active) > 0 {
-		if len(active) == 1 {
-			b.retireInto(active[0])
-			return
-		}
-		l := minRemaining(active)
-		for j := 0; j < l; j++ {
-			for _, la := range active {
-				if la.dead {
-					continue
-				}
-				st := la.trans[la.st+uint32(la.classOf[la.data[la.i+j]])]
-				la.st = st
-				if st >= la.scaledAccept {
-					b.acceptScaled(la, st, la.pos+int64(j))
-				}
-			}
-		}
-		active = advance(active, l)
-	}
-}
-
-// lockstepClassedShared is lockstepClassed for lanes sharing one MFA:
-// table views live in locals, lane states in a small array, and the
-// round is strip-mined in batchBlock-byte blocks per lane.
-func (b *FlowBatcher) lockstepClassedShared(active []*batchLane, m *MFA) {
-	trans, classOf := m.trans, m.classOf
-	scaledAccept := m.acceptStart * uint32(m.stride)
 	for len(active) > 1 {
 		l := minRemaining(active)
-		n := len(active)
 		var st [MaxBatchFlows]uint32
 		var win [MaxBatchFlows][]byte
-		for x := 0; x < n; x++ {
-			la := active[x]
+		for x, la := range active {
 			st[x] = la.st
 			win[x] = la.data[la.i : la.i+l]
 		}
 		for j0 := 0; j0 < l; j0 += batchBlock {
-			je := j0 + batchBlock
-			if je > l {
-				je = l
-			}
-			for x := 0; x < n; x++ {
+			je := min(j0+batchBlock, l)
+			for x, la := range active {
 				w := win[x]
-				if w == nil { // lane died mid-window
+				if w == nil { // lane died mid-round
 					continue
 				}
+				trans, classOf, scaledAccept := la.trans, la.classOf, la.scaledAccept
 				s := st[x]
 				for bi, c := range w[j0:je] {
 					s = trans[s+uint32(classOf[c])]
 					if s >= scaledAccept {
-						la := active[x]
 						b.acceptScaled(la, s, la.pos+int64(j0+bi))
 						if la.dead {
 							win[x] = nil
@@ -397,252 +312,15 @@ func (b *FlowBatcher) lockstepClassedShared(active []*batchLane, m *MFA) {
 						}
 					}
 				}
-				if win[x] != nil {
-					st[x] = s
-				}
+				st[x] = s
 			}
 		}
-		for x := 0; x < n; x++ {
-			if la := active[x]; !la.dead {
-				la.st = st[x]
-			}
+		for x, la := range active {
+			la.st = st[x]
 		}
 		active = advance(active, l)
 	}
 	if len(active) == 1 {
 		b.retireInto(active[0])
 	}
-}
-
-// lockstepFlat is lockstepClassed over the flat layout: plain state
-// numbers, one load per byte, no class map.
-func (b *FlowBatcher) lockstepFlat(lanes []*batchLane) {
-	for _, la := range lanes {
-		m := la.r.mfa
-		la.trans = m.trans
-		la.k = 1
-		la.div = 1
-		la.scaledAccept = m.acceptStart
-		la.st = la.r.dfa.State()
-		la.pos = la.r.dfa.Pos()
-	}
-	if sameMFA(lanes) {
-		b.lockstepFlatShared(lanes, lanes[0].r.mfa)
-		return
-	}
-	active := lanes
-	for len(active) > 0 {
-		if len(active) == 1 {
-			b.retireInto(active[0])
-			return
-		}
-		l := minRemaining(active)
-		for j := 0; j < l; j++ {
-			for _, la := range active {
-				if la.dead {
-					continue
-				}
-				st := la.trans[int(la.st)<<8|int(la.data[la.i+j])]
-				la.st = st
-				if st >= la.scaledAccept {
-					b.acceptScaled(la, st, la.pos+int64(j))
-				}
-			}
-		}
-		active = advance(active, l)
-	}
-}
-
-// lockstepFlatShared is lockstepFlat for lanes sharing one MFA.
-func (b *FlowBatcher) lockstepFlatShared(active []*batchLane, m *MFA) {
-	trans := m.trans
-	acceptStart := m.acceptStart
-	for len(active) > 1 {
-		l := minRemaining(active)
-		n := len(active)
-		var st [MaxBatchFlows]uint32
-		var win [MaxBatchFlows][]byte
-		for x := 0; x < n; x++ {
-			la := active[x]
-			st[x] = la.st
-			win[x] = la.data[la.i : la.i+l]
-		}
-		for j0 := 0; j0 < l; j0 += batchBlock {
-			je := j0 + batchBlock
-			if je > l {
-				je = l
-			}
-			for x := 0; x < n; x++ {
-				w := win[x]
-				if w == nil {
-					continue
-				}
-				s := st[x]
-				for bi, c := range w[j0:je] {
-					s = trans[int(s)<<8|int(c)]
-					if s >= acceptStart {
-						la := active[x]
-						b.acceptScaled(la, s, la.pos+int64(j0+bi))
-						if la.dead {
-							win[x] = nil
-							break
-						}
-					}
-				}
-				if win[x] != nil {
-					st[x] = s
-				}
-			}
-		}
-		for x := 0; x < n; x++ {
-			if la := active[x]; !la.dead {
-				la.st = st[x]
-			}
-		}
-		active = advance(active, l)
-	}
-	if len(active) == 1 {
-		b.retireInto(active[0])
-	}
-}
-
-// lockstepPairs steps ≥2 classed2 lanes two bytes per round position
-// over their pair tables; a round of odd length finishes with one
-// 1-byte step per lane on the retained classed table. Pair boundaries
-// may therefore shift between rounds — harmless, because acceptance is
-// checked at every byte position regardless of how positions pair up.
-func (b *FlowBatcher) lockstepPairs(lanes []*batchLane) {
-	for _, la := range lanes {
-		m := la.r.mfa
-		la.trans = m.trans
-		la.trans2 = m.trans2
-		la.classOf = m.classOf
-		la.k = uint32(m.stride)
-		la.k2 = uint32(m.stride2)
-		la.div = la.k2
-		la.scaledAccept = m.acceptStart * la.k
-		la.scaled2 = m.acceptStart * la.k2
-		la.st = la.r.dfa.State() * la.k2
-		la.pos = la.r.dfa.Pos()
-	}
-	if sameMFA(lanes) {
-		b.lockstepPairsShared(lanes, lanes[0].r.mfa)
-		return
-	}
-	active := lanes
-	for len(active) > 0 {
-		if len(active) == 1 {
-			b.retireInto(active[0])
-			return
-		}
-		l := minRemaining(active)
-		p := l &^ 1
-		for j := 0; j < p; j += 2 {
-			for _, la := range active {
-				if la.dead {
-					continue
-				}
-				i := la.i + j
-				nxt := la.trans2[la.st+uint32(la.classOf[la.data[i]])*la.k+uint32(la.classOf[la.data[i+1]])]
-				if nxt >= la.scaled2 {
-					nxt = b.pairSlowLane(la, j)
-				}
-				la.st = nxt
-			}
-		}
-		if p < l { // odd round: a 1-byte classed step keeps the lanes aligned
-			for _, la := range active {
-				if la.dead {
-					continue
-				}
-				base := la.trans[(la.st/la.k2)*la.k+uint32(la.classOf[la.data[la.i+p]])]
-				if base >= la.scaledAccept {
-					b.acceptScaled(la, base, la.pos+int64(p))
-				}
-				la.st = (base / la.k) * la.k2
-			}
-		}
-		active = advance(active, l)
-	}
-}
-
-// lockstepPairsShared is lockstepPairs for lanes sharing one MFA. Only
-// the even-length body of each round is strip-mined; the odd tail step
-// (at most one byte per round) stays on the lane fields.
-func (b *FlowBatcher) lockstepPairsShared(active []*batchLane, m *MFA) {
-	trans2, classOf := m.trans2, m.classOf
-	k := uint32(m.stride)
-	k2 := uint32(m.stride2)
-	scaled2 := m.acceptStart * k2
-	for len(active) > 1 {
-		l := minRemaining(active)
-		p := l &^ 1
-		n := len(active)
-		var st [MaxBatchFlows]uint32
-		var win [MaxBatchFlows][]byte
-		for x := 0; x < n; x++ {
-			la := active[x]
-			st[x] = la.st
-			win[x] = la.data[la.i : la.i+l]
-		}
-		for j0 := 0; j0 < p; j0 += batchBlock {
-			je := j0 + batchBlock
-			if je > p {
-				je = p
-			}
-			for x := 0; x < n; x++ {
-				w := win[x]
-				if w == nil {
-					continue
-				}
-				s := st[x]
-				for j := j0; j < je; j += 2 {
-					nxt := trans2[s+uint32(classOf[w[j]])*k+uint32(classOf[w[j+1]])]
-					if nxt >= scaled2 {
-						la := active[x]
-						la.st = s // pairSlow replays from the pre-step state
-						nxt = b.pairSlowLane(la, j)
-						if la.dead {
-							win[x] = nil
-							break
-						}
-					}
-					s = nxt
-				}
-				if win[x] != nil {
-					st[x] = s
-				}
-			}
-		}
-		for x := 0; x < n; x++ {
-			if la := active[x]; !la.dead {
-				la.st = st[x]
-			}
-		}
-		if p < l { // odd round: a 1-byte classed step keeps the lanes aligned
-			for _, la := range active {
-				if la.dead {
-					continue
-				}
-				base := la.trans[(la.st/la.k2)*la.k+uint32(la.classOf[la.data[la.i+p]])]
-				if base >= la.scaledAccept {
-					b.acceptScaled(la, base, la.pos+int64(p))
-				}
-				la.st = (base / la.k) * la.k2
-			}
-		}
-		active = advance(active, l)
-	}
-	if len(active) == 1 {
-		b.retireInto(active[0])
-	}
-}
-
-// pairSlowLane replays one accepting pair through the lane runner's
-// filter-aware slow path, under the lane's panic guard.
-func (b *FlowBatcher) pairSlowLane(la *batchLane, j int) uint32 {
-	defer b.reap(la)
-	b.cur = la.tag
-	i := la.i + j
-	return la.r.pairSlow(la.st/la.k2, la.data[i], la.data[i+1], la.pos+int64(j), la.cb)
 }

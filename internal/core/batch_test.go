@@ -30,7 +30,7 @@ func compileTest(t testing.TB, layout dfa.Layout, sources ...string) *MFA {
 // flow inside a single batch scan in arrival order: a match spanning
 // the chunk boundary must be found exactly as in a sequential scan.
 func TestBatcherSameRunnerChunkOrder(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
 		m := compileTest(t, layout, "attack.*payload", "abc")
 		input := []byte("xx abc attack with payload yy")
 		want := fmt.Sprint(m.Run(input))
@@ -60,15 +60,14 @@ func TestBatcherSameRunnerChunkOrder(t *testing.T) {
 	}
 }
 
-// TestBatcherMixedLayouts puts runners of all three layouts (three
-// distinct MFAs) into one batch — the multi-tenant shard case — and
-// checks every flow's stream against its own sequential reference.
+// TestBatcherMixedLayouts puts runners of both layouts (two distinct
+// MFAs) into one batch — the multi-tenant shard case — and checks every
+// flow's stream against its own sequential reference.
 func TestBatcherMixedLayouts(t *testing.T) {
 	sources := []string{"attack.*payload", "abc", "x[0-9]+y"}
 	mfas := []*MFA{
 		compileTest(t, dfa.LayoutFlat, sources...),
 		compileTest(t, dfa.LayoutClassed, sources...),
-		compileTest(t, dfa.LayoutClassed2, sources...),
 	}
 	inputs := [][]byte{
 		[]byte("xx abc attack with payload x12y"),
@@ -97,12 +96,10 @@ func TestBatcherMixedLayouts(t *testing.T) {
 }
 
 // TestBatcherMixedMFAsSameLayout puts runners of two *different* MFAs
-// sharing one layout into a batch, so the partition is heterogeneous
-// and the generic (per-lane table view) lockstep loop runs rather than
-// the shared-table fast path. Every flow's stream must still match its
-// own sequential reference.
+// sharing one layout into a batch, so lanes walk different tables. Every
+// flow's stream must still match its own sequential reference.
 func TestBatcherMixedMFAsSameLayout(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
 		mfas := []*MFA{
 			compileTest(t, layout, "attack.*payload", "abc"),
 			compileTest(t, layout, "x[0-9]+y", "payload"),
@@ -150,7 +147,7 @@ func TestBatcherRejectsForeignRunner(t *testing.T) {
 // TestBatcherFullBatchSelfFlush checks that Add beyond the batch width
 // flushes the pending lanes first — no silent eviction, no lost work.
 func TestBatcherFullBatchSelfFlush(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed2, "abc")
+	m := compileTest(t, dfa.LayoutClassed, "abc")
 	b := NewFlowBatcher(2)
 	var total int
 	cb := func(int32, int64) { total++ }
@@ -172,7 +169,7 @@ func TestBatcherFullBatchSelfFlush(t *testing.T) {
 // back state — then the panic re-raises out of Flush with Scanning
 // identifying the offending flow's tag, and the batcher is left empty.
 func TestBatcherPanicLeavesBatchEmpty(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed2, "abc")
+	m := compileTest(t, dfa.LayoutClassed, "abc")
 	var ok1, ok2 int
 	b := NewFlowBatcher(8)
 	b.Add(m.NewRunner(), "ok-1", []byte("abc abc"), func(int32, int64) { ok1++ })
@@ -210,10 +207,10 @@ func TestBatcherPanicLeavesBatchEmpty(t *testing.T) {
 // the property flow teardown and hot reload rely on when they capture
 // contexts from recently batched runners.
 func TestBatcherWriteBackState(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
 		m := compileTest(t, layout, "attack.*payload", "abc")
 		inputs := [][]byte{
-			[]byte("xx abc attack wi"),  // even length
+			[]byte("xx abc attack wi"),   // even length
 			[]byte("odd abc attack wi."), // odd length
 			[]byte("attack with paylo"),
 		}
@@ -237,5 +234,100 @@ func TestBatcherWriteBackState(t *testing.T) {
 				t.Fatalf("layout %v flow %d: written-back state %d is not a plain state number", layout, fi, bs)
 			}
 		}
+	}
+}
+
+// TestBatcherMixedWindow is the case the single lockstep loop makes new:
+// one flush window whose lanes walk a flat table, a classed table of a
+// different rule set and a counter-bearing automaton — lanes that used to
+// be partitioned into separate loops — with uneven chunk lengths, a
+// second Add for a live lane, and one lane's callback panicking in the
+// middle of a strip. Sibling streams and contexts must equal sequential
+// Feed, the dead lane must not be written back, and Scanning must name it.
+func TestBatcherMixedWindow(t *testing.T) {
+	flat := compileTest(t, dfa.LayoutFlat, "attack.*payload", "abc")
+	classed := compileTest(t, dfa.LayoutClassed, "x[0-9]+y", "payload")
+	counted, err := Compile(mustRules(t, "gh[^\n]{10,20}ij", "ab\n"), counterOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.Stats().Counters == 0 {
+		t.Fatal("counter set compiled without counter registers")
+	}
+
+	type lane struct {
+		m      *MFA
+		chunks []string // the first goes in with Add, the rest queue behind it
+	}
+	lanes := []lane{
+		{flat, []string{"xx abc attack with ", "payload abc"}},
+		{classed, []string{"x12y payload x999y and a much longer tail: payload x1y"}},
+		{counted, []string{"gh..........ij\nab\ngh.", "...\n......ij ab\n"}},
+		{flat, []string{"abc"}},
+		{classed, []string{"x7y"}},
+	}
+	// The hostile lane: its third match lands at offset 10, inside the
+	// second strip, after two strips' worth of siblings have stepped.
+	const boom = "abcabc  abc abc"
+
+	b := NewFlowBatcher(MaxBatchFlows)
+	runners := make([]*Runner, len(lanes))
+	streams := make([][]MatchEvent, len(lanes))
+	for li, la := range lanes {
+		li := li
+		runners[li] = la.m.NewRunner()
+		b.Add(runners[li], li, []byte(la.chunks[0]), func(id int32, pos int64) {
+			streams[li] = append(streams[li], MatchEvent{RuleID: id, Pos: pos})
+		})
+	}
+	hostile := flat.NewRunner()
+	hostile.Feed([]byte("zz"), func(int32, int64) {}) // a context to not write over
+	var hits int
+	b.Add(hostile, "boom", []byte(boom), func(int32, int64) {
+		if hits++; hits == 3 {
+			panic("hostile callback")
+		}
+	})
+	for li, la := range lanes { // second Add for the live lanes
+		for _, chunk := range la.chunks[1:] {
+			li := li
+			b.Add(runners[li], li, []byte(chunk), func(id int32, pos int64) {
+				streams[li] = append(streams[li], MatchEvent{RuleID: id, Pos: pos})
+			})
+		}
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic did not propagate")
+			}
+			if got := b.Scanning(); got != "boom" {
+				t.Fatalf("Scanning() = %v mid-unwind, want \"boom\"", got)
+			}
+		}()
+		b.Flush()
+	}()
+
+	for li, la := range lanes {
+		seq := la.m.NewRunner()
+		var want []MatchEvent
+		for _, chunk := range la.chunks {
+			seq.Feed([]byte(chunk), func(id int32, pos int64) {
+				want = append(want, MatchEvent{RuleID: id, Pos: pos})
+			})
+		}
+		if fmt.Sprint(streams[li]) != fmt.Sprint(want) {
+			t.Errorf("lane %d: batched %v, sequential %v", li, streams[li], want)
+		}
+		if got, want := fmt.Sprint(runners[li].Context()), fmt.Sprint(seq.Context()); got != want || runners[li].Pos() != seq.Pos() {
+			t.Errorf("lane %d: context %s at %d, sequential %s at %d", li, got, runners[li].Pos(), want, seq.Pos())
+		}
+	}
+	if len(streams[2]) == 0 {
+		t.Error("the counter lane confirmed no match; the window did not exercise its accept path")
+	}
+	if st, _, _, _ := hostile.Context(); hostile.Pos() != 2 || st != flat.DFA().Next(flat.DFA().Next(flat.DFA().Start(), 'z'), 'z') {
+		t.Errorf("dead lane was written back: state %d pos %d", st, hostile.Pos())
 	}
 }

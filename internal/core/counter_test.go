@@ -295,7 +295,7 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	words := []string{"aa", "bb", "cc", "xy"}
 	gaps := []string{".{2,4}", ".{3,7}", ".{5,12}", "[^x]{2,6}", "[^\n]{3,8}", ".{4,}", ".*"}
-	layouts := []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2}
+	layouts := []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed}
 	trials := 25
 	if testing.Short() {
 		trials = 5

@@ -10,17 +10,17 @@
 // w-bit memory — so multiplexing many flows costs a few bytes per flow
 // (§III-B).
 //
-// Layout-independence invariant: the DFA's transition-table layout
-// (flat, classed, or classed2 — dfa.Options.Layout) changes only memory
-// footprint and load pattern, never behaviour. Feed produces
-// byte-identical (ruleID, pos) match streams in every layout, and the
-// contexts exchanged through Runner.Context/SetContext carry plain DFA
-// state numbers — never layout-internal scaled row bases or pair-table
-// positions — so a context saved under one layout (or one generation of
-// a hot-reloaded rule set compiled with another layout) restores
-// correctly, and can never resume in the middle of a classed2 byte
-// pair. FlowBatcher (batch.go) preserves the same invariant: batched
-// lockstep scanning reorders work across flows, never within one.
+// Layout-independence invariant: the DFA has one table shape (a class map
+// plus pre-scaled rows, see internal/dfa), and dfa.Options.Layout only
+// chooses its columns — the byte-class quotient, or all 256 under the
+// identity map. That changes the memory footprint, never behaviour. Feed
+// produces byte-identical (ruleID, pos) match streams in both layouts,
+// and the contexts exchanged through Runner.Context/SetContext carry
+// plain DFA state numbers — never scaled row bases — so a context saved
+// under one layout (or one generation of a hot-reloaded rule set
+// compiled with another layout) restores correctly. FlowBatcher
+// (batch.go) preserves the same invariant: batched lockstep scanning
+// reorders work across flows, never within one.
 package core
 
 import (
@@ -72,12 +72,11 @@ type BuildStats struct {
 	DFABytes    int
 	FilterBytes int
 	// DFATableBytes is the transition table's share of DFABytes in its
-	// actual layout (classed tables include the 256-byte class map;
-	// classed2 includes the pair table plus the retained 1-byte table);
+	// actual layout (classed tables include the 256-byte class map);
 	// DFAClasses is the byte equivalence-class count (256 when flat) and
-	// DFALayout names the layout ("flat", "classed" or "classed2").
-	// Exposed to telemetry so /metrics and /statsz report what the scan
-	// loop is actually walking.
+	// DFALayout names the layout ("flat" or "classed"). Exposed to
+	// telemetry so /metrics and /statsz report what the scan loop is
+	// actually walking.
 	DFATableBytes int
 	DFAClasses    int
 	DFALayout     string
@@ -102,18 +101,12 @@ type MFA struct {
 	prog   *filter.Program
 	stats  BuildStats
 
-	// Hot-loop views of the DFA, cached so Runner.Feed runs the
-	// table-walk inline instead of through dfa.Runner callbacks.
-	// classOf is nil for the flat layout; stride is the table's row
-	// width (256 flat, the class count otherwise); trans2/stride2 are
-	// the 2-byte-stride pair table and its row width (nil/0 unless the
-	// layout is classed2). Runner.Feed branches on the layout once per
-	// call, never per byte.
+	// Hot-loop views of the DFA (dfa.ScanTable), cached so Runner.Feed
+	// runs the table walk inline instead of through dfa.Runner callbacks:
+	// the pre-scaled table, the byte→column map and the row stride.
 	trans       []uint32
 	classOf     []uint8
 	stride      int
-	trans2      []uint32
-	stride2     int
 	acceptStart uint32
 	// fires[q-acceptStart] is the accept program of accepting state q:
 	// the filter actions of its decision set, composed.
@@ -129,7 +122,6 @@ type MFA struct {
 func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
 	m := &MFA{engine: dfa.NewEngine(d), prog: prog, acceptStart: d.AcceptStart()}
 	m.trans, m.classOf, m.stride = d.ScanTable()
-	m.trans2, m.stride2 = d.PairTable()
 	var composed filter.ComposeStats
 	m.fires, composed = prog.Compose(d.AcceptSets())
 
@@ -293,70 +285,28 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 
 // Feed advances the flow over data. Every possible match from the DFA is
 // passed through the filter; onMatch is invoked only for confirmed
-// matches of original rules. The DFA walk is inlined here — with the
-// table layout resolved once per call, not per byte — so the composite
-// engine's hot loop matches a bare DFA until a possible match needs
-// filtering: one table load and compare per byte on the flat layout,
-// plus one load from the always-cached 256-byte class map on the
-// byte-class layout; the classed2 layout walks the δ² pair table (one
-// dependent load per two bytes), taking the slow path only for pairs
-// that end accepting or cross an accepting mid state, and finishing an
-// odd-length chunk with a single 1-byte step.
+// matches of original rules. The DFA walk is inlined here, so the
+// composite engine's hot loop matches a bare DFA until a possible match
+// needs filtering: one load from the always-cached 256-byte class map,
+// one table load and one compare per byte. The table holds pre-scaled
+// row bases (see dfa.ScanTable), so the step is a single add; state
+// numbers are recovered only at accept events and at the end of the call.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	m := r.mfa
 	trans := m.trans
-	acceptStart := m.acceptStart
-	state := r.dfa.State()
+	classOf := m.classOf
 	pos := r.dfa.Pos()
-	if trans2 := m.trans2; trans2 != nil {
-		k := uint32(m.stride)
-		s2 := uint32(m.stride2)
-		classOf := m.classOf
-		scaledAccept2 := acceptStart * s2
-		st2 := state * s2
-		n := len(data) &^ 1
-		for i := 0; i < n; i += 2 {
-			nxt := trans2[st2+uint32(classOf[data[i]])*k+uint32(classOf[data[i+1]])]
-			if nxt >= scaledAccept2 {
-				nxt = r.pairSlow(st2/s2, data[i], data[i+1], pos, onMatch)
-			}
-			st2 = nxt
-			pos += 2
+	k := uint32(m.stride)
+	st := r.dfa.State() * k
+	scaledAccept := m.acceptStart * k
+	for i := 0; i < len(data); i++ {
+		st = trans[st+uint32(classOf[data[i]])]
+		if st >= scaledAccept {
+			r.fire((st-scaledAccept)/k, pos, onMatch)
 		}
-		state = st2 / s2
-		if n < len(data) { // odd tail: one 1-byte classed step
-			base := trans[state*k+uint32(classOf[data[n]])]
-			if base >= acceptStart*k {
-				r.fire((base-acceptStart*k)/k, pos, onMatch)
-			}
-			state = base / k
-			pos++
-		}
-	} else if classOf := m.classOf; classOf != nil {
-		// Classed tables hold pre-scaled row bases (see dfa.ScanTable):
-		// the walk is a single add per byte; state numbers are recovered
-		// only at accept events and at the end of the call.
-		k := uint32(m.stride)
-		st := state * k
-		scaledAccept := acceptStart * k
-		for i := 0; i < len(data); i++ {
-			st = trans[st+uint32(classOf[data[i]])]
-			if st >= scaledAccept {
-				r.fire((st-scaledAccept)/k, pos, onMatch)
-			}
-			pos++
-		}
-		state = st / k
-	} else {
-		for i := 0; i < len(data); i++ {
-			state = trans[int(state)<<8|int(data[i])]
-			if state >= acceptStart {
-				r.fire(state-acceptStart, pos, onMatch)
-			}
-			pos++
-		}
+		pos++
 	}
-	r.dfa.SetState(state, pos)
+	r.dfa.SetState(st/k, pos)
 }
 
 // fire hands one accept visit to the filter: it runs the accept program
@@ -366,26 +316,6 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 // batched, reaches the filter through here.
 func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
 	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)
-}
-
-// pairSlow replays one classed2 pair through the 1-byte table, running
-// the filter program at the exact offset of each accepting state the
-// pair visits. It is the cold path behind the pair loop's single accept
-// compare; state is a plain state number, pos the offset of b1, and the
-// return value is the resulting pair-row base.
-func (r *Runner) pairSlow(state uint32, b1, b2 byte, pos int64, onMatch MatchFunc) uint32 {
-	m := r.mfa
-	k := uint32(m.stride)
-	scaledAccept := m.acceptStart * k
-	midBase := m.trans[state*k+uint32(m.classOf[b1])]
-	if midBase >= scaledAccept {
-		r.fire((midBase-scaledAccept)/k, pos, onMatch)
-	}
-	finBase := m.trans[midBase+uint32(m.classOf[b2])]
-	if finBase >= scaledAccept {
-		r.fire((finBase-scaledAccept)/k, pos+1, onMatch)
-	}
-	return (finBase / k) * uint32(m.stride2)
 }
 
 // FeedCount advances the flow and returns only the number of confirmed

@@ -1,27 +1,34 @@
 package dfa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Byte-class (alphabet equivalence-class) compression of the transition
-// table. Two input bytes are equivalent iff every state maps them to the
-// same successor; security pattern sets distinguish far fewer than 256
-// byte behaviours (case-folded letters, digits, the handful of separator
-// bytes the rules mention, and "everything else"), so the 256-wide flat
-// rows are mostly duplicate columns. The classed layout stores the
-// quotient: a 256-byte class map plus a numStates × numClasses table.
-// Scanning pays one extra L1-resident load per byte
-// (trans[st+classOf[b]] instead of trans[state*256+b]) in exchange for a
-// table that is typically 5–20× smaller and therefore actually cacheable
-// as state counts grow — the Hyperflex observation that cache-conscious
-// layout, not instruction count, dominates software DPI throughput.
+// The one table shape, and the two ways to choose its columns.
 //
-// Classed table entries are PRE-SCALED: they store next*numClasses, the
-// row base of the successor, not the state number itself. The per-byte
-// step is then a single add (st + classOf[b]) with no multiply on the
-// loop-carried dependency chain, matching the flat loop's shift. Every
-// API that exposes state numbers (Next, State/SetState, Matches, the
-// wire format) converts at the boundary, so state numbering stays a
-// property of the automaton, never of the layout.
+// Two input bytes are equivalent iff every state maps them to the same
+// successor; security pattern sets distinguish far fewer than 256 byte
+// behaviours (case-folded letters, digits, the handful of separator
+// bytes the rules mention, and "everything else"), so 256-wide rows are
+// mostly duplicate columns. A DFA therefore stores a 256-byte class map
+// and a numStates × k table with one column per class. The classed
+// layout takes the exact quotient — a table typically 5–20× smaller and
+// therefore actually cacheable as state counts grow, the Hyperflex
+// observation that cache-conscious layout, not instruction count,
+// dominates software DPI throughput. The flat layout is the same shape
+// with k = 256 and the identity map: the paper's 1 KiB-per-state table,
+// which the Figure 2/4/5 baselines measure.
+//
+// Pre-scale invariant: table entries are next × k, the row base of the
+// successor, not the state number itself, so the per-byte step is a
+// single add (st + classOf[b]) with no multiply or shift on the
+// loop-carried dependency chain. Row bases, and acceptStart × k beside
+// them, live in a uint32, so numStates × k < 2³² is a precondition of the
+// kernel; pack is the one place that scales and the one place that
+// checks it. Every API that exposes state numbers (Next, State/SetState,
+// Matches, the wire format) converts at the boundary, so state numbering
+// stays a property of the automaton, never of the layout.
 
 // Layout selects the transition-table representation of a DFA.
 type Layout uint8
@@ -31,28 +38,16 @@ const (
 	// applied when it shrinks the table at least 2× (numClasses ≤ 128),
 	// otherwise the flat layout is kept. Every shipped pattern set
 	// compresses far better than 2×, so Auto means Classed in practice;
-	// the escape hatch exists for adversarial sets where the class map's
-	// extra load would buy nothing.
+	// the escape hatch exists for adversarial sets where the quotient
+	// would buy nothing.
 	LayoutAuto Layout = iota
-	// LayoutFlat stores the full numStates × 256 row-major table:
-	// one load per input byte.
+	// LayoutFlat stores the full numStates × 256 row-major table under
+	// the identity class map.
 	LayoutFlat
-	// LayoutClassed stores a 256-byte class map and a numStates ×
-	// numClasses table: two dependent loads per input byte, the first of
-	// which hits a single always-cached 256-byte array.
+	// LayoutClassed stores the byte-class quotient: a numStates ×
+	// numClasses table behind a class map that sends every byte to its
+	// class.
 	LayoutClassed
-	// LayoutClassed2 extends the classed layout with a 2-byte-stride
-	// table: a numStates × numClasses² table whose entry for (state,
-	// class₁, class₂) is the state reached after consuming both bytes,
-	// so the loop-carried dependency chain is one table load per *two*
-	// input bytes. The 1-byte classed table is kept alongside it for
-	// odd-length tails at Feed-chunk boundaries and for the rare
-	// accepting pairs (see pairtable.go). Explicit opt-in only: the pair
-	// table is numClasses× larger than the classed one, so LayoutAuto
-	// never chooses it, and sets whose pair table would exceed
-	// Classed2MaxTableBytes fall back to LayoutClassed (check the built
-	// DFA's Layout()).
-	LayoutClassed2
 )
 
 // String names the layout for stats, telemetry and reports.
@@ -64,15 +59,13 @@ func (l Layout) String() string {
 		return "flat"
 	case LayoutClassed:
 		return "classed"
-	case LayoutClassed2:
-		return "classed2"
 	default:
 		return "unknown"
 	}
 }
 
 // ParseLayout resolves a layout name as used by command-line flags and
-// reports ("auto", "flat", "classed", "classed2").
+// reports ("auto", "flat", "classed").
 func ParseLayout(s string) (Layout, error) {
 	switch s {
 	case "", "auto":
@@ -82,10 +75,19 @@ func ParseLayout(s string) (Layout, error) {
 	case "classed":
 		return LayoutClassed, nil
 	case "classed2":
-		return LayoutClassed2, nil
+		return LayoutAuto, fmt.Errorf("dfa: layout %q was removed in this release: its pair table "+
+			"multiplied the image by the class count and lost to classed end to end (DESIGN.md §18)", s)
 	}
-	return LayoutAuto, fmt.Errorf("dfa: unknown layout %q (want auto, flat, classed or classed2)", s)
+	return LayoutAuto, fmt.Errorf("dfa: unknown layout %q (want auto, flat or classed)", s)
 }
+
+// identityClasses is the class map of the flat layout.
+var identityClasses = func() (m [256]uint8) {
+	for b := range m {
+		m[b] = uint8(b)
+	}
+	return m
+}()
 
 // autoClassThreshold is the LayoutAuto cutoff: compression is kept when
 // numClasses ≤ 128, i.e. the table shrinks at least 2×.
@@ -149,13 +151,9 @@ func computeClasses(trans []uint32, width int) (classOf []uint8, numClasses int)
 	return classOf, numClasses
 }
 
-// plainTable returns the transition table in the receiver's own row
-// width with plain state numbers as entries: the table itself for the
-// flat layout, an unscaled copy for the classed ones.
+// plainTable returns a copy of the transition table with plain state
+// numbers as entries, the wire form.
 func (d *DFA) plainTable() []uint32 {
-	if d.classOf == nil {
-		return d.trans
-	}
 	plain := make([]uint32, len(d.trans))
 	for i, to := range d.trans {
 		plain[i] = to / uint32(d.numClasses)
@@ -163,107 +161,79 @@ func (d *DFA) plainTable() []uint32 {
 	return plain
 }
 
-// compressed returns the byte-class form of a DFA: the exact column
-// quotient of its table, whichever layout that table is in (the
-// constructor hands over class-width rows whose columns no state may
-// tell apart any more, most of all after minimization). The successor
-// function is preserved exactly — for every state and byte, Next is
-// unchanged — so match streams are byte-for-byte identical; only the
-// storage layout differs. Decision sets are shared with the receiver,
-// which stays valid: both views are immutable.
-func (d *DFA) compressed() *DFA {
-	w := d.numClasses
-	plain := d.plainTable()
-	colClass, k := computeClasses(plain, w)
-	if d.classOf != nil && k == w {
-		return d // already the quotient, and numbered by first byte
+// pack builds the DFA that keeps one column of r per entry of rep —
+// rep[c] is the column of r that column c of the result copies, and
+// classOf maps each byte to its result column — scaling every entry to
+// the row base of its successor. The successor function is preserved
+// exactly, so match streams are byte-for-byte identical whichever columns
+// are chosen. Decision sets are shared with r.
+func (r *rows) pack(classOf []uint8, rep []int) (*DFA, error) {
+	k := len(rep)
+	if uint64(r.numStates)*uint64(k) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d states × %d classes do not fit the table's 32-bit row bases",
+			ErrTooManyStates, r.numStates, k)
 	}
+	trans := make([]uint32, r.numStates*k)
+	for s := 0; s < r.numStates; s++ {
+		row := r.next[s*r.k : (s+1)*r.k]
+		out := trans[s*k : (s+1)*k]
+		for c, col := range rep {
+			out[c] = row[col] * uint32(k)
+		}
+	}
+	return &DFA{
+		numStates:   r.numStates,
+		start:       r.start,
+		trans:       trans,
+		numClasses:  k,
+		classOf:     classOf,
+		acceptStart: r.acceptStart,
+		accepts:     r.accepts,
+	}, nil
+}
+
+// classed returns the byte-class form of r: the exact column quotient of
+// its rows (the constructor hands over columns that no state may tell
+// apart any more, most of all after minimization), classes numbered by
+// first byte.
+func (r *rows) classed() (*DFA, error) {
+	colClass, k := computeClasses(r.next, r.k)
 	classOf := make([]uint8, 256)
 	for b := range classOf {
-		col := b
-		if d.classOf != nil {
-			col = int(d.classOf[b])
-		}
-		classOf[b] = colClass[col]
+		classOf[b] = colClass[r.classOf[b]]
 	}
 	// One representative column per class; any member works because the
 	// class is defined by column equality.
 	rep := make([]int, k)
-	for col := w - 1; col >= 0; col-- {
+	for col := r.k - 1; col >= 0; col-- {
 		rep[colClass[col]] = col
 	}
-	ct := make([]uint32, d.numStates*k)
-	for s := 0; s < d.numStates; s++ {
-		row := plain[s*w : (s+1)*w]
-		out := ct[s*k : (s+1)*k]
-		for c, col := range rep {
-			out[c] = row[col] * uint32(k) // pre-scaled: successor row base
-		}
-	}
-	return &DFA{
-		numStates:   d.numStates,
-		start:       d.start,
-		trans:       ct,
-		numClasses:  k,
-		classOf:     classOf,
-		acceptStart: d.acceptStart,
-		accepts:     d.accepts,
-	}
+	return r.pack(classOf, rep)
 }
 
-// flattened returns a flat 256-wide row-major table equivalent to the
-// receiver's, expanding a classed table through its class map and
-// unscaling its pre-scaled entries back to state numbers. For a flat DFA
-// it returns the table itself (shared, read-only).
-func (d *DFA) flattened() []uint32 {
-	if d.classOf == nil {
-		return d.trans
+// flat returns the flat form of r: column b is the column of byte b.
+func (r *rows) flat() (*DFA, error) {
+	rep := make([]int, 256)
+	for b := range rep {
+		rep[b] = int(r.classOf[b])
 	}
-	k := uint32(d.numClasses)
-	out := make([]uint32, d.numStates*256)
-	for s := 0; s < d.numStates; s++ {
-		row := d.trans[s*d.numClasses : (s+1)*d.numClasses]
-		flat := out[s*256 : (s+1)*256]
-		for b := 0; b < 256; b++ {
-			flat[b] = row[d.classOf[b]] / k
-		}
-	}
-	return out
+	return r.pack(identityClasses[:], rep)
 }
 
-// flat returns the flat-layout form of a DFA, sharing its decision sets.
-func (d *DFA) flat() *DFA {
-	if d.classOf == nil {
-		return d
-	}
-	return &DFA{
-		numStates:   d.numStates,
-		start:       d.start,
-		trans:       d.flattened(),
-		numClasses:  256,
-		acceptStart: d.acceptStart,
-		accepts:     d.accepts,
-	}
-}
-
-// applyLayout resolves the requested layout against the class-width
-// automaton the constructor and minimizer produce; the 256-wide table is
-// materialised only when the flat layout is the outcome.
-func (d *DFA) applyLayout(l Layout) *DFA {
+// applyLayout resolves the requested layout against the class-width rows
+// the constructor and minimizer produce; 256 columns are materialised
+// only when the flat layout is the outcome.
+func (r *rows) applyLayout(l Layout) (*DFA, error) {
 	switch l {
 	case LayoutFlat:
-		return d.flat()
+		return r.flat()
 	case LayoutClassed:
-		return d.compressed()
-	case LayoutClassed2:
-		// Falls back to classed when the pair table would exceed
-		// Classed2MaxTableBytes; Layout() on the result tells which.
-		return d.compressed().withPairs()
+		return r.classed()
 	default: // LayoutAuto
-		c := d.compressed()
-		if c.numClasses <= autoClassThreshold {
-			return c
+		c, err := r.classed()
+		if err != nil || c.numClasses <= autoClassThreshold {
+			return c, err
 		}
-		return d.flat()
+		return r.flat()
 	}
 }

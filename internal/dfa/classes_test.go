@@ -84,7 +84,9 @@ func TestClassedNextMatchesFlat(t *testing.T) {
 // TestLayoutEquivalenceRandom property-checks the tentpole invariant at
 // the dfa level: flat and classed engines built from the same NFA
 // produce identical (id, pos) match streams on random inputs, across
-// random rule sets, with and without minimization.
+// random rule sets, with and without minimization — whole, and fed in
+// random chunks with the context moved to the other layout's runner at
+// every chunk boundary (State/SetState speak plain state numbers).
 func TestLayoutEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	words := []string{"ab", "abc", "bc", "ca", "aab", "cc", "GET", "pass"}
@@ -124,9 +126,25 @@ func TestLayoutEquivalenceRandom(t *testing.T) {
 			for i := range input {
 				input[i] = "abcGETps "[rng.Intn(9)]
 			}
-			if fmt.Sprint(flatE.Run(input)) != fmt.Sprint(classedE.Run(input)) {
+			want := flatE.Run(input)
+			if fmt.Sprint(want) != fmt.Sprint(classedE.Run(input)) {
 				t.Fatalf("rules %v input %q: flat %v vs classed %v",
-					sources, input, flatE.Run(input), classedE.Run(input))
+					sources, input, want, classedE.Run(input))
+			}
+			var got []MatchEvent
+			cb := func(id int32, pos int64) { got = append(got, MatchEvent{ID: id, Pos: pos}) }
+			r, other := classedE.NewRunner(), flatE.NewRunner()
+			for rest := input; len(rest) > 0; r, other = other, r {
+				n := 1 + rng.Intn(len(rest))
+				r.Feed(rest[:n], cb)
+				if st := r.State(); st >= uint32(flat.NumStates()) {
+					t.Fatalf("rules %v: saved state %d is not a plain state number", sources, st)
+				}
+				other.SetState(r.State(), r.Pos())
+				rest = rest[n:]
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("rules %v input %q chunked across layouts: %v, want %v", sources, input, got, want)
 			}
 		}
 	}
@@ -150,12 +168,11 @@ func TestLayoutAutoPicksClassed(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTripBothLayouts checks WriteTo/ReadDFA over all three
+// TestMarshalRoundTripBothLayouts checks WriteTo/ReadDFA over both
 // layouts: the decoded automaton must preserve layout, class map and
-// match behaviour exactly (for classed2 the pair table is rebuilt on
-// decode rather than carried on the wire).
+// match behaviour exactly.
 func TestMarshalRoundTripBothLayouts(t *testing.T) {
-	for _, layout := range []Layout{LayoutFlat, LayoutClassed, LayoutClassed2} {
+	for _, layout := range []Layout{LayoutFlat, LayoutClassed} {
 		d, err := FromNFA(buildNFA(t, "attack.*payload", "x[0-9]+y"), Options{Layout: layout})
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +270,7 @@ func TestReadV1Format(t *testing.T) {
 	le(uint32(d.numStates))
 	le(d.start)
 	le(d.acceptStart)
-	for _, to := range d.trans {
+	for _, to := range d.plainTable() {
 		le(to)
 	}
 	le(uint32(len(d.accepts)))
@@ -273,5 +290,49 @@ func TestReadV1Format(t *testing.T) {
 	input := []byte("xx ab 123 cd yy")
 	if fmt.Sprint(NewEngine(got).Run(input)) != fmt.Sprint(NewEngine(d).Run(input)) {
 		t.Fatal("v1-decoded engine disagrees with original")
+	}
+}
+
+// TestParseLayout pins the names the -layout flags accept, and that the
+// removed layout is refused by name — with the reason, not as a typo.
+func TestParseLayout(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    Layout
+		errSays []string // nil = no error
+	}{
+		{"", LayoutAuto, nil},
+		{"auto", LayoutAuto, nil},
+		{"flat", LayoutFlat, nil},
+		{"classed", LayoutClassed, nil},
+		{"classed2", LayoutAuto, []string{"removed", "DESIGN.md §18"}},
+		{"Classed", LayoutAuto, []string{"unknown layout"}},
+	} {
+		got, err := ParseLayout(tc.in)
+		if got != tc.want || (err != nil) != (tc.errSays != nil) {
+			t.Errorf("ParseLayout(%q) = %v, %v; want %v, error %v", tc.in, got, err, tc.want, tc.errSays != nil)
+		}
+		for _, say := range tc.errSays {
+			if err != nil && !strings.Contains(err.Error(), say) {
+				t.Errorf("ParseLayout(%q) error %q does not say %q", tc.in, err, say)
+			}
+		}
+	}
+	for _, l := range []Layout{LayoutAuto, LayoutFlat, LayoutClassed} {
+		if got, err := ParseLayout(l.String()); err != nil || got != l {
+			t.Errorf("ParseLayout(%v.String()) = %v, %v", l, got, err)
+		}
+	}
+}
+
+// TestPreScaleInvariant checks the one precondition of the scan kernel:
+// row bases are next × k in a uint32, so a layout whose numStates × k
+// reaches 2³² must be refused (wrapped ErrTooManyStates), not wrapped
+// around. The rows are hand-assembled and carry no table — pack checks
+// before it reads one, so no 16 GiB build is needed to get there.
+func TestPreScaleInvariant(t *testing.T) {
+	r := &rows{numStates: 1 << 24, k: 1, classOf: make([]uint8, 256), acceptStart: 1 << 24}
+	if _, err := r.applyLayout(LayoutFlat); !errors.Is(err, ErrTooManyStates) { // 2²⁴ × 256 = 2³²
+		t.Fatalf("2²⁴ states flat: got %v, want ErrTooManyStates", err)
 	}
 }

@@ -3,31 +3,23 @@
 // (the Dq: Q → 2^Di component of the paper's 9-tuple), plus a fast
 // matching engine and an optional minimization pass.
 //
-// Three table layouts are supported, selected by Options.Layout:
+// There is one table shape: a 256-byte class map plus a row-major
+// numStates × k table whose entries are pre-scaled row bases (next × k),
+// stepped everywhere as st = trans[st+uint32(classOf[b])]. Options.Layout
+// only chooses the columns. Classed (the default via LayoutAuto) keeps one
+// column per byte equivalence class, a table typically 5–20× smaller that
+// stays cache-resident as state counts grow; Flat is the k = 256,
+// identity-map case, the paper's 1 KiB-per-state table. See classes.go.
 //
-//   - Flat: a single []uint32 indexed by state*256+byte, so advancing
-//     the automaton is one load per input byte.
-//   - Classed (the default via LayoutAuto): a 256-byte equivalence-class
-//     map plus a numStates×numClasses table indexed by
-//     state*numClasses+classOf[byte] — two dependent loads per byte, but
-//     a table typically 5–20× smaller that stays cache-resident as state
-//     counts grow. See classes.go.
-//   - Classed2 (explicit opt-in): the classed layout plus a
-//     numStates×numClasses² pair table encoding δ², so the loop-carried
-//     dependency chain is one table load per two input bytes, with a
-//     1-byte tail step at chunk boundaries. See pairtable.go.
-//
-// Layout-independence invariant: every layout encodes the identical
-// successor function and produces byte-for-byte identical (id, pos)
-// match streams; only memory footprint and load pattern differ. All
-// APIs that cross the package boundary — Next, Runner.State/SetState,
-// Matches, and the wire format — speak plain state numbers, never
-// layout-internal scaled row bases, so a context saved from a flat
-// engine restores into a classed or classed2 one built from the same
-// NFA (and vice versa), and contexts can never encode a position inside
-// a classed2 byte pair. In every layout states are renumbered so that
-// all accepting states form a contiguous tail, making the per-byte "did
-// we match" test a single integer compare.
+// Layout-independence invariant: both layouts encode the identical
+// successor function and produce byte-for-byte identical (id, pos) match
+// streams; only the memory footprint differs. All APIs that cross the
+// package boundary — Next, Runner.State/SetState, Matches, and the wire
+// format — speak plain state numbers, never scaled row bases, so a
+// context saved from a flat engine restores into a classed one built from
+// the same NFA (and vice versa). States are renumbered so that all
+// accepting states form a contiguous tail, making the per-byte "did we
+// match" test a single integer compare.
 //
 // Concurrency: a *DFA and the Engine wrapping it are immutable after
 // construction and safe for unlimited concurrent readers. All mutable
@@ -35,6 +27,7 @@
 package dfa
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -80,28 +73,32 @@ type Options struct {
 type DFA struct {
 	numStates int
 	start     uint32
-	// trans is the row-major transition table: numStates*256 for the
-	// flat layout, numStates*numClasses for the classed layout. Classed
-	// entries are pre-scaled row bases (next*numClasses, see classes.go);
-	// flat entries are plain state numbers.
+	// trans is the row-major numStates × numClasses transition table.
+	// Entries are pre-scaled row bases, next × numClasses (pack in
+	// classes.go is the one place that scales them).
 	trans []uint32
-	// numClasses is the row stride: 256 for flat, the byte
-	// equivalence-class count for classed.
+	// numClasses is the row stride k: the byte equivalence-class count,
+	// 256 for the flat layout.
 	numClasses int
-	// classOf maps each input byte to its equivalence class; nil marks
-	// the flat layout (the discriminant every hot loop branches on once
-	// per Feed call, never per byte).
-	classOf []uint8
-	// trans2 is the optional 2-byte-stride pair table
-	// (numStates×numClasses², entries are pre-scaled pair-row bases,
-	// possibly carrying pairAcceptFlag — see pairtable.go); nil unless
-	// the layout is classed2. When present, trans and classOf are also
-	// kept for the odd-byte tail and mid-pair accept paths.
-	trans2 []uint32
-	// stride2 is the pair-table row stride numClasses²; 0 unless classed2.
-	stride2     int
+	// classOf maps each input byte to its column; the identity for the
+	// flat layout.
+	classOf     []uint8
 	acceptStart uint32    // states >= acceptStart are accepting
 	accepts     [][]int32 // match ids for states >= acceptStart, indexed by state-acceptStart
+}
+
+// rows is an automaton between construction and layout: what the
+// constructor emits, the minimizer rewrites and pack turns into a DFA.
+// next holds plain successor numbers, numStates × k over the columns
+// classOf maps bytes to; columns may still be equal.
+type rows struct {
+	numStates   int
+	start       uint32
+	next        []uint32
+	k           int
+	classOf     []uint8
+	acceptStart uint32
+	accepts     [][]int32
 }
 
 // FromNFA runs subset construction on n. Construction and minimization
@@ -119,11 +116,11 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 	if err := c.run(); err != nil {
 		return nil, err
 	}
-	d := c.finish()
+	r := c.finish()
 	if opts.Minimize {
-		d = d.minimize()
+		r = r.minimize()
 	}
-	return d.applyLayout(opts.Layout), nil
+	return r.applyLayout(opts.Layout)
 }
 
 // constructor holds the working state of subset construction. It works
@@ -338,16 +335,15 @@ func (c *constructor) run() error {
 }
 
 // finish renumbers states so accepting ones form a contiguous tail and
-// packs the rows into a classed table over the constructor's alphabet
-// classes. Columns may still be equal; applyLayout takes the quotient.
-func (c *constructor) finish() *DFA {
+// returns the rows over the constructor's alphabet classes.
+func (c *constructor) finish() *rows {
 	numStates, k := len(c.accepts), len(c.rep)
 	perm, acceptStart := acceptTail(numStates, func(s int) bool { return c.accepts[s] != nil })
-	d := &DFA{
+	r := &rows{
 		numStates:   numStates,
 		start:       perm[0], // state 0 was created first, from the start closure
-		trans:       make([]uint32, numStates*k),
-		numClasses:  k,
+		next:        make([]uint32, numStates*k),
+		k:           k,
 		classOf:     c.classOf,
 		acceptStart: acceptStart,
 		accepts:     make([][]int32, uint32(numStates)-acceptStart),
@@ -355,13 +351,13 @@ func (c *constructor) finish() *DFA {
 	for old := 0; old < numStates; old++ {
 		base := int(perm[old]) * k
 		for j, to := range c.rows[old*k : (old+1)*k] {
-			d.trans[base+j] = perm[to] * uint32(k) // pre-scaled, see classes.go
+			r.next[base+j] = perm[to]
 		}
 		if m := c.accepts[old]; m != nil {
-			d.accepts[perm[old]-acceptStart] = m
+			r.accepts[perm[old]-acceptStart] = m
 		}
 	}
-	return d
+	return r
 }
 
 // acceptTail returns the renumbering of n states that moves the accepting
@@ -411,14 +407,11 @@ func (d *DFA) NumStates() int { return d.numStates }
 // Start returns the initial state.
 func (d *DFA) Start() uint32 { return d.start }
 
-// Next returns δ(state, c), resolving the table layout per call. Hot
-// loops should not use it; they read the layout once via ScanTable (or
-// for the dfa package itself, the specialized loops in Runner.Feed).
+// Next returns δ(state, c) in plain state numbers. Hot loops do not use
+// it; they walk scaled row bases (ScanTable).
 func (d *DFA) Next(state uint32, c byte) uint32 {
-	if d.classOf == nil {
-		return d.trans[int(state)*regexparse.AlphabetSize+int(c)]
-	}
-	return d.trans[int(state)*d.numClasses+int(d.classOf[c])] / uint32(d.numClasses)
+	k := uint32(d.numClasses)
+	return d.trans[state*k+uint32(d.classOf[c])] / k
 }
 
 // Accepting reports whether a state has a non-empty decision set.
@@ -433,71 +426,62 @@ func (d *DFA) Matches(state uint32) []int32 {
 	return d.accepts[state-d.acceptStart]
 }
 
-// TransitionTable returns a flat row-major transition table
-// (NumStates×256) regardless of layout: for a flat DFA it is the table
-// itself (shared — callers must treat it as read-only), for a classed
-// DFA it is a freshly materialized expansion through the class map. The
-// HFA and XFA baselines repack it into their own layouts; they compile
-// with LayoutFlat so the expansion copy never happens in practice.
-func (d *DFA) TransitionTable() []uint32 { return d.flattened() }
+// TransitionTable returns a freshly materialized NumStates×256 row-major
+// table of plain state numbers, whatever the layout: the form the HFA and
+// XFA baselines repack into their own cells.
+func (d *DFA) TransitionTable() []uint32 {
+	k := uint32(d.numClasses)
+	out := make([]uint32, d.numStates*256)
+	for s := 0; s < d.numStates; s++ {
+		row := d.trans[s*d.numClasses : (s+1)*d.numClasses]
+		flat := out[s*256 : (s+1)*256]
+		for b := range flat {
+			flat[b] = row[d.classOf[b]] / k
+		}
+	}
+	return out
+}
 
 // ScanTable returns the hot-loop view of the transition function: the
-// raw table, the byte→class map, and the row stride. classOf is nil for
-// the flat layout (stride 256, index state*256+b, entries are state
-// numbers). For the classed layout the walk runs over pre-scaled row
-// bases: st starts at state*stride, steps as st = trans[st+classOf[b]],
-// and st/stride recovers the state number (for accept-set indexing and
-// context save/restore). All three are shared, read-only views;
-// composite engines (the MFA) cache them once and inline the walk.
+// table, the byte→column map and the row stride. The walk runs over
+// pre-scaled row bases: st starts at state*stride, steps as
+// st = trans[st+uint32(classOf[b])], and st/stride recovers the state
+// number (for accept-set indexing and context save/restore). All three
+// are shared, read-only views; composite engines (the MFA) cache them
+// once and inline the walk.
 func (d *DFA) ScanTable() (trans []uint32, classOf []uint8, stride int) {
 	return d.trans, d.classOf, d.numClasses
 }
 
-// Layout reports the table representation actually applied: LayoutFlat,
-// LayoutClassed, or LayoutClassed2 (never LayoutAuto — Auto resolves at
-// construction time; a LayoutClassed2 request whose pair table exceeds
-// Classed2MaxTableBytes resolves to LayoutClassed).
+// Layout reports the table representation actually applied, LayoutFlat or
+// LayoutClassed (never LayoutAuto — Auto resolves at construction time).
+// Flat is a property of the table, not of how it was requested: 256
+// columns under the identity map.
 func (d *DFA) Layout() Layout {
-	switch {
-	case d.classOf == nil:
+	if d.numClasses == 256 && bytes.Equal(d.classOf, identityClasses[:]) {
 		return LayoutFlat
-	case d.trans2 != nil:
-		return LayoutClassed2
-	default:
-		return LayoutClassed
 	}
+	return LayoutClassed
 }
 
-// NumClasses returns the number of byte equivalence classes, which is
-// also the table's row stride: 256 for the flat layout.
+// NumClasses returns the number of table columns, which is also the row
+// stride: the byte equivalence-class count, 256 for the flat layout.
 func (d *DFA) NumClasses() int { return d.numClasses }
 
-// ClassMap returns the 256-entry byte→class map of a classed DFA, or
-// nil for the flat layout. Shared, read-only.
+// ClassMap returns the 256-entry byte→column map (the identity for the
+// flat layout). Shared, read-only.
 func (d *DFA) ClassMap() []uint8 { return d.classOf }
 
-// TableBytes returns the size of the transition table(s) plus, for the
-// classed layouts, the class map — the footprint the layout choice
-// trades against scan-loop load count. For classed2 this includes both
-// the pair table and the retained 1-byte table.
+// TableBytes returns the size of the transition table plus, for the
+// classed layout, the class map — the footprint the layout choice trades.
+// A flat table's identity map is derived, not part of the image (WriteTo
+// does not carry it), and is not counted.
 func (d *DFA) TableBytes() int {
-	n := (len(d.trans) + len(d.trans2)) * 4
-	if d.classOf != nil {
+	n := len(d.trans) * 4
+	if d.Layout() != LayoutFlat {
 		n += len(d.classOf)
 	}
 	return n
-}
-
-// PairTable returns the hot-loop view of the classed2 pair table: the
-// δ² table and its row stride numClasses². Both are nil/0 unless
-// Layout() == LayoutClassed2. Entries are pre-scaled pair-row bases
-// (next×stride2), with bit 31 set when the pair's intermediate state is
-// accepting; a walk therefore steps st2 = trans2[st2 +
-// classOf[b1]*NumClasses + classOf[b2]] and treats any entry ≥
-// AcceptStart×stride2 as "consult the 1-byte table for exact match
-// offsets" (see pairtable.go). Shared, read-only.
-func (d *DFA) PairTable() (trans2 []uint32, stride2 int) {
-	return d.trans2, d.stride2
 }
 
 // AcceptStart returns the first accepting state id; states in

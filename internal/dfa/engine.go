@@ -6,8 +6,8 @@ type MatchFunc = func(id int32, pos int64)
 
 // Engine wraps a DFA for scanning. It is immutable and safe for
 // concurrent use by any number of goroutines; per-flow state lives in
-// Runner. The engine works identically over both table layouts — the
-// scan loops specialize on layout once per Feed call, never per byte.
+// Runner. There is one scan loop: both layouts are the same table shape
+// (see classes.go) and differ only in which columns the table keeps.
 type Engine struct {
 	d *DFA
 }
@@ -61,77 +61,29 @@ func (r *Runner) SetState(s uint32, pos int64) {
 
 // Feed advances the runner over data, invoking onMatch for every element
 // of the decision set of each visited accepting state. This is the hot
-// loop of the whole system. The layout is resolved once per call: the
-// flat loop is one table load and one compare per byte; the classed loop
-// adds one load from the 256-byte class map (always L1-resident) in
-// exchange for the much smaller — and therefore cache-resident — state
-// table; the classed2 loop steps the pair table once per two bytes,
-// finishing an odd-length chunk with a single classed step. The classed
-// walks run over pre-scaled row bases (st = trans[st+classOf[b]], no
-// multiply per byte); conversion to and from state numbers happens once
-// per call, so State/SetState stay layout-independent and a saved
-// context can never point inside a classed2 byte pair.
+// loop of the whole system: one load from the 256-byte class map (always
+// L1-resident), one table load and one compare per byte. The walk runs
+// over pre-scaled row bases (st = trans[st+classOf[b]], no multiply per
+// byte); conversion to and from state numbers happens once per call, so
+// State/SetState stay layout-independent.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	d := r.e.d
-	state := r.state
 	pos := r.pos
 	trans := d.trans
-	acceptStart := d.acceptStart
-	if trans2 := d.trans2; trans2 != nil {
-		k := uint32(d.numClasses)
-		s2 := uint32(d.stride2)
-		classOf := d.classOf
-		scaledAccept2 := acceptStart * s2
-		st2 := state * s2
-		n := len(data) &^ 1
-		for i := 0; i < n; i += 2 {
-			nxt := trans2[st2+uint32(classOf[data[i]])*k+uint32(classOf[data[i+1]])]
-			if nxt >= scaledAccept2 {
-				// Final state accepting, or the pair crossed an accepting
-				// mid state (flag bit): replay through the 1-byte table
-				// for exact match offsets.
-				nxt = d.pairStepSlow(st2/s2, data[i], data[i+1], pos, onMatch)
+	classOf := d.classOf
+	k := uint32(d.numClasses)
+	st := r.state * k
+	scaledAccept := d.acceptStart * k
+	for i := 0; i < len(data); i++ {
+		st = trans[st+uint32(classOf[data[i]])]
+		if st >= scaledAccept {
+			for _, id := range d.accepts[(st-scaledAccept)/k] {
+				onMatch(id, pos)
 			}
-			st2 = nxt
-			pos += 2
 		}
-		state = st2 / s2
-		if n < len(data) { // odd tail: one 1-byte classed step
-			base := trans[state*k+uint32(classOf[data[n]])]
-			if base >= acceptStart*k {
-				for _, id := range d.accepts[(base-acceptStart*k)/k] {
-					onMatch(id, pos)
-				}
-			}
-			state = base / k
-			pos++
-		}
-	} else if classOf := d.classOf; classOf != nil {
-		k := uint32(d.numClasses)
-		st := state * k
-		scaledAccept := acceptStart * k
-		for i := 0; i < len(data); i++ {
-			st = trans[st+uint32(classOf[data[i]])]
-			if st >= scaledAccept {
-				for _, id := range d.accepts[(st-scaledAccept)/k] {
-					onMatch(id, pos)
-				}
-			}
-			pos++
-		}
-		state = st / k
-	} else {
-		for i := 0; i < len(data); i++ {
-			state = trans[int(state)<<8|int(data[i])]
-			if state >= acceptStart {
-				for _, id := range d.accepts[state-acceptStart] {
-					onMatch(id, pos)
-				}
-			}
-			pos++
-		}
+		pos++
 	}
-	r.state = state
+	r.state = st / k
 	r.pos = pos
 }
 
@@ -141,61 +93,19 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 // callback per event would distort engine comparisons.
 func (r *Runner) FeedCount(data []byte) int64 {
 	d := r.e.d
-	state := r.state
 	trans := d.trans
-	acceptStart := d.acceptStart
+	classOf := d.classOf
+	k := uint32(d.numClasses)
+	st := r.state * k
+	scaledAccept := d.acceptStart * k
 	var count int64
-	if trans2 := d.trans2; trans2 != nil {
-		k := uint32(d.numClasses)
-		s2 := uint32(d.stride2)
-		classOf := d.classOf
-		scaledAccept2 := acceptStart * s2
-		scaledAccept := acceptStart * k
-		st2 := state * s2
-		n := len(data) &^ 1
-		for i := 0; i < n; i += 2 {
-			nxt := trans2[st2+uint32(classOf[data[i]])*k+uint32(classOf[data[i+1]])]
-			if nxt >= scaledAccept2 {
-				midBase := trans[(st2/s2)*k+uint32(classOf[data[i]])]
-				if midBase >= scaledAccept {
-					count += int64(len(d.accepts[(midBase-scaledAccept)/k]))
-				}
-				finBase := trans[midBase+uint32(classOf[data[i+1]])]
-				if finBase >= scaledAccept {
-					count += int64(len(d.accepts[(finBase-scaledAccept)/k]))
-				}
-				nxt = (finBase / k) * s2
-			}
-			st2 = nxt
-		}
-		state = st2 / s2
-		if n < len(data) {
-			base := trans[state*k+uint32(classOf[data[n]])]
-			if base >= scaledAccept {
-				count += int64(len(d.accepts[(base-scaledAccept)/k]))
-			}
-			state = base / k
-		}
-	} else if classOf := d.classOf; classOf != nil {
-		k := uint32(d.numClasses)
-		st := state * k
-		scaledAccept := acceptStart * k
-		for i := 0; i < len(data); i++ {
-			st = trans[st+uint32(classOf[data[i]])]
-			if st >= scaledAccept {
-				count += int64(len(d.accepts[(st-scaledAccept)/k]))
-			}
-		}
-		state = st / k
-	} else {
-		for i := 0; i < len(data); i++ {
-			state = trans[int(state)<<8|int(data[i])]
-			if state >= acceptStart {
-				count += int64(len(d.accepts[state-acceptStart]))
-			}
+	for i := 0; i < len(data); i++ {
+		st = trans[st+uint32(classOf[data[i]])]
+		if st >= scaledAccept {
+			count += int64(len(d.accepts[(st-scaledAccept)/k]))
 		}
 	}
-	r.state = state
+	r.state = st / k
 	r.pos += int64(len(data))
 	return count
 }

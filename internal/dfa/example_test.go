@@ -52,14 +52,12 @@ func ExampleFromNFA() {
 	// classed table smaller: true
 }
 
-// ExampleLayoutClassed2 opts into the 2-byte-stride pair table and
-// shows the layout-independence invariant in action: the classed2
-// engine reports the identical (id, pos) match stream — including on an
-// odd-length payload, which exercises the 1-byte tail step — and a
-// context saved from it restores into a flat engine built from the same
-// NFA, because every layout speaks plain state numbers at its API
-// boundary.
-func ExampleLayoutClassed2() {
+// ExampleRunner_SetState shows the layout-independence invariant in
+// action: the classed engine reports the identical (id, pos) match stream
+// as the flat one, and a context saved from it restores into the flat
+// engine built from the same NFA, because both layouts speak plain state
+// numbers at their API boundary.
+func ExampleRunner_SetState() {
 	sources := []string{"attack.*payload", "abc"}
 	rules := make([]nfa.Rule, len(sources))
 	for i, src := range sources {
@@ -81,26 +79,26 @@ func ExampleLayoutClassed2() {
 		fmt.Println("dfa:", err)
 		return
 	}
-	paired, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutClassed2})
+	classed, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutClassed})
 	if err != nil {
 		fmt.Println("dfa:", err)
 		return
 	}
 
-	payload := []byte("xx abc attack with payload!") // 27 bytes: odd, tail path taken
-	fmt.Println("layout:", paired.Layout())
+	payload := []byte("xx abc attack with payload!")
+	fmt.Println("layout:", classed.Layout())
 	fmt.Println("streams equal:",
-		fmt.Sprint(dfa.NewEngine(paired).Run(payload)) == fmt.Sprint(dfa.NewEngine(flat).Run(payload)))
+		fmt.Sprint(dfa.NewEngine(classed).Run(payload)) == fmt.Sprint(dfa.NewEngine(flat).Run(payload)))
 
-	// Save a context mid-flow from the classed2 engine, restore it into
+	// Save a context mid-flow from the classed engine, restore it into
 	// the flat one, and finish the scan there.
-	r := dfa.NewEngine(paired).NewRunner()
+	r := dfa.NewEngine(classed).NewRunner()
 	r.Feed(payload[:9], func(id int32, pos int64) { fmt.Printf("match id %d at offset %d\n", id, pos) })
 	r2 := dfa.NewEngine(flat).NewRunner()
 	r2.SetState(r.State(), r.Pos())
 	r2.Feed(payload[9:], func(id int32, pos int64) { fmt.Printf("match id %d at offset %d\n", id, pos) })
 	// Output:
-	// layout: classed2
+	// layout: classed
 	// streams equal: true
 	// match id 2 at offset 5
 	// match id 1 at offset 25

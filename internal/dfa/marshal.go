@@ -12,26 +12,22 @@ import (
 // little-endian framing, versioned so stored engines fail loudly rather
 // than misbehave after an incompatible change.
 //
-// Version 3 (written for classed2 automata; identical framing to v2
-// with layout code 2 allowed):
-//
-//	magic "MFDFA3\n", then the v2 body with u8 layout = 2. The pair
-//	table is NEVER serialized — it is a pure function of the 1-byte
-//	classed table (δ² = δ∘δ) and is rebuilt on decode, so images stay
-//	small and the per-entry bounds check stays meaningful.
-//
-// Version 2 (written by WriteTo for flat and classed automata, so
-// images those older readers can use keep the older magic):
+// Version 2 (the only version WriteTo emits):
 //
 //	magic "MFDFA2\n", u32 numStates, u32 start, u32 acceptStart
 //	u8 layout (0 = flat, 1 = classed), u32 numClasses
 //	classed only: 256 × u8 byte→class map
 //	u32 tableLen — must equal numStates × numClasses (ErrTableSize)
-//	tableLen × u32 transition table
+//	tableLen × u32 transition table, plain state numbers
 //	u32 numAccept, then per accepting state: u32 count, count × i32 ids
 //
-// Version 1 (flat only, still readable so images written by older
-// mfabuild binaries keep loading):
+// Version 3 (read only): magic "MFDFA3\n" and the v2 body with layout
+// code 2 allowed. It was written for the removed 2-byte-stride layout
+// (DESIGN.md §18), whose pair table never travelled — the body is the
+// classed automaton, and loads as one.
+//
+// Version 1 (read only, flat, so images written by older mfabuild
+// binaries keep loading):
 //
 //	magic "MFDFA1\n", u32 numStates, u32 start, u32 acceptStart
 //	numStates*256 × u32 transition table
@@ -44,9 +40,9 @@ const (
 
 // Layout wire codes of the v2/v3 header.
 const (
-	wireLayoutFlat     = 0
-	wireLayoutClassed  = 1
-	wireLayoutClassed2 = 2
+	wireLayoutFlat    = 0
+	wireLayoutClassed = 1
+	wireLayoutPairs   = 2 // v3 only: a classed body
 )
 
 // ErrBadFormat is returned (wrapped) when decoding unrecognized or
@@ -61,14 +57,11 @@ var ErrBadFormat = errors.New("dfa: bad serialized format")
 // style of the internal/pcap error taxonomy.
 var ErrTableSize = errors.New("dfa: transition table size mismatch")
 
-// WriteTo serializes the automaton: v2 format for flat and classed
-// layouts, v3 for classed2 (same framing, newer magic, layout code 2;
-// only the 1-byte table travels — the pair table is rebuilt on decode).
-// It implements io.WriterTo. An internally inconsistent receiver (table
-// length not equal to numStates × numClasses — impossible for automata
-// built by this package, but conceivable for a hand-assembled one) is
-// rejected with ErrTableSize rather than written as an undecodable
-// stream.
+// WriteTo serializes the automaton in the v2 format. It implements
+// io.WriterTo. An internally inconsistent receiver (table length not
+// equal to numStates × numClasses — impossible for automata built by this
+// package, but conceivable for a hand-assembled one) is rejected with
+// ErrTableSize rather than written as an undecodable stream.
 func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 	if len(d.trans) != d.numStates*d.numClasses {
 		return 0, fmt.Errorf("%w: table has %d entries, want %d states × %d classes = %d",
@@ -80,35 +73,27 @@ func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 			cw.err = binary.Write(cw, binary.LittleEndian, v)
 		}
 	}
-	magic := dfaMagicV2
-	if d.trans2 != nil {
-		magic = dfaMagicV3
-	}
-	if _, err := cw.Write([]byte(magic)); err != nil {
+	if _, err := cw.Write([]byte(dfaMagicV2)); err != nil {
 		return cw.n, err
 	}
 	write(uint32(d.numStates))
 	write(d.start)
 	write(d.acceptStart)
-	// The wire format always carries plain state numbers: classed tables
-	// are unscaled on encode (their in-memory entries are pre-scaled row
-	// bases) and rescaled on decode, keeping stored images portable and
-	// the per-entry bounds check meaningful.
-	wireTrans := d.plainTable()
-	if d.classOf == nil {
+	// A flat table travels without its class map: the identity is implied
+	// by the layout code.
+	if d.Layout() == LayoutFlat {
 		write(uint8(wireLayoutFlat))
 		write(uint32(d.numClasses))
 	} else {
-		if d.trans2 != nil {
-			write(uint8(wireLayoutClassed2))
-		} else {
-			write(uint8(wireLayoutClassed))
-		}
+		write(uint8(wireLayoutClassed))
 		write(uint32(d.numClasses))
 		write(d.classOf)
 	}
-	write(uint32(len(wireTrans)))
-	write(wireTrans)
+	// The wire format always carries plain state numbers: tables are
+	// unscaled on encode and rescaled on decode, keeping stored images
+	// portable and the per-entry bounds check meaningful.
+	write(uint32(len(d.trans)))
+	write(d.plainTable())
 	write(uint32(len(d.accepts)))
 	for _, ids := range d.accepts {
 		write(uint32(len(ids)))
@@ -120,9 +105,10 @@ func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.err
 }
 
-// ReadDFA deserializes an automaton written by WriteTo (either format
-// version), validating structural invariants so a corrupt file cannot
-// produce out-of-range states or classes at scan time.
+// ReadDFA deserializes an automaton written by WriteTo, now or by any
+// earlier release (format versions 1 to 3), validating structural
+// invariants so a corrupt file cannot produce out-of-range states or
+// classes at scan time.
 //
 // ReadDFA never reads past the end of the serialized automaton, so it
 // composes with further sections on the same stream; callers should pass
@@ -152,7 +138,8 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 	}
 	// Engines beyond twice the default construction budget are rejected:
 	// the bound keeps a corrupt header from demanding a multi-gigabyte
-	// allocation before any data is validated.
+	// allocation before any data is validated, and implies the pre-scale
+	// invariant (2¹⁸ states × at most 2⁸ classes < 2³², see classes.go).
 	const maxStates = 2 * DefaultMaxStates
 	if numStates == 0 || numStates > maxStates ||
 		start >= numStates || acceptStart > numStates {
@@ -163,11 +150,11 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 		numStates:   int(numStates),
 		start:       start,
 		numClasses:  256,
+		classOf:     identityClasses[:], // v1 and v2-flat carry no map
 		acceptStart: acceptStart,
 	}
 
 	declaredLen := int(numStates) * 256
-	wantPairs := false
 	if version >= 2 {
 		var layout uint8
 		if err := binary.Read(r, binary.LittleEndian, &layout); err != nil {
@@ -182,12 +169,9 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 			if numClasses != 256 {
 				return nil, fmt.Errorf("%w: flat layout with %d classes", ErrBadFormat, numClasses)
 			}
-		case wireLayoutClassed, wireLayoutClassed2:
-			if layout == wireLayoutClassed2 {
-				if version < 3 {
-					return nil, fmt.Errorf("%w: classed2 layout in a v%d stream", ErrBadFormat, version)
-				}
-				wantPairs = true
+		case wireLayoutClassed, wireLayoutPairs:
+			if layout == wireLayoutPairs && version < 3 {
+				return nil, fmt.Errorf("%w: layout code %d in a v%d stream", ErrBadFormat, layout, version)
 			}
 			if numClasses == 0 || numClasses > 256 {
 				return nil, fmt.Errorf("%w: implausible class count %d", ErrBadFormat, numClasses)
@@ -233,11 +217,9 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 			return nil, fmt.Errorf("%w: transition to state %d of %d", ErrBadFormat, to, numStates)
 		}
 	}
-	if d.classOf != nil {
-		// Restore the in-memory pre-scaled form (entries are row bases).
-		for i := range d.trans {
-			d.trans[i] *= uint32(d.numClasses)
-		}
+	// Restore the in-memory pre-scaled form (entries are row bases).
+	for i := range d.trans {
+		d.trans[i] *= uint32(d.numClasses)
 	}
 	var numAccept uint32
 	if err := binary.Read(r, binary.LittleEndian, &numAccept); err != nil {
@@ -260,15 +242,6 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 			return nil, fmt.Errorf("%w: accept set %d: %v", ErrBadFormat, i, err)
 		}
 		d.accepts[i] = ids
-	}
-	if wantPairs {
-		// The pair table is δ∘δ of the validated 1-byte table — rebuild
-		// rather than trust serialized bytes. A stream whose class count
-		// would blow Classed2MaxTableBytes (impossible for images this
-		// package wrote, since WriteTo only emits layout 2 when the table
-		// was buildable) degrades to the classed layout, which is
-		// match-equivalent.
-		d = d.withPairs()
 	}
 	return d, nil
 }

@@ -12,16 +12,15 @@ import (
 // states merge only if they report identical match-id sets and have
 // pairwise-equivalent successors on every byte.
 //
-// minimize is layout-preserving and runs over the receiver's own columns
-// (FromNFA calls it on the constructor's class-width rows, before
-// applyLayout): states agree on every byte iff they agree on every
-// column, so the partition, and with it the numbering of the result, is
-// the one a 256-wide refinement would reach. A classed result keeps the
-// receiver's class map; merging states can make columns equal, which the
-// column quotient in compressed() then removes.
-func (d *DFA) minimize() *DFA {
-	n, k := d.numStates, d.numClasses
-	trans := d.plainTable()
+// minimize runs over the receiver's own columns (FromNFA calls it on the
+// constructor's class-width rows, before applyLayout): states agree on
+// every byte iff they agree on every column, so the partition, and with
+// it the numbering of the result, is the one a 256-wide refinement would
+// reach. The result keeps the receiver's class map; merging states can
+// make columns equal, which the column quotient in classed() then removes.
+func (r *rows) minimize() *rows {
+	n, k := r.numStates, r.k
+	trans := r.next
 	group := make([]uint32, n)
 
 	// Initial partition: group by decision set, the non-accepting states
@@ -32,7 +31,7 @@ func (d *DFA) minimize() *DFA {
 	acceptGroups := make(map[string]uint32)
 	numGroups := uint32(0)
 	for s := 0; s < n; s++ {
-		key := int32sKey(d.Matches(uint32(s)))
+		key := int32sKey(r.matches(uint32(s)))
 		g, ok := acceptGroups[key]
 		if !ok {
 			g = numGroups
@@ -79,17 +78,24 @@ func (d *DFA) minimize() *DFA {
 		group, next = next, group
 	}
 
-	return d.rebuild(trans, group, int(numGroups))
+	return r.rebuild(group, int(numGroups))
 }
 
-// rebuild materializes the quotient automaton given the receiver's plain
-// table and a state→group map, in the receiver's layout.
-func (d *DFA) rebuild(trans, group []uint32, numGroups int) *DFA {
+// matches returns the decision set of a state, nil if it does not accept.
+func (r *rows) matches(state uint32) []int32 {
+	if state < r.acceptStart {
+		return nil
+	}
+	return r.accepts[state-r.acceptStart]
+}
+
+// rebuild materializes the quotient automaton given a state→group map.
+func (r *rows) rebuild(group []uint32, numGroups int) *rows {
 	rep := make([]int, numGroups) // a representative state per group
 	for i := range rep {
 		rep[i] = -1
 	}
-	for s := 0; s < d.numStates; s++ {
+	for s := 0; s < r.numStates; s++ {
 		if rep[group[s]] == -1 {
 			rep[group[s]] = s
 		}
@@ -97,27 +103,24 @@ func (d *DFA) rebuild(trans, group []uint32, numGroups int) *DFA {
 
 	// Renumber groups so accepting ones form a contiguous tail, keeping
 	// the fast accept test of the engine.
-	perm, acceptStart := acceptTail(numGroups, func(g int) bool { return d.Accepting(uint32(rep[g])) })
+	perm, acceptStart := acceptTail(numGroups, func(g int) bool { return uint32(rep[g]) >= r.acceptStart })
 
-	k, scale := d.numClasses, uint32(1)
-	if d.classOf != nil {
-		scale = uint32(k) // classed entries are pre-scaled row bases
-	}
-	out := &DFA{
+	k := r.k
+	out := &rows{
 		numStates:   numGroups,
-		start:       perm[group[d.start]],
-		trans:       make([]uint32, numGroups*k),
-		numClasses:  k,
-		classOf:     d.classOf,
+		start:       perm[group[r.start]],
+		next:        make([]uint32, numGroups*k),
+		k:           k,
+		classOf:     r.classOf,
 		acceptStart: acceptStart,
 		accepts:     make([][]int32, uint32(numGroups)-acceptStart),
 	}
-	for g, r := range rep {
+	for g, s := range rep {
 		base := int(perm[g]) * k
-		for c, to := range trans[r*k : (r+1)*k] {
-			out.trans[base+c] = perm[group[to]] * scale
+		for c, to := range r.next[s*k : (s+1)*k] {
+			out.next[base+c] = perm[group[to]]
 		}
-		if m := d.Matches(uint32(r)); m != nil {
+		if m := r.matches(uint32(s)); m != nil {
 			out.accepts[perm[g]-acceptStart] = slices.Clone(m)
 		}
 	}

@@ -21,9 +21,9 @@ import (
 // shipped before construction moved to class space: one ε-closure per
 // state and byte, states keyed by their whole closure, a 256-wide row per
 // state. It is kept as the oracle the production constructor must equal
-// bit for bit, and returns the flat automaton before minimization and
+// bit for bit, and returns its 256-wide rows before minimization and
 // layout.
-func referenceFromNFA(n *nfa.NFA, maxStates int) (*DFA, error) {
+func referenceFromNFA(n *nfa.NFA, maxStates int) (*rows, error) {
 	seen := make([]bool, n.NumStates())
 	subset := make(map[string]uint32)
 	var queue [][]nfa.StateID
@@ -96,18 +96,19 @@ func referenceFromNFA(n *nfa.NFA, maxStates int) (*DFA, error) {
 
 	numStates := len(trans)
 	perm, acceptStart := acceptTail(numStates, func(s int) bool { return accepts[s] != nil })
-	d := &DFA{
+	d := &rows{
 		numStates:   numStates,
 		start:       perm[0],
-		trans:       make([]uint32, numStates*regexparse.AlphabetSize),
-		numClasses:  regexparse.AlphabetSize,
+		next:        make([]uint32, numStates*regexparse.AlphabetSize),
+		k:           regexparse.AlphabetSize,
+		classOf:     identityClasses[:],
 		acceptStart: acceptStart,
 		accepts:     make([][]int32, uint32(numStates)-acceptStart),
 	}
 	for old, row := range trans {
 		base := int(perm[old]) * regexparse.AlphabetSize
 		for b, to := range row {
-			d.trans[base+b] = perm[to]
+			d.next[base+b] = perm[to]
 		}
 		if m := accepts[old]; m != nil {
 			d.accepts[perm[old]-acceptStart] = m
@@ -127,8 +128,8 @@ func closureKey(states []nfa.StateID) string {
 // assertSameAsReference builds n with the reference constructor once and
 // with FromNFA under every layout and minimization setting, and requires
 // the serialized automata — state count and numbering, class map, table,
-// accept sets — to be equal byte for byte. The reference's flat automaton
-// goes through the same minimize and applyLayout steps, there over 256
+// accept sets — to be equal byte for byte. The reference's rows go
+// through the same minimize and applyLayout steps, there over 256
 // columns, so the class-width forms of both are checked as well.
 //
 // Both sides get the same state budget; when the reference exceeds it,
@@ -147,7 +148,7 @@ func assertSameAsReference(t *testing.T, label string, n *nfa.NFA, budget int) b
 		if minimize {
 			want = ref.minimize()
 		}
-		for _, layout := range []Layout{LayoutFlat, LayoutClassed, LayoutClassed2} {
+		for _, layout := range []Layout{LayoutFlat, LayoutClassed} {
 			got, err := FromNFA(n, Options{MaxStates: budget, Layout: layout, Minimize: minimize})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -156,12 +157,16 @@ func assertSameAsReference(t *testing.T, label string, n *nfa.NFA, budget int) b
 			if _, err := got.WriteTo(&g); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := want.applyLayout(layout).WriteTo(&w); err != nil {
+			wantDFA, err := want.applyLayout(layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wantDFA.WriteTo(&w); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(g.Bytes(), w.Bytes()) {
 				t.Fatalf("%s layout=%v minimize=%v: %d states, %d classes, %d image bytes; reference %d states, %d image bytes",
-					label, layout, minimize, got.NumStates(), got.NumClasses(), g.Len(), want.NumStates(), w.Len())
+					label, layout, minimize, got.NumStates(), got.NumClasses(), g.Len(), want.numStates, w.Len())
 			}
 		}
 	}

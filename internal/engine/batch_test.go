@@ -53,7 +53,7 @@ func TestBatchedShardedEquivalence(t *testing.T) {
 	}
 	want := flowMatches(seq)
 
-	for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
 		m := buildLayoutMFA(t, layout, sources...)
 		for _, shards := range []int{1, 4} {
 			for _, k := range []int{4, core.MaxBatchFlows} {
@@ -127,7 +127,7 @@ func TestBatchedCallbackPanicQuarantinesOneFlow(t *testing.T) {
 	sources := []string{"attack.*payload", "evil[^\n]*string", "xmrig"}
 	words := []string{"attack", "payload", "evil", "string", "xmrig"}
 	capture, poisonKey := poisonedCapture(t, 10, words, "xmrig", 3)
-	m := buildLayoutMFA(t, dfa.LayoutClassed2, sources...)
+	m := buildLayoutMFA(t, dfa.LayoutClassed, sources...)
 
 	var seq []Match
 	_, err := flow.ScanPcap(bytes.NewReader(capture), flow.Config{},

@@ -59,7 +59,7 @@ func sortedMatches(ms []Match) string {
 func TestBatchedAssemblerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	sources := []string{"attack.*payload", "abc", "x[0-9]+y"}
-	for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
 		m := buildLayoutMFA(t, layout, sources...)
 		// Per-flow byte streams, odd lengths included.
 		flows := make([][]byte, 5)
@@ -139,7 +139,7 @@ func TestBatchedAssemblerEquivalence(t *testing.T) {
 // same batch window must still deliver the match (flush-before-recycle),
 // and the recycled runner must be start-of-flow for the next connection.
 func TestBatchFlushOnFin(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed2, "attack.*payload")
+	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -172,7 +172,7 @@ func TestBatchFlushOnFin(t *testing.T) {
 // deferred payload scans (and matches) before the restart resets the
 // runner.
 func TestBatchFlushOnSynRestart(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed2, "attack.*payload")
+	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -195,8 +195,8 @@ func TestBatchFlushOnSynRestart(t *testing.T) {
 // scanned on the generation that buffered it before resetExisting moves
 // flows to the new automaton.
 func TestBatchFlushOnGenerationSwap(t *testing.T) {
-	m1 := buildLayoutMFA(t, dfa.LayoutClassed2, "attack.*payload")
-	m2 := buildLayoutMFA(t, dfa.LayoutClassed2, "abc")
+	m1 := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
+	m2 := buildLayoutMFA(t, dfa.LayoutClassed, "abc")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m1.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -221,7 +221,7 @@ func TestBatchFlushOnGenerationSwap(t *testing.T) {
 // TestBatchFlushOnDropPaths checks DropFlow and DropTenant flush
 // deferred work before discarding runners.
 func TestBatchFlushOnDropPaths(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed2, "attack.*payload")
+	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })

@@ -63,8 +63,8 @@ type Options struct {
 
 // XFA is the compiled automaton.
 type XFA struct {
-	d           *dfa.DFA
-	trans       []uint32
+	trans       []uint32 // NumStates×256 plain state numbers
+	start       uint32
 	acceptStart uint32
 	// starts[i] .. starts[i+1] index instrs for accepting state
 	// acceptStart+i.
@@ -104,8 +104,8 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 		return nil, fmt.Errorf("xfa: %w", err)
 	}
 	// The XFA baseline keeps the paper's flat one-load-per-byte table —
-	// it is the layout the original XFA work assumes, and Compile
-	// repacks TransitionTable directly below.
+	// it is the layout the original XFA work assumes — as its own copy
+	// (TransitionTable); the DFA is not retained.
 	d, err := dfa.FromNFA(n, dfa.Options{MaxStates: opts.MaxStates, Layout: dfa.LayoutFlat})
 	if err != nil {
 		return nil, fmt.Errorf("xfa: %w", err)
@@ -113,8 +113,8 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 
 	prog := res.Program()
 	x := &XFA{
-		d:           d,
 		trans:       d.TransitionTable(),
+		start:       d.Start(),
 		acceptStart: d.AcceptStart(),
 		prog:        prog,
 	}
@@ -176,7 +176,7 @@ func compileAction(a filter.Action) []Instr {
 func (x *XFA) Stats() BuildStats { return x.stats }
 
 // NumStates returns the number of automaton states.
-func (x *XFA) NumStates() int { return x.d.NumStates() }
+func (x *XFA) NumStates() int { return len(x.trans) / 256 }
 
 // MemoryImageBytes returns the static image: the transition table, the
 // per-state program index, and the instruction array.
@@ -197,12 +197,12 @@ type Runner struct {
 
 // NewRunner returns a runner at the start of a fresh flow.
 func (x *XFA) NewRunner() *Runner {
-	return &Runner{x: x, st: x.d.Start(), mem: x.prog.NewMemory()}
+	return &Runner{x: x, st: x.start, mem: x.prog.NewMemory()}
 }
 
 // Reset rewinds the runner for a new flow.
 func (r *Runner) Reset() {
-	r.st = r.x.d.Start()
+	r.st = r.x.start
 	r.mem.Reset()
 	r.pos = 0
 }
