@@ -10,7 +10,6 @@
 //	mfabench -exp fig5 -bytes 524288
 //	mfabench -exp layout -json layout.json    # flat/classed + batching
 //	mfabench -exp engine -json results.json   # machine-readable rows too
-//	mfabench -exp engine -batch 8             # batched rows at lockstep width 8
 //
 // -json writes the raw measurement rows of the row-producing experiments
 // (fig4, fig5, active, layout, engine) as one JSON document ("-" for
@@ -43,7 +42,6 @@ func run() error {
 	bytesN := flag.Int("bytes", 1<<20, "stream length per measurement for fig5")
 	seed := flag.Int64("seed", 1, "seed for fig5 traffic")
 	shardsFlag := flag.String("shards", "1,2,4,8", "shard counts for the engine experiment")
-	batchK := flag.Int("batch", 16, "lockstep width for the engine experiment's batched rows (0 or 1 disables)")
 	jsonOut := flag.String("json", "", "also write raw measurement rows as JSON to this file (- for stdout)")
 	flag.Parse()
 
@@ -162,7 +160,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rows, err := bench.EngineScaling(out, engines, bench.EngineTrace(*scale), counts, *batchK)
+		rows, err := bench.EngineScaling(out, engines, bench.EngineTrace(*scale), counts)
 		if err != nil {
 			return err
 		}

@@ -152,7 +152,6 @@ func run() (int, error) {
 	shards := flag.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 4096, "per-shard queue depth (segments)")
 	layoutFlag := flag.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
-	batchFlows := flag.Int("batch-flows", 0, "scan up to this many flows per shard in lockstep (0 or 1 = scan-on-arrival; capped at 16, see DESIGN.md §18)")
 	drop := flag.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
 	maxFlows := flag.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
 	idle := flag.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
@@ -160,7 +159,7 @@ func run() (int, error) {
 	softMark := flag.Float64("soft-watermark", 0, "pressure threshold for soft degradation (0 = default 0.5)")
 	hardMark := flag.Float64("hard-watermark", 0, "pressure threshold for hard degradation (0 = default 0.9)")
 	maxMemory := flag.String("max-memory", "", "ceiling on buffered payload memory (arena leases + flow buffers + queued segments), e.g. 256M or 1G; sources pause leasing near the ceiling and the degradation ladder reacts to memory pressure (empty = unbounded)")
-	stallDeadline := flag.Duration("stall-deadline", 0, "watchdog deadline for one segment scan: a scan stuck longer poisons its flow on recovery, 4x the deadline marks the shard wedged and sheds its traffic (0 = watchdog off)")
+	stallDeadline := flag.Duration("stall-deadline", 0, "watchdog deadline for one flush window (up to 256 queued segments): a flow whose scan or match handler holds its window longer is poisoned on recovery, 4x the deadline marks the shard wedged and sheds its traffic (0 = watchdog off)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "bound the shutdown drain; on expiry report per-shard progress and exit nonzero (0 = wait forever)")
 	strict := flag.Bool("strict", false, "abort on the first malformed frame or record (exit code 2) instead of skip-and-count")
 	statsEvery := flag.Duration("stats", 0, "print a stats line to stderr at this interval (0 = off)")
@@ -300,7 +299,6 @@ func run() (int, error) {
 		Shards:        *shards,
 		QueueDepth:    *queue,
 		DropWhenFull:  *drop,
-		BatchFlows:    *batchFlows,
 		Flow:          flow.Config{MaxFlows: *maxFlows},
 		IdleAfter:     *idle,
 		CrashBudget:   *crashBudget,

@@ -33,10 +33,6 @@ func EngineTrace(scale float64) TraceProfile {
 type EngineScalingResult struct {
 	Set    string
 	Shards int // 0 = the sequential flow.ScanPcap baseline
-	// BatchFlows and Layout are set on batched rows: the lockstep width K
-	// and the table layout of the set's MFA.
-	BatchFlows int
-	Layout     string
 	Throughput
 	Matches int64
 }
@@ -45,11 +41,10 @@ type EngineScalingResult struct {
 // sequential scanner on a multi-flow trace, per pattern set, at each
 // shard count. The speedup column is relative to the sequential baseline;
 // it approaches the core count on parallel hardware and ≈1× on one core
-// (the dispatch layer's channel handoff is the residual cost). When
-// batchFlows > 1, each shard count is additionally measured with batched
-// lockstep scanning (engine.Config.BatchFlows), the DESIGN.md §18
-// configuration.
-func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardCounts []int, batchFlows int) ([]EngineScalingResult, error) {
+// (the dispatch layer's channel handoff is the residual cost), where what
+// a shard gains over the baseline is its batched lockstep scan (DESIGN.md
+// §18).
+func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardCounts []int) ([]EngineScalingResult, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4, 8}
 	}
@@ -110,35 +105,6 @@ func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardC
 			}
 		}
 
-		if batchFlows > 1 {
-			// Batched lockstep rows: same trace, same automaton. The match
-			// cross-check below is the batching equivalence claim exercised
-			// end-to-end at benchmark scale.
-			layout := e.MFA.Stats().DFALayout
-			for _, shards := range shardCounts {
-				cfg := engine.Config{Shards: shards, QueueDepth: 4096, BatchFlows: batchFlows}
-				if _, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newRunner, nil); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				st, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newRunner, nil)
-				if err != nil {
-					return nil, err
-				}
-				res := EngineScalingResult{
-					Set: e.Set, Shards: shards, BatchFlows: batchFlows, Layout: layout, Matches: st.Matches,
-					Throughput: throughputOf(st.PayloadBytes, time.Since(start), st.Matches),
-				}
-				all = append(all, res)
-				fmt.Fprintf(tw, "\tshards=%d batch=%d %s\t%.1f\t%.0f\t%.2fx\t%d\n",
-					shards, batchFlows, layout, res.MBps(), res.CyclesPerByte,
-					seq.Elapsed.Seconds()/res.Elapsed.Seconds(), res.Matches)
-				if st.Matches != seqMatches {
-					return nil, fmt.Errorf("bench: %s shards=%d batch=%d: %d matches, sequential found %d",
-						e.Set, shards, batchFlows, st.Matches, seqMatches)
-				}
-			}
-		}
 		if err := tw.Flush(); err != nil {
 			return nil, err
 		}

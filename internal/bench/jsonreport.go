@@ -41,8 +41,8 @@ type JSONRow struct {
 	// Table-layout columns (experiment "layout"): the layout under
 	// measurement, its transition-table image size and, for classed rows,
 	// the byte equivalence-class count. BatchK is the lockstep width on
-	// batched rows (layout and engine experiments); 1 is the single-lane
-	// path through the batcher, hence the pointer (1 must still render).
+	// batched rows; 1 is the single-lane path through the batcher, hence
+	// the pointer (1 must still render).
 	Layout     string `json:"layout,omitempty"`
 	TableBytes int    `json:"table_bytes,omitempty"`
 	Classes    int    `json:"classes,omitempty"`
@@ -166,11 +166,6 @@ func (r *JSONReport) AddEngineScaling(results []EngineScalingResult) {
 		shards := er.Shards
 		row.Shards = &shards
 		row.Matches = er.Matches
-		if er.BatchFlows > 0 {
-			k := er.BatchFlows
-			row.BatchK = &k
-			row.Layout = er.Layout
-		}
 		r.Rows = append(r.Rows, row)
 	}
 }

@@ -21,15 +21,27 @@ package core
 // A batch may mix runners from different MFAs (multi-tenant shards,
 // cross-generation drains) and of either layout: every automaton is the
 // one table shape of internal/dfa, so lanes carry their own table views
-// and one loop steps them all. Whenever a single lane is left the batcher
-// falls through to the plain Feed loop, so fewer-than-K ready flows never
-// pay lockstep overhead.
+// and one loop steps them all. Two kinds of flow take the plain Feed loop
+// instead, because lockstep has nothing to give them: a lane left alone
+// (no second chain to overlap with), and a flow whose last scan went to
+// the filter rather than to waiting on table loads, which Add scans on
+// arrival (acceptDenseDiv).
 
 // MaxBatchFlows caps the lockstep width. 16 lanes saturate the
 // load-miss parallelism of current cores (10–16 outstanding L1 misses)
 // while keeping per-lane cursors within the L1 working set; wider
 // batches add bookkeeping without more overlap.
 const MaxBatchFlows = 16
+
+// acceptDenseDiv is the routing constant: a flow whose last scan (a lane's
+// flush window, or one chunk) visited an accept state more than once per
+// acceptDenseDiv bytes is filter-bound — its time goes to accept programs
+// and callbacks, which lockstep cannot overlap and only interrupts — and
+// its next chunk is scanned by Feed. Swept on C8 and S24 ∪ CTR24 (DESIGN.md
+// §18): lockstep wins up to a visit per 20 bytes, is level at one per 14
+// and loses from one per 10; real flows sit far to either side (< 10⁻⁴ or
+// ≈ 0.1 per byte).
+const acceptDenseDiv = 16
 
 // batchLane is one flow's deferred scan work plus its lockstep cursor.
 type batchLane struct {
@@ -47,8 +59,12 @@ type batchLane struct {
 	scaledAccept uint32 // acceptStart × k
 
 	st  uint32 // cursor: the row base of the current state
-	pos int64
-	i   int // bytes of data consumed
+	pos int64  // stream position lockstep has stepped the lane to
+	i   int    // bytes of data consumed
+
+	// The runner's position and accept visits when the flush began: what
+	// the lane's window is measured against when it retires.
+	pos0, visits0 int64
 
 	// dead marks a lane whose match callback (or filter program)
 	// panicked: the lane stops stepping, its remaining chunks are
@@ -64,14 +80,28 @@ type batchLane struct {
 type FlowBatcher struct {
 	k     int
 	lanes []batchLane
-	cur   any // tag of the flow whose accept path is executing, for panic attribution
 
-	// Stashed first panic of the current flush (reap): re-raised by
-	// finish once every healthy lane has completed its window, so one
-	// hostile callback cannot cost sibling flows their deferred scans.
-	panicked bool
-	pv       any
-	deadTag  any
+	// The lockstep window in progress. Its cursors live here, not in
+	// lockstep's frame, so that window's one recover can see which lane
+	// was being stepped, kill it, and re-enter the loop where it stopped:
+	// active are the lanes still stepping, round marks a round begun (l,
+	// st and win filled in), (j0, x) the strip and lane being stepped.
+	active []*batchLane
+	act    [MaxBatchFlows]*batchLane
+	st     [MaxBatchFlows]uint32
+	win    [MaxBatchFlows][]byte
+	round  bool
+	l      int
+	j0, x  int
+
+	// Tags of the lanes that died since TakeDead, and the first panic's
+	// value: re-raised by finish once every healthy lane has completed its
+	// window, so a hostile callback cannot cost siblings their scans.
+	dead []any
+	pv   any
+
+	// Cumulative work counters (Counts).
+	nLanes, nVisits, nLockstep, nSequential int64
 }
 
 // NewFlowBatcher returns a batcher stepping up to k flows in lockstep;
@@ -92,11 +122,20 @@ func NewFlowBatcher(k int) *FlowBatcher {
 // Add for a runner already in the batch queues the chunk behind the
 // first, preserving the flow's byte order; between flushes a runner
 // must keep belonging to the same flow (flush before recycling). When
-// the batch is full, Add flushes it and starts the next one.
+// the batch is full, Add flushes it and starts the next one; data is
+// queued even when that flush re-raises a panic. An accept-dense flow is
+// not deferred at all: Add scans data before it returns, and a panic of
+// that flow's own code propagates with nothing for TakeDead to name.
 func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int64)) bool {
 	r, ok := runner.(*Runner)
 	if !ok {
 		return false
+	}
+	if r.dense { // so not in the batch: the verdict is a finished scan's
+		visits := r.visits
+		r.Feed(data, onMatch)
+		b.account(r, r.visits-visits, 0, int64(len(data)))
+		return true
 	}
 	for i := range b.lanes {
 		if b.lanes[i].r == r {
@@ -104,22 +143,35 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 			return true
 		}
 	}
-	if len(b.lanes) >= b.k {
-		b.Flush()
+	full := len(b.lanes) >= b.k
+	if full {
+		b.scan()
 	}
 	b.lanes = append(b.lanes, batchLane{r: r, tag: tag, cb: onMatch, data: data})
+	if full {
+		b.finish()
+	}
 	return true
 }
 
 // Len returns the number of flows with pending deferred work.
 func (b *FlowBatcher) Len() int { return len(b.lanes) }
 
-// Scanning returns the tag of the flow whose match path raised the
-// panic unwinding out of Flush; shards use it to quarantine the
-// offending flow, mirroring the single-flow path. The tag survives the
-// unwind (it is cleared on normal completion and at the start of the
-// next Flush), so the shard's own deferred recover can still read it.
-func (b *FlowBatcher) Scanning() any { return b.cur }
+// TakeDead returns the tags of the flows whose lanes died — every one,
+// not just the flow whose panic Flush re-raised — and forgets them. The
+// shard's recover quarantines each, mirroring the single-flow path.
+func (b *FlowBatcher) TakeDead() []any {
+	dead := b.dead
+	b.dead = nil
+	return dead
+}
+
+// Counts returns the batcher's cumulative work: lanes flushed, the accept
+// states its flows visited, and the bytes the lockstep loop and the
+// single-flow loop scanned (dead lanes' not included).
+func (b *FlowBatcher) Counts() (lanes, acceptVisits, lockstepBytes, sequentialBytes int64) {
+	return b.nLanes, b.nVisits, b.nLockstep, b.nSequential
+}
 
 // Contains reports whether runner has pending deferred work. Flow
 // lifecycle events (teardown, restart, recycle) must Flush when this is
@@ -141,66 +193,90 @@ func (b *FlowBatcher) Contains(runner any) bool {
 // matches the single-flow path: a panic raised by one flow's match
 // callback (or filter program) kills only that flow's lane — every
 // sibling lane still completes its window, matches delivered and state
-// written back — and the panic is then re-raised from Flush with
-// Scanning reporting the offending flow's tag, so the shard's recover
-// path can quarantine exactly that flow. The batch is empty afterwards
+// written back — and the first such panic is then re-raised from Flush
+// with TakeDead naming every flow that died, so the shard's recover path
+// can quarantine exactly those flows. The batch is empty afterwards
 // either way and the batcher stays reusable.
 func (b *FlowBatcher) Flush() {
-	work := b.lanes
-	b.lanes = b.lanes[:0]
-	b.cur = nil
-	switch len(work) {
-	case 0:
-		return
-	case 1:
-		b.feedLane(&work[0])
-	default:
-		var lanes [MaxBatchFlows]*batchLane
-		for i := range work {
-			lanes[i] = &work[i]
-		}
-		b.lockstep(lanes[:len(work)])
-	}
+	b.scan()
 	b.finish()
 }
 
-// finish ends a flush: on a clean window it clears the Scanning tag; if
-// reap stashed a panic it restores the dead flow's tag for Scanning and
-// re-raises, after every healthy lane has already finished.
+// scan is Flush without the re-raise.
+func (b *FlowBatcher) scan() {
+	work := b.lanes
+	b.lanes = b.lanes[:0]
+	b.nLanes += int64(len(work))
+	b.active = b.act[:len(work)]
+	for i := range work {
+		la := &work[i]
+		b.act[i] = la
+		m := la.r.mfa
+		la.trans = m.trans
+		la.classOf = m.classOf
+		la.k = uint32(m.stride)
+		la.scaledAccept = m.acceptStart * la.k
+		la.st = la.r.dfa.State() * la.k
+		la.pos0, la.visits0 = la.r.dfa.Pos(), la.r.visits
+		la.pos = la.pos0
+	}
+	for len(b.active) > 1 && !b.window() {
+	}
+	if len(b.active) == 1 {
+		// A lane alone, from the start or as the last one standing, has
+		// no second chain to overlap with: the plain Feed loop is faster.
+		la := b.active[0]
+		la.r.dfa.SetState(la.st/la.k, la.pos)
+		b.feedLane(la)
+	}
+}
+
+// finish re-raises the panic scan stashed, if any.
 func (b *FlowBatcher) finish() {
-	b.cur = nil
-	if !b.panicked {
-		return
+	if pv := b.pv; pv != nil {
+		b.pv = nil
+		panic(pv)
 	}
-	pv := b.pv
-	b.cur = b.deadTag
-	b.panicked, b.pv, b.deadTag = false, nil, nil
-	panic(pv)
 }
 
-// reap must be deferred around every call that runs user code (match
-// callbacks via accept paths, filter programs): it converts a panic
-// into lane death, stashing the first panic's value and tag for finish
-// to re-raise once the window completes.
-func (b *FlowBatcher) reap(la *batchLane) {
-	r := recover()
-	if r == nil {
-		return
-	}
+// kill records the death of a lane whose user code panicked with pv.
+func (b *FlowBatcher) kill(la *batchLane, pv any) {
 	la.dead = true
-	if !b.panicked {
-		b.panicked, b.pv, b.deadTag = true, r, la.tag
+	b.dead = append(b.dead, la.tag)
+	if b.pv == nil {
+		b.pv = pv
 	}
 }
 
-// feedLane scans one lane through the ordinary single-flow loop.
+// feedLane scans a lane — all of it, or what lockstep left of it —
+// through the ordinary single-flow loop, under a guard of its own: one
+// per lane, not one per accept visit.
 func (b *FlowBatcher) feedLane(la *batchLane) {
-	defer b.reap(la)
-	b.cur = la.tag
-	la.r.Feed(la.data, la.cb)
+	defer func() {
+		if pv := recover(); pv != nil {
+			b.kill(la, pv)
+		}
+	}()
+	la.r.Feed(la.data[la.i:], la.cb)
 	for _, d := range la.more {
 		la.r.Feed(d, la.cb)
 	}
+	b.retire(la)
+}
+
+// retire accounts a lane whose runner holds its end-of-window state.
+func (b *FlowBatcher) retire(la *batchLane) {
+	b.account(la.r, la.r.visits-la.visits0, la.pos-la.pos0, la.r.dfa.Pos()-la.pos)
+}
+
+// account books a finished scan of r — its accept visits and the bytes
+// each loop stepped — and records whether it was accept-dense, which
+// decides how Add treats the flow's next chunk.
+func (b *FlowBatcher) account(r *Runner, visits, lockstep, sequential int64) {
+	b.nVisits += visits
+	b.nLockstep += lockstep
+	b.nSequential += sequential
+	r.dense = visits*acceptDenseDiv > lockstep+sequential
 }
 
 // minRemaining returns the shortest current-chunk remainder across
@@ -220,12 +296,13 @@ func minRemaining(active []*batchLane) int {
 // exhausted lanes onto their next queued chunk and retiring lanes with
 // nothing left (writing the plain state number and position back into
 // the lane's runner). It returns the still-active lanes.
-func advance(active []*batchLane, l int) []*batchLane {
+func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 	n := 0
-	for _, la := range active {
+	for x, la := range active {
 		if la.dead {
 			continue // no write-back: the flow is being quarantined
 		}
+		la.st = b.st[x]
 		la.i += l
 		la.pos += int64(l)
 		for la.i == len(la.data) && len(la.more) > 0 {
@@ -234,6 +311,7 @@ func advance(active []*batchLane, l int) []*batchLane {
 		}
 		if la.i == len(la.data) {
 			la.r.dfa.SetState(la.st/la.k, la.pos)
+			b.retire(la)
 		} else {
 			active[n] = la
 			n++
@@ -242,25 +320,21 @@ func advance(active []*batchLane, l int) []*batchLane {
 	return active[:n]
 }
 
-// retireInto hands a lone surviving lane back to the single-flow loop:
-// once only one lane is active, lockstep has no overlap to exploit and
-// the plain Feed loop is strictly faster.
-func (b *FlowBatcher) retireInto(la *batchLane) {
-	defer b.reap(la)
-	la.r.dfa.SetState(la.st/la.k, la.pos)
-	b.cur = la.tag
-	la.r.Feed(la.data[la.i:], la.cb)
-	for _, d := range la.more {
-		la.r.Feed(d, la.cb)
-	}
-}
-
-// acceptScaled fires the accept program of an accepting row base st
-// under the lane's panic guard.
-func (b *FlowBatcher) acceptScaled(la *batchLane, st uint32, pos int64) {
-	defer b.reap(la)
-	b.cur = la.tag
-	la.r.fire((st-la.scaledAccept)/la.k, pos, la.cb)
+// window runs lockstep from wherever the window's cursors stand and
+// reports whether it ran to the end. This is the window's one recover —
+// an accept visit costs no defer: after a panic in a lane's user code the
+// lane is killed and the caller re-enters, lockstep resuming at the next
+// lane of the same strip, so siblings neither repeat nor skip a byte.
+func (b *FlowBatcher) window() (done bool) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			b.kill(b.active[b.x], pv)
+			b.win[b.x] = nil
+			b.x++
+		}
+	}()
+	b.lockstep()
+	return true
 }
 
 // batchBlock is the strip length of the lockstep loop: each lane advances
@@ -270,57 +344,48 @@ func (b *FlowBatcher) acceptScaled(la *batchLane, st uint32, pos int64) {
 // strips, keeping multiple independent table-load chains in flight.
 const batchBlock = 8
 
-// lockstep steps ≥2 lanes in lockstep, a round at a time: every active
-// lane advances by the shortest remaining chunk, strip-mined so that the
-// lanes' mutually independent table loads interleave. The round's cursors
-// and windows live in stack arrays; each lane's table views are read once
-// per strip, so lanes of one MFA and of several cost the same loop.
-func (b *FlowBatcher) lockstep(active []*batchLane) {
-	for _, la := range active {
-		m := la.r.mfa
-		la.trans = m.trans
-		la.classOf = m.classOf
-		la.k = uint32(m.stride)
-		la.scaledAccept = m.acceptStart * la.k
-		la.st = la.r.dfa.State() * la.k
-		la.pos = la.r.dfa.Pos()
-	}
-	for len(active) > 1 {
-		l := minRemaining(active)
-		var st [MaxBatchFlows]uint32
-		var win [MaxBatchFlows][]byte
-		for x, la := range active {
-			st[x] = la.st
-			win[x] = la.data[la.i : la.i+l]
-		}
-		for j0 := 0; j0 < l; j0 += batchBlock {
-			je := min(j0+batchBlock, l)
+// lockstep steps the active lanes in lockstep, a round at a time, until at
+// most one is left: every active lane advances by the shortest remaining
+// chunk, strip-mined so that the lanes' mutually independent table loads
+// interleave. Each lane's table views are read once per strip, so lanes of
+// one MFA and of several cost the same loop. The accept path is a plain
+// call of Runner.fire; (round, j0, x) are stored before the user code it
+// may run, which is all window's recover needs.
+func (b *FlowBatcher) lockstep() {
+	for len(b.active) > 1 {
+		active := b.active
+		if !b.round {
+			b.l = minRemaining(active)
 			for x, la := range active {
-				w := win[x]
-				if w == nil { // lane died mid-round
+				b.st[x] = la.st
+				b.win[x] = la.data[la.i : la.i+b.l]
+			}
+			b.round, b.j0, b.x = true, 0, 0
+		}
+		l := b.l
+		for j0 := b.j0; j0 < l; j0 += batchBlock {
+			b.j0 = j0
+			je := min(j0+batchBlock, l)
+			for x := b.x; x < len(active); x++ {
+				w := b.win[x]
+				if w == nil { // lane died earlier in the round
 					continue
 				}
+				b.x = x
+				la := active[x]
 				trans, classOf, scaledAccept := la.trans, la.classOf, la.scaledAccept
-				s := st[x]
+				s := b.st[x]
 				for bi, c := range w[j0:je] {
 					s = trans[s+uint32(classOf[c])]
 					if s >= scaledAccept {
-						b.acceptScaled(la, s, la.pos+int64(j0+bi))
-						if la.dead {
-							win[x] = nil
-							break
-						}
+						la.r.fire((s-scaledAccept)/la.k, la.pos+int64(j0+bi), la.cb)
 					}
 				}
-				st[x] = s
+				b.st[x] = s
 			}
+			b.x = 0
 		}
-		for x, la := range active {
-			la.st = st[x]
-		}
-		active = advance(active, l)
-	}
-	if len(active) == 1 {
-		b.retireInto(active[0])
+		b.round = false
+		b.active = b.advance(active, l)
 	}
 }

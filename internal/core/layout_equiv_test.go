@@ -141,7 +141,7 @@ func TestLayoutEquivalence(t *testing.T) {
 						}
 					}
 					b.Flush()
-					if b.Len() != 0 || b.Scanning() != nil {
+					if b.Len() != 0 || len(b.TakeDead()) != 0 {
 						t.Fatalf("%s/%d %s k=%d: batcher not empty after flush", set, trial, name, k)
 					}
 					for fi, input := range inputs {

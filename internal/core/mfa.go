@@ -211,6 +211,13 @@ type Runner struct {
 	mem  filter.Memory
 	regs filter.Registers
 	ctrs filter.Counters
+
+	// visits counts the flow's accept visits (calls of fire) since Reset,
+	// and dense is FlowBatcher's verdict on the flow's last scan
+	// (batch.go). Both are scheduling state, not matching state: neither
+	// is part of Context.
+	visits int64
+	dense  bool
 }
 
 // NewRunner returns a runner positioned at the start of a fresh flow,
@@ -231,6 +238,7 @@ func (r *Runner) Reset() {
 	r.mem.Reset()
 	r.regs.Reset()
 	r.ctrs.Reset()
+	r.visits, r.dense = 0, false
 }
 
 // Pos returns the number of bytes consumed so far.
@@ -315,6 +323,7 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 // onMatch receives the rules it confirms. Every scan loop, sequential or
 // batched, reaches the filter through here.
 func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
+	r.visits++
 	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)
 }
 

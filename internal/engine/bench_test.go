@@ -115,9 +115,9 @@ func (nopRunner) Reset()                                       {}
 // BenchmarkShardScalingInstrumented repeats the shard-scaling
 // measurement with telemetry attached — the delta against
 // BenchmarkShardScaling is the scan-path cost of instrumentation. Two
-// modes separate the per-segment cost from the per-match cost:
+// modes separate the per-window cost from the per-match cost:
 //
-//   - metrics: registry only — per-segment latency observation on each
+//   - metrics: registry only — the two per-window observations on each
 //     shard plus atomic reassembly-gauge accounting in the assembler.
 //     This is the cost every deployment pays.
 //   - metrics+events: adds the match-event ring. The bench capture is

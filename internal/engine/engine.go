@@ -74,20 +74,13 @@ type Config struct {
 	DropWhenFull bool
 	// Flow configures each shard's reassembler. Flow.MaxFlows is a
 	// per-shard cap, so the engine tracks at most Shards×MaxFlows flows.
+	// Unless Flow.NewBatcher supplies another, every shard scans through
+	// a core.FlowBatcher of core.MaxBatchFlows lanes (DESIGN.md §18): it
+	// defers the in-order payload its queue already holds and flushes
+	// once, stepping those flows in lockstep so their transition loads
+	// overlap. Per-flow match streams are byte-identical to the sequential
+	// scanner's; only cross-flow emission order differs.
 	Flow flow.Config
-	// BatchFlows, when > 1, switches each shard from scan-on-arrival to
-	// batched lockstep scanning (DESIGN.md §18): after dequeuing a
-	// segment the shard drains whatever else its queue already holds
-	// (bounded), defers every in-order payload into a core.FlowBatcher
-	// of this width (capped at core.MaxBatchFlows), and flushes once —
-	// stepping up to BatchFlows independent flows' DFA walks in lockstep
-	// so their transition loads overlap in the memory system. Match
-	// streams per flow are byte-identical to the sequential path; only
-	// cross-flow emission order changes (it was already nondeterministic
-	// across shards). When fewer flows are ready the batcher degrades to
-	// the plain single-flow scan. Ignored when Flow.NewBatcher is set
-	// (the caller supplied its own batcher factory).
-	BatchFlows int
 	// IdleAfter evicts flows whose last segment is more than this many
 	// segments in the past on the owning shard's clock. 0 disables
 	// idle sweeping at the normal tier (degraded tiers still sweep, see
@@ -114,12 +107,12 @@ type Config struct {
 	// while at or above the soft tier. 0 means IdleAfter/4 when idle
 	// sweeping is configured, else 1024.
 	DegradedIdleAfter int64
-	// StallDeadline arms the shard stall watchdog: a scan step that runs
-	// longer than this is treated as a stall — the watchdog flags the
-	// step, and when it finally returns the shard quarantines the
-	// offending flow through the poison path (Stats.StallsRecovered).
-	// 0 disables the watchdog. The heartbeat costs the hot path two
-	// atomic stores per scanned segment and takes no locks.
+	// StallDeadline arms the shard stall watchdog: a window (up to
+	// batchBurst queued segments and their flush) that runs longer is a
+	// stall — the watchdog flags it, and the shard poisons the flow whose
+	// match handler call or inline scan the flag landed in once that
+	// returns (Stats.StallsRecovered). 0 disables the watchdog. It costs
+	// three atomic stores per window and two loads per match, no locks.
 	StallDeadline time.Duration
 	// WedgeAfter escalates a stall that is still stuck: the shard is
 	// marked wedged (and unhealthy), and dispatch sheds its traffic
@@ -136,10 +129,10 @@ type Config struct {
 	MemPressure func() float64
 	// Metrics, when non-nil, receives the engine's telemetry: callback
 	// counters/gauges bridging the Stats counters, shared reassembly
-	// gauges, and per-shard scan-latency histograms (the one metric the
-	// hot path pays for directly — two monotonic clock reads and a
-	// histogram observe per scanned segment; see EXPERIMENTS.md for the
-	// measured overhead). The registry must not already hold metrics
+	// gauges, and per-shard window histograms (the one metric the hot
+	// path pays for directly — two monotonic clock reads and two
+	// histogram observes per window; see EXPERIMENTS.md for the measured
+	// overhead). The registry must not already hold metrics
 	// from another engine: series names would collide.
 	Metrics *telemetry.Registry
 	// Events, when non-nil, receives every confirmed match as a bounded
@@ -274,9 +267,8 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		}
 	}
 	cfg.Flow.Gauges = fg
-	if cfg.BatchFlows > 1 && cfg.Flow.NewBatcher == nil {
-		k := cfg.BatchFlows
-		cfg.Flow.NewBatcher = func() flow.Batcher { return core.NewFlowBatcher(k) }
+	if cfg.Flow.NewBatcher == nil {
+		cfg.Flow.NewBatcher = func() flow.Batcher { return core.NewFlowBatcher(core.MaxBatchFlows) }
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -314,7 +306,6 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 			quarantined: make(map[pcap.FlowKey]struct{}),
 			evClock:     events != nil,
 			hb:          cfg.StallDeadline > 0,
-			batching:    cfg.Flow.NewBatcher != nil,
 		}
 		// Matches fire on the shard goroutine only, so the one-entry
 		// flow-string cache below needs no lock. Match-dense flows hit it
@@ -341,7 +332,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 				}
 			}
 			if onMatch != nil {
-				onMatch(m)
+				s.deliver(onMatch, m)
 			}
 		}
 		// rebuild consults the *current* generation — and the current
@@ -660,6 +651,14 @@ type Stats struct {
 	// their tenant was not published.
 	TenantDrops        int64
 	UnknownTenantDrops int64
+
+	// The matching machine (DESIGN.md §18): accept states visited by the
+	// shards' batchers, and payload bytes by the loop that scanned them —
+	// lanes stepped in lockstep, or the single-flow Feed loop (lone and
+	// accept-dense lanes, runners the batcher refuses).
+	AcceptVisits    int64
+	LockstepBytes   int64
+	SequentialBytes int64
 }
 
 // Stats aggregates the engine's counters.
@@ -688,6 +687,9 @@ func (e *Engine) Stats() Stats {
 		st.FlowRestarts += a.FlowRestarts
 		st.StaleRunners += a.StaleRunners
 		st.TenantDrops += a.TenantDrops
+		st.AcceptVisits += a.AcceptVisits
+		st.LockstepBytes += a.LockstepBytes
+		st.SequentialBytes += a.SequentialBytes
 		for id, n := range a.FlowsByGen {
 			if st.GenFlows == nil {
 				st.GenFlows = make(map[uint64]int64)

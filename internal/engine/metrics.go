@@ -6,10 +6,9 @@
 // the same atomics the Stats snapshot reads — no double counting, no
 // second increment discipline on the hot path, and a scrape costs the
 // scraper, not the shards. The only metrics the hot path pays for
-// directly are the per-shard scan-latency histograms (an Observe per
-// scanned segment, see shard.run) and the flow-reassembly gauges
-// (atomic adds inside flow.Assembler) — both enabled only when
-// Config.Metrics is set.
+// directly are the per-shard window histograms (two Observes per flush
+// window, see shard.window) and the flow-reassembly gauges (atomic adds
+// inside flow.Assembler) — both enabled only when Config.Metrics is set.
 package engine
 
 import (
@@ -222,10 +221,27 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 			"Segments queued on this shard right now.",
 			func() float64 { return float64(len(s.in)) }, label)
 		s.scanHist = reg.Histogram("mfa_shard_scan_seconds",
-			"Scan latency (reassembly + matching) of payload-bearing segments by shard; pure SYN/ACK/FIN bookkeeping is not timed.",
+			"Scan latency (reassembly + matching) per flush window by shard; windows of pure SYN/ACK/FIN bookkeeping are not timed.",
 			telemetry.LatencyBuckets, label)
+		s.flowsHist = reg.Histogram("mfa_shard_window_flows",
+			"Lanes flushed per window by shard: how many flows lockstep had to overlap.",
+			windowFlowBuckets, label)
+		// The matching machine, from the shard's batcher (snapshot-lagged).
+		reg.CounterFunc("mfa_scan_accept_visits_total",
+			"Accept states visited by this shard's flows.",
+			func() float64 { return float64(s.snap.Load().AcceptVisits) }, label)
+		reg.CounterFunc("mfa_scan_lockstep_bytes_total",
+			"Payload bytes this shard scanned in the lockstep loop.",
+			func() float64 { return float64(s.snap.Load().LockstepBytes) }, label)
+		reg.CounterFunc("mfa_scan_sequential_bytes_total",
+			"Payload bytes this shard scanned in the single-flow loop (lone or accept-dense lanes, inline fallbacks).",
+			func() float64 { return float64(s.snap.Load().SequentialBytes) }, label)
 	}
 }
+
+// windowFlowBuckets spans one lane (nothing to overlap) to batchBurst
+// segments of distinct flows.
+var windowFlowBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // registerFlowGauges creates the shared reassembly gauges every shard's
 // assembler feeds (exact, unlike the snapshot-lagged mfa_engine_flows_live).

@@ -126,28 +126,57 @@ func TestMetricsMirrorStats(t *testing.T) {
 	}
 
 	// Per-shard series must sum to the aggregate and match ShardPackets.
-	// Histograms observe only payload-bearing segments, so their counts
-	// sum to the capture's payload-segment total, bounded per shard by
-	// that shard's packet count.
+	// The histograms observe once per payload-bearing window — both of
+	// them, so their counts agree — and a window holds at least one
+	// segment, so the count is bounded by the shard's packets and, summed,
+	// by the capture's payload-segment total. The machine counters are
+	// exact after Close: every payload byte was scanned by one of the two
+	// loops, and every window's lanes were observed.
 	var histTotal uint64
+	var visits, lockstep, sequential float64
 	for i := range st.ShardPackets {
-		ms, ok := snap.Get("mfa_shard_packets_total", telemetry.L("shard", strconv.Itoa(i)))
+		label := telemetry.L("shard", strconv.Itoa(i))
+		ms, ok := snap.Get("mfa_shard_packets_total", label)
 		if !ok || ms.Value != float64(st.ShardPackets[i]) {
 			t.Errorf("shard_packets_total{shard=%d} = %+v, want %d", i, ms, st.ShardPackets[i])
 		}
-		h, ok := snap.Get("mfa_shard_scan_seconds", telemetry.L("shard", strconv.Itoa(i)))
+		h, ok := snap.Get("mfa_shard_scan_seconds", label)
 		if !ok || h.Hist == nil {
 			t.Fatalf("no scan histogram for shard %d", i)
 		}
-		if h.Hist.Count > uint64(st.ShardPackets[i]) {
-			t.Errorf("scan histogram count for shard %d = %d > shard packets %d",
-				i, h.Hist.Count, st.ShardPackets[i])
+		wf, ok := snap.Get("mfa_shard_window_flows", label)
+		if !ok || wf.Hist == nil {
+			t.Fatalf("no window-flows histogram for shard %d", i)
+		}
+		if h.Hist.Count != wf.Hist.Count || h.Hist.Count > uint64(st.ShardPackets[i]) || (h.Hist.Count == 0) != (st.ShardPackets[i] == 0) {
+			t.Errorf("shard %d: %d scan observations, %d window-flows observations, %d packets; want one of each per window",
+				i, h.Hist.Count, wf.Hist.Count, st.ShardPackets[i])
+		}
+		if wf.Hist.Sum < float64(wf.Hist.Count) {
+			t.Errorf("shard %d: %v lanes over %d payload-bearing windows", i, wf.Hist.Sum, wf.Hist.Count)
 		}
 		histTotal += h.Hist.Count
+		for name, into := range map[string]*float64{
+			"mfa_scan_accept_visits_total":    &visits,
+			"mfa_scan_lockstep_bytes_total":   &lockstep,
+			"mfa_scan_sequential_bytes_total": &sequential,
+		} {
+			m, ok := snap.Get(name, label)
+			if !ok {
+				t.Fatalf("no %s series for shard %d", name, i)
+			}
+			*into += m.Value
+		}
 	}
-	if want := countPayloadSegments(t, capture); histTotal != want {
-		t.Errorf("scan histogram observations = %d, want %d (one per payload-bearing segment)",
-			histTotal, want)
+	if max := countPayloadSegments(t, capture); histTotal == 0 || histTotal > max {
+		t.Errorf("scan histogram observations = %d, want 1..%d (one per payload-bearing window)", histTotal, max)
+	}
+	if visits != float64(st.AcceptVisits) || lockstep != float64(st.LockstepBytes) || sequential != float64(st.SequentialBytes) {
+		t.Errorf("machine counters %v/%v/%v, Stats %d/%d/%d", visits, lockstep, sequential, st.AcceptVisits, st.LockstepBytes, st.SequentialBytes)
+	}
+	if st.AcceptVisits < st.Matches || st.LockstepBytes+st.SequentialBytes != st.PayloadBytes {
+		t.Errorf("%d accept visits for %d matches; %d lockstep + %d sequential bytes of %d payload",
+			st.AcceptVisits, st.Matches, st.LockstepBytes, st.SequentialBytes, st.PayloadBytes)
 	}
 
 	// Reassembly gauges: after Close every flow was torn down or is
@@ -174,6 +203,82 @@ func TestMetricsMirrorStats(t *testing.T) {
 	// The exposition path renders without error.
 	if err := snap.WritePrometheus(discardWriter{}); err != nil {
 		t.Errorf("WritePrometheus: %v", err)
+	}
+}
+
+// heldWindow makes a one-shard engine scan segs as a single flush window.
+// It first sends one segment of a flow of its own whose match handler
+// parks the shard (onMatch must call hold for every match), queues segs
+// behind it, and releases the shard — which drains them all before it
+// flushes (len(segs) must not exceed batchBurst or the queue depth).
+type heldWindow struct {
+	key     pcap.FlowKey
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newHeldWindow() *heldWindow {
+	return &heldWindow{
+		key:     pcap.FlowKey{SrcIP: 0x0a0000fe, DstIP: 0xc0a80101, SrcPort: 9, DstPort: 80},
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+}
+
+func (h *heldWindow) hold(m Match) {
+	if m.Flow == h.key {
+		close(h.entered)
+		<-h.release
+	}
+}
+
+// run sends the parking segment (payload must make the engine's rules
+// match exactly once), then segs, then releases the shard.
+func (h *heldWindow) run(t *testing.T, e *Engine, payload string, segs []pcap.Segment) {
+	t.Helper()
+	if err := e.HandleSegment(pcap.Segment{Key: h.key, Seq: 1, Flags: pcap.FlagACK, Payload: []byte(payload)}); err != nil {
+		t.Fatal(err)
+	}
+	<-h.entered
+	for _, seg := range segs {
+		if err := e.HandleSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(h.release)
+}
+
+// TestOneObservationPerWindow pins the unit of the shard's bookkeeping: 41
+// payload segments arriving as two windows (1 + 40 over 8 flows) are two
+// observations of the scan-latency histogram and two of the window-flows
+// histogram, carrying 1 and 8 lanes — not one per segment, and not one
+// for reassembly plus one for the flush.
+func TestOneObservationPerWindow(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := buildMFA(t, "needle")
+	h := newHeldWindow()
+	e := New(Config{Shards: 1, QueueDepth: 64, Metrics: reg},
+		func() flow.Runner { return m.NewRunner() }, h.hold)
+	var segs []pcap.Segment
+	for i := 0; i < 40; i++ {
+		k := pcap.FlowKey{SrcIP: 0x0a000001 + uint32(i%8), DstIP: 0xc0a80101, SrcPort: 20000, DstPort: 80}
+		segs = append(segs, pcap.Segment{Key: k, Seq: uint32(1 + i/8*9), Flags: pcap.FlagACK, Payload: []byte("a needle.")})
+	}
+	h.run(t, e, "needle", segs)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, snap := e.Stats(), reg.Snapshot()
+	if st.Packets != 41 || st.Matches != 41 {
+		t.Fatalf("scanned %d packets with %d matches, want 41 and 41", st.Packets, st.Matches)
+	}
+	label := telemetry.L("shard", "0")
+	scan, _ := snap.Get("mfa_shard_scan_seconds", label)
+	flows, _ := snap.Get("mfa_shard_window_flows", label)
+	if scan.Hist == nil || flows.Hist == nil || scan.Hist.Count != 2 || flows.Hist.Count != 2 || flows.Hist.Sum != 1+8 {
+		t.Fatalf("scan histogram %+v, window-flows histogram %+v; want 2 observations each, 9 lanes", scan.Hist, flows.Hist)
+	}
+	if st.LockstepBytes != 40*9 || st.SequentialBytes != 6 {
+		t.Errorf("lockstep %d bytes, sequential %d; want the 8-lane window's 360 and the lone lane's 6", st.LockstepBytes, st.SequentialBytes)
 	}
 }
 

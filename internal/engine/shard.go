@@ -59,13 +59,10 @@ type shard struct {
 	// touches it.
 	quarantined map[pcap.FlowKey]struct{}
 
-	// Batched lockstep scanning (Config.BatchFlows, DESIGN.md §18).
-	// batching is set when the assembler defers in-order payload into a
-	// flow.Batcher; held parks the leased buffers of deferred segments
-	// until the flush has scanned them (the batcher references the
-	// payload bytes until then). Both are goroutine-private.
-	batching bool
-	held     []pcap.Owner
+	// held parks the leased buffers of the current window's segments until
+	// its flush has scanned them (the batcher references the payload bytes
+	// until then). Goroutine-private.
+	held []pcap.Owner
 
 	// Hot-reload plumbing (reload.go): genCmd holds the newest pending
 	// generation swap (applied on the shard goroutine before the next
@@ -87,15 +84,15 @@ type shard struct {
 	matches atomic.Int64
 	snap    atomic.Pointer[flow.Stats]
 
-	// scanHist, when non-nil, observes per-segment scan latency
-	// (reassembly + matching). Set before the shard goroutine starts
-	// (engine.New registers metrics first), read only by the goroutine.
-	scanHist *telemetry.Histogram
-	// evClock makes the run loop read the clock once per segment into
-	// evNano, which the match callback uses to stamp ring events —
-	// match-dense segments then cost one clock read, not one per match.
-	// Both fields stay on the shard goroutine (set before start / the
-	// match callback runs inside process).
+	// scanHist and flowsHist, when non-nil, observe each payload-bearing
+	// window once: its latency (reassembly + matching) and how many lanes
+	// its flushes carried. Set before the shard goroutine starts
+	// (engine.New registers metrics first), touched only by the goroutine.
+	scanHist, flowsHist *telemetry.Histogram
+	// evClock makes window read the clock once into evNano, which the
+	// match callback uses to stamp ring events — a window's matches cost
+	// one clock read, not one each. Both fields stay on the shard goroutine
+	// (set before start / the match callback runs inside the window).
 	evClock bool
 	evNano  int64
 
@@ -114,18 +111,22 @@ type shard struct {
 	unhealthy      atomic.Bool
 	unhealthyDrops atomic.Int64
 
-	// Stall-watchdog heartbeat (watchdog.go). hb arms it (set before
-	// the goroutine starts). hbSeq/hbStart follow the guard.Target
-	// protocol — the writer stores start=0, then seq=n+1, then
-	// start=now, so the watchdog can never blame a fresh step for an
-	// old step's age. stalledSeq is the step the watchdog flagged (the
-	// shard checks it when the step returns and quarantines the flow);
-	// wedged flips when the step outlives WedgeAfter, making dispatch
-	// shed this shard's traffic into wedgeDrops. stallRecovered counts
-	// flagged steps that did return.
+	// Stall-watchdog heartbeat (watchdog.go), one per window. hb arms it
+	// (set before the goroutine starts). hbSeq/hbStart follow the
+	// guard.Target protocol — the writer stores start=0, then seq=n+1,
+	// then start=now, so the watchdog can never blame a fresh beat for an
+	// old one's age. stalledSeq is the beat the watchdog flagged; the shard
+	// compares it with hseq, the beat in progress (0 when the watchdog is
+	// off), around the code that can stall — a match handler call (deliver),
+	// an inline scan (process) — and collects the flows to blame in stalled
+	// until the supervised call returns. wedged flips when the scan outlives
+	// WedgeAfter, making dispatch shed this shard's traffic into wedgeDrops.
+	// stallRecovered counts flagged scans that did return.
 	hb             bool
 	hbSeq          atomic.Int64
 	hbStart        atomic.Int64
+	hseq           int64
+	stalled        []pcap.FlowKey
 	stalledSeq     atomic.Int64
 	wedged         atomic.Bool
 	stallRecovered atomic.Int64
@@ -139,34 +140,43 @@ const statsEvery = 64
 
 func (s *shard) publish() {
 	st := s.asm.Stats()
-	st.Packets += s.base.Packets
-	st.PayloadBytes += s.base.PayloadBytes
-	st.OutOfOrder += s.base.OutOfOrder
-	st.DroppedSegs += s.base.DroppedSegs
-	st.SkippedFrames += s.base.SkippedFrames
-	st.FlowsTotal += s.base.FlowsTotal
-	st.EvictedCap += s.base.EvictedCap
-	st.EvictedIdle += s.base.EvictedIdle
-	st.RunnersReused += s.base.RunnersReused
-	st.FlowRestarts += s.base.FlowRestarts
-	st.StaleRunners += s.base.StaleRunners
-	st.TenantDrops += s.base.TenantDrops
+	accumulate(&st, &s.base)
 	s.snap.Store(&st)
 }
 
-// batchBurst bounds how many already-queued segments a batching shard
-// consumes per lockstep window before it flushes. The bound keeps match
-// latency and held-buffer count proportional to the queue's actual
-// backlog, never unbounded.
+// accumulate adds src's cumulative counters to dst's.
+func accumulate(dst, src *flow.Stats) {
+	dst.Packets += src.Packets
+	dst.PayloadBytes += src.PayloadBytes
+	dst.OutOfOrder += src.OutOfOrder
+	dst.DroppedSegs += src.DroppedSegs
+	dst.SkippedFrames += src.SkippedFrames
+	dst.FlowsTotal += src.FlowsTotal
+	dst.EvictedCap += src.EvictedCap
+	dst.EvictedIdle += src.EvictedIdle
+	dst.RunnersReused += src.RunnersReused
+	dst.FlowRestarts += src.FlowRestarts
+	dst.StaleRunners += src.StaleRunners
+	dst.TenantDrops += src.TenantDrops
+	dst.AcceptVisits += src.AcceptVisits
+	dst.LockstepBytes += src.LockstepBytes
+	dst.SequentialBytes += src.SequentialBytes
+}
+
+// batchBurst bounds how many already-queued segments a shard consumes per
+// lockstep window before it flushes. The bound keeps match latency and
+// held-buffer count proportional to the queue's actual backlog, never
+// unbounded.
 const batchBurst = 256
 
-// loopState is the run loop's per-shard mutable state, shared with step
-// so the batched drain path can reuse the exact per-segment body.
+// loopState is the run loop's per-shard mutable state, shared by window
+// and step.
 type loopState struct {
 	normalBuf   int
-	degradedBuf int
 	appliedTier Tier
 	n           int64
+	// Whether any segment of the window in progress carried payload.
+	payload bool
 }
 
 func (s *shard) run(e *Engine) {
@@ -176,66 +186,91 @@ func (s *shard) run(e *Engine) {
 		e.wg.Done()
 	}()
 	ls := &loopState{normalBuf: s.asm.MaxBuffered(), appliedTier: TierNormal}
-	ls.degradedBuf = ls.normalBuf / 8
-	if ls.degradedBuf < 4 {
-		ls.degradedBuf = 4
-	}
 	for {
-		var q queued
-		var ok bool
 		select {
-		case q, ok = <-s.in:
+		case q, ok := <-s.in:
+			if !ok || !s.window(e, q, ls) {
+				return
+			}
 		case <-s.wake:
-			// Generation swap on an otherwise idle shard: apply it now
-			// rather than when the next segment happens to arrive, so a
-			// reload's gauges and reset policy take effect promptly
-			// engine-wide. The batch is always empty here — every lockstep
-			// window flushes before the loop blocks again.
+			// Generation swap on an otherwise idle shard: apply it now, not
+			// when the next segment happens to arrive, so a reload's gauges
+			// and reset policy take effect promptly engine-wide. The batch
+			// is empty here: every window flushes before the loop blocks.
 			s.applyGeneration(e)
 			s.applyTenantCmds()
-			continue
-		}
-		if !ok {
-			return
-		}
-		s.step(e, q, ls)
-		if !s.batching {
-			continue
-		}
-		// Batched lockstep window: the blocking receive above proved the
-		// queue has traffic, so drain whatever else it already holds
-		// (bounded) — each payload-bearing segment defers its scan into
-		// the batcher — then flush once, stepping all those flows'
-		// automata in lockstep. An empty queue degrades to a one-segment
-		// window: flush-per-segment, i.e. the sequential path.
-		closed := false
-		for i := 0; i < batchBurst && !closed; i++ {
-			select {
-			case q, ok = <-s.in:
-				if !ok {
-					closed = true
-					break
-				}
-				s.step(e, q, ls)
-			default:
-				closed = true
-			}
-		}
-		s.flushBatch(e)
-		for i, o := range s.held {
-			release(o)
-			s.held[i] = nil
-		}
-		s.held = s.held[:0]
-		if !ok {
-			return
 		}
 	}
 }
 
+// window is the shard's one dequeue path: it consumes q, drains whatever
+// else the queue already holds (bounded) — each payload-bearing segment
+// defers its scan into the batcher — then flushes once, stepping all those
+// flows' automata in lockstep, and releases the window's leases. A quiet
+// queue is the one-segment window: scan on arrival. The window is also the
+// unit of bookkeeping: one clock read (stamping its matches' ring events),
+// one heartbeat, one observation of each histogram. It reports whether the
+// queue is still open.
+func (s *shard) window(e *Engine, q queued, ls *loopState) (open bool) {
+	var t0 time.Time
+	if s.hb || s.scanHist != nil || s.evClock {
+		t0 = time.Now()
+		s.evNano = t0.UnixNano()
+	}
+	s.hseq, ls.payload = s.beat(s.evNano), false
+	s.step(e, q, ls)
+	open = true
+drain:
+	for i := 0; i < batchBurst; i++ {
+		select {
+		case q, open = <-s.in:
+			if !open {
+				break drain
+			}
+			s.step(e, q, ls)
+		default:
+			break drain
+		}
+	}
+	s.flushScan(e)
+	if ls.payload && s.scanHist != nil {
+		// Only windows that fed the matcher: pure SYN/ACK/FIN bookkeeping
+		// would just pile sub-microsecond noise into the lowest bucket.
+		s.scanHist.ObserveDuration(time.Since(t0))
+		s.flowsHist.Observe(float64(s.asm.TakeLanes()))
+	}
+	if s.hseq != 0 {
+		s.hbStart.Store(0)
+		if s.stalledSeq.Load() == s.hseq {
+			// Outlived the deadline in the shard's own loops, not in a match
+			// handler or inline scan: no offender, just count the recovery.
+			s.stallReturned(e)
+		}
+	}
+	for i, o := range s.held {
+		o.Release()
+		s.held[i] = nil
+	}
+	s.held = s.held[:0]
+	return open
+}
+
+// beat publishes a fresh stall-watchdog heartbeat — start=0, seq=n+1,
+// start=now, the order the watchdog's race-free read depends on — and
+// returns its sequence number, 0 when the watchdog is off.
+func (s *shard) beat(now int64) int64 {
+	if !s.hb {
+		return 0
+	}
+	s.hbStart.Store(0)
+	seq := s.hbSeq.Add(1)
+	s.hbStart.Store(now)
+	return seq
+}
+
 // step consumes one dequeued segment: accounting, supervision gates,
-// degradation reactions, the scan itself (deferred into the batcher when
-// batching) and the periodic sweeps.
+// degradation reactions, reassembly (which defers the scan into the
+// batcher) and the periodic sweeps.
 func (s *shard) step(e *Engine, q queued, ls *loopState) {
 	cfg := &e.cfg
 	seg := q.seg
@@ -244,15 +279,15 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 		// (leased payloads are accounted by their arena instead).
 		e.queuedBytes.Add(-int64(len(seg.Payload)))
 	}
-	// Apply a pending swap before scanning, so every segment
-	// dispatched after Reload returned is scanned post-swap (a flow
-	// it creates starts on the new generation). The swap paths flush
-	// the batch themselves (flow.setTenantGen), so deferred work never
-	// crosses a generation boundary.
-	if s.genCmd.Load() != nil {
+	// Apply a pending swap before scanning, so every segment dispatched
+	// after Reload returned is scanned post-swap (a flow it creates starts
+	// on the new generation). Deferred work never crosses a generation
+	// boundary — the swap paths flush the batch (flow.setTenantGen) — so
+	// flush it here first, under the supervisor: a match handler's panic
+	// then costs its flow, not the swap or the shard.
+	if s.genCmd.Load() != nil || s.tenantPending.Load() {
+		s.flushScan(e)
 		s.applyGeneration(e)
-	}
-	if s.tenantPending.Load() {
 		s.applyTenantCmds()
 	}
 	ls.n++
@@ -264,12 +299,10 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 	}
 	s.processed.Add(1)
 	if s.wedged.Load() {
-		// This goroutine is demonstrably live — it is executing the
-		// loop — so a wedge mark here is residue of the narrow race
-		// where the watchdog's escalation landed just as the stuck
-		// step returned (recoverStall clears the mark in the normal
-		// order). Lift it before the unhealthy gate below can drop
-		// scannable work.
+		// This goroutine is demonstrably live, so a wedge mark here is
+		// residue of the watchdog's escalation landing just as the stuck
+		// step returned (stallReturned clears it in the normal order).
+		// Lift it before the unhealthy gate below drops scannable work.
 		s.wedged.Store(false)
 		if s.panics.Load() < int64(e.cfg.CrashBudget) {
 			s.unhealthy.Store(false)
@@ -289,75 +322,30 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 		if tier >= TierSoft && ls.appliedTier == TierNormal {
 			// Entering degradation: shed reassembly memory now and
 			// sweep idle flows aggressively.
-			s.asm.SetMaxBuffered(ls.degradedBuf)
-			s.asm.EvictIdle(cfg.DegradedIdleAfter)
+			s.asm.SetMaxBuffered(max(ls.normalBuf/8, 4))
+			s.sweep(e, cfg.DegradedIdleAfter)
 		} else if tier == TierNormal {
 			s.asm.SetMaxBuffered(ls.normalBuf)
 		}
 		ls.appliedTier = tier
 	}
-	// Only payload-bearing segments are timed: they are the ones that
-	// feed the matcher (and the only ones that can raise a match
-	// event), while pure SYN/ACK/FIN bookkeeping would just pile
-	// sub-microsecond noise into the lowest bucket and pay two clock
-	// reads for it. Under batching the deferred scan is timed by
-	// flushBatch instead; this still covers reassembly plus any inline
-	// fallbacks (self-flushes, lifecycle flushes) HandleSegment runs.
-	// Heartbeat for the stall watchdog: start=0, seq=n+1, start=now
-	// (the order the watchdog's race-free read depends on). Published
-	// only for payload-bearing segments — they are the ones that run
-	// matcher code and can stall.
-	var hseq int64
-	if s.hb && len(seg.Payload) > 0 {
-		s.hbStart.Store(0)
-		hseq = s.hbSeq.Add(1)
-		s.hbStart.Store(time.Now().UnixNano())
+	if len(seg.Payload) > 0 {
+		ls.payload = true
 	}
-	if len(seg.Payload) > 0 && (s.scanHist != nil || s.evClock) {
-		t0 := time.Now()
-		if s.evClock {
-			s.evNano = t0.UnixNano()
-		}
-		s.process(e, seg)
-		if s.scanHist != nil {
-			s.scanHist.ObserveDuration(time.Since(t0))
-		}
-	} else {
-		s.process(e, seg)
-	}
-	if hseq != 0 {
-		s.hbStart.Store(0)
-		if s.stalledSeq.Load() == hseq {
-			// The watchdog flagged this very step while it ran: the
-			// flow wedged the shard past the deadline and cannot be
-			// trusted again.
-			s.recoverStall(e, seg.Key)
-		}
-	}
-	if s.batching && q.owner != nil {
-		// The payload may now sit in the batcher waiting for the flush,
-		// so the leased buffer cannot go back to its arena yet; run's
-		// drain loop releases it after flushBatch. (Held even when this
-		// particular segment was scanned inline — ownership tracking per
-		// byte would cost more than the short extra hold.)
+	s.process(e, seg)
+	if q.owner != nil {
+		// The payload may now sit in the batcher, so the leased buffer
+		// goes back to its arena after the window's flush (even when this
+		// segment was scanned inline: tracking ownership per byte would
+		// cost more than the short extra hold).
 		s.held = append(s.held, q.owner)
-	} else {
-		// The scan is over and the assembler copied anything it buffered
-		// (out-of-order payloads are duplicated at buffering time), so
-		// the leased frame buffer can go back to its arena. process
-		// recovers its own panics, so this release runs on the poisoned
-		// path too.
-		release(q.owner)
 	}
 	idleAfter, sweepEvery := cfg.IdleAfter, cfg.SweepEvery
 	if ls.appliedTier >= TierSoft {
-		idleAfter = cfg.DegradedIdleAfter
-		if sweepEvery = cfg.SweepEvery / 8; sweepEvery < 1 {
-			sweepEvery = 1
-		}
+		idleAfter, sweepEvery = cfg.DegradedIdleAfter, max(cfg.SweepEvery/8, 1)
 	}
 	if idleAfter > 0 && ls.n%sweepEvery == 0 {
-		s.asm.EvictIdle(idleAfter)
+		s.sweep(e, idleAfter)
 	}
 	// A degraded engine must be able to step back down without new
 	// dispatches: when this shard's queue runs dry, re-check pressure.
@@ -366,124 +354,99 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 	}
 }
 
-// process scans one segment under the shard's panic supervisor.
+// process reassembles one segment under the shard's supervisor, and
+// answers for the one stall no match handler sees: the watchdog flagging
+// the window while a runner the batcher refuses scanned this segment
+// inline — that flow's own Feed wedged the shard.
 func (s *shard) process(e *Engine, seg pcap.Segment) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
+	defer s.supervise(e, &seg.Key)
+	inline := s.asm.InlineBytes()
+	s.asm.HandleSegment(seg)
+	if s.hseq != 0 && s.stalledSeq.Load() == s.hseq && s.asm.InlineBytes() != inline {
+		s.blameStall(seg.Key)
+	}
+}
+
+// flushScan scans every deferred payload of the window under the same
+// supervisor.
+func (s *shard) flushScan(e *Engine) {
+	defer s.supervise(e, nil)
+	s.asm.FlushBatch()
+}
+
+// sweep evicts idle flows. Evicting a flow with deferred payload flushes
+// the batch (flow.removeFlow), so the window's deferred scans are flushed
+// first, under the supervisor.
+func (s *shard) sweep(e *Engine, idleAfter int64) {
+	s.flushScan(e)
+	s.asm.EvictIdle(idleAfter)
+}
+
+// supervise is deferred around the two calls that run matcher code. It
+// recovers a panic and quarantines the flows to blame: every flow the
+// batcher reports dead when the panic surfaced from a flush — the window's
+// own, or one HandleSegment triggered (a full batch self-flushing, a
+// FIN/restart flushing before a runner lifecycle event) — since the
+// batcher finishes the healthy lanes first, so every other batched flow's
+// written-back state stays good; otherwise inline, the flow whose segment
+// was being scanned. Panic or not, it then quarantines the flows blamed
+// for stalls while the call ran: a flow cannot be excised mid-scan.
+func (s *shard) supervise(e *Engine, inline *pcap.FlowKey) {
+	if recover() != nil {
 		s.panics.Add(1)
-		key := seg.Key
-		if k, ok := s.asm.BatchScanning().(pcap.FlowKey); ok {
-			// The panic surfaced from a deferred lockstep flush that
-			// HandleSegment itself triggered (a full batch self-flushing,
-			// or a FIN/restart flushing before a runner lifecycle event) —
-			// blame the flow whose match callback was running, not the
-			// segment that merely pulled the trigger.
-			key = k
+		dead := s.asm.BatchDead()
+		if len(dead) == 0 && inline != nil {
+			dead = append(dead, *inline)
 		}
-		s.quarantined[key] = struct{}{}
-		s.poisoned.Add(1)
-		s.excise(key)
+		for _, key := range dead {
+			s.quarantine(key)
+		}
 		s.publish()
 		if s.panics.Load() >= int64(e.cfg.CrashBudget) {
 			s.unhealthy.Store(true)
 		}
-	}()
-	s.asm.HandleSegment(seg)
+	}
+	for _, key := range s.stalled { // the poison path a panic takes
+		s.quarantine(key)
+		s.stallReturned(e)
+	}
+	s.stalled = s.stalled[:0]
 }
 
-// flushBatch scans every deferred payload of the current lockstep window
-// under the same supervision a single segment gets: panic quarantine
-// (attributed through the batcher's Scanning tag), stall heartbeat, and
-// the scan-latency histogram (one observation for the whole window — the
-// per-flow split does not exist once flows step in lockstep).
-func (s *shard) flushBatch(e *Engine) {
-	if s.asm.BatchLen() == 0 {
+// deliver calls the engine's match handler for m. With the watchdog armed,
+// the flow whose handler call the watchdog's flag lands in is the one that
+// stalled the window; a flag already up before the call is not this
+// flow's doing (window reports it, blaming nobody).
+func (s *shard) deliver(onMatch func(Match), m Match) {
+	late := s.hseq == 0 || s.stalledSeq.Load() == s.hseq
+	onMatch(m)
+	if !late && s.stalledSeq.Load() == s.hseq {
+		s.blameStall(m.Flow)
+	}
+}
+
+// blameStall records key for quarantine when the supervised call in
+// progress returns, and gives the rest of the window a fresh beat.
+func (s *shard) blameStall(key pcap.FlowKey) {
+	s.stalled = append(s.stalled, key)
+	s.hseq = s.beat(time.Now().UnixNano())
+}
+
+// quarantine blacklists a flow and excises it from the assembler. A scan
+// can both stall and panic; the poison accounting must not double.
+func (s *shard) quarantine(key pcap.FlowKey) {
+	if _, dup := s.quarantined[key]; dup {
 		return
 	}
-	var hseq int64
-	if s.hb {
-		s.hbStart.Store(0)
-		hseq = s.hbSeq.Add(1)
-		s.hbStart.Store(time.Now().UnixNano())
-	}
-	var t0 time.Time
-	if s.scanHist != nil || s.evClock {
-		t0 = time.Now()
-		if s.evClock {
-			s.evNano = t0.UnixNano()
-		}
-	}
-	key, attributed := s.flushScan(e)
-	if s.scanHist != nil {
-		s.scanHist.ObserveDuration(time.Since(t0))
-	}
-	if hseq != 0 {
-		s.hbStart.Store(0)
-		if s.stalledSeq.Load() == hseq {
-			if attributed {
-				// The flush both stalled and panicked; the panic already
-				// named the flow, reuse it for the stall quarantine.
-				s.recoverStall(e, key)
-			} else {
-				// The whole window outlived the deadline but completed
-				// without naming one offender (the batcher clears its
-				// Scanning tag on normal completion), so no flow can be
-				// quarantined; count the recovery and lift the wedge —
-				// this goroutine is demonstrably live.
-				s.stallRecovered.Add(1)
-				e.lastStallRecovery.Store(time.Now().UnixNano())
-				if s.wedged.Swap(false) && s.panics.Load() < int64(e.cfg.CrashBudget) {
-					s.unhealthy.Store(false)
-				}
-				s.publish()
-			}
-		}
-	}
+	s.quarantined[key] = struct{}{}
+	s.poisoned.Add(1)
+	s.excise(key)
 }
 
-// flushScan runs the deferred flush under a recover mirroring process's:
-// the batcher empties itself even when a callback panics and keeps the
-// offending flow's tag readable, so the shard can quarantine exactly the
-// poisoned flow while every other batched flow's written-back state
-// stays good.
-func (s *shard) flushScan(e *Engine) (key pcap.FlowKey, attributed bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		s.panics.Add(1)
-		if k, ok := s.asm.BatchScanning().(pcap.FlowKey); ok {
-			key, attributed = k, true
-			s.quarantined[k] = struct{}{}
-			s.poisoned.Add(1)
-			s.excise(k)
-		}
-		s.publish()
-		if s.panics.Load() >= int64(e.cfg.CrashBudget) {
-			s.unhealthy.Store(true)
-		}
-	}()
-	s.asm.FlushBatch()
-	return pcap.FlowKey{}, false
-}
-
-// recoverStall handles a scan step the watchdog flagged that has now
-// returned: the offending flow joins the quarantine set through the
-// same poison path a panic takes, and if the stall had escalated to a
-// wedge, the shard re-enters service — the step did return, so the
-// goroutine is live — unless its crash budget is already spent.
-func (s *shard) recoverStall(e *Engine, key pcap.FlowKey) {
-	if _, dup := s.quarantined[key]; !dup {
-		// A step can both stall *and* panic; process already quarantined
-		// the flow then, and the poison accounting must not double.
-		s.quarantined[key] = struct{}{}
-		s.poisoned.Add(1)
-		s.excise(key)
-	}
+// stallReturned counts a flagged scan that did return. If the stall had
+// escalated to a wedge, the shard re-enters service — the goroutine is
+// demonstrably live — unless its crash budget is already spent.
+func (s *shard) stallReturned(e *Engine) {
 	s.stallRecovered.Add(1)
 	e.lastStallRecovery.Store(time.Now().UnixNano())
 	if s.wedged.Swap(false) && s.panics.Load() < int64(e.cfg.CrashBudget) {
@@ -504,7 +467,7 @@ func (s *shard) excise(key pcap.FlowKey) {
 		old := s.asm.Stats()
 		s.lostFlows.Add(int64(old.Flows))
 		old.Flows = 0
-		s.addBase(old)
+		accumulate(&s.base, &old)
 		// The discarded assembler's occupancy must leave any shared
 		// gauges; ReleaseGauges subtracts tracked contributions without
 		// walking the (possibly corrupt) tables.
@@ -513,20 +476,4 @@ func (s *shard) excise(key pcap.FlowKey) {
 		s.restarts.Add(1)
 	}()
 	s.asm.DropFlow(key)
-}
-
-// addBase folds a discarded assembler's counters into the shard's base.
-func (s *shard) addBase(st flow.Stats) {
-	s.base.Packets += st.Packets
-	s.base.PayloadBytes += st.PayloadBytes
-	s.base.OutOfOrder += st.OutOfOrder
-	s.base.DroppedSegs += st.DroppedSegs
-	s.base.SkippedFrames += st.SkippedFrames
-	s.base.FlowsTotal += st.FlowsTotal
-	s.base.EvictedCap += st.EvictedCap
-	s.base.EvictedIdle += st.EvictedIdle
-	s.base.RunnersReused += st.RunnersReused
-	s.base.FlowRestarts += st.FlowRestarts
-	s.base.StaleRunners += st.StaleRunners
-	s.base.TenantDrops += st.TenantDrops
 }

@@ -8,9 +8,10 @@
 // deliberate: the watchdog goroutine never touches the quarantine map
 // or the assembler (both shard-private); it only stores the flagged
 // sequence number (stall) or flips atomics dispatch already reads
-// (wedge). The shard itself performs the quarantine when the stuck step
-// finally returns — see shard.recoverStall — because only it knows the
-// offending flow key and only it may mutate its assembler.
+// (wedge). The shard itself performs the quarantine when the stuck call
+// finally returns — see shard.deliver, process and supervise —
+// because only it knows the offending flow key and only it may mutate
+// its assembler.
 package engine
 
 // shardTarget implements guard.Target for one shard.
@@ -25,8 +26,9 @@ func (t *shardTarget) Beat() (seq, startNano int64) {
 	return t.s.hbSeq.Load(), t.s.hbStart.Load()
 }
 
-// Stall remembers the flagged step. When the step returns, the shard
-// compares this against its own sequence and quarantines the flow.
+// Stall remembers the flagged beat. The shard compares this against the
+// beat in progress around each match handler call and inline scan, and
+// quarantines the flow whose code the flag landed in.
 func (t *shardTarget) Stall(seq int64) {
 	t.s.stalledSeq.Store(seq)
 }
@@ -35,7 +37,7 @@ func (t *shardTarget) Stall(seq int64) {
 // (wedgeDrops) and the shard counts as unhealthy for /healthz and exit
 // codes. Re-checks the heartbeat first — the step may have completed
 // between the watchdog's poll and this call, and a live shard must not
-// be benched for a stall it already survived (recoverStall handles
+// be benched for a stall it already survived (stallReturned handles
 // that case when the step's return races this store: it clears both
 // marks after the swap below, because it runs strictly after the step
 // it recovers).

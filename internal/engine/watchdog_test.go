@@ -6,9 +6,11 @@
 package engine
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"matchfilter/internal/core"
 	"matchfilter/internal/faultinject"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/leakcheck"
@@ -218,5 +220,81 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 	}
 	if st.Packets != 400 {
 		t.Fatalf("Packets = %d, want 400", st.Packets)
+	}
+}
+
+// TestStallBlamesTheSlowHandler: flows stepped in lockstep share a window
+// and its heartbeat, so the flow to quarantine is the one whose match
+// handler was running when the watchdog fired — not the seventeenth flow
+// whose segment happened to trigger a full batch's flush, and not nobody
+// when the handler stalls in the window's final flush.
+func TestStallBlamesTheSlowHandler(t *testing.T) {
+	const deadline = 10 * time.Millisecond
+	m := buildMFA(t, "xmrig")
+	key := func(i int) pcap.FlowKey {
+		return pcap.FlowKey{SrcIP: 0x0a000001 + uint32(i), DstIP: 0xc0a80101, SrcPort: 20000, DstPort: 80}
+	}
+	for _, tc := range []struct {
+		name  string
+		flows int
+	}{
+		{"self-flush", core.MaxBatchFlows + 1},
+		{"final flush", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			h := newHeldWindow()
+			slow := key(3)
+			got := map[pcap.FlowKey]int{}
+			var slept atomic.Bool
+			e := New(Config{
+				Shards: 1, QueueDepth: 64,
+				StallDeadline: deadline,
+				WedgeAfter:    time.Hour,
+			}, func() flow.Runner { return m.NewRunner() },
+				func(mt Match) {
+					h.hold(mt)
+					got[mt.Flow]++
+					if mt.Flow == slow {
+						time.Sleep(8 * deadline)
+						slept.Store(true)
+					}
+				})
+			defer e.Close()
+			var segs []pcap.Segment
+			for i := 0; i < tc.flows; i++ {
+				segs = append(segs, pcap.Segment{Key: key(i), Seq: 1, Flags: pcap.FlagACK, Payload: []byte("..xmrig..")})
+			}
+			h.run(t, e, "xmrig", segs)
+			// Once the handler has returned, the flow is quarantined before
+			// the shard steps another segment: this one is dropped.
+			waitStats(t, e, "the slow handler", func(Stats) bool { return slept.Load() })
+			if err := e.HandleSegment(pcap.Segment{Key: slow, Seq: 10, Flags: pcap.FlagACK, Payload: []byte("xmrig")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if _, ok := e.shards[0].quarantined[slow]; !ok || st.StallsRecovered < 1 {
+				t.Errorf("slow flow not quarantined (StallsRecovered %d): %v", st.StallsRecovered, e.shards[0].quarantined)
+			}
+			// The parking flow may itself be flagged if the test goroutine
+			// is slow to release it; every other flow is innocent.
+			for k := range e.shards[0].quarantined {
+				if k != slow && k != h.key {
+					t.Errorf("innocent flow %v quarantined", k)
+				}
+			}
+			if st.PoisonedDrops != 1 || st.ShardPanics != 0 || st.WedgedShards != 0 {
+				t.Errorf("PoisonedDrops %d, ShardPanics %d, WedgedShards %d; want 1, 0, 0",
+					st.PoisonedDrops, st.ShardPanics, st.WedgedShards)
+			}
+			for i := 0; i < tc.flows; i++ {
+				if got[key(i)] != 1 {
+					t.Errorf("flow %d delivered %d matches, want 1", i, got[key(i)])
+				}
+			}
+		})
 	}
 }

@@ -111,7 +111,7 @@ func TestBatchedAssemblerEquivalence(t *testing.T) {
 				})
 			}
 			a.FlushBatch()
-			if a.BatchLen() != 0 || a.BatchScanning() != nil {
+			if a.BatchLen() != 0 || a.BatchDead() != nil {
 				t.Fatal("batch not drained after FlushBatch")
 			}
 			return ms

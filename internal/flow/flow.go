@@ -41,15 +41,22 @@ type Match struct {
 //
 //   - Add either takes ownership of data until the next Flush and
 //     returns true, or returns false, in which case the caller scans
-//     inline. Chunks Added for one runner scan in arrival order.
+//     inline. Chunks Added for one runner scan in arrival order. An Add
+//     that finds the batch full flushes it first, and may therefore
+//     panic as Flush does — with data queued nonetheless. Add may also
+//     scan data before it returns; a panic with nothing in TakeDead is
+//     the added flow's own.
 //   - Flush scans everything pending and empties the batch even if a
 //     callback panics — and isolates such a panic to the offending
 //     flow's lane: sibling flows in the window still complete, then the
-//     panic re-raises with Scanning() identifying the offender, so a
-//     shard's recover path can tear down exactly that flow and carry on.
+//     first panic re-raises. TakeDead then returns (once) the tag of
+//     every flow whose lane died, so a shard's recover path can tear
+//     down exactly those flows and carry on.
 //   - Contains reports pending work for a runner; the assembler flushes
 //     before any lifecycle event that would Reset, recycle or discard a
 //     runner Contains reports true for.
+//   - Counts reports cumulative work: lanes flushed, the accept states
+//     they visited, and the bytes scanned in lockstep and sequentially.
 //
 // Deferred data must stay valid until the flush: the assembler passes
 // either payload slices whose backing buffers the caller keeps alive
@@ -59,8 +66,9 @@ type Batcher interface {
 	Add(runner, tag any, data []byte, onMatch func(id int32, pos int64)) bool
 	Len() int
 	Flush()
-	Scanning() any
+	TakeDead() []any
 	Contains(runner any) bool
+	Counts() (lanes, acceptVisits, lockstepBytes, sequentialBytes int64)
 }
 
 // Config bounds the reassembler.
@@ -127,6 +135,8 @@ type Assembler struct {
 	flowRestarts  int64
 	staleRunners  int64
 	tenantDrops   int64
+	inlineBytes   int64 // scanned on arrival, not through the batcher
+	lanesTaken    int64 // the batcher's lane count at the last TakeLanes
 	// Live gauge accounting (gauges.go); no-ops when Config.Gauges is nil.
 	gLive    gaugeAcct
 	gPending gaugeAcct
@@ -215,6 +225,13 @@ type Stats struct {
 	// tenant tag, or a tenant over its flow/buffered-bytes quota (the
 	// per-tenant split lives in each tenant's TenantAcct counters).
 	TenantDrops int64
+	// AcceptVisits, LockstepBytes and SequentialBytes are the batcher's
+	// Counts — accept states visited, and payload bytes by scan loop —
+	// with the bytes scanned inline (no batcher, or a runner the batcher
+	// refused) under sequential.
+	AcceptVisits    int64
+	LockstepBytes   int64
+	SequentialBytes int64
 	// Generation is the generation id new flows start on; FlowsByGen
 	// maps generation id to its live flows. FlowsByGen is nil until
 	// SetGeneration has been called (the sequential scan path never
@@ -241,6 +258,10 @@ func (a *Assembler) Stats() Stats {
 		TenantDrops:   a.tenantDrops,
 		Generation:    a.def.cur.gen.ID,
 	}
+	if a.batch != nil {
+		_, st.AcceptVisits, st.LockstepBytes, st.SequentialBytes = a.batch.Counts()
+	}
+	st.SequentialBytes += a.inlineBytes
 	if a.def.cur.gen.ID != 0 || len(a.gens) > 1 {
 		st.FlowsByGen = make(map[uint64]int64, len(a.gens))
 		for id, g := range a.gens {
@@ -573,6 +594,7 @@ func (a *Assembler) feed(key pcap.FlowKey, ctx *flowCtx, data []byte) {
 	if a.batch != nil && a.batch.Add(ctx.runner, ctx.key, data, ctx.cb) {
 		return // deferred: scanned in lockstep at the next flush
 	}
+	a.inlineBytes += int64(len(data))
 	ctx.runner.Feed(data, ctx.cb)
 }
 
@@ -603,14 +625,36 @@ func (a *Assembler) BatchLen() int {
 	return a.batch.Len()
 }
 
-// BatchScanning exposes the batcher's Scanning tag (the pcap.FlowKey of
-// the flow whose callback is running) for panic attribution in shard
-// recover paths; nil when no flush is in progress.
-func (a *Assembler) BatchScanning() any {
+// BatchDead returns (once) the keys of the flows whose lanes died in
+// batch flushes — the flows a shard's recover path must quarantine after
+// a panic surfaced from FlushBatch or from a flush HandleSegment ran.
+func (a *Assembler) BatchDead() []pcap.FlowKey {
 	if a.batch == nil {
 		return nil
 	}
-	return a.batch.Scanning()
+	var keys []pcap.FlowKey
+	for _, tag := range a.batch.TakeDead() {
+		if k, ok := tag.(pcap.FlowKey); ok {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// InlineBytes reports the payload bytes scanned on arrival by runners the
+// batcher refused (all of them without a batcher).
+func (a *Assembler) InlineBytes() int64 { return a.inlineBytes }
+
+// TakeLanes returns how many lanes the batcher has flushed since the last
+// call.
+func (a *Assembler) TakeLanes() int64 {
+	if a.batch == nil {
+		return 0
+	}
+	lanes, _, _, _ := a.batch.Counts()
+	n := lanes - a.lanesTaken
+	a.lanesTaken = lanes
+	return n
 }
 
 // flushIfBatched flushes deferred work before a lifecycle event on

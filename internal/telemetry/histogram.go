@@ -15,11 +15,12 @@ import (
 	"time"
 )
 
-// LatencyBuckets is the default bucket ladder for per-segment scan
-// latencies: 500ns to 100ms, roughly 2.5x steps. A 1460-byte MSS segment
-// scans in single-digit microseconds on the MFA hot path, so the ladder
-// puts most of its resolution there while still separating "a slow
-// pattern set" (hundreds of µs) from "a wedged matcher" (tens of ms).
+// LatencyBuckets is the default bucket ladder for scan latencies per
+// flush window: 500ns to 100ms, roughly 2.5x steps. A 1460-byte MSS
+// segment scans in single-digit microseconds on the MFA hot path and a
+// saturated window of 257 in about half a millisecond, so the ladder puts
+// its resolution there while still separating "a slow pattern set"
+// (milliseconds) from "a wedged matcher" (tens of ms).
 var LatencyBuckets = []float64{
 	500e-9, 1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6,
 	250e-6, 500e-6, 1e-3, 2.5e-3, 10e-3, 100e-3,
