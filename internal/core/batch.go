@@ -50,6 +50,7 @@ type batchLane struct {
 	cb   MatchFunc
 	data []byte   // chunk currently being scanned
 	more [][]byte // further chunks queued by Add, in arrival order
+	next int      // index in more of the chunk after data
 
 	// Views resolved at flush time from r's MFA, cached in the lane so
 	// the round loop never chases r→mfa→field pointers.
@@ -147,7 +148,14 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 	if full {
 		b.scan()
 	}
-	b.lanes = append(b.lanes, batchLane{r: r, tag: tag, cb: onMatch, data: data})
+	// Extend in place (lanes has capacity k and is never full here) rather
+	// than append a literal: a lane is 176 bytes of mostly flush-time state,
+	// and the slot's more keeps its backing array from window to window.
+	n := len(b.lanes)
+	b.lanes = b.lanes[:n+1]
+	la := &b.lanes[n]
+	la.r, la.tag, la.cb, la.data = r, tag, onMatch, data
+	la.more, la.next, la.i, la.dead = la.more[:0], 0, 0, false
 	if full {
 		b.finish()
 	}
@@ -258,7 +266,7 @@ func (b *FlowBatcher) feedLane(la *batchLane) {
 		}
 	}()
 	la.r.Feed(la.data[la.i:], la.cb)
-	for _, d := range la.more {
+	for _, d := range la.more[la.next:] {
 		la.r.Feed(d, la.cb)
 	}
 	b.retire(la)
@@ -305,8 +313,9 @@ func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 		la.st = b.st[x]
 		la.i += l
 		la.pos += int64(l)
-		for la.i == len(la.data) && len(la.more) > 0 {
-			la.data, la.more = la.more[0], la.more[1:]
+		for la.i == len(la.data) && la.next < len(la.more) {
+			la.data = la.more[la.next]
+			la.next++
 			la.i = 0
 		}
 		if la.i == len(la.data) {

@@ -1,18 +1,16 @@
 package engine
 
-// Shard-scaling benchmarks. The dispatch work (decode + hash + channel
-// send) is measured apart from the scan work so the scaling headroom is
+// Shard-scaling benchmarks. The dispatch work (decode + hash + queue
+// append) is measured apart from the scan work so the scaling headroom is
 // visible: on a multi-core host the scan parallelizes across shards
 // while dispatch stays a single producer. Numbers are recorded in
 // EXPERIMENTS.md ("Shard scaling").
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"testing"
 
+	"matchfilter/internal/burst"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/telemetry"
@@ -23,25 +21,9 @@ import (
 // parsing.
 func benchCapture(b *testing.B) (segs []pcap.Segment, payload int64) {
 	b.Helper()
-	capture := interleavedCapture(b, 32, 32<<10,
-		[]string{"attack", "payload", "evil", "string", "xmrig"})
-	pr, err := pcap.NewReader(bytes.NewReader(capture))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for {
-		pkt, err := pr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		seg, err := pcap.DecodeTCP(pkt.Data)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, seg)
+	segs = decodeCapture(b, interleavedCapture(b, 32, 32<<10,
+		[]string{"attack", "payload", "evil", "string", "xmrig"}))
+	for _, seg := range segs {
 		payload += int64(len(seg.Payload))
 	}
 	return segs, payload
@@ -88,22 +70,34 @@ func BenchmarkSequentialBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchOnly isolates the engine's routing overhead: hash +
-// bounded-channel send to a shard that discards instantly. It bounds the
-// per-segment tax the sharding layer adds over the sequential scanner.
-func BenchmarkDispatchOnly(b *testing.B) {
+// BenchmarkEngineDispatch isolates the engine's routing overhead: hash,
+// stage and queue append to shards that discard instantly, a segment per
+// call (the one-segment burst, as HandleSegment dispatches) and a full
+// burst per call (as the input pump dispatches under backlog). It bounds
+// the per-segment tax the sharding layer adds over the sequential scanner.
+func BenchmarkEngineDispatch(b *testing.B) {
 	segs, payload := benchCapture(b)
-	e := New(Config{Shards: 4, QueueDepth: 4096},
-		func() flow.Runner { return nopRunner{} }, nil)
-	defer e.Close()
-	b.SetBytes(payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, seg := range segs {
-			if err := e.HandleSegment(seg); err != nil {
-				b.Fatal(err)
+	items := make([]burst.Item, len(segs))
+	for i, seg := range segs {
+		items[i] = burst.Item{Seg: seg}
+	}
+	for _, size := range []int{1, burst.Max} {
+		b.Run(fmt.Sprintf("burst=%d", size), func(b *testing.B) {
+			e := New(Config{Shards: 4, QueueDepth: 4096},
+				func() flow.Runner { return nopRunner{} }, nil)
+			defer e.Close()
+			b.SetBytes(payload)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for rest := items; len(rest) > 0; {
+					k := min(size, len(rest))
+					if err := e.HandleBurst(rest[:k]); err != nil {
+						b.Fatal(err)
+					}
+					rest = rest[k:]
+				}
 			}
-		}
+		})
 	}
 }
 

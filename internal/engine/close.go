@@ -59,14 +59,10 @@ func (e *Engine) Close() error { return e.CloseContext(context.Background()) }
 // shards keep draining in the background, and CloseContext may be called
 // again (with a fresh context) to keep waiting.
 func (e *Engine) CloseContext(ctx context.Context) error {
-	// Unblock backpressure dispatchers first: they select on closing
-	// while holding mu's read side, and the write lock below cannot be
-	// taken while one of them is parked against a full (possibly
-	// stalled) shard queue.
-	e.closeOnce.Do(func() { close(e.closing) })
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
+	e.closeOnce.Do(func() {
+		// Unblock backpressure dispatchers first: one parked against a
+		// full (possibly stalled) shard queue selects on closing.
+		close(e.closing)
 		if e.dog != nil {
 			// Stop the watchdog before the drain: a shard slow to chew
 			// through its final backlog is shutting down, not stalling,
@@ -75,14 +71,13 @@ func (e *Engine) CloseContext(ctx context.Context) error {
 			e.dog.Stop()
 		}
 		for _, s := range e.shards {
-			close(s.in)
+			s.in.Close()
 		}
 		go func() {
 			e.wg.Wait()
 			close(e.drained)
 		}()
-	}
-	e.mu.Unlock()
+	})
 	// Prefer "drained" when both are ready, so an already-expired
 	// context still reports success if the drain in fact finished.
 	select {
@@ -105,7 +100,7 @@ func (e *Engine) DrainProgress() []ShardDrain {
 	for i, s := range e.shards {
 		out[i] = ShardDrain{
 			Shard:     i,
-			Queued:    len(s.in),
+			Queued:    s.queued(),
 			Processed: s.processed.Load(),
 			Done:      s.exited.Load(),
 		}

@@ -58,7 +58,7 @@ func (t Tier) String() string {
 func (e *Engine) pressure() float64 {
 	queued := 0
 	for _, s := range e.shards {
-		queued += len(s.in)
+		queued += s.in.Len() // the queue's occupancy, not the window in hand
 	}
 	p := float64(queued) / float64(e.queueCap)
 	if e.flowCap > 0 {

@@ -4,9 +4,10 @@
 // and embarrassingly parallel — the engine demultiplexes TCP segments by
 // hash(FlowKey) onto N shard goroutines, each owning a private
 // flow.Assembler (flow table, runner pool, reassembly buffers) that it
-// alone touches. The hot path takes no exclusive locks: dispatch is one
-// hash, one shared read-lock, and one bounded-channel send; everything
-// after that is shard-local.
+// alone touches. Dispatch works on bursts (internal/burst): one closed and
+// tier check per burst, one hash per segment into a per-shard staging
+// slice, one queue append per shard; everything after that is
+// shard-local.
 //
 // Guarantees:
 //
@@ -42,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"matchfilter/internal/burst"
 	"matchfilter/internal/core"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/guard"
@@ -107,8 +109,8 @@ type Config struct {
 	// while at or above the soft tier. 0 means IdleAfter/4 when idle
 	// sweeping is configured, else 1024.
 	DegradedIdleAfter int64
-	// StallDeadline arms the shard stall watchdog: a window (up to
-	// batchBurst queued segments and their flush) that runs longer is a
+	// StallDeadline arms the shard stall watchdog: a window (one burst of
+	// up to batchBurst queued segments and its flush) that runs longer is a
 	// stall — the watchdog flags it, and the shard poisons the flow whose
 	// match handler call or inline scan the flag landed in once that
 	// returns (Stats.StallsRecovered). 0 disables the watchdog. It costs
@@ -190,18 +192,18 @@ type Engine struct {
 	shards []*shard
 	wg     sync.WaitGroup
 
-	// mu orders Handle calls against Close: dispatchers hold the read
-	// side while touching shard channels, Close takes the write side to
-	// flip closed and close the channels, so a send on a closed channel
-	// is impossible by construction. A dispatcher blocked in a
-	// backpressure send selects on closing as well — Close closes it
-	// before taking the write lock, so a stalled shard's full queue can
-	// never hold the read lock forever and wedge shutdown.
-	mu        sync.RWMutex
-	closed    bool
-	closing   chan struct{} // closed at the start of Close, before the write lock
+	// closing is closed at the start of Close. Handle calls check it once
+	// per burst, and a dispatcher blocked against a full (possibly
+	// stalled) shard queue selects on it, so shutdown never waits on
+	// backpressure. The shard queues own the rest of the ordering: Close
+	// closes them, after which an append is refused — never lost, never a
+	// panic — and everything appended before is drained.
+	closing   chan struct{}
 	closeOnce sync.Once
 	drained   chan struct{} // closed when every shard goroutine has exited
+
+	// staging pools the per-shard slices HandleBurst sorts a burst into.
+	staging sync.Pool
 
 	// gen is the pattern generation new flows start on (reload.go).
 	// reloadMu serializes Reload/ReloadTenant/DropTenant calls.
@@ -280,6 +282,10 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		tierSince: time.Now(),
 	}
 	e.flowGauges = fg
+	e.staging.New = func() any {
+		staged := make([][]burst.Item, cfg.Shards)
+		return &staged
+	}
 	// Generation 1 is the factory the engine was built with; Reload
 	// installs successors.
 	gen1 := &generation{id: 1, newRunner: newRunner}
@@ -301,8 +307,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	for i := range e.shards {
 		s := &shard{
 			idx:         i,
-			in:          make(chan queued, cfg.QueueDepth),
-			wake:        make(chan struct{}, 1),
+			in:          burst.NewQueue(cfg.QueueDepth),
 			quarantined: make(map[pcap.FlowKey]struct{}),
 			evClock:     events != nil,
 			hb:          cfg.StallDeadline > 0,
@@ -413,82 +418,128 @@ func (e *Engine) HandleSegment(seg pcap.Segment) error {
 }
 
 // HandleSegmentOwned is HandleSegment for segments whose payload lives
-// in a leased buffer. The engine owns owner from this call on and
-// releases it exactly once, whether the segment is scanned or dropped
-// (queue overflow, hard degradation tier, quarantine, closed engine).
+// in a leased buffer: the one-segment burst. The engine owns owner from
+// this call on and releases it exactly once, whether the segment is
+// scanned or dropped (queue overflow, hard degradation tier, quarantine,
+// closed engine).
 func (e *Engine) HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) error {
-	if e.dispatches.Add(1)%e.evalEvery == 0 {
+	return e.HandleBurst([]burst.Item{{Seg: seg, Owner: owner}})
+}
+
+// HandleBurst routes a burst of decoded segments to their flows' shards:
+// the engine's one dispatch path. It owns every item's lease from this
+// call on, on every path; the slice stays the caller's. Segments of one
+// flow keep their order. It may race with Close: after Close has begun
+// it returns ErrClosed, with every lease it was handed released.
+func (e *Engine) HandleBurst(items []burst.Item) error {
+	n := int64(len(items))
+	if d := e.dispatches.Add(n); d/e.evalEvery != (d-n)/e.evalEvery {
 		e.evalPressure()
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		release(owner)
+	if e.isClosed() {
+		burst.Release(items)
 		return ErrClosed
 	}
 	if Tier(e.tier.Load()) == TierHard {
 		// Hard degradation: shed at the cheapest possible point, before
-		// the segment touches a queue, and account for it.
-		e.hardDrops.Add(1)
-		release(owner)
+		// the burst touches a queue, and account for it.
+		e.hardDrops.Add(n)
+		burst.Release(items)
 		return nil
 	}
-	if seg.Key.Tenant != 0 {
-		// Tagged segment: admit only while the tenant is published (one
-		// lock-free index load). A tag with no registry, or one whose
-		// tenant was deleted, is shed here with accounting — never
-		// scanned under the wrong rule set. Untagged traffic skips this
-		// entirely.
-		if e.cfg.Tenants == nil || e.cfg.Tenants.Lookup(seg.Key.Tenant) == nil {
-			e.tenantUnknown.Add(1)
-			release(owner)
-			return nil
+	staged := e.staging.Get().(*[][]burst.Item)
+	defer e.staging.Put(staged)
+	for i := range items {
+		it := &items[i]
+		if t := it.Seg.Key.Tenant; t != 0 {
+			// Tagged segment: admit only while the tenant is published (one
+			// lock-free index load). A tag with no registry, or one whose
+			// tenant was deleted, is shed here with accounting — never
+			// scanned under the wrong rule set. Untagged traffic skips this
+			// entirely.
+			if e.cfg.Tenants == nil || e.cfg.Tenants.Lookup(t) == nil {
+				e.tenantUnknown.Add(1)
+				release(it.Owner)
+				continue
+			}
 		}
+		k := shardIndex(it.Seg.Key, len(e.shards))
+		(*staged)[k] = append((*staged)[k], *it)
 	}
-	s := e.shards[shardIndex(seg.Key, len(e.shards))]
+	var err error
+	for k, part := range *staged {
+		if len(part) == 0 {
+			continue
+		}
+		if err != nil {
+			burst.Release(part) // the engine closed under an earlier shard's part
+		} else {
+			err = e.enqueue(e.shards[k], part)
+		}
+		clear(part)
+		(*staged)[k] = part[:0]
+	}
+	return err
+}
+
+// enqueue appends one shard's part of a burst to its queue under the
+// overload policy, settling whatever the queue does not take.
+func (e *Engine) enqueue(s *shard, part []burst.Item) error {
 	if s.wedged.Load() {
 		// The shard is stuck mid-scan past WedgeAfter: queueing behind a
-		// goroutine that may never return would strand this buffer (and,
+		// goroutine that may never return would strand these buffers (and,
 		// under backpressure, this dispatcher). Shed with accounting;
 		// sibling shards are unaffected.
-		s.wedgeDrops.Add(1)
-		release(owner)
+		s.wedgeDrops.Add(int64(len(part)))
+		burst.Release(part)
 		return nil
 	}
-	q := queued{seg: seg, owner: owner}
 	// Track non-leased payload bytes entering a queue (leased payloads
 	// are accounted by their arena until released). Added before the
-	// send and withdrawn by the shard at dequeue — or below on a drop.
-	var nb int64
-	if owner == nil && len(seg.Payload) > 0 {
-		nb = int64(len(seg.Payload))
-		e.queuedBytes.Add(nb)
-	}
+	// append and withdrawn by the shard at dequeue — or below on a drop.
+	e.queuedBytes.Add(unleasedBytes(part))
+	var n int
+	var err error
 	if e.cfg.DropWhenFull {
-		select {
-		case s.in <- q:
-		default:
-			e.queueDrops.Add(1)
-			e.queuedBytes.Add(-nb)
-			release(owner)
-		}
-		return nil
+		n, err = s.in.Offer(part...)
+	} else {
+		// Backpressure: block until the shard drains — but never while
+		// deaf to shutdown. A stalled shard (faultinject.Stall, a matcher
+		// wedged in user code) never makes room; once Close begins, the
+		// blocked dispatcher gives up what it still holds.
+		n, err = s.in.Put(e.closing, part...)
 	}
-	// Backpressure: block until the shard drains — but never while
-	// deaf to shutdown. This send holds e.mu's read side; a bare
-	// blocking send against a stalled shard (faultinject.Stall, a
-	// matcher wedged in user code) would pin the read lock forever and
-	// CloseContext could neither take the write lock nor fire its
-	// deadline. Selecting on closing bounds the hold: once Close
-	// begins, blocked dispatchers return ErrClosed and release.
-	select {
-	case s.in <- q:
-	case <-e.closing:
-		e.queuedBytes.Add(-nb)
-		release(owner)
+	if rest := part[n:]; len(rest) > 0 {
+		if err == nil {
+			e.queueDrops.Add(int64(len(rest)))
+		}
+		e.queuedBytes.Add(-unleasedBytes(rest))
+		burst.Release(rest)
+	}
+	if err != nil {
 		return ErrClosed
 	}
 	return nil
+}
+
+// unleasedBytes totals the payload of the items that carry no lease.
+func unleasedBytes(items []burst.Item) (n int64) {
+	for i := range items {
+		if items[i].Owner == nil {
+			n += int64(len(items[i].Seg.Payload))
+		}
+	}
+	return n
+}
+
+// isClosed reports whether Close has begun.
+func (e *Engine) isClosed() bool {
+	select {
+	case <-e.closing:
+		return true
+	default:
+		return false
+	}
 }
 
 // MemoryUsage reports the bytes the engine currently holds that are not
@@ -696,7 +747,7 @@ func (e *Engine) Stats() Stats {
 			}
 			st.GenFlows[id] += n
 		}
-		st.QueueDepth += int64(len(s.in))
+		st.QueueDepth += int64(s.queued())
 		st.ShardMatches[i] = s.matches.Load()
 		st.ShardPackets[i] = a.Packets
 		st.Matches += st.ShardMatches[i]

@@ -264,11 +264,20 @@ func TestDegradationLadder(t *testing.T) {
 		func() flow.Runner { return faultinject.Stall(gate, faultinject.Discard) }, nil)
 	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 	const total = 40
+	seg := func(i int) pcap.Segment {
+		return pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}
+	}
+	// Wedge the shard on the first segment before the flood, so what
+	// follows fills the queue rather than riding into the stalled window.
+	if err := e.HandleSegment(seg(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitProcessed(t, e, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < total; i++ {
-			if err := e.HandleSegment(pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
+		for i := 1; i < total; i++ {
+			if err := e.HandleSegment(seg(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -319,6 +328,9 @@ func TestSoftTierDegradesAndRecovers(t *testing.T) {
 	for i := 0; i < total; i++ {
 		if err := e.HandleSegment(pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			waitProcessed(t, e, 1) // the shard is wedged; the rest queue behind it
 		}
 	}
 	if st := e.Stats(); st.Tier != TierSoft {

@@ -93,7 +93,7 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 		func() float64 {
 			n := 0
 			for _, s := range e.shards {
-				n += len(s.in)
+				n += s.queued()
 			}
 			return float64(n)
 		})
@@ -219,7 +219,7 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 			func() float64 { return float64(s.matches.Load()) }, label)
 		reg.GaugeFunc("mfa_shard_queue_depth",
 			"Segments queued on this shard right now.",
-			func() float64 { return float64(len(s.in)) }, label)
+			func() float64 { return float64(s.queued()) }, label)
 		s.scanHist = reg.Histogram("mfa_shard_scan_seconds",
 			"Scan latency (reassembly + matching) per flush window by shard; windows of pure SYN/ACK/FIN bookkeeping are not timed.",
 			telemetry.LatencyBuckets, label)

@@ -47,6 +47,9 @@ func TestTierGaugeTracksLadder(t *testing.T) {
 		if err := e.HandleSegment(pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			waitProcessed(t, e, 1) // wedged on the first segment; the rest fill the queue
+		}
 	}
 	st := e.Stats()
 	if st.Tier != TierHard {

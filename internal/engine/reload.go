@@ -130,10 +130,7 @@ func (e *Engine) Reload(newRunner func() flow.Runner, policy ReloadPolicy) (uint
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
+	if e.isClosed() {
 		return 0, ErrClosed
 	}
 	next := &generation{id: e.gen.Load().id + 1, newRunner: newRunner}
@@ -144,10 +141,7 @@ func (e *Engine) Reload(newRunner func() flow.Runner, policy ReloadPolicy) (uint
 	cmd := &genCommand{gen: next, reset: policy == ReloadReset}
 	for _, s := range e.shards {
 		s.genCmd.Store(cmd)
-		select {
-		case s.wake <- struct{}{}:
-		default: // a wake is already pending; the shard will see the newest command
-		}
+		s.in.Poke()
 	}
 	return next.id, nil
 }

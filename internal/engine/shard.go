@@ -29,25 +29,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"matchfilter/internal/burst"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/telemetry"
 )
 
-// queued is one dispatched segment riding a shard queue together with
-// the lease on its payload buffer (nil for ordinarily-allocated
-// payloads). The shard releases the lease once the segment has been
-// consumed — scanned or drop-counted — at which point the assembler has
-// copied any bytes it still needs.
-type queued struct {
-	seg   pcap.Segment
-	owner pcap.Owner
-}
-
 // shard is one goroutine's private scanning lane.
 type shard struct {
 	idx int
-	in  chan queued
+	// in carries dispatched segments together with the leases on their
+	// payload buffers (nil for ordinarily-allocated payloads). The shard
+	// releases a window's leases once its segments have been consumed —
+	// scanned or drop-counted — at which point the assembler has copied
+	// any bytes it still needs.
+	in  *burst.Queue
 	asm *flow.Assembler
 	// rebuild constructs a fresh assembler wired to this shard's match
 	// counter — the recovery path of last resort.
@@ -59,17 +55,11 @@ type shard struct {
 	// touches it.
 	quarantined map[pcap.FlowKey]struct{}
 
-	// held parks the leased buffers of the current window's segments until
-	// its flush has scanned them (the batcher references the payload bytes
-	// until then). Goroutine-private.
-	held []pcap.Owner
-
 	// Hot-reload plumbing (reload.go): genCmd holds the newest pending
 	// generation swap (applied on the shard goroutine before the next
-	// segment); wake nudges an idle shard so a swap is not stuck behind
-	// a quiet queue.
+	// segment); the poster pokes the queue so a swap is not stuck behind
+	// a quiet one.
 	genCmd atomic.Pointer[genCommand]
-	wake   chan struct{}
 
 	// Tenant-command plumbing (tenant.go): unlike the newest-wins reload
 	// slot, commands for different tenants must all arrive, so they queue
@@ -96,9 +86,12 @@ type shard struct {
 	evClock bool
 	evNano  int64
 
-	// processed counts segments consumed from the queue (scanned or
-	// drop-counted); with len(in) it gives drain progress. exited flips
-	// when the goroutine returns.
+	// taken counts segments swapped out of the queue, a window at a time;
+	// processed those consumed (scanned or drop-counted), one at a time. A
+	// window stalled on its first segment still holds the rest, so the
+	// shard's backlog is queued(), not in.Len(). exited flips when the
+	// goroutine returns.
+	taken     atomic.Int64
 	processed atomic.Int64
 	exited    atomic.Bool
 
@@ -138,6 +131,15 @@ type shard struct {
 // engine runs; Close publishes a final exact snapshot.
 const statsEvery = 64
 
+// queued is the shard's backlog in segments: what waits in its queue plus
+// what the window in progress has taken and not yet consumed. It feeds
+// the depth gauges, Stats and drain progress; the pressure signal reads
+// the queue alone (degrade.go).
+func (s *shard) queued() int {
+	done := s.processed.Load() // before taken: the difference never reads negative
+	return s.in.Len() + int(s.taken.Load()-done)
+}
+
 func (s *shard) publish() {
 	st := s.asm.Stats()
 	accumulate(&st, &s.base)
@@ -164,10 +166,10 @@ func accumulate(dst, src *flow.Stats) {
 }
 
 // batchBurst bounds how many already-queued segments a shard consumes per
-// lockstep window before it flushes. The bound keeps match latency and
-// held-buffer count proportional to the queue's actual backlog, never
-// unbounded.
-const batchBurst = 256
+// lockstep window before it flushes: the most its queue hands over in one
+// burst. The bound keeps match latency and held-buffer count proportional
+// to the queue's actual backlog, never unbounded.
+const batchBurst = burst.Max
 
 // loopState is the run loop's per-shard mutable state, shared by window
 // and step.
@@ -186,51 +188,45 @@ func (s *shard) run(e *Engine) {
 		e.wg.Done()
 	}()
 	ls := &loopState{normalBuf: s.asm.MaxBuffered(), appliedTier: TierNormal}
+	var items []burst.Item
 	for {
-		select {
-		case q, ok := <-s.in:
-			if !ok || !s.window(e, q, ls) {
-				return
-			}
-		case <-s.wake:
-			// Generation swap on an otherwise idle shard: apply it now, not
-			// when the next segment happens to arrive, so a reload's gauges
-			// and reset policy take effect promptly engine-wide. The batch
-			// is empty here: every window flushes before the loop blocks.
+		var open bool
+		if items, open = s.in.Take(items); !open {
+			return
+		}
+		if len(items) == 0 {
+			// Poked on an otherwise idle shard: apply the generation swap
+			// now, not when the next segment happens to arrive, so a
+			// reload's gauges and reset policy take effect promptly
+			// engine-wide. The batch is empty here: every window flushes
+			// before the loop blocks.
 			s.applyGeneration(e)
 			s.applyTenantCmds()
+			continue
 		}
+		s.window(e, items, ls)
 	}
 }
 
-// window is the shard's one dequeue path: it consumes q, drains whatever
-// else the queue already holds (bounded) — each payload-bearing segment
-// defers its scan into the batcher — then flushes once, stepping all those
-// flows' automata in lockstep, and releases the window's leases. A quiet
-// queue is the one-segment window: scan on arrival. The window is also the
-// unit of bookkeeping: one clock read (stamping its matches' ring events),
-// one heartbeat, one observation of each histogram. It reports whether the
-// queue is still open.
-func (s *shard) window(e *Engine, q queued, ls *loopState) (open bool) {
+// window is the shard's one dequeue path: it consumes the burst the queue
+// handed over — everything that was queued, up to batchBurst — each
+// payload-bearing segment deferring its scan into the batcher, then
+// flushes once, stepping all those flows' automata in lockstep, and
+// releases the burst's leases. A quiet queue is the one-segment window:
+// scan on arrival. The window is also the unit of bookkeeping: one clock
+// read (stamping its matches' ring events), one heartbeat, one observation
+// of each histogram.
+func (s *shard) window(e *Engine, items []burst.Item, ls *loopState) {
 	var t0 time.Time
 	if s.hb || s.scanHist != nil || s.evClock {
 		t0 = time.Now()
 		s.evNano = t0.UnixNano()
 	}
 	s.hseq, ls.payload = s.beat(s.evNano), false
-	s.step(e, q, ls)
-	open = true
-drain:
-	for i := 0; i < batchBurst; i++ {
-		select {
-		case q, open = <-s.in:
-			if !open {
-				break drain
-			}
-			s.step(e, q, ls)
-		default:
-			break drain
-		}
+	s.taken.Add(int64(len(items)))
+	e.queuedBytes.Add(-unleasedBytes(items)) // what dispatch charged
+	for i := range items {
+		s.step(e, items[i].Seg, ls)
 	}
 	s.flushScan(e)
 	if ls.payload && s.scanHist != nil {
@@ -247,12 +243,11 @@ drain:
 			s.stallReturned(e)
 		}
 	}
-	for i, o := range s.held {
-		o.Release()
-		s.held[i] = nil
-	}
-	s.held = s.held[:0]
-	return open
+	// The batcher referenced the payload bytes until the flush, so the
+	// leased buffers go back to their arena only now — also those of
+	// segments scanned inline or dropped: tracking ownership per segment
+	// would cost more than the short extra hold.
+	burst.Release(items)
 }
 
 // beat publishes a fresh stall-watchdog heartbeat — start=0, seq=n+1,
@@ -268,17 +263,11 @@ func (s *shard) beat(now int64) int64 {
 	return seq
 }
 
-// step consumes one dequeued segment: accounting, supervision gates,
+// step consumes one segment of the window: accounting, supervision gates,
 // degradation reactions, reassembly (which defers the scan into the
 // batcher) and the periodic sweeps.
-func (s *shard) step(e *Engine, q queued, ls *loopState) {
+func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 	cfg := &e.cfg
-	seg := q.seg
-	if q.owner == nil && len(seg.Payload) > 0 {
-		// Withdraw what dispatch charged to the queued-bytes account
-		// (leased payloads are accounted by their arena instead).
-		e.queuedBytes.Add(-int64(len(seg.Payload)))
-	}
 	// Apply a pending swap before scanning, so every segment dispatched
 	// after Reload returned is scanned post-swap (a flow it creates starts
 	// on the new generation). Deferred work never crosses a generation
@@ -310,12 +299,10 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 	}
 	if s.unhealthy.Load() {
 		s.unhealthyDrops.Add(1)
-		release(q.owner)
 		return
 	}
 	if _, bad := s.quarantined[seg.Key]; bad {
 		s.poisonedDrops.Add(1)
-		release(q.owner)
 		return
 	}
 	if tier := Tier(e.tier.Load()); tier != ls.appliedTier {
@@ -333,13 +320,6 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 		ls.payload = true
 	}
 	s.process(e, seg)
-	if q.owner != nil {
-		// The payload may now sit in the batcher, so the leased buffer
-		// goes back to its arena after the window's flush (even when this
-		// segment was scanned inline: tracking ownership per byte would
-		// cost more than the short extra hold).
-		s.held = append(s.held, q.owner)
-	}
 	idleAfter, sweepEvery := cfg.IdleAfter, cfg.SweepEvery
 	if ls.appliedTier >= TierSoft {
 		idleAfter, sweepEvery = cfg.DegradedIdleAfter, max(cfg.SweepEvery/8, 1)
@@ -349,7 +329,7 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 	}
 	// A degraded engine must be able to step back down without new
 	// dispatches: when this shard's queue runs dry, re-check pressure.
-	if ls.appliedTier != TierNormal && len(s.in) == 0 {
+	if ls.appliedTier != TierNormal && s.queued() == 0 {
 		e.evalPressure()
 	}
 }

@@ -61,10 +61,7 @@ func (e *Engine) ReloadTenant(t *tenant.Tenant, newRunner func() flow.Runner, re
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
+	if e.isClosed() {
 		return 0, ErrClosed
 	}
 	gen := t.NextGeneration()
@@ -95,10 +92,7 @@ func (e *Engine) ReloadTenant(t *tenant.Tenant, newRunner func() flow.Runner, re
 func (e *Engine) DropTenant(t *tenant.Tenant) error {
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
+	if e.isClosed() {
 		return ErrClosed
 	}
 	e.tenantMu.Lock()
@@ -118,10 +112,7 @@ func (s *shard) queueTenantCmd(cmd tenantCmd) {
 	s.tenantCmds = append(s.tenantCmds, cmd)
 	s.tenantPending.Store(true)
 	s.tenantMu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake is already pending; the shard will drain the list
-	}
+	s.in.Poke()
 }
 
 // applyTenantCmds drains the pending tenant-command list in arrival

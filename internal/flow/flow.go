@@ -149,7 +149,10 @@ type Assembler struct {
 const maxFreeRunners = 4096
 
 type flowCtx struct {
-	key    pcap.FlowKey
+	key pcap.FlowKey
+	// tag is key boxed once, at flow creation: what the batcher is handed
+	// with every chunk and names a dead lane by (BatchDead).
+	tag    any
 	runner Runner
 	ten    *tenantState // tenant the flow is served under (def for tag 0)
 	gen    *genState    // generation the runner was built for
@@ -307,6 +310,7 @@ func (a *Assembler) HandleSegment(seg pcap.Segment) {
 		}
 		ctx = &flowCtx{
 			key:     seg.Key,
+			tag:     seg.Key,
 			ten:     ts,
 			runner:  a.getRunner(ts),
 			gen:     ts.cur,
@@ -591,7 +595,7 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 func (a *Assembler) feed(key pcap.FlowKey, ctx *flowCtx, data []byte) {
 	ctx.nextSeq += uint32(len(data))
 	a.payloadBytes += int64(len(data))
-	if a.batch != nil && a.batch.Add(ctx.runner, ctx.key, data, ctx.cb) {
+	if a.batch != nil && a.batch.Add(ctx.runner, ctx.tag, data, ctx.cb) {
 		return // deferred: scanned in lockstep at the next flush
 	}
 	a.inlineBytes += int64(len(data))

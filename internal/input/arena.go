@@ -3,10 +3,14 @@
 // Sources lease a buffer, read a frame or payload into it, and pass the
 // lease to the sink as the segment's pcap.Owner; the engine's shard
 // releases it after the scan (the assembler copies anything it must
-// retain, so post-scan release is safe). Buffers are pooled in a few
-// size classes over sync.Pool, so N concurrent sources keep a working
-// set proportional to in-flight segments — queue depth, not traffic —
-// instead of allocating per packet.
+// retain, so post-scan release is safe). Leases are carved out of slabs:
+// one pooled allocation per size class holds a run of frames back to back
+// together with their Buf headers, so the pool round trip and the shared
+// counters are touched once per slab, a lease is a bump of the slab's
+// cursor, and a release is one atomic decrement that hands the slab back
+// when its last frame returns. N concurrent sources keep a working set
+// proportional to in-flight segments — queue depth, not traffic — instead
+// of allocating per packet.
 package input
 
 import (
@@ -23,25 +27,61 @@ import (
 // handed to the garbage collector on release.
 var arenaClasses = [...]int{2 << 10, 16 << 10, 64 << 10, 256 << 10}
 
-// Arena is a size-classed sync.Pool of payload buffers. The zero value
-// is ready to use; an Arena must not be copied after first use.
+// slabBytes is the slab size the frame count of a class aims for; the
+// largest classes still get two frames, so a slab always amortizes
+// something.
+const slabBytes = 64 << 10
+
+// slabBias is a current slab's reference count before any release: far
+// above any frame count, so releases of a slab still being carved never
+// reach zero.
+const slabBias = 1 << 30
+
+// slab is one pooled allocation: frames of one class back to back, and
+// the Buf headers that lease them.
+type slab struct {
+	arena *Arena
+	class int // index into arenaClasses; -1 = oversize, one frame, GC-owned
+	frame int // bytes per frame
+	mem   []byte
+	bufs  []Buf
+	// carved counts the frames handed out since the slab became current;
+	// written under the arena's mu, fixed once the slab is retired.
+	carved int
+	// refs is slabBias minus the releases so far while the slab is current.
+	// Retiring it trades the bias for the frames carved, leaving the
+	// leases still out — live, written just before that trade — and the
+	// release that takes refs to zero returns the slab.
+	refs atomic.Int64
+	live int64
+}
+
+// Arena leases payload buffers carved from size-classed, pooled slabs.
+// The zero value is ready to use; an Arena must not be copied after first
+// use.
 type Arena struct {
-	pools [len(arenaClasses)]sync.Pool
+	// mu guards the carving side: each class's current slab and the two
+	// counters a lease bumps. It is held for a cursor bump, or once per
+	// slab for the swap.
+	mu     sync.Mutex
+	cur    [len(arenaClasses)]*slab
+	leases int64
+	misses int64 // fresh allocations: a slab pool miss, or an oversize lease
 
-	// Accounting (exposed as telemetry by the supervisor). leases and
-	// releases should track each other; misses are pool misses (fresh
-	// allocations, including oversize leases); doubleReleases counts
-	// Release called twice on one lease — always a bug upstream, made
-	// harmless here (the second call is a no-op) but counted so it is
-	// visible.
-	leases         atomic.Int64
+	pools [len(arenaClasses)]sync.Pool // fully released slabs
+
+	// releases and bytesOut move once per slab — when it is retired and
+	// when its last lease returns — and Stats adds what the slabs still
+	// being carved know exactly. A slab retired with leases out reports
+	// those until the last of them is back, so the accounting (exposed as
+	// telemetry by the supervisor, and to the memory governor) is exact
+	// whenever nothing is in flight and lags by less than a slab per slab
+	// in flight otherwise. doubleReleases counts Release called twice on
+	// one lease — always a bug upstream, made harmless here (the second
+	// call is a no-op) but counted so it is visible.
 	releases       atomic.Int64
-	misses         atomic.Int64
+	bytesOut       atomic.Int64
 	doubleReleases atomic.Int64
-
-	// bytesOut is the capacity of every outstanding lease — the arena's
-	// component callback for the unified memory governor (BytesLeased).
-	bytesOut atomic.Int64
 
 	// debug selects the double-release policy: 0 follows the build
 	// (panic under -race, count otherwise), 1 forces panic-with-origin,
@@ -76,7 +116,7 @@ func (a *Arena) debugOn() bool {
 // BytesLeased reports the bytes currently out on lease (buffer
 // capacities, not requested lengths) — what the arena pins until the
 // engine releases the buffers back.
-func (a *Arena) BytesLeased() int64 { return a.bytesOut.Load() }
+func (a *Arena) BytesLeased() int64 { return a.Stats().BytesLeased }
 
 // leaseOrigin names the first caller outside this file, for the
 // double-release diagnostic.
@@ -99,8 +139,7 @@ func leaseOrigin() string {
 // the buffer to its arena exactly once; further calls are counted
 // no-ops. A Buf must not be used after Release.
 type Buf struct {
-	arena    *Arena
-	class    int // index into arenaClasses; -1 = oversize, GC-owned
+	slab     *slab
 	data     []byte
 	released atomic.Bool
 	// origin is the file:line of the Lease call, captured only while
@@ -113,12 +152,15 @@ type Buf struct {
 // capacity may be larger (the size class).
 func (b *Buf) Data() []byte { return b.data }
 
-// Release returns the buffer to the arena. Safe to call from any
-// goroutine; only the first call has effect.
+// Release returns the buffer to the arena: a double-release check and one
+// decrement of its slab's count. Safe to call from any goroutine; only
+// the first call has effect.
 func (b *Buf) Release() {
+	sl := b.slab
 	if b.released.Swap(true) {
-		b.arena.doubleReleases.Add(1)
-		if b.arena.debugOn() {
+		a := sl.arena
+		a.doubleReleases.Add(1)
+		if a.debugOn() {
 			origin := b.origin
 			if origin == "" {
 				origin = "unknown (lease predates debug guard)"
@@ -127,19 +169,66 @@ func (b *Buf) Release() {
 		}
 		return
 	}
-	b.arena.releases.Add(1)
-	b.arena.bytesOut.Add(-int64(cap(b.data)))
-	if b.class < 0 {
-		return // oversize: let the GC have it
+	if sl.refs.Add(-1) == 0 {
+		sl.arena.returned(sl)
 	}
-	b.arena.pools[b.class].Put(b)
+}
+
+// returned settles a retired slab whose last lease came back.
+func (a *Arena) returned(sl *slab) {
+	a.releases.Add(sl.live)
+	a.bytesOut.Add(-sl.live * int64(sl.frame))
+	if sl.class >= 0 { // oversize: let the GC have it
+		a.pools[sl.class].Put(sl)
+	}
+}
+
+// newSlab allocates a slab of n frames of frame bytes each.
+func (a *Arena) newSlab(class, n, frame int) *slab {
+	sl := &slab{arena: a, class: class, frame: frame, mem: make([]byte, n*frame), bufs: make([]Buf, n)}
+	for i := range sl.bufs {
+		sl.bufs[i].slab = sl
+	}
+	return sl
+}
+
+// next retires a class's exhausted slab and returns the one to carve
+// from now. Caller holds a.mu.
+func (a *Arena) next(class int) *slab {
+	sl := a.cur[class]
+	if sl != nil {
+		// Trade the bias for the frames carved. live must be in place
+		// before the trade lets a release see zero, hence the CAS.
+		for {
+			r := sl.refs.Load()
+			sl.live = r - slabBias + int64(sl.carved)
+			if sl.refs.CompareAndSwap(r, sl.live) {
+				break
+			}
+		}
+		a.releases.Add(int64(sl.carved) - sl.live)
+		a.bytesOut.Add(sl.live * int64(sl.frame))
+	}
+	if sl == nil || sl.live > 0 { // else every frame is back already: carve it again
+		if v := a.pools[class].Get(); v != nil {
+			sl = v.(*slab)
+		} else {
+			a.misses++
+			frame := arenaClasses[class]
+			sl = a.newSlab(class, max(slabBytes/frame, 2), frame)
+		}
+	}
+	sl.carved = 0
+	sl.refs.Store(slabBias)
+	a.cur[class] = sl
+	return sl
 }
 
 // Lease returns a buffer whose Data() has length n. The buffer must be
 // handed to the sink as an Owner or released by the caller; losing it is
-// not a leak (the GC reclaims it) but defeats the pooling.
+// not a leak (the GC reclaims it) but pins its slab and defeats the
+// pooling.
 func (a *Arena) Lease(n int) *Buf {
-	a.leases.Add(1)
 	origin := ""
 	if a.debugOn() {
 		origin = leaseOrigin()
@@ -151,21 +240,32 @@ func (a *Arena) Lease(n int) *Buf {
 			break
 		}
 	}
+	a.mu.Lock()
+	a.leases++
 	if class < 0 {
-		a.misses.Add(1)
+		a.misses++
+		a.mu.Unlock()
+		// A slab of its own, born retired with its one lease out.
 		a.bytesOut.Add(int64(n))
-		return &Buf{arena: a, class: -1, data: make([]byte, n), origin: origin}
-	}
-	a.bytesOut.Add(int64(arenaClasses[class]))
-	if v := a.pools[class].Get(); v != nil {
-		b := v.(*Buf)
-		b.released.Store(false)
-		b.data = b.data[:cap(b.data)][:n]
-		b.origin = origin
+		sl := a.newSlab(-1, 1, n)
+		sl.live = 1
+		sl.refs.Store(1)
+		b := &sl.bufs[0]
+		b.data, b.origin = sl.mem, origin
 		return b
 	}
-	a.misses.Add(1)
-	return &Buf{arena: a, class: class, data: make([]byte, n, arenaClasses[class]), origin: origin}
+	sl := a.cur[class]
+	if sl == nil || sl.carved == len(sl.bufs) {
+		sl = a.next(class)
+	}
+	b := &sl.bufs[sl.carved]
+	off := sl.carved * sl.frame
+	sl.carved++
+	a.mu.Unlock()
+	b.data = sl.mem[off : off+n : off+sl.frame]
+	b.origin = origin
+	b.released.Store(false)
+	return b
 }
 
 // ArenaStats is a point-in-time accounting snapshot.
@@ -179,11 +279,21 @@ type ArenaStats struct {
 
 // Stats reads the arena's counters.
 func (a *Arena) Stats() ArenaStats {
-	return ArenaStats{
-		Leases:         a.leases.Load(),
+	a.mu.Lock() // no slab is retired meanwhile
+	st := ArenaStats{
+		Leases:         a.leases,
+		Misses:         a.misses,
 		Releases:       a.releases.Load(),
-		Misses:         a.misses.Load(),
 		DoubleReleases: a.doubleReleases.Load(),
 		BytesLeased:    a.bytesOut.Load(),
 	}
+	for _, sl := range a.cur {
+		if sl != nil {
+			released := slabBias - sl.refs.Load()
+			st.Releases += released
+			st.BytesLeased += (int64(sl.carved) - released) * int64(sl.frame)
+		}
+	}
+	a.mu.Unlock()
+	return st
 }

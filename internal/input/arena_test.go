@@ -1,7 +1,9 @@
 package input
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -99,14 +101,113 @@ func TestArenaBytesLeased(t *testing.T) {
 	}
 }
 
-func TestArenaOversizeGoesToGC(t *testing.T) {
+// TestArenaOversizeBypassesSlabs: a lease beyond the last class is a
+// plain allocation of its own — it shares no slab, counts as a miss, and
+// goes to the garbage collector, not to a pool, on release.
+func TestArenaOversizeBypassesSlabs(t *testing.T) {
 	var a Arena
+	small := a.Lease(100)
 	b := a.Lease(1 << 20)
-	if b.class != -1 {
-		t.Fatalf("oversize lease got class %d", b.class)
+	if b.slab.class != -1 || len(b.slab.bufs) != 1 || b.slab == small.slab {
+		t.Fatalf("oversize lease rides a class-%d slab of %d frames", b.slab.class, len(b.slab.bufs))
+	}
+	if cap(b.Data()) != 1<<20 {
+		t.Fatalf("oversize lease holds %d bytes, want exactly what was asked", cap(b.Data()))
 	}
 	b.Release()
-	if st := a.Stats(); st.Misses != 1 {
-		t.Fatalf("oversize lease should count as a miss: %+v", st)
+	small.Release()
+	if st := a.Stats(); st.Misses != 2 || st.Leases != 2 || st.Releases != 2 || st.BytesLeased != 0 {
+		t.Fatalf("after one slab lease and one oversize lease: %+v", st)
+	}
+	for i := range a.cur {
+		if a.cur[i] == b.slab {
+			t.Fatal("oversize slab became a class's current slab")
+		}
+	}
+}
+
+// TestArenaFramesAreDisjoint: leases carved from one slab never overlap,
+// whatever their lengths, and a lease cannot grow into its neighbour.
+func TestArenaFramesAreDisjoint(t *testing.T) {
+	var a Arena
+	var bufs []*Buf
+	for i := 0; i < 100; i++ { // crosses several 2K-class slabs
+		b := a.Lease(1 + i*20)
+		for j := range b.Data() {
+			b.Data()[j] = byte(i)
+		}
+		if c := cap(b.Data()); c != 2<<10 {
+			t.Fatalf("lease %d: capacity %d, want its frame's 2048", i, c)
+		}
+		bufs = append(bufs, b)
+	}
+	for i, b := range bufs {
+		if len(b.Data()) != 1+i*20 {
+			t.Fatalf("lease %d: %d bytes", i, len(b.Data()))
+		}
+		for _, c := range b.Data() {
+			if c != byte(i) {
+				t.Fatalf("lease %d was overwritten by a neighbour", i)
+			}
+		}
+		b.Release()
+	}
+	if st := a.Stats(); st.Leases != 100 || st.Releases != 100 || st.BytesLeased != 0 {
+		t.Fatalf("after 100 leases and releases: %+v", st)
+	}
+}
+
+// TestArenaChaosBalances: leases of every class and beyond, taken by
+// several goroutines and released by others in shuffled order across slab
+// boundaries, leave the books balanced — the identity the chaos suite
+// holds the whole pipeline to.
+func TestArenaChaosBalances(t *testing.T) {
+	var a Arena
+	const leasers, each = 4, 3000
+	sizes := []int{60, 150, 1500, 2 << 10, 9000, 60 << 10, 200 << 10, 300 << 10}
+	handoff := make(chan []*Buf, 16)
+	var lwg, rwg sync.WaitGroup
+	for g := 0; g < leasers; g++ {
+		lwg.Add(1)
+		go func(seed int64) {
+			defer lwg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for done := 0; done < each; {
+				batch := make([]*Buf, 1+rng.Intn(70))
+				for i := range batch {
+					// Mostly frame-sized leases, as on a wire; the large
+					// classes and oversize now and then.
+					n := sizes[rng.Intn(3)]
+					if rng.Intn(50) == 0 {
+						n = sizes[rng.Intn(len(sizes))]
+					}
+					batch[i] = a.Lease(n)
+				}
+				done += len(batch)
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				handoff <- batch
+			}
+		}(int64(g))
+	}
+	for g := 0; g < 2; g++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for batch := range handoff {
+				for _, b := range batch {
+					b.Release()
+				}
+			}
+		}()
+	}
+	lwg.Wait()
+	close(handoff)
+	rwg.Wait()
+	st := a.Stats()
+	if st.Leases < leasers*each || st.Leases != st.Releases || st.DoubleReleases != 0 || st.BytesLeased != 0 {
+		t.Fatalf("books do not balance after the run: %+v", st)
+	}
+	if got := a.BytesLeased(); got != 0 {
+		t.Fatalf("BytesLeased = %d after every release", got)
 	}
 }

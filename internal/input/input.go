@@ -12,9 +12,10 @@
 //     file) or its context is cancelled (live sources: sockets, spools,
 //     interfaces).
 //   - The Supervisor runs every source on its own goroutine with a
-//     bounded handoff channel into the sink, so one slow or bursty
-//     source backpressures against its own queue without starving the
-//     others. A source that fails is restarted with exponential backoff
+//     bounded handoff queue (internal/burst) into the sink, so one slow
+//     or bursty source backpressures against its own queue without
+//     starving the others; what queues up while the sink is busy crosses
+//     as one burst. A source that fails is restarted with exponential backoff
 //     under a restart budget (the crash-budget idiom from the shard
 //     supervisor); a source that keeps failing is abandoned — counted
 //     and reported — while the rest keep serving.
@@ -23,10 +24,11 @@
 //     in lenient mode and converts it into a *StrictError in strict
 //     mode, aborting the whole pipeline with the exit-code-2 semantics
 //     cmd/mfaserve documents.
-//   - Payload buffers are leased from a sync.Pool-backed Arena and
-//     returned by the engine after the scan (pcap.Owner), so multi-
-//     source fan-in does not multiply steady-state allocations: the
-//     pipeline's hot path recycles a small working set of buffers.
+//   - Payload buffers are leased from an Arena that carves them out of
+//     pooled per-class slabs and returned by the engine after the scan
+//     (pcap.Owner), so multi-source fan-in does not multiply steady-state
+//     allocations: the pipeline's hot path recycles a small working set
+//     of slabs.
 //
 // Every source gets per-source telemetry (segments, bytes, skips,
 // malformed, restarts, queue depth) on the shared registry and a row in
@@ -37,6 +39,7 @@ import (
 	"context"
 	"fmt"
 
+	"matchfilter/internal/burst"
 	"matchfilter/internal/pcap"
 )
 
@@ -80,6 +83,16 @@ type Description struct {
 // error is terminal: the sink has shut down and the pipeline stops.
 type Sink interface {
 	HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) error
+}
+
+// BurstSink is the optional upgrade of Sink that internal/engine's
+// *Engine implements: the pump hands it everything it swapped out of a
+// source's queue in one call instead of one call per segment. The sink
+// owns every item's lease from the call on, error or not; the slice
+// itself stays the caller's and is reused after the call returns.
+type BurstSink interface {
+	Sink
+	HandleBurst(items []burst.Item) error
 }
 
 // StrictError is the typed abort of strict mode: the first malformed

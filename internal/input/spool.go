@@ -87,13 +87,19 @@ func (s *Spool) Run(ctx context.Context, em *Emitter) error {
 	}
 }
 
-// sweep reconciles the tail set with the directory and drains appended
-// bytes from every live tail.
+// sweep lists the directory and reconciles the tail set with it.
 func (s *Spool) sweep(ctx context.Context, em *Emitter, pattern string, tails map[string]*tailFile) error {
 	matches, err := filepath.Glob(filepath.Join(s.Dir, pattern))
 	if err != nil {
 		return Permanent(fmt.Errorf("input: spool: bad pattern: %w", err))
 	}
+	return reconcile(ctx, em, matches, tails)
+}
+
+// reconcile brings the tail set in line with matches, a listing of the
+// directory that may already be stale, and drains appended bytes from
+// every live tail.
+func reconcile(ctx context.Context, em *Emitter, matches []string, tails map[string]*tailFile) error {
 	seen := make(map[string]bool, len(matches))
 	for _, path := range matches {
 		seen[path] = true
@@ -113,8 +119,11 @@ func (s *Spool) sweep(ctx context.Context, em *Emitter, pattern string, tails ma
 	for path, tf := range tails {
 		if !seen[path] {
 			// Gone from the directory: finish whatever the descriptor
-			// still holds, then forget it.
-			if err := tf.drain(ctx, em); err != nil {
+			// still holds, then forget it. Only the descriptor: a fresh
+			// file that has taken the name since the listing is a new tail
+			// for the next sweep, and following the name onto it here
+			// would deliver its records twice.
+			if _, err := tf.tail(ctx, em); err != nil {
 				return err
 			}
 			tf.close()
@@ -156,22 +165,29 @@ func (tf *tailFile) reset() {
 	tf.partial = tf.partial[:0]
 }
 
-// drain reads appended bytes and emits every complete record. It also
-// detects rotation: truncation rewinds, a swapped inode finishes the
-// old descriptor and reopens the new file.
-func (tf *tailFile) drain(ctx context.Context, em *Emitter) error {
+// tail reads the bytes the open descriptor has gained and emits every
+// complete record, rewinding first when the file was truncated in place.
+// It returns the descriptor's file info, nil when the descriptor went bad
+// (the sweep will reopen next poll).
+func (tf *tailFile) tail(ctx context.Context, em *Emitter) (os.FileInfo, error) {
 	st, err := tf.f.Stat()
 	if err != nil {
-		return nil // descriptor went bad; the sweep will reopen next poll
+		return nil, nil
 	}
 	if st.Size() < tf.off {
 		tf.reset()
 	}
-	if err := tf.consume(ctx, em, st.Size()); err != nil {
+	return st, tf.consume(ctx, em, st.Size())
+}
+
+// drain tails the file and then follows a rename rotation: a swapped
+// inode under the path finishes the old descriptor and reopens the new
+// file.
+func (tf *tailFile) drain(ctx context.Context, em *Emitter) error {
+	st, err := tf.tail(ctx, em)
+	if st == nil || err != nil {
 		return err
 	}
-	// Rename rotation: if the path now names a different inode, finish
-	// was already done above — reopen onto the new file.
 	if pathSt, err := os.Stat(tf.path); err == nil && !os.SameFile(st, pathSt) {
 		if f, err := os.Open(tf.path); err == nil {
 			tf.close()

@@ -82,6 +82,66 @@ func TestSpoolTailsAndRotates(t *testing.T) {
 	}
 }
 
+// rotationRace is a source that walks the spool's own machinery through
+// the interleaving that used to deliver a rotated-in capture twice (one
+// run in fifteen of TestSpoolTailsAndRotates under -race): the live file
+// is renamed away, a sweep lists the directory without it, and the fresh
+// file lands before that sweep gets to the vanished tail.
+type rotationRace struct {
+	dir        string
+	capA, capC []byte
+}
+
+func (r *rotationRace) Describe() Description {
+	return Description{Name: "rotation-race", Kind: "spool", Finite: true}
+}
+
+func (r *rotationRace) Run(ctx context.Context, em *Emitter) error {
+	live := filepath.Join(r.dir, "live.pcap")
+	tails := make(map[string]*tailFile)
+	defer func() {
+		for _, tf := range tails {
+			tf.close()
+		}
+	}()
+	if err := os.WriteFile(live, r.capA, 0o644); err != nil {
+		return Permanent(err)
+	}
+	if err := reconcile(ctx, em, []string{live}, tails); err != nil {
+		return err
+	}
+	if err := os.Rename(live, live+".1"); err != nil {
+		return Permanent(err)
+	}
+	if err := os.WriteFile(live, r.capC, 0o644); err != nil {
+		return Permanent(err)
+	}
+	if err := reconcile(ctx, em, nil, tails); err != nil { // the listing taken between the rename and the write
+		return err
+	}
+	return reconcile(ctx, em, []string{live}, tails) // the next sweep finds the fresh file
+}
+
+// TestSpoolRotationRaceDeliversOnce: a tail that vanished from a stale
+// listing finishes its own descriptor and nothing else, so the capture
+// that took its name is delivered once, by the sweep that lists it.
+func TestSpoolRotationRaceDeliversOnce(t *testing.T) {
+	capA := synthCapture(t, 2, 3000, nil, 1)
+	capC := synthCapture(t, 2, 3000, nil, 3)
+	framesA, bytesA := countCapture(t, capA)
+	framesC, bytesC := countCapture(t, capC)
+
+	sink := newCollectSink()
+	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 64})
+	sup.Add(&rotationRace{dir: t.TempDir(), capA: capA, capC: capC})
+	if err := sup.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s, b := sink.counts(); s != framesA+framesC || b != bytesA+bytesC {
+		t.Fatalf("got %d segs / %d bytes, want %d / %d", s, b, framesA+framesC, bytesA+bytesC)
+	}
+}
+
 // TestSpoolDeadFileSkipped: a file with a bad magic is counted malformed
 // once and then ignored, without killing the source.
 func TestSpoolDeadFileSkipped(t *testing.T) {

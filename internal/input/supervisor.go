@@ -1,7 +1,8 @@
 // Supervisor: the plugin runner. One goroutine pair per source — the
-// source's Run producing into a bounded handoff channel, and a pump
-// draining that channel into the sink — plus restart-with-backoff
-// supervision and centralized strict/lenient malformed-input policy.
+// source's Run producing into a bounded handoff queue, and a pump
+// swapping out whatever that queue holds and handing it to the sink as
+// one burst — plus restart-with-backoff supervision and centralized
+// strict/lenient malformed-input policy.
 package input
 
 import (
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"matchfilter/internal/burst"
 	"matchfilter/internal/guard"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/telemetry"
@@ -26,7 +28,7 @@ type Config struct {
 	// record anywhere (Run returns a *StrictError); the default counts
 	// and skips, as a daemon on a hostile wire must.
 	Strict bool
-	// QueueDepth bounds each source's handoff channel (segments).
+	// QueueDepth bounds each source's handoff queue (segments).
 	// 0 means 256. A full queue backpressures the producing source
 	// without touching the others.
 	QueueDepth int
@@ -174,7 +176,11 @@ type sourceState struct {
 	desc Description
 	opts SourceOptions
 	rl   *rateLimiter // non-nil iff opts.RateBytesPerSec > 0
-	ch   chan queuedSeg
+	q    *burst.Queue
+	// burstHist, when non-nil, observes the size of every burst the pump
+	// hands to the sink: all ones on a quiet source, up to burst.Max
+	// where the sink is the bottleneck.
+	burstHist *telemetry.Histogram
 	// br is the circuit breaker; nil for finite sources, which keep the
 	// abandon-after-budget policy (probing a consumed file forever
 	// would just hold Run open after the pipeline's work is done).
@@ -210,13 +216,6 @@ func (st *sourceState) lastError() string {
 	return st.lastErr
 }
 
-// queuedSeg rides a handoff channel: one decoded segment plus the lease
-// on its payload buffer.
-type queuedSeg struct {
-	seg   pcap.Segment
-	owner pcap.Owner
-}
-
 // Supervisor runs registered sources concurrently into one sink.
 type Supervisor struct {
 	cfg     Config
@@ -242,16 +241,16 @@ func NewSupervisor(cfg Config) *Supervisor {
 		a := cfg.Arena
 		reg.CounterFunc("mfa_input_arena_leases_total",
 			"Payload buffers leased from the input arena.",
-			func() float64 { return float64(a.leases.Load()) })
+			func() float64 { return float64(a.Stats().Leases) })
 		reg.CounterFunc("mfa_input_arena_releases_total",
 			"Leased buffers returned to the input arena (by the engine after scan, or by sources on error paths).",
-			func() float64 { return float64(a.releases.Load()) })
+			func() float64 { return float64(a.Stats().Releases) })
 		reg.CounterFunc("mfa_input_arena_misses_total",
-			"Arena leases served by a fresh allocation (pool miss or oversize).",
-			func() float64 { return float64(a.misses.Load()) })
+			"Fresh allocations behind arena leases (a slab pool miss, or an oversize lease).",
+			func() float64 { return float64(a.Stats().Misses) })
 		reg.CounterFunc("mfa_input_arena_double_release_total",
 			"Release called twice on one lease (a bug upstream, made harmless).",
-			func() float64 { return float64(a.doubleReleases.Load()) })
+			func() float64 { return float64(a.Stats().DoubleReleases) })
 	}
 	return s
 }
@@ -285,7 +284,7 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 		src:  src,
 		desc: desc,
 		opts: opts,
-		ch:   make(chan queuedSeg, s.cfg.QueueDepth),
+		q:    burst.NewQueue(s.cfg.QueueDepth),
 	}
 	if opts.RateBytesPerSec > 0 {
 		st.rl = newRateLimiter(opts.RateBytesPerSec)
@@ -335,10 +334,13 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 		}
 		reg.GaugeFunc("mfa_input_queue_depth",
 			"Segments waiting in this source's handoff queue right now.",
-			func() float64 { return float64(len(st.ch)) }, label)
+			func() float64 { return float64(st.q.Len()) }, label)
 		reg.GaugeFunc("mfa_input_queue_capacity",
 			"Handoff queue capacity of this source.",
-			func() float64 { return float64(cap(st.ch)) }, label)
+			func() float64 { return float64(st.q.Cap()) }, label)
+		st.burstHist = reg.Histogram("mfa_input_burst_segments",
+			"Segments per burst this source's pump handed to the engine: 1 on a quiet source, more only under backlog.",
+			burstBuckets, label)
 		reg.GaugeFunc("mfa_input_state",
 			"Source lifecycle: 0 pending, 1 running, 2 backoff, 3 done, 4 failed, 5 open, 6 half-open.",
 			func() float64 { return float64(st.state.Load()) }, label)
@@ -379,7 +381,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		}(st)
 		go func(st *sourceState) {
 			defer wg.Done()
-			defer close(st.ch)
+			defer st.q.Close()
 			s.supervise(ctx, st)
 		}(st)
 	}
@@ -401,25 +403,57 @@ func (s *Supervisor) fatal(err error) {
 	s.cancel()
 }
 
-// pump drains one source's handoff channel into the sink. A sink error
-// is terminal for the whole pipeline: the pump keeps draining (so the
-// producer can finish and close the channel) but releases instead of
-// delivering.
+// burstBuckets spans the one-segment burst of a quiet source to a full
+// burst.Max.
+var burstBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// pump drains one source's handoff queue into the sink, a burst at a
+// time: whatever accumulated while the sink was busy with the previous
+// one. A sink error is terminal for the whole pipeline: the pump keeps
+// draining (so the producer can finish and close the queue) but releases
+// instead of delivering.
 func (s *Supervisor) pump(st *sourceState) {
 	dead := false
-	for q := range st.ch {
+	var items []burst.Item
+	for {
+		var open bool
+		if items, open = st.q.Take(items); !open {
+			return
+		}
 		if dead {
-			release(q.owner)
+			burst.Release(items)
 			continue
 		}
-		if err := s.cfg.Sink.HandleSegmentOwned(q.seg, q.owner); err != nil {
+		var bytes int64
+		for i := range items {
+			bytes += int64(len(items[i].Seg.Payload))
+		}
+		if st.burstHist != nil {
+			st.burstHist.Observe(float64(len(items)))
+		}
+		if err := s.deliver(items); err != nil {
 			dead = true
 			s.fatal(fmt.Errorf("input: sink rejected segment from %s: %w", st.desc.Name, err))
 			continue
 		}
-		st.segments.Add(1)
-		st.bytes.Add(int64(len(q.seg.Payload)))
+		st.segments.Add(int64(len(items)))
+		st.bytes.Add(bytes)
 	}
+}
+
+// deliver hands one burst to the sink, which owns every item's lease
+// from here on: whole to a BurstSink, segment by segment otherwise.
+func (s *Supervisor) deliver(items []burst.Item) error {
+	if bs, ok := s.cfg.Sink.(BurstSink); ok {
+		return bs.HandleBurst(items)
+	}
+	for i, it := range items {
+		if err := s.cfg.Sink.HandleSegmentOwned(it.Seg, it.Owner); err != nil {
+			burst.Release(items[i+1:])
+			return err
+		}
+	}
+	return nil
 }
 
 // supervise runs one source through its restart policy. Finite sources
@@ -584,8 +618,8 @@ func (s *Supervisor) Stats() []SourceStats {
 			SkippedFrames: st.skips.Load(),
 			Malformed:     st.malformed.Load(),
 			Restarts:      st.restarts.Load(),
-			QueueDepth:    len(st.ch),
-			QueueCap:      cap(st.ch),
+			QueueDepth:    st.q.Len(),
+			QueueCap:      st.q.Cap(),
 			Gaps:          st.gaps.Load(),
 			Reorders:      st.reorders.Load(),
 			KernelDrops:   st.kernelDrops.Load(),
@@ -677,13 +711,14 @@ func (em *Emitter) Segment(seg pcap.Segment, owner pcap.Owner) error {
 			return err
 		}
 	}
-	select {
-	case em.st.ch <- queuedSeg{seg: seg, owner: owner}:
-		return nil
-	case <-em.ctx.Done():
+	if _, err := em.st.q.Put(em.ctx.Done(), burst.Item{Seg: seg, Owner: owner}); err != nil {
 		release(owner)
-		return em.ctx.Err()
+		if errors.Is(err, burst.ErrCanceled) {
+			return em.ctx.Err()
+		}
+		return err
 	}
+	return nil
 }
 
 // Frame decodes one Ethernet frame and hands its segment to the sink,
