@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -19,7 +18,7 @@ import (
 	"matchfilter/internal/core"
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/patterns"
-	"matchfilter/internal/regexparse"
+	"matchfilter/internal/rules"
 )
 
 func main() {
@@ -41,7 +40,11 @@ func run() error {
 	counters := flag.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion")
 	flag.Parse()
 
-	rules, sources, err := loadRules(*set, *rulesFile)
+	src, err := rules.Source(*set, *rulesFile)
+	if err != nil {
+		return err
+	}
+	rs, sources, err := rules.Load(src)
 	if err != nil {
 		return err
 	}
@@ -56,7 +59,7 @@ func run() error {
 		}
 		opts.DFA.Layout = l
 	}
-	m, err := core.Compile(rules, opts)
+	m, err := core.Compile(rs, opts)
 	if err != nil {
 		return err
 	}
@@ -120,59 +123,3 @@ func run() error {
 }
 
 func mb(n int) float64 { return float64(n) / (1 << 20) }
-
-func loadRules(set, rulesFile string) ([]core.Rule, []string, error) {
-	switch {
-	case set != "" && rulesFile != "":
-		return nil, nil, fmt.Errorf("use either -set or -rules, not both")
-	case set != "":
-		prules, err := patterns.Load(set)
-		if err != nil {
-			return nil, nil, err
-		}
-		rules := make([]core.Rule, len(prules))
-		sources := make([]string, len(prules))
-		for i, r := range prules {
-			rules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
-			sources[i] = r.Source
-		}
-		return rules, sources, nil
-	case rulesFile != "":
-		return readRulesFile(rulesFile)
-	default:
-		return nil, nil, fmt.Errorf("one of -set or -rules is required")
-	}
-}
-
-func readRulesFile(path string) ([]core.Rule, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-
-	var rules []core.Rule
-	var sources []string
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := regexparse.ParsePCRE(line)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-		}
-		rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-		sources = append(sources, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(rules) == 0 {
-		return nil, nil, fmt.Errorf("%s: no patterns", path)
-	}
-	return rules, sources, nil
-}

@@ -32,7 +32,7 @@ import (
 	"matchfilter/internal/flow"
 	"matchfilter/internal/patterns"
 	"matchfilter/internal/pcap"
-	"matchfilter/internal/regexparse"
+	"matchfilter/internal/rules"
 	"matchfilter/internal/telemetry"
 )
 
@@ -66,34 +66,26 @@ func run() (int, error) {
 
 	var m *core.MFA
 	var sources []string
+	var err error
 	if *engineFile != "" {
 		if *set != "" || *rulesFile != "" {
 			return exitError, fmt.Errorf("-engine replaces -set/-rules")
 		}
-		f, err := os.Open(*engineFile)
-		if err != nil {
-			return exitError, err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		sources, err = core.ReadStrings(br)
-		if err != nil {
-			return exitError, err
-		}
-		m, err = core.ReadMFA(br)
-		if err != nil {
+		if m, sources, err = rules.ReadImage(*engineFile); err != nil {
 			return exitError, err
 		}
 	} else {
-		rules, srcs, err := loadRules(*set, *rulesFile)
+		src, err := rules.Source(*set, *rulesFile)
 		if err != nil {
 			return exitError, err
 		}
-		sources = srcs
+		var rs []core.Rule
+		if rs, sources, err = rules.Load(src); err != nil {
+			return exitError, err
+		}
 		var opts core.Options
 		opts.Splitter.EnableCounters = *counters
-		m, err = core.Compile(rules, opts)
-		if err != nil {
+		if m, err = core.Compile(rs, opts); err != nil {
 			return exitError, err
 		}
 	}
@@ -290,53 +282,4 @@ func scanRaw(m *core.MFA, sources []string, path string, quiet bool) (*rawReport
 		ElapsedNs: elapsed.Nanoseconds(),
 		MBPerSec:  mbps,
 	}, nil
-}
-
-func loadRules(set, rulesFile string) ([]core.Rule, []string, error) {
-	switch {
-	case set != "" && rulesFile != "":
-		return nil, nil, fmt.Errorf("use either -set or -rules, not both")
-	case set != "":
-		prules, err := patterns.Load(set)
-		if err != nil {
-			return nil, nil, err
-		}
-		rules := make([]core.Rule, len(prules))
-		sources := make([]string, len(prules))
-		for i, r := range prules {
-			rules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
-			sources[i] = r.Source
-		}
-		return rules, sources, nil
-	case rulesFile != "":
-		f, err := os.Open(rulesFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var rules []core.Rule
-		var sources []string
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			p, err := regexparse.ParsePCRE(line)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", rulesFile, err)
-			}
-			rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-			sources = append(sources, line)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-		if len(rules) == 0 {
-			return nil, nil, fmt.Errorf("%s: no patterns", rulesFile)
-		}
-		return rules, sources, nil
-	default:
-		return nil, nil, fmt.Errorf("one of -set or -rules is required")
-	}
 }

@@ -17,11 +17,10 @@
 //	-source udp::9999        scan each remote peer's datagrams as one flow
 //	-source afpacket:eth0    live capture (Linux, needs CAP_NET_RAW)
 //
-// Each source owns a bounded handoff queue (-source-queue) into the
-// engine, so a bursty source backpressures alone; a failing source is
-// restarted with backoff and eventually abandoned while the others keep
-// serving. Payload buffers are leased from a pooled arena and recycled
-// by the engine after each scan.
+// Each source owns a bounded handoff queue into the engine, so a bursty
+// source backpressures alone; a failing source is restarted with backoff
+// and eventually abandoned while the others keep serving. Payload buffers
+// are leased from a pooled arena and recycled by the engine after each scan.
 //
 // Robustness posture (DESIGN.md §10, §16): malformed frames and records
 // are skipped and counted by default (-strict aborts on the first one
@@ -44,8 +43,11 @@
 // the match-event ring) and /debug/pprof. The admin server drains
 // gracefully under the same -drain-timeout bound as the engine.
 //
-// Multi-tenant serving (DESIGN.md §17): the repeatable -tenant flag
-// declares independent rule sets served by one daemon —
+// Rule sets (DESIGN.md §14): every rule set the daemon serves is an
+// entry of one tenant registry, installed through one gate (parse,
+// compile, self-check scan) and one swap path. The default set — what
+// untagged traffic scans against, from -engine/-set/-rules — is the
+// entry "default"; the repeatable -tenant flag declares more —
 //
 //	mfaserve -set C8 \
 //	  -tenant 'acme=acme-rules.txt,cidr=10.1.0.0/16,max-flows=50000' \
@@ -54,20 +56,18 @@
 //
 // Traffic is tagged to a tenant at ingest: a ?tenant= source binding
 // claims a whole source, cidr= rules classify mixed sources by IP
-// range, and everything untagged scans against the default -set/-rules
-// set. Each tenant hot-reloads independently (PUT
-// /tenants/<id>/rules mirrors POST /reload's validation gate), carries
-// its own quotas wired into the memory governor and degradation
-// ladder, and gets tenant-labeled mfa_tenant_* metrics plus a private
-// match ring at /tenants/<id>/events.
+// range. Each tenant carries its own quotas wired into the memory
+// governor and degradation ladder, tenant-labeled mfa_tenant_* metrics
+// and a private match ring at /tenants/<id>/events.
 //
-// Hot reload (DESIGN.md §14): SIGHUP or POST /reload re-reads the
-// original -engine/-set/-rules source, validates the candidate (decode,
-// compile, self-check scan), and swaps it in as a new pattern generation
-// without dropping in-flight flows; -reload-policy picks whether those
-// flows finish on the old generation (drain) or restart matching on the
-// new one (reset). A reload that fails validation leaves the running
-// generation untouched and bumps mfa_reload_failure_total.
+// Hot reload: SIGHUP or POST /reload re-reads the original
+// -engine/-set/-rules source and PUT /tenants/<id>/rules installs its
+// body (<id> may be "default"); either way the candidate passes the gate
+// and swaps in as the entry's next generation without dropping in-flight
+// flows. Those finish on the old generation unless the request says
+// ?reset=1, which restarts their matching on the new one. A set that
+// fails the gate leaves the running generation untouched (and, on
+// /reload, bumps mfa_reload_failure_total).
 //
 // Usage:
 //
@@ -81,8 +81,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -91,7 +89,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,7 +102,7 @@ import (
 	"matchfilter/internal/guard"
 	"matchfilter/internal/input"
 	"matchfilter/internal/patterns"
-	"matchfilter/internal/regexparse"
+	"matchfilter/internal/rules"
 	"matchfilter/internal/telemetry"
 	"matchfilter/internal/tenant"
 )
@@ -128,8 +125,12 @@ const (
 	exitUnhealthy = 3 // a shard ended unhealthy (crash budget exhausted)
 )
 
+// eventsCap is the capacity of the /events match ring, and of each
+// tenant's private one.
+const eventsCap = 1024
+
 func main() {
-	code, err := run()
+	code, err := run(context.Background(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfaserve:", err)
 		if code == exitOK {
@@ -139,59 +140,65 @@ func main() {
 	os.Exit(code)
 }
 
-func run() (int, error) {
-	set := flag.String("set", "", "built-in pattern set name ("+strings.Join(patterns.Names(), ", ")+")")
-	rulesFile := flag.String("rules", "", "file with one pattern per line (# starts a comment)")
-	engineFile := flag.String("engine", "", "load a compiled engine written by mfabuild -o")
-	pcapPath := flag.String("pcap", "-", "pcap input to scan (- for stdin); shorthand for -source pcap:PATH")
+// run is the whole daemon behind a seam a test can hold: flags come from
+// args, "-" inputs read stdin, match lines and the report go to stdout,
+// logs to stderr, and it returns — every goroutine it started stopped —
+// when its sources end, ctx is cancelled or SIGINT/SIGTERM arrives.
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("mfaserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	set := fs.String("set", "", "built-in pattern set name ("+strings.Join(patterns.Names(), ", ")+")")
+	rulesFile := fs.String("rules", "", "file with one pattern per line (# starts a comment)")
+	engineFile := fs.String("engine", "", "load a compiled engine written by mfabuild -o")
+	pcapPath := fs.String("pcap", "-", "pcap input to scan (- for stdin); shorthand for -source pcap:PATH")
 	var srcSpecs sourceSpecs
-	flag.Var(&srcSpecs, "source", "input source, repeatable: pcap:PATH|GLOB, spool:DIR, tcp:ADDR, udp:ADDR, afpacket:IFACE; per-source options ride a query suffix: ?tenant=ID (bind all traffic to a tenant), ?rate=100M (replay rate limit), ?seq (udp: 4-byte sequence headers, gap/reorder accounting)")
+	fs.Var(&srcSpecs, "source", "input source, repeatable: pcap:PATH|GLOB, spool:DIR, tcp:ADDR, udp:ADDR, afpacket:IFACE; per-source options ride a query suffix: ?tenant=ID (bind all traffic to a tenant), ?rate=100M (replay rate limit), ?seq (udp: 4-byte sequence headers, gap/reorder accounting)")
 	var tenSpecs sourceSpecs
-	flag.Var(&tenSpecs, "tenant", "tenant rule set, repeatable: 'id=RULES.txt[,cidr=10.1.0.0/16][,max-flows=N][,max-buffered=SIZE]' (RULES may be set:NAME for a built-in set; cidr may repeat)")
-	sourceQueue := flag.Int("source-queue", 256, "per-source handoff queue depth (segments)")
-	shards := flag.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 4096, "per-shard queue depth (segments)")
-	layoutFlag := flag.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
-	drop := flag.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
-	maxFlows := flag.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
-	idle := flag.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
-	crashBudget := flag.Int("crash-budget", 0, "recovered panics before a shard is marked unhealthy (0 = default 8)")
-	softMark := flag.Float64("soft-watermark", 0, "pressure threshold for soft degradation (0 = default 0.5)")
-	hardMark := flag.Float64("hard-watermark", 0, "pressure threshold for hard degradation (0 = default 0.9)")
-	maxMemory := flag.String("max-memory", "", "ceiling on buffered payload memory (arena leases + flow buffers + queued segments), e.g. 256M or 1G; sources pause leasing near the ceiling and the degradation ladder reacts to memory pressure (empty = unbounded)")
-	stallDeadline := flag.Duration("stall-deadline", 0, "watchdog deadline for one flush window (up to 256 queued segments): a flow whose scan or match handler holds its window longer is poisoned on recovery, 4x the deadline marks the shard wedged and sheds its traffic (0 = watchdog off)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "bound the shutdown drain; on expiry report per-shard progress and exit nonzero (0 = wait forever)")
-	strict := flag.Bool("strict", false, "abort on the first malformed frame or record (exit code 2) instead of skip-and-count")
-	statsEvery := flag.Duration("stats", 0, "print a stats line to stderr at this interval (0 = off)")
-	quiet := flag.Bool("q", false, "suppress per-match lines, print only the report")
-	adminAddr := flag.String("admin", "", "serve the admin HTTP surface (/metrics, /statsz, /healthz, /events, /reload, pprof) on this address, e.g. :9090 (empty = off)")
-	eventsCap := flag.Int("events", 1024, "match-event ring capacity served by /events")
-	reloadPolicy := flag.String("reload-policy", "drain", "in-flight flows on a pattern hot reload: drain (finish on the old generation) or reset (restart matching on the new one)")
-	countersFlag := flag.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion (applies to -set/-rules, hot reloads and tenant rule sets)")
-	flag.Parse()
+	fs.Var(&tenSpecs, "tenant", "tenant rule set, repeatable: 'id=RULES.txt[,cidr=10.1.0.0/16][,max-flows=N][,max-buffered=SIZE]' (RULES may be set:NAME for a built-in set; cidr may repeat; a quota of 0 is unlimited)")
+	shards := fs.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 4096, "per-shard queue depth (segments)")
+	layoutFlag := fs.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
+	drop := fs.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
+	maxFlows := fs.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
+	idle := fs.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
+	softMark := fs.Float64("soft-watermark", 0, "pressure threshold for soft degradation (0 = default 0.5)")
+	hardMark := fs.Float64("hard-watermark", 0, "pressure threshold for hard degradation (0 = default 0.9)")
+	maxMemory := fs.String("max-memory", "", "ceiling on buffered payload memory (arena leases + flow buffers + queued segments), e.g. 256M or 1G; sources pause leasing near the ceiling and the degradation ladder reacts to memory pressure (empty = unbounded)")
+	stallDeadline := fs.Duration("stall-deadline", 0, "watchdog deadline for one flush window (up to 256 queued segments): a flow whose scan or match handler holds its window longer is poisoned on recovery, 4x the deadline marks the shard wedged and sheds its traffic (0 = watchdog off)")
+	drainTimeout := fs.Duration("drain-timeout", 0, "bound the shutdown drain; on expiry report per-shard progress and exit nonzero (0 = wait forever)")
+	strict := fs.Bool("strict", false, "abort on the first malformed frame or record (exit code 2) instead of skip-and-count")
+	statsEvery := fs.Duration("stats", 0, "print a stats line to stderr at this interval (0 = off)")
+	quiet := fs.Bool("q", false, "suppress per-match lines, print only the report")
+	adminAddr := fs.String("admin", "", "serve the admin HTTP surface (/metrics, /statsz, /healthz, /events, /reload, /tenants, pprof) on this address, e.g. :9090 (empty = off)")
+	countersFlag := fs.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion (applies to -set/-rules, hot reloads and tenant rule sets)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK, nil
+		}
+		return 2, nil // the flag package has reported it, with the usage
+	}
 
-	policy, err := engine.ParseReloadPolicy(*reloadPolicy)
-	if err != nil {
+	var g gate
+	var err error
+	if g.opts.DFA.Layout, err = dfa.ParseLayout(*layoutFlag); err != nil {
 		return exitError, err
 	}
-	if buildLayout, err = dfa.ParseLayout(*layoutFlag); err != nil {
-		return exitError, err
-	}
-	buildCounters = *countersFlag
+	g.opts.Splitter.EnableCounters = *countersFlag
 	var memLimit int64
 	if *maxMemory != "" {
-		if memLimit, err = parseBytes(*maxMemory); err != nil {
+		if memLimit, err = parseCeiling(*maxMemory); err != nil {
 			return exitError, fmt.Errorf("-max-memory: %w", err)
 		}
 	}
-	m, sources, err := loadEngine(*engineFile, *set, *rulesFile)
-	if err != nil {
-		return exitError, err
-	}
-	// The same validation gate a hot reload passes through: a daemon must
-	// not start serving on an image it would refuse to swap in.
-	if err := m.SelfCheck(); err != nil {
-		return exitError, err
+	// defSrc is where the default rule set comes from, and where a reload
+	// re-reads it: the -engine image when empty.
+	var defSrc string
+	if *engineFile == "" {
+		if defSrc, err = rules.Source(*set, *rulesFile); err != nil {
+			return exitError, err
+		}
+	} else if *set != "" || *rulesFile != "" {
+		return exitError, errors.New("-engine replaces -set/-rules")
 	}
 
 	// Resolve the input set. -pcap joins the -source list when it was
@@ -199,14 +206,14 @@ func run() (int, error) {
 	// stdin) when no -source flag appeared — a daemon started purely with
 	// socket sources must not also sit on stdin.
 	pcapSet := len(srcSpecs) == 0
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "pcap" {
 			pcapSet = true
 		}
 	})
 	var srcs []parsedSource
 	if pcapSet {
-		s, err := input.ExpandPcaps(*pcapPath)
+		s, err := expandPcaps(*pcapPath, stdin)
 		if err != nil {
 			return exitError, err
 		}
@@ -215,84 +222,65 @@ func run() (int, error) {
 		}
 	}
 	for _, spec := range srcSpecs {
-		s, err := parseSource(spec)
+		s, err := parseSource(spec, stdin)
 		if err != nil {
 			return exitError, err
 		}
 		srcs = append(srcs, s...)
 	}
-
-	// cur is the serving pattern set; a hot reload swaps it. Matches in
-	// flight on an older generation still print against the current
-	// sources (cosmetic: rule text may lag the automaton that matched).
-	var cur atomic.Pointer[loadedRules]
-	cur.Store(&loadedRules{m: m, sources: sources})
-
-	// Matches arrive concurrently from shard goroutines; serialize the
-	// report lines. treg is assigned before the engine starts (and is nil
-	// in a single-tenant daemon); tenant matches resolve their rule text
-	// against the tenant's own set and carry a [tenant] prefix, while
-	// default-set lines keep their historic format byte for byte.
-	var treg *tenant.Registry
-	var mu sync.Mutex
-	onMatch := func(mt engine.Match) {
-		if *quiet {
-			return
+	var tenants []tenantSpec
+	var cidrs []tenant.CIDRRule
+	for _, spec := range tenSpecs {
+		ts, err := parseTenantSpec(spec)
+		if err != nil {
+			return exitError, err
 		}
-		src, tenantID := "", ""
-		if mt.Flow.Tenant != 0 && treg != nil {
-			if t := treg.Lookup(mt.Flow.Tenant); t != nil {
-				tenantID = t.ID()
-				if ts := t.Sources(); mt.ID >= 1 && int(mt.ID) <= len(ts) {
-					src = ts[mt.ID-1]
-				}
-			}
-		} else if lr := cur.Load(); mt.ID >= 1 && int(mt.ID) <= len(lr.sources) {
-			src = lr.sources[mt.ID-1]
-		}
-		mu.Lock()
-		if tenantID != "" {
-			fmt.Printf("[%s] %s offset %d: rule %d (%s)\n", tenantID, mt.Flow, mt.Pos, mt.ID, src)
-		} else {
-			fmt.Printf("%s offset %d: rule %d (%s)\n", mt.Flow, mt.Pos, mt.ID, src)
-		}
-		mu.Unlock()
+		tenants = append(tenants, ts)
+		cidrs = append(cidrs, ts.cidrs...)
 	}
 
 	// The daemon is always instrumented: the registry drives the -stats
 	// ticker, and -admin additionally exposes it over HTTP.
-	start := time.Now()
 	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventRing(*eventsCap)
-	telemetry.RegisterRuntimeMetrics(reg, start)
-
-	registerBuildMetrics(reg, func() core.BuildStats { return cur.Load().m.Stats() })
+	events := telemetry.NewEventRing(eventsCap)
+	telemetry.RegisterRuntimeMetrics(reg, time.Now())
 
 	// The memory governor aggregates every payload-buffering component
 	// against -max-memory: the arena (bytes out on lease), the engine's
-	// flow buffers and queued unleased payload. Sources pause leasing
-	// near the ceiling, and the degradation ladder sees the same pressure.
+	// flow buffers and queued unleased payload, each tenant's reassembly
+	// buffers. Sources pause leasing near the ceiling, and the degradation
+	// ladder sees the same pressure.
 	var gov *guard.Governor
 	if memLimit > 0 {
 		gov = guard.NewGovernor(guard.GovernorConfig{Limit: memLimit})
 	}
 
-	// Multi-tenant serving: the registry is created before the engine (the
-	// engine's dispatch gate consults it) and bound after (tenant swaps
-	// ride the engine's command machinery) — then the -tenant specs
-	// install each tenant's first generation.
-	var tenantCIDRs []tenant.CIDRRule
-	var tenantInstalls []tenantInstall
-	if len(tenSpecs) > 0 {
-		treg = tenant.NewRegistry(tenant.Config{Metrics: reg, Governor: gov, EventsCap: *eventsCap})
-		for _, spec := range tenSpecs {
-			ti, err := parseTenantSpec(spec)
-			if err != nil {
-				return exitError, err
-			}
-			tenantInstalls = append(tenantInstalls, ti)
-			tenantCIDRs = append(tenantCIDRs, ti.cidrs...)
+	// Every rule set is an entry of treg, the default one included; the
+	// registry is created before the engine (whose dispatch gate consults
+	// it) and bound after (swaps ride the engine's command path).
+	treg := tenant.NewRegistry(tenant.Config{Metrics: reg, Governor: gov, EventsCap: eventsCap})
+
+	// Matches arrive concurrently from shard goroutines; serialize the
+	// report lines. A match resolves its rule text against its entry's
+	// current set (cosmetic: the text may lag the generation that matched);
+	// tenant lines carry a [tenant] prefix, default-set lines none.
+	var mu sync.Mutex
+	onMatch := func(mt engine.Match) {
+		if *quiet {
+			return
 		}
+		prefix, src := "", ""
+		if t := treg.Lookup(mt.Flow.Tenant); t != nil {
+			if mt.Flow.Tenant != 0 {
+				prefix = "[" + t.ID() + "] "
+			}
+			if ts := t.Sources(); mt.ID >= 1 && int(mt.ID) <= len(ts) {
+				src = ts[mt.ID-1]
+			}
+		}
+		mu.Lock()
+		fmt.Fprintf(stdout, "%s%s offset %d: rule %d (%s)\n", prefix, mt.Flow, mt.Pos, mt.ID, src)
+		mu.Unlock()
 	}
 
 	cfg := engine.Config{
@@ -301,7 +289,6 @@ func run() (int, error) {
 		DropWhenFull:  *drop,
 		Flow:          flow.Config{MaxFlows: *maxFlows},
 		IdleAfter:     *idle,
-		CrashBudget:   *crashBudget,
 		SoftWatermark: *softMark,
 		HardWatermark: *hardMark,
 		StallDeadline: *stallDeadline,
@@ -312,92 +299,118 @@ func run() (int, error) {
 	if gov != nil {
 		cfg.MemPressure = gov.Pressure
 	}
-	e := engine.New(cfg, func() flow.Runner { return m.NewRunner() }, onMatch)
-	if treg != nil {
-		treg.Bind(e)
-		for _, ti := range tenantInstalls {
-			if _, _, err := treg.Put(ti.id, ti.spec); err != nil {
-				e.Close()
-				return exitError, fmt.Errorf("-tenant %s: %w", ti.id, err)
-			}
-		}
-		treg.SetCIDRs(tenantCIDRs)
-	}
+	// The engine starts with no rule set at all: boot is the first Put.
+	e := engine.New(cfg, nil, onMatch)
+	treg.Bind(e)
 	arena := &input.Arena{}
 	if gov != nil {
 		gov.Register("arena", arena.BytesLeased)
 		gov.Register("engine", e.MemoryUsage)
-		gov.RegisterMetrics(reg) // after registration: full per-component series
 	}
 
-	rl := &reloader{
-		engineFile: *engineFile,
-		set:        *set,
-		rulesFile:  *rulesFile,
-		policy:     policy,
-		e:          e,
-		cur:        &cur,
+	// putDefault resolves the default set's source afresh, passes it
+	// through the gate and installs it: startup, SIGHUP and POST /reload.
+	putDefault := func(reset bool) (*tenant.Tenant, uint64, error) {
+		var spec tenant.PutSpec
+		var err error
+		if defSrc == "" {
+			spec, err = g.image(*engineFile)
+		} else {
+			spec, err = g.source(defSrc)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		spec.Reset = reset
+		return treg.Put(tenant.DefaultID, spec)
+	}
+	var reloadMu sync.Mutex // serializes SIGHUP against POST /reload
+	var reloadOK, reloadFail atomic.Int64
+	reload := func(reset bool) (uint64, error) {
+		reloadMu.Lock()
+		defer reloadMu.Unlock()
+		t, gen, err := putDefault(reset)
+		if err != nil {
+			reloadFail.Add(1)
+			return 0, fmt.Errorf("reload rejected, generation %d keeps serving: %w", e.Generation(), err)
+		}
+		reloadOK.Add(1)
+		fmt.Fprintf(stderr, "mfaserve: reloaded %d rules as generation %d (reset=%t)\n", len(t.Sources()), gen, reset)
+		return gen, nil
 	}
 	reg.CounterFunc("mfa_reload_success_total",
 		"Pattern hot reloads that validated and swapped in a new generation.",
-		func() float64 { return float64(rl.ok.Load()) })
+		func() float64 { return float64(reloadOK.Load()) })
 	reg.CounterFunc("mfa_reload_failure_total",
 		"Pattern hot reloads rejected (load, compile or self-check failure); the running generation was untouched.",
-		func() float64 { return float64(rl.fail.Load()) })
+		func() float64 { return float64(reloadFail.Load()) })
 
-	// SIGHUP triggers the same validated reload as POST /reload; a
-	// rejected reload only logs — the running generation keeps serving.
+	// SIGHUP is POST /reload without ?reset: in-flight flows drain. The
+	// signal is caught from here on; the loop that serves it starts with
+	// the sources.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			if _, err := rl.Reload(); err != nil {
-				fmt.Fprintf(os.Stderr, "mfaserve: SIGHUP reload: %v\n", err)
-			}
-		}
-	}()
 
 	// The input pipeline: every source runs under one supervisor feeding
 	// the engine, with leased payload buffers the engine recycles after
-	// each scan. Strict-mode policy lives here now — the first malformed
+	// each scan. Strict-mode policy lives here — the first malformed
 	// frame or record anywhere surfaces as a *input.StrictError.
 	supCfg := input.Config{
-		Sink:       e,
-		Strict:     *strict,
-		QueueDepth: *sourceQueue,
-		Arena:      arena,
-		Governor:   gov,
-		Metrics:    reg,
+		Sink:     e,
+		Strict:   *strict,
+		Arena:    arena,
+		Governor: gov,
+		Metrics:  reg,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "mfaserve: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "mfaserve: "+format+"\n", args...)
 		},
 	}
-	if treg != nil {
+	if len(cidrs) > 0 {
+		// Only -tenant specs declare CIDR rules, so without one no segment
+		// can classify and ingest skips the per-segment lookup.
 		supCfg.Tagger = treg.Tag
 	}
 	sup := input.NewSupervisor(supCfg)
-	for _, ps := range srcs {
-		opts := input.SourceOptions{RateBytesPerSec: ps.rate}
-		if ps.tenantID != "" {
-			// A per-source binding needs the tenant's dispatch index, so
-			// the tenant must exist at startup (declared via -tenant).
-			if treg == nil {
-				e.Close()
-				return exitError, fmt.Errorf("-source ?tenant=%s: no -tenant flags declared", ps.tenantID)
-			}
-			t := treg.ByID(ps.tenantID)
-			if t == nil {
-				e.Close()
-				return exitError, fmt.Errorf("-source ?tenant=%s: unknown tenant (declare it with -tenant)", ps.tenantID)
-			}
-			opts.Tenant = t.Index()
-		}
-		sup.AddOptions(ps.src, opts)
-	}
 
 	var admin *telemetry.Server
-	if *adminAddr != "" {
+	// boot installs the rule sets — the default entry first, so it is
+	// generation 1 — binds the sources and opens the admin surface.
+	boot := func() error {
+		if _, _, err := putDefault(false); err != nil {
+			return err
+		}
+		registerBuildMetrics(reg, func() core.BuildStats { return treg.Lookup(0).Build() })
+		for _, ts := range tenants {
+			spec, err := g.source(ts.src)
+			if err == nil {
+				spec.Quota = ts.quota
+				_, _, err = treg.Put(ts.id, spec)
+			}
+			if err != nil {
+				return fmt.Errorf("-tenant %s: %w", ts.id, err)
+			}
+		}
+		treg.SetCIDRs(cidrs)
+		if gov != nil {
+			gov.RegisterMetrics(reg) // after registration: full per-component series
+		}
+		for _, ps := range srcs {
+			opts := input.SourceOptions{RateBytesPerSec: ps.rate}
+			if ps.tenantID != "" {
+				// A per-source binding needs the tenant's dispatch index, so
+				// the tenant must exist at startup (declared via -tenant).
+				t := treg.ByID(ps.tenantID)
+				if t == nil {
+					return fmt.Errorf("-source ?tenant=%s: unknown tenant (declare it with -tenant)", ps.tenantID)
+				}
+				opts.Tenant = t.Index()
+			}
+			sup.AddOptions(ps.src, opts)
+		}
+		if *adminAddr == "" {
+			return nil
+		}
 		a := &telemetry.Admin{
 			Registry: reg,
 			Events:   events,
@@ -427,17 +440,14 @@ func run() (int, error) {
 			// /statsz reports the serving state end to end: per-source
 			// input accounting (including breaker state), arena lease
 			// counters, the memory governor (when -max-memory is set),
-			// the live engine counters, and the static build shape
-			// (table layout, class count, image split) of the loaded MFA.
+			// the live engine counters, the declared tenants, and the
+			// build shape (table layout, class count, image split) of the
+			// default set — whose registry row is Engine and Build here.
 			Statsz: func() any {
 				var gst *guard.GovernorStats
 				if gov != nil {
 					s := gov.Stats()
 					gst = &s
-				}
-				var tst []tenant.Stats
-				if treg != nil {
-					tst = treg.List()
 				}
 				return struct {
 					Inputs   []input.SourceStats
@@ -446,30 +456,54 @@ func run() (int, error) {
 					Engine   engine.Stats
 					Tenants  []tenant.Stats `json:",omitempty"`
 					Build    core.BuildStats
-				}{sup.Stats(), sup.Arena().Stats(), gst, e.Stats(), tst, cur.Load().m.Stats()}
+				}{sup.Stats(), sup.Arena().Stats(), gst, e.Stats(), treg.List()[1:], treg.Lookup(0).Build()}
 			},
-			Reload: rl.Reload,
-		}
-		if treg != nil {
-			a.Tenants = treg.AdminHandler(compileRules)
+			Reload:  reload,
+			Tenants: treg.AdminHandler(g.text),
 		}
 		var err error
 		if admin, err = a.Start(*adminAddr); err != nil {
-			e.Close()
-			return exitError, err
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "mfaserve: admin surface on http://%s\n", admin.Addr())
+		fmt.Fprintf(stderr, "mfaserve: admin surface on http://%s\n", admin.Addr())
+		return nil
+	}
+	if err := boot(); err != nil {
+		e.Close()
+		return exitError, err
 	}
 
+	// Background loops, stopped and awaited before run returns.
 	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-hup:
+				// A rejected reload only logs — the running generation
+				// keeps serving.
+				if _, err := reload(false); err != nil {
+					fmt.Fprintf(stderr, "mfaserve: SIGHUP reload: %v\n", err)
+				}
+			case <-stop:
+				return
+			}
+		}
+	}()
 	if *statsEvery > 0 {
-		go progressLoop(reg, *statsEvery, stop)
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			progressLoop(stderr, reg, *statsEvery, stop)
+		}()
 	}
 
 	// SIGINT/SIGTERM stop the pipeline gracefully: sources observe the
 	// cancellation and return, the supervisor drains, then the engine
 	// drains under -drain-timeout like any other shutdown.
-	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, cancelSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer cancelSignals()
 
 	scanStart := time.Now()
@@ -484,26 +518,27 @@ func run() (int, error) {
 	}
 	closeErr := e.CloseContext(closeCtx)
 	close(stop)
+	bg.Wait()
 	elapsed := time.Since(scanStart)
 	if admin != nil {
 		// The admin surface drains under the same bound as the engine:
 		// in-flight scrapes finish, long-poll pprof profiles are cut off
 		// at the deadline (5s when no -drain-timeout was given).
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		bound := 5 * time.Second
 		if *drainTimeout > 0 {
-			cancel()
-			shutCtx, cancel = context.WithTimeout(context.Background(), *drainTimeout)
+			bound = *drainTimeout
 		}
+		shutCtx, cancel := context.WithTimeout(context.Background(), bound)
 		if err := admin.Shutdown(shutCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "mfaserve: admin shutdown: %v\n", err)
+			fmt.Fprintf(stderr, "mfaserve: admin shutdown: %v\n", err)
 		}
 		cancel()
 	}
 
 	st := e.Stats()
-	inputReport(os.Stdout, sup.Stats(), sup.Arena().Stats())
-	report(os.Stdout, st, elapsed)
-	healthLine(os.Stdout, st, malformed)
+	inputReport(stdout, sup.Stats(), sup.Arena().Stats())
+	report(stdout, st, elapsed)
+	healthLine(stdout, st, malformed)
 
 	var strictErr *input.StrictError
 	switch {
@@ -528,23 +563,70 @@ func run() (int, error) {
 	return exitOK, nil
 }
 
-// parseBytes parses a byte size with an optional K/M/G suffix (powers
-// of two, case-insensitive): "512K", "256M", "1G", or a plain number.
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+// gate is the one door a rule set passes before it serves, whichever
+// entry it is for and however it was asked — startup, SIGHUP, POST
+// /reload, a -tenant spec, PUT /tenants/<id>/rules: parse, compile with
+// the daemon's build options (-layout, -counters), self-check scan.
+type gate struct{ opts core.Options }
+
+// text admits rule text (the tenant.Compiler behind PUT bodies).
+func (g gate) text(text []byte) (tenant.PutSpec, error) {
+	rs, sources, err := rules.Parse(text)
+	if err != nil {
+		return tenant.PutSpec{}, err
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("want a positive size like 268435456, 256M or 1G")
+	m, err := core.Compile(rs, g.opts)
+	if err != nil {
+		return tenant.PutSpec{}, err
 	}
-	return n * mult, nil
+	return vetted(m, sources, text)
+}
+
+// source admits a rules file or a built-in set ("set:NAME").
+func (g gate) source(src string) (tenant.PutSpec, error) {
+	text, err := rules.ReadText(src)
+	if err != nil {
+		return tenant.PutSpec{}, err
+	}
+	spec, err := g.text(text)
+	if err != nil {
+		return spec, fmt.Errorf("%s: %w", src, err)
+	}
+	return spec, nil
+}
+
+// image admits a compiled engine image, which keeps its baked layout; its
+// rule text is the sources it carries.
+func (g gate) image(path string) (tenant.PutSpec, error) {
+	m, sources, err := rules.ReadImage(path)
+	if err != nil {
+		return tenant.PutSpec{}, err
+	}
+	return vetted(m, sources, []byte(strings.Join(sources, "\n")+"\n"))
+}
+
+// vetted runs the self-check scan — a daemon must not serve an automaton
+// it could not trust mid-flow — and describes the set for Registry.Put.
+func vetted(m *core.MFA, sources []string, text []byte) (tenant.PutSpec, error) {
+	if err := m.SelfCheck(); err != nil {
+		return tenant.PutSpec{}, err
+	}
+	return tenant.PutSpec{
+		NewRunner: func() flow.Runner { return m.NewRunner() },
+		Sources:   sources,
+		Rules:     text,
+		Build:     m.Stats(),
+	}, nil
+}
+
+// parseCeiling parses a size that bounds something (-max-memory, ?rate=):
+// tenant.ParseSize's grammar, with 0 — "unlimited" to a quota — refused.
+func parseCeiling(s string) (int64, error) {
+	n, err := tenant.ParseSize(s)
+	if err == nil && n == 0 {
+		err = errors.New("want a positive size like 268435456, 256M or 1G")
+	}
+	return n, err
 }
 
 // parsedSource is one registered source plus its ingest options from
@@ -557,9 +639,10 @@ type parsedSource struct {
 }
 
 // parseSource turns one -source spec into sources. A pcap glob expands
-// to one source per file, scanned in parallel. A URL-style query suffix
-// carries per-source options: ?tenant=ID, ?rate=100M, ?seq (udp only).
-func parseSource(spec string) ([]parsedSource, error) {
+// to one source per file, scanned in parallel; pcap:- is stdin. A
+// URL-style query suffix carries per-source options: ?tenant=ID,
+// ?rate=100M, ?seq (udp only).
+func parseSource(spec string, stdin io.Reader) ([]parsedSource, error) {
 	kind, rest, ok := strings.Cut(spec, ":")
 	if !ok || rest == "" {
 		return nil, fmt.Errorf("-source %q: want kind:arg (pcap:PATH, spool:DIR, tcp:ADDR, udp:ADDR, afpacket:IFACE)", spec)
@@ -577,7 +660,7 @@ func parseSource(spec string) ([]parsedSource, error) {
 			case "tenant":
 				ps.tenantID = q.Get("tenant")
 			case "rate":
-				r, err := parseBytes(q.Get("rate"))
+				r, err := parseCeiling(q.Get("rate"))
 				if err != nil {
 					return nil, fmt.Errorf("-source %q: rate: %w", spec, err)
 				}
@@ -599,7 +682,7 @@ func parseSource(spec string) ([]parsedSource, error) {
 	switch kind {
 	case "pcap":
 		var err error
-		if srcs, err = input.ExpandPcaps(rest); err != nil {
+		if srcs, err = expandPcaps(rest, stdin); err != nil {
 			return nil, err
 		}
 	case "spool":
@@ -622,140 +705,57 @@ func parseSource(spec string) ([]parsedSource, error) {
 	return out, nil
 }
 
-// tenantInstall is one parsed -tenant flag, ready to Put once the
-// registry is bound to the engine.
-type tenantInstall struct {
-	id    string
-	spec  tenant.PutSpec
-	cidrs []tenant.CIDRRule
+// expandPcaps is input.ExpandPcaps with "-" bound to this run's stdin.
+func expandPcaps(spec string, stdin io.Reader) ([]input.Source, error) {
+	if spec == "-" {
+		return []input.Source{input.NewPcapStream("stdin", stdin)}, nil
+	}
+	return input.ExpandPcaps(spec)
 }
 
-// parseTenantSpec parses and compiles one -tenant flag:
-// 'id=RULES[,cidr=CIDR][,max-flows=N][,max-buffered=SIZE]'. RULES is a
-// rules file path, or set:NAME for a built-in set. The rule set is
-// compiled and self-checked here, so a bad tenant spec fails startup
-// the same way a bad -rules file does.
-func parseTenantSpec(spec string) (tenantInstall, error) {
-	var ti tenantInstall
+// tenantSpec is one parsed -tenant flag, Put once the registry is bound
+// to the engine.
+type tenantSpec struct {
+	id, src string // src: a rules file path, or set:NAME
+	quota   tenant.Quota
+	cidrs   []tenant.CIDRRule
+}
+
+// parseTenantSpec parses one -tenant flag:
+// 'id=RULES[,cidr=CIDR][,max-flows=N][,max-buffered=SIZE]'.
+func parseTenantSpec(spec string) (tenantSpec, error) {
+	var ts tenantSpec
 	fields := strings.Split(spec, ",")
-	id, rulesSrc, ok := strings.Cut(fields[0], "=")
-	if !ok || id == "" || rulesSrc == "" {
-		return ti, fmt.Errorf("-tenant %q: want id=RULES[,options]", spec)
+	var ok bool
+	if ts.id, ts.src, ok = strings.Cut(fields[0], "="); !ok || ts.id == "" || ts.src == "" {
+		return ts, fmt.Errorf("-tenant %q: want id=RULES[,options]", spec)
 	}
-	ti.id = id
-	var body []byte
-	if name, isSet := strings.CutPrefix(rulesSrc, "set:"); isSet {
-		prules, err := patterns.Load(name)
-		if err != nil {
-			return ti, fmt.Errorf("-tenant %s: %w", id, err)
-		}
-		var b strings.Builder
-		for _, r := range prules {
-			b.WriteString(r.Source)
-			b.WriteByte('\n')
-		}
-		body = []byte(b.String())
-	} else {
-		var err error
-		if body, err = os.ReadFile(rulesSrc); err != nil {
-			return ti, fmt.Errorf("-tenant %s: %w", id, err)
-		}
+	if ts.id == tenant.DefaultID {
+		return ts, fmt.Errorf("-tenant %s: the default set is declared with -engine, -set or -rules", ts.id)
 	}
-	ti.spec.Rules = body
 	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return ti, fmt.Errorf("-tenant %s: bad option %q", id, f)
-		}
-		switch k {
-		case "cidr":
-			rule, err := tenant.ParseCIDRRule(v + "=" + id)
-			if err != nil {
-				return ti, fmt.Errorf("-tenant %s: %w", id, err)
+		k, v, _ := strings.Cut(f, "=")
+		var err error
+		if k == "cidr" {
+			var rule tenant.CIDRRule
+			if rule, err = tenant.ParseCIDRRule(v + "=" + ts.id); err == nil {
+				ts.cidrs = append(ts.cidrs, rule)
 			}
-			ti.cidrs = append(ti.cidrs, rule)
-		case "max-flows":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				return ti, fmt.Errorf("-tenant %s: bad max-flows %q", id, v)
-			}
-			ti.spec.Quota.MaxFlows = n
-		case "max-buffered":
-			n, err := parseBytes(v)
-			if err != nil {
-				return ti, fmt.Errorf("-tenant %s: max-buffered: %w", id, err)
-			}
-			ti.spec.Quota.MaxBufferedBytes = n
-		default:
-			return ti, fmt.Errorf("-tenant %s: unknown option %q (cidr, max-flows, max-buffered)", id, k)
+		} else {
+			err = ts.quota.Set(k, v)
 		}
-	}
-	var err error
-	if ti.spec.NewRunner, ti.spec.Sources, err = compileRules(body); err != nil {
-		return ti, fmt.Errorf("-tenant %s: %w", id, err)
-	}
-	return ti, nil
-}
-
-// buildLayout is the transition-table layout every compile in this
-// process uses (-layout, parsed once at startup; zero value is auto).
-// Engine images loaded with -engine keep the layout they were built
-// with.
-var buildLayout dfa.Layout
-
-// buildCounters mirrors buildLayout for the counter-register extension
-// (-counters): every compile in this process — startup set, hot reloads,
-// tenant rule sets — shares the same bounded-repeat encoding.
-var buildCounters bool
-
-func buildOptions() core.Options {
-	opts := core.Options{DFA: dfa.Options{Layout: buildLayout}}
-	opts.Splitter.EnableCounters = buildCounters
-	return opts
-}
-
-// compileRules is the tenant rule-set gate: parse the rule text, compile
-// it, and self-check the automaton — exactly the pipeline POST /reload
-// runs for the default set. It serves both -tenant startup specs and
-// PUT /tenants/<id>/rules (as the registry's tenant.Compiler).
-func compileRules(body []byte) (func() flow.Runner, []string, error) {
-	var rules []core.Rule
-	var sources []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := regexparse.ParsePCRE(line)
 		if err != nil {
-			return nil, nil, err
+			return ts, fmt.Errorf("-tenant %s: option %q: %w", ts.id, f, err)
 		}
-		rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-		sources = append(sources, line)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(rules) == 0 {
-		return nil, nil, fmt.Errorf("no patterns")
-	}
-	m, err := core.Compile(rules, buildOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.SelfCheck(); err != nil {
-		return nil, nil, err
-	}
-	return func() flow.Runner { return m.NewRunner() }, sources, nil
+	return ts, nil
 }
 
 // progressLoop prints one stats line per tick until stop closes. The
 // line renders from a telemetry snapshot — the same numbers /metrics
 // serves — so the ticker and a scraper can never tell different
 // stories; the match rate is the delta between consecutive snapshots.
-func progressLoop(reg *telemetry.Registry, every time.Duration, stop <-chan struct{}) {
+func progressLoop(w io.Writer, reg *telemetry.Registry, every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	lastMatches := 0.0
@@ -771,7 +771,7 @@ func progressLoop(reg *telemetry.Registry, every time.Duration, stop <-chan stru
 			rate := (matches - lastMatches) / now.Sub(lastTick).Seconds()
 			lastMatches, lastTick = matches, now
 			tier := engine.Tier(int32(snap.Value("mfa_engine_tier")))
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(w,
 				"mfaserve: pkts=%.0f bytes=%.0f flows=%.0f/%.0f matches=%.0f (%.1f/s) queued=%.0f drops=%.0f tier=%s poisoned=%.0f\n",
 				snap.Value("mfa_engine_packets_total"),
 				snap.Value("mfa_engine_payload_bytes_total"),
@@ -786,58 +786,11 @@ func progressLoop(reg *telemetry.Registry, every time.Duration, stop <-chan stru
 	}
 }
 
-// loadedRules is the pattern set currently serving: the automaton plus
-// the source text its rule ids index. Swapped as one unit by a reload so
-// a match report never pairs an id from one set with text from another.
-type loadedRules struct {
-	m       *core.MFA
-	sources []string
-}
-
-// reloader re-runs the daemon's own load path against the original
-// -engine/-set/-rules argument and, when the candidate survives the
-// validation gate, swaps it into the engine as a new generation. The
-// gate runs entirely before the swap: a bad rules file (or a truncated
-// engine image, or an automaton that fails its self-check scan) is
-// rejected with the running generation untouched.
-type reloader struct {
-	mu         sync.Mutex // serializes SIGHUP against POST /reload
-	engineFile string
-	set        string
-	rulesFile  string
-	policy     engine.ReloadPolicy
-	e          *engine.Engine
-	cur        *atomic.Pointer[loadedRules]
-	ok, fail   atomic.Int64
-}
-
-func (r *reloader) Reload() (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, sources, err := loadEngine(r.engineFile, r.set, r.rulesFile)
-	if err == nil {
-		err = m.SelfCheck()
-	}
-	if err != nil {
-		r.fail.Add(1)
-		return 0, fmt.Errorf("reload rejected, generation %d keeps serving: %w", r.e.Generation(), err)
-	}
-	gen, err := r.e.Reload(func() flow.Runner { return m.NewRunner() }, r.policy)
-	if err != nil {
-		r.fail.Add(1)
-		return 0, err
-	}
-	r.cur.Store(&loadedRules{m: m, sources: sources})
-	r.ok.Add(1)
-	fmt.Fprintf(os.Stderr, "mfaserve: reloaded %d rules as generation %d (policy %s)\n",
-		len(sources), gen, r.policy)
-	return gen, nil
-}
-
-// registerBuildMetrics exposes the static shape of the serving automaton:
-// what the scan loop is actually walking (table layout, byte-class count,
-// table bytes) and the image split. The values are callbacks over the
-// current pattern set, so a hot reload is reflected on the next scrape.
+// registerBuildMetrics exposes the static shape of the default set's
+// automaton: what the scan loop is actually walking (table layout,
+// byte-class count, table bytes) and the image split. The values are
+// callbacks over the registry's default entry, so a hot reload is
+// reflected on the next scrape.
 func registerBuildMetrics(reg *telemetry.Registry, cur func() core.BuildStats) {
 	g := func(name, help string, v func(core.BuildStats) int) {
 		reg.GaugeFunc(name, help, func() float64 { return float64(v(cur())) })
@@ -924,77 +877,4 @@ func healthLine(w io.Writer, st engine.Stats, malformed int64) {
 		st.Tier, st.TierEnters[engine.TierSoft], st.TierEnters[engine.TierHard],
 		st.TierTime[engine.TierSoft].Round(time.Millisecond),
 		st.TierTime[engine.TierHard].Round(time.Millisecond))
-}
-
-// loadEngine resolves the three pattern sources: a compiled image, a
-// built-in set, or a rules file.
-func loadEngine(engineFile, set, rulesFile string) (*core.MFA, []string, error) {
-	if engineFile != "" {
-		if set != "" || rulesFile != "" {
-			return nil, nil, fmt.Errorf("-engine replaces -set/-rules")
-		}
-		f, err := os.Open(engineFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		sources, err := core.ReadStrings(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := core.ReadMFA(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, sources, nil
-	}
-
-	var rules []core.Rule
-	var sources []string
-	switch {
-	case set != "" && rulesFile != "":
-		return nil, nil, fmt.Errorf("use either -set or -rules, not both")
-	case set != "":
-		prules, err := patterns.Load(set)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, r := range prules {
-			rules = append(rules, core.Rule{Pattern: r.Pattern, ID: r.ID})
-			sources = append(sources, r.Source)
-		}
-	case rulesFile != "":
-		f, err := os.Open(rulesFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			p, err := regexparse.ParsePCRE(line)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", rulesFile, err)
-			}
-			rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-			sources = append(sources, line)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-		if len(rules) == 0 {
-			return nil, nil, fmt.Errorf("%s: no patterns", rulesFile)
-		}
-	default:
-		return nil, nil, fmt.Errorf("one of -engine, -set or -rules is required")
-	}
-	m, err := core.Compile(rules, buildOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, sources, nil
 }

@@ -295,7 +295,7 @@ func TestReloadUnderPressure(t *testing.T) {
 		if i%2 == 0 {
 			m = m2
 		}
-		gen, err := e.Reload(func() flow.Runner { return m.NewRunner() }, engine.ReloadReset)
+		gen, err := e.Reload(func() flow.Runner { return m.NewRunner() }, true)
 		if err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}

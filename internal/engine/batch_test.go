@@ -284,7 +284,7 @@ func TestMidWindowLifecycleFlushIsSupervised(t *testing.T) {
 						panic("hostile match handler")
 					}
 					if tc.reload && mt.Flow == trigger {
-						if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, ReloadDrain); err != nil {
+						if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, false); err != nil {
 							t.Error(err)
 						}
 					}

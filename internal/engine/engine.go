@@ -141,12 +141,13 @@ type Config struct {
 	// ring entry (flow key, pattern id, byte offset) for the admin
 	// /events endpoint. May be shared with other writers.
 	Events *telemetry.EventRing
-	// Tenants, when non-nil, enables multi-tenant serving (tenant.go):
-	// dispatch admits nonzero-tagged segments only for tenants published
-	// in the registry, shards serve per-tenant rule generations, and
-	// matches on tenant flows feed the tenant's counters and event ring.
-	// Wire it by building the registry first, passing it here, then
-	// calling Registry.Bind(engine). Untagged traffic never touches it.
+	// Tenants, when non-nil, enables multi-tenant serving
+	// (generation.go): dispatch admits nonzero-tagged segments only for
+	// tenants published in the registry, shards serve per-tenant rule
+	// generations, and matches on tenant flows feed the tenant's counters
+	// and event ring. Wire it by building the registry first, passing it
+	// here, then calling Registry.Bind(engine). Untagged traffic never
+	// touches it.
 	Tenants *tenant.Registry
 }
 
@@ -205,17 +206,14 @@ type Engine struct {
 	// staging pools the per-shard slices HandleBurst sorts a burst into.
 	staging sync.Pool
 
-	// gen is the pattern generation new flows start on (reload.go).
-	// reloadMu serializes Reload/ReloadTenant/DropTenant calls.
-	gen      atomic.Pointer[generation]
-	reloadMu sync.Mutex
-
-	// Tenant serving state (tenant.go): tenantCur maps tenant index to
-	// its current generation so rebuilt assemblers replay the tenant
-	// set; tenantUnknown counts tagged segments shed at dispatch because
-	// their tenant is not published in Config.Tenants.
-	tenantMu      sync.Mutex
-	tenantCur     map[uint32]*generation
+	// cur maps each tenant index — 0 is the default rule set — to its
+	// current generation (generation.go): what new flows start on and
+	// what a rebuilt assembler replays. genMu guards it and serializes
+	// installs and teardowns. tenantUnknown counts tagged segments shed
+	// at dispatch because their tenant is not published in
+	// Config.Tenants.
+	genMu         sync.Mutex
+	cur           map[uint32]*generation
 	tenantUnknown atomic.Int64
 
 	skipped    atomic.Int64 // non-TCP frames
@@ -249,9 +247,12 @@ type Engine struct {
 	tierEnters [3]int64
 }
 
-// New starts an engine with Shards goroutines. newRunner must be safe
-// for concurrent use (engine compilations in this repository are; the
-// per-flow state they return need not be). onMatch may be nil.
+// New starts an engine with Shards goroutines. newRunner becomes
+// generation 1 of the default rule set and must be safe for concurrent
+// use (engine compilations in this repository are; the per-flow state
+// they return need not be); nil starts the engine with no default set —
+// untagged segments drop as unknown-tenant (Stats.TenantDrops) until the
+// first Reload or ReloadTenant of index 0. onMatch may be nil.
 func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine {
 	cfg.setDefaults()
 	// Shared exact reassembly gauges: every shard's assembler feeds the
@@ -274,7 +275,6 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	}
 	e := &Engine{
 		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
 		closing:   make(chan struct{}),
 		drained:   make(chan struct{}),
 		queueCap:  cfg.Shards * cfg.QueueDepth,
@@ -286,13 +286,12 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		staged := make([][]burst.Item, cfg.Shards)
 		return &staged
 	}
-	// Generation 1 is the factory the engine was built with; Reload
-	// installs successors.
-	gen1 := &generation{id: 1, newRunner: newRunner}
-	if cfg.Metrics != nil {
-		gen1.live = registerGenerationGauge(cfg.Metrics, 1)
+	if newRunner != nil {
+		// Generation 1 of index 0, through the routine every later swap
+		// takes. There are no shards to post to yet: each one's first
+		// assembler picks it up by replay. It cannot fail on an open engine.
+		_, _ = e.Reload(newRunner, false)
 	}
-	e.gen.Store(gen1)
 	// Re-evaluate pressure well before any single queue can fill between
 	// two evaluations; cheap enough that small queues check every call.
 	e.evalEvery = int64(cfg.QueueDepth / 4)
@@ -304,7 +303,8 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	}
 	events := cfg.Events
 	tenants := cfg.Tenants
-	for i := range e.shards {
+	shards := make([]*shard, cfg.Shards)
+	for i := range shards {
 		s := &shard{
 			idx:         i,
 			in:          burst.NewQueue(cfg.QueueDepth),
@@ -340,21 +340,16 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 				s.deliver(onMatch, m)
 			}
 		}
-		// rebuild consults the *current* generation — and the current
-		// tenant set — so an assembler rebuilt after corruption — or
-		// built fresh here — starts its flows on whatever pattern sets
-		// are serving now, not the ones the engine booted with.
 		s.rebuild = func() *flow.Assembler {
-			g := e.gen.Load()
-			a := flow.NewAssembler(cfg.Flow, g.newRunner, shardMatch)
-			a.SetGeneration(g.flowGen(), false)
-			e.installTenants(a)
+			a := flow.NewAssembler(cfg.Flow, nil, shardMatch)
+			e.replay(a)
 			return a
 		}
 		s.asm = s.rebuild()
 		s.publish()
-		e.shards[i] = s
+		shards[i] = s
 	}
+	e.shards = shards
 	if cfg.StallDeadline > 0 {
 		// Arm the watchdog before metrics registration (callbacks read
 		// e.dog) and before the shard goroutines start. The watchdog's
@@ -388,27 +383,15 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 // the shard has scanned them, so callers must not reuse the buffer
 // (pcap.Reader allocates per packet and is safe).
 func (e *Engine) HandleFrame(frame []byte) error {
-	return e.HandleFrameOwned(frame, nil)
-}
-
-// HandleFrameOwned is HandleFrame for leased frame buffers: the engine
-// takes ownership of owner on every path — skip, error, drop or scan —
-// and releases it exactly once when the frame's bytes can no longer be
-// referenced. This is the zero-copy handoff of the input pipeline
-// (internal/input): sources lease buffers from a pool and the engine
-// returns them after the shard has scanned the payload (the assembler
-// copies any bytes it buffers, so post-scan release is safe).
-func (e *Engine) HandleFrameOwned(frame []byte, owner pcap.Owner) error {
 	seg, err := pcap.DecodeTCP(frame)
 	if err != nil {
-		release(owner)
 		if errors.Is(err, pcap.ErrNotTCP) {
 			e.skipped.Add(1)
 			return nil
 		}
 		return err
 	}
-	return e.HandleSegmentOwned(seg, owner)
+	return e.HandleSegment(seg)
 }
 
 // HandleSegment routes one decoded segment to its flow's shard. It may
@@ -552,9 +535,7 @@ func (e *Engine) MemoryUsage() int64 {
 		// Tenant-attributed reassembly bytes answer to their own governor
 		// components ("tenant:<id>"); subtract them so the engine
 		// component does not double-bill the same buffers.
-		if tb := e.cfg.Tenants.BufferedBytes(); tb < n {
-			n -= tb
-		}
+		n -= min(e.cfg.Tenants.BufferedBytes(), n)
 	}
 	return n
 }
@@ -683,9 +664,10 @@ type Stats struct {
 	TierEnters [3]int64
 	TierTime   [3]time.Duration
 
-	// Hot-reload state (reload.go). Generation is the id new flows
-	// start on; GenFlows maps generation id to the live flows still on
-	// it (drain-mode flows keep old generations alive until they end).
+	// Rule-set generations (generation.go). Generation is the default
+	// set's current number; GenFlows maps packed generation id
+	// (index<<32 | number) to the live flows still on it (drain-mode
+	// flows keep old generations alive until they end).
 	// FlowRestarts counts 4-tuple-reuse flow restarts; StaleRunners
 	// counts superseded-generation runners discarded instead of
 	// recycled.
@@ -694,9 +676,10 @@ type Stats struct {
 	FlowRestarts int64
 	StaleRunners int64
 
-	// Multi-tenant serving (tenant.go). TenantDrops counts segments
-	// refused inside shard assemblers by tenant policy (quota overrun or
-	// an unknown tag that raced a delete through a queue); the
+	// Multi-tenant serving. TenantDrops counts segments refused inside
+	// shard assemblers by tenant policy (quota overrun, an unknown tag
+	// that raced a delete through a queue, or untagged traffic before a
+	// default rule set exists); the
 	// per-tenant split lives in each tenant's own counters.
 	// UnknownTenantDrops counts tagged segments shed at dispatch because
 	// their tenant was not published.
@@ -716,7 +699,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Shards:        len(e.shards),
-		Generation:    e.gen.Load().id,
+		Generation:    e.Generation(),
 		SkippedFrames: e.skipped.Load(),
 		QueueDrops:    e.queueDrops.Load(),
 		HardDrops:     e.hardDrops.Load(),

@@ -70,12 +70,11 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 		"Tagged segments shed at dispatch because their tenant was not published.",
 		func() float64 { return float64(e.tenantUnknown.Load()) })
 
-	// Hot-reload state (reload.go). The per-generation live-flow gauges
-	// (mfa_generation_live_flows) are registered as generations are
-	// installed, in New and Reload.
+	// Rule-set generations (generation.go). The per-generation live-flow
+	// gauges are registered as generations are installed.
 	reg.GaugeFunc("mfa_generation",
 		"Pattern generation new flows start on; bumps on every successful hot reload.",
-		func() float64 { return float64(e.gen.Load().id) })
+		func() float64 { return float64(e.Generation()) })
 
 	reg.CounterFunc("mfa_engine_matches_total",
 		"Confirmed matches delivered (exact at all times).",

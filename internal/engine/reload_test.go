@@ -86,7 +86,7 @@ func TestReloadDrainEquivalence(t *testing.T) {
 		})
 	for i, f := range frames {
 		if i == len(frames)/2 {
-			gen, err := e.Reload(func() flow.Runner { return m.NewRunner() }, ReloadDrain)
+			gen, err := e.Reload(func() flow.Runner { return m.NewRunner() }, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +121,11 @@ func TestReloadPolicies(t *testing.T) {
 	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 	for _, tc := range []struct {
 		name    string
-		policy  ReloadPolicy
+		reset   bool
 		matches int
 	}{
-		{"drain", ReloadDrain, 1},
-		{"reset", ReloadReset, 0},
+		{"drain", false, 1},
+		{"reset", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := buildMFA(t, "ab.*cd")
@@ -143,7 +143,7 @@ func TestReloadPolicies(t *testing.T) {
 			// The flow must exist before the swap for the policy to act on
 			// it; segments dispatched after Reload are scanned post-swap.
 			waitProcessed(t, e, 1)
-			if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, tc.policy); err != nil {
+			if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, tc.reset); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.HandleSegment(pcap.Segment{Key: k, Seq: 3, Flags: pcap.FlagACK, Payload: []byte("cd")}); err != nil {
@@ -160,7 +160,7 @@ func TestReloadPolicies(t *testing.T) {
 				t.Errorf("Generation = %d, want 2", st.Generation)
 			}
 			wantGen := uint64(1) // drain: the straddling flow stays on gen 1
-			if tc.policy == ReloadReset {
+			if tc.reset {
 				wantGen = 2
 				if st.StaleRunners != 1 {
 					t.Errorf("StaleRunners = %d, want 1", st.StaleRunners)
@@ -196,7 +196,7 @@ func TestReloadSwapsRuleSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitProcessed(t, e, 1)
-	if _, err := e.Reload(func() flow.Runner { return m2.NewRunner() }, ReloadDrain); err != nil {
+	if _, err := e.Reload(func() flow.Runner { return m2.NewRunner() }, false); err != nil {
 		t.Fatal(err)
 	}
 	// Old flow finishes its old-rules match; a new flow sees only new
@@ -223,13 +223,13 @@ func TestReloadSwapsRuleSet(t *testing.T) {
 func TestReloadErrors(t *testing.T) {
 	m := buildMFA(t, "x")
 	e := New(Config{Shards: 1}, func() flow.Runner { return m.NewRunner() }, nil)
-	if _, err := e.Reload(nil, ReloadDrain); err == nil {
+	if _, err := e.Reload(nil, false); err == nil {
 		t.Error("nil factory accepted")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, ReloadDrain); err != ErrClosed {
+	if _, err := e.Reload(func() flow.Runner { return m.NewRunner() }, false); err != ErrClosed {
 		t.Errorf("Reload after Close: %v, want ErrClosed", err)
 	}
 }

@@ -55,18 +55,13 @@ type shard struct {
 	// touches it.
 	quarantined map[pcap.FlowKey]struct{}
 
-	// Hot-reload plumbing (reload.go): genCmd holds the newest pending
-	// generation swap (applied on the shard goroutine before the next
-	// segment); the poster pokes the queue so a swap is not stuck behind
-	// a quiet one.
-	genCmd atomic.Pointer[genCommand]
-
-	// Tenant-command plumbing (tenant.go): unlike the newest-wins reload
-	// slot, commands for different tenants must all arrive, so they queue
-	// in a list; tenantPending keeps the hot path to one atomic load.
-	tenantMu      sync.Mutex
-	tenantCmds    []tenantCmd
-	tenantPending atomic.Bool
+	// Pending rule-set commands (generation.go): at most one per tenant
+	// index, merged by post and applied on the shard goroutine before the
+	// next segment; the poster pokes the queue so a swap is not stuck
+	// behind a quiet one. pending keeps the hot path to one atomic load.
+	cmdMu   sync.Mutex
+	cmds    map[uint32]swapCmd
+	pending atomic.Bool
 
 	// matches is updated on every confirmed match; snap mirrors the
 	// assembler's counters every statsEvery segments and at exit, so
@@ -195,13 +190,11 @@ func (s *shard) run(e *Engine) {
 			return
 		}
 		if len(items) == 0 {
-			// Poked on an otherwise idle shard: apply the generation swap
-			// now, not when the next segment happens to arrive, so a
-			// reload's gauges and reset policy take effect promptly
-			// engine-wide. The batch is empty here: every window flushes
-			// before the loop blocks.
-			s.applyGeneration(e)
-			s.applyTenantCmds()
+			// Poked on an otherwise idle shard: apply the pending swap now,
+			// not when the next segment happens to arrive, so a reload's
+			// gauges and reset take effect promptly engine-wide. The batch
+			// is empty here: every window flushes before the loop blocks.
+			s.applyPending()
 			continue
 		}
 		s.window(e, items, ls)
@@ -269,15 +262,15 @@ func (s *shard) beat(now int64) int64 {
 func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 	cfg := &e.cfg
 	// Apply a pending swap before scanning, so every segment dispatched
-	// after Reload returned is scanned post-swap (a flow it creates starts
-	// on the new generation). Deferred work never crosses a generation
-	// boundary — the swap paths flush the batch (flow.setTenantGen) — so
-	// flush it here first, under the supervisor: a match handler's panic
-	// then costs its flow, not the swap or the shard.
-	if s.genCmd.Load() != nil || s.tenantPending.Load() {
+	// after the install returned is scanned post-swap (a flow it creates
+	// starts on the new generation). Deferred work never crosses a
+	// generation boundary — the swap paths flush the batch
+	// (flow.SetGeneration) — so flush it here first, under the supervisor:
+	// a match handler's panic then costs its flow, not the swap or the
+	// shard.
+	if s.pending.Load() {
 		s.flushScan(e)
-		s.applyGeneration(e)
-		s.applyTenantCmds()
+		s.applyPending()
 	}
 	ls.n++
 	if ls.n%statsEvery == 0 {

@@ -17,17 +17,11 @@ import (
 	"matchfilter/internal/pcap"
 )
 
-// keyOnShard finds a flow key that shardIndex maps to the wanted shard.
+// keyOnShard finds an untagged flow key that shardIndex maps to the wanted
+// shard.
 func keyOnShard(t *testing.T, want, shards int) pcap.FlowKey {
 	t.Helper()
-	for port := 1; port < 1<<16; port++ {
-		k := pcap.FlowKey{SrcIP: 0x0a000001, DstIP: 0xc0a80101, SrcPort: uint16(port), DstPort: 80}
-		if shardIndex(k, shards) == want {
-			return k
-		}
-	}
-	t.Fatalf("no key maps to shard %d of %d", want, shards)
-	return pcap.FlowKey{}
+	return keyFor(t, 0, want, shards)
 }
 
 // waitStats polls the engine until cond holds or the deadline passes.

@@ -111,8 +111,8 @@ func TestBatchedAssemblerEquivalence(t *testing.T) {
 				})
 			}
 			a.FlushBatch()
-			if a.BatchLen() != 0 || a.BatchDead() != nil {
-				t.Fatal("batch not drained after FlushBatch")
+			if dead := a.BatchDead(); dead != nil {
+				t.Fatalf("a healthy flush reported dead lanes: %v", dead)
 			}
 			return ms
 		}
@@ -204,7 +204,7 @@ func TestBatchFlushOnGenerationSwap(t *testing.T) {
 	k := key(1)
 	a.HandleSegment(pcap.Segment{Key: k, Seq: 0, Flags: pcap.FlagSYN})
 	a.HandleSegment(pcap.Segment{Key: k, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("attack then payload")})
-	moved := a.SetGeneration(Generation{ID: 1, New: func() Runner { return m2.NewRunner() }}, true)
+	moved := a.SetGeneration(0, Generation{ID: 1, New: func() Runner { return m2.NewRunner() }}, nil, true)
 	if moved != 1 {
 		t.Fatalf("moved = %d", moved)
 	}
@@ -237,7 +237,7 @@ func TestBatchFlushOnDropPaths(t *testing.T) {
 	}
 
 	// Tenant drop: install a tenant, defer payload, drop the tenant.
-	a.SetTenantGeneration(7, Generation{ID: 1 << 32, New: func() Runner { return m.NewRunner() }}, nil, false)
+	a.SetGeneration(7, Generation{ID: 1 << 32, New: func() Runner { return m.NewRunner() }}, nil, false)
 	tk := key(2)
 	tk.Tenant = 7
 	ms = nil

@@ -64,7 +64,6 @@ type Match struct {
 // FlushBatch) or its own heap-copied out-of-order buffers.
 type Batcher interface {
 	Add(runner, tag any, data []byte, onMatch func(id int32, pos int64)) bool
-	Len() int
 	Flush()
 	TakeDead() []any
 	Contains(runner any) bool
@@ -109,8 +108,8 @@ type Assembler struct {
 	// a stale runner can never serve a new-generation flow.
 	def *tenantState
 	// tenants holds nonzero-tagged tenants' serving state (tenant.go);
-	// nil until SetTenantGeneration installs one, so the single-tenant
-	// path never pays for multi-tenancy.
+	// nil until SetGeneration installs one, so the single-tenant path
+	// never pays for multi-tenancy.
 	tenants map[uint32]*tenantState
 	gens    map[uint64]*genState // generations with live flows (plus currents)
 	onMatch func(Match)
@@ -173,7 +172,10 @@ type flowCtx struct {
 }
 
 // NewAssembler creates an assembler. newRunner supplies per-flow contexts
-// (recycled through an internal pool across flows); onMatch (may be nil)
+// (recycled through an internal pool across flows) as the default
+// tenant's implicit generation 0; nil means the default tenant has no
+// rule set until SetGeneration(0, ...) installs one, and untagged
+// segments drop as unknown-tenant meanwhile. onMatch (may be nil)
 // receives every confirmed match.
 func NewAssembler(cfg Config, newRunner func() Runner, onMatch func(Match)) *Assembler {
 	if cfg.MaxBufferedSegments <= 0 {
@@ -183,11 +185,13 @@ func NewAssembler(cfg Config, newRunner func() Runner, onMatch func(Match)) *Ass
 		cfg:     cfg,
 		flows:   make(map[pcap.FlowKey]*flowCtx),
 		lru:     list.New(),
+		gens:    make(map[uint64]*genState),
+		def:     &tenantState{},
 		onMatch: onMatch,
 	}
-	a.def = &tenantState{}
-	a.def.cur = &genState{gen: Generation{ID: 0, New: newRunner}, owner: a.def}
-	a.gens = map[uint64]*genState{0: a.def.cur}
+	if newRunner != nil {
+		a.SetGeneration(0, Generation{New: newRunner}, nil, false)
+	}
 	if cfg.NewBatcher != nil {
 		a.batch = cfg.NewBatcher()
 	}
@@ -259,13 +263,15 @@ func (a *Assembler) Stats() Stats {
 		FlowRestarts:  a.flowRestarts,
 		StaleRunners:  a.staleRunners,
 		TenantDrops:   a.tenantDrops,
-		Generation:    a.def.cur.gen.ID,
+	}
+	if a.def.cur != nil {
+		st.Generation = a.def.cur.gen.ID
 	}
 	if a.batch != nil {
 		_, st.AcceptVisits, st.LockstepBytes, st.SequentialBytes = a.batch.Counts()
 	}
 	st.SequentialBytes += a.inlineBytes
-	if a.def.cur.gen.ID != 0 || len(a.gens) > 1 {
+	if st.Generation != 0 || len(a.gens) > 1 {
 		st.FlowsByGen = make(map[uint64]int64, len(a.gens))
 		for id, g := range a.gens {
 			st.FlowsByGen[id] = g.flows
@@ -323,7 +329,6 @@ func (a *Assembler) HandleSegment(seg pcap.Segment) {
 		ts.cur.flows++
 		ts.cur.live.add(1)
 		a.gLive.add(1)
-		ts.gLive.add(1)
 	} else {
 		a.lru.MoveToFront(ctx.elem)
 	}
@@ -379,19 +384,31 @@ func (a *Assembler) getRunner(ts *tenantState) Runner {
 // (counted in Stats.StaleRunners) so it can never serve a new flow.
 func (a *Assembler) removeFlow(ctx *flowCtx) {
 	a.flushIfBatched(ctx.runner)
+	if ctx.gen != ctx.ten.cur {
+		a.staleRunners++
+	} else if len(ctx.ten.free) < maxFreeRunners {
+		ctx.runner.Reset()
+		ctx.ten.free = append(ctx.ten.free, ctx.runner)
+	}
+	a.unlink(ctx)
+}
+
+// unlink is the one flow-teardown body: the flow leaves the table and the
+// LRU list, its gauge contributions are withdrawn, and its generation
+// loses a flow (and is forgotten with its last one, once superseded).
+// What becomes of the runner — recycled, or dropped as stale or suspect —
+// is the caller's decision, taken before the call.
+func (a *Assembler) unlink(ctx *flowCtx) {
 	delete(a.flows, ctx.key)
 	a.lru.Remove(ctx.elem)
-	a.releaseFlowGauges(ctx)
+	a.gLive.add(-1)
+	ctx.ten.gLive.add(-1)
+	a.gPending.add(-int64(len(ctx.pending)))
+	a.gBytes.add(-ctx.pendingBytes)
+	ctx.ten.gBytes.add(-ctx.pendingBytes)
+	ctx.pendingBytes = 0
 	ctx.gen.flows--
 	ctx.gen.live.add(-1)
-	if ctx.gen == ctx.ten.cur {
-		if len(ctx.ten.free) < maxFreeRunners {
-			ctx.runner.Reset()
-			ctx.ten.free = append(ctx.ten.free, ctx.runner)
-		}
-	} else {
-		a.staleRunners++
-	}
 	a.pruneGen(ctx.gen)
 	ctx.runner = nil
 }
@@ -421,17 +438,6 @@ func (a *Assembler) restartFlow(ctx *flowCtx) {
 	ctx.runner = a.getRunner(ctx.ten)
 }
 
-// releaseFlowGauges withdraws one flow's gauge contribution as it leaves
-// the table.
-func (a *Assembler) releaseFlowGauges(ctx *flowCtx) {
-	a.gLive.add(-1)
-	ctx.ten.gLive.add(-1)
-	a.gPending.add(-int64(len(ctx.pending)))
-	a.gBytes.add(-ctx.pendingBytes)
-	ctx.ten.gBytes.add(-ctx.pendingBytes)
-	ctx.pendingBytes = 0
-}
-
 // DropFlow forgets a flow without recycling its runner. This is the
 // quarantine path: after a runner panic the context may be mid-mutation,
 // so the runner must not re-enter the pool where a future flow would
@@ -450,13 +456,7 @@ func (a *Assembler) DropFlow(key pcap.FlowKey) bool {
 	// callback panics), so this only fires on administrative drops of a
 	// healthy flow with deferred payload.
 	a.flushIfBatched(ctx.runner)
-	delete(a.flows, key)
-	a.lru.Remove(ctx.elem)
-	a.releaseFlowGauges(ctx)
-	ctx.gen.flows--
-	ctx.gen.live.add(-1)
-	a.pruneGen(ctx.gen)
-	ctx.runner = nil // do NOT pool: state is suspect
+	a.unlink(ctx) // the runner is NOT pooled: its state is suspect
 	return true
 }
 
@@ -543,12 +543,11 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 		// Future segment: buffer until the gap fills.
 		a.outOfOrder++
 		if acct := ctx.ten.acct; acct != nil {
-			if max := acct.MaxBufferedBytes.Load(); max > 0 &&
-				acct.BufferedBytes != nil && acct.BufferedBytes.Value()+int64(len(payload)) > max {
+			if max := acct.MaxBufferedBytes.Load(); max > 0 && acct.BufferedBytes.Value()+int64(len(payload)) > max {
 				// Tenant over its buffered-bytes quota: shed this
 				// segment rather than grow the tenant's reassembly
 				// footprint. Other tenants buffer unaffected.
-				acct.countByteDrop()
+				acct.ByteQuotaDrops.Inc()
 				a.tenantDrops++
 				return
 			}
@@ -619,14 +618,6 @@ func (a *Assembler) FlushBatch() {
 	if a.batch != nil {
 		a.batch.Flush()
 	}
-}
-
-// BatchLen reports how many flows currently have deferred payload.
-func (a *Assembler) BatchLen() int {
-	if a.batch == nil {
-		return 0
-	}
-	return a.batch.Len()
 }
 
 // BatchDead returns (once) the keys of the flows whose lanes died in

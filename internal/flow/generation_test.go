@@ -96,7 +96,7 @@ func TestSetGenerationDrain(t *testing.T) {
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 0, Flags: pcap.FlagSYN})
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("aa")})
 
-	moved := a.SetGeneration(Generation{ID: 1, New: func() Runner { return m2.NewRunner() }}, false)
+	moved := a.SetGeneration(0, Generation{ID: 1, New: func() Runner { return m2.NewRunner() }}, nil, false)
 	if moved != 0 {
 		t.Fatalf("drain swap moved %d flows, want 0", moved)
 	}
@@ -135,7 +135,7 @@ func TestSetGenerationReset(t *testing.T) {
 	a.HandleSegment(pcap.Segment{Key: k, Seq: 0, Flags: pcap.FlagSYN})
 	a.HandleSegment(pcap.Segment{Key: k, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("ab")})
 
-	moved := a.SetGeneration(Generation{ID: 1, New: func() Runner { return m.NewRunner() }}, true)
+	moved := a.SetGeneration(0, Generation{ID: 1, New: func() Runner { return m.NewRunner() }}, nil, true)
 	if moved != 1 {
 		t.Fatalf("reset swap moved %d flows, want 1", moved)
 	}
@@ -176,7 +176,7 @@ func TestStaleRunnersNotRecycled(t *testing.T) {
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 0, Flags: pcap.FlagSYN})
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 1, Flags: pcap.FlagFIN})
 
-	a.SetGeneration(Generation{ID: 1, New: func() Runner { return m.NewRunner() }}, false)
+	a.SetGeneration(0, Generation{ID: 1, New: func() Runner { return m.NewRunner() }}, nil, false)
 
 	// A new flow must get a fresh generation-1 runner, not the pooled
 	// generation-0 one.
@@ -207,7 +207,7 @@ func TestGenerationLiveGauges(t *testing.T) {
 	a := NewAssembler(Config{}, func() Runner { return m.NewRunner() }, nil)
 
 	g1, g2 := &telemetry.Gauge{}, &telemetry.Gauge{}
-	a.SetGeneration(Generation{ID: 1, New: func() Runner { return m.NewRunner() }, Live: g1}, false)
+	a.SetGeneration(0, Generation{ID: 1, New: func() Runner { return m.NewRunner() }, Live: g1}, nil, false)
 
 	k1, k2 := key(1), key(2)
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 0, Flags: pcap.FlagSYN})
@@ -217,7 +217,7 @@ func TestGenerationLiveGauges(t *testing.T) {
 	}
 
 	// Drain swap: flows stay counted on their own generation.
-	a.SetGeneration(Generation{ID: 2, New: func() Runner { return m.NewRunner() }, Live: g2}, false)
+	a.SetGeneration(0, Generation{ID: 2, New: func() Runner { return m.NewRunner() }, Live: g2}, nil, false)
 	if g1.Value() != 2 || g2.Value() != 0 {
 		t.Fatalf("after drain swap: gen1=%d gen2=%d, want 2/0", g1.Value(), g2.Value())
 	}
@@ -227,7 +227,7 @@ func TestGenerationLiveGauges(t *testing.T) {
 	if g1.Value() != 1 {
 		t.Fatalf("after FIN: gen1=%d, want 1", g1.Value())
 	}
-	a.SetGeneration(Generation{ID: 3, New: func() Runner { return m.NewRunner() }, Live: g2}, true)
+	a.SetGeneration(0, Generation{ID: 3, New: func() Runner { return m.NewRunner() }, Live: g2}, nil, true)
 	if g1.Value() != 0 || g2.Value() != 1 {
 		t.Fatalf("after reset swap: gen1=%d gen2=%d, want 0/1", g1.Value(), g2.Value())
 	}
@@ -249,7 +249,7 @@ func TestSetGenerationSameIDNoop(t *testing.T) {
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 0, Flags: pcap.FlagSYN})
 	a.HandleSegment(pcap.Segment{Key: k1, Seq: 1, Flags: pcap.FlagFIN})
 
-	if moved := a.SetGeneration(Generation{ID: 0, New: func() Runner { return m.NewRunner() }}, true); moved != 0 {
+	if moved := a.SetGeneration(0, Generation{ID: 0, New: func() Runner { return m.NewRunner() }}, nil, true); moved != 0 {
 		t.Fatalf("same-ID swap moved %d flows", moved)
 	}
 	k2 := key(2)

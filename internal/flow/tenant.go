@@ -12,7 +12,8 @@
 //
 // An assembler that only ever sees tenant-0 traffic allocates none of
 // this: the tenants map stays nil and the default tenant's accounting
-// hooks are no-op gauges.
+// hooks are no-op gauges. Swaps for every tag go through SetGeneration
+// (generation.go).
 
 package flow
 
@@ -25,8 +26,9 @@ import (
 // TenantAcct is one tenant's cross-shard accounting and quota block.
 // One instance is shared by every assembler serving the tenant (the
 // gauges are atomics, adds compose), so quotas are enforced against the
-// tenant's *global* occupancy, not per shard. All pointer fields may be
-// nil; quota fields read zero mean "unlimited".
+// tenant's *global* occupancy, not per shard. The four series are
+// required (internal/tenant supplies registered or bare ones); quota
+// fields read zero mean "unlimited".
 type TenantAcct struct {
 	// LiveFlows counts the tenant's live flows across all assemblers.
 	LiveFlows *telemetry.Gauge
@@ -47,24 +49,11 @@ type TenantAcct struct {
 	ByteQuotaDrops *telemetry.Counter
 }
 
-func (t *TenantAcct) countFlowDrop() {
-	if t.FlowQuotaDrops != nil {
-		t.FlowQuotaDrops.Inc()
-	}
-}
-
-func (t *TenantAcct) countByteDrop() {
-	if t.ByteQuotaDrops != nil {
-		t.ByteQuotaDrops.Inc()
-	}
-}
-
 // tenantState is one tenant's per-assembler serving state: the
 // generation its new flows start on, its private recycled-runner free
 // list, and this assembler's contribution to the shared accounting.
 type tenantState struct {
-	id   uint32
-	cur  *genState // generation new flows start on; nil once dropped
+	cur  *genState // generation new flows start on; nil before the first SetGeneration and once dropped
 	free []Runner  // recycled runners of cur — never cross-tenant
 	acct *TenantAcct
 	// Contribution tracking against acct's shared gauges (nil-safe
@@ -74,55 +63,37 @@ type tenantState struct {
 }
 
 // tenantOf resolves a segment's tenant tag to serving state. Tag 0 is
-// always the default tenant; a nonzero tag is known only after
-// SetTenantGeneration installed the tenant (internal/engine delivers
-// that command to every shard before it admits the tenant's traffic).
-// nil means "unknown tenant": the caller drops the segment.
+// the default tenant; a nonzero tag is known only after SetGeneration
+// installed the tenant (internal/engine delivers that command to every
+// shard before it admits the tenant's traffic). nil means "no rule set
+// serves this tag": the caller drops the segment.
 func (a *Assembler) tenantOf(id uint32) *tenantState {
-	if id == 0 {
-		return a.def
+	ts := a.def
+	if id != 0 {
+		ts = a.tenants[id]
 	}
-	return a.tenants[id]
+	if ts == nil || ts.cur == nil {
+		return nil
+	}
+	return ts
 }
 
-// admitFlow enforces the tenant's flow quota at flow creation.
+// admitFlow counts a new flow against its tenant, enforcing the flow
+// quota: the check and the count are one atomic step on the shared
+// gauge, so shards admitting concurrently cannot overshoot the cap.
 func (a *Assembler) admitFlow(ts *tenantState) bool {
-	acct := ts.acct
-	if acct == nil {
-		return true
+	if acct := ts.acct; acct != nil {
+		if max := acct.MaxFlows.Load(); max > 0 {
+			if !acct.LiveFlows.IncBelow(max) {
+				acct.FlowQuotaDrops.Inc()
+				return false
+			}
+			ts.gLive.contrib++
+			return true
+		}
 	}
-	if max := acct.MaxFlows.Load(); max > 0 && acct.LiveFlows != nil && acct.LiveFlows.Value() >= max {
-		acct.countFlowDrop()
-		return false
-	}
+	ts.gLive.add(1)
 	return true
-}
-
-// SetTenantGeneration installs pattern generation g as tenant ten's
-// current generation, creating the tenant's serving state on first use
-// (acct, which may be nil, is bound then and shared for the tenant's
-// lifetime). Semantics per tenant match SetGeneration exactly: the
-// tenant's free list is emptied, resetExisting restarts only *this
-// tenant's* live flows on g, other tenants are untouched. Generation
-// IDs must be unique across tenants (internal/engine packs the tenant
-// index into the high 32 bits). Returns the number of flows moved.
-func (a *Assembler) SetTenantGeneration(ten uint32, g Generation, acct *TenantAcct, resetExisting bool) int {
-	if ten == 0 {
-		return a.setTenantGen(a.def, g, resetExisting)
-	}
-	ts := a.tenants[ten]
-	if ts == nil {
-		ts = &tenantState{id: ten, acct: acct}
-		if acct != nil {
-			ts.gLive.g = acct.LiveFlows
-			ts.gBytes.g = acct.BufferedBytes
-		}
-		if a.tenants == nil {
-			a.tenants = make(map[uint32]*tenantState)
-		}
-		a.tenants[ten] = ts
-	}
-	return a.setTenantGen(ts, g, resetExisting)
 }
 
 // DropTenant removes tenant ten entirely: every one of its live flows
@@ -132,36 +103,23 @@ func (a *Assembler) SetTenantGeneration(ten uint32, g Generation, acct *TenantAc
 // unknown-tenant. Returns the number of flows removed. Dropping the
 // default tenant (0) or an unknown tenant is a no-op.
 func (a *Assembler) DropTenant(ten uint32) int {
-	if ten == 0 {
-		return 0
-	}
 	ts := a.tenants[ten]
 	if ts == nil {
 		return 0
 	}
 	// Scan what's pending before the tenant's runners are discarded.
 	a.FlushBatch()
+	// With no current generation every one of the tenant's generations is
+	// superseded: each prunes as unlink takes its last flow, and the
+	// current one here if it had none.
+	cur := ts.cur
+	ts.cur, ts.free = nil, nil
+	a.pruneGen(cur)
 	n := 0
 	for _, ctx := range a.flows {
-		if ctx.ten != ts {
-			continue
-		}
-		delete(a.flows, ctx.key)
-		a.lru.Remove(ctx.elem)
-		a.releaseFlowGauges(ctx)
-		ctx.gen.flows--
-		ctx.gen.live.add(-1)
-		ctx.runner = nil
-		n++
-	}
-	for i := range ts.free {
-		ts.free[i] = nil
-	}
-	ts.free = nil
-	ts.cur = nil
-	for id, g := range a.gens {
-		if g.owner == ts && g.flows == 0 {
-			delete(a.gens, id)
+		if ctx.ten == ts {
+			a.unlink(ctx)
+			n++
 		}
 	}
 	delete(a.tenants, ten)

@@ -30,7 +30,7 @@ func newAcct() *TenantAcct {
 
 // installTenant is the shard-side install: tenant ten serves automaton m.
 func installTenant(a *Assembler, ten uint32, m *core.MFA, acct *TenantAcct) {
-	a.SetTenantGeneration(ten, Generation{ID: packTestGen(ten, 1), New: func() Runner { return m.NewRunner() }}, acct, false)
+	a.SetGeneration(ten, Generation{ID: packTestGen(ten, 1), New: func() Runner { return m.NewRunner() }}, acct, false)
 }
 
 // Two tenants with disjoint rule sets on one assembler: each tenant's
@@ -252,7 +252,7 @@ func TestTenantResetScoped(t *testing.T) {
 
 	// Tenant 1 swaps generations with reset; the default tenant must not
 	// be disturbed.
-	moved := a.SetTenantGeneration(1, Generation{ID: packTestGen(1, 2), New: func() Runner { return mA.NewRunner() }}, acct, true)
+	moved := a.SetGeneration(1, Generation{ID: packTestGen(1, 2), New: func() Runner { return mA.NewRunner() }}, acct, true)
 	if moved != 1 {
 		t.Fatalf("reset moved %d flows, want 1 (only tenant 1's)", moved)
 	}

@@ -8,7 +8,8 @@
 //	/healthz  200 "ok" (or 200 "degraded: ..." from Degraded) / 503
 //	          with the failure reason, from Health
 //	/events   JSON tail of the match-event ring (?n= bounds the tail)
-//	/reload   POST: validate and hot-swap the pattern set (when wired)
+//	/reload   POST: validate and hot-swap the pattern set (when wired;
+//	          ?reset=1 restarts in-flight flows on it)
 //	/debug/pprof/...  the standard net/http/pprof profiling handlers
 //
 // The surface is read-only with one deliberate exception: POST /reload
@@ -51,12 +52,13 @@ type Admin struct {
 	Degraded func() string
 	// Statsz backs /statsz with any JSON-serializable snapshot.
 	Statsz func() any
-	// Reload, when non-nil, enables POST /reload: one call per request,
-	// expected to validate and swap the serving pattern set, returning
-	// the new generation id. A returned error means the swap was
-	// rejected and the running set is untouched (the endpoint answers
-	// 500 with the reason).
-	Reload func() (generation uint64, err error)
+	// Reload, when non-nil, enables POST /reload[?reset=1]: one call per
+	// request, expected to validate and swap the serving pattern set,
+	// returning the new generation id; reset asks for in-flight flows to
+	// restart on it instead of draining on the old one. A returned error
+	// means the swap was rejected and the running set is untouched (the
+	// endpoint answers 500 with the reason).
+	Reload func(reset bool) (generation uint64, err error)
 	// Tenants, when non-nil, serves the tenant CRUD surface under
 	// /tenants (tenant.Registry.AdminHandler builds one). It is the only
 	// other mutating surface besides /reload; PUT /tenants/<id>/rules
@@ -104,20 +106,7 @@ func (a *Admin) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		n := 0 // 0 = everything buffered
-		if q := req.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = WriteJSONValue(w, struct {
-			Total  int64   `json:"total"`
-			Events []Event `json:"events"`
-		}{Total: a.Events.Total(), Events: a.Events.Tail(n)})
+		ServeEvents(w, req, a.Events)
 	})
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, req *http.Request) {
 		if a.Reload == nil {
@@ -129,7 +118,7 @@ func (a *Admin) Handler() http.Handler {
 			http.Error(w, "reload requires POST", http.StatusMethodNotAllowed)
 			return
 		}
-		gen, err := a.Reload()
+		gen, err := a.Reload(FlagParam(req, "reset"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -155,6 +144,34 @@ func (a *Admin) Handler() http.Handler {
 		fmt.Fprint(w, "mfa admin\n/metrics\n/statsz\n/healthz\n/events\n/reload (POST)\n/tenants\n/debug/pprof/\n")
 	})
 	return mux
+}
+
+// ServeEvents answers one match-ring request — /events here, a tenant's
+// ring under /tenants: the ring's total and its tail as JSON, ?n=
+// bounding the tail (absent or 0: everything buffered).
+func ServeEvents(w http.ResponseWriter, req *http.Request, ring *EventRing) {
+	n := 0
+	if q := req.URL.Query().Get("n"); q != "" {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 0 {
+			http.Error(w, "bad n", http.StatusBadRequest)
+			return
+		}
+		n = v
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = WriteJSONValue(w, struct {
+		Total  int64   `json:"total"`
+		Events []Event `json:"events"`
+	}{Total: ring.Total(), Events: ring.Tail(n)})
+}
+
+// FlagParam reports whether the request sets boolean query parameter
+// name ("1" or "true"): the one spelling of ?reset= on /reload and
+// /tenants.
+func FlagParam(req *http.Request, name string) bool {
+	v := req.URL.Query().Get(name)
+	return v == "1" || v == "true"
 }
 
 // Server is a started admin listener.

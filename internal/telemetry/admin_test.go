@@ -170,7 +170,7 @@ func TestReloadEndpoint(t *testing.T) {
 	gen := atomic.Uint64{}
 	gen.Store(1)
 	a := &Admin{
-		Reload: func() (uint64, error) {
+		Reload: func(bool) (uint64, error) {
 			if fail.Load() {
 				return 0, errors.New("bad rules file")
 			}

@@ -95,6 +95,20 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add moves the gauge by a (possibly negative) delta.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
+// IncBelow adds 1 unless the gauge already reads limit or more, as one
+// atomic step: a cap concurrent adders cannot overshoot.
+func (g *Gauge) IncBelow(limit int64) bool {
+	for {
+		cur := g.v.Load()
+		if cur >= limit {
+			return false
+		}
+		if g.v.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
+}
+
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

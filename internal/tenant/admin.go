@@ -9,30 +9,32 @@
 //	GET    /tenants/<id>/events     tail of the tenant's match ring (?n=)
 //	DELETE /tenants/<id>[/rules]    remove the tenant
 //
-// PUT mirrors POST /reload's rejection semantics exactly: the body is
-// compiled and gated (the Compiler callback runs the same parse →
-// compile → SelfCheck pipeline as a whole-daemon reload), and a
-// rejected set answers 500 with the reason while the tenant's serving
-// generation — or its absence — is untouched.
+// PUT and POST /reload share one gate: the body goes through the
+// Compiler callback (parse → compile → SelfCheck), and a rejected set
+// answers 500 with the reason while the tenant's serving generation — or
+// its absence — is untouched. <id> may be "default": PUT replaces the
+// rule set untagged traffic scans against (takes no quota parameters),
+// DELETE is refused.
 
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
-	"matchfilter/internal/flow"
 	"matchfilter/internal/telemetry"
 )
 
-// Compiler turns raw rule text into a validated runner factory plus
-// per-rule source strings. Implementations must run the SelfCheck gate
-// and return an error on any defect — the handler treats an error as a
+// Compiler turns raw rule text into a validated PutSpec (runner factory,
+// per-rule sources, text, build shape); the handler adds the request's
+// quota and reset. Implementations must run the SelfCheck gate and
+// return an error on any defect — the handler treats an error as a
 // rejected swap.
-type Compiler func(rules []byte) (newRunner func() flow.Runner, sources []string, err error)
+type Compiler func(rules []byte) (PutSpec, error)
 
 // maxRulesBody bounds a PUT body; rule sets beyond this are rejected
 // before compilation.
@@ -94,36 +96,28 @@ func (r *Registry) serveTenant(w http.ResponseWriter, req *http.Request, compile
 			http.Error(w, fmt.Sprintf("read rules: %v", err), http.StatusBadRequest)
 			return
 		}
-		spec := PutSpec{Rules: body}
+		var quota Quota
 		q := req.URL.Query()
 		if t := r.ByID(id); t != nil {
-			spec.Quota = t.Quota() // absent params keep the current quota
+			quota = t.Quota() // absent params keep the current quota
 		}
-		if v := q.Get("max-flows"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				http.Error(w, "bad max-flows", http.StatusBadRequest)
-				return
+		for _, k := range []string{"max-flows", "max-buffered"} {
+			if v := q.Get(k); v != "" {
+				if err := quota.Set(k, v); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
 			}
-			spec.Quota.MaxFlows = n
 		}
-		if v := q.Get("max-buffered"); v != "" {
-			n, err := ParseSize(v)
-			if err != nil {
-				http.Error(w, "bad max-buffered: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			spec.Quota.MaxBufferedBytes = n
-		}
-		spec.Reset = q.Get("reset") == "1" || q.Get("reset") == "true"
 		// The gate: parse → compile → SelfCheck, exactly as POST /reload.
 		// A rejected set must leave the tenant's serving state untouched,
 		// which Put guarantees by swapping only after compile succeeds.
-		spec.NewRunner, spec.Sources, err = compile(body)
+		spec, err := compile(body)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("rules rejected: %v", err), http.StatusInternalServerError)
 			return
 		}
+		spec.Quota, spec.Reset = quota, telemetry.FlagParam(req, "reset")
 		t, gen, err := r.Put(id, spec)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -134,8 +128,11 @@ func (r *Registry) serveTenant(w http.ResponseWriter, req *http.Request, compile
 	case http.MethodDelete:
 		if err := r.Delete(id); err != nil {
 			code := http.StatusInternalServerError
-			if strings.Contains(err.Error(), ErrUnknown.Error()) {
+			switch {
+			case errors.Is(err, ErrUnknown):
 				code = http.StatusNotFound
+			case errors.Is(err, ErrDefault):
+				code = http.StatusForbidden
 			}
 			http.Error(w, err.Error(), code)
 			return
@@ -159,24 +156,13 @@ func (r *Registry) serveEvents(w http.ResponseWriter, req *http.Request, id stri
 		http.NotFound(w, req)
 		return
 	}
-	n := 0
-	if q := req.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = telemetry.WriteJSONValue(w, struct {
-		Total  int64             `json:"total"`
-		Events []telemetry.Event `json:"events"`
-	}{Total: t.Events().Total(), Events: t.Events().Tail(n)})
+	telemetry.ServeEvents(w, req, t.Events())
 }
 
-// ParseSize parses a byte count with an optional K/M/G suffix
-// (binary: K = 1024), as the mfaserve -max-memory flag does.
+// ParseSize parses a byte count with an optional K/M/G suffix (binary:
+// K = 1024; case-insensitive): the one size grammar of the daemon's flags
+// and query parameters. 0 parses — a quota reads it as unlimited; a
+// caller parsing a ceiling rejects it.
 func ParseSize(s string) (int64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty size")

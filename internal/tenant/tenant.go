@@ -5,15 +5,14 @@
 // isolated user populations where per-tenant DFA fleets would hit the
 // memory wall.
 //
-// The package generalizes the single-rule-set generation machinery
-// (internal/engine reload.go, internal/flow generation.go) to
-// (tenant, generation) pairs:
+// Every rule set the daemon serves is an entry here, the default one
+// (DefaultID, dispatch index 0 — what untagged traffic scans against)
+// included, and Put is the one way a rule set starts serving:
 //
-//   - A Tenant owns a monotonic generation counter; every rule-set swap
-//     for that tenant mints the next (tenant, generation) pair and swaps
-//     only that tenant's flows, through exactly the same per-shard
-//     command path as a whole-daemon reload — per-tenant hot reload
-//     with the SelfCheck gate falls out rather than being rebuilt.
+//   - The engine numbers each entry's generations; every Put mints the
+//     next (index, generation) pair and swaps only that entry's flows,
+//     through one per-shard command path (internal/engine
+//     generation.go) behind one validation gate (the Compiler).
 //   - Flows carry the tenant index in their pcap.FlowKey, assigned at
 //     ingest (per-source binding or the CIDR classifier here), so flow
 //     identity, shard affinity and flow-table isolation are all
@@ -23,6 +22,11 @@
 //     *global* footprint; each tenant's buffered bytes register as a
 //     named component of the guard.Governor, and quota overruns shed
 //     only that tenant's traffic — a noisy tenant degrades alone.
+//   - The default entry is the registry's record of the default set
+//     (generation, rule text, build shape) and nothing more: untagged
+//     segments and their matches never consult the registry, the
+//     engine-wide caps and counters are its quota and accounting, and
+//     it cannot be deleted.
 //
 // The Registry is the one writer (admin CRUD, boot-time preload); the
 // engine's dispatch path reads it lock-free via an atomic index table.
@@ -31,16 +35,26 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"matchfilter/internal/core"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/guard"
 	"matchfilter/internal/telemetry"
 )
 
-// ErrUnknown marks operations on a tenant id that is not registered.
-var ErrUnknown = errors.New("tenant: unknown tenant")
+// DefaultID names the reserved entry at dispatch index 0: the rule set
+// untagged traffic scans against.
+const DefaultID = "default"
+
+var (
+	// ErrUnknown marks operations on a tenant id that is not registered.
+	ErrUnknown = errors.New("tenant: unknown tenant")
+	// ErrDefault refuses deleting the default rule set.
+	ErrDefault = errors.New("tenant: the default rule set cannot be deleted, only replaced")
+)
 
 // Quota bounds one tenant's resource usage. Zero fields mean unlimited.
 type Quota struct {
@@ -53,25 +67,41 @@ type Quota struct {
 	MaxBufferedBytes int64 `json:"max_buffered_bytes,omitempty"`
 }
 
+// Set assigns one quota option in its flag and query spelling —
+// max-flows=N or max-buffered=SIZE, 0 meaning unlimited: the one grammar
+// behind -tenant specs and PUT /tenants/<id>/rules parameters.
+func (q *Quota) Set(key, value string) error {
+	var err error
+	switch key {
+	case "max-flows":
+		if q.MaxFlows, err = strconv.ParseInt(value, 10, 64); err != nil || q.MaxFlows < 0 {
+			return fmt.Errorf("bad max-flows %q", value)
+		}
+	case "max-buffered":
+		if q.MaxBufferedBytes, err = ParseSize(value); err != nil {
+			return fmt.Errorf("bad max-buffered: %w", err)
+		}
+	default:
+		return fmt.Errorf("unknown quota option %q (max-flows, max-buffered)", key)
+	}
+	return nil
+}
+
 // Tenant is one registered rule-set serving identity. Instances are
 // immutable where the dispatch hot path reads them (id, index, telemetry
-// block); mutable serving state (generation, quota, sources) is atomic.
+// block); mutable serving state (generation, quota, spec) is atomic.
 type Tenant struct {
 	id  string
 	idx uint32
-	gen atomic.Uint64 // last assigned per-tenant generation
+	gen atomic.Uint64 // current generation, as the engine numbered it
 
 	// The telemetry block persists across delete/re-create of the same
 	// id (metric series are forever in the registry anyway), so governor
 	// components and scrapers never see a tenant id's accounting reset
 	// to a different instance.
-	acct     *flow.TenantAcct
-	matches  *telemetry.Counter
-	events   *telemetry.EventRing
-	genGauge *telemetry.Gauge
+	*telemetryBlock
 
-	sources atomic.Pointer[[]string]
-	rules   atomic.Pointer[[]byte]
+	spec atomic.Pointer[PutSpec] // the Put now serving
 }
 
 // ID returns the tenant's registered id.
@@ -84,9 +114,6 @@ func (t *Tenant) Index() uint32 { return t.idx }
 
 // Generation returns the tenant's current (last installed) generation.
 func (t *Tenant) Generation() uint64 { return t.gen.Load() }
-
-// NextGeneration mints the tenant's next generation number.
-func (t *Tenant) NextGeneration() uint64 { return t.gen.Add(1) }
 
 // Acct returns the tenant's shared accounting/quota block, handed to
 // every shard's assembler with the tenant's generations.
@@ -121,21 +148,14 @@ func (t *Tenant) SetQuota(q Quota) {
 }
 
 // Sources returns the per-rule source strings of the tenant's current
-// rule set (index = rule id), for match attribution.
-func (t *Tenant) Sources() []string {
-	if s := t.sources.Load(); s != nil {
-		return *s
-	}
-	return nil
-}
+// rule set (index = rule id - 1), for match attribution.
+func (t *Tenant) Sources() []string { return t.spec.Load().Sources }
 
 // Rules returns the raw rule text last installed for the tenant.
-func (t *Tenant) Rules() []byte {
-	if b := t.rules.Load(); b != nil {
-		return *b
-	}
-	return nil
-}
+func (t *Tenant) Rules() []byte { return t.spec.Load().Rules }
+
+// Build returns the build shape of the tenant's current rule set.
+func (t *Tenant) Build() core.BuildStats { return t.spec.Load().Build }
 
 // Stats is one tenant's JSON-serializable snapshot (admin /statsz and
 // GET /tenants).
@@ -154,7 +174,8 @@ type Stats struct {
 	Sources          []string `json:"sources,omitempty"`
 }
 
-// Stats snapshots the tenant.
+// Stats snapshots the tenant. The default entry's traffic counters read
+// zero: untagged traffic is accounted engine-wide, not under a tenant.
 func (t *Tenant) Stats() Stats {
 	src := t.Sources()
 	return Stats{
@@ -207,6 +228,7 @@ type telemetryBlock struct {
 	matches  *telemetry.Counter
 	events   *telemetry.EventRing
 	genGauge *telemetry.Gauge
+	governed bool // registered as a guard.Governor component
 }
 
 // Registry maps tenant ids to serving state. One Registry serves one
@@ -219,18 +241,15 @@ type Registry struct {
 	eng    Swapper
 	byID   map[string]*Tenant
 	blocks map[string]*telemetryBlock
-	govern map[string]bool // governor components registered, by id
-	next   uint32          // last assigned index
+	next   uint32 // last assigned nonzero index
 	cidrs  []CIDRRule
 
-	// byIdx is the dispatch index: slot idx-1 holds the tenant, nil
-	// after delete. Copy-on-write under mu, read lock-free.
+	// byIdx is the dispatch index: slot idx holds the tenant (slot 0 the
+	// default entry), nil after delete. Copy-on-write under mu, read
+	// lock-free.
 	byIdx atomic.Pointer[[]*Tenant]
 	// tags is the resolved CIDR classifier table (classify.go).
 	tags atomic.Pointer[[]tagEntry]
-
-	puts    atomic.Int64
-	deletes atomic.Int64
 }
 
 // NewRegistry creates an empty registry. Call Bind before Put.
@@ -242,7 +261,6 @@ func NewRegistry(cfg Config) *Registry {
 		cfg:    cfg,
 		byID:   make(map[string]*Tenant),
 		blocks: make(map[string]*telemetryBlock),
-		govern: make(map[string]bool),
 	}
 }
 
@@ -258,7 +276,7 @@ func (r *Registry) Bind(s Swapper) {
 
 // PutSpec describes one Put: the compiled rule set and its metadata.
 // The caller is expected to have run the SelfCheck gate on the compiled
-// set before calling Put — same contract as engine.Reload.
+// set before calling Put. A stored spec is immutable.
 type PutSpec struct {
 	// NewRunner allocates start-of-flow matching contexts for the
 	// tenant's compiled rule set. Required.
@@ -267,10 +285,13 @@ type PutSpec struct {
 	Sources []string
 	// Rules is the raw rule text, kept for admin GET round-trips.
 	Rules []byte
+	// Build is the compiled set's build shape (the mfa_build_* gauges and
+	// /statsz report the default entry's).
+	Build core.BuildStats
 	// Quota bounds the tenant; zero fields mean unlimited.
 	Quota Quota
-	// Reset restarts the tenant's live flows on the new rule set
-	// (engine.ReloadReset semantics); false drains them (ReloadDrain).
+	// Reset restarts the tenant's live flows on the new rule set; false
+	// drains them on the old.
 	Reset bool
 }
 
@@ -286,6 +307,9 @@ func (r *Registry) Put(id string, spec PutSpec) (*Tenant, uint64, error) {
 	if spec.NewRunner == nil {
 		return nil, 0, fmt.Errorf("tenant %q: nil runner factory", id)
 	}
+	if id == DefaultID && spec.Quota != (Quota{}) {
+		return nil, 0, fmt.Errorf("tenant %q: takes no quota (the engine-wide caps bound the default set)", id)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.eng == nil {
@@ -299,51 +323,45 @@ func (r *Registry) Put(id string, spec PutSpec) (*Tenant, uint64, error) {
 			blk = r.newBlock(id)
 			r.blocks[id] = blk
 		}
-		r.next++
-		t = &Tenant{
-			id:       id,
-			idx:      r.next,
-			acct:     blk.acct,
-			matches:  blk.matches,
-			events:   blk.events,
-			genGauge: blk.genGauge,
+		t = &Tenant{id: id, telemetryBlock: blk}
+		if id != DefaultID {
+			t.idx = r.next + 1
 		}
-	}
-	t.SetQuota(spec.Quota)
-	if spec.Sources != nil {
-		s := spec.Sources
-		t.sources.Store(&s)
-	}
-	if spec.Rules != nil {
-		b := spec.Rules
-		t.rules.Store(&b)
 	}
 	gen, err := r.eng.ReloadTenant(t, spec.NewRunner, spec.Reset)
 	if err != nil {
 		return nil, 0, err
 	}
+	// The swap is in: only now does the tenant's record change, so a
+	// failed Put leaves the quota and rule text of what is still serving.
+	t.gen.Store(gen)
+	t.SetQuota(spec.Quota)
+	t.spec.Store(&spec)
 	if t.genGauge != nil {
 		t.genGauge.Set(int64(gen))
 	}
 	if fresh {
+		r.next = max(r.next, t.idx)
 		r.byID[id] = t
-		r.publishLocked(t)
-		if gov := r.cfg.Governor; gov != nil && !r.govern[id] {
-			acct := t.acct
-			gov.Register("tenant:"+id, func() int64 { return acct.BufferedBytes.Value() })
-			r.govern[id] = true
+		r.setSlotLocked(t.idx, t)
+		if gov := r.cfg.Governor; gov != nil && id != DefaultID && !t.governed {
+			gov.Register("tenant:"+id, t.acct.BufferedBytes.Value)
+			t.governed = true
 		}
 		r.retagLocked()
 	}
-	r.puts.Add(1)
 	return t, gen, nil
 }
 
 // Delete removes tenant id: it disappears from dispatch first (new
 // segments carrying its index drop as unknown), then every shard tears
 // down its flows and serving state. The id may be re-Put later; it will
-// get a fresh index but keep its metric series and event history.
+// get a fresh index but keep its metric series and event history. The
+// default entry is refused with ErrDefault.
 func (r *Registry) Delete(id string) error {
+	if id == DefaultID {
+		return ErrDefault
+	}
 	r.mu.Lock()
 	t := r.byID[id]
 	if t == nil {
@@ -351,11 +369,10 @@ func (r *Registry) Delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknown, id)
 	}
 	delete(r.byID, id)
-	r.unpublishLocked(t)
+	r.setSlotLocked(t.idx, nil)
 	r.retagLocked()
 	eng := r.eng
 	r.mu.Unlock()
-	r.deletes.Add(1)
 	if eng != nil {
 		return eng.DropTenant(t)
 	}
@@ -363,13 +380,13 @@ func (r *Registry) Delete(id string) error {
 }
 
 // Lookup resolves a dispatch index to its tenant, lock-free. nil means
-// unknown (never assigned, or deleted).
+// unknown (never assigned, or deleted); index 0 is the default entry.
 func (r *Registry) Lookup(idx uint32) *Tenant {
 	s := r.byIdx.Load()
-	if s == nil || idx == 0 || int(idx) > len(*s) {
+	if s == nil || int(idx) >= len(*s) {
 		return nil
 	}
-	return (*s)[idx-1]
+	return (*s)[idx]
 }
 
 // ByID resolves a tenant id.
@@ -394,13 +411,6 @@ func (r *Registry) List() []Stats {
 	return out
 }
 
-// Len reports the number of registered tenants.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byID)
-}
-
 // BufferedBytes sums every registered tenant's buffered reassembly
 // bytes. The engine subtracts this from its own governor component so
 // tenant bytes are attributed to their "tenant:<id>" components instead
@@ -419,28 +429,17 @@ func (r *Registry) BufferedBytes() int64 {
 	return n
 }
 
-func (r *Registry) publishLocked(t *Tenant) {
-	old := r.byIdx.Load()
+// setSlotLocked publishes t (nil: nobody) at dispatch index idx,
+// copy-on-write.
+func (r *Registry) setSlotLocked(idx uint32, t *Tenant) {
 	var next []*Tenant
-	if old != nil {
-		next = make([]*Tenant, len(*old))
-		copy(next, *old)
+	if old := r.byIdx.Load(); old != nil {
+		next = append(next, *old...)
 	}
-	for int(t.idx) > len(next) {
+	for int(idx) >= len(next) {
 		next = append(next, nil)
 	}
-	next[t.idx-1] = t
-	r.byIdx.Store(&next)
-}
-
-func (r *Registry) unpublishLocked(t *Tenant) {
-	old := r.byIdx.Load()
-	if old == nil || int(t.idx) > len(*old) {
-		return
-	}
-	next := make([]*Tenant, len(*old))
-	copy(next, *old)
-	next[t.idx-1] = nil
+	next[idx] = t
 	r.byIdx.Store(&next)
 }
 
@@ -454,7 +453,9 @@ func (r *Registry) newBlock(id string) *telemetryBlock {
 		acct:   &flow.TenantAcct{},
 		events: telemetry.NewEventRing(r.cfg.EventsCap),
 	}
-	if reg := r.cfg.Metrics; reg != nil {
+	// The default entry's series are the engine-wide ones (mfa_generation,
+	// mfa_engine_*): it registers nothing under the tenant label.
+	if reg := r.cfg.Metrics; reg != nil && id != DefaultID {
 		l := telemetry.L("tenant", id)
 		blk.acct.LiveFlows = reg.Gauge("mfa_tenant_live_flows",
 			"Live flows per tenant.", l)

@@ -6,9 +6,9 @@
 package tenant_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +23,7 @@ import (
 	"matchfilter/internal/flow"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/regexparse"
+	"matchfilter/internal/rules"
 	"matchfilter/internal/telemetry"
 	"matchfilter/internal/tenant"
 	"matchfilter/internal/trace"
@@ -52,35 +53,22 @@ func factory(m *core.MFA) func() flow.Runner {
 	return func() flow.Runner { return m.NewRunner() }
 }
 
-// compileRules is the test stand-in for mfaserve's rule compiler: the
-// same parse → compile → SelfCheck gate the admin PUT handler must run.
-func compileRules(body []byte) (func() flow.Runner, []string, error) {
-	var rules []core.Rule
-	var sources []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := regexparse.ParsePCRE(line)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rule %q: %w", line, err)
-		}
-		rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-		sources = append(sources, line)
-	}
-	if len(rules) == 0 {
-		return nil, nil, fmt.Errorf("no rules in body")
-	}
-	m, err := core.Compile(rules, core.Options{})
+// compileRules is the test stand-in for mfaserve's gate: the same parse
+// (the one loader) → compile → SelfCheck pipeline the admin PUT handler
+// must run.
+func compileRules(body []byte) (tenant.PutSpec, error) {
+	rs, sources, err := rules.Parse(body)
 	if err != nil {
-		return nil, nil, err
+		return tenant.PutSpec{}, err
+	}
+	m, err := core.Compile(rs, core.Options{})
+	if err != nil {
+		return tenant.PutSpec{}, err
 	}
 	if err := m.SelfCheck(); err != nil {
-		return nil, nil, err
+		return tenant.PutSpec{}, err
 	}
-	return func() flow.Runner { return m.NewRunner() }, sources, nil
+	return tenant.PutSpec{NewRunner: factory(m), Sources: sources, Rules: body, Build: m.Stats()}, nil
 }
 
 func tkey(ten uint32, n int) pcap.FlowKey {
@@ -161,7 +149,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := reg.Delete("acme"); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Lookup(1) != nil || reg.ByID("acme") != nil || reg.Len() != 0 {
+	if reg.Lookup(1) != nil || reg.ByID("acme") != nil || len(reg.List()) != 0 {
 		t.Fatal("deleted tenant still resolvable")
 	}
 	if err := reg.Delete("acme"); err == nil {
@@ -388,6 +376,12 @@ func TestAdminCRUD(t *testing.T) {
 	if code, _ = do(http.MethodDelete, "/tenants/acme", ""); code != 404 {
 		t.Fatalf("double DELETE: %d", code)
 	}
+	if code, body = do(http.MethodDelete, "/tenants/default", ""); code != http.StatusForbidden {
+		t.Fatalf("DELETE /tenants/default: %d %q, want 403", code, body)
+	}
+	if code, body = do(http.MethodPut, "/tenants/acme/rules?max-buffered=1Q", "x\n"); code != 400 {
+		t.Fatalf("PUT with a bad size: %d %q, want 400", code, body)
+	}
 	if code, _ = do(http.MethodPut, "/tenants/bad/../id/rules", "x\n"); code == 200 {
 		t.Fatal("path-mangled PUT accepted")
 	}
@@ -603,7 +597,7 @@ func TestQuotaDegradationIsolation(t *testing.T) {
 		}
 		if i%4 == 0 {
 			q := i / 4
-			seg := pcap.Segment{Key: tkey(quiet.Index(), 1000 + q), Seq: 0, Flags: pcap.FlagACK, Payload: []byte("a quiet word passes")}
+			seg := pcap.Segment{Key: tkey(quiet.Index(), 1000+q), Seq: 0, Flags: pcap.FlagACK, Payload: []byte("a quiet word passes")}
 			if err := e.HandleSegment(seg); err != nil {
 				t.Fatal(err)
 			}
@@ -632,6 +626,170 @@ func TestQuotaDegradationIsolation(t *testing.T) {
 	}
 	if st.Tier != engine.TierNormal || st.HardDrops != 0 || st.QueueDrops != 0 {
 		t.Fatalf("quota overrun degraded global service: %+v", st)
+	}
+}
+
+// The governor must bill a tenant's reassembly bytes once: to its
+// "tenant:<id>" component, not also to the engine's. With all traffic
+// tagged and nothing unleased queued — the normal state of a tagged
+// daemon — the engine's own share is zero.
+func TestTenantBytesAreBilledOnce(t *testing.T) {
+	reg, e := serving(t, tenant.Config{}, engine.Config{Shards: 1}, buildMFA(t, "default"), nil)
+	defer e.Close()
+	ten, _, err := reg.Put("acme", tenant.PutSpec{NewRunner: factory(buildMFA(t, "alpha"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := tkey(ten.Index(), 1)
+	for _, seg := range []pcap.Segment{
+		{Key: k, Seq: 0, Flags: pcap.FlagSYN},
+		{Key: k, Seq: 1001, Flags: pcap.FlagACK, Payload: make([]byte, 500)}, // a gap before it: buffered
+	} {
+		if err := e.HandleSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the out-of-order segment to be buffered", func() bool { return ten.Stats().BufferedBytes == 500 })
+	waitFor(t, "the queue to drain", func() bool { return e.Stats().QueuedBytes == 0 })
+	if got := e.MemoryUsage(); got != 0 {
+		t.Fatalf("engine component reports %d bytes beside the tenant component's 500, want 0", got)
+	}
+	// An untagged flow's buffer is the engine's to bill.
+	if err := e.HandleSegment(pcap.Segment{Key: tkey(0, 2), Seq: 1001, Flags: pcap.FlagACK, Payload: make([]byte, 300)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.HandleSegment(pcap.Segment{Key: tkey(0, 2), Seq: 5001, Flags: pcap.FlagACK, Payload: make([]byte, 300)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the engine's own share", func() bool { return e.MemoryUsage() == 300 })
+}
+
+// The reserved default entry: index 0, first in the list, numbered by
+// the same counter as the engine's own Reload, unquota'd, undeletable.
+func TestDefaultEntry(t *testing.T) {
+	metrics := telemetry.NewRegistry()
+	reg := tenant.NewRegistry(tenant.Config{Metrics: metrics})
+	e := engine.New(engine.Config{Shards: 2, Tenants: reg, Metrics: metrics}, nil, nil)
+	reg.Bind(e)
+	defer e.Close()
+	if g := e.Generation(); g != 0 || reg.Lookup(0) != nil {
+		t.Fatalf("before the first Put: generation %d, Lookup(0) = %v", g, reg.Lookup(0))
+	}
+	if _, _, err := reg.Put("acme", tenant.PutSpec{NewRunner: factory(buildMFA(t, "alpha"))}); err != nil {
+		t.Fatal(err)
+	}
+	def, gen, err := reg.Put(tenant.DefaultID, tenant.PutSpec{NewRunner: factory(buildMFA(t, "default")), Sources: []string{"default"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Index() != 0 || gen != 1 || reg.Lookup(0) != def || e.Generation() != 1 {
+		t.Fatalf("default entry got (idx=%d, gen=%d), engine generation %d; want (0, 1), 1", def.Index(), gen, e.Generation())
+	}
+	if g, err := e.Reload(factory(buildMFA(t, "other")), false); err != nil || g != 2 {
+		t.Fatalf("engine.Reload after the default Put: generation %d, %v; want 2", g, err)
+	}
+	if _, gen, err = reg.Put(tenant.DefaultID, tenant.PutSpec{NewRunner: factory(buildMFA(t, "third"))}); err != nil || gen != 3 || def.Generation() != 3 {
+		t.Fatalf("second default Put: generation %d (%d on the entry), %v; want 3", gen, def.Generation(), err)
+	}
+	if list := reg.List(); len(list) != 2 || list[0].ID != tenant.DefaultID || list[1].ID != "acme" || list[1].Index != 1 {
+		t.Fatalf("List = %+v, want default then acme", list)
+	}
+	if _, _, err := reg.Put(tenant.DefaultID, tenant.PutSpec{NewRunner: factory(buildMFA(t, "x")), Quota: tenant.Quota{MaxFlows: 1}}); err == nil {
+		t.Error("a quota on the default entry was accepted")
+	}
+	if err := reg.Delete(tenant.DefaultID); !errors.Is(err, tenant.ErrDefault) {
+		t.Errorf("Delete(default) = %v, want ErrDefault", err)
+	}
+	if err := reg.Delete("ghost"); !errors.Is(err, tenant.ErrUnknown) {
+		t.Errorf("Delete(ghost) = %v, want ErrUnknown", err)
+	}
+	// Untagged traffic is accounted engine-wide, never under a tenant label.
+	if snap := metrics.Snapshot(); snap.Value("mfa_generation") != 3 {
+		t.Errorf("mfa_generation = %v, want 3", snap.Value("mfa_generation"))
+	}
+	var buf bytes.Buffer
+	if err := metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `tenant="default"`) {
+		t.Error("the default entry registered tenant-labelled series")
+	}
+}
+
+// closedSwapper fails every swap, as an engine that has begun closing does.
+type closedSwapper struct{ tenant.Swapper }
+
+func (closedSwapper) ReloadTenant(*tenant.Tenant, func() flow.Runner, bool) (uint64, error) {
+	return 0, engine.ErrClosed
+}
+
+// Put's promise: when the swap fails, the tenant still reports the quota
+// and rule text of the set that is still serving.
+func TestFailedPutChangesNothing(t *testing.T) {
+	reg, e := serving(t, tenant.Config{}, engine.Config{Shards: 1}, buildMFA(t, "default"), nil)
+	defer e.Close()
+	ten, _, err := reg.Put("acme", tenant.PutSpec{
+		NewRunner: factory(buildMFA(t, "alpha")), Sources: []string{"alpha"}, Rules: []byte("alpha\n"), Quota: tenant.Quota{MaxFlows: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Bind(closedSwapper{e})
+	for _, id := range []string{"acme", "fresh"} {
+		_, _, err := reg.Put(id, tenant.PutSpec{
+			NewRunner: factory(buildMFA(t, "bravo")), Sources: []string{"bravo"}, Rules: []byte("bravo\n"), Quota: tenant.Quota{MaxFlows: 1},
+		})
+		if !errors.Is(err, engine.ErrClosed) {
+			t.Fatalf("Put(%s) on a closed engine = %v, want ErrClosed", id, err)
+		}
+	}
+	if string(ten.Rules()) != "alpha\n" || ten.Sources()[0] != "alpha" || ten.Quota().MaxFlows != 9 || ten.Generation() != 1 {
+		t.Errorf("a failed Put changed the tenant: rules %q, sources %q, quota %+v, generation %d",
+			ten.Rules(), ten.Sources(), ten.Quota(), ten.Generation())
+	}
+	if reg.ByID("fresh") != nil || len(reg.List()) != 1 {
+		t.Error("a failed Put registered its tenant")
+	}
+	reg.Bind(e)
+	if fresh, _, err := reg.Put("fresh", tenant.PutSpec{NewRunner: factory(buildMFA(t, "bravo"))}); err != nil || fresh.Index() != 2 {
+		t.Errorf("Put after the failure: index %d, %v; want the index the failed Put did not burn", fresh.Index(), err)
+	}
+}
+
+// One size grammar, one quota grammar: 0 parses everywhere and means
+// unlimited to a quota.
+func TestSizesAndQuotaOptions(t *testing.T) {
+	for in, want := range map[string]int64{"0": 0, "1": 1, "512": 512, "4k": 4 << 10, "4K": 4 << 10, "64M": 64 << 20, "1g": 1 << 30} {
+		if got, err := tenant.ParseSize(in); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "K", "-1", "1.5M", "12X", "M1"} {
+		if n, err := tenant.ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", bad, n)
+		}
+	}
+	var q tenant.Quota
+	for _, kv := range [][2]string{{"max-flows", "7"}, {"max-buffered", "1M"}} {
+		if err := q.Set(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q != (tenant.Quota{MaxFlows: 7, MaxBufferedBytes: 1 << 20}) {
+		t.Errorf("quota = %+v", q)
+	}
+	for _, kv := range [][2]string{{"max-flows", "0"}, {"max-buffered", "0"}} {
+		if err := q.Set(kv[0], kv[1]); err != nil {
+			t.Errorf("Set(%s=0): %v; 0 is unlimited", kv[0], err)
+		}
+	}
+	if q != (tenant.Quota{}) {
+		t.Errorf("quota after zeroing = %+v", q)
+	}
+	for _, kv := range [][2]string{{"max-flows", "-1"}, {"max-flows", "many"}, {"max-buffered", "-1"}, {"max-buffered", "1Q"}, {"max-flow", "1"}, {"", ""}} {
+		if err := q.Set(kv[0], kv[1]); err == nil {
+			t.Errorf("Set(%q, %q) accepted", kv[0], kv[1])
+		}
 	}
 }
 
@@ -770,7 +928,7 @@ func TestLifecycleRace(t *testing.T) {
 	if accounted != sent.Load() {
 		t.Fatalf("accounting identity broken: sent %d, accounted %d (%+v)", sent.Load(), accounted, st)
 	}
-	if reg.Len() != tenants {
-		t.Fatalf("%d tenants registered at exit, want %d", reg.Len(), tenants)
+	if len(reg.List()) != tenants {
+		t.Fatalf("%d tenants registered at exit, want %d", len(reg.List()), tenants)
 	}
 }
