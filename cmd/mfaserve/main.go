@@ -36,9 +36,10 @@
 // unhealthy.
 //
 // Observability (DESIGN.md §12): the daemon always instruments itself
-// through internal/telemetry — the periodic -stats ticker renders from a
-// registry snapshot — and -admin additionally serves the surface over
-// HTTP: /metrics (Prometheus text), /statsz (JSON engine stats),
+// through internal/telemetry — each component's Stats struct is the one
+// listing of its counters, which the -stats ticker and the exit report
+// print from — and -admin additionally serves the surface over
+// HTTP: /metrics (Prometheus text), /statsz (the same structs as JSON),
 // /healthz (503 exactly when the exit code would be 3), /events (tail of
 // the match-event ring) and /debug/pprof. The admin server drains
 // gracefully under the same -drain-timeout bound as the engine.
@@ -91,7 +92,6 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -239,8 +239,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		cidrs = append(cidrs, ts.cidrs...)
 	}
 
-	// The daemon is always instrumented: the registry drives the -stats
-	// ticker, and -admin additionally exposes it over HTTP.
+	// The daemon is always instrumented; -admin additionally exposes the
+	// registry over HTTP.
 	reg := telemetry.NewRegistry()
 	events := telemetry.NewEventRing(eventsCap)
 	telemetry.RegisterRuntimeMetrics(reg, time.Now())
@@ -252,7 +252,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	// ladder sees the same pressure.
 	var gov *guard.Governor
 	if memLimit > 0 {
-		gov = guard.NewGovernor(guard.GovernorConfig{Limit: memLimit})
+		gov = guard.NewGovernor(guard.GovernorConfig{Limit: memLimit}, reg)
 	}
 
 	// Every rule set is an entry of treg, the default one included; the
@@ -325,25 +325,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return treg.Put(tenant.DefaultID, spec)
 	}
 	var reloadMu sync.Mutex // serializes SIGHUP against POST /reload
-	var reloadOK, reloadFail atomic.Int64
+	reloadOK := reg.Counter("mfa_reload_success_total",
+		"Pattern hot reloads that validated and swapped in a new generation.")
+	reloadFail := reg.Counter("mfa_reload_failure_total",
+		"Pattern hot reloads rejected (load, compile or self-check failure); the running generation was untouched.")
 	reload := func(reset bool) (uint64, error) {
 		reloadMu.Lock()
 		defer reloadMu.Unlock()
 		t, gen, err := putDefault(reset)
 		if err != nil {
-			reloadFail.Add(1)
+			reloadFail.Inc()
 			return 0, fmt.Errorf("reload rejected, generation %d keeps serving: %w", e.Generation(), err)
 		}
-		reloadOK.Add(1)
+		reloadOK.Inc()
 		fmt.Fprintf(stderr, "mfaserve: reloaded %d rules as generation %d (reset=%t)\n", len(t.Sources()), gen, reset)
 		return gen, nil
 	}
-	reg.CounterFunc("mfa_reload_success_total",
-		"Pattern hot reloads that validated and swapped in a new generation.",
-		func() float64 { return float64(reloadOK.Load()) })
-	reg.CounterFunc("mfa_reload_failure_total",
-		"Pattern hot reloads rejected (load, compile or self-check failure); the running generation was untouched.",
-		func() float64 { return float64(reloadFail.Load()) })
 
 	// SIGHUP is POST /reload without ?reset: in-flight flows drain. The
 	// signal is caught from here on; the loop that serves it starts with
@@ -392,9 +389,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			}
 		}
 		treg.SetCIDRs(cidrs)
-		if gov != nil {
-			gov.RegisterMetrics(reg) // after registration: full per-component series
-		}
 		for _, ps := range srcs {
 			opts := input.SourceOptions{RateBytesPerSec: ps.rate}
 			if ps.tenantID != "" {
@@ -437,12 +431,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				}
 				return strings.Join(reasons, "; ")
 			},
-			// /statsz reports the serving state end to end: per-source
-			// input accounting (including breaker state), arena lease
-			// counters, the memory governor (when -max-memory is set),
-			// the live engine counters, the declared tenants, and the
-			// build shape (table layout, class count, image split) of the
-			// default set — whose registry row is Engine and Build here.
+			// /statsz reports the serving state end to end, as the structs
+			// the /metrics row tables read: per-source input accounting
+			// (including breaker state), arena lease counters, the memory
+			// governor (when -max-memory is set), the live engine
+			// counters, the declared tenants, and the build shape (table
+			// layout, class count, image split) of the default set —
+			// whose registry row is Engine and Build here.
 			Statsz: func() any {
 				var gst *guard.GovernorStats
 				if gov != nil {
@@ -496,7 +491,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		bg.Add(1)
 		go func() {
 			defer bg.Done()
-			progressLoop(stderr, reg, *statsEvery, stop)
+			progressLoop(stderr, e, *statsEvery, stop)
 		}()
 	}
 
@@ -508,7 +503,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	scanStart := time.Now()
 	scanErr := sup.Run(ctx)
-	malformed := sup.Malformed()
 
 	closeCtx := context.Background()
 	if *drainTimeout > 0 {
@@ -535,10 +529,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		cancel()
 	}
 
-	st := e.Stats()
-	inputReport(stdout, sup.Stats(), sup.Arena().Stats())
+	st, inputs := e.Stats(), sup.Stats()
+	inputReport(stdout, inputs, sup.Arena().Stats())
 	report(stdout, st, elapsed)
-	healthLine(stdout, st, malformed)
+	healthLine(stdout, st, inputs)
 
 	var strictErr *input.StrictError
 	switch {
@@ -555,8 +549,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	// restart budget) is an operational error even though the rest of the
 	// pipeline kept serving — the classic single-capture invocation keeps
 	// its open-failure exit status.
-	for _, row := range sup.Stats() {
-		if row.State == "failed" {
+	for _, row := range inputs {
+		if row.State == input.StateFailed.String() {
 			return exitError, fmt.Errorf("source %s failed: %s", row.Name, row.LastError)
 		}
 	}
@@ -751,74 +745,61 @@ func parseTenantSpec(spec string) (tenantSpec, error) {
 	return ts, nil
 }
 
-// progressLoop prints one stats line per tick until stop closes. The
-// line renders from a telemetry snapshot — the same numbers /metrics
-// serves — so the ticker and a scraper can never tell different
-// stories; the match rate is the delta between consecutive snapshots.
-func progressLoop(w io.Writer, reg *telemetry.Registry, every time.Duration, stop <-chan struct{}) {
+// progressLoop prints one stats line per tick until stop closes, from
+// the engine's Stats — the numbers /metrics and /statsz serve, so flows=
+// lags like pkts= and bytes= by up to a shard's publish interval (the
+// exact count is mfa_reasm_live_flows); the rate is the per-tick delta.
+func progressLoop(w io.Writer, e *engine.Engine, every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
-	lastMatches := 0.0
+	var lastMatches int64
 	lastTick := time.Now()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			snap := reg.Snapshot()
-			now := time.Now()
-			matches := snap.Value("mfa_engine_matches_total")
-			rate := (matches - lastMatches) / now.Sub(lastTick).Seconds()
-			lastMatches, lastTick = matches, now
-			tier := engine.Tier(int32(snap.Value("mfa_engine_tier")))
+			st, now := e.Stats(), time.Now()
+			rate := float64(st.Matches-lastMatches) / now.Sub(lastTick).Seconds()
+			lastMatches, lastTick = st.Matches, now
 			fmt.Fprintf(w,
-				"mfaserve: pkts=%.0f bytes=%.0f flows=%.0f/%.0f matches=%.0f (%.1f/s) queued=%.0f drops=%.0f tier=%s poisoned=%.0f\n",
-				snap.Value("mfa_engine_packets_total"),
-				snap.Value("mfa_engine_payload_bytes_total"),
-				snap.Value("mfa_reasm_live_flows"),
-				snap.Value("mfa_engine_flows_total"),
-				matches, rate,
-				snap.Value("mfa_engine_queue_depth"),
-				snap.Value("mfa_engine_queue_drops_total")+snap.Value("mfa_engine_hard_drops_total"),
-				tier,
-				snap.Value("mfa_engine_poisoned_flows_total"))
+				"mfaserve: pkts=%d bytes=%d flows=%d/%d matches=%d (%.1f/s) queued=%d drops=%d tier=%s poisoned=%d\n",
+				st.Packets, st.PayloadBytes, st.FlowsLive, st.FlowsTotal, st.Matches, rate,
+				st.QueueDepth, st.QueueDrops+st.HardDrops, st.Tier, st.PoisonedFlows)
 		}
 	}
 }
 
-// registerBuildMetrics exposes the static shape of the default set's
-// automaton: what the scan loop is actually walking (table layout,
-// byte-class count, table bytes) and the image split. The values are
-// callbacks over the registry's default entry, so a hot reload is
-// reflected on the next scrape.
+// buildRows serves the static shape of the default set's automaton: what
+// the scan loop is actually walking (table layout, byte-class count,
+// table bytes) and the image split. The rows read the registry's default
+// entry, so a hot reload is reflected on the next scrape.
+var buildRows = []telemetry.Row[core.BuildStats]{
+	telemetry.GaugeRow("mfa_build_dfa_states", "states in the character DFA", func(st *core.BuildStats) float64 { return float64(st.DFAStates) }),
+	telemetry.GaugeRow("mfa_build_dfa_table_bytes", "transition-table image bytes in its serving layout (classed includes the class map)", func(st *core.BuildStats) float64 { return float64(st.DFATableBytes) }),
+	telemetry.GaugeRow("mfa_build_dfa_classes", "byte equivalence classes of the transition table (256 = flat)", func(st *core.BuildStats) float64 { return float64(st.DFAClasses) }),
+	telemetry.GaugeRow("mfa_build_image_bytes", "total static memory image (DFA + filter program)", func(st *core.BuildStats) float64 { return float64(st.MemoryImageBytes()) }),
+	telemetry.GaugeRow("mfa_build_mem_bits", "per-flow filter memory width w", func(st *core.BuildStats) float64 { return float64(st.MemBits) }),
+	telemetry.GaugeRow("mfa_build_counters", "filter counter registers compiled from bounded repeats", func(st *core.BuildStats) float64 { return float64(st.Counters) }),
+	telemetry.GaugeRow("mfa_build_accept_programs", "distinct decision sets compiled to accept programs", func(st *core.BuildStats) float64 { return float64(st.AcceptPrograms) }),
+	telemetry.GaugeRow("mfa_build_accept_program_bytes", "resident bytes of the accept programs, derived at load and not part of the image", func(st *core.BuildStats) float64 { return float64(st.AcceptProgramBytes) }),
+	telemetry.GaugeRow("mfa_build_seconds", "wall time core.Compile spent on the serving pattern set: what the last start or reload cost (0 for a loaded -engine image)", func(st *core.BuildStats) float64 { return st.BuildTime.Seconds() }),
+}
+
 func registerBuildMetrics(reg *telemetry.Registry, cur func() core.BuildStats) {
-	g := func(name, help string, v func(core.BuildStats) int) {
-		reg.GaugeFunc(name, help, func() float64 { return float64(v(cur())) })
-	}
-	g("mfa_build_dfa_states", "states in the character DFA", func(st core.BuildStats) int { return st.DFAStates })
-	g("mfa_build_dfa_table_bytes", "transition-table image bytes in its serving layout (classed includes the class map)", func(st core.BuildStats) int { return st.DFATableBytes })
-	g("mfa_build_dfa_classes", "byte equivalence classes of the transition table (256 = flat)", func(st core.BuildStats) int { return st.DFAClasses })
-	g("mfa_build_image_bytes", "total static memory image (DFA + filter program)", func(st core.BuildStats) int { return st.MemoryImageBytes() })
-	g("mfa_build_mem_bits", "per-flow filter memory width w", func(st core.BuildStats) int { return st.MemBits })
-	g("mfa_build_counters", "filter counter registers compiled from bounded repeats", func(st core.BuildStats) int { return st.Counters })
-	g("mfa_build_accept_programs", "distinct decision sets compiled to accept programs", func(st core.BuildStats) int { return st.AcceptPrograms })
-	g("mfa_build_accept_program_bytes", "resident bytes of the accept programs, derived at load and not part of the image", func(st core.BuildStats) int { return st.AcceptProgramBytes })
-	reg.GaugeFunc("mfa_build_seconds", "wall time core.Compile spent on the serving pattern set: what the last start or reload cost (0 for a loaded -engine image)",
-		func() float64 { return cur().BuildTime.Seconds() })
+	rows := telemetry.Rows(reg, cur, buildRows)
 	// Info-style metric: the layout name rides in the label, value is 1
 	// on the serving layout's series. All layouts are registered so the
 	// series set is stable across reloads that change layout.
 	for _, layout := range []string{"flat", "classed"} {
-		layout := layout
-		reg.GaugeFunc("mfa_build_dfa_layout_info",
+		rows.Add([]telemetry.Row[core.BuildStats]{telemetry.GaugeRow("mfa_build_dfa_layout_info",
 			"transition-table layout of the serving engine (1 on the active layout's series)",
-			func() float64 {
-				if cur().DFALayout == layout {
+			func(st *core.BuildStats) float64 {
+				if st.DFALayout == layout {
 					return 1
 				}
 				return 0
-			},
-			telemetry.L("layout", layout))
+			})}, telemetry.L("layout", layout))
 	}
 }
 
@@ -858,7 +839,11 @@ func report(w io.Writer, st engine.Stats, elapsed time.Duration) {
 
 // healthLine emits the structured one-line health summary: everything a
 // supervisor needs to judge the run without parsing the prose report.
-func healthLine(w io.Writer, st engine.Stats, malformed int64) {
+func healthLine(w io.Writer, st engine.Stats, inputs []input.SourceStats) {
+	var malformed int64
+	for _, row := range inputs {
+		malformed += row.Malformed
+	}
 	status := "ok"
 	if st.UnhealthyShards > 0 {
 		status = "unhealthy"

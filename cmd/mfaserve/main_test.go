@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,6 +25,7 @@ import (
 
 	"matchfilter/internal/core"
 	"matchfilter/internal/flow"
+	"matchfilter/internal/input"
 	"matchfilter/internal/leakcheck"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/rules"
@@ -56,6 +58,7 @@ type daemon struct {
 	pw             *pcap.Writer // frames the held-open stdin capture
 	stdout, stderr syncBuffer
 	exited         chan struct{}
+	stop           context.CancelFunc // ends a run whose sources never do
 	code           int
 	err            error
 	base           string // admin URL, "" without -admin
@@ -68,15 +71,17 @@ func start(t *testing.T, args ...string) *daemon {
 	t.Helper()
 	pr, pw := io.Pipe()
 	tr := &http.Transport{}
-	d := &daemon{t: t, stdin: pw, pw: pcap.NewWriter(pw), exited: make(chan struct{}), client: &http.Client{Transport: tr}}
+	ctx, stop := context.WithCancel(context.Background())
+	d := &daemon{t: t, stdin: pw, pw: pcap.NewWriter(pw), exited: make(chan struct{}), stop: stop, client: &http.Client{Transport: tr}}
 	go func() {
 		defer close(d.exited)
-		d.code, d.err = run(context.Background(), args, pr, &d.stdout, &d.stderr)
+		d.code, d.err = run(ctx, args, pr, &d.stdout, &d.stderr)
 		pr.Close() // a run that never read stdin must not block the writer
 	}()
 	t.Cleanup(func() {
 		tr.CloseIdleConnections()
 		d.stdin.Close()
+		stop()
 		<-d.exited
 	})
 	for _, a := range args {
@@ -112,10 +117,14 @@ func (d *daemon) waitFor(what string, cond func() bool) {
 	}
 }
 
-// finish ends stdin and returns run's exit code and error.
-func (d *daemon) finish() (int, error) {
+// finish ends stdin — and cancels the run, when told its sources never
+// end — and returns run's exit code and error.
+func (d *daemon) finish(cancel ...bool) (int, error) {
 	d.t.Helper()
 	d.stdin.Close()
+	if len(cancel) > 0 && cancel[0] {
+		d.stop()
+	}
 	select {
 	case <-d.exited:
 	case <-time.After(30 * time.Second):
@@ -644,6 +653,163 @@ func TestServeTuningFlags(t *testing.T) {
 	for _, re := range []string{`evicted [1-9]\d* \(cap\)`, `soft_enters=[1-9]\d* hard_enters=0 `} {
 		if !regexp.MustCompile(re).MatchString(out) {
 			t.Errorf("report does not match %s:\n%s", re, out)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run instead of comparing against them")
+
+// closedLabels are the label keys whose values are part of the surface;
+// every other label's value (tenant ids, generation numbers, le bounds)
+// is data and reads as * in the series golden.
+var closedLabels = map[string]bool{"shard": true, "tier": true, "layout": true, "component": true, "source": true}
+
+var labelRE = regexp.MustCompile(`(\w+)="((?:[^"\\]|\\.)*)"`)
+
+// seriesList reduces a /metrics body to its shape: the HELP and TYPE
+// lines and every series with its value stripped, sorted and deduplicated.
+func seriesList(metrics string) string {
+	set := make(map[string]bool)
+	for _, line := range strings.Split(metrics, "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#"):
+			set[line] = true
+		default:
+			series := line[:strings.LastIndexByte(line, ' ')]
+			set[labelRE.ReplaceAllStringFunc(series, func(kv string) string {
+				if k, _, _ := strings.Cut(kv, "="); !closedLabels[k] {
+					return k + `="*"`
+				}
+				return kv
+			})] = true
+		}
+	}
+	return sortedLines(set)
+}
+
+// keyPaths reduces a /statsz body to the sorted paths of its leaves:
+// arrays read as [], all-digit keys (generation ids) as *.
+func keyPaths(t *testing.T, statsz string) string {
+	t.Helper()
+	var doc any
+	if err := json.Unmarshal([]byte(statsz), &doc); err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]bool)
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, c := range x {
+				if strings.Trim(k, "0123456789") == "" {
+					k = "*"
+				}
+				walk(path+"."+k, c)
+			}
+		case []any:
+			for _, c := range x {
+				walk(path+"[]", c)
+			}
+		}
+		if m, ok := v.(map[string]any); !ok || len(m) == 0 {
+			if a, ok := v.([]any); !ok || len(a) == 0 {
+				set[strings.TrimPrefix(path, ".")] = true
+			}
+		}
+	}
+	walk("", doc)
+	return sortedLines(set)
+}
+
+func sortedLines(set map[string]bool) string {
+	lines := make([]string, 0, len(set))
+	for l := range set {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// golden compares got with testdata/name, or rewrites the file under
+// -update.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		writeFile(t, path, got)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	have := make(map[string]bool)
+	for _, l := range strings.Split(string(want), "\n") {
+		have[l] = true
+	}
+	for _, l := range strings.Split(got, "\n") {
+		if !have[l] {
+			t.Errorf("%s: + %s", name, l)
+		}
+		delete(have, l)
+	}
+	for l := range have {
+		t.Errorf("%s: - %s", name, l)
+	}
+	t.Errorf("%s differs from this run; if the change is intended, go test ./cmd/mfaserve -run TestAdminSurfaceGolden -update", path)
+}
+
+// The whole admin surface, pinned: which series /metrics serves (name,
+// help, kind, label keys and the closed label values) and which keys
+// /statsz carries, on a boot that switches every optional family on — a
+// declared tenant and one created at run time, the memory governor, the
+// stall watchdog, a finite source and a rate-limited infinite one behind a
+// breaker. testdata/metrics.golden is the list of what /metrics serves.
+func TestAdminSurfaceGolden(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	rulesPath := writeFile(t, filepath.Join(dir, "rules.txt"), "attack.*payload\n")
+	acmePath := writeFile(t, filepath.Join(dir, "acme.txt"), "alpha.*mark\n")
+	d := start(t, "-rules", rulesPath, "-pcap", "-", "-shards", "2", "-admin", "127.0.0.1:0",
+		"-tenant", "acme="+acmePath+",cidr=10.1.0.0/16", "-max-memory", "64M", "-stall-deadline", "5s",
+		"-source", "tcp:127.0.0.1:0?rate=100M")
+	if code, body := d.do(http.MethodPut, "/tenants/late/rules", "spotted\n"); code != 200 {
+		t.Fatalf("PUT /tenants/late/rules: %d %q", code, body)
+	}
+	// A governor component registered while serving has its series: there
+	// is no "register the metrics after the last component" rule to break.
+	d.wantMetrics(`mfa_guard_mem_component_bytes{component="tenant:late"} 0`)
+	// Shards apply a swap on their own goroutines; the per-generation rows
+	// of /statsz appear with the first one that has.
+	d.waitFor("a shard to publish its generations", func() bool {
+		return !strings.Contains(d.get("/statsz"), `"GenFlows": null`)
+	})
+	golden(t, "metrics.golden", seriesList(d.get("/metrics")))
+	golden(t, "statsz.golden", keyPaths(t, d.get("/statsz")))
+	if code, err := d.finish(true); code != exitOK || err != nil {
+		t.Fatalf("exit %d, %v; want 0", code, err)
+	}
+}
+
+// The per-source /statsz keys the golden boot cannot show: they are
+// omitempty and read zero until a source paces or its breaker probes —
+// the /statsz half of mfa_input_rate_paused_seconds_total and
+// mfa_guard_breaker_probes_total. Pinned here by name, beside their
+// omitempty neighbours that the golden does carry.
+func TestStatszOmitemptySourceKeys(t *testing.T) {
+	row, err := json.Marshal(map[string]any{"Inputs": []input.SourceStats{{
+		RateBytesPerSec: 1, RatePausedNanos: 1, Breaker: "half-open", BreakerOpens: 1, BreakerProbes: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := keyPaths(t, string(row))
+	for _, want := range []string{"Inputs[].RateBytesPerSec", "Inputs[].RatePausedNanos", "Inputs[].Breaker", "Inputs[].BreakerOpens", "Inputs[].BreakerProbes"} {
+		if !strings.Contains(paths, want+"\n") {
+			t.Errorf("/statsz Inputs row with every counter moved has no %s key:\n%s", want, paths)
 		}
 	}
 }

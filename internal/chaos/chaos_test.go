@@ -362,9 +362,9 @@ func TestFlappingSourceBreaker(t *testing.T) {
 	const payload = "flapping source attack burst...."
 	src := &flappingSource{name: "flap", failBefore: 4, segs: scaled(64), payload: payload}
 	sup := input.NewSupervisor(input.Config{
-		Sink: e, RestartBudget: 2,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
-		BreakerOpenBase: 2 * time.Millisecond, BreakerOpenMax: 8 * time.Millisecond,
+		Sink: e, Restart: guard.BreakerConfig{FailureBudget: 2,
+			BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
+			OpenBase: 2 * time.Millisecond, OpenMax: 8 * time.Millisecond},
 	})
 	sup.Add(src)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -434,7 +434,7 @@ func TestGovernorPlateauUnderStall(t *testing.T) {
 	e := engine.New(engine.Config{Shards: 1, QueueDepth: 256, SoftWatermark: 1.1, HardWatermark: 1.2},
 		func() flow.Runner { return faultinject.Stall(gate, faultinject.Discard) }, nil)
 	arena := &input.Arena{}
-	gov := guard.NewGovernor(guard.GovernorConfig{Limit: limit, PauseAt: 0.5, Poll: time.Millisecond})
+	gov := guard.NewGovernor(guard.GovernorConfig{Limit: limit, PauseAt: 0.5, Poll: time.Millisecond}, nil)
 	gov.Register("arena", arena.BytesLeased)
 	gov.Register("engine", e.MemoryUsage)
 

@@ -85,8 +85,8 @@ type Config struct {
 	Flow flow.Config
 	// IdleAfter evicts flows whose last segment is more than this many
 	// segments in the past on the owning shard's clock. 0 disables
-	// idle sweeping at the normal tier (degraded tiers still sweep, see
-	// DegradedIdleAfter).
+	// idle sweeping at the normal tier (degraded tiers still sweep, at
+	// degradedIdle).
 	IdleAfter int64
 	// SweepEvery is how often (in segments) a shard runs its idle sweep.
 	// 0 means 4096.
@@ -105,10 +105,6 @@ type Config struct {
 	// 0 means 0.5 (soft) and 0.9 (hard).
 	SoftWatermark float64
 	HardWatermark float64
-	// DegradedIdleAfter is the aggressive idle age (in segments) used
-	// while at or above the soft tier. 0 means IdleAfter/4 when idle
-	// sweeping is configured, else 1024.
-	DegradedIdleAfter int64
 	// StallDeadline arms the shard stall watchdog: a window (one burst of
 	// up to batchBurst queued segments and its flush) that runs longer is a
 	// stall — the watchdog flags it, and the shard poisons the flow whose
@@ -129,8 +125,8 @@ type Config struct {
 	// (guard.Governor.Pressure) — folded into the degradation ladder's
 	// pressure computation alongside queue and flow occupancy.
 	MemPressure func() float64
-	// Metrics, when non-nil, receives the engine's telemetry: callback
-	// counters/gauges bridging the Stats counters, shared reassembly
+	// Metrics, when non-nil, receives the engine's telemetry: the row
+	// tables over Stats (metrics.go), shared reassembly
 	// gauges, and per-shard window histograms (the one metric the hot
 	// path pays for directly — two monotonic clock reads and two
 	// histogram observes per window; see EXPERIMENTS.md for the measured
@@ -173,13 +169,16 @@ func (c *Config) setDefaults() {
 	if c.HardWatermark < c.SoftWatermark {
 		c.HardWatermark = c.SoftWatermark
 	}
-	if c.DegradedIdleAfter <= 0 {
-		if c.IdleAfter > 0 {
-			c.DegradedIdleAfter = (c.IdleAfter + 3) / 4
-		} else {
-			c.DegradedIdleAfter = 1024
-		}
+}
+
+// degradedIdle is the aggressive idle age (in segments) used while at or
+// above the soft tier: a quarter of IdleAfter when idle sweeping is
+// configured, else 1024.
+func (c *Config) degradedIdle() int64 {
+	if c.IdleAfter > 0 {
+		return (c.IdleAfter + 3) / 4
 	}
+	return 1024
 }
 
 // Engine fans TCP segments out to per-shard flow scanners.
@@ -351,10 +350,9 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	}
 	e.shards = shards
 	if cfg.StallDeadline > 0 {
-		// Arm the watchdog before metrics registration (callbacks read
-		// e.dog) and before the shard goroutines start. The watchdog's
-		// own goroutine only reads heartbeat atomics, so starting it
-		// against idle shards is safe.
+		// Arm the watchdog before the shard goroutines start. Its own
+		// goroutine only reads heartbeat atomics, so starting it against
+		// idle shards is safe.
 		targets := make([]guard.Target, len(e.shards))
 		for i, s := range e.shards {
 			targets[i] = &shardTarget{e: e, s: s}
@@ -368,7 +366,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		// Register before the shard goroutines start: registration also
 		// hands each shard its scan-latency histogram, and the goroutine
 		// launch below is the publication barrier for that write.
-		e.registerMetrics(cfg.Metrics)
+		e.registerMetrics(cfg.Metrics, e.Stats)
 	}
 	for _, s := range e.shards {
 		e.wg.Add(1)
@@ -619,8 +617,10 @@ type Stats struct {
 	SkippedFrames int64
 	// QueueDrops counts segments dropped under the DropWhenFull policy.
 	QueueDrops int64
-	// QueueDepth is the instantaneous total of queued segments.
+	// QueueDepth is the instantaneous total of queued segments, QueueCap
+	// the total capacity (shards x per-shard depth).
 	QueueDepth int64
+	QueueCap   int64
 	// ShardMatches and ShardPackets expose the per-shard balance.
 	ShardMatches []int64
 	ShardPackets []int64
@@ -644,12 +644,14 @@ type Stats struct {
 	UnhealthyDrops  int64
 
 	// Stall-watchdog state (watchdog.go). StallFires counts scan steps
-	// flagged past StallDeadline; StallsRecovered counts flagged steps
+	// flagged past StallDeadline, StallWedges those still stuck past
+	// WedgeAfter; StallsRecovered counts flagged steps
 	// that returned and had their flow quarantined. WedgedShards is the
 	// shards currently stuck past WedgeAfter; WedgeDrops counts
 	// segments shed at dispatch because their shard was wedged.
 	// QueuedBytes is the engine's non-leased queued payload footprint.
 	StallFires      int64
+	StallWedges     int64
 	StallsRecovered int64
 	WedgedShards    int
 	WedgeDrops      int64
@@ -695,45 +697,28 @@ type Stats struct {
 	SequentialBytes int64
 }
 
-// Stats aggregates the engine's counters.
+// Stats aggregates the engine's counters: the one read behind /statsz,
+// the exit report, the -stats ticker and — once per scrape — every row
+// of metrics.go.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Shards:        len(e.shards),
-		Generation:    e.Generation(),
-		SkippedFrames: e.skipped.Load(),
-		QueueDrops:    e.queueDrops.Load(),
-		HardDrops:     e.hardDrops.Load(),
-		ShardMatches:  make([]int64, len(e.shards)),
-		ShardPackets:  make([]int64, len(e.shards)),
+		Shards:             len(e.shards),
+		Generation:         e.Generation(),
+		SkippedFrames:      e.skipped.Load(),
+		QueueDrops:         e.queueDrops.Load(),
+		QueueCap:           int64(e.queueCap),
+		HardDrops:          e.hardDrops.Load(),
+		UnknownTenantDrops: e.tenantUnknown.Load(),
+		QueuedBytes:        e.queuedBytes.Load(),
+		ShardMatches:       make([]int64, len(e.shards)),
+		ShardPackets:       make([]int64, len(e.shards)),
 	}
-	st.UnknownTenantDrops = e.tenantUnknown.Load()
 	for i, s := range e.shards {
-		a := s.snap.Load()
-		st.Packets += a.Packets
-		st.PayloadBytes += a.PayloadBytes
-		st.FlowsLive += int64(a.Flows)
-		st.FlowsTotal += a.FlowsTotal
-		st.OutOfOrder += a.OutOfOrder
-		st.DroppedSegs += a.DroppedSegs
-		st.EvictedCap += a.EvictedCap
-		st.EvictedIdle += a.EvictedIdle
-		st.RunnersReused += a.RunnersReused
-		st.FlowRestarts += a.FlowRestarts
-		st.StaleRunners += a.StaleRunners
-		st.TenantDrops += a.TenantDrops
-		st.AcceptVisits += a.AcceptVisits
-		st.LockstepBytes += a.LockstepBytes
-		st.SequentialBytes += a.SequentialBytes
-		for id, n := range a.FlowsByGen {
-			if st.GenFlows == nil {
-				st.GenFlows = make(map[uint64]int64)
-			}
-			st.GenFlows[id] += n
-		}
-		st.QueueDepth += int64(s.queued())
-		st.ShardMatches[i] = s.matches.Load()
-		st.ShardPackets[i] = a.Packets
-		st.Matches += st.ShardMatches[i]
+		a := s.stats()
+		st.fold(&a.Stats)
+		st.QueueDepth += a.QueueDepth
+		st.ShardMatches[i], st.ShardPackets[i] = a.Matches, a.Packets
+		st.Matches += a.Matches
 
 		st.PoisonedFlows += s.poisoned.Load()
 		st.PoisonedDrops += s.poisonedDrops.Load()
@@ -751,9 +736,8 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	if e.dog != nil {
-		st.StallFires = e.dog.Fires()
+		st.StallFires, st.StallWedges = e.dog.Fires(), e.dog.Wedges()
 	}
-	st.QueuedBytes = e.queuedBytes.Load()
 	e.tierMu.Lock()
 	st.Tier = Tier(e.tier.Load())
 	st.TierEnters = e.tierEnters
@@ -761,6 +745,32 @@ func (e *Engine) Stats() Stats {
 	st.TierTime[st.Tier] += time.Since(e.tierSince)
 	e.tierMu.Unlock()
 	return st
+}
+
+// fold adds one shard's reassembly counters: the one place a flow.Stats
+// field becomes an engine total.
+func (st *Stats) fold(a *flow.Stats) {
+	st.Packets += a.Packets
+	st.PayloadBytes += a.PayloadBytes
+	st.FlowsLive += int64(a.Flows)
+	st.FlowsTotal += a.FlowsTotal
+	st.OutOfOrder += a.OutOfOrder
+	st.DroppedSegs += a.DroppedSegs
+	st.EvictedCap += a.EvictedCap
+	st.EvictedIdle += a.EvictedIdle
+	st.RunnersReused += a.RunnersReused
+	st.FlowRestarts += a.FlowRestarts
+	st.StaleRunners += a.StaleRunners
+	st.TenantDrops += a.TenantDrops
+	st.AcceptVisits += a.AcceptVisits
+	st.LockstepBytes += a.LockstepBytes
+	st.SequentialBytes += a.SequentialBytes
+	for id, n := range a.FlowsByGen {
+		if st.GenFlows == nil {
+			st.GenFlows = make(map[uint64]int64)
+		}
+		st.GenFlows[id] += n
+	}
 }
 
 // ScanPcap reads a full capture from r and scans it through a fresh

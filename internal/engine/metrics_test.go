@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"matchfilter/internal/faultinject"
 	"matchfilter/internal/flow"
@@ -92,37 +95,169 @@ func TestTierGaugeTracksLadder(t *testing.T) {
 	}
 }
 
+// mirrors checks a row table against the registry: every row's series in
+// snap, under labels, has the row's kind and the value the row reads from
+// the Stats value itself — from lo and hi, taken either side of snap, for
+// the rows that move with the clock.
+func mirrors[T any](t *testing.T, snap telemetry.Snapshot, rows []telemetry.Row[T], lo, hi *T, labels ...telemetry.Label) {
+	t.Helper()
+	for _, row := range rows {
+		m, ok := snap.Get(row.Name, labels...)
+		if !ok || m.Kind != row.Kind || m.Value < row.Get(lo) || m.Value > row.Get(hi) {
+			t.Errorf("%s%v = %+v (registered %t), want %s in [%v, %v]", row.Name, labels, m.Value, ok, row.Kind, row.Get(lo), row.Get(hi))
+		}
+	}
+}
+
+// unserved names the exported fields of T that no row reads: made nonzero
+// alone in a zero T, they move no row's value. This is where reflection
+// lives — in the test; the tables themselves are explicit.
+func unserved[T any](tables ...[]telemetry.Row[T]) []string {
+	var names []string
+	var zero T
+	rt := reflect.TypeOf(zero)
+	for i := 0; i < rt.NumField(); i++ {
+		var probe T
+		if !rt.Field(i).IsExported() || !poke(reflect.ValueOf(&probe).Elem().Field(i)) {
+			continue
+		}
+		served := false
+		for _, rows := range tables {
+			for _, row := range rows {
+				served = served || row.Get(&probe) != row.Get(&zero)
+			}
+		}
+		if !served {
+			names = append(names, rt.Field(i).Name)
+		}
+	}
+	return names
+}
+
+// poke makes a numeric value nonzero — every element of an array, one
+// element of a slice or map — and reports whether v was any of those.
+func poke(v reflect.Value) bool {
+	switch {
+	case v.CanInt():
+		v.SetInt(1)
+	case v.CanUint():
+		v.SetUint(1)
+	case v.CanFloat():
+		v.SetFloat(1)
+	case v.Kind() == reflect.Array:
+		ok := false
+		for i := 0; i < v.Len(); i++ {
+			ok = poke(v.Index(i)) || ok
+		}
+		return ok
+	case v.Kind() == reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		return poke(v.Index(0))
+	case v.Kind() == reflect.Map:
+		elem := reflect.New(v.Type().Elem()).Elem()
+		if !poke(elem) {
+			return false
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(reflect.Zero(v.Type().Key()), elem)
+	default:
+		return false
+	}
+	return true
+}
+
+// checkUnserved fails on a field that has neither a row nor a reason here
+// for having none, and on a reason gone stale.
+func checkUnserved(t *testing.T, what string, got []string, reasons map[string]string) {
+	t.Helper()
+	for _, name := range got {
+		if reasons[name] == "" {
+			t.Errorf("%s.%s is served by no row: add one to the table, or the reason here", what, name)
+		}
+		delete(reasons, name)
+	}
+	for name := range reasons {
+		t.Errorf("%s.%s is excused but served (or gone)", what, name)
+	}
+}
+
+// TestStatsFieldsAreServed: a counter added to Stats or flow.Stats without
+// a series breaks the build. A flow.Stats field is served by its per-shard
+// row, or through Stats.fold by an engine-wide one.
+func TestStatsFieldsAreServed(t *testing.T) {
+	var tiers []telemetry.Row[Stats]
+	for tier := TierNormal; tier <= TierHard; tier++ {
+		tiers = append(tiers, tierRows(tier)...)
+	}
+	checkUnserved(t, "engine.Stats", unserved(engineRows, tiers), map[string]string{
+		"ShardMatches":    "served per shard (shardRows): mfa_shard_matches_total",
+		"ShardPackets":    "served per shard (shardRows): mfa_shard_packets_total",
+		"GenFlows":        "the owned per-generation gauges, mfa_generation_live_flows and mfa_tenant_generation_live_flows (generation.go)",
+		"AcceptVisits":    "served per shard (shardRows); the total is the family's sum",
+		"LockstepBytes":   "served per shard (shardRows)",
+		"SequentialBytes": "served per shard (shardRows)",
+	})
+	var perShard, folded []telemetry.Row[flow.Stats]
+	for _, row := range shardRows {
+		perShard = append(perShard, telemetry.Row[flow.Stats]{Get: func(a *flow.Stats) float64 {
+			return row.Get(&shardStats{Stats: *a})
+		}})
+	}
+	for _, row := range engineRows {
+		folded = append(folded, telemetry.Row[flow.Stats]{Get: func(a *flow.Stats) float64 {
+			var st Stats
+			st.fold(a)
+			return row.Get(&st)
+		}})
+	}
+	checkUnserved(t, "shardStats", unserved(shardRows), nil)
+	checkUnserved(t, "flow.Stats", unserved(perShard, folded), map[string]string{
+		"SkippedFrames": "counted by Assembler.HandleFrame, which shards never call; the engine counts its own (Stats.SkippedFrames)",
+		"Generation":    "the shard's view of what mfa_generation reports from the engine (Stats.Generation)",
+		"FlowsByGen":    "folded into Stats.GenFlows: the per-generation gauges",
+	})
+}
+
 // TestMetricsMirrorStats scans real traffic through an instrumented
-// engine and checks the bridged counters, the exact reassembly gauges,
-// the per-shard histograms, and the event ring against the final (exact)
-// Stats snapshot.
+// engine and checks every row table, the exact reassembly gauges, the
+// per-shard histograms, and the event ring against the final (exact)
+// Stats snapshot — and that a scrape reads Stats once.
 func TestMetricsMirrorStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewEventRing(16)
 	m := buildMFA(t, "attack.*payload", "needle")
 	capture := interleavedCapture(t, 6, 2<<10, []string{"attack", "payload", "needle"})
 
-	e := New(Config{Shards: 4, QueueDepth: 256, Metrics: reg, Events: ring},
+	e := New(Config{Shards: 4, QueueDepth: 256, Metrics: reg, Events: ring, StallDeadline: time.Minute},
 		func() flow.Runner { return m.NewRunner() }, nil)
 	feedCapture(t, e, capture)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st := e.Stats()
+	before := e.Stats()
 	snap := reg.Snapshot()
-	for name, want := range map[string]float64{
-		"mfa_engine_packets_total":       float64(st.Packets),
-		"mfa_engine_payload_bytes_total": float64(st.PayloadBytes),
-		"mfa_engine_matches_total":       float64(st.Matches),
-		"mfa_engine_flows_total":         float64(st.FlowsTotal),
-		"mfa_engine_queue_depth":         0,
-		"mfa_engine_unhealthy_shards":    0,
-		"mfa_engine_tier":                float64(st.Tier),
-	} {
-		if got := snap.Value(name); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
+	st := e.Stats()
+	mirrors(t, snap, engineRows, &before, &st)
+	for tier := TierNormal; tier <= TierHard; tier++ {
+		mirrors(t, snap, tierRows(tier), &before, &st, telemetry.L("tier", tier.String()))
+	}
+	for i, s := range e.shards {
+		a := s.stats()
+		mirrors(t, snap, shardRows, &a, &a, telemetry.L("shard", strconv.Itoa(i)))
+	}
+	if st.Packets == 0 || st.FlowsTotal == 0 || snap.Value("mfa_engine_queue_capacity") != 4*256 {
+		t.Errorf("packets %d, flows %d, queue capacity %v", st.Packets, st.FlowsTotal, snap.Value("mfa_engine_queue_capacity"))
+	}
+
+	// One scrape is one Stats call, whatever the number of series: the
+	// engine's own registration, replayed on a second registry with the
+	// read counted (the shard goroutines are gone, so re-handing them
+	// histograms races with nothing).
+	reads, reg2 := 0, telemetry.NewRegistry()
+	e.registerMetrics(reg2, func() Stats { reads++; return e.Stats() })
+	if n := len(reg2.Snapshot()); reads != 1 || n < len(engineRows) {
+		t.Errorf("a scrape of %d series read Stats %d times, want once", n, reads)
 	}
 	if st.Matches == 0 {
 		t.Fatal("trace produced no matches; test is vacuous")
@@ -289,8 +424,9 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestMetricsScrapeDuringScan scrapes the registry concurrently with a
-// live scan — the reader-never-perturbs-writer contract under -race.
+// TestMetricsScrapeDuringScan scrapes the registry from two goroutines
+// concurrently with a live scan — the reader-never-perturbs-writer
+// contract under -race.
 func TestMetricsScrapeDuringScan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := buildMFA(t, "attack.*payload")
@@ -299,25 +435,28 @@ func TestMetricsScrapeDuringScan(t *testing.T) {
 	e := New(Config{Shards: 2, QueueDepth: 64, Metrics: reg, Events: telemetry.NewEventRing(8)},
 		func() flow.Runner { return m.NewRunner() }, nil)
 	stop := make(chan struct{})
-	scraped := make(chan struct{})
-	go func() {
-		defer close(scraped)
-		for {
-			snap := reg.Snapshot()
-			_ = snap.WritePrometheus(discardWriter{})
-			select {
-			case <-stop:
-				return
-			default:
+	var scrapers sync.WaitGroup
+	for i := 0; i < 2; i++ { // two: concurrent scrapes each take their own Stats
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				snap := reg.Snapshot()
+				_ = snap.WritePrometheus(discardWriter{})
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
-		}
-	}()
+		}()
+	}
 	feedCapture(t, e, capture)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
-	<-scraped
+	scrapers.Wait()
 	st := e.Stats()
 	if got := reg.Snapshot().Value("mfa_engine_packets_total"); got != float64(st.Packets) {
 		t.Errorf("post-close packets_total = %v, want %d", got, st.Packets)

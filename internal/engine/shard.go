@@ -48,9 +48,6 @@ type shard struct {
 	// rebuild constructs a fresh assembler wired to this shard's match
 	// counter — the recovery path of last resort.
 	rebuild func() *flow.Assembler
-	// base accumulates counters from assemblers discarded by rebuilds so
-	// published stats stay monotonic across a restart.
-	base flow.Stats
 	// quarantined holds poisoned flow keys; only the shard goroutine
 	// touches it.
 	quarantined map[pcap.FlowKey]struct{}
@@ -137,27 +134,7 @@ func (s *shard) queued() int {
 
 func (s *shard) publish() {
 	st := s.asm.Stats()
-	accumulate(&st, &s.base)
 	s.snap.Store(&st)
-}
-
-// accumulate adds src's cumulative counters to dst's.
-func accumulate(dst, src *flow.Stats) {
-	dst.Packets += src.Packets
-	dst.PayloadBytes += src.PayloadBytes
-	dst.OutOfOrder += src.OutOfOrder
-	dst.DroppedSegs += src.DroppedSegs
-	dst.SkippedFrames += src.SkippedFrames
-	dst.FlowsTotal += src.FlowsTotal
-	dst.EvictedCap += src.EvictedCap
-	dst.EvictedIdle += src.EvictedIdle
-	dst.RunnersReused += src.RunnersReused
-	dst.FlowRestarts += src.FlowRestarts
-	dst.StaleRunners += src.StaleRunners
-	dst.TenantDrops += src.TenantDrops
-	dst.AcceptVisits += src.AcceptVisits
-	dst.LockstepBytes += src.LockstepBytes
-	dst.SequentialBytes += src.SequentialBytes
 }
 
 // batchBurst bounds how many already-queued segments a shard consumes per
@@ -169,9 +146,10 @@ const batchBurst = burst.Max
 // loopState is the run loop's per-shard mutable state, shared by window
 // and step.
 type loopState struct {
-	normalBuf   int
-	appliedTier Tier
-	n           int64
+	normalBuf    int
+	degradedIdle int64 // Config.degradedIdle, worked out once
+	appliedTier  Tier
+	n            int64
 	// Whether any segment of the window in progress carried payload.
 	payload bool
 }
@@ -182,7 +160,7 @@ func (s *shard) run(e *Engine) {
 		s.publish()
 		e.wg.Done()
 	}()
-	ls := &loopState{normalBuf: s.asm.MaxBuffered(), appliedTier: TierNormal}
+	ls := &loopState{normalBuf: s.asm.MaxBuffered(), degradedIdle: e.cfg.degradedIdle(), appliedTier: TierNormal}
 	var items []burst.Item
 	for {
 		var open bool
@@ -303,7 +281,7 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 			// Entering degradation: shed reassembly memory now and
 			// sweep idle flows aggressively.
 			s.asm.SetMaxBuffered(max(ls.normalBuf/8, 4))
-			s.sweep(e, cfg.DegradedIdleAfter)
+			s.sweep(e, ls.degradedIdle)
 		} else if tier == TierNormal {
 			s.asm.SetMaxBuffered(ls.normalBuf)
 		}
@@ -315,7 +293,7 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 	s.process(e, seg)
 	idleAfter, sweepEvery := cfg.IdleAfter, cfg.SweepEvery
 	if ls.appliedTier >= TierSoft {
-		idleAfter, sweepEvery = cfg.DegradedIdleAfter, max(cfg.SweepEvery/8, 1)
+		idleAfter, sweepEvery = ls.degradedIdle, max(cfg.SweepEvery/8, 1)
 	}
 	if idleAfter > 0 && ls.n%sweepEvery == 0 {
 		s.sweep(e, idleAfter)
@@ -430,8 +408,8 @@ func (s *shard) stallReturned(e *Engine) {
 
 // excise removes a poisoned flow from the assembler. If the assembler is
 // corrupt beyond that one flow — the excision itself panics — the shard
-// rebuilds a fresh assembler, carrying the old counters into base and
-// counting the innocent flows that lost their state.
+// rebuilds a fresh assembler that carries the old one's counters on, and
+// counts the innocent flows that lost their state.
 func (s *shard) excise(key pcap.FlowKey) {
 	defer func() {
 		if recover() == nil {
@@ -439,13 +417,12 @@ func (s *shard) excise(key pcap.FlowKey) {
 		}
 		old := s.asm.Stats()
 		s.lostFlows.Add(int64(old.Flows))
-		old.Flows = 0
-		accumulate(&s.base, &old)
 		// The discarded assembler's occupancy must leave any shared
 		// gauges; ReleaseGauges subtracts tracked contributions without
 		// walking the (possibly corrupt) tables.
 		s.asm.ReleaseGauges()
 		s.asm = s.rebuild()
+		s.asm.Carry(old)
 		s.restarts.Add(1)
 	}()
 	s.asm.DropFlow(key)

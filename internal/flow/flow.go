@@ -121,21 +121,11 @@ type Assembler struct {
 	// recycled or reassigned runner.
 	batch Batcher
 	now   int64 // logical clock: segments handled so far
-	// Stats.
-	packets       int64
-	payloadBytes  int64
-	outOfOrder    int64
-	droppedSegs   int64
-	skippedFrames int64
-	flowsTotal    int64
-	evictedCap    int64
-	evictedIdle   int64
-	runnersReused int64
-	flowRestarts  int64
-	staleRunners  int64
-	tenantDrops   int64
-	inlineBytes   int64 // scanned on arrival, not through the batcher
-	lanesTaken    int64 // the batcher's lane count at the last TakeLanes
+	// st is where the assembler counts: Stats returns it with the derived
+	// fields filled in. SequentialBytes holds the bytes scanned on arrival
+	// (not through the batcher) until Stats adds the batcher's own.
+	st         Stats
+	lanesTaken int64 // the batcher's lane count at the last TakeLanes
 	// Live gauge accounting (gauges.go); no-ops when Config.Gauges is nil.
 	gLive    gaugeAcct
 	gPending gaugeAcct
@@ -249,28 +239,17 @@ type Stats struct {
 
 // Stats returns the counters accumulated so far.
 func (a *Assembler) Stats() Stats {
-	st := Stats{
-		Packets:       a.packets,
-		PayloadBytes:  a.payloadBytes,
-		Flows:         len(a.flows),
-		OutOfOrder:    a.outOfOrder,
-		DroppedSegs:   a.droppedSegs,
-		SkippedFrames: a.skippedFrames,
-		FlowsTotal:    a.flowsTotal,
-		EvictedCap:    a.evictedCap,
-		EvictedIdle:   a.evictedIdle,
-		RunnersReused: a.runnersReused,
-		FlowRestarts:  a.flowRestarts,
-		StaleRunners:  a.staleRunners,
-		TenantDrops:   a.tenantDrops,
-	}
+	st := a.st
+	st.Flows = len(a.flows)
 	if a.def.cur != nil {
 		st.Generation = a.def.cur.gen.ID
 	}
 	if a.batch != nil {
-		_, st.AcceptVisits, st.LockstepBytes, st.SequentialBytes = a.batch.Counts()
+		_, visits, lockstep, sequential := a.batch.Counts()
+		st.AcceptVisits += visits
+		st.LockstepBytes += lockstep
+		st.SequentialBytes += sequential
 	}
-	st.SequentialBytes += a.inlineBytes
 	if st.Generation != 0 || len(a.gens) > 1 {
 		st.FlowsByGen = make(map[uint64]int64, len(a.gens))
 		for id, g := range a.gens {
@@ -280,6 +259,14 @@ func (a *Assembler) Stats() Stats {
 	return st
 }
 
+// Carry continues a discarded assembler's cumulative counters in this
+// one, so what a shard publishes stays monotonic across a rebuild; old's
+// occupancy (live flows, generations) died with it.
+func (a *Assembler) Carry(old Stats) {
+	old.Flows, old.Generation, old.FlowsByGen = 0, 0, nil
+	a.st = old
+}
+
 // HandleFrame decodes one Ethernet frame and advances its flow. Non-TCP
 // frames are counted and skipped; decode errors on TCP frames are
 // returned.
@@ -287,7 +274,7 @@ func (a *Assembler) HandleFrame(frame []byte) error {
 	seg, err := pcap.DecodeTCP(frame)
 	if err != nil {
 		if errors.Is(err, pcap.ErrNotTCP) {
-			a.skippedFrames++
+			a.st.SkippedFrames++
 			return nil
 		}
 		return err
@@ -300,7 +287,7 @@ func (a *Assembler) HandleFrame(frame []byte) error {
 // so callers that decode frames themselves — internal/engine's shards —
 // can drive reassembly directly.
 func (a *Assembler) HandleSegment(seg pcap.Segment) {
-	a.packets++
+	a.st.Packets++
 	a.now++
 	ctx, ok := a.flows[seg.Key]
 	if !ok {
@@ -308,7 +295,7 @@ func (a *Assembler) HandleSegment(seg pcap.Segment) {
 		if ts == nil || !a.admitFlow(ts) {
 			// Unknown tenant (e.g. a segment that raced a tenant DELETE
 			// through a shard queue) or tenant over its flow quota.
-			a.tenantDrops++
+			a.st.TenantDrops++
 			return
 		}
 		if a.cfg.MaxFlows > 0 && len(a.flows) >= a.cfg.MaxFlows {
@@ -325,7 +312,7 @@ func (a *Assembler) HandleSegment(seg pcap.Segment) {
 		}
 		ctx.elem = a.lru.PushFront(ctx)
 		a.flows[seg.Key] = ctx
-		a.flowsTotal++
+		a.st.FlowsTotal++
 		ts.cur.flows++
 		ts.cur.live.add(1)
 		a.gLive.add(1)
@@ -373,7 +360,7 @@ func (a *Assembler) getRunner(ts *tenantState) Runner {
 		r := ts.free[n-1]
 		ts.free[n-1] = nil
 		ts.free = ts.free[:n-1]
-		a.runnersReused++
+		a.st.RunnersReused++
 		return r
 	}
 	return ts.cur.gen.New()
@@ -385,7 +372,7 @@ func (a *Assembler) getRunner(ts *tenantState) Runner {
 func (a *Assembler) removeFlow(ctx *flowCtx) {
 	a.flushIfBatched(ctx.runner)
 	if ctx.gen != ctx.ten.cur {
-		a.staleRunners++
+		a.st.StaleRunners++
 	} else if len(ctx.ten.free) < maxFreeRunners {
 		ctx.runner.Reset()
 		ctx.ten.free = append(ctx.ten.free, ctx.runner)
@@ -420,7 +407,7 @@ func (a *Assembler) unlink(ctx *flowCtx) {
 // with their gauge contribution withdrawn.
 func (a *Assembler) restartFlow(ctx *flowCtx) {
 	a.flushIfBatched(ctx.runner)
-	a.flowRestarts++
+	a.st.FlowRestarts++
 	if len(ctx.pending) > 0 {
 		a.gPending.add(-int64(len(ctx.pending)))
 		a.gBytes.add(-ctx.pendingBytes)
@@ -433,7 +420,7 @@ func (a *Assembler) restartFlow(ctx *flowCtx) {
 		ctx.runner.Reset()
 		return
 	}
-	a.staleRunners++
+	a.st.StaleRunners++
 	a.moveFlowGen(ctx, ctx.ten.cur)
 	ctx.runner = a.getRunner(ctx.ten)
 }
@@ -479,7 +466,7 @@ func (a *Assembler) SetMaxBuffered(n int) {
 			oldest := ctx.order[0]
 			ctx.order = ctx.order[1:]
 			a.removePending(ctx, oldest)
-			a.droppedSegs++
+			a.st.DroppedSegs++
 		}
 	}
 }
@@ -506,7 +493,7 @@ func (a *Assembler) evictOldest() {
 		return
 	}
 	a.removeFlow(back.Value.(*flowCtx))
-	a.evictedCap++
+	a.st.EvictedCap++
 }
 
 // EvictIdle reclaims every flow whose last segment is more than maxAge
@@ -526,7 +513,7 @@ func (a *Assembler) EvictIdle(maxAge int64) int {
 			break
 		}
 		a.removeFlow(ctx)
-		a.evictedIdle++
+		a.st.EvictedIdle++
 		n++
 	}
 	return n
@@ -541,14 +528,14 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 		a.feed(key, ctx, payload)
 	case seqAfter(seq, ctx.nextSeq):
 		// Future segment: buffer until the gap fills.
-		a.outOfOrder++
+		a.st.OutOfOrder++
 		if acct := ctx.ten.acct; acct != nil {
 			if max := acct.MaxBufferedBytes.Load(); max > 0 && acct.BufferedBytes.Value()+int64(len(payload)) > max {
 				// Tenant over its buffered-bytes quota: shed this
 				// segment rather than grow the tenant's reassembly
 				// footprint. Other tenants buffer unaffected.
 				acct.ByteQuotaDrops.Inc()
-				a.tenantDrops++
+				a.st.TenantDrops++
 				return
 			}
 		}
@@ -556,7 +543,7 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 			oldest := ctx.order[0]
 			ctx.order = ctx.order[1:]
 			a.removePending(ctx, oldest)
-			a.droppedSegs++
+			a.st.DroppedSegs++
 		}
 		if _, dup := ctx.pending[seq]; !dup {
 			buf := make([]byte, len(payload))
@@ -573,7 +560,7 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 		// Stale or overlapping: trim the already-delivered prefix.
 		skip := ctx.nextSeq - seq
 		if uint32(len(payload)) <= skip {
-			a.droppedSegs++
+			a.st.DroppedSegs++
 			return
 		}
 		a.feed(key, ctx, payload[skip:])
@@ -593,11 +580,11 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 
 func (a *Assembler) feed(key pcap.FlowKey, ctx *flowCtx, data []byte) {
 	ctx.nextSeq += uint32(len(data))
-	a.payloadBytes += int64(len(data))
+	a.st.PayloadBytes += int64(len(data))
 	if a.batch != nil && a.batch.Add(ctx.runner, ctx.tag, data, ctx.cb) {
 		return // deferred: scanned in lockstep at the next flush
 	}
-	a.inlineBytes += int64(len(data))
+	a.st.SequentialBytes += int64(len(data))
 	ctx.runner.Feed(data, ctx.cb)
 }
 
@@ -637,8 +624,9 @@ func (a *Assembler) BatchDead() []pcap.FlowKey {
 }
 
 // InlineBytes reports the payload bytes scanned on arrival by runners the
-// batcher refused (all of them without a batcher).
-func (a *Assembler) InlineBytes() int64 { return a.inlineBytes }
+// batcher refused (all of them without a batcher), on top of whatever
+// Carry brought in: it moves exactly when a segment is scanned inline.
+func (a *Assembler) InlineBytes() int64 { return a.st.SequentialBytes }
 
 // TakeLanes returns how many lanes the batcher has flushed since the last
 // call.

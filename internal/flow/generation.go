@@ -99,7 +99,7 @@ func (a *Assembler) SetGeneration(ten uint32, g Generation, acct *TenantAcct, re
 			if ctx.ten != ts || ctx.gen == ngen {
 				continue
 			}
-			a.staleRunners++
+			a.st.StaleRunners++
 			a.moveFlowGen(ctx, ngen)
 			ctx.runner = a.getRunner(ts)
 			moved++

@@ -1,17 +1,16 @@
-// Circuit breaker for restartable dependencies.
+// Circuit breaker for restartable dependencies: the one restart policy
+// of the input supervisor. It owns the failure budget, the backoff
+// between restarts and the open interval, as the classic three-state
+// machine:
 //
-// The input supervisor's original policy was a fixed restart budget:
-// exhaust it and the source is abandoned for the life of the process.
-// That conflates two very different failures — a source that is broken
-// forever (a file that no longer parses) and one that is merely down
-// for longer than the backoff ladder tolerates (a capture endpoint
-// rebooting). The breaker replaces "dead forever" with the classic
-// three-state machine:
-//
-//	closed     normal operation; failures count against a budget that
-//	           a sustained healthy run refills.
+//	closed     normal operation; each failure waits out a doubling,
+//	           capped backoff and counts against a budget. A sustained
+//	           healthy run refills the budget and rewinds the backoff.
 //	open       the budget is spent; the dependency is left alone for a
-//	           doubling, capped interval.
+//	           doubling, capped interval. What open means is the
+//	           caller's: a source that can come back (a capture endpoint
+//	           rebooting) is probed later, one that cannot (a file that
+//	           no longer parses) is abandoned.
 //	half-open  one probe is in flight; success closes the breaker,
 //	           failure re-opens it at the next interval.
 package guard
@@ -50,18 +49,29 @@ type BreakerConfig struct {
 	// FailureBudget is how many failures the closed state tolerates
 	// before opening. 0 means 8.
 	FailureBudget int
+	// BackoffBase is the wait after the first closed-state failure; each
+	// further one doubles it up to BackoffMax. 0 means 100ms / 5s.
+	BackoffBase time.Duration
+	BackoffMax  time.Duration
 	// OpenBase is the first open interval; each consecutive open
 	// doubles it up to OpenMax. 0 means 10s (OpenBase) / 2m (OpenMax).
 	OpenBase time.Duration
 	OpenMax  time.Duration
 	// HealthyAfter is how long a run must last for the failure budget
-	// to refill. 0 means 30s.
+	// to refill and the backoff to rewind — a source that served for
+	// minutes and then hiccuped is not crash-looping. 0 means 30s.
 	HealthyAfter time.Duration
 }
 
 func (c *BreakerConfig) setDefaults() {
 	if c.FailureBudget <= 0 {
 		c.FailureBudget = 8
+	}
+	if c.BackoffBase <= 0 {
+		c.BackoffBase = 100 * time.Millisecond
+	}
+	if c.BackoffMax <= 0 {
+		c.BackoffMax = 5 * time.Second
 	}
 	if c.OpenBase <= 0 {
 		c.OpenBase = 10 * time.Second
@@ -86,7 +96,8 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	failures int
-	interval time.Duration
+	backoff  time.Duration // next closed-state wait
+	interval time.Duration // next open interval
 
 	state  atomic.Int32
 	opens  atomic.Int64
@@ -97,8 +108,11 @@ type Breaker struct {
 // NewBreaker creates a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg.setDefaults()
-	return &Breaker{cfg: cfg, interval: cfg.OpenBase}
+	return &Breaker{cfg: cfg, backoff: cfg.BackoffBase, interval: cfg.OpenBase}
 }
+
+// Config reports the breaker's configuration, defaults applied.
+func (b *Breaker) Config() BreakerConfig { return b.cfg }
 
 // State reports the current circuit state.
 func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
@@ -113,11 +127,10 @@ func (b *Breaker) Probes() int64 { return b.probes.Load() }
 func (b *Breaker) Resets() int64 { return b.resets.Load() }
 
 // Failure records one failed run that lasted ranFor, and returns the
-// resulting state. When the state is BreakerOpen, wait is how long the
-// caller must leave the dependency alone before calling Probe; it is
-// zero otherwise. A run that lasted at least HealthyAfter first refills
-// the budget — a source that served for minutes and then hiccuped is
-// not the same as one crash-looping.
+// resulting state and how long the caller must leave the dependency
+// alone: the backoff before a plain restart while BreakerClosed, the open
+// interval before calling Probe when BreakerOpen. A run that lasted at
+// least HealthyAfter first refills the budget and rewinds the backoff.
 func (b *Breaker) Failure(ranFor time.Duration) (state BreakerState, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -127,15 +140,15 @@ func (b *Breaker) Failure(ranFor time.Duration) (state BreakerState, wait time.D
 	b.failures++
 	if BreakerState(b.state.Load()) == BreakerHalfOpen || b.failures > b.cfg.FailureBudget {
 		wait = b.interval
-		b.interval *= 2
-		if b.interval > b.cfg.OpenMax {
-			b.interval = b.cfg.OpenMax
-		}
+		b.interval = min(2*b.interval, b.cfg.OpenMax)
+		b.backoff = b.cfg.BackoffBase // the probe's own failures start over
 		b.state.Store(int32(BreakerOpen))
 		b.opens.Add(1)
 		return BreakerOpen, wait
 	}
-	return BreakerClosed, 0
+	wait = b.backoff
+	b.backoff = min(2*b.backoff, b.cfg.BackoffMax)
+	return BreakerClosed, wait
 }
 
 // Probe moves an open breaker to half-open: the caller is about to try
@@ -149,17 +162,10 @@ func (b *Breaker) Probe() {
 	}
 }
 
-// Success records a run that ended cleanly: the breaker closes and the
-// budget refills.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.resetLocked()
-}
-
 // Healthy records that the current run has lasted HealthyAfter without
-// failing: the breaker closes and the budget refills, so a later crash
-// starts from a full budget. Safe to call from a timer goroutine.
+// failing, or ended cleanly: the breaker closes and the budget refills,
+// so a later crash starts from a full budget. Safe to call from a timer
+// goroutine.
 func (b *Breaker) Healthy() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -172,5 +178,6 @@ func (b *Breaker) resetLocked() {
 	}
 	b.state.Store(int32(BreakerClosed))
 	b.failures = 0
+	b.backoff = b.cfg.BackoffBase
 	b.interval = b.cfg.OpenBase
 }

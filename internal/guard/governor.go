@@ -61,30 +61,42 @@ type Governor struct {
 
 	mu    sync.Mutex // guards registration
 	comps atomic.Pointer[[]component]
+	rows  *telemetry.RowSet[GovernorStats] // nil without a registry
 
 	pauses      atomic.Int64
 	pausedNanos atomic.Int64
 }
 
-// NewGovernor creates a governor. Register components before exposing
-// it to producers.
-func NewGovernor(cfg GovernorConfig) *Governor {
+// NewGovernor creates a governor; reg, when non-nil, serves it as the
+// mfa_guard_mem_* family. Register components before exposing it to
+// producers.
+func NewGovernor(cfg GovernorConfig, reg *telemetry.Registry) *Governor {
 	if cfg.Limit <= 0 {
 		panic("guard: GovernorConfig.Limit is required")
 	}
 	cfg.setDefaults()
 	g := &Governor{cfg: cfg}
 	g.comps.Store(&[]component{})
+	if reg != nil {
+		g.rows = telemetry.Rows(reg, g.Stats, governorRows)
+	}
 	return g
 }
 
-// Register adds one usage component. fn must be cheap and safe to call
-// from any goroutine (atomic loads, not table walks).
+// Register adds one usage component — at boot or while serving (a tenant
+// created at run time) — and its component=<name> series. fn must be cheap
+// and safe to call from any goroutine (atomic loads, not table walks).
 func (g *Governor) Register(name string, fn func() int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	next := append(append([]component{}, *g.comps.Load()...), component{name, fn})
 	g.comps.Store(&next)
+	if g.rows != nil {
+		g.rows.Add([]telemetry.Row[GovernorStats]{telemetry.GaugeRow("mfa_guard_mem_component_bytes",
+			"Bytes accounted by one governor component.",
+			func(s *GovernorStats) float64 { return float64(s.Components[name]) })},
+			telemetry.L("component", name))
+	}
 }
 
 // Limit reports the configured ceiling in bytes.
@@ -183,30 +195,12 @@ func (g *Governor) Stats() GovernorStats {
 	return st
 }
 
-// RegisterMetrics exposes the governor on a telemetry registry under
-// the mfa_guard_mem_* family. Call after every component is registered
-// so the per-component series set is complete.
-func (g *Governor) RegisterMetrics(reg *telemetry.Registry) {
-	reg.GaugeFunc("mfa_guard_mem_limit_bytes",
-		"Unified memory ceiling (-max-memory).",
-		func() float64 { return float64(g.cfg.Limit) })
-	reg.GaugeFunc("mfa_guard_mem_usage_bytes",
-		"Bytes currently accounted against the memory ceiling, all components.",
-		func() float64 { return float64(g.Usage()) })
-	reg.GaugeFunc("mfa_guard_mem_pressure",
-		"Governor pressure: usage over limit (may transiently exceed 1).",
-		func() float64 { return g.Pressure() })
-	reg.CounterFunc("mfa_guard_mem_pauses_total",
-		"Producer lease requests that blocked at the admission gate.",
-		func() float64 { return float64(g.pauses.Load()) })
-	reg.CounterFunc("mfa_guard_mem_paused_seconds_total",
-		"Cumulative time producers spent paused by the admission gate.",
-		func() float64 { return time.Duration(g.pausedNanos.Load()).Seconds() })
-	for _, c := range *g.comps.Load() {
-		c := c
-		reg.GaugeFunc("mfa_guard_mem_component_bytes",
-			"Bytes accounted by one governor component.",
-			func() float64 { return float64(c.fn()) },
-			telemetry.L("component", c.name))
-	}
+// governorRows serves GovernorStats; Components is the component=<name>
+// family Register adds to.
+var governorRows = []telemetry.Row[GovernorStats]{
+	telemetry.GaugeRow("mfa_guard_mem_limit_bytes", "Unified memory ceiling (-max-memory).", func(s *GovernorStats) float64 { return float64(s.LimitBytes) }),
+	telemetry.GaugeRow("mfa_guard_mem_usage_bytes", "Bytes currently accounted against the memory ceiling, all components.", func(s *GovernorStats) float64 { return float64(s.UsageBytes) }),
+	telemetry.GaugeRow("mfa_guard_mem_pressure", "Governor pressure: usage over limit (may transiently exceed 1).", func(s *GovernorStats) float64 { return s.Pressure }),
+	telemetry.CounterRow("mfa_guard_mem_pauses_total", "Producer lease requests that blocked at the admission gate.", func(s *GovernorStats) float64 { return float64(s.Pauses) }),
+	telemetry.CounterRow("mfa_guard_mem_paused_seconds_total", "Cumulative time producers spent paused by the admission gate.", func(s *GovernorStats) float64 { return time.Duration(s.PausedNanos).Seconds() }),
 }

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -96,7 +97,7 @@ func TestWatchdogStopIsIdempotent(t *testing.T) {
 
 func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 	var usage atomic.Int64
-	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond})
+	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond}, nil)
 	g.Register("test", usage.Load)
 
 	// Under threshold: Admit returns immediately.
@@ -135,7 +136,7 @@ func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 func TestGovernorAdmitHonoursContext(t *testing.T) {
 	var usage atomic.Int64
 	usage.Store(999)
-	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond})
+	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond}, nil)
 	g.Register("test", usage.Load)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -167,10 +168,11 @@ func TestGovernorNilIsNoOp(t *testing.T) {
 }
 
 func TestGovernorStatsAndMetrics(t *testing.T) {
-	var a, b atomic.Int64
+	var a, b, late atomic.Int64
 	a.Store(300)
 	b.Store(200)
-	g := NewGovernor(GovernorConfig{Limit: 1000})
+	reg := telemetry.NewRegistry()
+	g := NewGovernor(GovernorConfig{Limit: 1000}, reg)
 	g.Register("arena", a.Load)
 	g.Register("engine", b.Load)
 
@@ -182,23 +184,62 @@ func TestGovernorStatsAndMetrics(t *testing.T) {
 		t.Fatalf("pressure = %v, want 0.5", st.Pressure)
 	}
 
-	reg := telemetry.NewRegistry()
-	g.RegisterMetrics(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	wantMetrics := func(wants ...string) {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(sb.String(), want+"\n") {
+				t.Fatalf("metrics missing %q in:\n%s", want, sb.String())
+			}
+		}
 	}
-	text := sb.String()
-	for _, want := range []string{
+	wantMetrics(
 		"mfa_guard_mem_limit_bytes 1000",
 		"mfa_guard_mem_usage_bytes 500",
 		"mfa_guard_mem_pressure 0.5",
 		`mfa_guard_mem_component_bytes{component="arena"} 300`,
 		`mfa_guard_mem_component_bytes{component="engine"} 200`,
-		"mfa_guard_mem_pauses_total 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics missing %q in:\n%s", want, text)
+		"mfa_guard_mem_pauses_total 0")
+
+	// A component registered after the first scrape — a tenant created by
+	// PUT /tenants/<id>/rules while serving — gets its series like the
+	// ones registered at boot: there is no "register metrics last" rule.
+	late.Store(100)
+	g.Register("tenant:late", late.Load)
+	wantMetrics(`mfa_guard_mem_component_bytes{component="tenant:late"} 100`, "mfa_guard_mem_usage_bytes 600")
+
+	// Every row is its GovernorStats field, and every field has a row.
+	st, snap := g.Stats(), reg.Snapshot()
+	for _, row := range governorRows {
+		if m, ok := snap.Get(row.Name); !ok || m.Kind != row.Kind || m.Value != row.Get(&st) {
+			t.Errorf("%s = %+v, GovernorStats says %v", row.Name, m, row.Get(&st))
+		}
+	}
+	rt := reflect.TypeOf(st)
+	for i := 0; i < rt.NumField(); i++ {
+		var zero, probe GovernorStats
+		switch f := reflect.ValueOf(&probe).Elem().Field(i); {
+		case f.CanInt():
+			f.SetInt(1)
+		case f.CanFloat():
+			f.SetFloat(1)
+		default:
+			// Components: the component=<name> family Register adds to,
+			// checked series by series above.
+			if rt.Field(i).Name != "Components" {
+				t.Errorf("GovernorStats.%s: a %s the test cannot probe", rt.Field(i).Name, f.Kind())
+			}
+			continue
+		}
+		served := false
+		for _, row := range governorRows {
+			served = served || row.Get(&probe) != row.Get(&zero)
+		}
+		if !served {
+			t.Errorf("GovernorStats.%s is served by no row of governorRows", rt.Field(i).Name)
 		}
 	}
 }
@@ -206,6 +247,7 @@ func TestGovernorStatsAndMetrics(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
 		FailureBudget: 2,
+		BackoffBase:   time.Millisecond,
 		OpenBase:      10 * time.Millisecond,
 		OpenMax:       25 * time.Millisecond,
 		HealthyAfter:  time.Hour,
@@ -214,9 +256,10 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("initial state = %v", b.State())
 	}
 
-	// Budget tolerates FailureBudget failures, then opens.
+	// Budget tolerates FailureBudget failures, each behind a doubling
+	// backoff, then opens.
 	for i := 0; i < 2; i++ {
-		if st, wait := b.Failure(0); st != BreakerClosed || wait != 0 {
+		if st, wait := b.Failure(0); st != BreakerClosed || wait != time.Millisecond<<i {
 			t.Fatalf("failure %d: state=%v wait=%v", i, st, wait)
 		}
 	}
@@ -245,12 +288,12 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// A successful probe closes the breaker and refills the budget.
 	b.Probe()
-	b.Success()
+	b.Healthy()
 	if b.State() != BreakerClosed {
 		t.Fatalf("after success: state=%v", b.State())
 	}
-	if st, _ := b.Failure(0); st != BreakerClosed {
-		t.Fatal("budget was not refilled by Success")
+	if st, wait := b.Failure(0); st != BreakerClosed || wait != time.Millisecond {
+		t.Fatalf("budget not refilled or backoff not rewound: state=%v wait=%v", st, wait)
 	}
 	// And the open interval restarts from OpenBase.
 	b.Failure(0)

@@ -6,6 +6,8 @@ package input
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,9 +70,9 @@ func TestBreakerReentersViaHalfOpenProbe(t *testing.T) {
 	// second probe (attempt 5) succeeds.
 	flaky := &flakyInfiniteSource{name: "flap", failBefore: 4, segs: 8}
 	sup := NewSupervisor(Config{
-		Sink: sink, RestartBudget: 2,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
-		BreakerOpenBase: 2 * time.Millisecond, BreakerOpenMax: 8 * time.Millisecond,
+		Sink: sink, Restart: guard.BreakerConfig{FailureBudget: 2,
+			BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
+			OpenBase: 2 * time.Millisecond, OpenMax: 8 * time.Millisecond},
 	})
 	sup.Add(flaky)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -111,8 +113,8 @@ func TestBudgetRefillsAfterHealthyRun(t *testing.T) {
 	leakcheck.Check(t)
 	src := &healthyThenFailSource{name: "steady", failBefore: 6, runFor: 8 * time.Millisecond}
 	stats, err := runSupervisor(t, Config{
-		Sink: newCollectSink(), RestartBudget: 2, HealthyReset: 2 * time.Millisecond,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
+		Sink: newCollectSink(), Restart: guard.BreakerConfig{FailureBudget: 2, HealthyAfter: 2 * time.Millisecond,
+			BackoffBase: time.Microsecond, BackoffMax: time.Millisecond},
 	}, src)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +125,74 @@ func TestBudgetRefillsAfterHealthyRun(t *testing.T) {
 	}
 	if row.Restarts != 6 {
 		t.Fatalf("Restarts = %d, want 6 (more than budget 2, each after a healthy run)", row.Restarts)
+	}
+}
+
+// TestBackoffRewindsAfterHealthyRun: the restart policy is one policy. A
+// source that flapped at start-up and then served through a healthy
+// stretch restarts after the base backoff again, whether it is finite or
+// not — an infinite source used to keep its doubled interval for life,
+// and after a few isolated hiccups always waited BackoffMax.
+func TestBackoffRewindsAfterHealthyRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		finite bool
+	}{{"finite", true}, {"infinite", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var waits []time.Duration
+			// Three instant failures, a run that outlives HealthyAfter and
+			// then fails, then a clean finish.
+			src := &scriptedSource{name: tc.name, finite: tc.finite, runs: []time.Duration{0, 0, 0, 80 * time.Millisecond}}
+			stats, err := runSupervisor(t, Config{
+				Sink: newCollectSink(),
+				Restart: guard.BreakerConfig{BackoffBase: time.Millisecond, BackoffMax: time.Second,
+					HealthyAfter: 50 * time.Millisecond},
+				Logf: func(format string, args ...any) {
+					if strings.Contains(format, "restarting in") {
+						mu.Lock()
+						waits = append(waits, args[2].(time.Duration))
+						mu.Unlock()
+					}
+				},
+			}, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row := stats[0]; row.State != "done" || row.Restarts != 4 {
+				t.Fatalf("state %s after %d restarts, want done after 4", row.State, row.Restarts)
+			}
+			ms := time.Millisecond
+			if want := []time.Duration{ms, 2 * ms, 4 * ms, ms}; !reflect.DeepEqual(waits, want) {
+				t.Errorf("restart waits %v, want %v: the healthy run did not rewind the backoff", waits, want)
+			}
+		})
+	}
+}
+
+// scriptedSource fails once per entry of runs, after running that long,
+// then finishes cleanly.
+type scriptedSource struct {
+	name     string
+	finite   bool
+	runs     []time.Duration
+	attempts atomic.Int32
+}
+
+func (s *scriptedSource) Describe() Description {
+	return Description{Name: s.name, Kind: "mem", Detail: "test", Finite: s.finite}
+}
+
+func (s *scriptedSource) Run(ctx context.Context, em *Emitter) error {
+	n := int(s.attempts.Add(1)) - 1
+	if n >= len(s.runs) {
+		return nil
+	}
+	select {
+	case <-time.After(s.runs[n]):
+		return errors.New("scripted failure")
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -214,7 +284,7 @@ func TestGovernorPausesLeasing(t *testing.T) {
 	leakcheck.Check(t)
 	const limit = 64 << 10
 	arena := &Arena{}
-	gov := guard.NewGovernor(guard.GovernorConfig{Limit: limit, PauseAt: 0.5, Poll: time.Millisecond})
+	gov := guard.NewGovernor(guard.GovernorConfig{Limit: limit, PauseAt: 0.5, Poll: time.Millisecond}, nil)
 	gov.Register("arena", arena.BytesLeased)
 
 	sink := &holdSink{}

@@ -18,6 +18,7 @@ import (
 	"matchfilter/internal/core"
 	"matchfilter/internal/engine"
 	"matchfilter/internal/flow"
+	"matchfilter/internal/guard"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/regexparse"
 )
@@ -205,7 +206,7 @@ func TestPerSourceCountersSumToEngineTotals(t *testing.T) {
 	rec := &matchRecorder{}
 	e := newTestEngine(m, rec)
 	flaky := &memSource{name: "flaky", flows: [][]byte{make([]byte, 4096)}, failBefore: 2}
-	sup := NewSupervisor(Config{Sink: e, QueueDepth: 8, BackoffBase: time.Millisecond})
+	sup := NewSupervisor(Config{Sink: e, QueueDepth: 8, Restart: guard.BreakerConfig{BackoffBase: time.Millisecond}})
 	sup.Add(NewPcapFile(pathA))
 	sup.Add(NewPcapFile(pathB))
 	sup.Add(flaky)

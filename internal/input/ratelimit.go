@@ -18,6 +18,7 @@ package input
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,7 +37,7 @@ type rateLimiter struct {
 	tokens float64 // may go negative: accumulated debt to sleep off
 	last   time.Time
 
-	pausedNanos int64 // cumulative time spent sleeping, for telemetry
+	pausedNanos atomic.Int64 // cumulative time spent sleeping (SourceStats.RatePausedNanos)
 }
 
 func newRateLimiter(bytesPerSec int64) *rateLimiter {
@@ -70,18 +71,9 @@ func (l *rateLimiter) wait(ctx context.Context, n int) error {
 	defer t.Stop()
 	select {
 	case <-t.C:
-		l.mu.Lock()
-		l.pausedNanos += int64(d)
-		l.mu.Unlock()
+		l.pausedNanos.Add(int64(d))
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// paused reports cumulative pacing sleep.
-func (l *rateLimiter) paused() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return time.Duration(l.pausedNanos)
 }

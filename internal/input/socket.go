@@ -18,9 +18,14 @@ import (
 	"matchfilter/internal/pcap"
 )
 
-// defaultChunk bounds the payload bytes of one synthesized segment — a
+// streamChunk bounds the payload bytes of one synthesized segment — a
 // single socket read, hence a single arena lease.
-const defaultChunk = 16 << 10
+const streamChunk = 16 << 10
+
+// maxUDPPeers bounds a UDP listener's peer→flow table; when full, the
+// oldest half is forgotten (their flows idle out in the engine; a
+// returning peer restarts as a fresh flow via SYN).
+const maxUDPPeers = 16384
 
 // sourceIDs hands every socket source a process-unique id that is baked
 // into its synthesized flow keys, so two sources can never collide on a
@@ -101,9 +106,6 @@ func localPortOf(addr net.Addr) uint16 {
 // stream as one flow.
 type TCPListener struct {
 	Addr string
-	// Chunk bounds one synthesized segment's payload (one read, one
-	// lease). 0 means 16KiB.
-	Chunk int
 
 	id    uint32
 	bound atomic.Value // net.Addr once listening (tests bind port 0)
@@ -130,10 +132,6 @@ func (t *TCPListener) Describe() Description {
 // be in TIME_WAIT from a previous run) and restart under the backoff
 // policy.
 func (t *TCPListener) Run(ctx context.Context, em *Emitter) error {
-	chunk := t.Chunk
-	if chunk <= 0 {
-		chunk = defaultChunk
-	}
 	ln, err := net.Listen("tcp", t.Addr)
 	if err != nil {
 		return fmt.Errorf("input: tcp listen %s: %w", t.Addr, err)
@@ -162,7 +160,7 @@ func (t *TCPListener) Run(ctx context.Context, em *Emitter) error {
 			stopConn := context.AfterFunc(ctx, func() { conn.Close() })
 			defer stopConn()
 			key := synthFlowKey(t.id, n, conn.RemoteAddr(), localPort)
-			pumpStreamConn(ctx, em, conn, key, chunk)
+			pumpStreamConn(em, conn, key)
 		}(conn, conns.Add(1))
 	}
 }
@@ -170,13 +168,13 @@ func (t *TCPListener) Run(ctx context.Context, em *Emitter) error {
 // pumpStreamConn frames one byte-stream connection into SYN / data /
 // FIN segments. Read errors just end the flow — a peer resetting its
 // connection is traffic, not a source failure.
-func pumpStreamConn(ctx context.Context, em *Emitter, conn net.Conn, key pcap.FlowKey, chunk int) {
+func pumpStreamConn(em *Emitter, conn net.Conn, key pcap.FlowKey) {
 	fr := newFramer(key)
 	if em.Segment(fr.syn(), nil) != nil {
 		return
 	}
 	for {
-		lease := em.Lease(chunk)
+		lease := em.Lease(streamChunk)
 		n, err := conn.Read(lease.Data())
 		if n > 0 {
 			if em.Segment(fr.data(lease.Data()[:n]), lease) != nil {
@@ -208,10 +206,6 @@ func pumpStreamConn(ctx context.Context, em *Emitter, conn net.Conn, key pcap.Fl
 // saw them. Both feed /statsz and the per-source mfa_input_* series.
 type UDPListener struct {
 	Addr string
-	// MaxPeers bounds the peer→flow table; when full, the oldest half
-	// is forgotten (their flows idle out in the engine; a returning
-	// peer restarts as a fresh flow via SYN). 0 means 16384.
-	MaxPeers int
 	// Seq enables the 4-byte sequence-header protocol described above.
 	Seq bool
 
@@ -252,10 +246,6 @@ type udpPeer struct {
 
 // Run implements Source.
 func (u *UDPListener) Run(ctx context.Context, em *Emitter) error {
-	maxPeers := u.MaxPeers
-	if maxPeers <= 0 {
-		maxPeers = 16384
-	}
 	pc, err := net.ListenPacket("udp", u.Addr)
 	if err != nil {
 		return fmt.Errorf("input: udp listen %s: %w", u.Addr, err)
@@ -301,7 +291,7 @@ func (u *UDPListener) Run(ctx context.Context, em *Emitter) error {
 		pk := addr.String()
 		peer, ok := peers[pk]
 		if !ok {
-			if len(peers) >= maxPeers {
+			if len(peers) >= maxUDPPeers {
 				evictOldestPeers(peers, len(peers)/2)
 			}
 			conns++
@@ -354,7 +344,7 @@ func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 // evictOldestPeers forgets the n least-recently-seen peers: one pass to
 // collect last-seen stamps, a sort to find the age cutoff, one pass to
 // delete. The single read loop owns the map, so no locking; eviction is
-// rare (every maxPeers/2 new peers at saturation).
+// rare (every maxUDPPeers/2 new peers at saturation).
 func evictOldestPeers(peers map[string]*udpPeer, n int) {
 	if n <= 0 {
 		return

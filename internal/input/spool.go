@@ -33,12 +33,12 @@ import (
 	"matchfilter/internal/pcap"
 )
 
+// spoolPattern selects the directory entries a spool tails.
+const spoolPattern = "*.pcap"
+
 // Spool tails rotating capture files in a directory.
 type Spool struct {
 	Dir string
-	// Pattern filters directory entries (filepath.Match); "" means
-	// "*.pcap".
-	Pattern string
 	// Poll is the directory scan interval; 0 means 500ms.
 	Poll time.Duration
 }
@@ -53,10 +53,6 @@ func (s *Spool) Describe() Description {
 
 // Run implements Source.
 func (s *Spool) Run(ctx context.Context, em *Emitter) error {
-	pattern := s.Pattern
-	if pattern == "" {
-		pattern = "*.pcap"
-	}
 	poll := s.Poll
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
@@ -76,7 +72,7 @@ func (s *Spool) Run(ctx context.Context, em *Emitter) error {
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		if err := s.sweep(ctx, em, pattern, tails); err != nil {
+		if err := s.sweep(ctx, em, tails); err != nil {
 			return err
 		}
 		select {
@@ -88,9 +84,9 @@ func (s *Spool) Run(ctx context.Context, em *Emitter) error {
 }
 
 // sweep lists the directory and reconciles the tail set with it.
-func (s *Spool) sweep(ctx context.Context, em *Emitter, pattern string, tails map[string]*tailFile) error {
-	matches, err := filepath.Glob(filepath.Join(s.Dir, pattern))
-	if err != nil {
+func (s *Spool) sweep(ctx context.Context, em *Emitter, tails map[string]*tailFile) error {
+	matches, err := filepath.Glob(filepath.Join(s.Dir, spoolPattern))
+	if err != nil { // Dir itself holds a malformed glob pattern
 		return Permanent(fmt.Errorf("input: spool: bad pattern: %w", err))
 	}
 	return reconcile(ctx, em, matches, tails)
@@ -139,15 +135,9 @@ type tailFile struct {
 	f    *os.File
 	off  int64 // bytes consumed from the file
 
-	hdr     pcapHeader
-	hdrDone bool
-	dead    bool   // unresyncable: skip until truncate/replace
-	partial []byte // unconsumed tail bytes (shorter than one record)
-}
-
-// pcapHeader is the parsed global header state a tail needs.
-type pcapHeader struct {
-	order binary.ByteOrder
+	order   binary.ByteOrder // of the records; nil until the global header has parsed
+	dead    bool             // unresyncable: skip until truncate/replace
+	partial []byte           // unconsumed tail bytes (shorter than one record)
 }
 
 func (tf *tailFile) close() {
@@ -160,7 +150,7 @@ func (tf *tailFile) close() {
 // reset rewinds to offset 0 (truncate-in-place rotation).
 func (tf *tailFile) reset() {
 	tf.off = 0
-	tf.hdrDone = false
+	tf.order = nil
 	tf.dead = false
 	tf.partial = tf.partial[:0]
 }
@@ -223,51 +213,31 @@ func (tf *tailFile) consume(ctx context.Context, em *Emitter, size int64) error 
 }
 
 // parse emits every complete record in partial, keeping the remainder.
+// Header and record validation are internal/pcap's: a file it refuses is
+// marked dead.
 func (tf *tailFile) parse(ctx context.Context, em *Emitter) error {
 	p := tf.partial
-	if !tf.hdrDone {
-		if len(p) < 24 {
-			tf.partial = p
+	if tf.order == nil {
+		if len(p) < pcap.GlobalHeaderLen {
 			return nil
 		}
-		switch binary.LittleEndian.Uint32(p[0:]) {
-		case pcap.MagicLE:
-			tf.hdr.order = binary.LittleEndian
-		case 0xd4c3b2a1:
-			tf.hdr.order = binary.BigEndian
-		default:
-			tf.dead = true
-			tf.partial = nil
-			return em.Malformed(fmt.Errorf("%w: spool file %s", pcap.ErrBadMagic, tf.path))
+		order, err := pcap.ParseGlobalHeader(p)
+		if err != nil {
+			return tf.kill(em, err)
 		}
-		if lt := tf.hdr.order.Uint32(p[20:]); lt != pcap.LinkTypeEthernet {
-			tf.dead = true
-			tf.partial = nil
-			return em.Malformed(fmt.Errorf("%w: %d in spool file %s", pcap.ErrBadLinkType, lt, tf.path))
-		}
-		p = p[24:]
-		tf.hdrDone = true
+		tf.order, p = order, p[pcap.GlobalHeaderLen:]
 	}
-	for {
-		if ctx.Err() != nil {
-			break
+	for ctx.Err() == nil && len(p) >= pcap.RecordHeaderLen {
+		n, err := pcap.RecordLen(tf.order, p)
+		if err != nil {
+			return tf.kill(em, err)
 		}
-		if len(p) < 16 {
-			break
-		}
-		inclLen := tf.hdr.order.Uint32(p[8:])
-		if inclLen > 16*1024*1024 {
-			tf.dead = true
-			tf.partial = nil
-			return em.Malformed(fmt.Errorf("%w: implausible packet length %d in spool file %s",
-				pcap.ErrBadRecord, inclLen, tf.path))
-		}
-		if len(p) < 16+int(inclLen) {
+		if len(p) < pcap.RecordHeaderLen+n {
 			break // partial record: wait for the next poll
 		}
-		lease := em.Lease(int(inclLen))
-		copy(lease.Data(), p[16:16+inclLen])
-		p = p[16+inclLen:]
+		lease := em.Lease(n)
+		copy(lease.Data(), p[pcap.RecordHeaderLen:])
+		p = p[pcap.RecordHeaderLen+n:]
 		if err := em.Frame(lease.Data(), lease); err != nil {
 			tf.partial = nil
 			return err
@@ -278,4 +248,12 @@ func (tf *tailFile) parse(ctx context.Context, em *Emitter) error {
 	copy(rest, p)
 	tf.partial = rest
 	return nil
+}
+
+// kill marks the file unparseable and reports why under the malformed
+// policy.
+func (tf *tailFile) kill(em *Emitter, err error) error {
+	tf.dead = true
+	tf.partial = nil
+	return em.Malformed(fmt.Errorf("%w in spool file %s", err, tf.path))
 }

@@ -1,8 +1,10 @@
 // Supervisor: the plugin runner. One goroutine pair per source — the
 // source's Run producing into a bounded handoff queue, and a pump
 // swapping out whatever that queue holds and handing it to the sink as
-// one burst — plus restart-with-backoff supervision and centralized
-// strict/lenient malformed-input policy.
+// one burst — plus restart supervision under one guard.Breaker policy and
+// centralized strict/lenient malformed-input policy. SourceStats and
+// ArenaStats are the listings of the pipeline's counters: /statsz serves
+// them as they are, /metrics through the row tables below.
 package input
 
 import (
@@ -32,30 +34,14 @@ type Config struct {
 	// 0 means 256. A full queue backpressures the producing source
 	// without touching the others.
 	QueueDepth int
-	// RestartBudget is how many restarts a failing source is granted
-	// before the supervisor escalates. For finite sources (files,
-	// spools) exhausting it abandons the source (state "failed") while
-	// the other sources keep serving. For infinite sources (sockets,
-	// live capture) it opens a circuit breaker instead: the source
-	// moves to capped-interval half-open probing rather than dying
-	// permanently. 0 means 8.
-	RestartBudget int
-	// BackoffBase and BackoffMax bound the exponential restart backoff.
-	// 0 means 100ms and 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerOpenBase and BreakerOpenMax bound an infinite source's
-	// open-circuit interval: the first open waits BreakerOpenBase
-	// before a half-open probe, doubling per consecutive open up to
-	// BreakerOpenMax. 0 means 10s and 2m.
-	BreakerOpenBase time.Duration
-	BreakerOpenMax  time.Duration
-	// HealthyReset is how long a source must run cleanly for its
-	// restart budget to refill — a source that served for minutes and
-	// then hiccuped is not crash-looping, and transient early failures
-	// must not permanently eat the budget. Applies to both the finite
-	// budget and the breaker's failure budget. 0 means 30s.
-	HealthyReset time.Duration
+	// Restart is every source's restart policy: how many failures a
+	// source is granted, the backoff between restarts, and how long a
+	// clean run refills the budget. Spending the budget opens the
+	// source's breaker: a finite source (files) is then abandoned (state
+	// "failed") while the others keep serving, an infinite one (sockets,
+	// spools, live capture) moves to capped-interval half-open probing
+	// rather than dying permanently. Zero fields take guard's defaults.
+	Restart guard.BreakerConfig
 	// Governor, when non-nil, gates buffer leasing against the unified
 	// memory ceiling: Emitter.Lease blocks while governed usage sits
 	// above the governor's pause threshold, so sources stop pulling
@@ -83,24 +69,6 @@ func (c *Config) setDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.RestartBudget <= 0 {
-		c.RestartBudget = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.BreakerOpenBase <= 0 {
-		c.BreakerOpenBase = 10 * time.Second
-	}
-	if c.BreakerOpenMax <= 0 {
-		c.BreakerOpenMax = 2 * time.Minute
-	}
-	if c.HealthyReset <= 0 {
-		c.HealthyReset = 30 * time.Second
-	}
 	if c.Arena == nil {
 		c.Arena = &Arena{}
 	}
@@ -123,8 +91,8 @@ const (
 	StateBackoff
 	// StateDone: completed cleanly (finite source EOF, or cancelled).
 	StateDone
-	// StateFailed: abandoned — restart budget exhausted (finite
-	// sources), permanent error, or strict abort.
+	// StateFailed: abandoned — a finite source's breaker opened (restart
+	// budget exhausted), permanent error, or strict abort.
 	StateFailed
 	// StateOpen: an infinite source's circuit breaker is open — the
 	// source is left alone for a capped, doubling interval before a
@@ -181,9 +149,10 @@ type sourceState struct {
 	// hands to the sink: all ones on a quiet source, up to burst.Max
 	// where the sink is the bottleneck.
 	burstHist *telemetry.Histogram
-	// br is the circuit breaker; nil for finite sources, which keep the
-	// abandon-after-budget policy (probing a consumed file forever
-	// would just hold Run open after the pipeline's work is done).
+	// br is the source's restart policy. Only an infinite source's is on
+	// the admin surface: a finite one that opens it is abandoned (probing
+	// a consumed file forever would just hold Run open after the
+	// pipeline's work is done), which its state already says.
 	br *guard.Breaker
 
 	segments  atomic.Int64 // segments accepted by the sink
@@ -237,22 +206,46 @@ func NewSupervisor(cfg Config) *Supervisor {
 	}
 	cfg.setDefaults()
 	s := &Supervisor{cfg: cfg, names: make(map[string]int)}
-	if reg := cfg.Metrics; reg != nil {
-		a := cfg.Arena
-		reg.CounterFunc("mfa_input_arena_leases_total",
-			"Payload buffers leased from the input arena.",
-			func() float64 { return float64(a.Stats().Leases) })
-		reg.CounterFunc("mfa_input_arena_releases_total",
-			"Leased buffers returned to the input arena (by the engine after scan, or by sources on error paths).",
-			func() float64 { return float64(a.Stats().Releases) })
-		reg.CounterFunc("mfa_input_arena_misses_total",
-			"Fresh allocations behind arena leases (a slab pool miss, or an oversize lease).",
-			func() float64 { return float64(a.Stats().Misses) })
-		reg.CounterFunc("mfa_input_arena_double_release_total",
-			"Release called twice on one lease (a bug upstream, made harmless).",
-			func() float64 { return float64(a.Stats().DoubleReleases) })
+	if cfg.Metrics != nil {
+		telemetry.Rows(cfg.Metrics, cfg.Arena.Stats, arenaRows)
 	}
 	return s
+}
+
+// arenaRows serves ArenaStats. BytesLeased has no series of its own: it
+// is the memory governor's "arena" component.
+var arenaRows = []telemetry.Row[ArenaStats]{
+	telemetry.CounterRow("mfa_input_arena_leases_total", "Payload buffers leased from the input arena.", func(a *ArenaStats) float64 { return float64(a.Leases) }),
+	telemetry.CounterRow("mfa_input_arena_releases_total", "Leased buffers returned to the input arena (by the engine after scan, or by sources on error paths).", func(a *ArenaStats) float64 { return float64(a.Releases) }),
+	telemetry.CounterRow("mfa_input_arena_misses_total", "Fresh allocations behind arena leases (a slab pool miss, or an oversize lease).", func(a *ArenaStats) float64 { return float64(a.Misses) }),
+	telemetry.CounterRow("mfa_input_arena_double_release_total", "Release called twice on one lease (a bug upstream, made harmless).", func(a *ArenaStats) float64 { return float64(a.DoubleReleases) }),
+}
+
+// sourceRows serves one source's SourceStats, labeled source=<name>;
+// rateRows only on a paced source, breakerRows only on an infinite one.
+var sourceRows = []telemetry.Row[SourceStats]{
+	telemetry.CounterRow("mfa_input_segments_total", "TCP segments this source delivered to the engine.", func(s *SourceStats) float64 { return float64(s.Segments) }),
+	telemetry.CounterRow("mfa_input_payload_bytes_total", "Payload bytes this source delivered to the engine.", func(s *SourceStats) float64 { return float64(s.PayloadBytes) }),
+	telemetry.CounterRow("mfa_input_skipped_frames_total", "Non-TCP frames this source skipped.", func(s *SourceStats) float64 { return float64(s.SkippedFrames) }),
+	telemetry.CounterRow("mfa_input_malformed_total", "Malformed frames/records this source counted and skipped.", func(s *SourceStats) float64 { return float64(s.Malformed) }),
+	telemetry.CounterRow("mfa_input_restarts_total", "Times this source was restarted after a transient failure.", func(s *SourceStats) float64 { return float64(s.Restarts) }),
+	telemetry.CounterRow("mfa_input_gaps_total", "Sender-numbered datagrams this source never received (udp ?seq mode).", func(s *SourceStats) float64 { return float64(s.Gaps) }),
+	telemetry.CounterRow("mfa_input_reorders_total", "Datagrams this source received behind a higher sequence number (udp ?seq mode).", func(s *SourceStats) float64 { return float64(s.Reorders) }),
+	telemetry.CounterRow("mfa_input_kernel_drops_total", "Datagrams the kernel dropped on this source's socket buffer (SO_RXQ_OVFL; Linux only).", func(s *SourceStats) float64 { return float64(s.KernelDrops) }),
+	telemetry.GaugeRow("mfa_input_queue_depth", "Segments waiting in this source's handoff queue right now.", func(s *SourceStats) float64 { return float64(s.QueueDepth) }),
+	telemetry.GaugeRow("mfa_input_queue_capacity", "Handoff queue capacity of this source.", func(s *SourceStats) float64 { return float64(s.QueueCap) }),
+	telemetry.GaugeRow("mfa_input_state", "Source lifecycle: 0 pending, 1 running, 2 backoff, 3 done, 4 failed, 5 open, 6 half-open.", func(s *SourceStats) float64 { return float64(s.state) }),
+}
+
+var rateRows = []telemetry.Row[SourceStats]{
+	telemetry.GaugeRow("mfa_input_rate_bytes_per_sec", "Configured replay rate limit for this source.", func(s *SourceStats) float64 { return float64(s.RateBytesPerSec) }),
+	telemetry.CounterRow("mfa_input_rate_paused_seconds_total", "Cumulative time this source slept in its replay rate limiter.", func(s *SourceStats) float64 { return time.Duration(s.RatePausedNanos).Seconds() }),
+}
+
+var breakerRows = []telemetry.Row[SourceStats]{
+	telemetry.GaugeRow("mfa_guard_breaker_state", "Circuit state of this source's breaker: 0 closed, 1 open, 2 half-open.", func(s *SourceStats) float64 { return float64(s.breaker) }),
+	telemetry.CounterRow("mfa_guard_breaker_opens_total", "Times this source's breaker opened (failure budget spent).", func(s *SourceStats) float64 { return float64(s.BreakerOpens) }),
+	telemetry.CounterRow("mfa_guard_breaker_probes_total", "Half-open probes attempted for this source.", func(s *SourceStats) float64 { return float64(s.BreakerProbes) }),
 }
 
 // Arena returns the buffer arena sources lease from.
@@ -289,72 +282,20 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 	if opts.RateBytesPerSec > 0 {
 		st.rl = newRateLimiter(opts.RateBytesPerSec)
 	}
-	if !desc.Finite {
-		st.br = guard.NewBreaker(guard.BreakerConfig{
-			FailureBudget: s.cfg.RestartBudget,
-			OpenBase:      s.cfg.BreakerOpenBase,
-			OpenMax:       s.cfg.BreakerOpenMax,
-			HealthyAfter:  s.cfg.HealthyReset,
-		})
-	}
+	st.br = guard.NewBreaker(s.cfg.Restart)
 	s.sources = append(s.sources, st)
 	if reg := s.cfg.Metrics; reg != nil {
 		label := telemetry.L("source", desc.Name)
-		reg.CounterFunc("mfa_input_segments_total",
-			"TCP segments this source delivered to the engine.",
-			func() float64 { return float64(st.segments.Load()) }, label)
-		reg.CounterFunc("mfa_input_payload_bytes_total",
-			"Payload bytes this source delivered to the engine.",
-			func() float64 { return float64(st.bytes.Load()) }, label)
-		reg.CounterFunc("mfa_input_skipped_frames_total",
-			"Non-TCP frames this source skipped.",
-			func() float64 { return float64(st.skips.Load()) }, label)
-		reg.CounterFunc("mfa_input_malformed_total",
-			"Malformed frames/records this source counted and skipped.",
-			func() float64 { return float64(st.malformed.Load()) }, label)
-		reg.CounterFunc("mfa_input_restarts_total",
-			"Times this source was restarted after a transient failure.",
-			func() float64 { return float64(st.restarts.Load()) }, label)
-		reg.CounterFunc("mfa_input_gaps_total",
-			"Sender-numbered datagrams this source never received (udp ?seq mode).",
-			func() float64 { return float64(st.gaps.Load()) }, label)
-		reg.CounterFunc("mfa_input_reorders_total",
-			"Datagrams this source received behind a higher sequence number (udp ?seq mode).",
-			func() float64 { return float64(st.reorders.Load()) }, label)
-		reg.CounterFunc("mfa_input_kernel_drops_total",
-			"Datagrams the kernel dropped on this source's socket buffer (SO_RXQ_OVFL; Linux only).",
-			func() float64 { return float64(st.kernelDrops.Load()) }, label)
+		rows := telemetry.Rows(reg, st.stats, sourceRows, label)
 		if st.rl != nil {
-			reg.GaugeFunc("mfa_input_rate_bytes_per_sec",
-				"Configured replay rate limit for this source.",
-				func() float64 { return float64(st.opts.RateBytesPerSec) }, label)
-			reg.CounterFunc("mfa_input_rate_paused_seconds_total",
-				"Cumulative time this source slept in its replay rate limiter.",
-				func() float64 { return st.rl.paused().Seconds() }, label)
+			rows.Add(rateRows, label)
 		}
-		reg.GaugeFunc("mfa_input_queue_depth",
-			"Segments waiting in this source's handoff queue right now.",
-			func() float64 { return float64(st.q.Len()) }, label)
-		reg.GaugeFunc("mfa_input_queue_capacity",
-			"Handoff queue capacity of this source.",
-			func() float64 { return float64(st.q.Cap()) }, label)
+		if !desc.Finite {
+			rows.Add(breakerRows, label)
+		}
 		st.burstHist = reg.Histogram("mfa_input_burst_segments",
 			"Segments per burst this source's pump handed to the engine: 1 on a quiet source, more only under backlog.",
 			burstBuckets, label)
-		reg.GaugeFunc("mfa_input_state",
-			"Source lifecycle: 0 pending, 1 running, 2 backoff, 3 done, 4 failed, 5 open, 6 half-open.",
-			func() float64 { return float64(st.state.Load()) }, label)
-		if st.br != nil {
-			reg.GaugeFunc("mfa_guard_breaker_state",
-				"Circuit state of this source's breaker: 0 closed, 1 open, 2 half-open.",
-				func() float64 { return float64(st.br.State()) }, label)
-			reg.CounterFunc("mfa_guard_breaker_opens_total",
-				"Times this source's breaker opened (failure budget spent).",
-				func() float64 { return float64(st.br.Opens()) }, label)
-			reg.CounterFunc("mfa_guard_breaker_probes_total",
-				"Half-open probes attempted for this source.",
-				func() float64 { return float64(st.br.Probes()) }, label)
-		}
 	}
 }
 
@@ -456,42 +397,34 @@ func (s *Supervisor) deliver(items []burst.Item) error {
 	return nil
 }
 
-// supervise runs one source through its restart policy. Finite sources
-// keep the abandon-after-budget policy; infinite sources escalate to
-// their circuit breaker (capped-interval half-open probing) instead of
-// dying permanently. Either way, a run that lasted HealthyReset refills
-// the budget, so transient early failures do not permanently eat it.
+// supervise runs one source through its restart policy: the breaker
+// says how long to wait after each failure and when the budget is spent.
+// An open breaker abandons a finite source and leaves an infinite one
+// alone until a half-open probe; a run that lasted HealthyAfter refills
+// the budget and rewinds the backoff, so neither transient early failures
+// nor isolated hiccups escalate.
 func (s *Supervisor) supervise(ctx context.Context, st *sourceState) {
 	em := &Emitter{sup: s, st: st, ctx: ctx}
-	backoff := s.cfg.BackoffBase
-	budgetUsed := 0 // finite-source failures since the last healthy run
 	for {
-		if st.br != nil && st.br.State() == guard.BreakerHalfOpen {
+		if st.br.State() == guard.BreakerHalfOpen {
 			st.state.Store(int32(StateHalfOpen))
 		} else {
 			st.state.Store(int32(StateRunning))
 		}
 		started := time.Now()
-		var healthTimer *time.Timer
-		if st.br != nil {
-			// If this run survives HealthyReset, refill the breaker's
-			// budget mid-run (a later crash starts from a full budget)
-			// and promote a half-open probe to plain running.
-			healthTimer = time.AfterFunc(s.cfg.HealthyReset, func() {
-				st.br.Healthy()
-				st.state.CompareAndSwap(int32(StateHalfOpen), int32(StateRunning))
-			})
-		}
+		// If this run survives HealthyAfter, refill the breaker's budget
+		// mid-run (a later crash starts from a full budget) and promote a
+		// half-open probe to plain running.
+		healthTimer := time.AfterFunc(st.br.Config().HealthyAfter, func() {
+			st.br.Healthy()
+			st.state.CompareAndSwap(int32(StateHalfOpen), int32(StateRunning))
+		})
 		err := runGuarded(ctx, st.src, em)
 		ranFor := time.Since(started)
-		if healthTimer != nil {
-			healthTimer.Stop()
-		}
+		healthTimer.Stop()
 		switch {
 		case err == nil:
-			if st.br != nil {
-				st.br.Success()
-			}
+			st.br.Healthy()
 			st.state.Store(int32(StateDone))
 			return
 		case ctx.Err() != nil:
@@ -505,7 +438,6 @@ func (s *Supervisor) supervise(ctx context.Context, st *sourceState) {
 				st.state.Store(int32(StateDone))
 			}
 			return
-		default:
 		}
 		st.setErr(err)
 		var se *StrictError
@@ -521,46 +453,28 @@ func (s *Supervisor) supervise(ctx context.Context, st *sourceState) {
 			return
 		}
 		st.restarts.Add(1)
-		if st.br != nil {
-			brState, wait := st.br.Failure(ranFor)
-			if brState == guard.BreakerOpen {
-				s.cfg.Logf("input: source %s opened its circuit breaker (%v), probing in %v",
-					st.desc.Name, err, wait)
-				st.state.Store(int32(StateOpen))
-				select {
-				case <-time.After(wait):
-				case <-ctx.Done():
-					st.state.Store(int32(StateDone))
-					return
-				}
-				st.br.Probe()
-				backoff = s.cfg.BackoffBase
-				continue
-			}
-		} else {
-			if ranFor >= s.cfg.HealthyReset {
-				budgetUsed = 0
-				backoff = s.cfg.BackoffBase
-			}
-			budgetUsed++
-			if budgetUsed > s.cfg.RestartBudget {
-				st.state.Store(int32(StateFailed))
-				s.cfg.Logf("input: source %s exhausted its restart budget (%d): %v",
-					st.desc.Name, s.cfg.RestartBudget, err)
-				return
-			}
+		brState, wait := st.br.Failure(ranFor)
+		switch {
+		case brState == guard.BreakerClosed:
+			s.cfg.Logf("input: source %s failed (%v), restarting in %v", st.desc.Name, err, wait)
+			st.state.Store(int32(StateBackoff))
+		case st.desc.Finite:
+			st.state.Store(int32(StateFailed))
+			s.cfg.Logf("input: source %s exhausted its restart budget (%d): %v",
+				st.desc.Name, st.br.Config().FailureBudget, err)
+			return
+		default:
+			s.cfg.Logf("input: source %s opened its circuit breaker (%v), probing in %v",
+				st.desc.Name, err, wait)
+			st.state.Store(int32(StateOpen))
 		}
-		s.cfg.Logf("input: source %s failed (%v), restarting in %v", st.desc.Name, err, backoff)
-		st.state.Store(int32(StateBackoff))
 		select {
-		case <-time.After(backoff):
+		case <-time.After(wait):
 		case <-ctx.Done():
 			st.state.Store(int32(StateDone))
 			return
 		}
-		if backoff *= 2; backoff > s.cfg.BackoffMax {
-			backoff = s.cfg.BackoffMax
-		}
+		st.br.Probe() // open → half-open; a no-op after a plain backoff
 	}
 }
 
@@ -595,65 +509,75 @@ type SourceStats struct {
 	KernelDrops int64 `json:",omitempty"`
 	// Tenant is the per-source tenant binding (index); 0 when unbound.
 	Tenant uint32 `json:",omitempty"`
-	// RateBytesPerSec is the configured replay pace; 0 when unpaced.
+	// RateBytesPerSec is the configured replay pace, RatePausedNanos the
+	// time the source has slept to keep it; 0 when unpaced.
 	RateBytesPerSec int64 `json:",omitempty"`
-	// Breaker is the circuit state ("closed"/"open"/"half-open") for
-	// infinite sources; empty for finite sources, which have none.
-	Breaker      string `json:",omitempty"`
-	BreakerOpens int64  `json:",omitempty"`
-	LastError    string `json:",omitempty"`
+	RatePausedNanos int64 `json:",omitempty"`
+	// Breaker is the circuit state ("closed"/"open"/"half-open") of an
+	// infinite source, with its transitions into open and half-open;
+	// empty for finite sources, which are abandoned instead of probed.
+	Breaker       string `json:",omitempty"`
+	BreakerOpens  int64  `json:",omitempty"`
+	BreakerProbes int64  `json:",omitempty"`
+	LastError     string `json:",omitempty"`
+	// The codes State and Breaker name: what their gauges serve.
+	state   SourceState
+	breaker guard.BreakerState
+}
+
+// stats reads one source's accounting: its /statsz row, and once per
+// scrape the snapshot behind its source=<name> series.
+func (st *sourceState) stats() SourceStats {
+	state := SourceState(st.state.Load())
+	out := SourceStats{
+		Name:            st.desc.Name,
+		Kind:            st.desc.Kind,
+		Detail:          st.desc.Detail,
+		State:           state.String(),
+		state:           state,
+		Segments:        st.segments.Load(),
+		PayloadBytes:    st.bytes.Load(),
+		SkippedFrames:   st.skips.Load(),
+		Malformed:       st.malformed.Load(),
+		Restarts:        st.restarts.Load(),
+		QueueDepth:      st.q.Len(),
+		QueueCap:        st.q.Cap(),
+		Gaps:            st.gaps.Load(),
+		Reorders:        st.reorders.Load(),
+		KernelDrops:     st.kernelDrops.Load(),
+		Tenant:          st.opts.Tenant,
+		RateBytesPerSec: st.opts.RateBytesPerSec,
+		LastError:       st.lastError(),
+	}
+	if st.rl != nil {
+		out.RatePausedNanos = st.rl.pausedNanos.Load()
+	}
+	if !st.desc.Finite {
+		out.breaker = st.br.State()
+		out.Breaker = out.breaker.String()
+		out.BreakerOpens, out.BreakerProbes = st.br.Opens(), st.br.Probes()
+	}
+	return out
 }
 
 // Stats snapshots every source's accounting.
 func (s *Supervisor) Stats() []SourceStats {
 	out := make([]SourceStats, len(s.sources))
 	for i, st := range s.sources {
-		out[i] = SourceStats{
-			Name:          st.desc.Name,
-			Kind:          st.desc.Kind,
-			Detail:        st.desc.Detail,
-			State:         SourceState(st.state.Load()).String(),
-			Segments:      st.segments.Load(),
-			PayloadBytes:  st.bytes.Load(),
-			SkippedFrames: st.skips.Load(),
-			Malformed:     st.malformed.Load(),
-			Restarts:      st.restarts.Load(),
-			QueueDepth:    st.q.Len(),
-			QueueCap:      st.q.Cap(),
-			Gaps:          st.gaps.Load(),
-			Reorders:      st.reorders.Load(),
-			KernelDrops:   st.kernelDrops.Load(),
-			Tenant:        st.opts.Tenant,
-			LastError:     st.lastError(),
-		}
-		out[i].RateBytesPerSec = st.opts.RateBytesPerSec
-		if st.br != nil {
-			out[i].Breaker = st.br.State().String()
-			out[i].BreakerOpens = st.br.Opens()
-		}
+		out[i] = st.stats()
 	}
 	return out
 }
 
-// OpenBreakers counts sources whose circuit breaker is not closed —
-// open or probing half-open. The admin layer reports /healthz degraded
-// while this is non-zero.
+// OpenBreakers counts infinite sources whose circuit breaker is not
+// closed — open or probing half-open. The admin layer reports /healthz
+// degraded while this is non-zero.
 func (s *Supervisor) OpenBreakers() int {
 	n := 0
 	for _, st := range s.sources {
-		if st.br != nil && st.br.State() != guard.BreakerClosed {
+		if !st.desc.Finite && st.br.State() != guard.BreakerClosed {
 			n++
 		}
-	}
-	return n
-}
-
-// Malformed totals the malformed count across sources — the number the
-// old single-reader loop reported as its skip count.
-func (s *Supervisor) Malformed() int64 {
-	var n int64
-	for _, st := range s.sources {
-		n += st.malformed.Load()
 	}
 	return n
 }

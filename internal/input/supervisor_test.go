@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"matchfilter/internal/guard"
 	"matchfilter/internal/leakcheck"
 )
 
@@ -35,7 +36,7 @@ func TestAccountingSumsToSinkTotals(t *testing.T) {
 	a := &memSource{name: "a", flows: [][]byte{make([]byte, 4096), make([]byte, 100)}}
 	b := &memSource{name: "b", flows: [][]byte{make([]byte, 10000)}, chunk: 333}
 	flaky := &memSource{name: "flaky", flows: [][]byte{make([]byte, 2048)}, failBefore: 2}
-	stats, err := runSupervisor(t, Config{Sink: sink, QueueDepth: 4, BackoffBase: time.Millisecond}, a, b, flaky)
+	stats, err := runSupervisor(t, Config{Sink: sink, QueueDepth: 4, Restart: guard.BreakerConfig{BackoffBase: time.Millisecond}}, a, b, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRestartBudgetExhaustion(t *testing.T) {
 	sink := newCollectSink()
 	hopeless := &memSource{name: "hopeless", failBefore: 1 << 30}
 	stats, err := runSupervisor(t, Config{
-		Sink: sink, RestartBudget: 3, BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
+		Sink: sink, Restart: guard.BreakerConfig{FailureBudget: 3, BackoffBase: time.Microsecond, BackoffMax: time.Millisecond},
 	}, hopeless)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func (p *panicSource) Run(ctx context.Context, em *Emitter) error {
 
 func TestSourcePanicIsAFailure(t *testing.T) {
 	stats, err := runSupervisor(t, Config{
-		Sink: newCollectSink(), BackoffBase: time.Microsecond,
+		Sink: newCollectSink(), Restart: guard.BreakerConfig{BackoffBase: time.Microsecond},
 	}, &panicSource{})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestRateLimiterPacing(t *testing.T) {
 	if min := 60 * time.Millisecond; elapsed < min {
 		t.Fatalf("96 KiB at 1 MiB/s took %v, want >= %v", elapsed, min)
 	}
-	if rl.paused() <= 0 {
+	if rl.pausedNanos.Load() <= 0 {
 		t.Fatal("limiter paced without accounting paused time")
 	}
 

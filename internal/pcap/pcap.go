@@ -110,7 +110,48 @@ func (pw *Writer) WritePacket(p Packet) error {
 	return nil
 }
 
-// Reader parses a classic pcap stream. Both byte orders are accepted.
+// GlobalHeaderLen and RecordHeaderLen size the two headers of the format.
+const (
+	GlobalHeaderLen = 24
+	RecordHeaderLen = 16
+)
+
+// maxRecordLen is the largest frame a record may claim; a longer one is a
+// corrupt header, not a packet.
+const maxRecordLen = 16 << 20
+
+// ParseGlobalHeader validates a capture's global header (GlobalHeaderLen
+// bytes) and returns the byte order its records are written in. Both byte
+// orders are accepted; a foreign magic or a non-Ethernet link type makes
+// the stream unusable.
+func ParseGlobalHeader(hdr []byte) (binary.ByteOrder, error) {
+	var order binary.ByteOrder
+	switch magic := binary.LittleEndian.Uint32(hdr[0:]); magic {
+	case MagicLE:
+		order = binary.LittleEndian
+	case 0xd4c3b2a1:
+		order = binary.BigEndian
+	default:
+		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, magic)
+	}
+	if lt := order.Uint32(hdr[20:]); lt != LinkTypeEthernet {
+		return nil, fmt.Errorf("%w: %d (only Ethernet/%d is supported)", ErrBadLinkType, lt, LinkTypeEthernet)
+	}
+	return order, nil
+}
+
+// RecordLen validates one record header (RecordHeaderLen bytes) and
+// returns the length of the frame that follows it. A stream cannot be
+// resynchronized past a header that fails here.
+func RecordLen(order binary.ByteOrder, hdr []byte) (int, error) {
+	inclLen := order.Uint32(hdr[8:])
+	if inclLen > maxRecordLen {
+		return 0, fmt.Errorf("%w: implausible packet length %d", ErrBadRecord, inclLen)
+	}
+	return int(inclLen), nil
+}
+
+// Reader parses a classic pcap stream.
 type Reader struct {
 	r         io.Reader
 	byteOrder binary.ByteOrder
@@ -120,24 +161,15 @@ type Reader struct {
 
 // NewReader validates the global header and returns a packet reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [24]byte
+	var hdr [GlobalHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrShortHeader, err)
 	}
-	pr := &Reader{r: r}
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case MagicLE:
-		pr.byteOrder = binary.LittleEndian
-	case 0xd4c3b2a1:
-		pr.byteOrder = binary.BigEndian
-	default:
-		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, binary.LittleEndian.Uint32(hdr[0:]))
+	order, err := ParseGlobalHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	pr.linkType = pr.byteOrder.Uint32(hdr[20:])
-	if pr.linkType != LinkTypeEthernet {
-		return nil, fmt.Errorf("%w: %d (only Ethernet/%d is supported)", ErrBadLinkType, pr.linkType, LinkTypeEthernet)
-	}
-	return pr, nil
+	return &Reader{r: r, byteOrder: order, linkType: order.Uint32(hdr[20:])}, nil
 }
 
 // LinkType returns the capture's link type.
@@ -152,20 +184,20 @@ func (pr *Reader) SetAlloc(alloc func(int) []byte) { pr.alloc = alloc }
 
 // Next returns the next packet, or io.EOF at the end of the stream.
 func (pr *Reader) Next() (Packet, error) {
-	var hdr [16]byte
+	var hdr [RecordHeaderLen]byte
 	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Packet{}, io.EOF
 		}
 		return Packet{}, fmt.Errorf("%w: packet record header: %v", ErrTruncatedFrame, err)
 	}
-	inclLen := pr.byteOrder.Uint32(hdr[8:])
-	if inclLen > 16*1024*1024 {
-		return Packet{}, fmt.Errorf("%w: implausible packet length %d", ErrBadRecord, inclLen)
+	inclLen, err := RecordLen(pr.byteOrder, hdr[:])
+	if err != nil {
+		return Packet{}, err
 	}
 	var data []byte
 	if pr.alloc != nil {
-		data = pr.alloc(int(inclLen))
+		data = pr.alloc(inclLen)
 	} else {
 		data = make([]byte, inclLen)
 	}

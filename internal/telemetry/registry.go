@@ -14,10 +14,10 @@
 //     registration lock (registration is cold), but reads every value
 //     with the same atomics the writers use — an exposition scrape
 //     cannot stall a shard.
-//  3. Callback metrics bridge existing counters. The engine already
-//     maintains dozens of atomic counters in its Stats plumbing;
-//     CounterFunc/GaugeFunc expose them without double-counting or a
-//     parallel increment discipline.
+//  3. A component's Stats struct is the listing of its counters. Rows
+//     registers a table of series over that struct: one Stats() call per
+//     Snapshot, every row extracting from the same copy — no second
+//     increment discipline, and no counter listed again per series.
 //
 // Snapshot semantics: a Snapshot is a point-in-time copy, internally
 // consistent per metric (each value read once, histograms sum their own
@@ -121,8 +121,9 @@ type metric struct {
 
 	counter   *Counter
 	gauge     *Gauge
-	valueFn   func() float64 // CounterFunc / GaugeFunc
 	histogram *Histogram
+	set       rowSource // Rows: the set whose snapshot row reads
+	row       any       // *Row[T] of set's T
 }
 
 // Registry holds registered metrics. Registration is idempotent for
@@ -192,7 +193,7 @@ func (r *Registry) register(m *metric) (*metric, bool) {
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	m, _ := r.register(&metric{name: name, help: help, labels: sortLabels(labels), kind: KindCounter, counter: &Counter{}})
 	if m.counter == nil {
-		panic(fmt.Sprintf("telemetry: %s is a counter callback, not an owned counter", name))
+		panic(fmt.Sprintf("telemetry: %s is a row, not an owned counter", name))
 	}
 	return m.counter
 }
@@ -201,30 +202,67 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	m, _ := r.register(&metric{name: name, help: help, labels: sortLabels(labels), kind: KindGauge, gauge: &Gauge{}})
 	if m.gauge == nil {
-		panic(fmt.Sprintf("telemetry: %s is a gauge callback, not an owned gauge", name))
+		panic(fmt.Sprintf("telemetry: %s is a row, not an owned gauge", name))
 	}
 	return m.gauge
 }
 
-// CounterFunc registers a callback-backed counter: fn must report a
-// monotonically non-decreasing value (typically bridging an atomic
-// counter the component already maintains). fn is called at snapshot
-// time and must be safe for concurrent use.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	_, inserted := r.register(&metric{name: name, help: help, labels: sortLabels(labels), kind: KindCounter, valueFn: fn})
-	if !inserted {
-		panic(fmt.Sprintf("telemetry: duplicate registration of %s", name))
+// Row is one callback series of a row set: its name, help and kind, and
+// how to read its value out of the set's snapshot.
+type Row[T any] struct {
+	Name, Help string
+	Kind       Kind
+	Get        func(*T) float64
+}
+
+// CounterRow builds a counter Row; T is inferred from get.
+func CounterRow[T any](name, help string, get func(*T) float64) Row[T] {
+	return Row[T]{name, help, KindCounter, get}
+}
+
+// GaugeRow builds a gauge Row.
+func GaugeRow[T any](name, help string, get func(*T) float64) Row[T] {
+	return Row[T]{name, help, KindGauge, get}
+}
+
+// RowSet is a group of callback series that read one snapshot.
+type RowSet[T any] struct {
+	r    *Registry
+	read func() T
+}
+
+// rowSource is a RowSet of any T, as Snapshot sees it.
+type rowSource interface {
+	snapshot() any // *T
+	value(snap, row any) float64
+}
+
+// Rows registers one series per row, all reading the same snapshot: read
+// runs once per Registry.Snapshot — never per series — and each row
+// extracts its value from that copy, so the struct read returns is the
+// one listing of the component's counters. read must be safe for
+// concurrent use (concurrent scrapes each take their own snapshot). rows
+// is retained, not copied; labels apply to every row.
+func Rows[T any](r *Registry, read func() T, rows []Row[T], labels ...Label) *RowSet[T] {
+	s := &RowSet[T]{r: r, read: read}
+	s.Add(rows, labels...)
+	return s
+}
+
+// Add registers more rows over the set's snapshot under their own labels:
+// a labeled family (per tier, per component) costs no extra read.
+func (s *RowSet[T]) Add(rows []Row[T], labels ...Label) {
+	labels = sortLabels(labels)
+	for i := range rows {
+		row := &rows[i]
+		if _, inserted := s.r.register(&metric{name: row.Name, help: row.Help, labels: labels, kind: row.Kind, set: s, row: row}); !inserted {
+			panic(fmt.Sprintf("telemetry: duplicate registration of %s", row.Name))
+		}
 	}
 }
 
-// GaugeFunc registers a callback-backed gauge. fn is called at snapshot
-// time and must be safe for concurrent use.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	_, inserted := r.register(&metric{name: name, help: help, labels: sortLabels(labels), kind: KindGauge, valueFn: fn})
-	if !inserted {
-		panic(fmt.Sprintf("telemetry: duplicate registration of %s", name))
-	}
-}
+func (s *RowSet[T]) snapshot() any               { v := s.read(); return &v }
+func (s *RowSet[T]) value(snap, row any) float64 { return row.(*Row[T]).Get(snap.(*T)) }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.
 // bounds are strictly increasing upper bounds; a +Inf bucket is implicit.
@@ -258,6 +296,7 @@ func (r *Registry) Snapshot() Snapshot {
 	metrics := make([]*metric, len(r.metrics))
 	copy(metrics, r.metrics)
 	r.mu.Unlock()
+	reads := make(map[rowSource]any) // each row set's snapshot, taken on first use
 
 	out := make(Snapshot, 0, len(metrics))
 	for _, m := range metrics {
@@ -267,8 +306,13 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Value = float64(m.counter.Value())
 		case m.gauge != nil:
 			s.Value = float64(m.gauge.Value())
-		case m.valueFn != nil:
-			s.Value = m.valueFn()
+		case m.set != nil:
+			read, ok := reads[m.set]
+			if !ok {
+				read = m.set.snapshot()
+				reads[m.set] = read
+			}
+			s.Value = m.set.value(read, m.row)
 		case m.histogram != nil:
 			h := m.histogram.Snapshot()
 			s.Hist = &h

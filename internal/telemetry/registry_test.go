@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -99,7 +102,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mfa_x_total", "things", L("shard", "0")).Add(3)
 	r.Counter("mfa_x_total", "things", L("shard", "1")).Add(4)
-	r.GaugeFunc("mfa_tier", "tier", func() float64 { return 2 })
+	Rows(r, func() int { return 2 }, []Row[int]{GaugeRow("mfa_tier", "tier", func(v *int) float64 { return float64(*v) })})
 	h := r.Histogram("mfa_lat_seconds", "lat", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(0.75)
@@ -194,4 +197,69 @@ func TestConcurrentUse(t *testing.T) {
 	if err := snap.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRowsReadOncePerSnapshot is the scrape-count contract: however many
+// rows and labeled families a set serves, one Snapshot runs its read once
+// — the runtime gauges' ReadMemStats included — every row sees that one
+// copy, and concurrent scrapes each take their own.
+func TestRowsReadOncePerSnapshot(t *testing.T) {
+	type sample struct{ a, b int64 }
+	r := NewRegistry()
+	var reads atomic.Int64
+	set := Rows(r, func() sample { n := reads.Add(1); return sample{a: n, b: 10 * n} }, []Row[sample]{
+		CounterRow("rows_a_total", "a", func(s *sample) float64 { return float64(s.a) }),
+		GaugeRow("rows_b", "b", func(s *sample) float64 { return float64(s.b) }),
+	})
+	r.Counter("between_total", "registered between a set's rows").Inc()
+	for _, k := range []string{"x", "y"} {
+		set.Add([]Row[sample]{GaugeRow("rows_family", "per-label rows over the same read",
+			func(s *sample) float64 { return float64(s.a) })}, L("k", k))
+	}
+	var memReads atomic.Int64
+	registerRuntimeMetrics(r, time.Now(), func(m *runtime.MemStats) { memReads.Add(1); m.Sys = 7 })
+
+	for i := int64(1); i <= 3; i++ {
+		snap := r.Snapshot()
+		if reads.Load() != i || memReads.Load() != i {
+			t.Fatalf("after %d snapshots: %d reads of the set, %d of MemStats; want one each per snapshot", i, reads.Load(), memReads.Load())
+		}
+		fam, _ := snap.Get("rows_family", L("k", "y"))
+		if a, b := snap.Value("rows_a_total"), snap.Value("rows_b"); a != float64(i) || b != float64(10*i) || fam.Value != a {
+			t.Errorf("snapshot %d: a=%v b=%v family=%v; rows read different copies", i, a, b, fam.Value)
+		}
+		if snap.Value("mfa_go_sys_bytes") != 7 || snap.Value("mfa_go_goroutines") < 1 {
+			t.Errorf("runtime rows: sys=%v goroutines=%v", snap.Value("mfa_go_sys_bytes"), snap.Value("mfa_go_goroutines"))
+		}
+	}
+	if m, ok := r.Snapshot().Get("rows_b"); !ok || m.Kind != KindGauge || m.Help != "b" {
+		t.Errorf("row metadata lost: %+v", m)
+	}
+
+	before := reads.Load()
+	const scrapers, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < scrapers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				snap := r.Snapshot()
+				if a, b := snap.Value("rows_a_total"), snap.Value("rows_b"); b != 10*a {
+					t.Errorf("concurrent scrape mixed two reads: a=%v b=%v", a, b)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reads.Load() - before; got != scrapers*each {
+		t.Errorf("%d reads over %d concurrent snapshots", got, scrapers*each)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a duplicate row did not panic")
+		}
+	}()
+	set.Add([]Row[sample]{GaugeRow("rows_b", "again", func(*sample) float64 { return 0 })})
 }
