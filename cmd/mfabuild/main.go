@@ -90,8 +90,8 @@ func run() error {
 	fmt.Printf("internal ids:    %d\n", st.InternalIDs)
 	fmt.Printf("image:           %.3f MB (DFA %.3f MB + filters %.4f MB)\n",
 		mb(st.MemoryImageBytes()), mb(st.DFABytes), mb(st.FilterBytes))
-	fmt.Printf("accept programs: %d distinct, %.4f MB resident beside the image; widest decision set %d ids -> %d ops per visit\n",
-		st.AcceptPrograms, mb(st.AcceptProgramBytes), st.AcceptWidest.IDs, st.AcceptWidest.Ops)
+	fmt.Printf("accept programs: %d distinct, %.4f MB resident beside the image, %d live guards; widest decision set %d ids -> %d ops (%d when quiet) per visit\n",
+		st.AcceptPrograms, mb(st.AcceptProgramBytes), st.AcceptLiveGuards, st.AcceptWidest.IDs, st.AcceptWidest.Ops, st.AcceptWidestQuiet)
 	fmt.Printf("build time:      %v (split %v, subset construction %v)\n",
 		st.BuildTime, st.SplitTime, st.DFATime)
 

@@ -790,6 +790,9 @@ func TestAdminSurfaceGolden(t *testing.T) {
 	})
 	golden(t, "metrics.golden", seriesList(d.get("/metrics")))
 	golden(t, "statsz.golden", keyPaths(t, d.get("/statsz")))
+	// Stdin has to end as a capture: an empty one is a truncated header, and
+	// the run exits 1 whenever that source failure beats finish's cancel.
+	send(t, d.pw, []stream{{key(0x0a000001, 1000), []byte("x")}}, 256)
 	if code, err := d.finish(true); code != exitOK || err != nil {
 		t.Fatalf("exit %d, %v; want 0", code, err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"matchfilter/internal/patterns"
@@ -83,20 +84,38 @@ func TestLoadedImageMatchesCompiled(t *testing.T) {
 
 // BenchmarkAcceptFanout measures Feed where accept visits dominate: on
 // S24 ∪ CTR24 with counters every newline (a tenth of TextLike's bytes)
-// lands on a state whose decision set holds ten filter actions, so the
-// cost per byte is the cost of running wide accept programs. C8, whose
-// decision sets are one or two ids wide, is the control.
+// lands on a state whose decision set holds ten filter actions, eight of
+// them counter resets, so the cost per byte is the cost of running wide
+// accept programs. On plain text those counters are almost never live and
+// the visit is its quiet path. The two live rows pin the other end: every
+// line opens with the recording words of all eight [^\n]{n,m} rules
+// (live-all: each line end finds every counter live, the worst case for the
+// live guard, which then only adds its test) or of one (live-one: cost must
+// follow the live counters, not the declared ones). C8, whose decision sets
+// are one or two ids wide and use no counter, is the control.
 func BenchmarkAcceptFanout(b *testing.B) {
+	counters := Options{Splitter: splitter.Options{EnableCounters: true}}
 	for _, bc := range []struct {
 		name string
 		opts Options
 		sets []string
+		live int // recording words planted after every line end
 	}{
-		{"S24+CTR24", Options{Splitter: splitter.Options{EnableCounters: true}}, []string{"S24", "CTR24"}},
-		{"C8", Options{}, []string{"C8"}},
+		{"S24+CTR24", counters, []string{"S24", "CTR24"}, 0},
+		{"live-all", counters, []string{"S24", "CTR24"}, 8},
+		{"live-one", counters, []string{"S24", "CTR24"}, 1},
+		{"C8", Options{}, []string{"C8"}, 0},
 	} {
 		m, words := compileSets(b, bc.opts, bc.sets...)
 		data := trace.TextLike(1<<20, 131, words, 0.01)
+		if bc.live > 0 {
+			rec := recordingWords(b, bc.sets...)
+			if len(rec) < bc.live {
+				b.Fatalf("%s: %d recording words, want %d", bc.name, len(rec), bc.live)
+			}
+			opening := "\n" + strings.Join(rec[:bc.live], " ")
+			data = bytes.ReplaceAll(data, []byte("\n"), []byte(opening))
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
@@ -110,6 +129,7 @@ func BenchmarkAcceptFanout(b *testing.B) {
 			b.ReportMetric(float64(matches), "matches")
 			b.ReportMetric(float64(st.AcceptWidest.IDs), "widest-ids")
 			b.ReportMetric(float64(st.AcceptWidest.Ops), "widest-ops")
+			b.ReportMetric(float64(st.AcceptWidestQuiet), "quiet-ops")
 		})
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "matchfilter/internal/dfa"
+
 // Batched lockstep multi-flow scanning. The single-flow Feed loop is a
 // serial dependency chain — each transition-table load must retire
 // before the next can issue — so on table-resident working sets the
@@ -56,8 +58,8 @@ type batchLane struct {
 	// the round loop never chases r→mfa→field pointers.
 	trans        []uint32
 	classOf      []uint8
-	k            uint32 // row stride
-	scaledAccept uint32 // acceptStart × k
+	div          dfa.StrideDiv // row base → state number
+	scaledAccept uint32        // acceptStart × row stride
 
 	st  uint32 // cursor: the row base of the current state
 	pos int64  // stream position lockstep has stepped the lane to
@@ -222,9 +224,9 @@ func (b *FlowBatcher) scan() {
 		m := la.r.mfa
 		la.trans = m.trans
 		la.classOf = m.classOf
-		la.k = uint32(m.stride)
-		la.scaledAccept = m.acceptStart * la.k
-		la.st = la.r.dfa.State() * la.k
+		la.div = m.div
+		la.scaledAccept = m.acceptStart * uint32(m.stride)
+		la.st = la.r.dfa.State() * uint32(m.stride)
 		la.pos0, la.visits0 = la.r.dfa.Pos(), la.r.visits
 		la.pos = la.pos0
 	}
@@ -234,7 +236,7 @@ func (b *FlowBatcher) scan() {
 		// A lane alone, from the start or as the last one standing, has
 		// no second chain to overlap with: the plain Feed loop is faster.
 		la := b.active[0]
-		la.r.dfa.SetState(la.st/la.k, la.pos)
+		la.r.dfa.SetState(la.div.Quo(la.st), la.pos)
 		b.feedLane(la)
 	}
 }
@@ -319,7 +321,7 @@ func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 			la.i = 0
 		}
 		if la.i == len(la.data) {
-			la.r.dfa.SetState(la.st/la.k, la.pos)
+			la.r.dfa.SetState(la.div.Quo(la.st), la.pos)
 			b.retire(la)
 		} else {
 			active[n] = la
@@ -387,7 +389,7 @@ func (b *FlowBatcher) lockstep() {
 				for bi, c := range w[j0:je] {
 					s = trans[s+uint32(classOf[c])]
 					if s >= scaledAccept {
-						la.r.fire((s-scaledAccept)/la.k, la.pos+int64(j0+bi), la.cb)
+						la.r.fire(la.div.Quo(s-scaledAccept), la.pos+int64(j0+bi), la.cb)
 					}
 				}
 				b.st[x] = s

@@ -9,9 +9,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"matchfilter/internal/dfa"
+	"matchfilter/internal/filter"
 	"matchfilter/internal/trace"
 )
 
@@ -179,5 +181,85 @@ func TestSelfCheckPasses(t *testing.T) {
 	}
 	if string(selfCheckTrace()) != string(selfCheckTrace()) {
 		t.Fatal("self-check trace is not deterministic")
+	}
+}
+
+// A restored counter witness must still die at the next line end. The
+// counters' live summary is what lets a line end skip the reset of a
+// counter that holds nothing, and it is not part of the context: SetContext
+// rebuilds it from the blocks it is given. Were it left clear, the reset
+// after a restore would be skipped and the stale witness would confirm a
+// match across the line break. Checked for the runner's own context, for a
+// context written out by hand in the layout every earlier commit saved (so
+// old contexts keep restoring), and for truncated and absent counter images,
+// under Feed and under lockstep at K ∈ {1, 4, 16}.
+func TestRestoredWitnessDiesAtLineEnd(t *testing.T) {
+	rules := mustRules(t, "gh[^\n]{10,20}ij", "kl[^\n]*mn")
+	m, err := Compile(rules, counterOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := groundTruth(t, rules)
+	head := []byte("klxgh") // cut right after the A-word: its witness (pos 4) is live
+	donor := m.NewRunner()
+	donor.Feed(head, nil)
+	state, mem, regs, ctrs := donor.Context()
+	// gh's counter: window [12, 22], so a base word and two bitmap words.
+	literal := filter.Counters{0, 1 << 4, 0}
+	if !slices.Equal(ctrs, literal) {
+		t.Fatalf("saved counter image %v, want %v: the context layout changed", ctrs, literal)
+	}
+	broken := []byte("\n............ij") // B 16 bytes after A, a line end between them
+	whole := []byte(".............ij")   // the same distance on one line
+	var wantWhole []event
+	for _, ev := range dfaEvents(gt, append(slices.Clone(head), whole...)) {
+		if ev.pos >= int64(len(head)) {
+			wantWhole = append(wantWhole, ev)
+		}
+	}
+	if len(wantWhole) != 1 || len(dfaEvents(gt, append(slices.Clone(head), broken...))) != 0 {
+		t.Fatalf("undecomposed DFA: %v on one line, want one match there and none across the line end", wantWhole)
+	}
+	for _, tc := range []struct {
+		name    string
+		ctrs    filter.Counters
+		witness bool // the restored image still holds the witness
+	}{
+		{"the runner's own context", ctrs, true},
+		{"a context literal in the saved layout", literal, true},
+		{"counters cut mid-block, witness kept", literal[:2], true},
+		{"counters cut mid-block, witness lost", literal[:1], false},
+		{"no counters", nil, false},
+	} {
+		for _, k := range []int{0, 1, 4, 16} { // 0: plain Feed
+			for _, tail := range [][]byte{broken, whole} {
+				var want []event
+				if tc.witness && &tail[0] == &whole[0] {
+					want = wantWhole
+				}
+				const flows = 5
+				streams := make([][]event, flows)
+				b := NewFlowBatcher(max(k, 1))
+				for fi := range streams {
+					r := m.NewRunner()
+					if err := r.SetContext(state, mem, regs, tc.ctrs, int64(len(head))); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+					fi := fi
+					cb := func(id int32, pos int64) { streams[fi] = append(streams[fi], event{id, pos}) }
+					if k == 0 {
+						r.Feed(tail, cb)
+					} else if !b.Add(r, fi, tail, cb) {
+						t.Fatal("batcher refused a runner")
+					}
+				}
+				b.Flush()
+				for fi, got := range streams {
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s, k=%d, flow %d, tail %q: stream %v, want %v", tc.name, k, fi, tail, got, want)
+					}
+				}
+			}
+		}
 	}
 }

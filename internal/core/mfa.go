@@ -85,8 +85,13 @@ type BuildStats struct {
 	// (what one visit of the costliest accepting state runs), and the
 	// programs' resident size. They are rebuilt on load, never
 	// serialized, and so reported beside the Figure 2 image, not in it.
+	// AcceptWidestQuiet is the ops a visit of the widest set runs when every
+	// guard fails and AcceptLiveGuards the live guards emitted; mfabuild
+	// prints them, and they stay out of /statsz, whose key set is pinned.
 	AcceptPrograms     int
 	AcceptWidest       struct{ IDs, Ops int }
+	AcceptWidestQuiet  int `json:"-"`
+	AcceptLiveGuards   int `json:"-"`
 	AcceptProgramBytes int
 }
 
@@ -103,10 +108,12 @@ type MFA struct {
 
 	// Hot-loop views of the DFA (dfa.ScanTable), cached so Runner.Feed
 	// runs the table walk inline instead of through dfa.Runner callbacks:
-	// the pre-scaled table, the byte→column map and the row stride.
+	// the pre-scaled table, the byte→column map, the row stride and the
+	// divider that turns a row base back into a state number.
 	trans       []uint32
 	classOf     []uint8
 	stride      int
+	div         dfa.StrideDiv
 	acceptStart uint32
 	// fires[q-acceptStart] is the accept program of accepting state q:
 	// the filter actions of its decision set, composed.
@@ -122,6 +129,7 @@ type MFA struct {
 func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
 	m := &MFA{engine: dfa.NewEngine(d), prog: prog, acceptStart: d.AcceptStart()}
 	m.trans, m.classOf, m.stride = d.ScanTable()
+	m.div = dfa.NewStrideDiv(m.stride)
 	var composed filter.ComposeStats
 	m.fires, composed = prog.Compose(d.AcceptSets())
 
@@ -136,6 +144,8 @@ func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
 	stats.DFALayout = d.Layout().String()
 	stats.AcceptPrograms = composed.Programs
 	stats.AcceptWidest = composed.Widest
+	stats.AcceptWidestQuiet = composed.WidestQuiet
+	stats.AcceptLiveGuards = composed.LiveGuards
 	stats.AcceptProgramBytes = composed.Bytes
 	m.stats = stats
 	return m
@@ -245,12 +255,13 @@ func (r *Runner) Reset() {
 func (r *Runner) Pos() int64 { return r.dfa.Pos() }
 
 // Context returns the flow's saved state: the DFA state and copies of the
-// filter memory, position registers and counter state (regs and ctrs are
+// filter memory, position registers and counter image (regs and ctrs are
 // nil when the pattern set uses no counting gaps or counters). Together
 // with Pos these fully capture parsing state, so multiplexed flows need
-// only store this tuple (§III-B).
+// only store this tuple (§III-B). The counters' live summary is derived
+// from the image and not part of it.
 func (r *Runner) Context() (state uint32, mem filter.Memory, regs filter.Registers, ctrs filter.Counters) {
-	return r.dfa.State(), r.mem.Clone(), r.regs.Clone(), r.ctrs.Clone()
+	return r.dfa.State(), r.mem.Clone(), r.regs.Clone(), r.ctrs[:r.mfa.prog.CountersLen()].Clone()
 }
 
 // ErrBadContext is returned (wrapped) by SetContext when a saved flow
@@ -271,11 +282,11 @@ var ErrBadContext = errors.New("core: invalid flow context")
 // cannot survive into the restored one.
 func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registers, ctrs filter.Counters, pos int64) error {
 	if state >= uint32(r.mfa.stats.DFAStates) || pos < 0 ||
-		len(mem) > len(r.mem) || len(regs) > len(r.regs) || len(ctrs) > len(r.ctrs) {
+		len(mem) > len(r.mem) || len(regs) > len(r.regs) || len(ctrs) > r.mfa.prog.CountersLen() {
 		r.Reset()
 		return fmt.Errorf("%w: state %d (of %d), pos %d, mem %d/%d words, regs %d/%d, ctrs %d/%d",
 			ErrBadContext, state, r.mfa.stats.DFAStates, pos,
-			len(mem), len(r.mem), len(regs), len(r.regs), len(ctrs), len(r.ctrs))
+			len(mem), len(r.mem), len(regs), len(r.regs), len(ctrs), r.mfa.prog.CountersLen())
 	}
 	if err := r.mfa.prog.ValidateCounters(ctrs, pos); err != nil {
 		r.Reset()
@@ -285,8 +296,7 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 	copy(r.mem, mem)
 	r.regs.Reset()
 	copy(r.regs, regs)
-	r.ctrs.Reset()
-	copy(r.ctrs, ctrs)
+	r.mfa.prog.RestoreCounters(r.ctrs, ctrs)
 	r.dfa.SetState(state, pos)
 	return nil
 }
@@ -304,17 +314,17 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	trans := m.trans
 	classOf := m.classOf
 	pos := r.dfa.Pos()
-	k := uint32(m.stride)
+	k, div := uint32(m.stride), m.div
 	st := r.dfa.State() * k
 	scaledAccept := m.acceptStart * k
 	for i := 0; i < len(data); i++ {
 		st = trans[st+uint32(classOf[data[i]])]
 		if st >= scaledAccept {
-			r.fire((st-scaledAccept)/k, pos, onMatch)
+			r.fire(div.Quo(st-scaledAccept), pos, onMatch)
 		}
 		pos++
 	}
-	r.dfa.SetState(st/k, pos)
+	r.dfa.SetState(div.Quo(st), pos)
 }
 
 // fire hands one accept visit to the filter: it runs the accept program

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"matchfilter/internal/nfa"
@@ -452,6 +453,26 @@ func (d *DFA) TransitionTable() []uint32 {
 func (d *DFA) ScanTable() (trans []uint32, classOf []uint8, stride int) {
 	return d.trans, d.classOf, d.numClasses
 }
+
+// StrideDiv recovers a state number from a scaled row base without the
+// integer DIV that /stride costs on every accept visit: a row base is an
+// exact multiple of the stride k = 2^s·m (m odd), so x/k is x>>s times the
+// inverse of m modulo 2³² — the product q·m·m⁻¹ wraps to q.
+type StrideDiv struct{ shift, inv uint32 }
+
+// NewStrideDiv returns the divider of the multiples of k > 0.
+func NewStrideDiv(k int) StrideDiv {
+	shift := uint32(bits.TrailingZeros32(uint32(k)))
+	m := uint32(k) >> shift
+	inv := m // m·m ≡ 1 mod 8; each Newton step doubles the correct bits
+	for i := 0; i < 4; i++ {
+		inv *= 2 - m*inv
+	}
+	return StrideDiv{shift, inv}
+}
+
+// Quo returns x/k for x a multiple of k (the mask makes the shift a bare SHR).
+func (v StrideDiv) Quo(x uint32) uint32 { return x >> (v.shift & 31) * v.inv }
 
 // Layout reports the table representation actually applied, LayoutFlat or
 // LayoutClassed (never LayoutAuto — Auto resolves at construction time).

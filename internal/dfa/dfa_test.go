@@ -280,3 +280,26 @@ func TestMemoryImage(t *testing.T) {
 			classed.MemoryImageBytes(), flat.MemoryImageBytes(), classed.NumClasses())
 	}
 }
+
+// TestStrideDivIsExactDivision proves the division-free hand-off rather
+// than trusting it: for every stride a table can have (1…256) and a few it
+// cannot, Quo agrees with / on the first 2¹⁶ multiples of the stride and on
+// the last 2¹⁶ below 2³² — where a product that should wrap and does not,
+// or an inverse a Newton step short, would show.
+func TestStrideDivIsExactDivision(t *testing.T) {
+	strides := []uint32{257, 1000, 4096, 65_537, 2_147_483_647, 4_294_967_291}
+	for k := uint32(1); k <= 256; k++ {
+		strides = append(strides, k)
+	}
+	for _, k := range strides {
+		div := NewStrideDiv(int(k))
+		top := ^uint32(0) / k // the largest quotient of a multiple below 2³²
+		for i := uint32(0); i < 1<<16; i++ {
+			for _, q := range [2]uint32{min(i, top), top - min(i, top)} {
+				if got := div.Quo(q * k); got != q {
+					t.Fatalf("stride %d: Quo(%d·%d) = %d", k, q, k, got)
+				}
+			}
+		}
+	}
+}

@@ -9,11 +9,12 @@ type MatchFunc = func(id int32, pos int64)
 // Runner. There is one scan loop: both layouts are the same table shape
 // (see classes.go) and differ only in which columns the table keeps.
 type Engine struct {
-	d *DFA
+	d   *DFA
+	div StrideDiv // row base → state number; read at the accept sites: held in registers across the walk it spills the loop
 }
 
 // NewEngine returns a matcher over d.
-func NewEngine(d *DFA) *Engine { return &Engine{d: d} }
+func NewEngine(d *DFA) *Engine { return &Engine{d: d, div: NewStrideDiv(d.numClasses)} }
 
 // DFA returns the underlying automaton.
 func (e *Engine) DFA() *DFA { return e.d }
@@ -77,13 +78,13 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	for i := 0; i < len(data); i++ {
 		st = trans[st+uint32(classOf[data[i]])]
 		if st >= scaledAccept {
-			for _, id := range d.accepts[(st-scaledAccept)/k] {
+			for _, id := range d.accepts[r.e.div.Quo(st-scaledAccept)] {
 				onMatch(id, pos)
 			}
 		}
 		pos++
 	}
-	r.state = st / k
+	r.state = r.e.div.Quo(st)
 	r.pos = pos
 }
 
@@ -102,10 +103,10 @@ func (r *Runner) FeedCount(data []byte) int64 {
 	for i := 0; i < len(data); i++ {
 		st = trans[st+uint32(classOf[data[i]])]
 		if st >= scaledAccept {
-			count += int64(len(d.accepts[(st-scaledAccept)/k]))
+			count += int64(len(d.accepts[r.e.div.Quo(st-scaledAccept)]))
 		}
 	}
-	r.state = st / k
+	r.state = r.e.div.Quo(st)
 	r.pos += int64(len(data))
 	return count
 }

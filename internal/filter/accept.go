@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math"
 	"slices"
 	"unsafe"
 )
@@ -14,28 +15,31 @@ import (
 // one interpreter below. ApplyAll(id) is the one-id case: every installed
 // action is compiled as a singleton program.
 
-// opKind selects what one op does. The first three are guards: when the
-// condition fails the interpreter skips the rest of the guarded action.
+// opKind selects what one op does. The first four are guards: when the
+// condition fails the interpreter skips the ops the guard covers — the
+// rest of the guarded action, or a live guard's span of resets.
 type opKind uint8
 
 const (
 	opTestBit   opKind = iota // some bit of mask must be set in word at
 	opTestGap                 // register at recorded at least a bytes ago
 	opTestCtr                 // counter block holds a witness aged in [a, b]
+	opCtrLive                 // some counter of mask may hold a witness
 	opSetBits                 // m[at] |= mask
 	opClearBits               // m[at] &^= mask
 	opRecordPos               // register at keeps its first position
 	opCtrRecord               // counter block gains a witness at pos
-	opCtrReset                // counter block loses its witnesses before pos
+	opCtrReset                // counter block, if live, loses its witnesses before pos
 	opReport                  // confirm rule a
 )
 
 type op struct {
 	kind opKind
-	skip uint16 // guards: following ops that belong to the guarded action
+	skip uint16 // guards: following ops that the guard covers
 	at   int32  // memory word, 0-based register, or counter block offset
 	n    int32  // counter ops: words in the block
 	a, b int32
+	live int32 // counter ops and live guards: the live word (see Counters); mask is the bits there
 	mask uint64
 }
 
@@ -62,6 +66,10 @@ func (ap AcceptProgram) Run(m Memory, regs Registers, cs Counters, pos int64, em
 			if cs == nil || !ctrBlock(cs[o.at:o.at+o.n]).test(o.a, o.b, pos) {
 				pc += int(o.skip)
 			}
+		case opCtrLive:
+			if cs == nil || *cs.liveWord(o.live)&o.mask == 0 {
+				pc += int(o.skip)
+			}
 		case opSetBits:
 			m[o.at] |= o.mask
 		case opClearBits:
@@ -73,10 +81,13 @@ func (ap AcceptProgram) Run(m Memory, regs Registers, cs Counters, pos int64, em
 		case opCtrRecord:
 			if cs != nil {
 				ctrBlock(cs[o.at : o.at+o.n]).record(pos)
+				*cs.liveWord(o.live) |= o.mask
 			}
 		case opCtrReset:
 			if cs != nil {
-				ctrBlock(cs[o.at : o.at+o.n]).reset(pos)
+				if l := cs.liveWord(o.live); *l&o.mask != 0 && ctrBlock(cs[o.at:o.at+o.n]).reset(pos) {
+					*l &^= o.mask
+				}
 			}
 		case opReport:
 			emit(o.a, pos)
@@ -93,8 +104,11 @@ type composer struct {
 	// them, so none of them reads memory.
 	run int
 	// last holds, per memory word, 1 + the arena index of the newest
-	// set/clear op on it; an index below run is stale.
-	last []int32
+	// set/clear op on it; an index below run is stale. open holds the same
+	// per live word for its live guard, and guards counts those opened.
+	last   []int32
+	open   [MaxCounters / 64]int32
+	guards int
 }
 
 func (p *Program) newComposer() composer {
@@ -119,7 +133,7 @@ func (c *composer) action(a Action) {
 		c.ops = append(c.ops, op{kind: opTestGap, at: int32(a.GapReg - 1), a: a.MinGap})
 	}
 	if a.TestCtr != NoCtr {
-		c.ctr(opTestCtr, a.TestCtr)
+		c.ops = append(c.ops, c.ctr(opTestCtr, a.TestCtr))
 	}
 	guards := len(c.ops) - start
 	if guards > 0 {
@@ -129,10 +143,12 @@ func (c *composer) action(a Action) {
 		c.ops = append(c.ops, op{kind: opRecordPos, at: int32(a.SetPos - 1)})
 	}
 	if a.SetCtr != NoCtr {
-		c.ctr(opCtrRecord, a.SetCtr)
+		c.ops = append(c.ops, c.ctr(opCtrRecord, a.SetCtr))
 	}
-	if a.ResetCtr != NoCtr {
-		c.ctr(opCtrReset, a.ResetCtr)
+	if a.ResetCtr != NoCtr && guards > 0 {
+		c.ops = append(c.ops, c.ctr(opCtrReset, a.ResetCtr))
+	} else if a.ResetCtr != NoCtr {
+		c.reset(c.ctr(opCtrReset, a.ResetCtr))
 	}
 	if a.Set != NoBit {
 		c.mask(opSetBits, int32(a.Set>>6), 1<<(a.Set&63))
@@ -150,15 +166,63 @@ func (c *composer) action(a Action) {
 	}
 	if guards > 0 {
 		for g := 0; g < guards; g++ {
-			c.ops[start+g].skip = uint16(len(c.ops) - (start + g) - 1)
+			c.ops[start+g].skip = guardSkip(len(c.ops) - (start + g) - 1)
 		}
 		c.run = len(c.ops)
 	}
 }
 
-func (c *composer) ctr(kind opKind, ctr int16) {
+// guardSkip is n as a guard's skip. Neither an action's ops nor the resets
+// of one live word can number 65536, so only a composer bug overflows it.
+func guardSkip(n int) uint16 {
+	if n > math.MaxUint16 {
+		panic("filter: accept-program guard covers more than 65535 ops")
+	}
+	return uint16(n)
+}
+
+// ctr returns the op of the given kind on a counter, operands resolved.
+func (c *composer) ctr(kind opKind, ctr int16) op {
 	d := c.p.counters[ctr-1]
-	c.ops = append(c.ops, op{kind: kind, at: c.p.ctrOff[ctr-1], n: int32(1 + d.spanWords()), a: d.MinGap, b: d.MaxGap})
+	return op{kind: kind, at: c.p.ctrOff[ctr-1], n: int32(1 + d.spanWords()), a: d.MinGap, b: d.MaxGap,
+		live: int32(ctr-1) >> 6, mask: 1 << ((ctr - 1) & 63)}
+}
+
+// reset appends o, the Reset c of an unguarded action, under the run's live
+// guard on c's live word, opening one at the run's first reset there: the
+// common visit, which finds none of the guard's counters live, skips the
+// whole span on one test. A reset of a counter already in the span is
+// dropped — nothing records before pos at pos, so it would kill nothing the
+// first did not — which bounds a span at 64 ops. Joining the span moves o
+// back past the ops appended since. As in mask, none of them reads what o
+// writes (a run's only guards are live guards, on other live words), and
+// the one that can write c's block, an Inc c, commutes with Reset c at one
+// position: reset is strict, so the witness at pos survives it, and never
+// moves the base.
+func (c *composer) reset(o op) {
+	j := int(c.open[o.live]) - 1
+	if j < c.run {
+		c.open[o.live] = int32(len(c.ops) + 1)
+		c.ops = append(c.ops, op{kind: opCtrLive, skip: 1, live: o.live, mask: o.mask}, o)
+		c.guards++
+		return
+	}
+	g := &c.ops[j]
+	if g.mask&o.mask != 0 {
+		return
+	}
+	g.mask |= o.mask
+	g.skip = guardSkip(int(g.skip) + 1)
+	end := j + int(g.skip)
+	c.ops = slices.Insert(c.ops, end, o)
+	for i := end + 1; i < len(c.ops); i++ { // re-point last and open at the ops that moved
+		switch m := &c.ops[i]; m.kind {
+		case opSetBits, opClearBits:
+			c.last[m.at] = int32(i + 1)
+		case opCtrLive:
+			c.open[m.live] = int32(i + 1)
+		}
+	}
 }
 
 // mask appends a set or clear of mask in one memory word, or folds it
@@ -179,9 +243,22 @@ func (c *composer) mask(kind opKind, word int32, mask uint64) {
 
 // ComposeStats describes the programs Compose built.
 type ComposeStats struct {
-	Programs int                    // distinct decision sets
-	Widest   struct{ IDs, Ops int } // the widest decision set: its ids, the ops they compiled to
-	Bytes    int                    // resident size: the ops plus one slice header per set
+	Programs    int                    // distinct decision sets
+	Widest      struct{ IDs, Ops int } // the widest decision set: its ids, the ops they compiled to
+	WidestQuiet int                    // the ops a visit of that set runs when every guard fails
+	LiveGuards  int                    // live guards emitted, over all programs
+	Bytes       int                    // resident size: the ops plus one slice header per set
+}
+
+// quietOps counts the ops a run of ap executes when every guard fails.
+func (ap AcceptProgram) quietOps() (n int) {
+	for pc := 0; pc < len(ap); pc++ {
+		n++
+		if ap[pc].kind <= opCtrLive {
+			pc += int(ap[pc].skip)
+		}
+	}
+	return n
 }
 
 // Compose compiles one accept program per decision set, each distinct
@@ -219,13 +296,14 @@ next:
 		byHash[h] = int32(len(spans))
 		if len(ids) > st.Widest.IDs {
 			st.Widest.IDs, st.Widest.Ops = len(ids), len(c.ops)-start
+			st.WidestQuiet = AcceptProgram(c.ops[start:]).quietOps()
 		}
 	}
 	out := make([]AcceptProgram, len(sets))
 	for i, s := range of {
 		out[i] = c.ops[spans[s].start:spans[s].end:spans[s].end]
 	}
-	st.Programs = len(spans)
+	st.Programs, st.LiveGuards = len(spans), c.guards
 	st.Bytes = len(c.ops)*int(unsafe.Sizeof(op{})) + len(out)*int(unsafe.Sizeof(out[0]))
 	return out, st
 }

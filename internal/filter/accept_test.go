@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -92,10 +93,31 @@ func newFlowState(p *Program, nilRegs, nilCtrs bool) flowState {
 	return st
 }
 
+// liveBit reports the live-summary bit of counter c in cs.
+func liveBit(cs Counters, c int16) bool {
+	return *cs.liveWord(int32(c-1) >> 6)&(1<<((c-1)&63)) != 0
+}
+
+// holdsWitness reports whether counter c's bitmap in cs is non-empty.
+func (p *Program) holdsWitness(cs Counters, c int16) bool { return !empty(p.block(cs, c)[1:]) }
+
+// checkLive requires the live summary's invariant of cs — a block that
+// holds a witness has its bit set. A reset skipped on a clear bit is sound
+// only under it: a stale witness is a false match waiting to be reported.
+func checkLive(t *testing.T, name string, p *Program, cs Counters) {
+	t.Helper()
+	for c := int16(1); cs != nil && int(c) <= p.NumCounters(); c++ {
+		if p.holdsWitness(cs, c) && !liveBit(cs, c) {
+			t.Fatalf("%s: counter %d holds a witness and its live bit is clear: %v\n%s", name, c, cs, p)
+		}
+	}
+}
+
 // checkComposed drives the composed programs of sets, the singleton
 // programs behind ApplyAll and the oracle through the same (set, pos)
-// sequence and requires identical confirmed ids and identical final
-// memory, registers and counters.
+// sequence and requires, after every visit, identical confirmed ids,
+// identical memory, registers and counter image, and the live summary's
+// invariant. The oracle never looks at the summary.
 func checkComposed(t *testing.T, name string, p *Program, sets [][]int32, visits []int, step func() int64, nilRegs, nilCtrs bool) {
 	t.Helper()
 	progs, _ := p.Compose(sets)
@@ -122,11 +144,13 @@ func checkComposed(t *testing.T, name string, p *Program, sets [][]int32, visits
 			t.Fatalf("%s: visit %d set %v pos %d: confirmed ref %v, ApplyAll %v, composed %v\n%s",
 				name, vi, sets[si], pos, want, gotOne, gotAll, p)
 		}
+		image := func(cs Counters) Counters { return cs[:min(len(cs), p.CountersLen())] }
 		for _, got := range []flowState{one, all} {
-			if !slices.Equal(got.m, ref.m) || !slices.Equal(got.regs, ref.regs) || !slices.Equal(got.cs, ref.cs) {
+			if !slices.Equal(got.m, ref.m) || !slices.Equal(got.regs, ref.regs) || !slices.Equal(image(got.cs), image(ref.cs)) {
 				t.Fatalf("%s: visit %d set %v pos %d: state diverged\nref %v %v %v\ngot %v %v %v\n%s",
 					name, vi, sets[si], pos, ref.m, ref.regs, ref.cs, got.m, got.regs, got.cs, p)
 			}
+			checkLive(t, fmt.Sprintf("%s: visit %d set %v pos %d", name, vi, sets[si], pos), p, got.cs)
 		}
 	}
 }
@@ -263,10 +287,29 @@ func TestComposeRandom(t *testing.T) {
 	}
 }
 
+// shape renders a program one word per op, guards with the number of ops
+// they cover: what the shape tests pin.
+func shape(ap AcceptProgram) string {
+	names := [...]string{opTestBit: "bit", opTestGap: "gap", opTestCtr: "ctr", opCtrLive: "live", opSetBits: "set",
+		opClearBits: "clear", opRecordPos: "pos", opCtrRecord: "inc", opCtrReset: "reset", opReport: "report"}
+	var words []string
+	for _, o := range ap {
+		w := names[o.kind]
+		if o.kind <= opCtrLive {
+			w += fmt.Sprintf("+%d", o.skip)
+		}
+		words = append(words, w)
+	}
+	return strings.Join(words, " ")
+}
+
 // TestComposeShapes checks what Compose reports and that merging happens:
 // the shape the splitter emits for a line-end state — several counter
-// resets and clear groups, all unconditional — costs one op per counter
-// and one per memory word, not one per id.
+// resets and clear groups, all unconditional — costs one live guard, one
+// op per counter and one per memory word, not one per id, and two ops when
+// no counter is live:
+//
+//	live+4 {c1..c4}; reset c1; reset c2; reset c3; reset c4; clear word 0; clear word 1
 func TestComposeShapes(t *testing.T) {
 	p := NewProgram(16, 100)
 	g1 := p.AddClearGroup([]int16{1, 2, 65})
@@ -283,19 +326,189 @@ func TestComposeShapes(t *testing.T) {
 	if len(progs) != len(sets) {
 		t.Fatalf("%d programs for %d sets", len(progs), len(sets))
 	}
-	if len(progs[0]) != 6 { // 4 resets + 2 memory words
-		t.Errorf("line-end set compiled to %d ops, want 6", len(progs[0]))
+	if got, want := shape(progs[0]), "live+4 reset reset reset reset clear clear"; got != want {
+		t.Errorf("line-end set compiled to %q, want %q", got, want)
 	}
-	if len(progs[1]) != 2 || len(progs[3]) != 0 {
-		t.Errorf("ops: guarded reporter %d (want 2), drop-only set %d (want 0)", len(progs[1]), len(progs[3]))
+	if got := progs[0][0].mask; got != 0b1111 {
+		t.Errorf("live guard mask %#b, want counters 1-4", got)
+	}
+	if shape(progs[1]) != "bit+1 report" || len(progs[3]) != 0 {
+		t.Errorf("guarded reporter %q (want bit+1 report), drop-only set %q (want none)", shape(progs[1]), shape(progs[3]))
 	}
 	if &progs[0][0] != &progs[2][0] {
 		t.Error("equal decision sets do not share one program")
 	}
-	if st.Programs != 3 || st.Widest.IDs != 6 || st.Widest.Ops != 6 {
-		t.Errorf("stats %+v, want 3 programs, widest 6 ids -> 6 ops", st)
+	if st.Programs != 3 || st.Widest.IDs != 6 || st.Widest.Ops != 7 || st.WidestQuiet != 3 || st.LiveGuards != 1 {
+		t.Errorf("stats %+v, want 3 programs, widest 6 ids -> 7 ops (3 when quiet), 1 live guard", st)
 	}
-	if want := 8*32 + len(sets)*24; st.Bytes != want {
+	if want := 9*32 + len(sets)*24; st.Bytes != want {
 		t.Errorf("Bytes = %d, want %d", st.Bytes, want)
+	}
+}
+
+// TestLiveGuardShapes pins how resets compile (DESIGN.md §21): which share
+// a live guard, which are dropped, which stand alone.
+func TestLiveGuardShapes(t *testing.T) {
+	p := NewProgramRegs(160, 130, 1)
+	for i := 0; i < 70; i++ {
+		p.AddCounter(2, 40)
+	}
+	plain := Action{Test: NoBit, Set: NoBit, Clear: NoBit}
+	with := func(f func(*Action)) Action { a := plain; f(&a); return a }
+	for c := int16(1); c <= 70; c++ {
+		p.SetAction(int32(c), with(func(a *Action) { a.ResetCtr = c })) // id c: Reset c
+	}
+	p.SetAction(101, with(func(a *Action) { a.SetCtr = 1 }))                // Inc 1
+	p.SetAction(102, with(func(a *Action) { a.Test, a.ResetCtr = 5, 2 }))   // Test 5 to Reset 2
+	p.SetAction(103, with(func(a *Action) { a.Set, a.Report = 7, 9 }))      // Set 7 and Match
+	p.SetAction(104, with(func(a *Action) { a.Set, a.SetPos = 8, 1 }))      // Set 8 and Record 1
+	p.SetAction(105, with(func(a *Action) { a.TestCtr, a.Report = 1, 3 }))  // Ctr(1) in window to Match
+	p.SetAction(106, with(func(a *Action) { a.ResetCtr, a.Clear = 1, 7 }))  // Clear 7 and Reset 1
+	p.SetAction(107, with(func(a *Action) { a.SetCtr, a.ResetCtr = 3, 3 })) // Inc 3 and Reset 3
+	p.SetAction(108, with(func(a *Action) { a.ResetCtr, a.Set = 68, 100 })) // Set 100 and Reset 68
+	all := make([]int32, 70)
+	for i := range all {
+		all[i] = int32(i + 1)
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []int32
+		want string
+	}{
+		{"one reset", []int32{1}, "live+1 reset"},
+		{"the same counter twice", []int32{1, 106, 1}, "live+1 reset clear"},
+		{"Inc c then Reset c", []int32{101, 1}, "inc live+1 reset"},
+		{"Reset c then Inc c", []int32{1, 101}, "live+1 reset inc"},
+		{"Reset c, Inc c, Reset c", []int32{1, 101, 1}, "live+1 reset inc"},
+		{"a guarded action's reset stands alone", []int32{102}, "bit+1 reset"},
+		{"and shares no guard with its neighbours", []int32{1, 102, 3}, "live+1 reset bit+1 reset live+1 reset"},
+		{"a reset joins its span past other ids' ops", []int32{1, 103, 104, 101, 2, 103, 3}, "live+3 reset reset reset set report pos inc report"},
+		{"a counter test ends the run", []int32{1, 105, 2}, "live+1 reset ctr+1 report live+1 reset"},
+		{"one action's Inc c and Reset c", []int32{2, 107}, "live+2 reset reset inc"},
+		{"one guard per live word", []int32{1, 66, 2, 108, 67}, "live+2 reset reset live+3 reset reset reset set"},
+		{"seventy counters", all, "live+64" + strings.Repeat(" reset", 64) + " live+6" + strings.Repeat(" reset", 6)},
+	} {
+		progs, st := p.Compose([][]int32{tc.ids})
+		if got := shape(progs[0]); got != tc.want {
+			t.Errorf("%s: %v compiled to %q, want %q", tc.name, tc.ids, got, tc.want)
+		}
+		if want := strings.Count(tc.want, "live"); st.LiveGuards != want {
+			t.Errorf("%s: %d live guards reported, want %d", tc.name, st.LiveGuards, want)
+		}
+		var single []string
+		for _, id := range tc.ids { // ApplyAll's programs come from the same composer
+			s := p.singles[id]
+			single = append(single, shape(p.compiled.ops[s[0]:s[1]]))
+		}
+		if got, _ := p.Compose([][]int32{tc.ids[:1]}); shape(got[0]) != single[0] {
+			t.Errorf("%s: id %d alone composes to %q, its singleton program is %q", tc.name, tc.ids[0], shape(got[0]), single[0])
+		}
+	}
+	if _, st := p.Compose([][]int32{all}); st.Widest.Ops != 72 || st.WidestQuiet != 2 {
+		t.Errorf("seventy resets: %+v, want 72 ops, 2 when quiet", st)
+	}
+}
+
+// TestLiveSummary walks the summary's life cycle on hand-built visits the
+// random generator rarely reaches, each checked against the oracle after
+// every visit (checkComposed) and then for what the bit must read.
+func TestLiveSummary(t *testing.T) {
+	p := NewProgram(8, 8)
+	c := p.AddCounter(2, 5) // one bitmap word would hold the window; the block has two
+	d := p.AddCounter(1, 3)
+	plain := Action{Test: NoBit, Set: NoBit, Clear: NoBit}
+	inc, reset, test, guarded, incD, resetD := plain, plain, plain, plain, plain, plain
+	inc.SetCtr, reset.ResetCtr, incD.SetCtr, resetD.ResetCtr = c, c, d, d
+	test.TestCtr, test.Report = c, 77
+	guarded.Test, guarded.ResetCtr = 0, c
+	for id, a := range []Action{1: inc, 2: reset, 3: test, 4: guarded, 5: incD, 6: resetD, 7: {Test: NoBit, Set: 0, Clear: NoBit}} {
+		if id > 0 {
+			p.SetAction(int32(id), a)
+		}
+	}
+	type visit struct {
+		pos int64
+		ids []int32
+	}
+	for _, tc := range []struct {
+		name           string
+		visits         []visit
+		witness, liveC bool // of counter c, after the last visit
+		confirmed      int  // reports of the counter test over all visits
+	}{
+		{"Inc c then Reset c at one position: the witness survives", []visit{{10, []int32{1, 2}}, {13, []int32{3}}}, true, true, 1},
+		{"Reset c then Inc c at one position: the same", []visit{{10, []int32{2, 1}}, {13, []int32{3}}}, true, true, 1},
+		{"a later Reset c kills it and clears the bit", []visit{{10, []int32{1}}, {11, []int32{2}}, {13, []int32{3}}}, false, false, 0},
+		{"Reset c after the witness aged out, inside the bitmap", []visit{{10, []int32{1}}, {100, []int32{2}}}, false, false, 0},
+		{"Reset c after the witness aged out, beyond the bitmap", []visit{{10, []int32{1}}, {5000, []int32{2}}}, false, false, 0},
+		{"Reset c with a younger witness in a higher word", []visit{{10, []int32{1}}, {70, []int32{1}}, {70, []int32{2}}, {73, []int32{3}}}, true, true, 1},
+		{"a neighbour's reset leaves c alone", []visit{{10, []int32{1, 5}}, {11, []int32{6}}, {13, []int32{3}}}, true, true, 1},
+		{"two ids resetting c in one set", []visit{{10, []int32{1}}, {12, []int32{2, 6, 2}}, {13, []int32{3}}}, false, false, 0},
+		{"a guarded reset whose guard fails", []visit{{10, []int32{1}}, {11, []int32{4}}, {13, []int32{3}}}, true, true, 1},
+		{"a guarded reset whose guard passes", []visit{{10, []int32{1, 7}}, {11, []int32{4}}, {13, []int32{3}}}, false, false, 0},
+		{"a reset on a counter never recorded", []visit{{10, []int32{2, 6}}, {13, []int32{3}}}, false, false, 0},
+	} {
+		for _, nilCtrs := range []bool{false, true} {
+			sets := make([][]int32, len(tc.visits))
+			order := make([]int, len(tc.visits))
+			steps := make([]int64, len(tc.visits))
+			for i, v := range tc.visits {
+				sets[i], order[i], steps[i] = v.ids, i, v.pos
+				if i > 0 {
+					steps[i] -= tc.visits[i-1].pos
+				}
+			}
+			next := 0
+			step := func() int64 { next++; return steps[next-1] }
+			checkComposed(t, tc.name, p, sets, order, step, false, nilCtrs)
+
+			progs, _ := p.Compose(sets)
+			st := newFlowState(p, false, nilCtrs)
+			confirmed := 0
+			for i, v := range tc.visits {
+				progs[i].Run(st.m, st.regs, st.cs, v.pos, func(int32, int64) { confirmed++ })
+			}
+			if nilCtrs { // nothing recorded, every counter test fails, nothing panics
+				if confirmed != 0 {
+					t.Errorf("%s: %d matches confirmed without counter state", tc.name, confirmed)
+				}
+				continue
+			}
+			if got := p.holdsWitness(st.cs, c); got != tc.witness {
+				t.Errorf("%s: counter holds a witness: %v, want %v", tc.name, got, tc.witness)
+			}
+			if got := liveBit(st.cs, c); got != tc.liveC {
+				t.Errorf("%s: live bit %v, want %v", tc.name, got, tc.liveC)
+			}
+			if confirmed != tc.confirmed {
+				t.Errorf("%s: %d matches confirmed, want %d", tc.name, confirmed, tc.confirmed)
+			}
+		}
+	}
+}
+
+// TestComposeManyResets composes 70,000 ids that all carry Reset 1 as one
+// decision set. A live guard's skip is a uint16; what keeps it from
+// wrapping is that a reset of a counter already under the guard is dropped,
+// which bounds a span at the 64 counters of a live word.
+func TestComposeManyResets(t *testing.T) {
+	const n = 70_000
+	p := NewProgram(n+1, 1)
+	c := p.AddCounter(1, 10)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i + 1)
+		p.SetAction(ids[i], Action{Test: NoBit, Set: NoBit, Clear: NoBit, ResetCtr: c})
+	}
+	progs, st := p.Compose([][]int32{ids})
+	if got := shape(progs[0]); got != "live+1 reset" || st.Widest.IDs != n {
+		t.Fatalf("%d ids of Reset 1 compiled to %q (%+v), want live+1 reset", n, got, st)
+	}
+	cs := p.NewCounters()
+	p.ctrRecord(cs, c, 3)
+	*cs.liveWord(0) |= 1
+	progs[0].Run(p.NewMemory(), nil, cs, 5, nil)
+	if p.holdsWitness(cs, c) || liveBit(cs, c) {
+		t.Errorf("the composed reset left a witness or the live bit behind: %v", cs)
 	}
 }

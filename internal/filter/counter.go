@@ -96,11 +96,17 @@ func (p *Program) NumCounters() int { return len(p.counters) }
 func (p *Program) CounterBounds(c int16) Counter { return p.counters[c-1] }
 
 // CountersLen returns the per-flow counter-state size in words — the
-// length NewCounters allocates and SetContext accepts.
+// length of the image a flow context saves and SetContext accepts.
 func (p *Program) CountersLen() int { return p.ctrTotal }
 
 // Counters is one flow's counter state: the concatenated per-counter
-// blocks (base word, then bitmap words). Like Memory and Registers it is
+// blocks (base word, then bitmap words) — the image, [:CountersLen()] —
+// and behind it the live summary, one bit per counter under the invariant
+// "block holds a witness ⇒ its bit is set", which lets a reset of an empty
+// counter cost one test (accept.go). The summary is derived state: never
+// saved, rebuilt by RestoreCounters, and addressed from the end of the
+// slice (counter i is bit i&63 of word len-1-i>>6), so compiled ops stay
+// valid when AddCounter grows the layout. Like Memory and Registers it is
 // owned by one flow at a time and not safe for concurrent use.
 type Counters []uint64
 
@@ -110,7 +116,33 @@ func (p *Program) NewCounters() Counters {
 	if p.ctrTotal == 0 {
 		return nil
 	}
-	return make(Counters, p.ctrTotal)
+	return make(Counters, p.ctrTotal+(len(p.counters)+63)/64)
+}
+
+// liveWord returns word w of the live summary of cs.
+func (cs Counters) liveWord(w int32) *uint64 { return &cs[len(cs)-1-int(w)] }
+
+// RestoreCounters overwrites cs, which NewCounters allocated, with a saved
+// image of at most CountersLen words (a shorter one is zero-extended) and
+// rebuilds the live summary from the restored blocks.
+func (p *Program) RestoreCounters(cs, image Counters) {
+	cs.Reset()
+	copy(cs[:p.ctrTotal], image)
+	for i, off := range p.ctrOff {
+		if bm := cs[off+1 : int(off)+1+p.counters[i].spanWords()]; !empty(bm) {
+			*cs.liveWord(int32(i) >> 6) |= 1 << (i & 63)
+		}
+	}
+}
+
+// empty reports whether bitmap words bm hold no witness.
+func empty(bm []uint64) bool {
+	for _, w := range bm {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Reset zeroes the counter state for reuse on a new flow.
@@ -225,18 +257,21 @@ func (b ctrBlock) test(minGap, maxGap int32, pos int64) bool {
 // the classed-gap invalidation rule: a byte outside the gap class at pos
 // invalidates every witness whose gap would contain that byte, while a
 // witness recorded at pos itself (the forbidden byte being the recording
-// fragment's final byte, not a gap byte) survives.
-func (b ctrBlock) reset(pos int64) {
+// fragment's final byte, not a gap byte) survives. It reports whether the
+// block is known to be left empty, read off the words it touches: after
+// the clear only the word holding pos and those above it can be non-zero.
+func (b ctrBlock) reset(pos int64) bool {
 	bm := b[1:]
 	idx := pos - int64(b[0])
 	if idx <= 0 {
-		return
+		return false
 	}
 	if idx >= int64(len(bm))*64 {
 		clear(bm)
-		return
+		return true
 	}
 	word := int(idx >> 6)
 	clear(bm[:word])
 	bm[word] &= ^uint64(0) << uint(idx&63)
+	return empty(bm[word:])
 }

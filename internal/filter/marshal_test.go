@@ -314,7 +314,10 @@ func TestDecodeTruncatedV2(t *testing.T) {
 // seeds: any mutation must either decode to a program whose every action
 // applies cleanly (probed against fresh flow state) or fail with the
 // typed ErrBadFormat — no panics, no out-of-range memory, register or
-// counter accesses. Run by the CI fuzz-smoke job.
+// counter accesses. What decodes also goes through the composer as the
+// widest decision sets it allows — every id at once, and every id twice —
+// and the composed programs must agree with the transcribed oracle visit
+// by visit. Run by the CI fuzz-smoke job.
 func FuzzReadProgramV2(f *testing.F) {
 	for _, build := range []func(testing.TB) *Program{buildProgram, buildProgramV2} {
 		p := build(f)
@@ -345,5 +348,14 @@ func FuzzReadProgramV2(f *testing.F) {
 		if err := p.ValidateCounters(cs, 1<<40); err != nil {
 			t.Fatalf("state produced by decoded program fails validation: %v", err)
 		}
+		ids := make([]int32, 0, 2*p.NumIDs())
+		for twice := 0; twice < 2; twice++ {
+			for id := int32(1); id < int32(p.NumIDs()); id++ {
+				ids = append(ids, id)
+			}
+		}
+		steps := []int64{0, 1, 1, 3, 95, 0, 1 << 40, 2}
+		step := func() int64 { steps = steps[1:]; return steps[0] }
+		checkComposed(t, "decoded program", p, [][]int32{ids[:len(ids)/2], ids}, []int{0, 1, 0, 0, 1, 1, 0}, step, false, false)
 	})
 }
