@@ -18,6 +18,7 @@ import (
 	"matchfilter/internal/hfa"
 	"matchfilter/internal/nfa"
 	"matchfilter/internal/patterns"
+	"matchfilter/internal/splitter"
 	"matchfilter/internal/xfa"
 )
 
@@ -169,22 +170,48 @@ func Build(set string) (*Engines, error) {
 	})
 
 	// MFA.
-	coreRules := make([]core.Rule, len(rules))
-	for i, r := range rules {
-		coreRules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
-	}
-	m, err := core.Compile(coreRules, core.Options{})
+	m, err := core.Compile(coreRules(rules), core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s MFA: %w", set, err)
 	}
 	e.MFA = m
-	e.Results = append(e.Results, BuildResult{
+	e.Results = append(e.Results, mfaResult(set, m))
+	return e, nil
+}
+
+func coreRules(rules []patterns.Rule) []core.Rule {
+	out := make([]core.Rule, len(rules))
+	for i, r := range rules {
+		out[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
+	}
+	return out
+}
+
+func mfaResult(set string, m *core.MFA) BuildResult {
+	return BuildResult{
 		Set: set, Engine: EngineMFA,
 		States:     m.Stats().DFAStates,
 		ImageBytes: m.Stats().MemoryImageBytes(),
 		BuildTime:  m.Stats().BuildTime,
+	}
+}
+
+// paperConditionsMFA builds the set's MFA under the paper's conditions
+// alone, for the second row Table V and Figure 2 print so the comparison
+// with the published tables survives. ok is false — and nothing is built —
+// when the default build already is the paper's construction: it split no
+// overlapping dot-star on a position register.
+func (e *Engines) paperConditionsMFA() (r BuildResult, ok bool, err error) {
+	if e.MFA.Stats().Split.PositionSplits == 0 {
+		return BuildResult{}, false, nil
+	}
+	paper, err := core.Compile(coreRules(e.Rules), core.Options{
+		Splitter: splitter.Options{DisablePositionSplits: true},
 	})
-	return e, nil
+	if err != nil {
+		return BuildResult{}, false, fmt.Errorf("bench: %s MFA under the paper's conditions: %w", e.Set, err)
+	}
+	return mfaResult(e.Set, paper), true, nil
 }
 
 // Result returns the build result for one engine.

@@ -131,6 +131,37 @@ func TestConstructionReportRendering(t *testing.T) {
 	}
 }
 
+// TestPaperConditionsRow: a set whose default MFA splits an overlapping
+// dot-star on a position register (C7p's cabnc.*cbbog.*ccbpk) also
+// carries the MFA the paper's conditions build, and both tables print it;
+// a set without one (C8) does not.
+func TestPaperConditionsRow(t *testing.T) {
+	e, err := Build("C7p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfaR, _ := e.Result(EngineMFA)
+	paper, ok, err := e.paperConditionsMFA()
+	if err != nil || !ok || paper.States <= mfaR.States || len(e.Results) != 5 {
+		t.Fatalf("C7p: default %+v, paper conditions %+v (%v, %v), %d results", mfaR, paper, ok, err, len(e.Results))
+	}
+	if _, ok, _ := c8Engines(t).paperConditionsMFA(); ok {
+		t.Error("C8 has no overlapping dot-star and must have one row")
+	}
+	for name, render := range map[string]func(*bytes.Buffer) error{
+		"TableV":  func(b *bytes.Buffer) error { return TableV(b, []*Engines{e}) },
+		"Figure2": func(b *bytes.Buffer) error { return Figure2(b, []*Engines{e}) },
+	} {
+		var buf bytes.Buffer
+		if err := render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "C7p"+paperConditions) {
+			t.Errorf("%s output:\n%s", name, buf.String())
+		}
+	}
+}
+
 func TestFigure4SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace scan")

@@ -42,8 +42,9 @@ type Rule struct {
 }
 
 // Options configures MFA compilation. The zero value is the paper's
-// configuration: both decompositions enabled, safety checks on, subset
-// construction without minimization.
+// configuration — both decompositions enabled, safety checks on, subset
+// construction without minimization — plus position-checked splits of the
+// dot-stars those checks would refuse (DESIGN.md §8).
 type Options struct {
 	Splitter splitter.Options
 	DFA      dfa.Options
@@ -58,7 +59,7 @@ type BuildStats struct {
 	NFAStates    int
 	DFAStates    int // the "MFA Qs" column of Table V
 	MemBits      int // w
-	PosRegs      int // counting-extension position registers
+	PosRegs      int // position registers: one per position-checked dot-star and per .{n,} gap
 	Counters     int // counter registers of the bounded-repeat extension
 	InternalIDs  int // |Di|
 	// BuildTime is the wall-clock construction time (Figure 3).

@@ -404,12 +404,14 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestDFAStateCapPropagates(t *testing.T) {
-	// A rule set the splitter cannot help (overlapping dot-stars) with a
-	// tiny DFA budget must surface ErrTooManyStates.
+	// A rule set the splitter cannot help (overlapping dot-stars whose
+	// tails have no fixed length) with a tiny DFA budget must surface
+	// ErrTooManyStates.
 	var sources []string
 	for i := 0; i < 10; i++ {
-		// Identical prefixes create overlap, refusing decomposition.
-		sources = append(sources, fmt.Sprintf("ov%dx.*xov%d", i, i))
+		// The shared x overlaps and x+ has no fixed length, so neither a
+		// bit nor a position can split it.
+		sources = append(sources, fmt.Sprintf("ov%dx.*x+ov%d", i, i))
 	}
 	_, err := Compile(mustRules(t, sources...), Options{DFA: dfa.Options{MaxStates: 100}})
 	if err == nil {

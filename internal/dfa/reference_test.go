@@ -175,7 +175,7 @@ func assertSameAsReference(t *testing.T, label string, n *nfa.NFA, budget int) b
 
 // patternNFAs returns the NFAs core.Compile would build for a named set
 // (its fragments after splitting) and the one for the undecomposed rules.
-func patternNFAs(t *testing.T, name string, counters bool) (fragments, whole *nfa.NFA) {
+func patternNFAs(t *testing.T, name string, opts splitter.Options) (fragments, whole *nfa.NFA) {
 	t.Helper()
 	rules, err := patterns.Load(name)
 	if err != nil {
@@ -187,16 +187,16 @@ func patternNFAs(t *testing.T, name string, counters bool) (fragments, whole *nf
 		srules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
 		direct[i] = nfa.Rule{Pattern: r.Pattern, MatchID: int(r.ID)}
 	}
-	fragments, _ = fragmentNFA(t, srules, counters)
+	fragments, _ = fragmentNFA(t, srules, opts)
 	return fragments, mustBuild(t, direct)
 }
 
 // fragmentNFA splits the rules as core.Compile does and builds the NFA of
 // the fragments, also reporting how many counter registers they drive;
 // nil when the splitter refuses the set.
-func fragmentNFA(t testing.TB, rules []splitter.Rule, counters bool) (*nfa.NFA, int) {
+func fragmentNFA(t testing.TB, rules []splitter.Rule, opts splitter.Options) (*nfa.NFA, int) {
 	t.Helper()
-	res, err := splitter.Split(rules, splitter.Options{EnableCounters: counters})
+	res, err := splitter.Split(rules, opts)
 	if err != nil {
 		return nil, 0
 	}
@@ -219,16 +219,21 @@ func mustBuild(t testing.TB, rules []nfa.Rule) *nfa.NFA {
 // TestReferencePatternSets checks every shipped pattern set the reference
 // constructor can build in under 10 s: the fragment NFA of each set
 // (counter mode for the bounded-repeat sets) and the undecomposed NFA of
-// the three smallest. B217p's fragments take the reference ~9 s and are
-// left out of -short runs.
+// the three smallest. B217p is also built as the paper's conditions leave
+// it — three overlapping dot-stars whole, 9,921 states, the largest
+// automaton the differential sees; the reference needs ~9 s for it, so
+// -short runs leave that one out.
 func TestReferencePatternSets(t *testing.T) {
 	for _, name := range append(patterns.Names(), patterns.CounterNames()...) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // the reference needs ~10 s for B217p
-			counters := slices.Contains(patterns.CounterNames(), name)
-			fragments, whole := patternNFAs(t, name, counters)
-			if name != "B217p" || !testing.Short() {
-				assertSameAsReference(t, name+" fragments", fragments, DefaultMaxStates)
+			opts := splitter.Options{EnableCounters: slices.Contains(patterns.CounterNames(), name)}
+			fragments, whole := patternNFAs(t, name, opts)
+			assertSameAsReference(t, name+" fragments", fragments, DefaultMaxStates)
+			if name == "B217p" && !testing.Short() {
+				opts.DisablePositionSplits = true
+				unsplit, _ := patternNFAs(t, name, opts)
+				assertSameAsReference(t, name+" fragments, paper conditions", unsplit, DefaultMaxStates)
 			}
 			switch name {
 			case "C7p", "C8", "C10":
@@ -242,8 +247,8 @@ func TestReferencePatternSets(t *testing.T) {
 // same budget: on the sets whose expansion is infeasible, and exactly at
 // the state count of one that builds.
 func TestReferenceStateBudget(t *testing.T) {
-	_, b217p := patternNFAs(t, "B217p", false)
-	ctr24, _ := patternNFAs(t, "CTR24", false) // bounded repeats expanded, not counted
+	_, b217p := patternNFAs(t, "B217p", splitter.Options{})
+	ctr24, _ := patternNFAs(t, "CTR24", splitter.Options{}) // bounded repeats expanded, not counted
 	for label, n := range map[string]*nfa.NFA{"B217p undecomposed": b217p, "CTR24 expanded": ctr24} {
 		for _, budget := range []int{1, 64, 400} {
 			_, refErr := referenceFromNFA(n, budget)
@@ -253,7 +258,7 @@ func TestReferenceStateBudget(t *testing.T) {
 			}
 		}
 	}
-	s24, _ := patternNFAs(t, "S24", false)
+	s24, _ := patternNFAs(t, "S24", splitter.Options{})
 	d, err := FromNFA(s24, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +316,7 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 			direct[i] = nfa.Rule{Pattern: p, MatchID: i + 1}
 			srules[i] = splitter.Rule{Pattern: p, RuleID: int32(i + 1)}
 		}
-		fragments, numCounters := fragmentNFA(t, srules, trial%2 == 0)
+		fragments, numCounters := fragmentNFA(t, srules, splitter.Options{EnableCounters: trial%2 == 0})
 		if numCounters > 0 {
 			hit["counter fragments"]++
 		}
@@ -395,7 +400,7 @@ func BenchmarkFromNFA(b *testing.B) {
 				rules = append(rules, splitter.Rule{Pattern: r.Pattern, RuleID: int32(len(rules) + 1)})
 			}
 		}
-		n, _ := fragmentNFA(b, rules, bc.counters)
+		n, _ := fragmentNFA(b, rules, splitter.Options{EnableCounters: bc.counters})
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -160,6 +160,20 @@ func (a Action) String() string {
 	return body
 }
 
+// UnsupportedActionError reports an action carrying an operand the
+// Compiler's execution model cannot express. The baseline compilers (hfa,
+// xfa) lower actions to bit-only forms and return it rather than drop a
+// register or counter operand.
+type UnsupportedActionError struct {
+	Compiler string
+	ID       int32
+	Action   Action
+}
+
+func (e *UnsupportedActionError) Error() string {
+	return fmt.Sprintf("%s: action %d (%s) has an operand the model cannot express", e.Compiler, e.ID, e.Action)
+}
+
 // ClearOp clears the masked bits of one memory word.
 type ClearOp struct {
 	Word int16

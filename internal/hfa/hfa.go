@@ -78,7 +78,21 @@ type BuildStats struct {
 	OverflowLen int
 }
 
-// Compile builds the HFA for a rule set.
+// checkAction returns a filter.UnsupportedActionError unless a is made of
+// what a history cell can express: single-bit test, set and clear, and a
+// report.
+func checkAction(id int32, a filter.Action) error {
+	bitsOnly := filter.Action{Test: a.Test, Set: a.Set, Clear: a.Clear, Report: a.Report}
+	if a != bitsOnly {
+		return &filter.UnsupportedActionError{Compiler: "hfa", ID: id, Action: a}
+	}
+	return nil
+}
+
+// Compile builds the HFA for a rule set. History bits track dot-star
+// progress only, under the paper's conditions: almost-dot-star gaps and
+// overlapping dot-stars remain in the automaton, as in the original HFA
+// design.
 func Compile(rules []Rule, opts Options) (*HFA, error) {
 	start := time.Now()
 
@@ -86,11 +100,14 @@ func Compile(rules []Rule, opts Options) (*HFA, error) {
 	for i, r := range rules {
 		srules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
 	}
-	// History bits track dot-star progress only; almost-dot-star gaps
-	// remain in the automaton, as in the original HFA design.
-	res, err := splitter.Split(srules, splitter.Options{DisableAlmostDotStar: true})
+	res, err := splitter.Split(srules, splitter.Options{DisableAlmostDotStar: true, DisablePositionSplits: true})
 	if err != nil {
 		return nil, fmt.Errorf("hfa: %w", err)
+	}
+	for id := 1; id < len(res.Actions); id++ {
+		if err := checkAction(int32(id), res.Actions[id]); err != nil {
+			return nil, err
+		}
 	}
 
 	nfaRules := make([]nfa.Rule, len(res.Fragments))
@@ -119,7 +136,8 @@ func Compile(rules []Rule, opts Options) (*HFA, error) {
 // repack converts the flat DFA into conditional-cell form: the filter
 // action of each accepting state is folded into every transition entering
 // it, so history tests and updates happen during the transition, the
-// defining behaviour of the HFA processing model.
+// defining behaviour of the HFA processing model. Every action has passed
+// checkAction: a cell has no field for anything but bits and a report.
 func repack(d *dfa.DFA, res *splitter.Result) *HFA {
 	prog := res.Program()
 	numStates := d.NumStates()

@@ -2,18 +2,29 @@
 // it rewrites each input regex into a collection of simpler fragments plus
 // the match-filter actions that reconstruct the original matches.
 //
-// Two decomposition patterns are applied, exactly as in §IV:
+// The paper's two decomposition patterns (§IV) are applied:
 //
 //	dot-star         .*A.*B{{n}}      →  .*A{{n'}} | .*B{{n}}
 //	almost-dot-star  .*A[^X]*B{{n}}   →  .*A{{n'}} | .*[X]{{n''}} | .*B{{n}}
 //
 // with guard-bit chaining for regexes containing several separators. A
-// decomposition is applied only when the safety conditions of the paper
-// hold: no non-empty suffix of A is a prefix of B; for almost-dot-star,
-// additionally no byte of X occurs anywhere in B or in a final position of
-// A, and |X| is below the class-size threshold. Fragments of rules that
-// fail the checks are left intact — correctness is never traded for size,
-// at the cost of keeping some state explosion (§I-D).
+// guard-bit decomposition is applied only when the safety conditions hold:
+// no non-empty suffix of A is a prefix of B and no word of A lies inside a
+// word of B; for almost-dot-star, additionally no byte of X occurs anywhere
+// in B or in a final position of A, and |X| is below the class-size
+// threshold.
+//
+// One step beyond the paper: a dot-star that fails the overlap conditions
+// is not refused when B has a fixed length L ≥ 1. A guard bit cannot say
+// where A ended, but a position register can, so the split is made with
+// the .{n,} mechanism at n = 0 — A records its earliest end, B confirms
+// only when pos − recorded ≥ L (DESIGN.md §8). One step short of it: no
+// separator is split, on a bit or a register, when A matches the empty
+// string — such an A also ends before byte 0, where no fragment fires
+// (DESIGN.md §6). Everything else that fails a check — an almost-dot-star,
+// a variable-length B — is left intact:
+// correctness is never traded for size, at the cost of keeping some state
+// explosion (§I-D).
 package splitter
 
 import (
@@ -49,7 +60,9 @@ type Fragment struct {
 	RuleID int32
 }
 
-// Options tunes the splitter. The zero value is the paper's configuration.
+// Options tunes the splitter. The zero value is the paper's configuration
+// plus position-checked dot-star splits; DisablePositionSplits gives the
+// paper's conditions alone.
 type Options struct {
 	// MaxClassSize overrides DefaultMaxClassSize when positive.
 	MaxClassSize int
@@ -58,15 +71,22 @@ type Options struct {
 	// DisableAlmostDotStar turns off §IV-B decomposition. The HFA baseline
 	// uses this: HASIC factors only plain dot-star history.
 	DisableAlmostDotStar bool
+	// DisablePositionSplits keeps the paper's refusal for a dot-star whose
+	// segments overlap, instead of splitting it on a position register.
+	// The HFA and XFA baselines set it (their published models carry
+	// history bits only), and mfabench builds its "paper conditions" rows
+	// with it.
+	DisablePositionSplits bool
 	// DisableSafetyChecks skips the overlap and class analyses. It exists
 	// only to demonstrate (in tests and ablations) the false matches the
 	// checks prevent — never enable it in production.
 	DisableSafetyChecks bool
 	// EnableCounting turns on the counting-condition extension the
-	// paper's §VI leaves as future work: gaps of the form .{n,} are
-	// decomposed using filter position registers, provided the trailing
-	// segment has a fixed length. Off by default so the baselines match
-	// the published construction.
+	// paper's §VI leaves as future work: gaps of the form .{n,} with
+	// n ≥ 1 are decomposed using filter position registers, provided the
+	// trailing segment has a fixed length. Off by default: unlike the
+	// n = 0 case above, it makes .{n,} a separator where the paper has
+	// none.
 	EnableCounting bool
 	// EnableCounters turns on the counter-register extension (DESIGN.md
 	// §19): bounded gaps X{n,m} with finite m — full-alphabet .{n,m} or
@@ -94,14 +114,15 @@ type Stats struct {
 	DotStarSplits      int
 	AlmostSplits       int
 	CountingSplits     int
-	RefusedOverlap     int
+	PositionSplits     int // overlapping dot-stars split on a position register instead of refused
+	RefusedOverlap     int // what stays refused: almost-dot-star, or position splits disabled
 	RefusedInfix       int
 	RefusedClassSize   int
 	RefusedXInB        int
 	RefusedXFinalInA   int
 	RefusedCascade     int // rejected because a separator to the right was refused
-	RefusedStructural  int // no top-level concat / empty segment
-	RefusedVarLength   int // counting gap whose trailing segment has variable length
+	RefusedStructural  int // no top-level concat / empty segment / a left segment that can match empty
+	RefusedVarLength   int // counting gap or overlapping dot-star whose trailing segment has variable length
 	CounterSplits      int // bounded gaps compiled to counter registers
 	RefusedCounterXInB int // classed bounded gap whose forbidden class occurs in B
 	RefusedCounterSpan int // bounded gap whose window exceeds filter.MaxCounterGap (or counter budget)
@@ -113,8 +134,8 @@ type Result struct {
 	Fragments []Fragment
 	Actions   []filter.Action // indexed by internal id; entry 0 reserved
 	MemBits   int
-	// NumRegs is the number of position registers the counting extension
-	// allocated (0 without EnableCounting).
+	// NumRegs is the number of position registers allocated: one per
+	// position-checked dot-star and per .{n,} gap.
 	NumRegs int
 	// ClearGroups lists, per shared gap fragment, the guard bits its
 	// match clears. Rules with an identical almost-dot-star gap class
@@ -157,8 +178,47 @@ const (
 	dotStarSep
 	almostSep
 	countSep
+	positionSep // a dot-star whose segments overlap: countSep with n = 0
 	boundedSep
 )
+
+// refusal names why a separator was not split.
+type refusal int
+
+const (
+	accepted      refusal = iota
+	notSplittable         // classify found no separator, and counted why if there is a why
+	refusedOverlap
+	refusedInfix
+	refusedXInB
+	refusedXFinalInA
+	refusedVarLength
+	refusedCounterSpan
+	refusedCounterXInB
+	refusedEmptyHead
+)
+
+// refuse counts one refused separator under its reason.
+func (s *Stats) refuse(why refusal) {
+	switch why {
+	case refusedOverlap:
+		s.RefusedOverlap++
+	case refusedInfix:
+		s.RefusedInfix++
+	case refusedXInB:
+		s.RefusedXInB++
+	case refusedXFinalInA:
+		s.RefusedXFinalInA++
+	case refusedVarLength:
+		s.RefusedVarLength++
+	case refusedCounterSpan:
+		s.RefusedCounterSpan++
+	case refusedCounterXInB:
+		s.RefusedCounterXInB++
+	case refusedEmptyHead:
+		s.RefusedStructural++
+	}
+}
 
 // splitState carries the per-rule-set state of Algorithm 1's RegexSplit.
 type splitState struct {
@@ -345,52 +405,12 @@ func (st *splitState) splitRule(r Rule) error {
 	k := 0
 	for i := len(seps) - 1; i >= 0; i-- {
 		kind, x, minGap, maxGap := st.classify(seps[i])
-		safe := kind != notSeparator
-		if safe && (kind == countSep || kind == boundedSep) {
-			// The gap test recovers the trailing fragment's start from
-			// its end, which needs a fixed match length. This condition
-			// is not skippable: without it the filter arithmetic is
-			// simply undefined.
-			lenB, fixed := segments[i+1].FixedLength()
-			if !fixed {
-				st.result.Stats.RefusedVarLength++
-				safe = false
-			} else if kind == boundedSep {
-				switch {
-				case lenB < 1:
-					// A zero-length trailing segment would test and record
-					// at the same position; refuse rather than reason
-					// about event ordering.
-					st.result.Stats.RefusedVarLength++
-					safe = false
-				case maxGap+lenB > filter.MaxCounterGap,
-					len(st.result.Counters) >= filter.MaxCounters-len(seps):
-					st.result.Stats.RefusedCounterSpan++
-					safe = false
-				case x.Count() != 0:
-					// A classed gap [^X]{n,m} is invalidated by X bytes
-					// via reset events; X occurring inside B would fire a
-					// reset mid-B and kill a still-valid witness, so this
-					// condition (like fixed length) is not skippable.
-					inB, err := classAppearsIn(x, segments[i+1])
-					if err != nil {
-						return err
-					}
-					if inB {
-						st.result.Stats.RefusedCounterXInB++
-						safe = false
-					}
-				}
-			}
+		kind, why, err := st.admit(kind, x, maxGap, segments[i], segments[i+1], len(seps))
+		if err != nil {
+			return err
 		}
-		if safe && kind != countSep && kind != boundedSep && !st.opts.DisableSafetyChecks {
-			var err error
-			safe, err = st.checkSafety(kind, x, segments[i], segments[i+1])
-			if err != nil {
-				return err
-			}
-		}
-		if !safe {
+		if why != accepted {
+			st.result.Stats.refuse(why)
 			k = i + 1
 			st.result.Stats.RefusedCascade += i
 			break
@@ -442,12 +462,16 @@ func (st *splitState) splitRule(r Rule) error {
 		}
 		body, bodyAnchored := withAnchor(pending)
 		switch kinds[i] {
-		case countSep:
+		case countSep, positionSep:
 			reg := st.allocReg()
 			act.SetPos = reg
 			lenB, _ := segments[i+1].FixedLength()
 			cond = filter.Action{Test: filter.NoBit, GapReg: reg, MinGap: int32(gaps[i] + lenB)}
-			st.result.Stats.CountingSplits++
+			if kinds[i] == positionSep {
+				st.result.Stats.PositionSplits++
+			} else {
+				st.result.Stats.CountingSplits++
+			}
 			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
 		case boundedSep:
 			lenB, _ := segments[i+1].FixedLength()
@@ -543,47 +567,91 @@ func (st *splitState) classify(sep *regexparse.Node) (separatorKind, regexparse.
 	return notSeparator, regexparse.Class{}, 0, 0
 }
 
-// checkSafety applies the decomposition-validity conditions to a
-// candidate split between adjacent segments a and b: the paper's
-// suffix/prefix condition, the infix condition its rationale implies (see
-// InfixOverlap), and for almost-dot-star the two class conditions of
-// §IV-B.
-func (st *splitState) checkSafety(kind separatorKind, x regexparse.Class, a, b *regexparse.Node) (bool, error) {
-	overlap, err := SuffixPrefixOverlap(a, b)
-	if err != nil {
-		return false, err
+// admit decides whether the separator between adjacent segments a and b
+// may be split, and how: it returns the kind to split with — a dot-star
+// that fails the overlap conditions becomes a positionSep — or the reason
+// the separator is refused.
+func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, a, b *regexparse.Node, numSeps int) (separatorKind, refusal, error) {
+	if kind == notSeparator {
+		return kind, notSplittable, nil
 	}
-	if overlap {
-		st.result.Stats.RefusedOverlap++
-		return false, nil
+	// Every split, bit or register, needs each end of A to be a position
+	// its fragment fires at, and fragments fire only after a byte. An A that
+	// matches the empty string also ends before byte 0 — and, mid-chain,
+	// where its own condition was met by the byte that confirms B. Not
+	// skippable: there is no event to reason about.
+	if a.MatchesEmpty() {
+		return kind, refusedEmptyHead, nil
 	}
-	infix, err := InfixOverlap(a, b)
-	if err != nil {
-		return false, err
+	switch kind {
+	case dotStarSep, almostSep:
+		if st.opts.DisableSafetyChecks {
+			return kind, accepted, nil
+		}
+		why, err := checkSafety(kind, x, a, b)
+		if err != nil || why == accepted {
+			return kind, why, err
+		}
+		if kind != dotStarSep || st.opts.DisablePositionSplits ||
+			(why != refusedOverlap && why != refusedInfix) {
+			return kind, why, nil
+		}
+		// A guard bit cannot say where A ended relative to B; a recorded
+		// position can. The gap test below is overlap-safe for any A whose
+		// ends are all observable (above), as long as B's start is
+		// recoverable from its end.
+		kind = positionSep
 	}
-	if infix {
-		st.result.Stats.RefusedInfix++
-		return false, nil
+
+	// The gap test recovers the trailing fragment's start from its end,
+	// which needs a fixed match length. This condition is not skippable:
+	// without it the filter arithmetic is simply undefined. A zero-length
+	// trailing segment behind a gap that may be empty would test and
+	// record at the same position; refuse rather than reason about event
+	// ordering.
+	lenB, fixed := b.FixedLength()
+	if !fixed || (lenB < 1 && kind != countSep) {
+		return kind, refusedVarLength, nil
+	}
+	if kind != boundedSep {
+		return kind, accepted, nil
+	}
+	if maxGap+lenB > filter.MaxCounterGap || len(st.result.Counters) >= filter.MaxCounters-numSeps {
+		return kind, refusedCounterSpan, nil
+	}
+	if x.Count() != 0 {
+		// A classed gap [^X]{n,m} is invalidated by X bytes via reset
+		// events; X occurring inside B would fire a reset mid-B and kill a
+		// still-valid witness, so this condition (like fixed length) is
+		// not skippable.
+		if inB, err := classAppearsIn(x, b); err != nil || inB {
+			return kind, refusedCounterXInB, err
+		}
+	}
+	return kind, accepted, nil
+}
+
+// checkSafety applies the guard-bit validity conditions to a candidate
+// split between adjacent segments a and b and names the first that fails:
+// the paper's suffix/prefix condition, the infix condition its rationale
+// implies (see InfixOverlap), and for almost-dot-star the two class
+// conditions of §IV-B.
+func checkSafety(kind separatorKind, x regexparse.Class, a, b *regexparse.Node) (refusal, error) {
+	if overlap, err := SuffixPrefixOverlap(a, b); err != nil || overlap {
+		return refusedOverlap, err
+	}
+	if infix, err := InfixOverlap(a, b); err != nil || infix {
+		return refusedInfix, err
 	}
 	if kind == almostSep {
-		inB, err := classAppearsIn(x, b)
-		if err != nil {
-			return false, err
+		if inB, err := classAppearsIn(x, b); err != nil || inB {
+			return refusedXInB, err
 		}
-		if inB {
-			st.result.Stats.RefusedXInB++
-			return false, nil
-		}
-		finalA, err := classInFinalPosition(x, a)
-		if err != nil {
-			return false, err
-		}
-		if finalA {
-			st.result.Stats.RefusedXFinalInA++
-			return false, nil
+		if finalA, err := classInFinalPosition(x, a); err != nil || finalA {
+			return refusedXFinalInA, err
 		}
 	}
-	return true, nil
+	return accepted, nil
 }
 
 // topLevelSegments decomposes the pattern's root into alternating segments

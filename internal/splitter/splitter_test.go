@@ -134,26 +134,119 @@ func TestSharedGapFragments(t *testing.T) {
 }
 
 func TestOverlapRefused(t *testing.T) {
-	// The paper's own counterexample: .*abc.*bcd must NOT decompose,
-	// because suffix "bc" of abc is a prefix of bcd.
+	// The paper's own counterexample: suffix "bc" of abc is a prefix of
+	// bcd, so a guard bit would confirm .*abc.*bcd on "abcd". The split is
+	// made on a position register instead: bcd confirms only when it ends
+	// at least |bcd| bytes after abc's earliest end.
 	res := split(t, Options{}, "abc.*bcd")
-	if len(res.Fragments) != 1 {
-		t.Fatalf("overlapping rule must stay whole, got %v", fragmentSources(res))
+	if got := fragmentSources(res); len(got) != 2 || got[0] != "abc" || got[1] != "bcd" {
+		t.Fatalf("fragments: %v", got)
 	}
-	if res.Stats.RefusedOverlap != 1 {
-		t.Errorf("stats: %+v", res.Stats)
+	if res.NumRegs != 1 || res.MemBits != 0 {
+		t.Errorf("regs=%d bits=%d, want 1 and 0", res.NumRegs, res.MemBits)
 	}
-	// The action still reports unconditionally.
+	if got := res.Actions[1].String(); got != "Record 1" {
+		t.Errorf("head action: %s", got)
+	}
+	if got := res.Actions[2].String(); got != "Gap(1) >= 3 to Match" {
+		t.Errorf("tail action: %s", got)
+	}
+	if st := res.Stats; st.PositionSplits != 1 || st.DotStarSplits != 0 || st.CountingSplits != 0 || st.RefusedOverlap != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+
+	// The paper's conditions alone refuse it.
+	res = split(t, Options{DisablePositionSplits: true}, "abc.*bcd")
+	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 || res.NumRegs != 0 {
+		t.Fatalf("paper conditions must keep the rule whole: %v %+v", fragmentSources(res), res.Stats)
+	}
 	if a := res.Actions[1]; a.Report != 1 || a.Test != filter.NoBit {
 		t.Errorf("action: %+v", a)
+	}
+
+	// A variable-length B has no recoverable start: still whole, and the
+	// refusal still cascades to the separator on its left.
+	res = split(t, Options{}, "qq.*abc.*bc+d")
+	if got := fragmentSources(res); len(got) != 1 || got[0] != "qq.*abc.*bc+d" {
+		t.Fatalf("variable-length tail must stay whole: %v", got)
+	}
+	if st := res.Stats; st.RefusedVarLength != 1 || st.RefusedCascade != 1 || st.PositionSplits != 0 || st.RefusedOverlap != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+
+	// An almost-dot-star with the same overlap stays refused.
+	res = split(t, Options{}, `abc[^\n]*bcd`)
+	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 {
+		t.Fatalf("almost-dot-star overlap must refuse: %v %+v", fragmentSources(res), res.Stats)
 	}
 }
 
 func TestOverlapFullContainment(t *testing.T) {
-	// B equal to a suffix of A is also an overlap (B = suffix of A).
-	res := split(t, Options{}, "xabc.*abc")
-	if len(res.Fragments) != 1 {
-		t.Fatalf("must refuse: %v", fragmentSources(res))
+	// B equal to a suffix of A, and A inside B (infix): both positional.
+	res := split(t, Options{}, "xabc.*abc", "b.*abc")
+	if got := fragmentSources(res); len(got) != 4 {
+		t.Fatalf("fragments: %v", got)
+	}
+	if st := res.Stats; st.PositionSplits != 2 || st.RefusedOverlap != 0 || st.RefusedInfix != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	res = split(t, Options{DisablePositionSplits: true}, "xabc.*abc", "b.*abc")
+	if st := res.Stats; len(res.Fragments) != 2 || st.RefusedOverlap != 1 || st.RefusedInfix != 1 {
+		t.Fatalf("paper conditions: %v %+v", fragmentSources(res), st)
+	}
+}
+
+func TestEmptyHeadRefused(t *testing.T) {
+	// A left segment that matches the empty string also ends before byte 0,
+	// where no fragment fires: "ab" matches a?.*ab at its last byte, and a
+	// register first written at index 0 would say the gap is one byte short.
+	// No kind of split takes such a head, and the refusal cascades.
+	for _, c := range []struct {
+		opts Options
+		rule string
+	}{
+		{Options{}, "a?.*ab"},
+		{Options{}, "(ab)?.*abc"},
+		{Options{}, "^a?.*x"},
+		{Options{}, `(ab)*[^\n]*xy`},
+		{Options{}, "qq.*y?.*yz"},
+		{Options{EnableCounting: true}, "a?.{2,}xy"},
+		{Options{EnableCounters: true}, "a?.{2,10}xy"},
+		{Options{DisableSafetyChecks: true}, "a?.*ab"},
+	} {
+		res := split(t, c.opts, c.rule)
+		if len(res.Fragments) != 1 || res.NumRegs != 0 || res.MemBits != 0 || len(res.Counters) != 0 {
+			t.Errorf("%s must stay whole: %v", c.rule, fragmentSources(res))
+		}
+		if st := res.Stats; st.RefusedStructural != 1 || st.RulesDecomposed != 0 {
+			t.Errorf("%s stats: %+v", c.rule, st)
+		}
+	}
+	// The head to the right of the refused gap is not empty: it still splits.
+	res := split(t, Options{}, "a?.*bc.*cd")
+	if got := fragmentSources(res); len(got) != 2 || got[1] != "cd" || res.Stats.PositionSplits != 1 {
+		t.Fatalf("fragments: %v %+v", got, res.Stats)
+	}
+}
+
+func TestPositionSplitChains(t *testing.T) {
+	// A position link followed by a bit link, and the reverse: the chain
+	// condition a fragment carries guards its record like any other effect.
+	res := split(t, Options{}, "wsbfw.*wtbgc.*wubhg", "qq.*xyz.*xyz")
+	want := []string{
+		"Record 1", "Gap(1) >= 5 to Set 0", "Test 0 to Match",
+		"Set 1", "Test 1 to Record 2", "Gap(2) >= 3 to Match",
+	}
+	if len(res.Actions) != len(want)+1 {
+		t.Fatalf("fragments: %v", fragmentSources(res))
+	}
+	for i, w := range want {
+		if got := res.Actions[i+1].String(); got != w {
+			t.Errorf("action %d: %q, want %q", i+1, got, w)
+		}
+	}
+	if st := res.Stats; st.PositionSplits != 2 || st.DotStarSplits != 2 || st.RefusedCascade != 0 {
+		t.Errorf("stats: %+v", st)
 	}
 }
 
@@ -167,12 +260,12 @@ func TestNoOverlapSplits(t *testing.T) {
 func TestOverlapWithAlternation(t *testing.T) {
 	// suffix(A) meets prefix(B) through one alternation branch only.
 	res := split(t, Options{}, "(foo|bar).*(rat|dog)")
-	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 {
-		t.Fatalf("suffix 'r' of bar is prefix of rat: %v", fragmentSources(res))
+	if len(res.Fragments) != 2 || res.Stats.PositionSplits != 1 || res.Actions[2].MinGap != 3 {
+		t.Fatalf("suffix 'r' of bar is prefix of rat: %v %+v", fragmentSources(res), res.Stats)
 	}
 	res = split(t, Options{}, "(foo|bar).*(cat|dog)")
-	if len(res.Fragments) != 2 {
-		t.Fatalf("no overlap here: %v", fragmentSources(res))
+	if len(res.Fragments) != 2 || res.Stats.DotStarSplits != 1 || res.NumRegs != 0 {
+		t.Fatalf("no overlap here: %v %+v", fragmentSources(res), res.Stats)
 	}
 }
 
@@ -410,9 +503,10 @@ func TestSplitStatsTotals(t *testing.T) {
 	if res.Stats.RulesTotal != 3 {
 		t.Errorf("RulesTotal = %d", res.Stats.RulesTotal)
 	}
-	// Rule 1 splits; rule 2 has no separators; rule 3 overlaps (f3).
-	if res.Stats.RulesDecomposed != 1 {
-		t.Errorf("stats: %+v", res.Stats)
+	// Rule 1 splits on a bit; rule 2 has no separators; rule 3 overlaps
+	// (f3) and splits on a position.
+	if st := res.Stats; st.RulesDecomposed != 2 || st.DotStarSplits != 1 || st.PositionSplits != 1 {
+		t.Errorf("stats: %+v", st)
 	}
 }
 

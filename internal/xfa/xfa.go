@@ -83,7 +83,9 @@ type BuildStats struct {
 	BuildTime time.Duration
 }
 
-// Compile builds the XFA for a rule set.
+// Compile builds the XFA for a rule set, decomposed under the paper's
+// conditions: the baseline's memory is bits, so an overlapping dot-star
+// stays whole rather than splitting on a position register.
 func Compile(rules []Rule, opts Options) (*XFA, error) {
 	start := time.Now()
 
@@ -91,7 +93,7 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 	for i, r := range rules {
 		srules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
 	}
-	res, err := splitter.Split(srules, splitter.Options{})
+	res, err := splitter.Split(srules, splitter.Options{DisablePositionSplits: true})
 	if err != nil {
 		return nil, fmt.Errorf("xfa: %w", err)
 	}
@@ -127,7 +129,11 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 	for i := 0; i < numAccept; i++ {
 		s := d.AcceptStart() + uint32(i)
 		for _, id := range d.Matches(s) {
-			x.instrs = append(x.instrs, compileAction(prog.Action(id))...)
+			instrs, err := compileAction(id, prog.Action(id))
+			if err != nil {
+				return nil, err
+			}
+			x.instrs = append(x.instrs, instrs...)
 		}
 		x.starts[i+1] = uint32(len(x.instrs))
 	}
@@ -143,8 +149,15 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 // compileAction lowers one filter action to instructions. The splitter
 // only emits three action shapes (set-with-optional-test, unconditional
 // clear, test-to-report / plain report), so each lowers to one
-// instruction; the general cases are handled anyway for robustness.
-func compileAction(a filter.Action) []Instr {
+// instruction; the general cases are handled anyway for robustness. An
+// action with a register or counter operand — which the instruction set,
+// working on memory bits, clear groups and reports, cannot express — is a
+// filter.UnsupportedActionError.
+func compileAction(id int32, a filter.Action) ([]Instr, error) {
+	bitsOnly := filter.Action{Test: a.Test, Set: a.Set, Clear: a.Clear, Report: a.Report, ClearGroup: a.ClearGroup}
+	if a != bitsOnly {
+		return nil, &filter.UnsupportedActionError{Compiler: "xfa", ID: id, Action: a}
+	}
 	var out []Instr
 	if a.Set != filter.NoBit {
 		if a.Test != filter.NoBit {
@@ -169,7 +182,7 @@ func compileAction(a filter.Action) []Instr {
 			out = append(out, Instr{Op: OpReport, Rule: a.Report})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Stats returns construction statistics.

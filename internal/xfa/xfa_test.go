@@ -1,6 +1,7 @@
 package xfa
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"matchfilter/internal/filter"
 	"matchfilter/internal/nfa"
 	"matchfilter/internal/regexparse"
+	"matchfilter/internal/splitter"
 )
 
 func mustRules(t *testing.T, sources ...string) []Rule {
@@ -145,7 +147,11 @@ func TestCompileActionLowering(t *testing.T) {
 		{filter.Action{Test: filter.NoBit, Set: filter.NoBit, Clear: filter.NoBit, Report: 9}, []Opcode{OpReport}},
 	}
 	for _, tt := range tests {
-		got := compileAction(tt.a)
+		got, err := compileAction(1, tt.a)
+		if err != nil {
+			t.Errorf("%+v: %v", tt.a, err)
+			continue
+		}
 		if len(got) != len(tt.want) {
 			t.Errorf("%+v: got %d instrs, want %d", tt.a, len(got), len(tt.want))
 			continue
@@ -154,6 +160,54 @@ func TestCompileActionLowering(t *testing.T) {
 			if got[i].Op != tt.want[i] {
 				t.Errorf("%+v instr %d: op %v, want %v", tt.a, i, got[i].Op, tt.want[i])
 			}
+		}
+	}
+}
+
+// TestUnsupportedActionIsAnError: an action carrying a register or counter
+// operand must fail compilation, not lose the operand — dropping GapReg
+// from qq.*xyz.*xyz's tail confirmed {1 4} on "dyxyzaqqqg" against truth
+// [] when the splitter's default began to emit it.
+func TestUnsupportedActionIsAnError(t *testing.T) {
+	none := filter.Action{Test: filter.NoBit, Set: filter.NoBit, Clear: filter.NoBit}
+	for name, mutate := range map[string]func(*filter.Action){
+		"SetPos":   func(a *filter.Action) { a.SetPos = 1 },
+		"GapReg":   func(a *filter.Action) { a.GapReg, a.MinGap = 1, 3 },
+		"SetCtr":   func(a *filter.Action) { a.SetCtr = 1 },
+		"TestCtr":  func(a *filter.Action) { a.TestCtr = 1 },
+		"ResetCtr": func(a *filter.Action) { a.ResetCtr = 1 },
+	} {
+		a := none
+		mutate(&a)
+		var unsupported *filter.UnsupportedActionError
+		if _, err := compileAction(7, a); !errors.As(err, &unsupported) || unsupported.ID != 7 {
+			t.Errorf("%s: want UnsupportedActionError for id 7, got %v", name, err)
+		}
+	}
+	// What the splitter emits with registers or counters on: some action of
+	// each rule must be the error.
+	for _, tc := range []struct {
+		rule  string
+		split splitter.Options
+	}{
+		{"qq.*xyz.*xyz", splitter.Options{}},
+		{"aa.{3,}bb", splitter.Options{EnableCounting: true, DisablePositionSplits: true}},
+		{"aa.{2,20}bb", splitter.Options{EnableCounters: true, DisablePositionSplits: true}},
+	} {
+		srules := []splitter.Rule{{Pattern: mustRules(t, tc.rule)[0].Pattern, RuleID: 1}}
+		res, err := splitter.Split(srules, tc.split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := 0
+		for id, a := range res.Actions[1:] {
+			var unsupported *filter.UnsupportedActionError
+			if _, err := compileAction(int32(id+1), a); errors.As(err, &unsupported) {
+				refused++
+			}
+		}
+		if refused == 0 {
+			t.Errorf("%s under %+v: no action refused: %v", tc.rule, tc.split, res.Actions[1:])
 		}
 	}
 }

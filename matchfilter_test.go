@@ -121,8 +121,9 @@ func TestWithoutDecomposition(t *testing.T) {
 func TestWithMaxStates(t *testing.T) {
 	var pats []string
 	for i := 0; i < 10; i++ {
-		// Identical prefixes block decomposition, forcing explosion.
-		pats = append(pats, fmt.Sprintf("ov%dx.*xov%d", i, i))
+		// An overlapping x and a variable-length tail block decomposition,
+		// forcing explosion.
+		pats = append(pats, fmt.Sprintf("ov%dx.*x+ov%d", i, i))
 	}
 	_, err := Compile(pats, WithMaxStates(50))
 	if !errors.Is(err, ErrTooManyStates) {
