@@ -74,7 +74,8 @@ func run() error {
 	fmt.Printf("fragments:       %d (decomposed rules: %d)\n", st.NumFragments, st.Split.RulesDecomposed)
 	fmt.Printf("  dot-star splits:        %d (+ %d position-checked: A and B overlap)\n",
 		st.Split.DotStarSplits, st.Split.PositionSplits)
-	fmt.Printf("  almost-dot-star splits: %d\n", st.Split.AlmostSplits)
+	fmt.Printf("  almost-dot-star splits: %d (+ %d position-checked: A and B overlap, or A ends in X)\n",
+		st.Split.AlmostSplits, st.Split.AlmostPositionSplits)
 	fmt.Printf("  refused (overlap/infix/class/X-in-B/X-final/var-length/structural/cascade): %d/%d/%d/%d/%d/%d/%d/%d\n",
 		st.Split.RefusedOverlap, st.Split.RefusedInfix, st.Split.RefusedClassSize,
 		st.Split.RefusedXInB, st.Split.RefusedXFinalInA, st.Split.RefusedVarLength,
@@ -88,7 +89,8 @@ func run() error {
 	fmt.Printf("MFA states:      %d\n", st.DFAStates)
 	fmt.Printf("table layout:    %s (%d classes, table %.3f MB)\n",
 		st.DFALayout, st.DFAClasses, mb(st.DFATableBytes))
-	fmt.Printf("memory bits (w): %d, position registers: %d\n", st.MemBits, st.PosRegs)
+	fmt.Printf("memory bits (w): %d, position registers: %d, open-window counters: %d\n",
+		st.MemBits, st.PosRegs, st.Split.AlmostPositionSplits)
 	fmt.Printf("internal ids:    %d\n", st.InternalIDs)
 	fmt.Printf("image:           %.3f MB (DFA %.3f MB + filters %.4f MB)\n",
 		mb(st.MemoryImageBytes()), mb(st.DFABytes), mb(st.FilterBytes))

@@ -200,9 +200,10 @@ func mfaResult(set string, m *core.MFA) BuildResult {
 // alone, for the second row Table V and Figure 2 print so the comparison
 // with the published tables survives. ok is false — and nothing is built —
 // when the default build already is the paper's construction: it split no
-// overlapping dot-star on a position register.
+// overlapping dot-star on a position register and no overlapping
+// almost-dot-star on an open-window counter.
 func (e *Engines) paperConditionsMFA() (r BuildResult, ok bool, err error) {
-	if e.MFA.Stats().Split.PositionSplits == 0 {
+	if st := e.MFA.Stats().Split; st.PositionSplits+st.AlmostPositionSplits == 0 {
 		return BuildResult{}, false, nil
 	}
 	paper, err := core.Compile(coreRules(e.Rules), core.Options{

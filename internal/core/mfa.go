@@ -44,7 +44,7 @@ type Rule struct {
 // Options configures MFA compilation. The zero value is the paper's
 // configuration — both decompositions enabled, safety checks on, subset
 // construction without minimization — plus position-checked splits of the
-// dot-stars those checks would refuse (DESIGN.md §8).
+// dot-stars and almost-dot-stars those checks would refuse (DESIGN.md §8).
 type Options struct {
 	Splitter splitter.Options
 	DFA      dfa.Options
@@ -60,7 +60,7 @@ type BuildStats struct {
 	DFAStates    int // the "MFA Qs" column of Table V
 	MemBits      int // w
 	PosRegs      int // position registers: one per position-checked dot-star and per .{n,} gap
-	Counters     int // counter registers of the bounded-repeat extension
+	Counters     int // counter registers: the bounded-repeat extension's, plus one open-window counter per Split.AlmostPositionSplits
 	InternalIDs  int // |Di|
 	// BuildTime is the wall-clock construction time (Figure 3).
 	BuildTime time.Duration

@@ -6,13 +6,15 @@ package core
 // reference in this package (the undecomposed DFA, the reference subset
 // constructor) goes through internal/nfa, so a Thompson bug is invisible
 // to them. The near-miss matrix below and FuzzPositionSplit hold the
-// position-checked dot-star splits of DESIGN.md §8 to it.
+// position-checked splits of DESIGN.md §8 — dot-star on a register,
+// almost-dot-star on an open-window counter — to it.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -237,6 +239,71 @@ var nearMissRows = []nearMissRow{
 	{"(ab)?.*abc", [][]string{w("", "ab"), w("abc")}},
 	{"/(ab)*.*ABC/i", [][]string{w("", "aB", "abAB"), w("abc")}},
 	{"xy.*y?.*yz", [][]string{w("xy"), w("", "y"), w("yz")}},
+
+	// The same on the other separator, A[^X]*B: a byte of X between an end of
+	// A and B's start forgets that end. First the S24 (two), S31p and S34
+	// rules the splitter refused for a one-byte overlap.
+	{`pqbdp[^\n]*prbes`, [][]string{w("pqbdp"), w("prbes")}},
+	{`/^pjcwp[^\r\n]*pkcxs/i`, [][]string{w("pjcwp", "PJcwP"), w("pkcxs", "PKCXS")}},
+	{`^qkbxq[^\n]*qlbyt`, [][]string{w("qkbxq"), w("qlbyt")}},
+	{`^rebrr[^\n]*rfbsv`, [][]string{w("rebrr"), w("rfbsv")}},
+	// Overlaps of 1 … |B|−1 bytes, anchored, /i with a two-byte X.
+	{`xxxb[^\n]*bcde`, [][]string{w("xxxb"), w("bcde")}},
+	{`xxbc[^\n]*bcde`, [][]string{w("xxbc"), w("bcde")}},
+	{`xbcd[^\n]*bcde`, [][]string{w("xbcd"), w("bcde")}},
+	{`^abc[^\n]*bcd`, [][]string{w("abc"), w("bcd")}},
+	{`/abc[^\r\n]*BCD/i`, [][]string{w("aBc", "ABC"), w("bcD", "BCD")}},
+	// Containment, infix, self-overlap, alternation heads.
+	{`xabc[^\n]*abc`, [][]string{w("xabc"), w("abc")}},
+	{`b[^\n]*abc`, [][]string{w("b"), w("abc")}},
+	{`aa[^\n]*aa`, [][]string{w("aa"), w("aa")}},
+	{`(foo|bar)[^\n]*(rat|dog)`, [][]string{w("foo", "bar"), w("rat", "dog")}},
+	// X as A's final byte: that byte resets, then records.
+	{`ab:[^:]*ca`, [][]string{w("ab:"), w("ca")}},
+	{`a:[^:]*ab`, [][]string{w("a:"), w("ab")}},
+	// Chains: position→position over two classes, dot-star↔almost.
+	{`cab[^\n]*abc[^:]*bca`, [][]string{w("cab"), w("abc"), w("bca")}},
+	{`ab.*bc[^\n]*ca`, [][]string{w("ab"), w("bc"), w("ca")}},
+	{`ab[^\n]*bc.*ca`, [][]string{w("ab"), w("bc"), w("ca")}},
+	// Still refused: X in B (the dot), a variable-length B.
+	{`ab[^\n]*b.c`, [][]string{w("ab"), w("bxc", "b\nc")}},
+	{`ab[^\n]*bc+d`, [][]string{w("ab"), w("bcd", "bcccd")}},
+}
+
+// gapClass matches an almost-dot-star in a rule's source.
+var gapClass = regexp.MustCompile(`\[\^((?:\\.|[^\]\\])+)\]\*`)
+
+// gapBytes are the bytes the rule's almost-dot-star gaps exclude, or a
+// newline for a rule without one.
+func gapBytes(t testing.TB, rule string) []byte {
+	t.Helper()
+	var out []byte
+	for _, m := range gapClass.FindAllStringSubmatch(rule, -1) {
+		x, err := strconv.Unquote(`"` + m[1] + `"`)
+		if err != nil {
+			t.Fatalf("rule %q: gap class %q: %v", rule, m[1], err)
+		}
+		out = append(out, x...)
+	}
+	if len(out) == 0 {
+		return []byte{'\n'}
+	}
+	return out
+}
+
+// plant returns s with each single filler byte in turn replaced by each
+// byte of xs: a forbidden byte everywhere a gap byte can stand — between a
+// recorded A and a later A, directly before B, inside a collapsed overlap.
+func plant(s string, xs []byte) []string {
+	var out []string
+	for i := range s {
+		if s[i] == '-' {
+			for _, x := range xs {
+				out = append(out, s[:i]+string(x)+s[i+1:])
+			}
+		}
+	}
+	return out
 }
 
 // overlapLen is the longest proper suffix of a that is a prefix of b.
@@ -251,10 +318,13 @@ func overlapLen(a, b string) int {
 
 // nearMisses builds inputs around one adjacent word pair: A·B with 0 …
 // |B|−1 bytes of B swallowed (the overlap collapsed is one of them), one
-// to three bytes between, B first, and a second, later A with and without
-// its own B. pre and post satisfy the rest of the chain at a distance.
+// to three bytes between, B first, a second, later A with and without its
+// own B, an earlier A ahead of the collapsed pair (only the first end is far
+// enough back), and a filler byte on either edge of the overlap. pre and
+// post satisfy the rest of the chain at a distance.
 func nearMisses(pre, a, b, post string) []string {
-	collapsed := a + b[overlapLen(a, b):]
+	k := overlapLen(a, b)
+	collapsed := a + b[k:]
 	out := []string{
 		pre + b + "-" + a + post,
 		pre + collapsed + "-" + a + post,
@@ -262,6 +332,10 @@ func nearMisses(pre, a, b, post string) []string {
 		pre + collapsed + "-" + a + "--" + b + post,
 		pre + collapsed + b + post,
 		pre + a + b + b + post,
+		pre + a + collapsed + post,
+		pre + a + "-" + collapsed + post,
+		pre + a[:len(a)-k] + "-" + b + post,
+		pre + a + "-" + b[k:] + post,
 	}
 	for k := 0; k < len(b); k++ {
 		out = append(out, pre+a+b[k:]+post)
@@ -274,13 +348,14 @@ func nearMisses(pre, a, b, post string) []string {
 
 // inputs are the row's near misses for every adjacent pair and every
 // choice of words, each also behind one stray byte (which an anchored
-// rule must refuse) and, for almost-dot-star rows, with a newline in the
-// gap.
-func (row nearMissRow) inputs() [][]byte {
+// rule must refuse) and with a byte the row's gaps forbid planted at each
+// filler position in turn.
+func (row nearMissRow) inputs(t testing.TB) [][]byte {
 	seen := map[string]bool{}
 	var out [][]byte
+	xs := gapBytes(t, row.rule)
 	add := func(s string) {
-		for _, v := range []string{s, "z" + s, strings.Replace(s, "-", "\n", 1)} {
+		for _, v := range append([]string{s, "z" + s}, plant(s, xs)...) {
 			if !seen[v] {
 				seen[v] = true
 				out = append(out, []byte(v))
@@ -436,7 +511,7 @@ func TestOracleAgainstStdlib(t *testing.T) {
 	}, nearMissRows...)
 	for _, row := range rows {
 		oracle := oracleFor(mustRules(t, row.rule))[0]
-		for _, input := range row.inputs() {
+		for _, input := range row.inputs(t) {
 			got, want := oracle.ends(input), stdlibEnds(t, row.rule, input)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("rule %q input %q: oracle %v, regexp %v", row.rule, input, got, want)
@@ -462,7 +537,7 @@ func TestPositionSplitNearMisses(t *testing.T) {
 	var sources []string
 	var all [][]byte
 	for _, row := range nearMissRows {
-		inputs := row.inputs()
+		inputs := row.inputs(t)
 		if matched := assertOracle(t, []string{row.rule}, inputs); matched == 0 || matched == len(inputs) {
 			t.Errorf("rule %q: %d of %d inputs match — the row tests one side only", row.rule, matched, len(inputs))
 		}
@@ -470,6 +545,18 @@ func TestPositionSplitNearMisses(t *testing.T) {
 		all = append(all, inputs...)
 	}
 	assertOracle(t, sources, all)
+
+	// The paper's anchored scheme: A and B carry the anchored head, the
+	// reset fragment stays unanchored and rule-independent.
+	anchored := nearMissRow{`^hdr.*abc[^\n]*bcd`, [][]string{w("hdr"), w("abc"), w("bcd")}}
+	prepend := Options{Splitter: splitter.Options{PrependAnchors: true}}
+	if st := compileMFA(t, prepend, anchored.rule).Stats().Split; st.AlmostPositionSplits != 1 {
+		t.Fatalf("rule %q with PrependAnchors: %+v, want one position-checked almost-dot-star", anchored.rule, st)
+	}
+	inputs := anchored.inputs(t)
+	if matched := assertOracleWith(t, prepend, []string{anchored.rule}, inputs); matched == 0 || matched == len(inputs) {
+		t.Errorf("rule %q: %d of %d inputs match — the row tests one side only", anchored.rule, matched, len(inputs))
+	}
 }
 
 // TestEmptyHeadNearMisses: the opt-in register and counter splits refuse a
@@ -495,6 +582,13 @@ func TestEmptyHeadNearMisses(t *testing.T) {
 	}
 }
 
+// fuzzGapBytes are the X bytes FuzzPositionSplit draws from: a line end, a
+// byte outside every word, and the words' own four letters.
+var fuzzGapBytes = []struct {
+	b   byte
+	src string
+}{{'\n', `\n`}, {':', ":"}, {'a', "a"}, {'b', "b"}, {'c', "c"}, {'d', "d"}}
+
 // fuzzWord maps arbitrary bytes onto a short word over a four-letter
 // alphabet, so that fuzzed words overlap each other often.
 func fuzzWord(s string, maxLen int) string {
@@ -509,23 +603,31 @@ func fuzzWord(s string, maxLen int) string {
 }
 
 // FuzzPositionSplit: two words and an overlap length make the rule
-// A.*B — B begins with the last `overlap` bytes of A — in one of five
-// shapes, and the near-miss inputs around it; the MFA must agree with the
+// A.*B — B begins with the last `overlap` bytes of A — in one of six
+// shapes, the sixth being A[^X]*B with X one fuzzed byte that may be a
+// filler, a letter of the words' alphabet (so it can end A, or occur in B
+// and refuse the split) or a newline; and the near-miss inputs around it,
+// with X planted at every filler position. The MFA must agree with the
 // oracle in every scan mode.
 func FuzzPositionSplit(f *testing.F) {
 	for _, row := range nearMissRows {
 		if len(row.words) == 2 {
 			a, b := row.words[0][0], row.words[1][0]
 			k := overlapLen(a, b)
-			f.Add(a, b[k:], uint8(k), uint8(0))
+			f.Add(a, b[k:], uint8(k), uint8(0), uint8(0))
 		}
 	}
-	f.Add("abc", "d", uint8(2), uint8(1))
-	f.Add("abc", "d", uint8(2), uint8(2))
-	f.Add("ab", "c", uint8(1), uint8(3))
-	f.Add("a", "b", uint8(1), uint8(4))
-	f.Add("ab", "c", uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, a, tail string, overlap, shape uint8) {
+	f.Add("abc", "d", uint8(2), uint8(1), uint8(0))
+	f.Add("abc", "d", uint8(2), uint8(2), uint8(0))
+	f.Add("ab", "c", uint8(1), uint8(3), uint8(0))
+	f.Add("a", "b", uint8(1), uint8(4), uint8(0))
+	f.Add("ab", "c", uint8(2), uint8(4), uint8(0))
+	for x := uint8(0); x < uint8(len(fuzzGapBytes)); x++ { // overlap, containment, X final in A, X in B
+		f.Add("abc", "d", uint8(2), uint8(5), x)
+		f.Add("dabc", "", uint8(3), uint8(5), x)
+		f.Add("aa", "", uint8(2), uint8(5), x)
+	}
+	f.Fuzz(func(t *testing.T, a, tail string, overlap, shape, x uint8) {
 		a, tail = fuzzWord(a, 6), fuzzWord(tail, 4)
 		if a == "" {
 			return
@@ -535,7 +637,8 @@ func FuzzPositionSplit(f *testing.F) {
 			return
 		}
 		rule, pre, heads := a+".*"+b, "", []string{a}
-		switch shape % 5 {
+		xs := []byte{'\n'}
+		switch shape % 6 {
 		case 1:
 			rule = "^" + rule
 		case 2:
@@ -546,11 +649,17 @@ func FuzzPositionSplit(f *testing.F) {
 		case 4:
 			// An optional head: B alone, from offset 0, is a match.
 			rule, heads = "("+a+")?.*"+b, []string{a, ""}
+		case 5:
+			gap := fuzzGapBytes[int(x)%len(fuzzGapBytes)]
+			rule, xs = a+"[^"+gap.src+"]*"+b, []byte{gap.b}
 		}
 		var inputs [][]byte
 		for _, head := range heads {
 			for _, s := range nearMisses(pre, head, b, "") {
 				inputs = append(inputs, []byte(s), []byte("d"+s))
+				for _, v := range plant(s, xs) {
+					inputs = append(inputs, []byte(v))
+				}
 			}
 		}
 		assertOracle(t, []string{rule}, inputs)

@@ -98,9 +98,10 @@ func (m *MFA) SelfCheck() (err error) {
 	if n := m.prog.CountersLen(); n > 0 {
 		// A counter image claiming a base beyond the restore position must
 		// be rejected — it would break the record path's window arithmetic
-		// in the hot loop.
+		// in the hot loop. Word 0 is a base, or an open counter's witness
+		// plus one: 2 is beyond position 0 as either.
 		bad := make(filter.Counters, n)
-		bad[0] = 1 // base = 1, restored at pos 0
+		bad[0] = 2
 		if err := m.NewRunner().SetContext(0, nil, nil, bad, 0); err == nil {
 			return fmt.Errorf("core: self-check: future-based counter context was not rejected")
 		}

@@ -15,22 +15,27 @@ import (
 // one interpreter below. ApplyAll(id) is the one-id case: every installed
 // action is compiled as a singleton program.
 
-// opKind selects what one op does. The first four are guards: when the
+// opKind selects what one op does. The first five are guards: when the
 // condition fails the interpreter skips the ops the guard covers — the
-// rest of the guarded action, or a live guard's span of resets.
+// rest of the guarded action, or a live guard's span of resets. A counter
+// op's kind carries the counter's shape (composer.ctr), so the interpreter
+// never looks a descriptor up.
 type opKind uint8
 
 const (
-	opTestBit   opKind = iota // some bit of mask must be set in word at
-	opTestGap                 // register at recorded at least a bytes ago
-	opTestCtr                 // counter block holds a witness aged in [a, b]
-	opCtrLive                 // some counter of mask may hold a witness
-	opSetBits                 // m[at] |= mask
-	opClearBits               // m[at] &^= mask
-	opRecordPos               // register at keeps its first position
-	opCtrRecord               // counter block gains a witness at pos
-	opCtrReset                // counter block, if live, loses its witnesses before pos
-	opReport                  // confirm rule a
+	opTestBit    opKind = iota // some bit of mask must be set in word at
+	opTestGap                  // register at recorded at least a bytes ago
+	opTestCtr                  // counter block holds a witness aged in [a, b]
+	opTestOpen                 // open counter's witness is at least a bytes old
+	opCtrLive                  // some counter of mask may hold a witness
+	opSetBits                  // m[at] |= mask
+	opClearBits                // m[at] &^= mask
+	opRecordPos                // register at keeps its first position
+	opCtrRecord                // counter block gains a witness at pos
+	opCtrReset                 // counter block, if live, loses its witnesses before pos
+	opOpenRecord               // open counter keeps its first witness
+	opOpenReset                // open counter loses a witness before pos
+	opReport                   // confirm rule a
 )
 
 type op struct {
@@ -66,6 +71,10 @@ func (ap AcceptProgram) Run(m Memory, regs Registers, cs Counters, pos int64, em
 			if cs == nil || !ctrBlock(cs[o.at:o.at+o.n]).test(o.a, o.b, pos) {
 				pc += int(o.skip)
 			}
+		case opTestOpen:
+			if cs == nil || cs[o.at] == 0 || pos+1-int64(cs[o.at]) < int64(o.a) {
+				pc += int(o.skip)
+			}
 		case opCtrLive:
 			if cs == nil || *cs.liveWord(o.live)&o.mask == 0 {
 				pc += int(o.skip)
@@ -88,6 +97,16 @@ func (ap AcceptProgram) Run(m Memory, regs Registers, cs Counters, pos int64, em
 				if l := cs.liveWord(o.live); *l&o.mask != 0 && ctrBlock(cs[o.at:o.at+o.n]).reset(pos) {
 					*l &^= o.mask
 				}
+			}
+		case opOpenRecord:
+			if cs != nil && cs[o.at] == 0 {
+				cs[o.at] = uint64(pos + 1)
+				*cs.liveWord(o.live) |= o.mask
+			}
+		case opOpenReset:
+			if cs != nil && cs[o.at] != 0 && int64(cs[o.at]) <= pos {
+				cs[o.at] = 0
+				*cs.liveWord(o.live) &^= o.mask
 			}
 		case opReport:
 			emit(o.a, pos)
@@ -181,10 +200,17 @@ func guardSkip(n int) uint16 {
 	return uint16(n)
 }
 
-// ctr returns the op of the given kind on a counter, operands resolved.
+// openKind maps a counter op to its form on an open counter.
+var openKind = [...]opKind{opTestCtr: opTestOpen, opCtrRecord: opOpenRecord, opCtrReset: opOpenReset}
+
+// ctr returns the op of the given kind on a counter, operands resolved and
+// the kind chosen by the counter's shape.
 func (c *composer) ctr(kind opKind, ctr int16) op {
 	d := c.p.counters[ctr-1]
-	return op{kind: kind, at: c.p.ctrOff[ctr-1], n: int32(1 + d.spanWords()), a: d.MinGap, b: d.MaxGap,
+	if d.Open() {
+		kind = openKind[kind]
+	}
+	return op{kind: kind, at: c.p.ctrOff[ctr-1], n: int32(d.words()), a: d.MinGap, b: d.MaxGap,
 		live: int32(ctr-1) >> 6, mask: 1 << ((ctr - 1) & 63)}
 }
 
@@ -197,20 +223,23 @@ func (c *composer) ctr(kind opKind, ctr int16) op {
 // back past the ops appended since. As in mask, none of them reads what o
 // writes (a run's only guards are live guards, on other live words), and
 // the one that can write c's block, an Inc c, commutes with Reset c at one
-// position: reset is strict, so the witness at pos survives it, and never
-// moves the base.
+// position on a witness bitmap: reset is strict, so the witness at pos
+// survives it, and never moves the base. On an open counter it does not —
+// with an older witness in the word, record-then-reset leaves it empty and
+// reset-then-record leaves pos — so a reset that would cross an Inc of its
+// own counter opens a new span where it stands instead.
 func (c *composer) reset(o op) {
 	j := int(c.open[o.live]) - 1
-	if j < c.run {
+	if j >= c.run && c.ops[j].mask&o.mask != 0 {
+		return
+	}
+	if j < c.run || (o.kind == opOpenReset && c.recordsSince(j+1+int(c.ops[j].skip), o.at)) {
 		c.open[o.live] = int32(len(c.ops) + 1)
 		c.ops = append(c.ops, op{kind: opCtrLive, skip: 1, live: o.live, mask: o.mask}, o)
 		c.guards++
 		return
 	}
 	g := &c.ops[j]
-	if g.mask&o.mask != 0 {
-		return
-	}
 	g.mask |= o.mask
 	g.skip = guardSkip(int(g.skip) + 1)
 	end := j + int(g.skip)
@@ -223,6 +252,17 @@ func (c *composer) reset(o op) {
 			c.open[m.live] = int32(i + 1)
 		}
 	}
+}
+
+// recordsSince reports whether an op from index from on records into the
+// open counter at block offset at.
+func (c *composer) recordsSince(from int, at int32) bool {
+	for _, m := range c.ops[from:] {
+		if m.kind == opOpenRecord && m.at == at {
+			return true
+		}
+	}
+	return false
 }
 
 // mask appends a set or clear of mask in one memory word, or folds it

@@ -17,13 +17,34 @@ func (m Memory) clearBit(i int16) { m[i>>6] &^= 1 << (i & 63) }
 
 func (p *Program) block(cs Counters, c int16) ctrBlock {
 	off := int(p.ctrOff[c-1])
-	return ctrBlock(cs[off : off+1+p.counters[c-1].spanWords()])
+	return ctrBlock(cs[off : off+p.counters[c-1].words()])
 }
 
-func (p *Program) ctrRecord(cs Counters, c int16, pos int64) { p.block(cs, c).record(pos) }
-func (p *Program) ctrReset(cs Counters, c int16, pos int64)  { p.block(cs, c).reset(pos) }
+// The three counter ops by counter number. An open counter's are written out
+// from its definition — the word is the earliest witness since the last
+// reset, plus one — rather than through the interpreter under test.
+func (p *Program) ctrRecord(cs Counters, c int16, pos int64) {
+	if !p.counters[c-1].Open() {
+		p.block(cs, c).record(pos)
+	} else if w := &p.block(cs, c)[0]; *w == 0 {
+		*w = uint64(pos + 1)
+	}
+}
+
+func (p *Program) ctrReset(cs Counters, c int16, pos int64) {
+	if !p.counters[c-1].Open() {
+		p.block(cs, c).reset(pos)
+	} else if w := &p.block(cs, c)[0]; *w != 0 && int64(*w)-1 < pos {
+		*w = 0
+	}
+}
+
 func (p *Program) ctrTest(cs Counters, c int16, pos int64) bool {
 	d := p.counters[c-1]
+	if d.Open() {
+		w := int64(p.block(cs, c)[0])
+		return w != 0 && pos-(w-1) >= int64(d.MinGap)
+	}
 	return p.block(cs, c).test(d.MinGap, d.MaxGap, pos)
 }
 
@@ -98,8 +119,11 @@ func liveBit(cs Counters, c int16) bool {
 	return *cs.liveWord(int32(c-1) >> 6)&(1<<((c-1)&63)) != 0
 }
 
-// holdsWitness reports whether counter c's bitmap in cs is non-empty.
-func (p *Program) holdsWitness(cs Counters, c int16) bool { return !empty(p.block(cs, c)[1:]) }
+// holdsWitness reports whether counter c's bitmap, or its one word when it
+// is open, is non-empty in cs.
+func (p *Program) holdsWitness(cs Counters, c int16) bool {
+	return !empty(p.counters[c-1].witnessWords(p.block(cs, c)))
+}
 
 // checkLive requires the live summary's invariant of cs — a block that
 // holds a witness has its bit set. A reset skipped on a clear bit is sound
@@ -162,6 +186,7 @@ func TestComposeOrderSensitive(t *testing.T) {
 	p := NewProgramRegs(32, 130, 2)
 	g := p.AddClearGroup([]int16{3, 70, 129})
 	c := p.AddCounter(2, 5)
+	o := p.AddCounter(2, OpenGap)
 	acts := []Action{
 		1:  {Test: NoBit, Set: 3, Clear: NoBit},                                        // Set b
 		2:  {Test: 3, Set: NoBit, Clear: NoBit, Report: 102},                           // Test b
@@ -176,6 +201,11 @@ func TestComposeOrderSensitive(t *testing.T) {
 		11: {Test: NoBit, Set: 5, Clear: 3, ClearGroup: g, Report: 111},                // set, clear and group at once
 		12: {Test: 70, Set: 3, Clear: NoBit, SetCtr: c, SetPos: 2},                     // guarded effects
 		13: {Test: NoBit, Set: NoBit, Clear: NoBit, Report: 113},                       // bare reporter
+		14: {Test: NoBit, Set: NoBit, Clear: NoBit, SetCtr: o},                         // Inc o, open: keeps the first
+		15: {Test: NoBit, Set: NoBit, Clear: NoBit, ResetCtr: o},                       // Reset o
+		16: {Test: NoBit, Set: NoBit, Clear: NoBit, TestCtr: o, Report: 116},           // Ctr(o) in window
+		17: {Test: NoBit, Set: NoBit, Clear: NoBit, SetCtr: o, ResetCtr: o},            // Inc o and Reset o
+		18: {Test: 3, Set: NoBit, Clear: NoBit, SetCtr: o},                             // guarded Inc o
 	}
 	for id, a := range acts {
 		if id > 0 {
@@ -187,6 +217,8 @@ func TestComposeOrderSensitive(t *testing.T) {
 		{3, 2}, {2, 3}, {1, 3, 2}, {1, 2, 3}, {3, 1, 2}, // Clear b around Test b
 		{4, 2}, {2, 4}, {1, 4, 2}, {1, 10, 4, 2, 1}, // ClearGroup around Test b
 		{5, 6, 7}, {5, 7, 6}, {6, 5, 7}, {6, 7, 5}, {7, 5, 6}, {7, 6, 5}, // counter ops at one pos
+		{14, 15, 16}, {14, 16, 15}, {15, 14, 16}, {15, 16, 14}, {16, 14, 15}, {16, 15, 14}, // the same on the open counter, where Inc and Reset do not commute
+		{6, 14, 15}, {6, 10, 14, 13, 15, 16}, {15, 14, 15}, {14, 15, 14, 15}, {17}, {6, 17, 16}, {6, 1, 18, 15}, {15, 6, 14}, // a span open ahead of Inc o that Reset o must not join
 		{8, 9}, {9, 8}, // Record r then Gap(r)
 		{1, 3, 1, 3, 1}, {3, 1, 3}, {1, 10, 3, 13, 4, 1, 6, 5, 1}, // set/clear runs across other ops
 		{13, 1, 11, 13, 2, 12, 3, 13}, {10, 12, 2, 7}, {11, 2}, {1, 11, 2},
@@ -200,7 +232,8 @@ func TestComposeOrderSensitive(t *testing.T) {
 				visits[i] = rng.Intn(len(sets))
 			}
 			// Steps of 0 revisit a position; small steps keep witnesses
-			// inside the [2,5] window.
+			// inside the [2,5] window and an open witness close to its
+			// two-byte minimum.
 			step := func() int64 { return int64(rng.Intn(4)) }
 			checkComposed(t, fmt.Sprintf("nil regs/ctrs %v trial %d", nils, trial), p, sets, visits, step, nils[0], nils[1])
 		}
@@ -242,7 +275,11 @@ func TestComposeRandom(t *testing.T) {
 		}
 		for c := rng.Intn(4); c > 0; c-- {
 			lo := int32(1 + rng.Intn(6))
-			p.AddCounter(lo, lo+int32(rng.Intn(150)))
+			if rng.Intn(3) == 0 {
+				p.AddCounter(lo, OpenGap)
+			} else {
+				p.AddCounter(lo, lo+int32(rng.Intn(150)))
+			}
 		}
 		for id := 1; id < numIDs; id++ {
 			if rng.Intn(8) == 0 {
@@ -290,8 +327,9 @@ func TestComposeRandom(t *testing.T) {
 // shape renders a program one word per op, guards with the number of ops
 // they cover: what the shape tests pin.
 func shape(ap AcceptProgram) string {
-	names := [...]string{opTestBit: "bit", opTestGap: "gap", opTestCtr: "ctr", opCtrLive: "live", opSetBits: "set",
-		opClearBits: "clear", opRecordPos: "pos", opCtrRecord: "inc", opCtrReset: "reset", opReport: "report"}
+	names := [...]string{opTestBit: "bit", opTestGap: "gap", opTestCtr: "ctr", opTestOpen: "octr", opCtrLive: "live",
+		opSetBits: "set", opClearBits: "clear", opRecordPos: "pos", opCtrRecord: "inc", opCtrReset: "reset",
+		opOpenRecord: "oinc", opOpenReset: "oreset", opReport: "report"}
 	var words []string
 	for _, o := range ap {
 		w := names[o.kind]
@@ -353,19 +391,24 @@ func TestLiveGuardShapes(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		p.AddCounter(2, 40)
 	}
+	open := p.AddCounter(3, OpenGap) // counter 71, on the second live word
+	open1 := p.AddCounter(3, OpenGap)
 	plain := Action{Test: NoBit, Set: NoBit, Clear: NoBit}
 	with := func(f func(*Action)) Action { a := plain; f(&a); return a }
-	for c := int16(1); c <= 70; c++ {
+	for c := int16(1); c <= open1; c++ {
 		p.SetAction(int32(c), with(func(a *Action) { a.ResetCtr = c })) // id c: Reset c
 	}
-	p.SetAction(101, with(func(a *Action) { a.SetCtr = 1 }))                // Inc 1
-	p.SetAction(102, with(func(a *Action) { a.Test, a.ResetCtr = 5, 2 }))   // Test 5 to Reset 2
-	p.SetAction(103, with(func(a *Action) { a.Set, a.Report = 7, 9 }))      // Set 7 and Match
-	p.SetAction(104, with(func(a *Action) { a.Set, a.SetPos = 8, 1 }))      // Set 8 and Record 1
-	p.SetAction(105, with(func(a *Action) { a.TestCtr, a.Report = 1, 3 }))  // Ctr(1) in window to Match
-	p.SetAction(106, with(func(a *Action) { a.ResetCtr, a.Clear = 1, 7 }))  // Clear 7 and Reset 1
-	p.SetAction(107, with(func(a *Action) { a.SetCtr, a.ResetCtr = 3, 3 })) // Inc 3 and Reset 3
-	p.SetAction(108, with(func(a *Action) { a.ResetCtr, a.Set = 68, 100 })) // Set 100 and Reset 68
+	p.SetAction(101, with(func(a *Action) { a.SetCtr = 1 }))                  // Inc 1
+	p.SetAction(102, with(func(a *Action) { a.Test, a.ResetCtr = 5, 2 }))     // Test 5 to Reset 2
+	p.SetAction(103, with(func(a *Action) { a.Set, a.Report = 7, 9 }))        // Set 7 and Match
+	p.SetAction(104, with(func(a *Action) { a.Set, a.SetPos = 8, 1 }))        // Set 8 and Record 1
+	p.SetAction(105, with(func(a *Action) { a.TestCtr, a.Report = 1, 3 }))    // Ctr(1) in window to Match
+	p.SetAction(106, with(func(a *Action) { a.ResetCtr, a.Clear = 1, 7 }))    // Clear 7 and Reset 1
+	p.SetAction(107, with(func(a *Action) { a.SetCtr, a.ResetCtr = 3, 3 }))   // Inc 3 and Reset 3
+	p.SetAction(108, with(func(a *Action) { a.ResetCtr, a.Set = 68, 100 }))   // Set 100 and Reset 68
+	p.SetAction(109, with(func(a *Action) { a.SetCtr = open }))               // Inc 71
+	p.SetAction(110, with(func(a *Action) { a.TestCtr, a.Report = open, 4 })) // Ctr(71) in window to Match
+	p.SetAction(111, with(func(a *Action) { a.SetCtr, a.ResetCtr = open, open }))
 	all := make([]int32, 70)
 	for i := range all {
 		all[i] = int32(i + 1)
@@ -387,6 +430,13 @@ func TestLiveGuardShapes(t *testing.T) {
 		{"one action's Inc c and Reset c", []int32{2, 107}, "live+2 reset reset inc"},
 		{"one guard per live word", []int32{1, 66, 2, 108, 67}, "live+2 reset reset live+3 reset reset reset set"},
 		{"seventy counters", all, "live+64" + strings.Repeat(" reset", 64) + " live+6" + strings.Repeat(" reset", 6)},
+		{"an open counter's reset shares the guard of its live word", []int32{66, 71, 109, 67}, "live+3 reset oreset reset oinc"},
+		{"the splitter's order: Reset c, Inc c, the test of another rule", []int32{71, 109, 110}, "live+1 oreset oinc octr+1 report"},
+		{"Inc c then Reset c, open: the reset stays behind the record", []int32{109, 71}, "oinc live+1 oreset"},
+		{"and does not join a span opened ahead of the record", []int32{66, 109, 71, 67}, "live+1 reset oinc live+2 oreset reset"},
+		{"another open counter's reset still may", []int32{66, 109, 72}, "live+2 reset oreset oinc"},
+		{"one action's Inc c and Reset c, open", []int32{66, 111}, "live+1 reset oinc live+1 oreset"},
+		{"a repeated open reset is dropped on either side of the record", []int32{71, 109, 71}, "live+1 oreset oinc"},
 	} {
 		progs, st := p.Compose([][]int32{tc.ids})
 		if got := shape(progs[0]); got != tc.want {
@@ -413,15 +463,18 @@ func TestLiveGuardShapes(t *testing.T) {
 // random generator rarely reaches, each checked against the oracle after
 // every visit (checkComposed) and then for what the bit must read.
 func TestLiveSummary(t *testing.T) {
-	p := NewProgram(8, 8)
+	p := NewProgram(11, 8)
 	c := p.AddCounter(2, 5) // one bitmap word would hold the window; the block has two
 	d := p.AddCounter(1, 3)
+	o := p.AddCounter(3, OpenGap)
 	plain := Action{Test: NoBit, Set: NoBit, Clear: NoBit}
-	inc, reset, test, guarded, incD, resetD := plain, plain, plain, plain, plain, plain
-	inc.SetCtr, reset.ResetCtr, incD.SetCtr, resetD.ResetCtr = c, c, d, d
+	inc, reset, test, guarded, incD, resetD, incO, resetO, testO := plain, plain, plain, plain, plain, plain, plain, plain, plain
+	inc.SetCtr, reset.ResetCtr, incD.SetCtr, resetD.ResetCtr, incO.SetCtr, resetO.ResetCtr = c, c, d, d, o, o
 	test.TestCtr, test.Report = c, 77
+	testO.TestCtr, testO.Report = o, 78
 	guarded.Test, guarded.ResetCtr = 0, c
-	for id, a := range []Action{1: inc, 2: reset, 3: test, 4: guarded, 5: incD, 6: resetD, 7: {Test: NoBit, Set: 0, Clear: NoBit}} {
+	for id, a := range []Action{1: inc, 2: reset, 3: test, 4: guarded, 5: incD, 6: resetD, 7: {Test: NoBit, Set: 0, Clear: NoBit},
+		8: incO, 9: resetO, 10: testO} {
 		if id > 0 {
 			p.SetAction(int32(id), a)
 		}
@@ -431,22 +484,34 @@ func TestLiveSummary(t *testing.T) {
 		ids []int32
 	}
 	for _, tc := range []struct {
-		name           string
-		visits         []visit
-		witness, liveC bool // of counter c, after the last visit
-		confirmed      int  // reports of the counter test over all visits
+		name          string
+		visits        []visit
+		witness, live bool  // of the counter watched, after the last visit
+		confirmed     int   // reports of the counter test over all visits
+		watched       int16 // c, or the open counter o
 	}{
-		{"Inc c then Reset c at one position: the witness survives", []visit{{10, []int32{1, 2}}, {13, []int32{3}}}, true, true, 1},
-		{"Reset c then Inc c at one position: the same", []visit{{10, []int32{2, 1}}, {13, []int32{3}}}, true, true, 1},
-		{"a later Reset c kills it and clears the bit", []visit{{10, []int32{1}}, {11, []int32{2}}, {13, []int32{3}}}, false, false, 0},
-		{"Reset c after the witness aged out, inside the bitmap", []visit{{10, []int32{1}}, {100, []int32{2}}}, false, false, 0},
-		{"Reset c after the witness aged out, beyond the bitmap", []visit{{10, []int32{1}}, {5000, []int32{2}}}, false, false, 0},
-		{"Reset c with a younger witness in a higher word", []visit{{10, []int32{1}}, {70, []int32{1}}, {70, []int32{2}}, {73, []int32{3}}}, true, true, 1},
-		{"a neighbour's reset leaves c alone", []visit{{10, []int32{1, 5}}, {11, []int32{6}}, {13, []int32{3}}}, true, true, 1},
-		{"two ids resetting c in one set", []visit{{10, []int32{1}}, {12, []int32{2, 6, 2}}, {13, []int32{3}}}, false, false, 0},
-		{"a guarded reset whose guard fails", []visit{{10, []int32{1}}, {11, []int32{4}}, {13, []int32{3}}}, true, true, 1},
-		{"a guarded reset whose guard passes", []visit{{10, []int32{1, 7}}, {11, []int32{4}}, {13, []int32{3}}}, false, false, 0},
-		{"a reset on a counter never recorded", []visit{{10, []int32{2, 6}}, {13, []int32{3}}}, false, false, 0},
+		{"Inc c then Reset c at one position: the witness survives", []visit{{10, []int32{1, 2}}, {13, []int32{3}}}, true, true, 1, c},
+		{"Reset c then Inc c at one position: the same", []visit{{10, []int32{2, 1}}, {13, []int32{3}}}, true, true, 1, c},
+		{"a later Reset c kills it and clears the bit", []visit{{10, []int32{1}}, {11, []int32{2}}, {13, []int32{3}}}, false, false, 0, c},
+		{"Reset c after the witness aged out, inside the bitmap", []visit{{10, []int32{1}}, {100, []int32{2}}}, false, false, 0, c},
+		{"Reset c after the witness aged out, beyond the bitmap", []visit{{10, []int32{1}}, {5000, []int32{2}}}, false, false, 0, c},
+		{"Reset c with a younger witness in a higher word", []visit{{10, []int32{1}}, {70, []int32{1}}, {70, []int32{2}}, {73, []int32{3}}}, true, true, 1, c},
+		{"a neighbour's reset leaves c alone", []visit{{10, []int32{1, 5}}, {11, []int32{6}}, {13, []int32{3}}}, true, true, 1, c},
+		{"two ids resetting c in one set", []visit{{10, []int32{1}}, {12, []int32{2, 6, 2}}, {13, []int32{3}}}, false, false, 0, c},
+		{"a guarded reset whose guard fails", []visit{{10, []int32{1}}, {11, []int32{4}}, {13, []int32{3}}}, true, true, 1, c},
+		{"a guarded reset whose guard passes", []visit{{10, []int32{1, 7}}, {11, []int32{4}}, {13, []int32{3}}}, false, false, 0, c},
+		{"a reset on a counter never recorded", []visit{{10, []int32{2, 6}}, {13, []int32{3}}}, false, false, 0, c},
+		// The open counter keeps one witness, the first; Inc and Reset at one
+		// position run in id order, and with an older witness the order shows.
+		{"open: Inc o then Reset o on an empty counter: the witness survives", []visit{{12, []int32{8, 9}}, {14, []int32{10}}, {15, []int32{10}}}, true, true, 1, o},
+		{"open: Reset o then Inc o on an empty counter: the same", []visit{{12, []int32{9, 8}}, {14, []int32{10}}, {15, []int32{10}}}, true, true, 1, o},
+		{"open: Inc o then Reset o over an older witness: kept, then killed", []visit{{10, []int32{8}}, {12, []int32{8, 9}}, {15, []int32{10}}}, false, false, 0, o},
+		{"open: Reset o then Inc o over an older witness: killed, then pos recorded", []visit{{10, []int32{8}}, {12, []int32{9, 8}}, {14, []int32{10}}, {15, []int32{10}}}, true, true, 1, o},
+		{"open: the same behind a neighbour's reset, whose span Reset o must not join across Inc o", []visit{{10, []int32{8}}, {12, []int32{6, 8, 9}}, {15, []int32{10}}}, false, false, 0, o},
+		{"open: a later Inc o does not move the witness", []visit{{10, []int32{8}}, {12, []int32{8}}, {13, []int32{10}}}, true, true, 1, o},
+		{"open: the witness never ages out", []visit{{10, []int32{8}}, {1 << 40, []int32{10}}}, true, true, 1, o},
+		{"open: a later Reset o kills it and clears the bit", []visit{{10, []int32{8}}, {11, []int32{9}}, {20, []int32{10}}}, false, false, 0, o},
+		{"open: a reset on a counter never recorded", []visit{{10, []int32{9, 2}}, {20, []int32{10}}}, false, false, 0, o},
 	} {
 		for _, nilCtrs := range []bool{false, true} {
 			sets := make([][]int32, len(tc.visits))
@@ -474,11 +539,11 @@ func TestLiveSummary(t *testing.T) {
 				}
 				continue
 			}
-			if got := p.holdsWitness(st.cs, c); got != tc.witness {
+			if got := p.holdsWitness(st.cs, tc.watched); got != tc.witness {
 				t.Errorf("%s: counter holds a witness: %v, want %v", tc.name, got, tc.witness)
 			}
-			if got := liveBit(st.cs, c); got != tc.liveC {
-				t.Errorf("%s: live bit %v, want %v", tc.name, got, tc.liveC)
+			if got := liveBit(st.cs, tc.watched); got != tc.live {
+				t.Errorf("%s: live bit %v, want %v", tc.name, got, tc.live)
 			}
 			if confirmed != tc.confirmed {
 				t.Errorf("%s: %d matches confirmed, want %d", tc.name, confirmed, tc.confirmed)

@@ -1,6 +1,9 @@
 package filter
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Counter registers (DESIGN.md §19) extend the filter machine so that
 // bounded gaps A X{n,m} B compile to per-flow counters instead of
@@ -18,6 +21,12 @@ import "fmt"
 // stores a base position plus a sliding bitmap of recent witnesses —
 // bounded by the counter's MaxGap, so the per-flow cost is
 // ceil((MaxGap+1)/64)+1 words of bitmap plus one base word.
+//
+// A window with no upper end is the exception that does fit a scalar: no
+// witness ever ages out, so the earliest one since the last reset passes
+// every test a later one would. A counter whose MaxGap is OpenGap owns one
+// word holding that witness — the shape A[^X]*B compiles to when A and B
+// overlap (DESIGN.md §8).
 
 // NoCtr marks an unused counter slot in an Action. Counters are numbered
 // from 1, like position registers, so the zero value means "unused" and
@@ -30,6 +39,13 @@ const NoCtr = 0
 // regexparse.MaxRepeatCount plus any realistic trailing-segment length.
 const MaxCounterGap = 1 << 12
 
+// OpenGap is the one MaxGap above MaxCounterGap: it marks a window that
+// never closes. An open counter's per-flow block is a single word, the
+// earliest witness since the last reset as position+1 (0: none) — record
+// keeps the first, test asks pos − witness ≥ MinGap, reset kills a witness
+// strictly before pos.
+const OpenGap = math.MaxInt32
+
 // MaxCounters bounds how many counters one program may declare: the
 // Action slots addressing them are int16, and each counter costs per-flow
 // state, so the cap also bounds what a decoded program can demand.
@@ -38,11 +54,15 @@ const MaxCounters = 4096
 // Counter is the static descriptor of one counter register: the inclusive
 // window, in bytes of gap distance, within which a recorded witness
 // satisfies the counter's test. For a rule A X{n,m} B with fixed B-length
-// L, MinGap = n + L and MaxGap = m + L.
+// L, MinGap = n + L and MaxGap = m + L; for A [^X]* B split on positions,
+// MinGap = L and MaxGap = OpenGap.
 type Counter struct {
 	MinGap int32
 	MaxGap int32
 }
+
+// Open reports whether the window has no upper end.
+func (c Counter) Open() bool { return c.MaxGap == OpenGap }
 
 // spanWords returns the number of bitmap words a counter's per-flow block
 // needs. The extra word guarantees that rebasing by whole words (the only
@@ -52,9 +72,28 @@ func (c Counter) spanWords() int {
 	return int(c.MaxGap+1+63)/64 + 1
 }
 
+// words returns the size of the counter's per-flow block: the one witness
+// word of an open counter, or a base word and the bitmap.
+func (c Counter) words() int {
+	if c.Open() {
+		return 1
+	}
+	return 1 + c.spanWords()
+}
+
+// witnessWords returns the words of the counter's block that are zero
+// exactly when it holds no witness: all of an open block, a windowed one's
+// bitmap.
+func (c Counter) witnessWords(block []uint64) []uint64 {
+	if c.Open() {
+		return block
+	}
+	return block[1:]
+}
+
 // AddCounter registers a counter with the given witness window, returning
-// its 1-based index for use in Action.SetCtr/TestCtr/ResetCtr. It panics
-// on out-of-range bounds: the splitter derives them, so a bad value is a
+// its 1-based index for use in Action.SetCtr/TestCtr/ResetCtr; a maxGap of
+// OpenGap makes it an open counter. It panics on out-of-range bounds: the splitter derives them, so a bad value is a
 // construction bug. Untrusted inputs are validated by ReadProgram.
 func (p *Program) AddCounter(minGap, maxGap int32) int16 {
 	if err := checkCounter(Counter{MinGap: minGap, MaxGap: maxGap}); err != nil {
@@ -71,20 +110,21 @@ func (p *Program) AddCounter(minGap, maxGap int32) int16 {
 // checkCounter validates one counter descriptor; shared by the
 // construction panic path and the decode error path.
 func checkCounter(c Counter) error {
-	if c.MinGap < 1 || c.MaxGap < c.MinGap || c.MaxGap > MaxCounterGap {
-		return fmt.Errorf("filter: counter window [%d,%d] outside [1,%d]", c.MinGap, c.MaxGap, MaxCounterGap)
+	if c.MinGap < 1 || c.MaxGap < c.MinGap || (c.MaxGap > MaxCounterGap && !c.Open()) {
+		return fmt.Errorf("filter: counter window [%d,%d] outside [1,%d] and not open", c.MinGap, c.MaxGap, MaxCounterGap)
 	}
 	return nil
 }
 
 // ctrLayout recomputes the flattened per-flow block offsets. Block i holds
-// one base word followed by spanWords bitmap words.
+// one base word followed by spanWords bitmap words, or an open counter's
+// one witness word.
 func (p *Program) ctrLayout() {
 	p.ctrOff = p.ctrOff[:0]
 	total := 0
 	for _, c := range p.counters {
 		p.ctrOff = append(p.ctrOff, int32(total))
-		total += 1 + c.spanWords()
+		total += c.words()
 	}
 	p.ctrTotal = total
 }
@@ -100,7 +140,8 @@ func (p *Program) CounterBounds(c int16) Counter { return p.counters[c-1] }
 func (p *Program) CountersLen() int { return p.ctrTotal }
 
 // Counters is one flow's counter state: the concatenated per-counter
-// blocks (base word, then bitmap words) — the image, [:CountersLen()] —
+// blocks (base word, then bitmap words; or an open counter's one word) —
+// the image, [:CountersLen()] —
 // and behind it the live summary, one bit per counter under the invariant
 // "block holds a witness ⇒ its bit is set", which lets a reset of an empty
 // counter cost one test (accept.go). The summary is derived state: never
@@ -129,13 +170,15 @@ func (p *Program) RestoreCounters(cs, image Counters) {
 	cs.Reset()
 	copy(cs[:p.ctrTotal], image)
 	for i, off := range p.ctrOff {
-		if bm := cs[off+1 : int(off)+1+p.counters[i].spanWords()]; !empty(bm) {
+		c := p.counters[i]
+		if !empty(c.witnessWords(cs[off : int(off)+c.words()])) {
 			*cs.liveWord(int32(i) >> 6) |= 1 << (i & 63)
 		}
 	}
 }
 
-// empty reports whether bitmap words bm hold no witness.
+// empty reports whether bitmap words bm, or an open counter's one word, hold
+// no witness.
 func empty(bm []uint64) bool {
 	for _, w := range bm {
 		if w != 0 {
@@ -164,26 +207,32 @@ func (c Counters) Clone() Counters {
 
 // ValidateCounters checks a restored (possibly truncated, zero-extended)
 // counter image against the program's layout: every counter base word
-// present in cs must lie in [0, pos]. Bases only ever hold positions the
-// flow has passed, so anything else marks a corrupted or foreign context;
-// a base beyond pos would additionally break ctrBlock.record's window
-// arithmetic. Bitmap bits are not constrained — stray witnesses cannot
-// index out of range, only report matches the context claimed.
+// present in cs must lie in [0, pos], and every open counter's word — a
+// position plus one, or zero — in [0, pos+1]. Both only ever hold positions
+// the flow has passed, so anything else marks a corrupted or foreign
+// context; a base beyond pos would additionally break ctrBlock.record's
+// window arithmetic. Bitmap bits are not constrained — stray witnesses
+// cannot index out of range, only report matches the context claimed.
 func (p *Program) ValidateCounters(cs Counters, pos int64) error {
-	for i := range p.counters {
+	for i, c := range p.counters {
 		off := int(p.ctrOff[i])
 		if off >= len(cs) {
 			break
 		}
-		if base := int64(cs[off]); base < 0 || base > pos {
-			return fmt.Errorf("filter: counter %d base %d outside [0,%d]", i+1, base, pos)
+		limit, what := pos, "base"
+		if c.Open() {
+			limit, what = pos+1, "witness word"
+		}
+		if w := int64(cs[off]); w < 0 || w > limit {
+			return fmt.Errorf("filter: counter %d %s %d outside [0,%d]", i+1, what, w, limit)
 		}
 	}
 	return nil
 }
 
-// ctrBlock is one counter's words within a flow's Counters: the base
-// position, then spanWords bitmap words. Accept programs carry each
+// ctrBlock is one windowed counter's words within a flow's Counters: the
+// base position, then spanWords bitmap words. (An open counter's one word is
+// read and written by its ops in place, accept.go.) Accept programs carry each
 // counter op's block bounds resolved, so nothing here consults the
 // Program.
 type ctrBlock []uint64

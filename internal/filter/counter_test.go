@@ -157,6 +157,52 @@ func TestCounterReset(t *testing.T) {
 	}
 }
 
+// TestOpenCounter: a window with no upper end is one word, the earliest
+// witness since the last reset — through ApplyAll, the way a flow reaches it.
+func TestOpenCounter(t *testing.T) {
+	p := NewProgram(4, 1)
+	p.AddCounter(1, 10) // a bitmap block ahead of it, so its offset is not 0
+	c := p.AddCounter(3, OpenGap)
+	if got := p.CountersLen() - int(p.ctrOff[c-1]); got != 1 {
+		t.Fatalf("open counter owns %d words, want 1", got)
+	}
+	p.SetAction(1, Action{Test: NoBit, Set: NoBit, Clear: NoBit, SetCtr: c})
+	p.SetAction(2, Action{Test: NoBit, Set: NoBit, Clear: NoBit, TestCtr: c, Report: 42})
+	p.SetAction(3, Action{Test: NoBit, Set: NoBit, Clear: NoBit, ResetCtr: c})
+	m, cs := p.NewMemory(), p.NewCounters()
+	confirms := func(pos int64) bool { _, ok := p.ApplyAll(m, nil, cs, 2, pos); return ok }
+
+	if confirms(100) {
+		t.Fatal("empty counter confirmed a match")
+	}
+	p.ApplyAll(m, nil, cs, 1, 10)
+	p.ApplyAll(m, nil, cs, 1, 12) // keep-first: 10 stays
+	for pos, want := range map[int64]bool{10: false, 12: false, 13: true, 14: true, 5000: true, 1 << 50: true} {
+		if got := confirms(pos); got != want {
+			t.Errorf("witness 10, MinGap 3, test at %d: %v, want %v", pos, got, want)
+		}
+	}
+	p.ApplyAll(m, nil, cs, 3, 10) // strict: a reset at the witness's own position spares it
+	if !confirms(13) {
+		t.Error("reset at the recording position killed the witness")
+	}
+	p.ApplyAll(m, nil, cs, 3, 11)
+	if confirms(20) || liveBit(cs, c) {
+		t.Error("reset past the witness left it, or its live bit, behind")
+	}
+	p.ApplyAll(m, nil, cs, 1, 0) // position 0 is a witness like any other
+	if !confirms(3) || confirms(2) {
+		t.Error("witness at position 0 mistested")
+	}
+
+	// The live bit is rebuilt from the word itself.
+	fresh := p.NewCounters()
+	p.RestoreCounters(fresh, cs[:p.CountersLen()])
+	if !liveBit(fresh, c) || liveBit(fresh, 1) {
+		t.Errorf("restored live summary: open %v, empty neighbour %v", liveBit(fresh, c), liveBit(fresh, 1))
+	}
+}
+
 func TestApplyAllCounters(t *testing.T) {
 	p := NewProgram(4, 1)
 	c := p.AddCounter(3, 5)
@@ -218,6 +264,17 @@ func TestValidateCounters(t *testing.T) {
 	if err := p.ValidateCounters(nil, 0); err != nil {
 		t.Errorf("nil image rejected: %v", err)
 	}
+
+	// An open counter's word is a position plus one: at most pos+1.
+	o := p.AddCounter(2, OpenGap)
+	cs = p.NewCounters()
+	off = int(p.ctrOff[o-1])
+	for word, ok := range map[uint64]bool{0: true, 1: true, 8: true, 9: false, ^uint64(0): false} {
+		cs[off] = word
+		if err := p.ValidateCounters(cs, 7); (err == nil) != ok {
+			t.Errorf("open witness word %d at pos 7: err %v, want ok %v", word, err, ok)
+		}
+	}
 }
 
 func TestCountersCloneReset(t *testing.T) {
@@ -258,6 +315,10 @@ func TestAddCounterPanics(t *testing.T) {
 	mustPanic("zero mingap", func() { NewProgram(2, 1).AddCounter(0, 5) })
 	mustPanic("inverted window", func() { NewProgram(2, 1).AddCounter(6, 5) })
 	mustPanic("excessive maxgap", func() { NewProgram(2, 1).AddCounter(1, MaxCounterGap+1) })
+	mustPanic("nearly open", func() { NewProgram(2, 1).AddCounter(1, OpenGap-1) })
+	mustPanic("open with zero mingap", func() { NewProgram(2, 1).AddCounter(0, OpenGap) })
+	NewProgram(2, 1).AddCounter(1, OpenGap)
+	NewProgram(2, 1).AddCounter(OpenGap, OpenGap)
 }
 
 func TestCheckActionCounters(t *testing.T) {

@@ -12,8 +12,8 @@
 // Concurrency: a Program is mutated only during construction (SetAction,
 // AddClearGroup); once handed to an engine it is treated as immutable and
 // is safe for concurrent use by any number of flows. All per-flow mutable
-// state lives in Memory and Registers, which belong to exactly one flow
-// and are not safe for concurrent use.
+// state lives in Memory, Registers and Counters, which belong to exactly
+// one flow and are not safe for concurrent use.
 package filter
 
 import (
@@ -78,19 +78,23 @@ type Action struct {
 	ClearGroup int32
 
 	// The counter-register extension (DESIGN.md §19) compiles bounded
-	// gaps A X{n,m} B without state expansion. Counters are 1-based like
-	// position registers; NoCtr (0) means unused.
+	// gaps A X{n,m} B without state expansion, and — on an open-window
+	// counter (OpenGap) — the almost-dot-stars A [^X]* B whose A and B
+	// overlap. Counters are 1-based like position registers; NoCtr (0)
+	// means unused.
 
 	// SetCtr records the current match position as a witness in the
 	// counter, or NoCtr.
 	SetCtr int16
 	// TestCtr requires the counter to hold a witness within its
 	// [MinGap, MaxGap] window of the current position for this action to
-	// take effect, or NoCtr. An empty counter fails the condition.
+	// take effect, or NoCtr. An empty counter fails the condition. An open
+	// counter keeps only its first witness since the last reset, which is
+	// the one that passes whenever any would.
 	TestCtr int16
 	// ResetCtr kills every witness recorded strictly before the current
 	// position, or NoCtr. Emitted on the forbidden-class fragment of a
-	// classed bounded gap A [^X]{n,m} B: an X byte invalidates every
+	// classed gap A [^X]{n,m} B or A [^X]* B: an X byte invalidates every
 	// witness whose gap would contain it.
 	ResetCtr int16
 }

@@ -133,20 +133,22 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-// buildProgramV2 is buildProgram plus counter registers, forcing the v2
-// wire format.
+// buildProgramV2 is buildProgram plus counter registers — two windowed, one
+// open — forcing the v2 wire format.
 func buildProgramV2(t testing.TB) *Program {
 	t.Helper()
 	p := NewProgramRegs(8, 70, 2)
 	g := p.AddClearGroup([]int16{0, 3, 64, 69})
 	c1 := p.AddCounter(3, 12)
 	c2 := p.AddCounter(1, MaxCounterGap)
+	c3 := p.AddCounter(2, OpenGap)
 	p.SetAction(1, Action{Test: NoBit, Set: 0, Clear: NoBit, SetCtr: c1})
 	p.SetAction(2, Action{Test: 0, Set: NoBit, Clear: NoBit, TestCtr: c1, Report: 7})
 	p.SetAction(3, Action{Test: NoBit, Set: NoBit, Clear: 69, ResetCtr: c2})
 	p.SetAction(4, Action{Test: NoBit, Set: NoBit, Clear: NoBit, SetPos: 1, SetCtr: c2})
 	p.SetAction(5, Action{Test: NoBit, Set: NoBit, Clear: NoBit, GapReg: 1, MinGap: 12, Report: 9})
-	p.SetAction(6, Action{Test: NoBit, Set: NoBit, Clear: NoBit, ClearGroup: g})
+	p.SetAction(6, Action{Test: NoBit, Set: NoBit, Clear: NoBit, ClearGroup: g, ResetCtr: c3})
+	p.SetAction(7, Action{Test: NoBit, Set: NoBit, Clear: NoBit, TestCtr: c3, SetCtr: c3, Report: 11})
 	return p
 }
 
@@ -272,11 +274,13 @@ func TestDecodeValidatesEagerlyV2(t *testing.T) {
 	}{
 		{"bad setctr slot", corrupt(data, rec(1)+10, 99), "counter 99"},
 		{"bad testctr slot", corrupt(data, rec(2)+12, -3), "counter -3"},
-		{"bad resetctr slot", corrupt(data, rec(3)+14, 3), "counter 3"},
+		{"bad resetctr slot", corrupt(data, rec(3)+14, 4), "counter 4"},
 		{"bad test bit", corrupt(data, rec(1)+0, 70), "memory bit 70"},
 		{"zero counter mingap", corrupt32(data, ctrBase+0, 0), "counter window"},
 		{"inverted counter window", corrupt32(data, ctrBase+4, 1), "counter window"},
 		{"counter gap over cap", corrupt32(data, ctrBase+8+4, MaxCounterGap+1), "counter window"},
+		{"counter gap one short of open", corrupt32(data, ctrBase+16+4, OpenGap-1), "counter window"},
+		{"open counter with zero mingap", corrupt32(data, ctrBase+16+0, 0), "counter window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,17 +14,20 @@
 // in B or in a final position of A, and |X| is below the class-size
 // threshold.
 //
-// One step beyond the paper: a dot-star that fails the overlap conditions
+// One step beyond the paper: a separator that fails the overlap conditions
 // is not refused when B has a fixed length L ≥ 1. A guard bit cannot say
-// where A ended, but a position register can, so the split is made with
-// the .{n,} mechanism at n = 0 — A records its earliest end, B confirms
-// only when pos − recorded ≥ L (DESIGN.md §8). One step short of it: no
-// separator is split, on a bit or a register, when A matches the empty
-// string — such an A also ends before byte 0, where no fragment fires
-// (DESIGN.md §6). Everything else that fails a check — an almost-dot-star,
-// a variable-length B — is left intact:
-// correctness is never traded for size, at the cost of keeping some state
-// explosion (§I-D).
+// where A ended, but a recorded position can. A dot-star is split with the
+// .{n,} mechanism at n = 0 — A records its earliest end in a position
+// register, B confirms only when pos − recorded ≥ L. An almost-dot-star —
+// also one whose A can end in a byte of X — is split with the [^X]{n,m}
+// mechanism at n = 0 and no m: the record lives in an open-window counter
+// that the [X] fragment resets, so it is A's earliest end since the last X
+// byte (DESIGN.md §8). One step short of it: no separator is split, on a
+// bit, a register or a counter, when A matches the empty string — such an A
+// also ends before byte 0, where no fragment fires (DESIGN.md §6).
+// Everything else that fails a check — X occurring in B, a variable-length
+// B — is left intact: correctness is never traded for size, at the cost of
+// keeping some state explosion (§I-D).
 package splitter
 
 import (
@@ -61,8 +64,8 @@ type Fragment struct {
 }
 
 // Options tunes the splitter. The zero value is the paper's configuration
-// plus position-checked dot-star splits; DisablePositionSplits gives the
-// paper's conditions alone.
+// plus position-checked splits; DisablePositionSplits gives the paper's
+// conditions alone.
 type Options struct {
 	// MaxClassSize overrides DefaultMaxClassSize when positive.
 	MaxClassSize int
@@ -71,11 +74,11 @@ type Options struct {
 	// DisableAlmostDotStar turns off §IV-B decomposition. The HFA baseline
 	// uses this: HASIC factors only plain dot-star history.
 	DisableAlmostDotStar bool
-	// DisablePositionSplits keeps the paper's refusal for a dot-star whose
-	// segments overlap, instead of splitting it on a position register.
-	// The HFA and XFA baselines set it (their published models carry
-	// history bits only), and mfabench builds its "paper conditions" rows
-	// with it.
+	// DisablePositionSplits keeps the paper's refusal for a dot-star or
+	// almost-dot-star whose segments overlap, instead of splitting it on a
+	// position register or an open-window counter. The HFA and XFA
+	// baselines set it (their published models carry history bits only),
+	// and mfabench builds its "paper conditions" rows with it.
 	DisablePositionSplits bool
 	// DisableSafetyChecks skips the overlap and class analyses. It exists
 	// only to demonstrate (in tests and ablations) the false matches the
@@ -109,23 +112,28 @@ type Options struct {
 
 // Stats counts what the splitter did, for construction reports.
 type Stats struct {
-	RulesTotal         int
-	RulesDecomposed    int
-	DotStarSplits      int
-	AlmostSplits       int
-	CountingSplits     int
-	PositionSplits     int // overlapping dot-stars split on a position register instead of refused
-	RefusedOverlap     int // what stays refused: almost-dot-star, or position splits disabled
-	RefusedInfix       int
-	RefusedClassSize   int
-	RefusedXInB        int
-	RefusedXFinalInA   int
-	RefusedCascade     int // rejected because a separator to the right was refused
-	RefusedStructural  int // no top-level concat / empty segment / a left segment that can match empty
-	RefusedVarLength   int // counting gap or overlapping dot-star whose trailing segment has variable length
-	CounterSplits      int // bounded gaps compiled to counter registers
-	RefusedCounterXInB int // classed bounded gap whose forbidden class occurs in B
-	RefusedCounterSpan int // bounded gap whose window exceeds filter.MaxCounterGap (or counter budget)
+	RulesTotal      int
+	RulesDecomposed int
+	DotStarSplits   int
+	AlmostSplits    int
+	CountingSplits  int
+	PositionSplits  int // overlapping dot-stars split on a position register instead of refused
+	// AlmostPositionSplits are the almost-dot-stars split on an open-window
+	// counter, one each, instead of refused for overlap, infix or X final
+	// in A. Those three refusals count what stays refused: every such
+	// separator when position splits are disabled, none otherwise.
+	AlmostPositionSplits int
+	RefusedOverlap       int
+	RefusedInfix         int
+	RefusedClassSize     int
+	RefusedXInB          int
+	RefusedXFinalInA     int
+	RefusedCascade       int // rejected because a separator to the right was refused
+	RefusedStructural    int // no top-level concat / empty segment / a left segment that can match empty
+	RefusedVarLength     int // counting gap or overlapping separator whose trailing segment has variable length
+	CounterSplits        int // bounded gaps compiled to counter registers
+	RefusedCounterXInB   int // classed bounded gap whose forbidden class occurs in B
+	RefusedCounterSpan   int // bounded gap whose window exceeds filter.MaxCounterGap (or counter budget)
 }
 
 // Result is the splitter output: the fragment set for DFA construction,
@@ -143,7 +151,8 @@ type Result struct {
 	// byte costs one filter event regardless of how many rules watch it.
 	ClearGroups [][]int16
 	// Counters are the counter-register descriptors (1-based from the
-	// Actions' point of view) the bounded-gap extension allocated.
+	// Actions' point of view): one per bounded gap the extension split, and
+	// one with an open window per position-checked almost-dot-star.
 	Counters []filter.Counter
 	Stats    Stats
 }
@@ -180,6 +189,7 @@ const (
 	countSep
 	positionSep // a dot-star whose segments overlap: countSep with n = 0
 	boundedSep
+	openSep // an almost-dot-star whose segments overlap: classed boundedSep with n = 0 and no m
 )
 
 // refusal names why a separator was not split.
@@ -473,9 +483,13 @@ func (st *splitState) splitRule(r Rule) error {
 				st.result.Stats.CountingSplits++
 			}
 			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
-		case boundedSep:
+		case boundedSep, openSep:
 			lenB, _ := segments[i+1].FixedLength()
-			ctr := st.allocCtr(int32(gaps[i]+lenB), int32(maxs[i]+lenB))
+			maxGap := int32(maxs[i] + lenB)
+			if kinds[i] == openSep {
+				maxGap = filter.OpenGap
+			}
+			ctr := st.allocCtr(int32(gaps[i]+lenB), maxGap)
 			act.SetCtr = ctr
 			if xs[i].Count() != 0 {
 				// Classed gap: a shared-per-counter [X] fragment kills
@@ -483,7 +497,10 @@ func (st *splitState) splitRule(r Rule) error {
 				// byte. The reset is anchor-independent — an X byte
 				// invalidates outstanding witnesses whether or not the
 				// rule's head ever matched — so the fragment is always
-				// emitted unanchored.
+				// emitted unanchored. Its id is below the recording
+				// fragment's: a byte that both belongs to X and ends A
+				// resets first and records second, which an open counter,
+				// keeping its first witness, depends on.
 				resetID := st.allocID(filter.Action{
 					Test: filter.NoBit, Set: filter.NoBit, Clear: filter.NoBit,
 					Report: filter.NoReport, ResetCtr: ctr,
@@ -491,7 +508,11 @@ func (st *splitState) splitRule(r Rule) error {
 				st.emit(r, regexparse.NewClassNode(xs[i]), resetID, false)
 			}
 			cond = filter.Action{Test: filter.NoBit, TestCtr: ctr}
-			st.result.Stats.CounterSplits++
+			if kinds[i] == openSep {
+				st.result.Stats.AlmostPositionSplits++
+			} else {
+				st.result.Stats.CounterSplits++
+			}
 			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
 		default:
 			bit := st.allocBit()
@@ -569,8 +590,9 @@ func (st *splitState) classify(sep *regexparse.Node) (separatorKind, regexparse.
 
 // admit decides whether the separator between adjacent segments a and b
 // may be split, and how: it returns the kind to split with — a dot-star
-// that fails the overlap conditions becomes a positionSep — or the reason
-// the separator is refused.
+// that fails the overlap conditions becomes a positionSep, an
+// almost-dot-star that does, or whose A can end in X, an openSep — or the
+// reason the separator is refused.
 func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, a, b *regexparse.Node, numSeps int) (separatorKind, refusal, error) {
 	if kind == notSeparator {
 		return kind, notSplittable, nil
@@ -592,15 +614,22 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 		if err != nil || why == accepted {
 			return kind, why, err
 		}
-		if kind != dotStarSep || st.opts.DisablePositionSplits ||
-			(why != refusedOverlap && why != refusedInfix) {
-			return kind, why, nil
-		}
 		// A guard bit cannot say where A ended relative to B; a recorded
 		// position can. The gap test below is overlap-safe for any A whose
 		// ends are all observable (above), as long as B's start is
-		// recoverable from its end.
-		kind = positionSep
+		// recoverable from its end. For an almost-dot-star the record is
+		// reset by X bytes — A's earliest end since the last one — and a
+		// reset ordered ahead of the record takes an A that ends in X too.
+		// X occurring in B is the one condition that is not about where A
+		// ended.
+		if st.opts.DisablePositionSplits || why == refusedXInB {
+			return kind, why, nil
+		}
+		if kind == dotStarSep {
+			kind = positionSep
+		} else {
+			kind = openSep
+		}
 	}
 
 	// The gap test recovers the trailing fragment's start from its end,
@@ -613,18 +642,22 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 	if !fixed || (lenB < 1 && kind != countSep) {
 		return kind, refusedVarLength, nil
 	}
-	if kind != boundedSep {
+	if kind != boundedSep && kind != openSep {
 		return kind, accepted, nil
 	}
 	if maxGap+lenB > filter.MaxCounterGap || len(st.result.Counters) >= filter.MaxCounters-numSeps {
 		return kind, refusedCounterSpan, nil
 	}
 	if x.Count() != 0 {
-		// A classed gap [^X]{n,m} is invalidated by X bytes via reset
-		// events; X occurring inside B would fire a reset mid-B and kill a
-		// still-valid witness, so this condition (like fixed length) is
-		// not skippable.
+		// A classed gap [^X]{n,m} or [^X]* is invalidated by X bytes via
+		// reset events; X occurring inside B would fire a reset mid-B and
+		// kill a still-valid witness, so this condition (like fixed length)
+		// is not skippable. checkSafety stops at the first condition that
+		// fails, so an openSep has not necessarily been through it.
 		if inB, err := classAppearsIn(x, b); err != nil || inB {
+			if kind == openSep {
+				return kind, refusedXInB, err
+			}
 			return kind, refusedCounterXInB, err
 		}
 	}

@@ -174,10 +174,35 @@ func TestOverlapRefused(t *testing.T) {
 		t.Errorf("stats: %+v", st)
 	}
 
-	// An almost-dot-star with the same overlap stays refused.
+	// An almost-dot-star with the same overlap: the record lives in an
+	// open-window counter that a newline resets, and the reset's id is below
+	// the record's.
 	res = split(t, Options{}, `abc[^\n]*bcd`)
-	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 {
-		t.Fatalf("almost-dot-star overlap must refuse: %v %+v", fragmentSources(res), res.Stats)
+	if got := fragmentSources(res); len(got) != 3 || got[0] != `\n` || got[1] != "abc" || got[2] != "bcd" {
+		t.Fatalf("fragments: %v", got)
+	}
+	for i, want := range []string{"Reset 1", "Inc 1", "Ctr(1) in window to Match"} {
+		if got := res.Actions[i+1].String(); got != want {
+			t.Errorf("action %d: %q, want %q", i+1, got, want)
+		}
+	}
+	if len(res.Counters) != 1 || res.Counters[0] != (filter.Counter{MinGap: 3, MaxGap: filter.OpenGap}) || res.NumRegs != 0 || res.MemBits != 0 {
+		t.Errorf("counters %v regs %d bits %d, want one open counter with MinGap 3", res.Counters, res.NumRegs, res.MemBits)
+	}
+	if st := res.Stats; st.AlmostPositionSplits != 1 || st.AlmostSplits != 0 || st.CounterSplits != 0 || st.PositionSplits != 0 || st.RefusedOverlap != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	res = split(t, Options{DisablePositionSplits: true}, `abc[^\n]*bcd`)
+	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 || len(res.Counters) != 0 {
+		t.Fatalf("paper conditions must keep the rule whole: %v %+v", fragmentSources(res), res.Stats)
+	}
+
+	// Infix, and what still refuses: X in B (here through the dot) and a
+	// variable-length B, which cascades.
+	res = split(t, Options{}, `b[^\n]*abc`, `ab[^\n]*b.c`, `qq.*ab[^\n]*bc+d`)
+	if st := res.Stats; len(res.Fragments) != 5 || st.AlmostPositionSplits != 1 || st.RefusedXInB != 1 ||
+		st.RefusedVarLength != 1 || st.RefusedCascade != 1 || st.RefusedOverlap != 0 || st.RefusedInfix != 0 {
+		t.Errorf("fragments %v, stats %+v", fragmentSources(res), st)
 	}
 }
 
@@ -310,8 +335,20 @@ func TestXInBRefused(t *testing.T) {
 }
 
 func TestXFinalInARefused(t *testing.T) {
-	// A ends in a byte of X: simultaneous set+clear cannot be expressed.
+	// A ends in a byte of X: simultaneous set+clear cannot be expressed on a
+	// bit. On an open-window counter it is reset, then record, in id order.
 	res := split(t, Options{}, "ab:[^:]*xyz")
+	if got := fragmentSources(res); len(got) != 3 || got[0] != ":" || got[1] != "ab:" || got[2] != "xyz" {
+		t.Fatalf("fragments: %v", got)
+	}
+	if reset, inc := res.Actions[1], res.Actions[2]; reset.ResetCtr != 1 || inc.SetCtr != 1 || res.Fragments[0].InternalID > res.Fragments[1].InternalID {
+		t.Errorf("reset %s (id %d) must precede record %s (id %d)", reset, res.Fragments[0].InternalID, inc, res.Fragments[1].InternalID)
+	}
+	if st := res.Stats; st.AlmostPositionSplits != 1 || st.RefusedXFinalInA != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	// The paper's conditions alone refuse it.
+	res = split(t, Options{DisablePositionSplits: true}, "ab:[^:]*xyz")
 	if len(res.Fragments) != 1 || res.Stats.RefusedXFinalInA != 1 {
 		t.Fatalf("X final in A must refuse: %v %+v", fragmentSources(res), res.Stats)
 	}
