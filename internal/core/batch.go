@@ -23,7 +23,7 @@ import "matchfilter/internal/dfa"
 // A batch may mix runners from different MFAs (multi-tenant shards,
 // cross-generation drains) and of either layout: every automaton is the
 // one table shape of internal/dfa, so lanes carry their own table views
-// and one loop steps them all. Two kinds of flow take the plain Feed loop
+// and one loop steps them all. Two kinds of flow take Feed's strip loop
 // instead, because lockstep has nothing to give them: a lane left alone
 // (no second chain to overlap with), and a flow whose last scan went to
 // the filter rather than to waiting on table loads, which Add scans on
@@ -38,12 +38,14 @@ const MaxBatchFlows = 16
 // acceptDenseDiv is the routing constant: a flow whose last scan (a lane's
 // flush window, or one chunk) visited an accept state more than once per
 // acceptDenseDiv bytes is filter-bound — its time goes to accept programs
-// and callbacks, which lockstep cannot overlap and only interrupts — and
-// its next chunk is scanned by Feed. Swept on C8 and S24 ∪ CTR24 (DESIGN.md
-// §18): lockstep wins up to a visit per 20 bytes, is level at one per 14
-// and loses from one per 10; real flows sit far to either side (< 10⁻⁴ or
-// ≈ 0.1 per byte).
-const acceptDenseDiv = 16
+// and callbacks, which lockstep cannot overlap and only interrupts, and
+// which Feed's strip loop takes off the walk's load chain altogether — and
+// its next chunk is scanned by Feed. Read off BenchmarkRoutingSweep on C8
+// and S24 ∪ CTR24 (DESIGN.md §18): lockstep wins up to a visit per 33
+// bytes, the loops cross between there and one per 20, and at one per 10
+// lockstep is a quarter slower; real flows sit far to either side
+// (< 10⁻⁴ or ≈ 0.1 per byte).
+const acceptDenseDiv = 32
 
 // batchLane is one flow's deferred scan work plus its lockstep cursor.
 type batchLane struct {

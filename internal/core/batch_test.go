@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
+	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
 )
 
@@ -581,14 +583,59 @@ func TestBatcherRouting(t *testing.T) {
 	}
 }
 
+// The routing benchmarks scan every flow's bytes in benchSeg-byte chunks,
+// benchBurst chunks a lane per flush: a shard's window.
+const benchSeg, benchBurst = 1460, 16
+
+// benchSequential scans each flow from its start through Feed alone.
+func benchSequential(runners []*Runner, data [][]byte, cb MatchFunc) {
+	for f, r := range runners {
+		r.Reset()
+		for lo := 0; lo < len(data[f]); lo += benchSeg {
+			r.Feed(data[f][lo:min(lo+benchSeg, len(data[f]))], cb)
+		}
+	}
+}
+
+// benchBatched scans the same flows (of one length) through fb. With
+// routing off every chunk is deferred, whatever its flow's last scan looked
+// like, so all bytes go through the lockstep loop.
+func benchBatched(fb *FlowBatcher, runners []*Runner, data [][]byte, cb MatchFunc, routing bool) {
+	for _, r := range runners {
+		r.Reset()
+	}
+	per := len(data[0])
+	for base := 0; base < per; base += benchBurst * benchSeg {
+		for lo := base; lo < min(base+benchBurst*benchSeg, per); lo += benchSeg {
+			for f, r := range runners {
+				if !routing {
+					r.dense = false
+				}
+				fb.Add(r, f, data[f][lo:min(lo+benchSeg, per)], cb)
+			}
+		}
+		fb.Flush()
+	}
+}
+
+func newRunners(m *MFA, n int) []*Runner {
+	runners := make([]*Runner, n)
+	for f := range runners {
+		runners[f] = m.NewRunner()
+	}
+	return runners
+}
+
 // BenchmarkLockstepAcceptDense scans the same bytes through a K = 16
 // FlowBatcher, in windows shaped like a shard's (16 segments a lane), and
 // through sequential Feed, on the two kinds of flow the batcher routes
 // apart: C8 over text with an accept visit every tenth byte, which it
-// hands to Feed after the first window (so the two rows should be level),
-// and B217p over text that never matches, which it steps in lockstep.
+// hands to Feed's strip loop after the first window (so the two rows
+// should be level; BenchmarkRoutingSweep says what the hand-over is worth),
+// and B217p over text that never matches, which it steps in lockstep — its
+// sequential row is what a lane left alone pays for the kernel's record.
 func BenchmarkLockstepAcceptDense(b *testing.B) {
-	const flows, per, seg, burst = MaxBatchFlows, 256 << 10, 1460, 16
+	const flows, per = MaxBatchFlows, 256 << 10
 	for _, bc := range []struct{ name, set string }{{"dense-C8", "C8"}, {"sparse-B217p", "B217p"}} {
 		m, words := compileSets(b, Options{}, bc.set)
 		if bc.set == "B217p" {
@@ -599,41 +646,82 @@ func BenchmarkLockstepAcceptDense(b *testing.B) {
 			data[f] = trace.TextLike(per, int64(131+f), words, 0.008)
 		}
 		cb := func(int32, int64) {}
-		runners := make([]*Runner, flows)
-		for f := range runners {
-			runners[f] = m.NewRunner()
-		}
+		runners := newRunners(m, flows)
 		b.Run(bc.name+"/sequential", func(b *testing.B) {
 			b.SetBytes(flows * per)
 			for i := 0; i < b.N; i++ {
-				for f, r := range runners {
-					r.Reset()
-					for lo := 0; lo < per; lo += seg {
-						r.Feed(data[f][lo:min(lo+seg, per)], cb)
-					}
-				}
+				benchSequential(runners, data, cb)
 			}
 		})
 		b.Run(bc.name+"/batched", func(b *testing.B) {
 			b.SetBytes(flows * per)
 			fb := NewFlowBatcher(MaxBatchFlows)
 			for i := 0; i < b.N; i++ {
-				for _, r := range runners {
-					r.Reset()
-				}
-				for base := 0; base < per; base += burst * seg {
-					for lo := base; lo < min(base+burst*seg, per); lo += seg {
-						for f, r := range runners {
-							fb.Add(r, f, data[f][lo:min(lo+seg, per)], cb)
-						}
-					}
-					fb.Flush()
-				}
+				benchBatched(fb, runners, data, cb, true)
 			}
 			_, visits, lockstep, sequentialBytes := fb.Counts()
 			b.ReportMetric(float64(visits)/float64(lockstep+sequentialBytes), "visits/B")
 			b.ReportMetric(float64(lockstep)/float64(lockstep+sequentialBytes), "lockstep-frac")
 		})
+	}
+}
+
+// BenchmarkRoutingSweep is the measurement acceptDenseDiv is read off
+// (DESIGN.md §18): the same bytes through sequential Feed and through the
+// lockstep loop with routing held off, across accept densities, on a
+// narrow-set automaton (C8) and a wide-set one (S24 ∪ CTR24 with
+// counters). The text is word-free and its line breaks — each an accept
+// visit on both sets — are planted at the density under test; 16 flows of
+// 64 KiB. The constant belongs just on the lockstep side of the density
+// where the two columns cross; re-run this after any change to either
+// loop (-bench RoutingSweep -cpu 1 -count 3, alternating with the parent's
+// binary when the question is whether the crossover moved).
+func BenchmarkRoutingSweep(b *testing.B) {
+	const flows, per = MaxBatchFlows, 64 << 10
+	plain := make([][]byte, flows)
+	for f := range plain {
+		plain[f] = bytes.ReplaceAll(trace.TextLike(per, int64(131+f), nil, 0), []byte("\n"), []byte(" "))
+	}
+	counters := Options{Splitter: splitter.Options{EnableCounters: true}}
+	for _, bc := range []struct {
+		name string
+		opts Options
+		sets []string
+	}{{"C8", Options{}, []string{"C8"}}, {"S24+CTR24", counters, []string{"S24", "CTR24"}}} {
+		m, _ := compileSets(b, bc.opts, bc.sets...)
+		runners := newRunners(m, flows)
+		cb := func(int32, int64) {}
+		for _, density := range []float64{0, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.2} {
+			data := make([][]byte, flows)
+			for f := range data {
+				data[f] = bytes.Clone(plain[f])
+				rng := rand.New(rand.NewSource(int64(977 + f)))
+				for i := range data[f] {
+					if rng.Float64() < density {
+						data[f][i] = '\n'
+					}
+				}
+			}
+			name := fmt.Sprintf("%s/%g", bc.name, density)
+			b.Run(name+"/sequential", func(b *testing.B) {
+				b.SetBytes(flows * per)
+				for i := 0; i < b.N; i++ {
+					benchSequential(runners, data, cb)
+				}
+			})
+			b.Run(name+"/lockstep", func(b *testing.B) {
+				b.SetBytes(flows * per)
+				fb := NewFlowBatcher(MaxBatchFlows)
+				for i := 0; i < b.N; i++ {
+					benchBatched(fb, runners, data, cb, false)
+				}
+				_, visits, lockstep, sequentialBytes := fb.Counts()
+				if sequentialBytes != 0 {
+					b.Fatalf("%d bytes left the lockstep loop", sequentialBytes)
+				}
+				b.ReportMetric(float64(visits)/float64(lockstep), "visits/B")
+			})
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"matchfilter/internal/dfa"
@@ -107,9 +108,9 @@ type MFA struct {
 	prog   *filter.Program
 	stats  BuildStats
 
-	// Hot-loop views of the DFA (dfa.ScanTable), cached so Runner.Feed
-	// runs the table walk inline instead of through dfa.Runner callbacks:
-	// the pre-scaled table, the byte→column map, the row stride and the
+	// Hot-loop views of the DFA (dfa.ScanTable), cached so Runner.Feed and
+	// FlowBatcher hand them to the walk without chasing the engine: the
+	// pre-scaled table, the byte→column map, the row stride and the
 	// divider that turns a row base back into a state number.
 	trans       []uint32
 	classOf     []uint8
@@ -223,8 +224,9 @@ type Runner struct {
 	regs filter.Registers
 	ctrs filter.Counters
 
-	// visits counts the flow's accept visits (calls of fire) since Reset,
-	// and dense is FlowBatcher's verdict on the flow's last scan
+	// visits counts the flow's accept visits since Reset (added a strip at
+	// a time by Feed, one at a time by fire), and dense is FlowBatcher's
+	// verdict on the flow's last scan
 	// (batch.go). Both are scheduling state, not matching state: neither
 	// is part of Context.
 	visits int64
@@ -304,35 +306,42 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 
 // Feed advances the flow over data. Every possible match from the DFA is
 // passed through the filter; onMatch is invoked only for confirmed
-// matches of original rules. The DFA walk is inlined here, so the
-// composite engine's hot loop matches a bare DFA until a possible match
-// needs filtering: one load from the always-cached 256-byte class map,
-// one table load and one compare per byte. The table holds pre-scaled
-// row bases (see dfa.ScanTable), so the step is a single add; state
-// numbers are recovered only at accept events and at the end of the call.
+// matches of original rules, in input order. It is the loop of
+// dfa.Runner.Feed — record, then drain — with the filter as the drain:
+// dfa.Strip walks up to dfa.StripLen bytes without a branch on the state
+// it reaches (one class-map load, one table load and one store per byte,
+// over pre-scaled row bases), and the accept programs of the visits its
+// mask names then run in order. The filter is off the walk's
+// dependent-load chain, so match-dense text pays for its visits and not
+// for a mispredicted branch at each; a callback runs up to StripLen-1
+// bytes of walking after the byte it reports, with the same pos and the
+// same Pos(). If onMatch (or an accept program) panics, the strip's later
+// visits are not delivered and the runner keeps the DFA state and
+// position the call found.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
-	m := r.mfa
-	trans := m.trans
-	classOf := m.classOf
+	m, div := r.mfa, r.mfa.div
+	st, scaledAccept := r.dfa.State()*uint32(m.stride), m.acceptStart*uint32(m.stride)
 	pos := r.dfa.Pos()
-	k, div := uint32(m.stride), m.div
-	st := r.dfa.State() * k
-	scaledAccept := m.acceptStart * k
-	for i := 0; i < len(data); i++ {
-		st = trans[st+uint32(classOf[data[i]])]
-		if st >= scaledAccept {
-			r.fire(div.Quo(st-scaledAccept), pos, onMatch)
+	var rows [dfa.StripLen]uint32
+	for len(data) > 0 {
+		var accepts uint64
+		st, accepts = dfa.Strip(m.trans, m.classOf, st, scaledAccept, data, &rows)
+		r.visits += int64(bits.OnesCount64(accepts))
+		for ; accepts != 0; accepts &= accepts - 1 {
+			i := bits.TrailingZeros64(accepts) & (dfa.StripLen - 1) // the mask only tells the compiler i is in range
+			m.fires[div.Quo(rows[i]-scaledAccept)].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
 		}
-		pos++
+		w := min(len(data), dfa.StripLen)
+		data, pos = data[w:], pos+int64(w)
 	}
 	r.dfa.SetState(div.Quo(st), pos)
 }
 
-// fire hands one accept visit to the filter: it runs the accept program
-// of accepting state acceptStart+accept — f composed over the state's
-// decision set — on the flow's memory, registers and counters, and
-// onMatch receives the rules it confirms. Every scan loop, sequential or
-// batched, reaches the filter through here.
+// fire hands one accept visit of the lockstep loop to the filter: it runs
+// the accept program of accepting state acceptStart+accept — f composed
+// over the state's decision set — on the flow's memory, registers and
+// counters, and onMatch receives the rules it confirms. Feed's drain is
+// the same call on a strip's recorded visits.
 func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
 	r.visits++
 	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
 	"matchfilter/internal/splitter"
 )
@@ -411,6 +412,20 @@ func scanModes(t testing.TB, m *MFA, inputs [][]byte, rng *rand.Rand, check func
 			rest = rest[n:]
 		}
 		check("chunks", i, chunked)
+
+		// Fixed chunkings around the sequential loop's strip length: a call
+		// that ends a byte short of a strip, on its edge and a byte past it.
+		for _, n := range []int{1, dfa.StripLen - 1, dfa.StripLen, dfa.StripLen + 1} {
+			if n > 1 && n >= len(input) {
+				continue // one Feed call: the "whole" mode
+			}
+			var evs []event
+			r := m.NewRunner()
+			for lo := 0; lo < len(input); lo += n {
+				r.Feed(input[lo:min(lo+n, len(input))], collect(&evs))
+			}
+			check(fmt.Sprintf("%d-byte chunks", n), i, evs)
+		}
 
 		// The context saved at every cut — between A and B among them —
 		// and restored into a runner that never saw the head.

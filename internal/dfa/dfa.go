@@ -5,7 +5,8 @@
 //
 // There is one table shape: a 256-byte class map plus a row-major
 // numStates × k table whose entries are pre-scaled row bases (next × k),
-// stepped everywhere as st = trans[st+uint32(classOf[b])]. Options.Layout
+// stepped as st = trans[st+uint32(classOf[b])] — by Strip, the kernel of
+// every sequential loop, and by core's lockstep loop. Options.Layout
 // only chooses the columns. Classed (the default via LayoutAuto) keeps one
 // column per byte equivalence class, a table typically 5–20× smaller that
 // stays cache-resident as state counts grow; Flat is the k = 256,
@@ -19,7 +20,8 @@
 // context saved from a flat engine restores into a classed one built from
 // the same NFA (and vice versa). States are renumbered so that all
 // accepting states form a contiguous tail, making the per-byte "did we
-// match" test a single integer compare.
+// match" test a single integer compare — one the sequential kernel turns
+// into a mask bit instead of a branch (strip.go).
 //
 // Concurrency: a *DFA and the Engine wrapping it are immutable after
 // construction and safe for unlimited concurrent readers. All mutable
@@ -449,7 +451,8 @@ func (d *DFA) TransitionTable() []uint32 {
 // st = trans[st+uint32(classOf[b])], and st/stride recovers the state
 // number (for accept-set indexing and context save/restore). All three
 // are shared, read-only views; composite engines (the MFA) cache them
-// once and inline the walk.
+// once and hand them to Strip, or step them in a loop of their own
+// (core.FlowBatcher).
 func (d *DFA) ScanTable() (trans []uint32, classOf []uint8, stride int) {
 	return d.trans, d.classOf, d.numClasses
 }

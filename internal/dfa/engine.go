@@ -1,5 +1,7 @@
 package dfa
 
+import "math/bits"
+
 // MatchFunc receives a match event: the rule's match id and the 0-based
 // offset of the byte at which the match completed.
 type MatchFunc = func(id int32, pos int64)
@@ -10,7 +12,7 @@ type MatchFunc = func(id int32, pos int64)
 // (see classes.go) and differ only in which columns the table keeps.
 type Engine struct {
 	d   *DFA
-	div StrideDiv // row base → state number; read at the accept sites: held in registers across the walk it spills the loop
+	div StrideDiv // row base → state number, for the drain and the write-back
 }
 
 // NewEngine returns a matcher over d.
@@ -61,53 +63,61 @@ func (r *Runner) SetState(s uint32, pos int64) {
 }
 
 // Feed advances the runner over data, invoking onMatch for every element
-// of the decision set of each visited accepting state. This is the hot
-// loop of the whole system: one load from the 256-byte class map (always
-// L1-resident), one table load and one compare per byte. The walk runs
-// over pre-scaled row bases (st = trans[st+classOf[b]], no multiply per
-// byte); conversion to and from state numbers happens once per call, so
-// State/SetState stay layout-independent.
+// of the decision set of each visited accepting state, in input order.
+// This is the sequential loop of the whole system, in two steps a strip:
+// Strip walks up to StripLen bytes — one load from the 256-byte class map
+// (always L1-resident), one table load and one store per byte, no branch
+// on the state reached — and the drain then reports the visits its accept
+// mask names. A callback therefore runs up to StripLen-1 bytes of walking
+// after the byte it reports, with the same pos and the same Pos() (which
+// moves only when Feed returns). The walk runs over pre-scaled row bases
+// (st = trans[st+classOf[b]], no multiply per byte); conversion to and
+// from state numbers happens per visit and once per call, so
+// State/SetState stay layout-independent. If onMatch panics the runner
+// keeps the state and position the call found.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
-	d := r.e.d
-	pos := r.pos
-	trans := d.trans
-	classOf := d.classOf
+	d, div := r.e.d, r.e.div
 	k := uint32(d.numClasses)
-	st := r.state * k
-	scaledAccept := d.acceptStart * k
-	for i := 0; i < len(data); i++ {
-		st = trans[st+uint32(classOf[data[i]])]
-		if st >= scaledAccept {
-			for _, id := range d.accepts[r.e.div.Quo(st-scaledAccept)] {
-				onMatch(id, pos)
+	st, scaledAccept := r.state*k, d.acceptStart*k
+	pos := r.pos
+	var rows [StripLen]uint32
+	for len(data) > 0 {
+		var accepts uint64
+		st, accepts = Strip(d.trans, d.classOf, st, scaledAccept, data, &rows)
+		for ; accepts != 0; accepts &= accepts - 1 {
+			i := bits.TrailingZeros64(accepts) & (StripLen - 1) // the mask only tells the compiler i is in range
+			for _, id := range d.accepts[div.Quo(rows[i]-scaledAccept)] {
+				onMatch(id, pos+int64(i))
 			}
 		}
-		pos++
+		w := min(len(data), StripLen)
+		data, pos = data[w:], pos+int64(w)
 	}
-	r.state = r.e.div.Quo(st)
-	r.pos = pos
+	r.state, r.pos = div.Quo(st), pos
 }
 
 // FeedCount advances the runner over data without reporting individual
-// events, returning only the number of match events. It is the
-// measurement loop used by throughput benchmarks, where the cost of a
-// callback per event would distort engine comparisons.
+// events, returning only the number of match events: Feed's loop with a
+// sum of decision-set sizes for a drain. It is the measurement loop used
+// by throughput benchmarks, where the cost of a callback per event would
+// distort engine comparisons.
 func (r *Runner) FeedCount(data []byte) int64 {
-	d := r.e.d
-	trans := d.trans
-	classOf := d.classOf
+	d, div := r.e.d, r.e.div
 	k := uint32(d.numClasses)
-	st := r.state * k
-	scaledAccept := d.acceptStart * k
-	var count int64
-	for i := 0; i < len(data); i++ {
-		st = trans[st+uint32(classOf[data[i]])]
-		if st >= scaledAccept {
-			count += int64(len(d.accepts[r.e.div.Quo(st-scaledAccept)]))
-		}
-	}
-	r.state = r.e.div.Quo(st)
+	st, scaledAccept := r.state*k, d.acceptStart*k
 	r.pos += int64(len(data))
+	var count int64
+	var rows [StripLen]uint32
+	for len(data) > 0 {
+		var accepts uint64
+		st, accepts = Strip(d.trans, d.classOf, st, scaledAccept, data, &rows)
+		for ; accepts != 0; accepts &= accepts - 1 {
+			i := bits.TrailingZeros64(accepts) & (StripLen - 1)
+			count += int64(len(d.accepts[div.Quo(rows[i]-scaledAccept)]))
+		}
+		data = data[min(len(data), StripLen):]
+	}
+	r.state = div.Quo(st)
 	return count
 }
 
