@@ -23,7 +23,7 @@ import "matchfilter/internal/dfa"
 // A batch may mix runners from different MFAs (multi-tenant shards,
 // cross-generation drains) and of either layout: every automaton is the
 // one table shape of internal/dfa, so lanes carry their own table views
-// and one loop steps them all. Two kinds of flow take Feed's strip loop
+// and one loop steps them all. Two kinds of flow take Feed's block loop
 // instead, because lockstep has nothing to give them: a lane left alone
 // (no second chain to overlap with), and a flow whose last scan went to
 // the filter rather than to waiting on table loads, which Add scans on
@@ -39,12 +39,14 @@ const MaxBatchFlows = 16
 // flush window, or one chunk) visited an accept state more than once per
 // acceptDenseDiv bytes is filter-bound — its time goes to accept programs
 // and callbacks, which lockstep cannot overlap and only interrupts, and
-// which Feed's strip loop takes off the walk's load chain altogether — and
+// which Feed's block loop takes off the walk's load chains altogether — and
 // its next chunk is scanned by Feed. Read off BenchmarkRoutingSweep on C8
-// and S24 ∪ CTR24 (DESIGN.md §18): lockstep wins up to a visit per 33
-// bytes, the loops cross between there and one per 20, and at one per 10
-// lockstep is a quarter slower; real flows sit far to either side
-// (< 10⁻⁴ or ≈ 0.1 per byte).
+// and S24 ∪ CTR24 (DESIGN.md §18) when Feed walked one chain: lockstep
+// won up to a visit per 33 bytes and lost by a quarter at one per 10. With
+// two chains per block Feed wins that sweep at every density, but routing
+// sparse flows to it too costs 96-byte segments a sixth end to end, so the
+// constant stays; real flows sit far to either side (< 10⁻⁴ or ≈ 0.1 per
+// byte).
 const acceptDenseDiv = 32
 
 // batchLane is one flow's deferred scan work plus its lockstep cursor.

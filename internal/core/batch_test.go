@@ -630,10 +630,10 @@ func newRunners(m *MFA, n int) []*Runner {
 // FlowBatcher, in windows shaped like a shard's (16 segments a lane), and
 // through sequential Feed, on the two kinds of flow the batcher routes
 // apart: C8 over text with an accept visit every tenth byte, which it
-// hands to Feed's strip loop after the first window (so the two rows
+// hands to Feed's block loop after the first window (so the two rows
 // should be level; BenchmarkRoutingSweep says what the hand-over is worth),
 // and B217p over text that never matches, which it steps in lockstep — its
-// sequential row is what a lane left alone pays for the kernel's record.
+// sequential row is what a lane left alone runs.
 func BenchmarkLockstepAcceptDense(b *testing.B) {
 	const flows, per = MaxBatchFlows, 256 << 10
 	for _, bc := range []struct{ name, set string }{{"dense-C8", "C8"}, {"sparse-B217p", "B217p"}} {

@@ -224,11 +224,10 @@ type Runner struct {
 	regs filter.Registers
 	ctrs filter.Counters
 
-	// visits counts the flow's accept visits since Reset (added a strip at
-	// a time by Feed, one at a time by fire), and dense is FlowBatcher's
-	// verdict on the flow's last scan
-	// (batch.go). Both are scheduling state, not matching state: neither
-	// is part of Context.
+	// visits counts the flow's accept visits since Reset (added a mask
+	// word at a time by Feed, one at a time by fire), and dense is
+	// FlowBatcher's verdict on the flow's last scan (batch.go). Both are
+	// scheduling state, not matching state: neither is part of Context.
 	visits int64
 	dense  bool
 }
@@ -308,31 +307,32 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // passed through the filter; onMatch is invoked only for confirmed
 // matches of original rules, in input order. It is the loop of
 // dfa.Runner.Feed — record, then drain — with the filter as the drain:
-// dfa.Strip walks up to dfa.StripLen bytes without a branch on the state
-// it reaches (one class-map load, one table load and one store per byte,
-// over pre-scaled row bases), and the accept programs of the visits its
-// mask names then run in order. The filter is off the walk's
-// dependent-load chain, so match-dense text pays for its visits and not
-// for a mispredicted branch at each; a callback runs up to StripLen-1
-// bytes of walking after the byte it reports, with the same pos and the
-// same Pos(). If onMatch (or an accept program) panics, the strip's later
-// visits are not delivered and the runner keeps the DFA state and
-// position the call found.
+// dfa.WalkBlock walks up to dfa.BlockLen bytes without a branch on the
+// states it reaches (two independent chains over a whole block, one class-
+// map load, one table load and one store per byte, over pre-scaled row
+// bases), and the accept programs of the visits its accept words name then
+// run in order. The filter is off the walk's dependent-load chains, so
+// match-dense text pays for its visits and not for a mispredicted branch
+// at each; a callback runs up to BlockLen-1 bytes of walking after the
+// byte it reports, with the same pos and the same Pos(). If onMatch (or an
+// accept program) panics, the block's later visits are not delivered and
+// the runner keeps the DFA state and position the call found.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	m, div := r.mfa, r.mfa.div
 	st, scaledAccept := r.dfa.State()*uint32(m.stride), m.acceptStart*uint32(m.stride)
 	pos := r.dfa.Pos()
-	var rows [dfa.StripLen]uint32
+	var b dfa.Block
 	for len(data) > 0 {
-		var accepts uint64
-		st, accepts = dfa.Strip(m.trans, m.classOf, st, scaledAccept, data, &rows)
-		r.visits += int64(bits.OnesCount64(accepts))
-		for ; accepts != 0; accepts &= accepts - 1 {
-			i := bits.TrailingZeros64(accepts) & (dfa.StripLen - 1) // the mask only tells the compiler i is in range
-			m.fires[div.Quo(rows[i]-scaledAccept)].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
+		st = dfa.WalkBlock(m.trans, m.classOf, st, scaledAccept, data, &b)
+		n := min(len(data), dfa.BlockLen)
+		for j, accepts := range b.Accepts[:(n+63)/64] {
+			r.visits += int64(bits.OnesCount64(accepts))
+			for ; accepts != 0; accepts &= accepts - 1 {
+				i := (j*64 + bits.TrailingZeros64(accepts)) & (dfa.BlockLen - 1) // the mask only tells the compiler i is in range
+				m.fires[div.Quo(b.Rows[i]-scaledAccept)].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
+			}
 		}
-		w := min(len(data), dfa.StripLen)
-		data, pos = data[w:], pos+int64(w)
+		data, pos = data[n:], pos+int64(n)
 	}
 	r.dfa.SetState(div.Quo(st), pos)
 }
@@ -341,7 +341,7 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 // the accept program of accepting state acceptStart+accept — f composed
 // over the state's decision set — on the flow's memory, registers and
 // counters, and onMatch receives the rules it confirms. Feed's drain is
-// the same call on a strip's recorded visits.
+// the same call on a block's recorded visits.
 func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
 	r.visits++
 	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)

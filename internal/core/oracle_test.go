@@ -413,9 +413,11 @@ func scanModes(t testing.TB, m *MFA, inputs [][]byte, rng *rand.Rand, check func
 		}
 		check("chunks", i, chunked)
 
-		// Fixed chunkings around the sequential loop's strip length: a call
-		// that ends a byte short of a strip, on its edge and a byte past it.
-		for _, n := range []int{1, dfa.StripLen - 1, dfa.StripLen, dfa.StripLen + 1} {
+		// Fixed chunkings around the sequential loop's edges: a call that
+		// ends a byte short of a mask word, of a block's half and of a
+		// whole block, on each edge and a byte past it.
+		const h = dfa.BlockLen / 2
+		for _, n := range []int{1, 63, 64, 65, h - 1, h, h + 1, 2*h - 1, 2 * h, 2*h + 1} {
 			if n > 1 && n >= len(input) {
 				continue // one Feed call: the "whole" mode
 			}

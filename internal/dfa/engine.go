@@ -64,34 +64,35 @@ func (r *Runner) SetState(s uint32, pos int64) {
 
 // Feed advances the runner over data, invoking onMatch for every element
 // of the decision set of each visited accepting state, in input order.
-// This is the sequential loop of the whole system, in two steps a strip:
-// Strip walks up to StripLen bytes — one load from the 256-byte class map
-// (always L1-resident), one table load and one store per byte, no branch
-// on the state reached — and the drain then reports the visits its accept
-// mask names. A callback therefore runs up to StripLen-1 bytes of walking
-// after the byte it reports, with the same pos and the same Pos() (which
-// moves only when Feed returns). The walk runs over pre-scaled row bases
-// (st = trans[st+classOf[b]], no multiply per byte); conversion to and
-// from state numbers happens per visit and once per call, so
-// State/SetState stay layout-independent. If onMatch panics the runner
-// keeps the state and position the call found.
+// This is the sequential loop of the whole system, in two steps a block:
+// WalkBlock walks up to BlockLen bytes — as two independent chains when
+// the block is whole, with no branch on the states reached — and the
+// drain then reports the visits its accept words name, word by word. A
+// callback therefore runs up to BlockLen-1 bytes of walking after the byte
+// it reports, with the same pos and the same Pos() (which moves only when
+// Feed returns). The walk runs over pre-scaled row bases (st =
+// trans[st+classOf[b]], no multiply per byte); conversion to and from
+// state numbers happens per visit and once per call, so State/SetState
+// stay layout-independent. If onMatch panics the runner keeps the state
+// and position the call found.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	d, div := r.e.d, r.e.div
 	k := uint32(d.numClasses)
 	st, scaledAccept := r.state*k, d.acceptStart*k
 	pos := r.pos
-	var rows [StripLen]uint32
+	var b Block
 	for len(data) > 0 {
-		var accepts uint64
-		st, accepts = Strip(d.trans, d.classOf, st, scaledAccept, data, &rows)
-		for ; accepts != 0; accepts &= accepts - 1 {
-			i := bits.TrailingZeros64(accepts) & (StripLen - 1) // the mask only tells the compiler i is in range
-			for _, id := range d.accepts[div.Quo(rows[i]-scaledAccept)] {
-				onMatch(id, pos+int64(i))
+		st = WalkBlock(d.trans, d.classOf, st, scaledAccept, data, &b)
+		n := min(len(data), BlockLen)
+		for j, accepts := range b.Accepts[:(n+63)/64] {
+			for ; accepts != 0; accepts &= accepts - 1 {
+				i := (j*64 + bits.TrailingZeros64(accepts)) & (BlockLen - 1) // the mask only tells the compiler i is in range
+				for _, id := range d.accepts[div.Quo(b.Rows[i]-scaledAccept)] {
+					onMatch(id, pos+int64(i))
+				}
 			}
 		}
-		w := min(len(data), StripLen)
-		data, pos = data[w:], pos+int64(w)
+		data, pos = data[n:], pos+int64(n)
 	}
 	r.state, r.pos = div.Quo(st), pos
 }
@@ -107,15 +108,17 @@ func (r *Runner) FeedCount(data []byte) int64 {
 	st, scaledAccept := r.state*k, d.acceptStart*k
 	r.pos += int64(len(data))
 	var count int64
-	var rows [StripLen]uint32
+	var b Block
 	for len(data) > 0 {
-		var accepts uint64
-		st, accepts = Strip(d.trans, d.classOf, st, scaledAccept, data, &rows)
-		for ; accepts != 0; accepts &= accepts - 1 {
-			i := bits.TrailingZeros64(accepts) & (StripLen - 1)
-			count += int64(len(d.accepts[div.Quo(rows[i]-scaledAccept)]))
+		st = WalkBlock(d.trans, d.classOf, st, scaledAccept, data, &b)
+		n := min(len(data), BlockLen)
+		for j, accepts := range b.Accepts[:(n+63)/64] {
+			for ; accepts != 0; accepts &= accepts - 1 {
+				i := (j*64 + bits.TrailingZeros64(accepts)) & (BlockLen - 1)
+				count += int64(len(d.accepts[div.Quo(b.Rows[i]-scaledAccept)]))
+			}
 		}
-		data = data[min(len(data), StripLen):]
+		data = data[n:]
 	}
 	r.state = div.Quo(st)
 	return count

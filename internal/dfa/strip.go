@@ -1,47 +1,120 @@
 package dfa
 
-// StripLen is the strip length of the sequential walk: Strip advances a
-// flow by at most StripLen bytes and records where it accepted, and the
-// caller drains those visits before the next strip. It is the width of
-// the accept mask, one bit a byte; the 256-byte row buffer sits in L1
-// beside the class map, and 64 bytes amortize the call to a fraction of a
-// cycle a byte.
-const StripLen = 64
+import "math/bits"
 
-// Strip is the sequential walk kernel, the one copy of the byte step
+// The block walk's shape (DESIGN.md §13): a block is two halves of
+// blockHalf bytes walked as two interleaved chains, the second started from
+// the state guessLen bytes of walking reach from the block's entry state.
+// Both were read off BenchmarkStrip's sweep (EXPERIMENTS.md "Two chains per
+// flow") and are constants, not options.
+const (
+	blockHalf = 64
+	guessLen  = 8
+
+	// BlockLen is the most WalkBlock advances a flow by in one call: the
+	// caller drains a block's accept visits before it walks the next.
+	BlockLen = 2 * blockHalf
+)
+
+// Block is what WalkBlock records of the bytes it walked: Rows[i] is the
+// row base after byte i, and bit i%64 of Accepts[i/64] is set when that
+// state accepts. Entries beyond the bytes walked are left as they were.
+type Block struct {
+	Rows    [BlockLen]uint32
+	Accepts [BlockLen / 64]uint64
+}
+
+// WalkBlock is the sequential walk kernel, the one copy of the byte step
 // outside FlowBatcher's lockstep loop (DESIGN.md §13). Over the ScanTable
-// views it walks the first StripLen bytes of w (all of a shorter w) from
-// row base st and returns the row base it reached; rows[i] is the row
-// base after byte i, and bit i of accepts is set when that state accepts.
-// Entries of rows beyond the bytes walked are left as they were.
+// views it walks the first BlockLen bytes of w (all of a shorter w) from
+// row base st, records each byte's row base and accept flag in b, and
+// returns the row base it reached.
 //
-// Record, then drain: the walk is a chain of dependent loads, and anything
-// conditional on a loaded state — a call into the filter, or just the
-// mispredicted branch around one — stalls the chain at one byte in ten on
-// match-dense text. So the kernel decides nothing: it stores every state
-// at an address that does not depend on any of them and folds the accept
-// compare into the mask as a flag (SETcc, shift, or). The caller walks the
-// set bits afterwards, off the chain.
+// Record, then drain: the kernel decides nothing on the state it loads. It
+// stores every row base at an address no state moves and folds the accept
+// compare into a mask word: (st−scaledAccept)>>63 is 1 exactly when st does
+// not accept; it is or-ed into bit 0 and the word rotated right by one, so
+// after 64 bytes byte i's flag is bit i and the word is inverted once. That
+// is a subtract, a shift, an or and a rotate a byte, with no flag
+// instruction and no 64-bit constant — the and with 1<<63 of the obvious
+// form takes a register, and the second chain spills for want of it. The
+// caller walks the set bits.
+//
+// Two chains: a walk is a chain of dependent loads, one per byte. A full
+// block is walked as two: chain A from st over the first half, chain B
+// over the second from a guess — the state reached by walking the guessLen
+// bytes before the half from st. A decomposed automaton forgets all but
+// its last few bytes (the filter holds the long-range memory), so A almost
+// always arrives where B's guess started, and B's half is then exact as
+// recorded: the DFA is deterministic. When it does not, the second half is
+// walked again from A's state, rows and mask bits rewritten, until the
+// walk meets a state B recorded at the same offset; from there on B's
+// record is the true walk. Inputs shorter than a block take one chain.
 //
 // It must stay a leaf of its own: inlined into a Feed loop the register
-// allocator parks st on the stack across the drain's calls, and compiled
-// with a jump on the accept compare it is the loop it replaced (CI's
-// bench-smoke job checks the disassembly).
+// allocator parks the chains on the stack across the drain's calls (CI's
+// bench-smoke job checks the disassembly for the TEXT symbol and for the
+// folded flags, whose place a jump on the accept compare would take).
 //
 //go:noinline
-func Strip(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []byte, rows *[StripLen]uint32) (end uint32, accepts uint64) {
+func WalkBlock(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []byte, b *Block) (end uint32) {
 	// Checked once here, not per byte: the class map covers every byte
-	// value and rows is not nil.
+	// value and b is not nil.
 	classOf := (*[256]uint8)(classMap)
-	_ = rows[0]
-	for i := 0; i < StripLen && i < len(w); i++ {
-		st = trans[st+uint32(classOf[w[i]])]
-		rows[i] = st
-		var hit uint64
-		if st >= scaledAccept {
-			hit = 1
+	_ = b.Rows[0]
+	sa := uint64(scaledAccept)
+	var m uint64
+	if len(w) < BlockLen {
+		for i := range w {
+			st = trans[st+uint32(classOf[w[i]])]
+			b.Rows[i&(BlockLen-1)] = st
+			m = bits.RotateLeft64(m|(uint64(st)-sa)>>63, -1)
+			if i&63 == 63 || i == len(w)-1 { // a short last word is shifted down to its bytes
+				b.Accepts[i>>6&(BlockLen/64-1)] = ^m >> (63 - i&63)
+				m = 0
+			}
 		}
-		accepts |= hit << uint(i)
+		return st
 	}
-	return st, accepts
+	w = w[:BlockLen]
+
+	guess := st
+	for _, c := range w[blockHalf-guessLen : blockHalf] {
+		guess = trans[guess+uint32(classOf[c])]
+	}
+	x, y := st, guess
+	var my uint64
+	for i := 0; i < blockHalf; i++ {
+		x = trans[x+uint32(classOf[w[i]])]
+		y = trans[y+uint32(classOf[w[blockHalf+i]])]
+		b.Rows[i], b.Rows[blockHalf+i] = x, y
+		m = bits.RotateLeft64(m|(uint64(x)-sa)>>63, -1)
+		my = bits.RotateLeft64(my|(uint64(y)-sa)>>63, -1)
+		if i&63 == 63 {
+			j := i >> 6 & (blockHalf/64 - 1)
+			b.Accepts[j], b.Accepts[j+blockHalf/64] = ^m, ^my
+			m, my = 0, 0
+		}
+	}
+	if x == guess {
+		return y
+	}
+
+	// The guess missed: walk the second half from A's state until it meets
+	// B's record. Bits of the word in progress are rebuilt in m and merged
+	// below the offset where the walks meet.
+	for i := blockHalf; i < BlockLen; i++ {
+		x = trans[x+uint32(classOf[w[i]])]
+		if x == b.Rows[i] {
+			low := uint64(1)<<(i&63) - 1
+			b.Accepts[i>>6] = b.Accepts[i>>6]&^low | ^m>>(64-i&63)
+			return y
+		}
+		b.Rows[i] = x
+		m = bits.RotateLeft64(m|(uint64(x)-sa)>>63, -1)
+		if i&63 == 63 {
+			b.Accepts[i>>6], m = ^m, 0
+		}
+	}
+	return x
 }
