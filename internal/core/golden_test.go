@@ -62,6 +62,8 @@ func TestGoldenManifest(t *testing.T) {
 		{"CTR8", counters, []string{"CTR8"}},
 		{"C8", Options{}, []string{"C8"}},
 		{"S24", Options{}, []string{"S24"}},
+		{"B217p", Options{}, []string{"B217p"}},
+		{"C10", Options{}, []string{"C10"}},
 	} {
 		for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutFlat} {
 			opts := gc.opts
