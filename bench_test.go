@@ -23,6 +23,7 @@ import (
 	"matchfilter/internal/patterns"
 	"matchfilter/internal/prefilter"
 	"matchfilter/internal/regexparse"
+	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
 )
 
@@ -254,31 +255,6 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClassThreshold isolates DESIGN.md ablation 3: an
-// almost-dot-star whose gap class admits most of the alphabet floods the
-// filter with gap events when force-decomposed, reproducing the §IV-B
-// throughput collapse that motivates the 128-byte threshold.
-func BenchmarkAblationClassThreshold(b *testing.B) {
-	// X = [^bq] (254 bytes): default refuses; forcing it decomposes.
-	src := "zq[bq]*bq"
-	input := trace.TextLike(256<<10, 9, []string{"zq", "bq"}, 0.005)
-	for _, mode := range []string{"refused-default", "forced-split"} {
-		var opts []Option
-		if mode == "forced-split" {
-			opts = append(opts, WithClassSizeThreshold(255))
-		}
-		e := MustCompile([]string{src}, opts...)
-		b.Run(mode, func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			b.ReportMetric(float64(e.Stats().Fragments), "fragments")
-			for i := 0; i < b.N; i++ {
-				s := e.NewStream(nil)
-				_, _ = s.Write(input)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTableLayout isolates DESIGN.md ablation 1: identical
 // automaton semantics scanned through a flat 4-byte table (DFA) versus
 // 16-byte conditional cells (HFA) on benign traffic, measuring the pure
@@ -328,24 +304,28 @@ func BenchmarkEngineParallel(b *testing.B) {
 }
 
 // BenchmarkAblationCountingGap compares the .{n,} counting-gap extension
-// (DESIGN.md §8) against bounded-repeat expansion: same semantics, two
-// implementations. The imageBytes metric shows the state cost the
-// registers avoid.
+// (DESIGN.md §8, the default) against bounded-repeat expansion under the
+// paper's conditions: same semantics, two implementations. The imageBytes
+// metric shows the state cost the registers avoid.
 func BenchmarkAblationCountingGap(b *testing.B) {
-	const rule = "hdra.{14,}tailz"
+	p, err := regexparse.ParsePCRE("hdra.{14,}tailz")
+	if err != nil {
+		b.Fatal(err)
+	}
 	data := trace.TextLike(256<<10, 8, []string{"hdra", "tailz"}, 0.002)
-	for _, mode := range []string{"registers", "expanded"} {
-		var opts []Option
-		if mode == "registers" {
-			opts = append(opts, WithCountingGaps())
+	for _, mode := range []struct {
+		name string
+		c    splitter.Construction
+	}{{"registers", splitter.Extended}, {"expanded", splitter.Paper}} {
+		m, err := core.Compile([]core.Rule{{Pattern: p, ID: 1}}, core.Options{Splitter: splitter.Options{Construction: mode.c}})
+		if err != nil {
+			b.Fatal(err)
 		}
-		e := MustCompile([]string{rule}, opts...)
-		b.Run(mode, func(b *testing.B) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
-			b.ReportMetric(float64(e.Stats().ImageBytes), "imageBytes")
+			b.ReportMetric(float64(m.Stats().MemoryImageBytes()), "imageBytes")
 			for i := 0; i < b.N; i++ {
-				s := e.NewStream(nil)
-				_, _ = s.Write(data)
+				m.NewRunner().FeedCount(data)
 			}
 		})
 	}
@@ -420,42 +400,6 @@ func BenchmarkSnortPrefilterVsMFA(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
 				mfa.NewRunner().FeedCount(data)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAnchorPrepend quantifies DESIGN.md §7's anchored
-// deviation: the paper's §IV-C prepend scheme vs the default head-only
-// anchoring, on an S-style anchored rule set. Identical semantics
-// (asserted by TestPrependAnchorsEquivalence); the metric of interest is
-// imageBytes.
-func BenchmarkAblationAnchorPrepend(b *testing.B) {
-	sources, err := patterns.Sources("S24")
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := trace.TextLike(128<<10, 12, nil, 0)
-	for _, mode := range []string{"head-only", "paper-prepend"} {
-		rules := make([]core.Rule, len(sources))
-		for i, src := range sources {
-			p, err := regexparse.ParsePCRE(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rules[i] = core.Rule{Pattern: p, ID: int32(i + 1)}
-		}
-		opts := core.Options{}
-		opts.Splitter.PrependAnchors = mode == "paper-prepend"
-		m, err := core.Compile(rules, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportMetric(float64(m.Stats().MemoryImageBytes()), "imageBytes")
-			for i := 0; i < b.N; i++ {
-				m.NewRunner().FeedCount(data)
 			}
 		})
 	}

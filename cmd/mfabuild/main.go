@@ -37,7 +37,6 @@ func run() error {
 	layout := flag.String("layout", "", "transition-table layout: auto, flat, classed (empty = auto)")
 	output := flag.String("o", "", "write the compiled engine to this file for mfascan -engine")
 	check := flag.Bool("check", true, "self-check the compiled automaton (scan a built-in trace, round-trip a flow context) before reporting or writing it")
-	counters := flag.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion")
 	flag.Parse()
 
 	src, err := rules.Source(*set, *rulesFile)
@@ -50,7 +49,6 @@ func run() error {
 	}
 
 	opts := core.Options{}
-	opts.Splitter.EnableCounters = *counters
 	opts.DFA.MaxStates = *maxStates
 	if *layout != "" {
 		l, err := dfa.ParseLayout(*layout)
@@ -80,11 +78,9 @@ func run() error {
 		st.Split.RefusedOverlap, st.Split.RefusedInfix, st.Split.RefusedClassSize,
 		st.Split.RefusedXInB, st.Split.RefusedXFinalInA, st.Split.RefusedVarLength,
 		st.Split.RefusedStructural, st.Split.RefusedCascade)
-	if *counters {
-		fmt.Printf("  counter splits: %d (refused X-in-B/span: %d/%d)\n",
-			st.Split.CounterSplits, st.Split.RefusedCounterXInB, st.Split.RefusedCounterSpan)
-		fmt.Printf("counters:        %d\n", st.Counters)
-	}
+	fmt.Printf("  counter splits: %d (refused X-in-B/span: %d/%d)\n",
+		st.Split.CounterSplits, st.Split.RefusedCounterXInB, st.Split.RefusedCounterSpan)
+	fmt.Printf("counters:        %d\n", st.Counters)
 	fmt.Printf("NFA states:      %d\n", st.NFAStates)
 	fmt.Printf("MFA states:      %d\n", st.DFAStates)
 	fmt.Printf("table layout:    %s (%d classes, table %.3f MB)\n",

@@ -61,7 +61,6 @@ func run() (int, error) {
 	strict := flag.Bool("strict", false, "abort on the first malformed frame or record (exit code 2) instead of skip-and-count")
 	quiet := flag.Bool("q", false, "suppress per-match lines, print only the summary")
 	statsJSON := flag.String("stats-json", "", "write final scan stats as JSON to this file (- for stdout)")
-	counters := flag.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion")
 	flag.Parse()
 
 	var m *core.MFA
@@ -83,9 +82,7 @@ func run() (int, error) {
 		if rs, sources, err = rules.Load(src); err != nil {
 			return exitError, err
 		}
-		var opts core.Options
-		opts.Splitter.EnableCounters = *counters
-		if m, err = core.Compile(rs, opts); err != nil {
+		if m, err = core.Compile(rs, core.Options{}); err != nil {
 			return exitError, err
 		}
 	}

@@ -170,7 +170,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	statsEvery := fs.Duration("stats", 0, "print a stats line to stderr at this interval (0 = off)")
 	quiet := fs.Bool("q", false, "suppress per-match lines, print only the report")
 	adminAddr := fs.String("admin", "", "serve the admin HTTP surface (/metrics, /statsz, /healthz, /events, /reload, /tenants, pprof) on this address, e.g. :9090 (empty = off)")
-	countersFlag := fs.Bool("counters", false, "compile large bounded repeats X{n,m} to filter counter registers instead of state expansion (applies to -set/-rules, hot reloads and tenant rule sets)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitOK, nil
@@ -183,7 +182,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if g.opts.DFA.Layout, err = dfa.ParseLayout(*layoutFlag); err != nil {
 		return exitError, err
 	}
-	g.opts.Splitter.EnableCounters = *countersFlag
 	var memLimit int64
 	if *maxMemory != "" {
 		if memLimit, err = parseCeiling(*maxMemory); err != nil {
@@ -560,7 +558,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 // gate is the one door a rule set passes before it serves, whichever
 // entry it is for and however it was asked — startup, SIGHUP, POST
 // /reload, a -tenant spec, PUT /tenants/<id>/rules: parse, compile with
-// the daemon's build options (-layout, -counters), self-check scan.
+// the daemon's build option (-layout), self-check scan.
 type gate struct{ opts core.Options }
 
 // text admits rule text (the tenant.Compiler behind PUT bodies).

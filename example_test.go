@@ -55,9 +55,9 @@ func ExampleEngine_Stats() {
 }
 
 func ExampleWithCountingGaps() {
-	// A minimum-distance constraint: MSG2 at least 8 bytes after MSG1.
-	engine := matchfilter.MustCompile([]string{"MSG1.{8,}MSG2"},
-		matchfilter.WithCountingGaps())
+	// A minimum-distance constraint: MSG2 at least 8 bytes after MSG1. The
+	// gap compiles to a position register with or without the option.
+	engine := matchfilter.MustCompile([]string{"MSG1.{8,}MSG2"})
 	fmt.Println("near:", len(engine.Scan([]byte("MSG1..MSG2"))))
 	fmt.Println("far: ", len(engine.Scan([]byte("MSG1........MSG2"))))
 	// Output:
@@ -68,9 +68,9 @@ func ExampleWithCountingGaps() {
 func ExampleWithBoundedRepeatCounters() {
 	// A bounded-distance constraint (Snort's distance/within): MSG2
 	// between 8 and 40 bytes after MSG1. The 40-wide window would cost
-	// thousands of expanded DFA states; a counter register costs none.
-	engine := matchfilter.MustCompile([]string{"MSG1.{8,40}MSG2"},
-		matchfilter.WithBoundedRepeatCounters())
+	// thousands of expanded DFA states; the counter register Compile uses,
+	// with or without the option, costs none.
+	engine := matchfilter.MustCompile([]string{"MSG1.{8,40}MSG2"})
 	fmt.Println("near:", len(engine.Scan([]byte("MSG1..MSG2"))))
 	fmt.Println("mid: ", len(engine.Scan([]byte("MSG1........MSG2"))))
 	far := "MSG1" + strings.Repeat(".", 41) + "MSG2"

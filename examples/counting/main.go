@@ -23,9 +23,10 @@ func main() {
 	// say, a mandatory fixed-size header section.
 	const rule = `MSG1.{16,}MSG2`
 
-	withRegisters := matchfilter.MustCompile([]string{rule}, matchfilter.WithCountingGaps())
+	// Compile splits the gap onto a position register by default.
+	withRegisters := matchfilter.MustCompile([]string{rule})
 	// For comparison: the same rule expanded into automaton states.
-	expanded := matchfilter.MustCompile([]string{rule})
+	expanded := matchfilter.MustCompile([]string{rule}, matchfilter.WithoutDecomposition())
 
 	fmt.Printf("rule: %s\n", rule)
 	fmt.Printf("  expanded automaton:  %5d states\n", expanded.Stats().DFAStates)

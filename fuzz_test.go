@@ -32,8 +32,9 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzCompileScan asserts that any accepted pattern can be compiled and
-// scanned without panicking, and that a match's End offset is in range.
+// FuzzCompileScan asserts that any accepted pattern can be compiled under
+// the default construction and scanned without panicking, and that a
+// match's End offset is in range.
 func FuzzCompileScan(f *testing.F) {
 	f.Add("ab.*cd", "xx ab yy cd zz")
 	f.Add(`a[^\n]*b`, "a...b\na\nb")
@@ -42,8 +43,7 @@ func FuzzCompileScan(f *testing.F) {
 	f.Add("ab.{3,9}cd", "ab....cd")
 	f.Add(`ab[^x]{2,20}cd`, "ab....cd ab.x.cd")
 	f.Fuzz(func(t *testing.T, pattern, input string) {
-		e, err := Compile([]string{pattern},
-			WithCountingGaps(), WithBoundedRepeatCounters(), WithMaxStates(2000))
+		e, err := Compile([]string{pattern}, WithMaxStates(2000))
 		if err != nil {
 			return
 		}

@@ -199,15 +199,14 @@ func mfaResult(set string, m *core.MFA) BuildResult {
 // paperConditionsMFA builds the set's MFA under the paper's conditions
 // alone, for the second row Table V and Figure 2 print so the comparison
 // with the published tables survives. ok is false — and nothing is built —
-// when the default build already is the paper's construction: it split no
-// overlapping dot-star on a position register and no overlapping
-// almost-dot-star on an open-window counter.
+// when the default build already is the paper's construction: it split
+// nothing on a position register or a counter.
 func (e *Engines) paperConditionsMFA() (r BuildResult, ok bool, err error) {
-	if st := e.MFA.Stats().Split; st.PositionSplits+st.AlmostPositionSplits == 0 {
+	if st := e.MFA.Stats().Split; st.PositionSplits+st.AlmostPositionSplits+st.CountingSplits+st.CounterSplits == 0 {
 		return BuildResult{}, false, nil
 	}
 	paper, err := core.Compile(coreRules(e.Rules), core.Options{
-		Splitter: splitter.Options{DisablePositionSplits: true},
+		Splitter: splitter.Options{Construction: splitter.Paper},
 	})
 	if err != nil {
 		return BuildResult{}, false, fmt.Errorf("bench: %s MFA under the paper's conditions: %w", e.Set, err)

@@ -36,7 +36,7 @@ type CounterResult struct {
 }
 
 // compileCounterMode builds one set's MFA with bounded repeats either
-// expanded or compiled to counters.
+// expanded (the paper's conditions) or compiled to counters (the default).
 func compileCounterMode(set string, counters bool) (*core.MFA, error) {
 	rules, err := patterns.Load(set)
 	if err != nil {
@@ -47,8 +47,8 @@ func compileCounterMode(set string, counters bool) (*core.MFA, error) {
 		coreRules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
 	}
 	var opts core.Options
-	if counters {
-		opts.Splitter = splitter.Options{EnableCounters: true}
+	if !counters {
+		opts.Splitter.Construction = splitter.Paper
 	}
 	return core.Compile(coreRules, opts)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"matchfilter/internal/patterns"
-	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
 )
 
@@ -41,10 +40,10 @@ func compileSets(tb testing.TB, opts Options, sets ...string) (*MFA, []string) {
 // TestLoadedImageMatchesCompiled scans with an MFA read back from its
 // own image. Everything newMFA derives — table views, accept programs —
 // is absent from the image, so a view wired for Compile and forgotten
-// for ReadMFA would show here; S24 ∪ CTR24 with counters makes the
+// for ReadMFA would show here; S24 ∪ CTR24, counted by default, makes the
 // loaded programs carry bit memory, clear groups and counter registers.
 func TestLoadedImageMatchesCompiled(t *testing.T) {
-	m, words := compileSets(t, Options{Splitter: splitter.Options{EnableCounters: true}}, "S24", "CTR24")
+	m, words := compileSets(t, Options{}, "S24", "CTR24")
 	if m.Stats().Counters == 0 {
 		t.Fatal("set compiled without counter registers")
 	}
@@ -83,7 +82,7 @@ func TestLoadedImageMatchesCompiled(t *testing.T) {
 }
 
 // BenchmarkAcceptFanout measures Feed where accept visits dominate: on
-// S24 ∪ CTR24 with counters every newline (a tenth of TextLike's bytes)
+// S24 ∪ CTR24 every newline (a tenth of TextLike's bytes)
 // lands on a state whose decision set holds ten filter actions, eight of
 // them counter resets, so the cost per byte is the cost of running wide
 // accept programs. On plain text those counters are almost never live and
@@ -94,19 +93,17 @@ func TestLoadedImageMatchesCompiled(t *testing.T) {
 // follow the live counters, not the declared ones). C8, whose decision sets
 // are one or two ids wide and use no counter, is the control.
 func BenchmarkAcceptFanout(b *testing.B) {
-	counters := Options{Splitter: splitter.Options{EnableCounters: true}}
 	for _, bc := range []struct {
 		name string
-		opts Options
 		sets []string
 		live int // recording words planted after every line end
 	}{
-		{"S24+CTR24", counters, []string{"S24", "CTR24"}, 0},
-		{"live-all", counters, []string{"S24", "CTR24"}, 8},
-		{"live-one", counters, []string{"S24", "CTR24"}, 1},
-		{"C8", Options{}, []string{"C8"}, 0},
+		{"S24+CTR24", []string{"S24", "CTR24"}, 0},
+		{"live-all", []string{"S24", "CTR24"}, 8},
+		{"live-one", []string{"S24", "CTR24"}, 1},
+		{"C8", []string{"C8"}, 0},
 	} {
-		m, words := compileSets(b, bc.opts, bc.sets...)
+		m, words := compileSets(b, Options{}, bc.sets...)
 		data := trace.TextLike(1<<20, 131, words, 0.01)
 		if bc.live > 0 {
 			rec := recordingWords(b, bc.sets...)

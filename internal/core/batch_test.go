@@ -10,7 +10,6 @@ import (
 
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
-	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
 )
 
@@ -252,7 +251,7 @@ func TestBatcherWriteBackState(t *testing.T) {
 func TestBatcherMixedWindow(t *testing.T) {
 	flat := compileTest(t, dfa.LayoutFlat, "attack.*payload", "abc")
 	classed := compileTest(t, dfa.LayoutClassed, "x[0-9]+y", "payload")
-	counted, err := Compile(mustRules(t, "gh[^\n]{10,20}ij", "ab\n"), counterOpts())
+	counted, err := Compile(mustRules(t, "gh[^\n]{10,20}ij", "ab\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,8 +668,7 @@ func BenchmarkLockstepAcceptDense(b *testing.B) {
 // BenchmarkRoutingSweep is the measurement acceptDenseDiv is read off
 // (DESIGN.md §18): the same bytes through sequential Feed and through the
 // lockstep loop with routing held off, across accept densities, on a
-// narrow-set automaton (C8) and a wide-set one (S24 ∪ CTR24 with
-// counters). The text is word-free and its line breaks — each an accept
+// narrow-set automaton (C8) and a wide-set one (S24 ∪ CTR24). The text is word-free and its line breaks — each an accept
 // visit on both sets — are planted at the density under test; 16 flows of
 // 64 KiB. The constant belongs just on the lockstep side of the density
 // where the two columns cross; re-run this after any change to either
@@ -682,13 +680,11 @@ func BenchmarkRoutingSweep(b *testing.B) {
 	for f := range plain {
 		plain[f] = bytes.ReplaceAll(trace.TextLike(per, int64(131+f), nil, 0), []byte("\n"), []byte(" "))
 	}
-	counters := Options{Splitter: splitter.Options{EnableCounters: true}}
 	for _, bc := range []struct {
 		name string
-		opts Options
 		sets []string
-	}{{"C8", Options{}, []string{"C8"}}, {"S24+CTR24", counters, []string{"S24", "CTR24"}}} {
-		m, _ := compileSets(b, bc.opts, bc.sets...)
+	}{{"C8", []string{"C8"}}, {"S24+CTR24", []string{"S24", "CTR24"}}} {
+		m, _ := compileSets(b, Options{}, bc.sets...)
 		runners := newRunners(m, flows)
 		cb := func(int32, int64) {}
 		for _, density := range []float64{0, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.2} {

@@ -26,7 +26,7 @@ func feedEvents(r *Runner, data []byte) []event {
 // Corrupt contexts are rejected with ErrBadContext and leave the runner
 // serviceable from the initial state.
 func TestSetContextRejectsCorrupt(t *testing.T) {
-	m := compileMFA(t, countingOpts(), "attack.*payload", "aa.{3,}bb")
+	m := compileMFA(t, Options{}, "attack.*payload", "aa.{3,}bb")
 	states := uint32(m.Stats().DFAStates)
 
 	cases := []struct {
@@ -104,7 +104,7 @@ func TestSetContextClearsStaleState(t *testing.T) {
 // Same property for counting state: position registers from the old flow
 // must not leak through a restore that doesn't mention them.
 func TestSetContextClearsStaleRegisters(t *testing.T) {
-	m := compileMFA(t, countingOpts(), "aa.{3,}bb")
+	m := compileMFA(t, Options{}, "aa.{3,}bb")
 
 	r := m.NewRunner()
 	r.Feed([]byte("aaxxxxx"), nil) // register armed, gap satisfied
@@ -172,7 +172,7 @@ func TestSelfCheckPasses(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{DFA: dfa.Options{Layout: dfa.LayoutFlat}},
-		countingOpts(),
+		paperConditions,
 	} {
 		m := compileMFA(t, opts, "attack.*payload", "evil", "aa.{3,}bb")
 		if err := m.SelfCheck(); err != nil {
@@ -195,7 +195,7 @@ func TestSelfCheckPasses(t *testing.T) {
 // under Feed and under lockstep at K ∈ {1, 4, 16}.
 func TestRestoredWitnessDiesAtLineEnd(t *testing.T) {
 	rules := mustRules(t, "gh[^\n]{10,20}ij", "kl[^\n]*mn")
-	m, err := Compile(rules, counterOpts())
+	m, err := Compile(rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package core
 
 // Tests for the counter-register extension (DESIGN.md §19): bounded gaps
-// of the form X{n,m} decomposed via filter counters. As with the .{n,}
-// counting extension, the ground truth is the undecomposed DFA, which
-// handles {n,m} by repeat expansion — so exact stream equivalence is
-// checkable wherever the expanded automaton still builds.
+// of the form X{n,m} with m ≥ 8 decomposed via filter counters, part of
+// the default construction. As with the .{n,} counting extension, the
+// ground truth is the undecomposed DFA, which handles {n,m} by repeat
+// expansion — so exact stream equivalence is checkable wherever the
+// expanded automaton still builds.
 
 import (
 	"fmt"
@@ -13,37 +14,10 @@ import (
 	"testing"
 
 	"matchfilter/internal/dfa"
-	"matchfilter/internal/splitter"
 )
 
-// counterOpts enables counter compilation with no size threshold, so
-// even small {n,m} gaps — the only kind the expanded ground truth can
-// build — take the counter path.
-func counterOpts() Options {
-	return Options{Splitter: splitter.Options{EnableCounters: true, CounterThreshold: 1}}
-}
-
-// assertCounterEquivalent compiles the rules with counters enabled and
-// checks the match stream against the undecomposed DFA on every input.
-func assertCounterEquivalent(t *testing.T, sources []string, inputs [][]byte) {
-	t.Helper()
-	rules := mustRules(t, sources...)
-	m, err := Compile(rules, counterOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt := groundTruth(t, rules)
-	for _, input := range inputs {
-		got := mfaEvents(m, input)
-		want := dfaEvents(gt, input)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("rules %v input %q:\nMFA  %v\ntruth %v", sources, input, got, want)
-		}
-	}
-}
-
 func TestCounterGapSplit(t *testing.T) {
-	m := compileMFA(t, counterOpts(), "aa.{3,9}bb")
+	m := compileMFA(t, Options{}, "aa.{3,9}bb")
 	st := m.Stats()
 	if st.Split.CounterSplits != 1 {
 		t.Fatalf("stats: %+v", st.Split)
@@ -57,8 +31,8 @@ func TestCounterGapSplit(t *testing.T) {
 	// The decomposed automaton is far smaller than the expanded one.
 	// (Much wider windows do not build at all by expansion — the subset
 	// construction exceeds the state budget; see the heavy pattern sets.)
-	plain := compileMFA(t, Options{}, "aa.{10,14}bb")
-	counted := compileMFA(t, counterOpts(), "aa.{10,14}bb")
+	plain := compileMFA(t, paperConditions, "aa.{10,14}bb")
+	counted := compileMFA(t, Options{}, "aa.{10,14}bb")
 	if counted.Stats().DFAStates*4 > plain.Stats().DFAStates {
 		t.Errorf("counters should shrink the automaton: %d vs %d",
 			counted.Stats().DFAStates, plain.Stats().DFAStates)
@@ -66,18 +40,18 @@ func TestCounterGapSplit(t *testing.T) {
 }
 
 func TestCounterGapSemantics(t *testing.T) {
-	// aa.{3,5}bb: between 3 and 5 bytes strictly between aa and bb.
-	m := compileMFA(t, counterOpts(), "aa.{3,5}bb")
+	// aa.{3,8}bb: between 3 and 8 bytes strictly between aa and bb.
+	m := compileMFA(t, Options{}, "aa.{3,8}bb")
 	for input, want := range map[string]int{
-		"aabb":         0, // gap 0
-		"aa..bb":       0, // gap 2
-		"aa...bb":      1, // gap 3 = n
-		"aa....bb":     1,
-		"aa.....bb":    1, // gap 5 = m
-		"aa......bb":   0, // gap 6 > m
-		"aa...bb...bb": 1, // second bb is at gap 8, outside the window
-		"bb aa...bb":   1,
-		"aaa..bb":      1, // second aa-match end makes the gap exactly 3
+		"aabb":            0, // gap 0
+		"aa..bb":          0, // gap 2
+		"aa...bb":         1, // gap 3 = n
+		"aa....bb":        1,
+		"aa........bb":    1, // gap 8 = m
+		"aa.........bb":   0, // gap 9 > m
+		"aa...bb......bb": 1, // second bb is at gap 11, outside the window
+		"bb aa...bb":      1,
+		"aaa..bb":         1, // the first aa-match end makes the gap exactly 3
 	} {
 		if got := m.Run([]byte(input)); len(got) != want {
 			t.Errorf("%q: %d matches, want %d (%v)", input, len(got), want, got)
@@ -86,35 +60,35 @@ func TestCounterGapSemantics(t *testing.T) {
 }
 
 func TestCounterEquivalenceFixed(t *testing.T) {
-	assertCounterEquivalent(t,
-		[]string{"aa.{3,5}bb"},
+	assertEquivalent(t,
+		[]string{"aa.{3,8}bb"},
 		[][]byte{
 			[]byte("aabb"), []byte("aa..bb"), []byte("aa...bb"), []byte("aa.....bb"),
-			[]byte("aa......bb"), []byte("aa...bb...bb"), []byte("aa aa bb bb"),
-			[]byte("aaxbbyaa....bb"), []byte(strings.Repeat("aa..bb", 10)),
+			[]byte("aa........bb"), []byte("aa.........bb"), []byte("aa...bb......bb"),
+			[]byte("aa aa bb bb"), []byte("aaxbbyaa....bb"), []byte(strings.Repeat("aa..bb", 10)),
 			[]byte("aaa..bb"), []byte("aaaa.bb"), []byte("aa...bbbb"),
 		})
 	// Witness-set property: with two A occurrences, position 5 is
 	// satisfied only by the older witness and a later position only by
 	// the newer — a scalar counter would fail one of them.
-	assertCounterEquivalent(t,
-		[]string{"xy.{2,4}zw"},
+	assertEquivalent(t,
+		[]string{"xy.{2,8}zw"},
 		[][]byte{
-			[]byte("xyxy..zw"),    // young witness at gap 2, old at 4: both qualify
-			[]byte("xyxy....zw"),  // only the young witness qualifies
-			[]byte("xy....xyzw"),  // neither (old expired, young gap 0)
-			[]byte("xyxyxy...zw"), // three witnesses
-			[]byte("xy..zw..zw"),  // second zw out of window
-			[]byte("xy...zwzwzw"), // overlapping zw
+			[]byte("xyxy..zw"),         // young witness at gap 2, old at 4: both qualify
+			[]byte("xyxy.......zw"),    // old at gap 9: only the young witness qualifies
+			[]byte("xy........xyzw"),   // neither (old expired, young gap 0)
+			[]byte("xyxyxy...zw"),      // three witnesses
+			[]byte("xy..zw........zw"), // second zw out of window
+			[]byte("xy...zwzwzw"),      // overlapping zw
 		})
 }
 
 func TestCounterClassedGap(t *testing.T) {
-	// aa[^x]{2,4}bb: an x anywhere in the gap invalidates the witness.
-	assertCounterEquivalent(t,
-		[]string{"aa[^x]{2,4}bb"},
+	// aa[^x]{2,8}bb: an x anywhere in the gap invalidates the witness.
+	assertEquivalent(t,
+		[]string{"aa[^x]{2,8}bb"},
 		[][]byte{
-			[]byte("aa..bb"), []byte("aa....bb"), []byte("aa.....bb"),
+			[]byte("aa..bb"), []byte("aa........bb"), []byte("aa.........bb"),
 			[]byte("aa.x.bb"), // x in the gap kills it
 			[]byte("aax..bb"), // x immediately after aa
 			[]byte("aa..xbb"), // x immediately before bb
@@ -125,29 +99,30 @@ func TestCounterClassedGap(t *testing.T) {
 		})
 	// Forbidden byte that is also A's final byte: the witness recorded at
 	// the same position must survive the reset.
-	assertCounterEquivalent(t,
-		[]string{"ax[^x]{2,4}bb"},
+	assertEquivalent(t,
+		[]string{"ax[^x]{2,8}bb"},
 		[][]byte{
 			[]byte("ax..bb"), []byte("axx..bb"), []byte("ax.x.bb"),
-			[]byte("axax..bb"), []byte("ax....bb"),
+			[]byte("axax..bb"), []byte("ax........bb"), []byte("ax.........bb"),
 		})
 }
 
 func TestCounterDoubleGap(t *testing.T) {
-	assertCounterEquivalent(t,
-		[]string{"aa.{2,4}bb.{3,5}cc"},
+	assertEquivalent(t,
+		[]string{"aa.{2,8}bb.{3,9}cc"},
 		[][]byte{
 			[]byte("aa..bb...cc"),
-			[]byte("aa..bb..cc"),     // second gap too small
-			[]byte("aa.bb...cc"),     // first gap too small
-			[]byte("aa.....bb...cc"), // first gap too large
+			[]byte("aa..bb..cc"),         // second gap too small
+			[]byte("aa.bb...cc"),         // first gap too small
+			[]byte("aa.........bb...cc"), // first gap too large
+			[]byte("aa..bb..........cc"), // second gap too large
 			[]byte("bb aa..bb...cc"),
 			[]byte("aa..bbbb...cc"),
 			[]byte("cc aa...bb....cc cc"),
 		})
 	// Mixed chain: unbounded dot-star, bounded gap, counting gap.
-	assertCounterEquivalent(t,
-		[]string{"hd.*aa.{2,4}bb"},
+	assertEquivalent(t,
+		[]string{"hd.*aa.{2,8}bb"},
 		[][]byte{
 			[]byte("hd aa...bb"),
 			[]byte("aa...bb hd"),
@@ -162,7 +137,7 @@ func TestCounterXInBRefused(t *testing.T) {
 	// cannot take the counter path (a reset would fire inside B's own
 	// bytes) and the rule must compile whole — and still match exactly.
 	rules := mustRules(t, "aa[^b]{3,9}bb")
-	m, err := Compile(rules, counterOpts())
+	m, err := Compile(rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +145,7 @@ func TestCounterXInBRefused(t *testing.T) {
 	if st.Split.CounterSplits != 0 || st.Split.RefusedCounterXInB != 1 {
 		t.Fatalf("stats: %+v", st.Split)
 	}
-	assertCounterEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa[^b]{3,9}bb"},
 		[][]byte{
 			[]byte("aa...bb"), []byte("aa.b.bb"), []byte("aabbbb"),
@@ -181,12 +156,12 @@ func TestCounterXInBRefused(t *testing.T) {
 func TestCounterVariableLengthRefused(t *testing.T) {
 	// B = b+c has variable length: the window arithmetic is undefined, so
 	// the split is refused and the rule compiled whole (still correct).
-	m := compileMFA(t, counterOpts(), "aa.{3,9}b+c")
+	m := compileMFA(t, Options{}, "aa.{3,9}b+c")
 	st := m.Stats()
 	if st.Split.CounterSplits != 0 || st.Split.RefusedVarLength != 1 {
 		t.Fatalf("stats: %+v", st.Split)
 	}
-	assertCounterEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa.{3,9}b+c"},
 		[][]byte{
 			[]byte("aa...bc"), []byte("aa...bbbbc"), []byte("aa.bc"),
@@ -195,34 +170,32 @@ func TestCounterVariableLengthRefused(t *testing.T) {
 }
 
 func TestCounterThresholdGate(t *testing.T) {
-	// Below the threshold the gap stays on the expansion path.
-	opts := Options{Splitter: splitter.Options{EnableCounters: true, CounterThreshold: 10}}
-	m := compileMFA(t, opts, "aa.{2,4}bb")
+	// Below the threshold of 8 the gap stays on the expansion path.
+	m := compileMFA(t, Options{}, "aa.{2,7}bb")
 	if st := m.Stats(); st.Split.CounterSplits != 0 || st.Counters != 0 {
-		t.Fatalf("gap below threshold took the counter path: %+v", st.Split)
+		t.Fatalf("{2,7} took the counter path: %+v", st.Split)
 	}
-	m = compileMFA(t, opts, "aa.{2,14}bb")
+	m = compileMFA(t, Options{}, "aa.{2,8}bb")
 	if st := m.Stats(); st.Split.CounterSplits != 1 || st.Counters != 1 {
-		t.Fatalf("gap above threshold stayed on expansion: %+v", st.Split)
+		t.Fatalf("{2,8} stayed on expansion: %+v", st.Split)
 	}
 }
 
-func TestCounterDisabledByDefault(t *testing.T) {
+func TestCounterOnByDefault(t *testing.T) {
 	m := compileMFA(t, Options{}, "aa.{3,9}bb")
-	if st := m.Stats(); st.Split.CounterSplits != 0 || st.Counters != 0 {
-		t.Fatalf("counters must be opt-in: %+v", st.Split)
+	if st := m.Stats(); st.Split.CounterSplits != 1 || st.Counters != 1 {
+		t.Fatalf("the default construction must count: %+v", st.Split)
 	}
-	// EnableCounting alone must not flip bounded gaps either.
-	m = compileMFA(t, countingOpts(), "aa.{3,9}bb")
+	m = compileMFA(t, paperConditions, "aa.{3,9}bb")
 	if st := m.Stats(); st.Split.CounterSplits != 0 || st.Counters != 0 {
-		t.Fatalf("EnableCounting must not enable counters: %+v", st.Split)
+		t.Fatalf("the paper's conditions must expand: %+v", st.Split)
 	}
 }
 
 func TestCounterContextRoundTrip(t *testing.T) {
 	// Counter state is part of the flow context: a witness recorded before
 	// the save must satisfy the window after a restore into a fresh runner.
-	m := compileMFA(t, counterOpts(), "aa.{3,5}bb")
+	m := compileMFA(t, Options{}, "aa.{3,8}bb")
 	r := m.NewRunner()
 	var got []event
 	collect := func(id int32, pos int64) { got = append(got, event{id, pos}) }
@@ -252,7 +225,7 @@ func TestCounterContextRoundTrip(t *testing.T) {
 }
 
 func TestCounterBadContext(t *testing.T) {
-	m := compileMFA(t, counterOpts(), "aa.{3,5}bb")
+	m := compileMFA(t, Options{}, "aa.{3,8}bb")
 	r := m.NewRunner()
 	_, _, _, ctrs := r.Context()
 	if len(ctrs) == 0 {
@@ -288,13 +261,13 @@ func TestCounterBadContext(t *testing.T) {
 // TestCounterEquivalenceRandom is the satellite property test: random
 // rules over bounded gaps (plain and classed), random rule subsets,
 // random inputs — the counter-compiled MFA must emit a byte-identical
-// (id, pos) match stream to the undecomposed expanded DFA, whole-payload
+// (id, pos) match stream to the undecomposed expanded DFAs, whole-payload
 // and under random chunking, in every table layout, and through the
 // lockstep batcher. Runs under -race in CI.
 func TestCounterEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	words := []string{"aa", "bb", "cc", "xy"}
-	gaps := []string{".{2,4}", ".{3,7}", ".{5,12}", "[^x]{2,6}", "[^\n]{3,8}", ".{4,}", ".*"}
+	gaps := []string{".{2,8}", ".{3,9}", ".{5,12}", "[^x]{2,8}", "[^\n]{3,8}", ".{4,}", ".*"}
 	layouts := []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed}
 	trials := 25
 	if testing.Short() {
@@ -328,7 +301,20 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			sources, words = mixed, mixedWords
 		}
 		rules := mustRules(t, sources...)
-		gt := groundTruth(t, rules)
+		// One expanded DFA per rule: their streams merge into the union's,
+		// and a union of several windows of 8 or more would not build.
+		gts := make([]*dfa.Engine, len(rules))
+		for i := range rules {
+			gts[i] = groundTruth(t, rules[i:i+1])
+		}
+		truth := func(input []byte) []event {
+			var out []event
+			for _, gt := range gts {
+				out = append(out, dfaEvents(gt, input)...)
+			}
+			sortEvents(out)
+			return out
+		}
 
 		var inputs [][]byte
 		for ii := 0; ii < 6; ii++ {
@@ -354,9 +340,7 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 		}
 
 		for _, layout := range layouts {
-			opts := counterOpts()
-			opts.DFA = dfa.Options{Layout: layout}
-			m, err := Compile(rules, opts)
+			m, err := Compile(rules, Options{DFA: dfa.Options{Layout: layout}})
 			if err != nil {
 				t.Fatalf("trial %d layout %v rules %v: %v", trial, layout, sources, err)
 			}
@@ -369,7 +353,7 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 					st.AcceptWidest, st.AcceptWidestQuiet)
 			}
 			for ii, input := range inputs {
-				want := dfaEvents(gt, input)
+				want := truth(input)
 				if got := mfaEvents(m, input); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("trial %d layout %v rules %v input %q:\nMFA  %v\ntruth %v",
 						trial, layout, sources, input, got, want)
@@ -415,8 +399,7 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 
 		// Batched lockstep: all inputs as concurrent flows through one
 		// FlowBatcher must reproduce each flow's sequential stream.
-		opts := counterOpts()
-		m, err := Compile(rules, opts)
+		m, err := Compile(rules, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +435,7 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			}
 			b.Flush()
 			for fi, input := range inputs {
-				want := dfaEvents(gt, input)
+				want := truth(input)
 				sortEvents(streams[fi])
 				if fmt.Sprint(streams[fi]) != fmt.Sprint(want) {
 					t.Fatalf("trial %d k=%d flow %d: batched stream diverges\ngot  %v\ntruth %v",

@@ -1,9 +1,10 @@
 package core
 
 // Tests for the counting-condition extension (§VI future work): gaps of
-// the form .{n,} decomposed via filter position registers. The ground
-// truth is the undecomposed DFA, which handles .{n,} by bounded repeat
-// expansion — so exact stream equivalence is checkable.
+// the form .{n,} decomposed via filter position registers, part of the
+// default construction. The ground truth is the undecomposed DFA, which
+// handles .{n,} by bounded repeat expansion — so exact stream equivalence
+// is checkable.
 
 import (
 	"math/rand"
@@ -13,35 +14,12 @@ import (
 	"matchfilter/internal/splitter"
 )
 
-func countingOpts() Options {
-	return Options{Splitter: splitter.Options{EnableCounting: true}}
-}
-
-// assertCountingEquivalent is assertEquivalent with the extension on.
-func assertCountingEquivalent(t *testing.T, sources []string, inputs [][]byte) {
-	t.Helper()
-	rules := mustRules(t, sources...)
-	m, err := Compile(rules, countingOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt := groundTruth(t, rules)
-	for _, input := range inputs {
-		got := mfaEvents(m, input)
-		want := dfaEvents(gt, input)
-		if len(got) != len(want) {
-			t.Fatalf("rules %v input %q:\nMFA  %v\ntruth %v", sources, input, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("rules %v input %q:\nMFA  %v\ntruth %v", sources, input, got, want)
-			}
-		}
-	}
-}
+// paperConditions builds without the steps beyond the paper: .{n,} and
+// X{n,m} gaps stay in their rules, for the DFA to expand.
+var paperConditions = Options{Splitter: splitter.Options{Construction: splitter.Paper}}
 
 func TestCountingGapSplit(t *testing.T) {
-	m, err := Compile(mustRules(t, "aa.{3,}bb"), countingOpts())
+	m, err := Compile(mustRules(t, "aa.{3,}bb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +34,11 @@ func TestCountingGapSplit(t *testing.T) {
 		t.Fatalf("fragments = %d", st.NumFragments)
 	}
 	// The decomposed automaton is far smaller than the expanded one.
-	plain, err := Compile(mustRules(t, "aa.{10,}bb"), Options{})
+	plain, err := Compile(mustRules(t, "aa.{10,}bb"), paperConditions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := Compile(mustRules(t, "aa.{10,}bb"), countingOpts())
+	counted, err := Compile(mustRules(t, "aa.{10,}bb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +50,7 @@ func TestCountingGapSplit(t *testing.T) {
 
 func TestCountingGapSemantics(t *testing.T) {
 	// aa.{3,}bb: at least 3 bytes strictly between aa and bb.
-	m, err := Compile(mustRules(t, "aa.{3,}bb"), countingOpts())
+	m, err := Compile(mustRules(t, "aa.{3,}bb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +71,7 @@ func TestCountingGapSemantics(t *testing.T) {
 }
 
 func TestCountingEquivalenceFixed(t *testing.T) {
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa.{3,}bb"},
 		[][]byte{
 			[]byte("aabb"), []byte("aa.bb"), []byte("aa..bb"), []byte("aa...bb"),
@@ -103,7 +81,7 @@ func TestCountingEquivalenceFixed(t *testing.T) {
 		})
 	// Earliest-witness property: a later closer A must not mask an
 	// earlier qualifying one.
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"xy.{5,}zw"},
 		[][]byte{
 			[]byte("xy......xyzw"), // first xy qualifies, second does not
@@ -115,7 +93,7 @@ func TestCountingEquivalenceFixed(t *testing.T) {
 func TestCountingChainWithDotStar(t *testing.T) {
 	// Mixed chain: dot-star guard followed by a counting gap and vice
 	// versa.
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"hd.*aa.{4,}bb"},
 		[][]byte{
 			[]byte("hd aa....bb"),
@@ -124,7 +102,7 @@ func TestCountingChainWithDotStar(t *testing.T) {
 			[]byte("aa hd aa....bb"),   // early aa before hd is not a witness
 			[]byte("hd..aa..aa....bb"), // two aa candidates
 		})
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa.{4,}bb.*tl"},
 		[][]byte{
 			[]byte("aa....bb tl"),
@@ -135,7 +113,7 @@ func TestCountingChainWithDotStar(t *testing.T) {
 }
 
 func TestCountingDoubleGap(t *testing.T) {
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa.{2,}bb.{3,}cc"},
 		[][]byte{
 			[]byte("aa..bb...cc"),
@@ -150,7 +128,7 @@ func TestCountingDoubleGap(t *testing.T) {
 func TestCountingVariableLengthRefused(t *testing.T) {
 	// B = b+ has variable length: the gap arithmetic is undefined, so the
 	// split must be refused and the rule compiled whole (still correct).
-	m, err := Compile(mustRules(t, "aa.{3,}b+c"), countingOpts())
+	m, err := Compile(mustRules(t, "aa.{3,}b+c"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +136,7 @@ func TestCountingVariableLengthRefused(t *testing.T) {
 	if st.Split.CountingSplits != 0 || st.Split.RefusedVarLength != 1 {
 		t.Fatalf("stats: %+v", st.Split)
 	}
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{"aa.{3,}b+c"},
 		[][]byte{
 			[]byte("aa...bc"), []byte("aa...bbbbc"), []byte("aa.bc"),
@@ -166,20 +144,21 @@ func TestCountingVariableLengthRefused(t *testing.T) {
 		})
 }
 
-func TestCountingDisabledByDefault(t *testing.T) {
-	m, err := Compile(mustRules(t, "aa.{3,}bb"), Options{})
-	if err != nil {
-		t.Fatal(err)
+func TestCountingOnByDefault(t *testing.T) {
+	m := compileMFA(t, Options{}, "aa.{3,}bb")
+	if st := m.Stats(); st.Split.CountingSplits != 1 || st.PosRegs != 1 {
+		t.Fatalf("the default construction must count: %+v", st.Split)
 	}
-	if m.Stats().Split.CountingSplits != 0 || m.Stats().PosRegs != 0 {
-		t.Fatalf("counting must be opt-in: %+v", m.Stats().Split)
+	m = compileMFA(t, paperConditions, "aa.{3,}bb")
+	if st := m.Stats(); st.Split.CountingSplits != 0 || st.PosRegs != 0 {
+		t.Fatalf("the paper's conditions must expand: %+v", st.Split)
 	}
 }
 
 func TestCountingLeadingGapNotTrimmed(t *testing.T) {
 	// .{5,}bb requires bb to end at offset >= 6; a leading counting gap
 	// must not be trimmed like a leading .*.
-	assertCountingEquivalent(t,
+	assertEquivalent(t,
 		[]string{".{5,}bb"},
 		[][]byte{
 			[]byte("bb"), []byte("...bb"), []byte(".....bb"), []byte("....bb"),
@@ -190,7 +169,7 @@ func TestCountingLeadingGapNotTrimmed(t *testing.T) {
 func TestCountingContextRoundTrip(t *testing.T) {
 	// Registers are part of the flow context: save/restore must preserve
 	// the recorded position.
-	m, err := Compile(mustRules(t, "aa.{3,}bb"), countingOpts())
+	m, err := Compile(mustRules(t, "aa.{3,}bb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +226,6 @@ func TestCountingEquivalenceRandom(t *testing.T) {
 			}
 			inputs = append(inputs, []byte(in.String()))
 		}
-		assertCountingEquivalent(t, []string{source}, inputs)
+		assertEquivalent(t, []string{source}, inputs)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/patterns"
-	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
 )
 
@@ -51,24 +50,20 @@ func recordingWords(tb testing.TB, sets ...string) []string {
 // `go test ./internal/core -run TestGoldenManifest -update` rewrites it
 // after an intended change, and the diff is that change.
 func TestGoldenManifest(t *testing.T) {
-	counters := Options{Splitter: splitter.Options{EnableCounters: true}}
 	var got strings.Builder
 	for _, gc := range []struct {
 		name string
-		opts Options
 		sets []string
 	}{
-		{"S24+CTR24", counters, []string{"S24", "CTR24"}},
-		{"CTR8", counters, []string{"CTR8"}},
-		{"C8", Options{}, []string{"C8"}},
-		{"S24", Options{}, []string{"S24"}},
-		{"B217p", Options{}, []string{"B217p"}},
-		{"C10", Options{}, []string{"C10"}},
+		{"S24+CTR24", []string{"S24", "CTR24"}},
+		{"CTR8", []string{"CTR8"}},
+		{"C8", []string{"C8"}},
+		{"S24", []string{"S24"}},
+		{"B217p", []string{"B217p"}},
+		{"C10", []string{"C10"}},
 	} {
 		for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutFlat} {
-			opts := gc.opts
-			opts.DFA.Layout = layout
-			m, words := compileSets(t, opts, gc.sets...)
+			m, words := compileSets(t, Options{DFA: dfa.Options{Layout: layout}}, gc.sets...)
 			name := gc.name + "/" + m.Stats().DFALayout
 			var image bytes.Buffer
 			if _, err := m.WriteTo(&image); err != nil {

@@ -10,7 +10,6 @@ import (
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/nfa"
 	"matchfilter/internal/regexparse"
-	"matchfilter/internal/splitter"
 )
 
 func mustRules(t *testing.T, sources ...string) []Rule {
@@ -159,28 +158,6 @@ func TestTableIVWalkthrough(t *testing.T) {
 	got := mfaEvents(m, input)
 	if len(got) != 1 || got[0] != (event{1, 16}) {
 		t.Fatalf("filtered matches: %v", got)
-	}
-}
-
-func TestUnsafeDecompositionFalseMatch(t *testing.T) {
-	// §IV-A: force-decomposing .*abc.*bcd wrongly matches "abcd". With
-	// safety checks on, the rule stays whole and "abcd" is rejected.
-	rules := mustRules(t, "abc.*bcd")
-	unsafe, err := Compile(rules, Options{
-		Splitter: splitter.Options{DisableSafetyChecks: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := unsafe.Run([]byte("abcd")); len(got) != 1 {
-		t.Fatalf("unsafe decomposition should produce the false match: %v", got)
-	}
-	safe := compileMFA(t, Options{}, "abc.*bcd")
-	if got := safe.Run([]byte("abcd")); len(got) != 0 {
-		t.Fatalf("safe MFA must reject abcd: %v", got)
-	}
-	if got := safe.Run([]byte("abc bcd")); len(got) != 1 {
-		t.Fatalf("safe MFA must still match the real pattern: %v", got)
 	}
 }
 
@@ -417,40 +394,4 @@ func TestDFAStateCapPropagates(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected state-budget error")
 	}
-}
-
-// TestPrependAnchorsEquivalence checks that the paper's §IV-C anchored
-// scheme and our default produce identical match streams, while the
-// default stays smaller — the deviation DESIGN.md §7 documents.
-func TestPrependAnchorsEquivalence(t *testing.T) {
-	sources := []string{"^hdr.*abc.*xyz", "^GET[^\\n]*HTTP", "^aa.*bb", "plain"}
-	rules := mustRules(t, sources...)
-	def, err := Compile(rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paper, err := Compile(rules, Options{Splitter: splitter.Options{PrependAnchors: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]byte{
-		[]byte("hdr abc xyz"),
-		[]byte("xhdr abc xyz"),
-		[]byte("GET /x HTTP plain"),
-		[]byte("abc xyz hdr"),
-		[]byte("aa bb hdr abc xyz GET HTTP"),
-		[]byte(strings.Repeat("hdr abc xyz ", 5)),
-	}
-	for _, input := range inputs {
-		a, b := mfaEvents(def, input), mfaEvents(paper, input)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("input %q: default %v vs prepended %v", input, a, b)
-		}
-	}
-	if def.Stats().DFAStates > paper.Stats().DFAStates {
-		t.Errorf("default should be no larger: %d vs %d",
-			def.Stats().DFAStates, paper.Stats().DFAStates)
-	}
-	t.Logf("anchored handling: default=%d states, paper-prepend=%d states",
-		def.Stats().DFAStates, paper.Stats().DFAStates)
 }

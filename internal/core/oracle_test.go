@@ -20,7 +20,6 @@ import (
 
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
-	"matchfilter/internal/splitter"
 )
 
 // oracleRule is one rule as a private ε-NFA: state s has the ε-moves
@@ -476,11 +475,6 @@ func sameEvents(a, b []event) bool {
 // how many inputs matched at all, so callers can refuse a vacuous table.
 func assertOracle(t testing.TB, sources []string, inputs [][]byte) (matched int) {
 	t.Helper()
-	return assertOracleWith(t, Options{}, sources, inputs)
-}
-
-func assertOracleWith(t testing.TB, opts Options, sources []string, inputs [][]byte) (matched int) {
-	t.Helper()
 	rules := make([]Rule, len(sources))
 	for i, src := range sources {
 		p, err := regexparse.ParsePCRE(src)
@@ -489,7 +483,7 @@ func assertOracleWith(t testing.TB, opts Options, sources []string, inputs [][]b
 		}
 		rules[i] = Rule{Pattern: p, ID: int32(i + 1)}
 	}
-	m, err := Compile(rules, opts)
+	m, err := Compile(rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,39 +556,19 @@ func TestPositionSplitNearMisses(t *testing.T) {
 		all = append(all, inputs...)
 	}
 	assertOracle(t, sources, all)
-
-	// The paper's anchored scheme: A and B carry the anchored head, the
-	// reset fragment stays unanchored and rule-independent.
-	anchored := nearMissRow{`^hdr.*abc[^\n]*bcd`, [][]string{w("hdr"), w("abc"), w("bcd")}}
-	prepend := Options{Splitter: splitter.Options{PrependAnchors: true}}
-	if st := compileMFA(t, prepend, anchored.rule).Stats().Split; st.AlmostPositionSplits != 1 {
-		t.Fatalf("rule %q with PrependAnchors: %+v, want one position-checked almost-dot-star", anchored.rule, st)
-	}
-	inputs := anchored.inputs(t)
-	if matched := assertOracleWith(t, prepend, []string{anchored.rule}, inputs); matched == 0 || matched == len(inputs) {
-		t.Errorf("rule %q: %d of %d inputs match — the row tests one side only", anchored.rule, matched, len(inputs))
-	}
 }
 
-// TestEmptyHeadNearMisses: the opt-in register and counter splits refuse a
-// head that matches the empty string for the same reason the default ones
-// do — with the gap's minimum met from offset 0, B must match.
+// TestEmptyHeadNearMisses: the .{n,} register and X{n,m} counter splits
+// refuse a head that matches the empty string for the same reason the
+// dot-star ones do — with the gap's minimum met from offset 0, B must match.
 func TestEmptyHeadNearMisses(t *testing.T) {
-	for _, c := range []struct {
-		rule string
-		opts Options
-	}{
-		{"a?.{2,}ab", Options{Splitter: splitter.Options{EnableCounting: true}}},
-		{"^(ab)?.{2,}abc", Options{Splitter: splitter.Options{EnableCounting: true}}},
-		{"a?.{2,9}ab", Options{Splitter: splitter.Options{EnableCounters: true}}},
-		{`^a?[^\n]{0,9}ab`, Options{Splitter: splitter.Options{EnableCounters: true}}},
-	} {
+	for _, rule := range []string{"a?.{2,}ab", "^(ab)?.{2,}abc", "a?.{2,9}ab", `^a?[^\n]{0,9}ab`} {
 		var inputs [][]byte
 		for _, s := range []string{"ab", "--ab", "a--ab", "-ab", "ab--ab", "--abc", "ab--abc", "0123456789ab", "\n-ab"} {
 			inputs = append(inputs, []byte(s), []byte("z"+s))
 		}
-		if matched := assertOracleWith(t, c.opts, []string{c.rule}, inputs); matched == 0 || matched == len(inputs) {
-			t.Errorf("rule %q: %d of %d inputs match — the row tests one side only", c.rule, matched, len(inputs))
+		if matched := assertOracle(t, []string{rule}, inputs); matched == 0 || matched == len(inputs) {
+			t.Errorf("rule %q: %d of %d inputs match — the row tests one side only", rule, matched, len(inputs))
 		}
 	}
 }

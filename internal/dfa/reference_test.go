@@ -217,22 +217,19 @@ func mustBuild(t testing.TB, rules []nfa.Rule) *nfa.NFA {
 }
 
 // TestReferencePatternSets checks every shipped pattern set the reference
-// constructor can build in under 10 s: the fragment NFA of each set
-// (counter mode for the bounded-repeat sets) and the undecomposed NFA of
-// the three smallest. B217p is also built as the paper's conditions leave
-// it — three overlapping dot-stars whole, 9,921 states, the largest
-// automaton the differential sees; the reference needs ~9 s for it, so
-// -short runs leave that one out.
+// constructor can build in under 10 s: the fragment NFA of each set and
+// the undecomposed NFA of the three smallest. B217p is also built as the
+// paper's conditions leave it — three overlapping dot-stars whole, 9,921
+// states, the largest automaton the differential sees; the reference needs
+// ~9 s for it, so -short runs leave that one out.
 func TestReferencePatternSets(t *testing.T) {
 	for _, name := range append(patterns.Names(), patterns.CounterNames()...) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // the reference needs ~10 s for B217p
-			opts := splitter.Options{EnableCounters: slices.Contains(patterns.CounterNames(), name)}
-			fragments, whole := patternNFAs(t, name, opts)
+			fragments, whole := patternNFAs(t, name, splitter.Options{})
 			assertSameAsReference(t, name+" fragments", fragments, DefaultMaxStates)
 			if name == "B217p" && !testing.Short() {
-				opts.DisablePositionSplits = true
-				unsplit, _ := patternNFAs(t, name, opts)
+				unsplit, _ := patternNFAs(t, name, splitter.Options{Construction: splitter.Paper})
 				assertSameAsReference(t, name+" fragments, paper conditions", unsplit, DefaultMaxStates)
 			}
 			switch name {
@@ -248,7 +245,7 @@ func TestReferencePatternSets(t *testing.T) {
 // the state count of one that builds.
 func TestReferenceStateBudget(t *testing.T) {
 	_, b217p := patternNFAs(t, "B217p", splitter.Options{})
-	ctr24, _ := patternNFAs(t, "CTR24", splitter.Options{}) // bounded repeats expanded, not counted
+	ctr24, _ := patternNFAs(t, "CTR24", splitter.Options{Construction: splitter.Paper}) // bounded repeats expanded, not counted
 	for label, n := range map[string]*nfa.NFA{"B217p undecomposed": b217p, "CTR24 expanded": ctr24} {
 		for _, budget := range []int{1, 64, 400} {
 			_, refErr := referenceFromNFA(n, budget)
@@ -316,7 +313,8 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 			direct[i] = nfa.Rule{Pattern: p, MatchID: i + 1}
 			srules[i] = splitter.Rule{Pattern: p, RuleID: int32(i + 1)}
 		}
-		fragments, numCounters := fragmentNFA(t, srules, splitter.Options{EnableCounters: trial%2 == 0})
+		construction := []splitter.Construction{splitter.Extended, splitter.Paper}[trial%2]
+		fragments, numCounters := fragmentNFA(t, srules, splitter.Options{Construction: construction})
 		if numCounters > 0 {
 			hit["counter fragments"]++
 		}
@@ -378,17 +376,16 @@ func TestReferenceStartInsideCore(t *testing.T) {
 }
 
 // BenchmarkFromNFA times subset construction on the automata the serving
-// path builds, with allocations: the largest fragment NFA (B217p), a
-// counter-mode one (S24 ∪ CTR24) and a small one (C8).
+// path builds, with allocations: the largest fragment NFA (B217p), one
+// with counters (S24 ∪ CTR24) and a small one (C8).
 func BenchmarkFromNFA(b *testing.B) {
 	for _, bc := range []struct {
-		name     string
-		sets     []string
-		counters bool
+		name string
+		sets []string
 	}{
-		{"B217p", []string{"B217p"}, false},
-		{"S24+CTR24", []string{"S24", "CTR24"}, true},
-		{"C8", []string{"C8"}, false},
+		{"B217p", []string{"B217p"}},
+		{"S24+CTR24", []string{"S24", "CTR24"}},
+		{"C8", []string{"C8"}},
 	} {
 		var rules []splitter.Rule
 		for _, set := range bc.sets {
@@ -400,7 +397,7 @@ func BenchmarkFromNFA(b *testing.B) {
 				rules = append(rules, splitter.Rule{Pattern: r.Pattern, RuleID: int32(len(rules) + 1)})
 			}
 		}
-		n, _ := fragmentNFA(b, rules, splitter.Options{EnableCounters: bc.counters})
+		n, _ := fragmentNFA(b, rules, splitter.Options{})
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

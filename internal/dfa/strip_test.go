@@ -41,7 +41,7 @@ func compileSources(tb testing.TB, sources ...string) *dfa.DFA {
 
 // compileFragments builds the automaton core.Compile would for a union of
 // shipped pattern sets, and returns the sets' literal words with it.
-func compileFragments(tb testing.TB, counters bool, sets ...string) (*dfa.DFA, []string) {
+func compileFragments(tb testing.TB, sets ...string) (*dfa.DFA, []string) {
 	tb.Helper()
 	var rules []splitter.Rule
 	var words []string
@@ -59,7 +59,7 @@ func compileFragments(tb testing.TB, counters bool, sets ...string) (*dfa.DFA, [
 		}
 		words = append(words, w...)
 	}
-	res, err := splitter.Split(rules, splitter.Options{EnableCounters: counters})
+	res, err := splitter.Split(rules, splitter.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestFeedPanicMidStrip(t *testing.T) {
 // paper sets over text salted with the set's own words.
 func TestFeedCountMatchesFeedOnPaperSets(t *testing.T) {
 	for _, set := range patterns.Names() {
-		d, words := compileFragments(t, false, set)
+		d, words := compileFragments(t, set)
 		e := dfa.NewEngine(d)
 		input := trace.TextLike(1<<16, 131, words, 0.02)
 		want := referenceEvents(d, input)
@@ -508,9 +508,9 @@ func FuzzStripSpeculation(f *testing.F) {
 // and separately checks the kernel's disassembly for a jump on the accept
 // compare.
 func BenchmarkStrip(b *testing.B) {
-	c8, c8words := compileFragments(b, false, "C8")
-	wide, wideWords := compileFragments(b, true, "S24", "CTR24")
-	b217, _ := compileFragments(b, false, "B217p")
+	c8, c8words := compileFragments(b, "C8")
+	wide, wideWords := compileFragments(b, "S24", "CTR24")
+	b217, _ := compileFragments(b, "B217p")
 	loaded, err := patterns.Load("C8")
 	if err != nil {
 		b.Fatal(err)

@@ -100,7 +100,7 @@ func Compile(rules []Rule, opts Options) (*HFA, error) {
 	for i, r := range rules {
 		srules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
 	}
-	res, err := splitter.Split(srules, splitter.Options{DisableAlmostDotStar: true, DisablePositionSplits: true})
+	res, err := splitter.Split(srules, splitter.Options{Construction: splitter.PaperDotStar})
 	if err != nil {
 		return nil, fmt.Errorf("hfa: %w", err)
 	}

@@ -169,16 +169,16 @@ func TestUnsupportedActionIsAnError(t *testing.T) {
 	if err := checkAction(7, filter.Action{Test: 0, Set: 1, Clear: filter.NoBit, Report: 3}); err != nil {
 		t.Errorf("bit action refused: %v", err)
 	}
-	// What the splitter emits with registers or counters on: some action of
-	// each rule must be the error.
+	// What the splitter emits with registers, counters or clear groups: some
+	// action of each rule must be the error.
 	for _, tc := range []struct {
 		rule  string
 		split splitter.Options
 	}{
 		{"qq.*xyz.*xyz", splitter.Options{}},
-		{"aa.{3,}bb", splitter.Options{EnableCounting: true, DisablePositionSplits: true}},
-		{"aa.{2,20}bb", splitter.Options{EnableCounters: true, DisablePositionSplits: true}},
-		{`abc[^\n]*xyz`, splitter.Options{DisablePositionSplits: true}},
+		{"aa.{3,}bb", splitter.Options{}},
+		{"aa.{2,20}bb", splitter.Options{}},
+		{`abc[^\n]*xyz`, splitter.Options{Construction: splitter.Paper}},
 	} {
 		srules := []splitter.Rule{{Pattern: mustRules(t, tc.rule)[0].Pattern, RuleID: 1}}
 		res, err := splitter.Split(srules, tc.split)

@@ -43,9 +43,9 @@ type Info struct {
 }
 
 // Names returns the available set names in the paper's Table V order.
-// The bounded-repeat sets (CounterNames) are deliberately excluded: the
-// default harness builds every named set by expansion, which CTR24 is
-// designed to defeat.
+// The bounded-repeat sets (CounterNames) are deliberately excluded: they
+// are not the paper's, and the Table V harness also builds each named set
+// as an undecomposed DFA, which CTR24 is designed to defeat.
 func Names() []string {
 	return []string{"B217p", "C7p", "C8", "C10", "S24", "S31p", "S34"}
 }

@@ -191,15 +191,16 @@ func TestCounterSets(t *testing.T) {
 		}
 		return coreRules
 	}
-	counterOpts := core.Options{Splitter: splitter.Options{EnableCounters: true}}
+	// The paper's conditions expand bounded repeats; the default counts them.
+	expandedOpts := core.Options{Splitter: splitter.Options{Construction: splitter.Paper}}
 
 	// CTR8: both encodings build; the counter build uses counters and is
 	// smaller.
-	expanded, err := core.Compile(load("CTR8"), core.Options{})
+	expanded, err := core.Compile(load("CTR8"), expandedOpts)
 	if err != nil {
 		t.Fatalf("CTR8 expanded: %v", err)
 	}
-	counted, err := core.Compile(load("CTR8"), counterOpts)
+	counted, err := core.Compile(load("CTR8"), core.Options{})
 	if err != nil {
 		t.Fatalf("CTR8 counters: %v", err)
 	}
@@ -219,12 +220,12 @@ func TestCounterSets(t *testing.T) {
 	// full 2^17 walk alone blows the package test timeout); the
 	// default-budget failure is the bench experiment's claim
 	// (EXPERIMENTS.md "Bounded repeats") and CI's counter-report guard.
-	capped := core.Options{}
+	capped := expandedOpts
 	capped.DFA.MaxStates = 1 << 14
 	if _, err := core.Compile(load("CTR24"), capped); !errors.Is(err, dfa.ErrTooManyStates) {
 		t.Fatalf("CTR24 expanded build: want ErrTooManyStates, got %v", err)
 	}
-	big, err := core.Compile(load("CTR24"), counterOpts)
+	big, err := core.Compile(load("CTR24"), core.Options{})
 	if err != nil {
 		t.Fatalf("CTR24 counters: %v", err)
 	}

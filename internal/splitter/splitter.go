@@ -28,6 +28,12 @@
 // Everything else that fails a check — X occurring in B, a variable-length
 // B — is left intact: correctness is never traded for size, at the cost of
 // keeping some state explosion (§I-D).
+//
+// The same two mechanisms close the paper's §VI counting gap: .{n,} splits
+// on a position register (pos − recorded ≥ n + L) and X{n,m} with m ≥ 8 on
+// a counter register (DESIGN.md §8, §19). All of these steps form the
+// Extended construction, the zero value of Options; Paper turns every one
+// of them off.
 package splitter
 
 import (
@@ -37,16 +43,16 @@ import (
 	"matchfilter/internal/regexparse"
 )
 
-// DefaultMaxClassSize is the §IV-B threshold: if the negated class X of an
+// maxClassSize is the §IV-B threshold: if the negated class X of an
 // almost-dot-star has this many bytes or more, the gap fragment .*[X]
 // would fire on too much traffic and the decomposition is skipped.
-const DefaultMaxClassSize = 128
+const maxClassSize = 128
 
-// DefaultCounterThreshold is the minimum upper bound m of a bounded gap
-// X{n,m} for the counter-register decomposition to apply. Small repeats
-// expand to a handful of DFA states, cheaper than per-flow counter state
-// and an extra filter event per occurrence.
-const DefaultCounterThreshold = 8
+// counterThreshold is the minimum upper bound m of a bounded gap X{n,m}
+// for the counter-register decomposition to apply. Smaller repeats expand
+// to a handful of DFA states, cheaper than per-flow counter state and an
+// extra filter event per occurrence.
+const counterThreshold = 8
 
 // Rule is one input regex with the id its matches must report.
 type Rule struct {
@@ -63,51 +69,46 @@ type Fragment struct {
 	RuleID int32
 }
 
-// Options tunes the splitter. The zero value is the paper's configuration
-// plus position-checked splits; DisablePositionSplits gives the paper's
-// conditions alone.
+// Construction selects which decompositions the splitter may apply.
+type Construction int
+
+const (
+	// Extended, the zero value, is what core.Compile serves: the paper's
+	// guard bits plus every exact step beyond it — position-checked
+	// dot-star and almost-dot-star splits, .{n,} gaps on position
+	// registers and X{n,m} gaps (m ≥ 8) on counter registers.
+	Extended Construction = iota
+	// Paper is the paper's conditions alone: guard bits only, and a
+	// separator that fails them is refused. The "paper conditions" rows of
+	// Table V and Figure 2 and the XFA baseline use it.
+	Paper
+	// PaperDotStar is Paper without almost-dot-star splits: the HFA
+	// baseline, whose published model factors plain dot-star history only.
+	PaperDotStar
+	// Whole splits nothing: a plain multi-pattern DFA.
+	Whole
+
+	// Test seams, exported to tests by export_test.go: Extended with checks
+	// removed, to show what each check prevents. Never served.
+	unchecked    // no overlap, infix or class analyses, no class-size threshold
+	anyClassSize // no class-size threshold
+)
+
+// extended reports whether c takes the exact steps beyond the paper.
+func (c Construction) extended() bool { return c == Extended || c > Whole }
+
+// classTooLarge reports whether c refuses an almost-dot-star or classed
+// bounded gap over x for the §IV-B class-size threshold.
+func (c Construction) classTooLarge(x regexparse.Class) bool {
+	return x.Count() >= maxClassSize && c != unchecked && c != anyClassSize
+}
+
+// Options configures the splitter.
 type Options struct {
-	// MaxClassSize overrides DefaultMaxClassSize when positive.
-	MaxClassSize int
-	// DisableDotStar turns off §IV-A decomposition.
-	DisableDotStar bool
-	// DisableAlmostDotStar turns off §IV-B decomposition. The HFA baseline
-	// uses this: HASIC factors only plain dot-star history.
-	DisableAlmostDotStar bool
-	// DisablePositionSplits keeps the paper's refusal for a dot-star or
-	// almost-dot-star whose segments overlap, instead of splitting it on a
-	// position register or an open-window counter. The HFA and XFA
-	// baselines set it (their published models carry history bits only),
-	// and mfabench builds its "paper conditions" rows with it.
-	DisablePositionSplits bool
-	// DisableSafetyChecks skips the overlap and class analyses. It exists
-	// only to demonstrate (in tests and ablations) the false matches the
-	// checks prevent — never enable it in production.
-	DisableSafetyChecks bool
-	// EnableCounting turns on the counting-condition extension the
-	// paper's §VI leaves as future work: gaps of the form .{n,} with
-	// n ≥ 1 are decomposed using filter position registers, provided the
-	// trailing segment has a fixed length. Off by default: unlike the
-	// n = 0 case above, it makes .{n,} a separator where the paper has
-	// none.
-	EnableCounting bool
-	// EnableCounters turns on the counter-register extension (DESIGN.md
-	// §19): bounded gaps X{n,m} with finite m — full-alphabet .{n,m} or
-	// classed [^Y]{n,m} — compile to filter counters instead of
-	// duplication-expanded states, provided the trailing segment has a
-	// fixed length. Off by default so the baselines match the published
-	// construction.
+	Construction Construction
+	// Deprecated: X{n,m} counters are part of the Extended construction;
+	// the field is ignored.
 	EnableCounters bool
-	// CounterThreshold overrides DefaultCounterThreshold when positive:
-	// bounded gaps with m below it stay duplication-expanded.
-	CounterThreshold int
-	// PrependAnchors restores the paper's §IV-C anchored handling: the
-	// anchored start pattern is prepended (with a gap) to every later
-	// fragment of an anchored rule. Semantically redundant — a fragment
-	// firing in a flow whose start never matched finds its guard unset —
-	// and it measurably inflates the fragment DFA, so it is off by
-	// default; the ablation benchmarks quantify the difference.
-	PrependAnchors bool
 }
 
 // Stats counts what the splitter did, for construction reports.
@@ -121,7 +122,7 @@ type Stats struct {
 	// AlmostPositionSplits are the almost-dot-stars split on an open-window
 	// counter, one each, instead of refused for overlap, infix or X final
 	// in A. Those three refusals count what stays refused: every such
-	// separator when position splits are disabled, none otherwise.
+	// separator under the Paper constructions, none under Extended.
 	AlmostPositionSplits int
 	RefusedOverlap       int
 	RefusedInfix         int
@@ -232,7 +233,7 @@ func (s *Stats) refuse(why refusal) {
 
 // splitState carries the per-rule-set state of Algorithm 1's RegexSplit.
 type splitState struct {
-	opts    Options
+	c       Construction
 	nextID  int32
 	nextBit int16
 	nextReg int16 // position registers are 1-based; 0 is filter.NoReg
@@ -247,11 +248,8 @@ type splitState struct {
 
 // Split runs Algorithm 1 over the rule set.
 func Split(rules []Rule, opts Options) (*Result, error) {
-	if opts.MaxClassSize <= 0 {
-		opts.MaxClassSize = DefaultMaxClassSize
-	}
 	st := &splitState{
-		opts:   opts,
+		c:      opts.Construction,
 		nextID: 1,
 		result: &Result{
 			Actions: []filter.Action{filter.DropAction}, // reserved id 0
@@ -330,29 +328,21 @@ func (st *splitState) allocCtr(minGap, maxGap int32) int16 {
 	return int16(len(st.result.Counters))
 }
 
-// counterThreshold returns the effective bounded-gap threshold.
-func (st *splitState) counterThreshold() int {
-	if st.opts.CounterThreshold > 0 {
-		return st.opts.CounterThreshold
-	}
-	return DefaultCounterThreshold
-}
-
 // boundedSepInfo reports whether a node qualifies as a bounded-gap
-// separator under the current options: a BoundedGap shape whose upper
-// bound reaches the counter threshold and whose forbidden class (if any)
-// is below the class-size threshold. Returning false here merges the node
+// separator under the construction: a BoundedGap shape whose upper bound
+// reaches the counter threshold and whose forbidden class (if any) is
+// below the class-size threshold. Returning false here merges the node
 // into the adjacent segments for duplication expansion, which stays
 // correct — counters only ever trade states for filter work.
 func (st *splitState) boundedSepInfo(n *regexparse.Node) (x regexparse.Class, minGap, maxGap int, ok bool) {
-	if !st.opts.EnableCounters {
+	if !st.c.extended() {
 		return regexparse.Class{}, 0, 0, false
 	}
 	minGap, maxGap, x, full, ok := n.BoundedGap()
-	if !ok || maxGap < st.counterThreshold() {
+	if !ok || maxGap < counterThreshold {
 		return regexparse.Class{}, 0, 0, false
 	}
-	if !full && x.Count() >= st.opts.MaxClassSize {
+	if !full && st.c.classTooLarge(x) {
 		// Not counted in RefusedClassSize: this helper runs once per node
 		// per phase (shape detection, trimming, classification) and would
 		// multi-count; an over-threshold class simply keeps the node out
@@ -447,30 +437,20 @@ func (st *splitState) splitRule(r Rule) error {
 		return nil
 	}
 
-	// By default only the head fragment of an anchored rule keeps the
-	// anchor; with PrependAnchors the paper's §IV-C scheme applies
-	// instead (see the Options field comment).
+	// Only the head fragment of an anchored rule keeps the anchor: a later
+	// fragment firing in a flow whose head never matched finds its
+	// condition unmet (DESIGN.md §7).
 	//
 	// cond is the chaining condition a fragment must satisfy before its
 	// own effect fires: a guard bit for dot-star/almost-dot-star links, a
 	// register gap test for counting links.
-	first := true
 	cond := filter.Action{Test: filter.NoBit, GapReg: filter.NoReg}
-	var anchorPrefix *regexparse.Node
-	withAnchor := func(body *regexparse.Node) (*regexparse.Node, bool) {
-		if anchorPrefix == nil {
-			return body, false
-		}
-		return regexparse.NewConcat(anchorPrefix.Clone(), regexparse.DotStar(), body), true
-	}
-
 	for i := k; i < len(seps); i++ {
 		act := filter.Action{
 			Test: cond.Test, GapReg: cond.GapReg, MinGap: cond.MinGap,
 			TestCtr: cond.TestCtr,
 			Set:     filter.NoBit, Clear: filter.NoBit, Report: filter.NoReport,
 		}
-		body, bodyAnchored := withAnchor(pending)
 		switch kinds[i] {
 		case countSep, positionSep:
 			reg := st.allocReg()
@@ -482,7 +462,6 @@ func (st *splitState) splitRule(r Rule) error {
 			} else {
 				st.result.Stats.CountingSplits++
 			}
-			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
 		case boundedSep, openSep:
 			lenB, _ := segments[i+1].FixedLength()
 			maxGap := int32(maxs[i] + lenB)
@@ -513,46 +492,30 @@ func (st *splitState) splitRule(r Rule) error {
 			} else {
 				st.result.Stats.CounterSplits++
 			}
-			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
 		default:
 			bit := st.allocBit()
 			act.Set = bit
 			cond = filter.Action{Test: bit, GapReg: filter.NoReg}
-			st.emit(r, body, st.allocID(act), bodyAnchored || (first && r.Pattern.Anchored))
 			if kinds[i] == almostSep {
 				// The shared gap fragment [X] (emitted once per class
 				// after all rules) clears the bit on every occurrence
-				// of a byte from X. With PrependAnchors the gap is
-				// rule-private (its pattern embeds the anchored head),
-				// matching the paper exactly.
-				if st.opts.PrependAnchors && anchorPrefix != nil {
-					clearID := st.allocID(filter.Action{
-						Test: filter.NoBit, Set: filter.NoBit, Clear: bit, Report: filter.NoReport,
-					})
-					gapBody, _ := withAnchor(regexparse.NewClassNode(xs[i]))
-					st.emit(r, gapBody, clearID, true)
-				} else {
-					st.addGapClear(xs[i], bit)
-				}
+				// of a byte from X.
+				st.addGapClear(xs[i], bit)
 				st.result.Stats.AlmostSplits++
 			} else {
 				st.result.Stats.DotStarSplits++
 			}
 		}
-		if first && r.Pattern.Anchored && st.opts.PrependAnchors {
-			anchorPrefix = pending
-		}
-		first = false
+		st.emit(r, pending, st.allocID(act), i == k && r.Pattern.Anchored)
 		pending = segments[i+1].Clone()
 	}
 
-	finalBody, finalAnchored := withAnchor(pending)
 	finalID := st.allocID(filter.Action{
 		Test: cond.Test, GapReg: cond.GapReg, MinGap: cond.MinGap,
 		TestCtr: cond.TestCtr,
 		Set:     filter.NoBit, Clear: filter.NoBit, Report: r.RuleID,
 	})
-	st.emit(r, finalBody, finalID, finalAnchored)
+	st.emit(r, pending, finalID, false)
 	st.result.Stats.RulesDecomposed++
 	return nil
 }
@@ -562,25 +525,23 @@ func (st *splitState) splitRule(r Rule) error {
 // gaps, and the gap bounds for counting and bounded separators.
 func (st *splitState) classify(sep *regexparse.Node) (separatorKind, regexparse.Class, int, int) {
 	if sep.IsDotStar() {
-		if st.opts.DisableDotStar {
+		if st.c == Whole {
 			return notSeparator, regexparse.Class{}, 0, 0
 		}
 		return dotStarSep, regexparse.Class{}, 0, 0
 	}
 	if x, ok := sep.NegatedClassStar(); ok {
-		if st.opts.DisableAlmostDotStar {
+		if st.c == Whole || st.c == PaperDotStar {
 			return notSeparator, regexparse.Class{}, 0, 0
 		}
-		if x.Count() >= st.opts.MaxClassSize {
+		if st.c.classTooLarge(x) {
 			st.result.Stats.RefusedClassSize++
 			return notSeparator, regexparse.Class{}, 0, 0
 		}
 		return almostSep, x, 0, 0
 	}
-	if st.opts.EnableCounting {
-		if minGap, ok := sep.CountGap(); ok {
-			return countSep, regexparse.Class{}, minGap, 0
-		}
+	if minGap, ok := sep.CountGap(); ok && st.c.extended() {
+		return countSep, regexparse.Class{}, minGap, 0
 	}
 	if x, minGap, maxGap, ok := st.boundedSepInfo(sep); ok {
 		return boundedSep, x, minGap, maxGap
@@ -607,7 +568,7 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 	}
 	switch kind {
 	case dotStarSep, almostSep:
-		if st.opts.DisableSafetyChecks {
+		if st.c == unchecked {
 			return kind, accepted, nil
 		}
 		why, err := checkSafety(kind, x, a, b)
@@ -622,7 +583,7 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 		// reset ordered ahead of the record takes an A that ends in X too.
 		// X occurring in B is the one condition that is not about where A
 		// ended.
-		if st.opts.DisablePositionSplits || why == refusedXInB {
+		if !st.c.extended() || why == refusedXInB {
 			return kind, why, nil
 		}
 		if kind == dotStarSep {
@@ -756,8 +717,8 @@ func (st *splitState) topLevelSegments(p *regexparse.Pattern) (segments []*regex
 }
 
 // isSeparatorShape reports whether a node looks like a separator, before
-// any threshold or safety filtering: .* or [^X]* always, and .{n,} when
-// the counting extension is enabled.
+// any threshold or safety filtering: .* or [^X]* always, and .{n,} or a
+// wide enough X{n,m} under the Extended construction.
 func (st *splitState) isSeparatorShape(n *regexparse.Node) bool {
 	if n.IsDotStar() {
 		return true
@@ -765,15 +726,11 @@ func (st *splitState) isSeparatorShape(n *regexparse.Node) bool {
 	if _, ok := n.NegatedClassStar(); ok {
 		return true
 	}
-	if st.opts.EnableCounting {
-		if _, ok := n.CountGap(); ok {
-			return true
-		}
-	}
-	if _, _, _, ok := st.boundedSepInfo(n); ok {
+	if _, ok := n.CountGap(); ok && st.c.extended() {
 		return true
 	}
-	return false
+	_, _, _, ok := st.boundedSepInfo(n)
+	return ok
 }
 
 // isTrimmableLeading reports whether a leading top-level node of an

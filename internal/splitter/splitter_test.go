@@ -156,7 +156,7 @@ func TestOverlapRefused(t *testing.T) {
 	}
 
 	// The paper's conditions alone refuse it.
-	res = split(t, Options{DisablePositionSplits: true}, "abc.*bcd")
+	res = split(t, Options{Construction: Paper}, "abc.*bcd")
 	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 || res.NumRegs != 0 {
 		t.Fatalf("paper conditions must keep the rule whole: %v %+v", fragmentSources(res), res.Stats)
 	}
@@ -192,7 +192,7 @@ func TestOverlapRefused(t *testing.T) {
 	if st := res.Stats; st.AlmostPositionSplits != 1 || st.AlmostSplits != 0 || st.CounterSplits != 0 || st.PositionSplits != 0 || st.RefusedOverlap != 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	res = split(t, Options{DisablePositionSplits: true}, `abc[^\n]*bcd`)
+	res = split(t, Options{Construction: Paper}, `abc[^\n]*bcd`)
 	if len(res.Fragments) != 1 || res.Stats.RefusedOverlap != 1 || len(res.Counters) != 0 {
 		t.Fatalf("paper conditions must keep the rule whole: %v %+v", fragmentSources(res), res.Stats)
 	}
@@ -215,7 +215,7 @@ func TestOverlapFullContainment(t *testing.T) {
 	if st := res.Stats; st.PositionSplits != 2 || st.RefusedOverlap != 0 || st.RefusedInfix != 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	res = split(t, Options{DisablePositionSplits: true}, "xabc.*abc", "b.*abc")
+	res = split(t, Options{Construction: Paper}, "xabc.*abc", "b.*abc")
 	if st := res.Stats; len(res.Fragments) != 2 || st.RefusedOverlap != 1 || st.RefusedInfix != 1 {
 		t.Fatalf("paper conditions: %v %+v", fragmentSources(res), st)
 	}
@@ -235,9 +235,9 @@ func TestEmptyHeadRefused(t *testing.T) {
 		{Options{}, "^a?.*x"},
 		{Options{}, `(ab)*[^\n]*xy`},
 		{Options{}, "qq.*y?.*yz"},
-		{Options{EnableCounting: true}, "a?.{2,}xy"},
-		{Options{EnableCounters: true}, "a?.{2,10}xy"},
-		{Options{DisableSafetyChecks: true}, "a?.*ab"},
+		{Options{}, "a?.{2,}xy"},
+		{Options{}, "a?.{2,10}xy"},
+		{Options{Construction: unchecked}, "a?.*ab"},
 	} {
 		res := split(t, c.opts, c.rule)
 		if len(res.Fragments) != 1 || res.NumRegs != 0 || res.MemBits != 0 || len(res.Counters) != 0 {
@@ -295,7 +295,7 @@ func TestOverlapWithAlternation(t *testing.T) {
 }
 
 func TestDisableSafetyChecks(t *testing.T) {
-	res := split(t, Options{DisableSafetyChecks: true}, "abc.*bcd")
+	res := split(t, Options{Construction: unchecked}, "abc.*bcd")
 	if len(res.Fragments) != 2 {
 		t.Fatalf("unsafe mode must split anyway: %v", fragmentSources(res))
 	}
@@ -313,13 +313,13 @@ func TestClassSizeThreshold(t *testing.T) {
 	// Even with a raised threshold, X∩B ≠ ∅ here (x,y,z ∈ [^a-f]), so the
 	// safety check still refuses — the paper presents this decomposition
 	// as an improper application.
-	res = split(t, Options{MaxClassSize: 256}, "abc[a-f]*xyz")
+	res = split(t, Options{Construction: anyClassSize}, "abc[a-f]*xyz")
 	if len(res.Fragments) != 1 || res.Stats.RefusedXInB != 1 {
 		t.Fatalf("raised threshold must still refuse via X-in-B: %v %+v",
 			fragmentSources(res), res.Stats)
 	}
 	// Only disabling safety checks entirely forces the (incorrect) split.
-	res = split(t, Options{MaxClassSize: 256, DisableSafetyChecks: true}, "abc[a-f]*xyz")
+	res = split(t, Options{Construction: unchecked}, "abc[a-f]*xyz")
 	if len(res.Fragments) != 3 {
 		t.Fatalf("unsafe mode should split: %v", fragmentSources(res))
 	}
@@ -348,7 +348,7 @@ func TestXFinalInARefused(t *testing.T) {
 		t.Errorf("stats: %+v", st)
 	}
 	// The paper's conditions alone refuse it.
-	res = split(t, Options{DisablePositionSplits: true}, "ab:[^:]*xyz")
+	res = split(t, Options{Construction: Paper}, "ab:[^:]*xyz")
 	if len(res.Fragments) != 1 || res.Stats.RefusedXFinalInA != 1 {
 		t.Fatalf("X final in A must refuse: %v %+v", fragmentSources(res), res.Stats)
 	}
@@ -431,20 +431,22 @@ func TestTopLevelAlternationKeptWhole(t *testing.T) {
 }
 
 func TestDisableDotStar(t *testing.T) {
-	res := split(t, Options{DisableDotStar: true}, "abc.*xyz", `abc[^\n]*xyz`)
-	got := fragmentSources(res)
-	// Dot-star rule whole; almost-dot-star still splits.
-	if got[0] != "abc.*xyz" {
-		t.Errorf("dot-star should be kept: %v", got)
+	// The Whole construction keeps every rule whole, whatever its gaps.
+	rules := []string{"abc.*xyz", `abc[^\n]*xyz`, "abc.*bcd", "aa.{3,}bbb", "aa.{2,20}bb"}
+	res := split(t, Options{Construction: Whole}, rules...)
+	if got := fragmentSources(res); len(got) != len(rules) || got[0] != "abc.*xyz" || got[1] != `abc[^\n]*xyz` {
+		t.Errorf("every rule should be kept whole: %v", got)
 	}
-	if res.Stats.AlmostSplits != 1 {
+	if res.Stats.RulesDecomposed != 0 || res.MemBits != 0 || res.NumRegs != 0 || len(res.Counters) != 0 {
 		t.Errorf("stats: %+v", res.Stats)
 	}
 }
 
 func TestDisableAlmostDotStar(t *testing.T) {
-	res := split(t, Options{DisableAlmostDotStar: true}, `abc[^\n]*xyz`, "abc.*xyz")
-	if res.Stats.AlmostSplits != 0 || res.Stats.DotStarSplits != 1 {
+	// PaperDotStar, the HFA baseline's construction: dot-stars split on
+	// guard bits, almost-dot-stars and overlapping dot-stars stay whole.
+	res := split(t, Options{Construction: PaperDotStar}, `abc[^\n]*xyz`, "abc.*xyz", "abc.*bcd")
+	if st := res.Stats; st.AlmostSplits != 0 || st.DotStarSplits != 1 || st.PositionSplits != 0 || st.RefusedOverlap != 1 {
 		t.Errorf("stats: %+v", res.Stats)
 	}
 }
@@ -548,7 +550,7 @@ func TestSplitStatsTotals(t *testing.T) {
 }
 
 func TestCountingSplitStructure(t *testing.T) {
-	res := split(t, Options{EnableCounting: true}, "aa.{7,}bbb")
+	res := split(t, Options{}, "aa.{7,}bbb")
 	got := fragmentSources(res)
 	if len(got) != 2 || got[0] != "aa" || got[1] != "bbb" {
 		t.Fatalf("fragments: %v", got)
@@ -569,17 +571,19 @@ func TestCountingSplitStructure(t *testing.T) {
 }
 
 func TestCountingDisabledKeepsRepeat(t *testing.T) {
-	res := split(t, Options{}, "aa.{7,}bbb")
-	if len(res.Fragments) != 1 {
+	// The paper's conditions have no counting separator: the repeat stays
+	// in the rule, for the DFA to expand.
+	res := split(t, Options{Construction: Paper}, "aa.{7,}bbb", "aa.{2,20}bb")
+	if len(res.Fragments) != 2 {
 		t.Fatalf("counting off: fragments %v", fragmentSources(res))
 	}
-	if res.NumRegs != 0 {
-		t.Errorf("regs allocated with counting off")
+	if res.NumRegs != 0 || len(res.Counters) != 0 {
+		t.Errorf("registers or counters allocated with counting off")
 	}
 }
 
 func TestCountingVariableTailRefusedAtSplitter(t *testing.T) {
-	res := split(t, Options{EnableCounting: true}, "aa.{3,}b+")
+	res := split(t, Options{}, "aa.{3,}b+")
 	if len(res.Fragments) != 1 || res.Stats.RefusedVarLength != 1 {
 		t.Fatalf("variable tail: %v %+v", fragmentSources(res), res.Stats)
 	}
@@ -588,7 +592,7 @@ func TestCountingVariableTailRefusedAtSplitter(t *testing.T) {
 func TestCountingChainActions(t *testing.T) {
 	// aa.{2,}bb.*cc: register gap guards the bit setter; bit guards the
 	// final report.
-	res := split(t, Options{EnableCounting: true}, "aa.{2,}bb.*cc")
+	res := split(t, Options{}, "aa.{2,}bb.*cc")
 	if len(res.Fragments) != 3 {
 		t.Fatalf("fragments: %v", fragmentSources(res))
 	}
@@ -597,36 +601,5 @@ func TestCountingChainActions(t *testing.T) {
 	}
 	if a := res.Actions[3]; a.Test != 0 || a.Report != 1 {
 		t.Errorf("final action: %+v", a)
-	}
-}
-
-func TestPrependAnchorsOption(t *testing.T) {
-	// With the paper's §IV-C scheme, later fragments of an anchored rule
-	// carry the anchored head.
-	res := split(t, Options{PrependAnchors: true}, "^hdr.*abc.*xyz")
-	got := fragmentSources(res)
-	if len(got) != 3 {
-		t.Fatalf("fragments: %v", got)
-	}
-	if got[0] != "^hdr" || got[1] != "^hdr.*abc" || got[2] != "^hdr.*xyz" {
-		t.Fatalf("prepended fragments: %v", got)
-	}
-	// Almost-dot-star gaps become rule-private with the head embedded.
-	res = split(t, Options{PrependAnchors: true}, `^hdr.*abc[^\n]*xyz`)
-	got = fragmentSources(res)
-	found := false
-	for _, f := range got {
-		if f == `^hdr.*\n` {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("want anchored gap fragment, got %v", got)
-	}
-	// Unanchored rules are unaffected.
-	res = split(t, Options{PrependAnchors: true}, "abc.*xyz")
-	got = fragmentSources(res)
-	if got[0] != "abc" || got[1] != "xyz" {
-		t.Fatalf("unanchored fragments: %v", got)
 	}
 }

@@ -93,7 +93,7 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 	for i, r := range rules {
 		srules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
 	}
-	res, err := splitter.Split(srules, splitter.Options{DisablePositionSplits: true})
+	res, err := splitter.Split(srules, splitter.Options{Construction: splitter.Paper})
 	if err != nil {
 		return nil, fmt.Errorf("xfa: %w", err)
 	}

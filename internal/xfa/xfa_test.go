@@ -191,8 +191,8 @@ func TestUnsupportedActionIsAnError(t *testing.T) {
 		split splitter.Options
 	}{
 		{"qq.*xyz.*xyz", splitter.Options{}},
-		{"aa.{3,}bb", splitter.Options{EnableCounting: true, DisablePositionSplits: true}},
-		{"aa.{2,20}bb", splitter.Options{EnableCounters: true, DisablePositionSplits: true}},
+		{"aa.{3,}bb", splitter.Options{}},
+		{"aa.{2,20}bb", splitter.Options{}},
 	} {
 		srules := []splitter.Rule{{Pattern: mustRules(t, tc.rule)[0].Pattern, RuleID: 1}}
 		res, err := splitter.Split(srules, tc.split)

@@ -3,11 +3,12 @@
 // Automata (Norige & Liu, "A De-compositional Approach to Regular
 // Expression Matching for Network Security Applications", ICDCS 2016).
 //
-// Patterns containing state-exploding gap constructs (.* and [^X]*) are
-// decomposed into simple fragments matched by one shared DFA; a stateful
-// filter engine with a few bits of per-flow memory reconstructs exactly
-// the matches of the original patterns. The result combines DFA-class
-// scan speed with NFA-class memory:
+// Patterns containing state-exploding gap constructs (.*, [^X]*, .{n,}
+// and wide X{n,m}) are decomposed into simple fragments matched by one
+// shared DFA; a stateful filter engine with a few bits and registers of
+// per-flow memory reconstructs exactly the matches of the original
+// patterns. The result combines DFA-class scan speed with NFA-class
+// memory:
 //
 //	engine, err := matchfilter.Compile([]string{
 //		`attack.*payload`,
@@ -32,6 +33,7 @@ import (
 	"matchfilter/internal/core"
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
+	"matchfilter/internal/splitter"
 )
 
 // ErrTooManyStates is returned when the automaton would exceed the
@@ -71,37 +73,32 @@ func WithMaxStates(n int) Option {
 // debugging; it reproduces exactly the state explosion the decomposition
 // exists to avoid.
 func WithoutDecomposition() Option {
-	return func(c *config) {
-		c.core.Splitter.DisableDotStar = true
-		c.core.Splitter.DisableAlmostDotStar = true
-	}
+	return func(c *config) { c.core.Splitter.Construction = splitter.Whole }
 }
 
-// WithClassSizeThreshold overrides the almost-dot-star class-size
-// threshold (default 128): a gap [^X]* is only decomposed when |X| is
-// below the threshold, keeping filter-event pressure bounded.
-func WithClassSizeThreshold(n int) Option {
-	return func(c *config) { c.core.Splitter.MaxClassSize = n }
-}
+// WithClassSizeThreshold once overrode the almost-dot-star class-size
+// threshold. The threshold is fixed at 128: a gap [^X]* is decomposed only
+// when |X| is below it.
+//
+// Deprecated: the option has no effect.
+func WithClassSizeThreshold(n int) Option { return func(*config) {} }
 
-// WithCountingGaps enables the counting-condition extension (the paper's
-// §VI future work): gaps of the form .{n,} are decomposed using filter
-// position registers instead of being expanded into n automaton states,
-// provided the segment after the gap has a fixed length.
-func WithCountingGaps() Option {
-	return func(c *config) { c.core.Splitter.EnableCounting = true }
-}
+// WithCountingGaps once enabled the counting-condition extension (the
+// paper's §VI future work). Compile now always decomposes a gap .{n,} on a
+// filter position register instead of expanding it into n automaton
+// states, provided the segment after the gap has a fixed length.
+//
+// Deprecated: the option has no effect.
+func WithCountingGaps() Option { return func(*config) {} }
 
-// WithBoundedRepeatCounters enables the counter-register extension:
-// bounded gaps of the form X{n,m} (with m at or above the splitter's
-// counter threshold) are compiled to per-flow counter registers instead
-// of being expanded into up to m copies of automaton states, provided
-// the segment after the gap has a fixed length. Wide windows that make
-// subset construction infeasible under WithMaxStates become compilable;
-// match streams are unchanged.
-func WithBoundedRepeatCounters() Option {
-	return func(c *config) { c.core.Splitter.EnableCounters = true }
-}
+// WithBoundedRepeatCounters once enabled the counter-register extension.
+// Compile now always compiles a bounded gap X{n,m} with m ≥ 8 to a per-flow
+// counter register instead of up to m copies of automaton states, provided
+// the segment after the gap has a fixed length; windows too wide to expand
+// under WithMaxStates compile, with unchanged match streams.
+//
+// Deprecated: the option has no effect.
+func WithBoundedRepeatCounters() Option { return func(*config) {} }
 
 // WithMinimization enables DFA minimization after subset construction,
 // trading compile time for a smaller table.

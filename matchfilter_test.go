@@ -1,11 +1,14 @@
 package matchfilter
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"matchfilter/internal/patterns"
 )
 
 func TestCompileAndScan(t *testing.T) {
@@ -145,22 +148,38 @@ func TestWithMinimization(t *testing.T) {
 }
 
 func TestWithClassSizeThreshold(t *testing.T) {
-	// [bq]* has X = 254 bytes (everything but b and q); the default
-	// threshold refuses, a raised one accepts. The segments are chosen so
-	// every other safety condition passes: B uses only gap-class bytes
-	// and A ends in one.
-	pat := []string{"zq[bq]*bq"}
-	def := MustCompile(pat)
-	raised := MustCompile(pat, WithClassSizeThreshold(255))
-	if def.Stats().Decomposed != 0 {
-		t.Errorf("default threshold should refuse: %+v", def.Stats())
+	// [bq]* has X = 254 bytes (everything but b and q); the fixed threshold
+	// of 128 refuses it, and the deprecated option no longer raises it. The
+	// segments are chosen so every other safety condition passes: B uses
+	// only gap-class bytes and A ends in one.
+	for _, opts := range [][]Option{nil, {WithClassSizeThreshold(255)}} {
+		if st := MustCompile([]string{"zq[bq]*bq"}, opts...).Stats(); st.Decomposed != 0 {
+			t.Errorf("the threshold should refuse: %+v", st)
+		}
 	}
-	if raised.Stats().Decomposed != 1 {
-		t.Errorf("raised threshold should split: %+v", raised.Stats())
+}
+
+// TestDeprecatedOptionsAreNoOps: each option the default construction made
+// meaningless compiles a Save image byte-identical to no option at all, on
+// patterns it used to change.
+func TestDeprecatedOptionsAreNoOps(t *testing.T) {
+	pats := []string{"zq[bq]*bq", "hdr.{5,}tail", "aaa.{60,200}bbb", `ab[^\n]{0,9}cd`, "attack.*payload"}
+	image := func(opts ...Option) []byte {
+		var buf bytes.Buffer
+		if err := MustCompile(pats, opts...).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	input := []byte("zqbqbq zq bq zqbq")
-	if fmt.Sprint(def.Scan(input)) != fmt.Sprint(raised.Scan(input)) {
-		t.Error("threshold changed semantics")
+	want := image()
+	for name, opt := range map[string]Option{
+		"WithClassSizeThreshold(255)": WithClassSizeThreshold(255),
+		"WithCountingGaps":            WithCountingGaps(),
+		"WithBoundedRepeatCounters":   WithBoundedRepeatCounters(),
+	} {
+		if !bytes.Equal(image(opt), want) {
+			t.Errorf("%s changed the compiled image", name)
+		}
 	}
 }
 
@@ -206,12 +225,13 @@ func TestReadmeExample(t *testing.T) {
 
 func TestWithBoundedRepeatCounters(t *testing.T) {
 	// The wide window is uncompilable by expansion under this state
-	// budget; counters compile it and match exactly.
+	// budget; the counters Compile uses by default compile it and match
+	// exactly.
 	src := []string{"aaa.{60,200}bbb"}
-	if _, err := Compile(src, WithMaxStates(2000)); !errors.Is(err, ErrTooManyStates) {
+	if _, err := Compile(src, WithMaxStates(2000), WithoutDecomposition()); !errors.Is(err, ErrTooManyStates) {
 		t.Fatalf("expanded build: want ErrTooManyStates, got %v", err)
 	}
-	e, err := Compile(src, WithMaxStates(2000), WithBoundedRepeatCounters())
+	e, err := Compile(src, WithMaxStates(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +242,21 @@ func TestWithBoundedRepeatCounters(t *testing.T) {
 	miss := "aaa" + strings.Repeat("x", 201) + "bbb"
 	if got := e.Scan([]byte(miss)); len(got) != 0 {
 		t.Fatalf("out-of-window input: %v", got)
+	}
+}
+
+// TestCompileCTR24Default: the CTR24 set, whose expanded DFA exceeds the
+// default state budget, compiles with no option at all.
+func TestCompileCTR24Default(t *testing.T) {
+	sources, err := patterns.Sources("CTR24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Compile(sources)
+	if err != nil {
+		t.Fatalf("CTR24 with default options: %v", err)
+	}
+	if st := e.Stats(); st.Decomposed != st.Patterns {
+		t.Errorf("every CTR24 rule should decompose: %+v", st)
 	}
 }
