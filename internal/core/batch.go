@@ -7,11 +7,13 @@ import "matchfilter/internal/dfa"
 // before the next can issue — so on table-resident working sets the
 // core sits latency-bound, not bandwidth-bound. A FlowBatcher collects
 // the deferred scan work of up to MaxBatchFlows *independent* flows and
-// steps them in lockstep: the inner loop advances every lane by one
-// input position per round, so K independent table lookups are in
-// flight per iteration and the loads' latencies overlap (the Hyperflex
-// observation, realized without SIMD). Per-lane bookkeeping loads are
-// off the carried chain; only each lane's own table load is on it.
+// steps them in lockstep, so several independent table lookups are in
+// flight at once and the loads' latencies overlap (the Hyperflex
+// observation, realized without SIMD). Two loops share each round: four
+// lanes of one table walk together through dfa.WalkLanes — record, then
+// drain, as Feed's block loop does for one flow — and the lanes no such
+// quad takes are strip-mined through a byte step of their own. In both,
+// only each lane's own table load is on its carried chain.
 //
 // Match-equivalence invariant: lockstep reorders work ACROSS flows,
 // never within one. Each lane consumes its own chunks strictly in
@@ -22,17 +24,19 @@ import "matchfilter/internal/dfa"
 //
 // A batch may mix runners from different MFAs (multi-tenant shards,
 // cross-generation drains) and of either layout: every automaton is the
-// one table shape of internal/dfa, so lanes carry their own table views
-// and one loop steps them all. Two kinds of flow take Feed's block loop
-// instead, because lockstep has nothing to give them: a lane left alone
-// (no second chain to overlap with), and a flow whose last scan went to
-// the filter rather than to waiting on table loads, which Add scans on
-// arrival (acceptDenseDiv).
+// one table shape of internal/dfa, so lanes carry their own table views;
+// each round gathers the lanes of one table into quads, and the leftover
+// loop steps lanes of any table side by side. Two kinds of flow take
+// Feed's block loop instead, because lockstep has nothing to give them: a
+// lane left alone (no second chain to overlap with), and a flow whose last
+// scan went to the filter rather than to waiting on table loads, which Add
+// scans on arrival (acceptDenseDiv).
 
-// MaxBatchFlows caps the lockstep width. 16 lanes saturate the
-// load-miss parallelism of current cores (10–16 outstanding L1 misses)
-// while keeping per-lane cursors within the L1 working set; wider
-// batches add bookkeeping without more overlap.
+// MaxBatchFlows caps the lockstep width: four quads of the lane kernel
+// when one table serves the shard. 16 lanes saturate the load-miss
+// parallelism of current cores (10–16 outstanding L1 misses) while keeping
+// per-lane cursors within the L1 working set; wider batches add
+// bookkeeping without more overlap.
 const MaxBatchFlows = 16
 
 // acceptDenseDiv is the routing constant: a flow whose last scan (a lane's
@@ -43,10 +47,12 @@ const MaxBatchFlows = 16
 // its next chunk is scanned by Feed. Read off BenchmarkRoutingSweep on C8
 // and S24 ∪ CTR24 (DESIGN.md §18) when Feed walked one chain: lockstep
 // won up to a visit per 33 bytes and lost by a quarter at one per 10. With
-// two chains per block Feed wins that sweep at every density, but routing
-// sparse flows to it too costs 96-byte segments a sixth end to end, so the
-// constant stays; real flows sit far to either side (< 10⁻⁴ or ≈ 0.1 per
-// byte).
+// two chains per block Feed won that sweep at every density; with quads
+// through dfa.WalkLanes lockstep wins again up to about a visit per 100
+// bytes. The constant stays: the verdict is per scan, often one short
+// segment, and near 1/100 a single visit in a 96-byte segment would send
+// the flow's next chunk to Feed. Real flows sit far to either side
+// (< 10⁻⁴, 0.002 or ≈ 0.1 per byte).
 const acceptDenseDiv = 32
 
 // batchLane is one flow's deferred scan work plus its lockstep cursor.
@@ -92,14 +98,25 @@ type FlowBatcher struct {
 	// lockstep's frame, so that window's one recover can see which lane
 	// was being stepped, kill it, and re-enter the loop where it stopped:
 	// active are the lanes still stepping, round marks a round begun (l,
-	// st and win filled in), (j0, x) the strip and lane being stepped.
-	active []*batchLane
-	act    [MaxBatchFlows]*batchLane
-	st     [MaxBatchFlows]uint32
-	win    [MaxBatchFlows][]byte
-	round  bool
-	l      int
-	j0, x  int
+	// quads, st, win and rest filled in), x the lane whose user code runs.
+	// The first phase is at quad q's strip at offset s, its record in rec
+	// and being drained when draining is set; the second at the strip j0 and
+	// the lane rest[r], stepping each lane x from offset from[x].
+	active   []*batchLane
+	act      [MaxBatchFlows]*batchLane
+	st       [MaxBatchFlows]uint32
+	win      [MaxBatchFlows][]byte
+	round    bool
+	l        int
+	x        int
+	quads    int
+	q, s     int
+	draining bool
+	rec      dfa.Lanes
+	rest     []int
+	restOf   [MaxBatchFlows]int
+	from     [MaxBatchFlows]int
+	j0, r    int
 
 	// Tags of the lanes that died since TakeDead, and the first panic's
 	// value: re-raised by finish once every healthy lane has completed its
@@ -155,8 +172,8 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 		b.scan()
 	}
 	// Extend in place (lanes has capacity k and is never full here) rather
-	// than append a literal: a lane is 176 bytes of mostly flush-time state,
-	// and the slot's more keeps its backing array from window to window.
+	// than append a literal: a lane is mostly flush-time state, and the
+	// slot's more keeps its backing array from window to window.
 	n := len(b.lanes)
 	b.lanes = b.lanes[:n+1]
 	la := &b.lanes[n]
@@ -345,62 +362,161 @@ func (b *FlowBatcher) window() (done bool) {
 		if pv := recover(); pv != nil {
 			b.kill(b.active[b.x], pv)
 			b.win[b.x] = nil
-			b.x++
+			if b.q < b.quads {
+				b.x++ // the next lane of the quad's drain
+			} else {
+				b.r++ // the next lane of the leftover strip
+			}
 		}
 	}()
 	b.lockstep()
 	return true
 }
 
-// batchBlock is the strip length of the lockstep loop: each lane advances
-// batchBlock bytes before the loop moves on to the next lane. Per-lane
-// bookkeeping (table views, cursor, window slice header) amortizes over
-// the strip while the out-of-order window still spans several lanes'
-// strips, keeping multiple independent table-load chains in flight.
+// batchBlock is the strip length of the leftover lanes' interleave: each
+// lane advances batchBlock bytes before the loop moves on to the next lane.
+// Per-lane bookkeeping (table views, cursor, window slice header) amortizes
+// over the strip while the out-of-order window still spans several lanes'
+// strips, keeping multiple independent table-load chains in flight. Longer
+// strips lose that overlap (DESIGN.md §18).
 const batchBlock = 8
 
-// lockstep steps the active lanes in lockstep, a round at a time, until at
-// most one is left: every active lane advances by the shortest remaining
-// chunk, strip-mined so that the lanes' mutually independent table loads
-// interleave. Each lane's table views are read once per strip, so lanes of
-// one MFA and of several cost the same loop. The accept path is a plain
-// call of Runner.fire; (round, j0, x) are stored before the user code it
-// may run, which is all window's recover needs.
+// lockstep steps the active lanes, a round at a time, until at most one is
+// left: every active lane advances by the shortest remaining chunk. A round
+// runs in two phases over lanes that partition has ordered: first each
+// quad — four lanes of one table — walks the round through dfa.WalkLanes a
+// strip at a time, then the lanes no quad took step in the strip-mined
+// interleave. The accept path is a plain call of Runner.fire; the cursors
+// (round, q, s, x; j0, r) are stored before the user code it may run, which
+// is all window's recover needs.
 func (b *FlowBatcher) lockstep() {
 	for len(b.active) > 1 {
 		active := b.active
 		if !b.round {
+			b.quads = partition(active)
 			b.l = minRemaining(active)
+			b.rest = b.restOf[:0]
 			for x, la := range active {
 				b.st[x] = la.st
 				b.win[x] = la.data[la.i : la.i+b.l]
-			}
-			b.round, b.j0, b.x = true, 0, 0
-		}
-		l := b.l
-		for j0 := b.j0; j0 < l; j0 += batchBlock {
-			b.j0 = j0
-			je := min(j0+batchBlock, l)
-			for x := b.x; x < len(active); x++ {
-				w := b.win[x]
-				if w == nil { // lane died earlier in the round
-					continue
+				if x >= 4*b.quads {
+					b.rest, b.from[x] = append(b.rest, x), 0
 				}
-				b.x = x
-				la := active[x]
-				trans, classOf, scaledAccept := la.trans, la.classOf, la.scaledAccept
-				s := b.st[x]
-				for bi, c := range w[j0:je] {
-					s = trans[s+uint32(classOf[c])]
-					if s >= scaledAccept {
-						la.r.fire(la.div.Quo(s-scaledAccept), la.pos+int64(j0+bi), la.cb)
+			}
+			b.round, b.q, b.s, b.draining, b.j0, b.r = true, 0, 0, false, 0, 0
+		}
+		b.walkQuads()
+		b.walkRest()
+		b.round = false
+		b.active = b.advance(active, b.l)
+	}
+}
+
+// partition orders the active lanes for a round: lanes of one table
+// together, each table's lanes in quads from the front, and the lanes no
+// quad takes — fewer than four of a table — at the back. It returns the
+// number of quads.
+func partition(active []*batchLane) (quads int) {
+	var rest [MaxBatchFlows]*batchLane
+	n, nr := 0, 0
+	for i := 0; i < len(active); {
+		m, j := active[i].r.mfa, i+1
+		for k := j; k < len(active); k++ {
+			if active[k].r.mfa == m {
+				active[j], active[k] = active[k], active[j]
+				j++
+			}
+		}
+		q := i + (j-i)&^3
+		n += copy(active[n:], active[i:q])
+		nr += copy(rest[nr:], active[q:j])
+		i = j
+	}
+	copy(active[n:], rest[:nr])
+	return n / 4
+}
+
+// walkQuads is a round's first phase. Each quad walks the round a strip of
+// dfa.LaneLen bytes at a time, and a strip in which some lane visited an
+// accept state is drained from the record, lane by lane in position order.
+// A lane that dies in a drain breaks its quad: the drain goes on at the
+// next lane, and the quad's live lanes step the rest of the round in the
+// second phase.
+func (b *FlowBatcher) walkQuads() {
+	l := b.l
+	for ; b.q < b.quads; b.q, b.s = b.q+1, 0 {
+		q := 4 * b.q
+		la := b.active[q] // the quad's table views are its first lane's
+		st, w := (*[4]uint32)(b.st[q:q+4]), (*[4][]byte)(b.win[q:q+4])
+		for ; b.s < l; b.s += dfa.LaneLen {
+			n := min(l-b.s, dfa.LaneLen)
+			if !b.draining {
+				fold := dfa.WalkLanes(la.trans, la.classOf, la.scaledAccept, st, w, b.s, &b.rec)
+				for k := range st {
+					st[k] = b.rec.Rows[k][dfa.LaneLen-1]
+				}
+				if fold>>63 == 1 {
+					continue // no lane accepted
+				}
+				b.draining, b.x = true, q
+			}
+			for ; b.x < q+4; b.x++ {
+				if b.win[b.x] != nil {
+					drain(b.active[b.x], b.rec.Rows[b.x-q][dfa.LaneLen-n:], b.s)
+				}
+			}
+			b.draining = false
+			if b.win[q] == nil || b.win[q+1] == nil || b.win[q+2] == nil || b.win[q+3] == nil {
+				for x := q; x < q+4 && b.s+n < l; x++ {
+					if b.win[x] != nil {
+						b.rest, b.from[x] = append(b.rest, x), b.s+n
 					}
 				}
-				b.st[x] = s
+				break
 			}
-			b.x = 0
 		}
-		b.round = false
-		b.active = b.advance(active, l)
+	}
+}
+
+// drain runs the accept visits recorded in rows, lane la's walk of the
+// strip at offset s of the round.
+func drain(la *batchLane, rows []uint32, s int) {
+	pos := la.pos + int64(s)
+	for i, row := range rows {
+		if row >= la.scaledAccept {
+			la.r.fire(la.div.Quo(row-la.scaledAccept), pos+int64(i), la.cb)
+		}
+	}
+}
+
+// walkRest is a round's second phase: the lanes no quad walks, each from
+// its own offset in the round (0, or where its broken quad stopped),
+// strip-mined so that their mutually independent table loads interleave.
+// Each lane's table views are read once per strip, so lanes of one MFA and
+// of several cost the same loop.
+func (b *FlowBatcher) walkRest() {
+	l, active, rest := b.l, b.active, b.rest
+	for j0 := b.j0; j0 < l; j0 += batchBlock {
+		b.j0 = j0
+		je := min(j0+batchBlock, l)
+		for r := b.r; r < len(rest); r++ {
+			x := rest[r]
+			w := b.win[x]
+			if w == nil || j0 < b.from[x] { // died earlier in the round, or not yet here
+				continue
+			}
+			b.r, b.x = r, x
+			la := active[x]
+			trans, classOf, scaledAccept := la.trans, la.classOf, la.scaledAccept
+			s := b.st[x]
+			for bi, c := range w[j0:je] {
+				s = trans[s+uint32(classOf[c])]
+				if s >= scaledAccept {
+					la.r.fire(la.div.Quo(s-scaledAccept), la.pos+int64(j0+bi), la.cb)
+				}
+			}
+			b.st[x] = s
+		}
+		b.r = 0
 	}
 }

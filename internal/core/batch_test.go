@@ -243,11 +243,13 @@ func TestBatcherWriteBackState(t *testing.T) {
 
 // TestBatcherMixedWindow is the case the single lockstep loop makes new:
 // one flush window whose lanes walk a flat table, a classed table of a
-// different rule set and a counter-bearing automaton — lanes that used to
-// be partitioned into separate loops — with uneven chunk lengths, a
-// second Add for a live lane, and one lane's callback panicking in the
-// middle of a strip. Sibling streams and contexts must equal sequential
-// Feed, the dead lane must not be written back, and TakeDead must name it.
+// different rule set and a counter-bearing automaton, arriving interleaved
+// — the partition must gather five flat lanes into a quad and a leftover,
+// four classed ones into a quad, and leave the counter lane over — with
+// uneven chunk lengths, second Adds for live lanes, and one lane's callback
+// panicking in the middle of its quad's drain. Sibling streams and contexts
+// must equal sequential Feed, the dead lane must not be written back, and
+// TakeDead must name it.
 func TestBatcherMixedWindow(t *testing.T) {
 	flat := compileTest(t, dfa.LayoutFlat, "attack.*payload", "abc")
 	classed := compileTest(t, dfa.LayoutClassed, "x[0-9]+y", "payload")
@@ -269,29 +271,55 @@ func TestBatcherMixedWindow(t *testing.T) {
 		{counted, []string{"gh..........ij\nab\ngh.", "...\n......ij ab\n"}},
 		{flat, []string{"abc"}},
 		{classed, []string{"x7y"}},
+		{flat, []string{strings.Repeat("attack abc ", 12), "payload"}},
+		{classed, []string{strings.Repeat("x1y payload ", 10)}},
+		{flat, []string{strings.Repeat("abc.", 30)}},
+		{classed, []string{strings.Repeat("..x42y", 20)}},
 	}
-	// The hostile lane: its third match lands at offset 10, inside the
-	// second strip, after two strips' worth of siblings have stepped.
+	// The hostile lane, added after lane 2: its third match lands at offset
+	// 10, in the second round, when lanes 3 and 4 have retired and it walks
+	// in a quad with lanes 0, 5 and 7.
 	const boom = "abcabc  abc abc"
+
+	// The partition of the lanes as they arrive.
+	arrival := make([]*batchLane, 0, len(lanes)+1)
+	for li, la := range lanes {
+		arrival = append(arrival, &batchLane{r: la.m.NewRunner()})
+		if li == 2 {
+			arrival = append(arrival, &batchLane{r: flat.NewRunner()})
+		}
+	}
+	if quads := partition(arrival); quads != 2 {
+		t.Fatalf("partition made %d quads of 5 flat, 4 classed and 1 counter lane, want 2", quads)
+	}
+	for x, la := range arrival {
+		if x < 8 && la.r.mfa != arrival[x&^3].r.mfa {
+			t.Fatalf("partition: lane %d of quad %d walks another table", x%4, x/4)
+		}
+	}
+	if m0, m1 := arrival[8].r.mfa, arrival[9].r.mfa; m0 == m1 || m0 != flat && m1 != flat || m0 != counted && m1 != counted {
+		t.Fatal("partition: the leftover lanes are not one flat and the counter lane")
+	}
 
 	b := NewFlowBatcher(MaxBatchFlows)
 	runners := make([]*Runner, len(lanes))
 	streams := make([][]MatchEvent, len(lanes))
+	hostile := flat.NewRunner()
+	hostile.Feed([]byte("zz"), func(int32, int64) {}) // a context to not write over
+	var hits int
 	for li, la := range lanes {
-		li := li
 		runners[li] = la.m.NewRunner()
 		b.Add(runners[li], li, []byte(la.chunks[0]), func(id int32, pos int64) {
 			streams[li] = append(streams[li], MatchEvent{RuleID: id, Pos: pos})
 		})
-	}
-	hostile := flat.NewRunner()
-	hostile.Feed([]byte("zz"), func(int32, int64) {}) // a context to not write over
-	var hits int
-	b.Add(hostile, "boom", []byte(boom), func(int32, int64) {
-		if hits++; hits == 3 {
-			panic("hostile callback")
+		if li == 2 {
+			b.Add(hostile, "boom", []byte(boom), func(int32, int64) {
+				if hits++; hits == 3 {
+					panic("hostile callback")
+				}
+			})
 		}
-	})
+	}
 	for li, la := range lanes { // second Add for the live lanes
 		for _, chunk := range la.chunks[1:] {
 			li := li
@@ -371,62 +399,69 @@ func flushDead(t *testing.T, b *FlowBatcher, want ...string) {
 	}
 }
 
-// TestBatcherResumeEveryOffset kills one lane of a K = 4 window at every
-// (lane, byte offset) in turn — every byte is an accept visit, so every
-// strip position of every round, and the lone-survivor tail, is a panic
-// site — and requires what the one-recover-per-window design must give:
-// the siblings' streams and contexts equal sequential Feed (no byte
-// repeated or skipped by the re-entry), and the dead lane stops at its
-// panic and is the one named.
+// TestBatcherResumeEveryOffset kills one lane of a window at every (lane,
+// byte offset) in turn — every byte is an accept visit, so every strip
+// position of every round, and the lone-survivor tail, is a panic site —
+// and requires what the one-recover-per-window design must give: the
+// siblings' streams and contexts equal sequential Feed (no byte repeated or
+// skipped by the re-entry), and the dead lane stops at its panic and is
+// the one named. At K = 4 the lanes are one quad, walked through the
+// kernel and drained a strip at a time, and a death breaks the quad; at
+// K = 6 two more lanes take the leftover interleave beside it.
 func TestBatcherResumeEveryOffset(t *testing.T) {
 	m := compileTest(t, dfa.LayoutClassed, "a", "aaa")
-	// Uneven lengths: rounds of 9, 8, 3 and a 3-byte tail, with a second
-	// chunk behind lane 1's first.
-	inputs := [][][]byte{
-		{[]byte(strings.Repeat("a", 20))},
-		{[]byte(strings.Repeat("a", 9)), []byte(strings.Repeat("a", 8))},
-		{[]byte("aaaaaaaaa")},
-		{[]byte(strings.Repeat("a", 23))},
+	as := func(n int) []byte { return []byte(strings.Repeat("a", n)) }
+	// Uneven lengths, rounds longer than a strip and not a multiple of one,
+	// and second chunks queued behind lanes 1 and 5.
+	all := [][][]byte{
+		{as(150)},
+		{as(70), as(80)},
+		{as(140)},
+		{as(200)},
+		{as(90)},
+		{as(130), as(5)},
 	}
-	for victim := range inputs {
-		total := 0
-		for _, chunk := range inputs[victim] {
-			total += len(chunk)
-		}
-		for at := 0; at < total; at++ {
-			b := NewFlowBatcher(4)
-			runners := make([]*Runner, len(inputs))
-			streams := make([][]MatchEvent, len(inputs))
-			for li, chunks := range inputs {
-				li := li
-				runners[li] = m.NewRunner()
-				cb := func(id int32, pos int64) {
-					if li == victim && pos == int64(at) {
-						panic("hostile callback")
-					}
-					streams[li] = append(streams[li], MatchEvent{RuleID: id, Pos: pos})
-				}
-				for _, chunk := range chunks {
-					b.Add(runners[li], li, chunk, cb)
-				}
+	for _, k := range []int{4, 6} {
+		inputs := all[:k]
+		for victim := range inputs {
+			total := 0
+			for _, chunk := range inputs[victim] {
+				total += len(chunk)
 			}
-			flushDead(t, b, fmt.Sprint(victim))
-			for li, chunks := range inputs {
-				if li == victim {
-					// Not written back — or, dying as the lone survivor in
-					// Feed, left where lockstep handed it over.
-					if got := runners[li].Pos(); got > int64(at) || len(streams[li]) != 2*at-min(at, 2) {
-						t.Fatalf("victim %d at %d: dead lane at %d with %d matches", victim, at, got, len(streams[li]))
+			for at := 0; at < total; at++ {
+				b := NewFlowBatcher(k)
+				runners := make([]*Runner, len(inputs))
+				streams := make([][]MatchEvent, len(inputs))
+				for li, chunks := range inputs {
+					runners[li] = m.NewRunner()
+					cb := func(id int32, pos int64) {
+						if li == victim && pos == int64(at) {
+							panic("hostile callback")
+						}
+						streams[li] = append(streams[li], MatchEvent{RuleID: id, Pos: pos})
 					}
-					continue
+					for _, chunk := range chunks {
+						b.Add(runners[li], li, chunk, cb)
+					}
 				}
-				want, wantCtx, wantPos := sequential(m, chunks...)
-				if fmt.Sprint(streams[li]) != fmt.Sprint(want) {
-					t.Fatalf("victim %d at %d: lane %d stream %v, sequential %v", victim, at, li, streams[li], want)
-				}
-				if got := fmt.Sprint(runners[li].Context()); got != wantCtx || runners[li].Pos() != wantPos {
-					t.Fatalf("victim %d at %d: lane %d context %s at %d, sequential %s at %d",
-						victim, at, li, got, runners[li].Pos(), wantCtx, wantPos)
+				flushDead(t, b, fmt.Sprint(victim))
+				for li, chunks := range inputs {
+					if li == victim {
+						// Not written back — or, dying as the lone survivor in
+						// Feed, left where lockstep handed it over.
+						if got := runners[li].Pos(); got > int64(at) || len(streams[li]) != 2*at-min(at, 2) {
+							t.Fatalf("K=%d victim %d at %d: dead lane at %d with %d matches", k, victim, at, got, len(streams[li]))
+						}
+						continue
+					}
+					want, wantCtx, wantPos := sequential(m, chunks...)
+					if fmt.Sprint(streams[li]) != fmt.Sprint(want) {
+						t.Fatalf("K=%d victim %d at %d: lane %d stream %v, sequential %v", k, victim, at, li, streams[li], want)
+					}
+					if got := fmt.Sprint(runners[li].Context()); got != wantCtx || runners[li].Pos() != wantPos {
+						t.Fatalf("K=%d victim %d at %d: lane %d context %s at %d, sequential %s at %d",
+							k, victim, at, li, got, runners[li].Pos(), wantCtx, wantPos)
+					}
 				}
 			}
 		}
@@ -582,16 +617,17 @@ func TestBatcherRouting(t *testing.T) {
 	}
 }
 
-// The routing benchmarks scan every flow's bytes in benchSeg-byte chunks,
-// benchBurst chunks a lane per flush: a shard's window.
+// The routing benchmarks scan every flow's bytes in seg-byte chunks (a
+// full-sized segment, benchSeg, unless a row says otherwise), benchBurst
+// chunks a lane per flush: a shard's window.
 const benchSeg, benchBurst = 1460, 16
 
 // benchSequential scans each flow from its start through Feed alone.
-func benchSequential(runners []*Runner, data [][]byte, cb MatchFunc) {
+func benchSequential(runners []*Runner, data [][]byte, seg int, cb MatchFunc) {
 	for f, r := range runners {
 		r.Reset()
-		for lo := 0; lo < len(data[f]); lo += benchSeg {
-			r.Feed(data[f][lo:min(lo+benchSeg, len(data[f]))], cb)
+		for lo := 0; lo < len(data[f]); lo += seg {
+			r.Feed(data[f][lo:min(lo+seg, len(data[f]))], cb)
 		}
 	}
 }
@@ -599,18 +635,18 @@ func benchSequential(runners []*Runner, data [][]byte, cb MatchFunc) {
 // benchBatched scans the same flows (of one length) through fb. With
 // routing off every chunk is deferred, whatever its flow's last scan looked
 // like, so all bytes go through the lockstep loop.
-func benchBatched(fb *FlowBatcher, runners []*Runner, data [][]byte, cb MatchFunc, routing bool) {
+func benchBatched(fb *FlowBatcher, runners []*Runner, data [][]byte, seg int, cb MatchFunc, routing bool) {
 	for _, r := range runners {
 		r.Reset()
 	}
 	per := len(data[0])
-	for base := 0; base < per; base += benchBurst * benchSeg {
-		for lo := base; lo < min(base+benchBurst*benchSeg, per); lo += benchSeg {
+	for base := 0; base < per; base += benchBurst * seg {
+		for lo := base; lo < min(base+benchBurst*seg, per); lo += seg {
 			for f, r := range runners {
 				if !routing {
 					r.dense = false
 				}
-				fb.Add(r, f, data[f][lo:min(lo+benchSeg, per)], cb)
+				fb.Add(r, f, data[f][lo:min(lo+seg, per)], cb)
 			}
 		}
 		fb.Flush()
@@ -627,36 +663,48 @@ func newRunners(m *MFA, n int) []*Runner {
 
 // BenchmarkLockstepAcceptDense scans the same bytes through a K = 16
 // FlowBatcher, in windows shaped like a shard's (16 segments a lane), and
-// through sequential Feed, on the two kinds of flow the batcher routes
-// apart: C8 over text with an accept visit every tenth byte, which it
-// hands to Feed's block loop after the first window (so the two rows
-// should be level; BenchmarkRoutingSweep says what the hand-over is worth),
-// and B217p over text that never matches, which it steps in lockstep — its
-// sequential row is what a lane left alone runs.
+// through sequential Feed, on the kinds of flow the batcher routes apart: C8
+// over text with an accept visit every tenth byte, which it hands to Feed's
+// block loop after the first window (so the two rows should be level;
+// BenchmarkRoutingSweep says what the hand-over is worth), and B217p over
+// text that never matches, which it steps in lockstep as four quads — its
+// sequential row is what a lane left alone runs. sparse-C10-96 is
+// small_packets' shape: six C10 flows at its word density in 96-byte
+// segments, so every window is one quad and two leftover lanes, rounds are
+// a strip and a half, and about two in five of the quad's strips hold an
+// accept visit to drain.
 func BenchmarkLockstepAcceptDense(b *testing.B) {
-	const flows, per = MaxBatchFlows, 256 << 10
-	for _, bc := range []struct{ name, set string }{{"dense-C8", "C8"}, {"sparse-B217p", "B217p"}} {
+	const per = 256 << 10
+	for _, bc := range []struct {
+		name, set  string
+		flows, seg int
+		wordProb   float64
+	}{
+		{"dense-C8", "C8", MaxBatchFlows, benchSeg, 0.008},
+		{"sparse-B217p", "B217p", MaxBatchFlows, benchSeg, 0},
+		{"sparse-C10-96", "C10", 6, 96, 0.002},
+	} {
 		m, words := compileSets(b, Options{}, bc.set)
-		if bc.set == "B217p" {
-			words = nil
+		if bc.wordProb == 0 {
+			words = nil // no word, and no draw for one: plain text
 		}
-		data := make([][]byte, flows)
+		data := make([][]byte, bc.flows)
 		for f := range data {
-			data[f] = trace.TextLike(per, int64(131+f), words, 0.008)
+			data[f] = trace.TextLike(per, int64(131+f), words, bc.wordProb)
 		}
 		cb := func(int32, int64) {}
-		runners := newRunners(m, flows)
+		runners := newRunners(m, bc.flows)
 		b.Run(bc.name+"/sequential", func(b *testing.B) {
-			b.SetBytes(flows * per)
+			b.SetBytes(int64(bc.flows * per))
 			for i := 0; i < b.N; i++ {
-				benchSequential(runners, data, cb)
+				benchSequential(runners, data, bc.seg, cb)
 			}
 		})
 		b.Run(bc.name+"/batched", func(b *testing.B) {
-			b.SetBytes(flows * per)
+			b.SetBytes(int64(bc.flows * per))
 			fb := NewFlowBatcher(MaxBatchFlows)
 			for i := 0; i < b.N; i++ {
-				benchBatched(fb, runners, data, cb, true)
+				benchBatched(fb, runners, data, bc.seg, cb, true)
 			}
 			_, visits, lockstep, sequentialBytes := fb.Counts()
 			b.ReportMetric(float64(visits)/float64(lockstep+sequentialBytes), "visits/B")
@@ -687,7 +735,7 @@ func BenchmarkRoutingSweep(b *testing.B) {
 		m, _ := compileSets(b, Options{}, bc.sets...)
 		runners := newRunners(m, flows)
 		cb := func(int32, int64) {}
-		for _, density := range []float64{0, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.2} {
+		for _, density := range []float64{0, 0.003, 0.005, 0.01, 0.015, 0.02, 0.03, 0.05, 0.07, 0.1, 0.2} {
 			data := make([][]byte, flows)
 			for f := range data {
 				data[f] = bytes.Clone(plain[f])
@@ -702,14 +750,14 @@ func BenchmarkRoutingSweep(b *testing.B) {
 			b.Run(name+"/sequential", func(b *testing.B) {
 				b.SetBytes(flows * per)
 				for i := 0; i < b.N; i++ {
-					benchSequential(runners, data, cb)
+					benchSequential(runners, data, benchSeg, cb)
 				}
 			})
 			b.Run(name+"/lockstep", func(b *testing.B) {
 				b.SetBytes(flows * per)
 				fb := NewFlowBatcher(MaxBatchFlows)
 				for i := 0; i < b.N; i++ {
-					benchBatched(fb, runners, data, cb, false)
+					benchBatched(fb, runners, data, benchSeg, cb, false)
 				}
 				_, visits, lockstep, sequentialBytes := fb.Counts()
 				if sequentialBytes != 0 {

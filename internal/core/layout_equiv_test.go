@@ -100,29 +100,30 @@ func TestLayoutEquivalence(t *testing.T) {
 				}
 			}
 
-			// Batched lockstep: the three inputs become three concurrent
-			// flows through one FlowBatcher per layout; every flow's stream
-			// must equal its flat sequential reference, for every batch
+			// Batched lockstep: each input becomes two concurrent flows,
+			// chunked apart, through one FlowBatcher per layout; every flow's
+			// stream must equal its flat sequential reference, for every batch
 			// width including K=1 (degenerate, exercises the full-batch
-			// self-flush in Add).
-			for _, k := range []int{1, 2, 3, MaxBatchFlows} {
+			// self-flush in Add), K=4 (one quad through the lane kernel) and
+			// K=6 (a quad and two leftover lanes).
+			flows := append(append([][]byte(nil), inputs...), inputs...)
+			for _, k := range []int{1, 2, 3, 4, 6, MaxBatchFlows} {
 				for vi, m := range append([]*MFA{flat}, variants...) {
 					name := append([]string{"flat"}, names...)[vi]
 					b := NewFlowBatcher(k)
-					frs := make([]*Runner, len(inputs))
-					streams := make([][]MatchEvent, len(inputs))
-					offs := make([]int, len(inputs))
-					cbs := make([]MatchFunc, len(inputs))
-					for fi := range inputs {
+					frs := make([]*Runner, len(flows))
+					streams := make([][]MatchEvent, len(flows))
+					offs := make([]int, len(flows))
+					cbs := make([]MatchFunc, len(flows))
+					for fi := range flows {
 						frs[fi] = m.NewRunner()
-						fi := fi
 						cbs[fi] = func(id int32, pos int64) {
 							streams[fi] = append(streams[fi], MatchEvent{RuleID: id, Pos: pos})
 						}
 					}
 					for done := false; !done; {
 						done = true
-						for fi, input := range inputs {
+						for fi, input := range flows {
 							if offs[fi] >= len(input) {
 								continue
 							}
@@ -144,7 +145,7 @@ func TestLayoutEquivalence(t *testing.T) {
 					if b.Len() != 0 || len(b.TakeDead()) != 0 {
 						t.Fatalf("%s/%d %s k=%d: batcher not empty after flush", set, trial, name, k)
 					}
-					for fi, input := range inputs {
+					for fi, input := range flows {
 						if got, want := fmt.Sprint(streams[fi]), fmt.Sprint(flat.Run(input)); got != want {
 							t.Fatalf("%s/%d %s k=%d flow %d: batched stream differs\nwant: %s\ngot:  %s",
 								set, trial, name, k, fi, want, got)

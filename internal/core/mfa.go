@@ -337,11 +337,12 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	r.dfa.SetState(div.Quo(st), pos)
 }
 
-// fire hands one accept visit of the lockstep loop to the filter: it runs
-// the accept program of accepting state acceptStart+accept — f composed
-// over the state's decision set — on the flow's memory, registers and
-// counters, and onMatch receives the rules it confirms. Feed's drain is
-// the same call on a block's recorded visits.
+// fire hands one accept visit of lockstep (a quad's drain or a leftover
+// lane's step) to the filter: it runs the accept program of accepting
+// state acceptStart+accept — f composed over the state's decision set — on
+// the flow's memory, registers and counters, and onMatch receives the
+// rules it confirms. Feed's drain is the same call on a block's recorded
+// visits.
 func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
 	r.visits++
 	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)

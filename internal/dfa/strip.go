@@ -24,8 +24,8 @@ type Block struct {
 	Accepts [BlockLen / 64]uint64
 }
 
-// WalkBlock is the sequential walk kernel, the one copy of the byte step
-// outside FlowBatcher's lockstep loop (DESIGN.md §13). Over the ScanTable
+// WalkBlock is the sequential walk kernel, one flow at a time; WalkLanes is
+// its multi-flow sibling (DESIGN.md §13). Over the ScanTable
 // views it walks the first BlockLen bytes of w (all of a shorter w) from
 // row base st, records each byte's row base and accept flag in b, and
 // returns the row base it reached.
@@ -117,4 +117,67 @@ func WalkBlock(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []by
 		}
 	}
 	return x
+}
+
+// LaneLen is the most WalkLanes advances each of its lanes by in one call.
+const LaneLen = 64
+
+// Lanes is what WalkLanes records of a strip of n bytes, right-aligned:
+// Rows[k][LaneLen-n+i] is lane k's row base after its byte i, so
+// Rows[k][LaneLen-1] is the row base the lane reached. Entries before the
+// strip are left as they were.
+type Lanes struct {
+	Rows [4][LaneLen]uint32
+	in   [4][LaneLen]byte // the windows side by side: one register addresses all four
+}
+
+// WalkLanes is the multi-flow walk kernel, WalkBlock's sibling behind
+// FlowBatcher's lockstep loop (DESIGN.md §13/§18): four flows over one
+// table, one chain each, so four independent table loads are in flight a
+// byte. Each w[k] is lane k's window, all four of one length, and the strip
+// walked is w[k][at:], n ≥ 1 bytes of it (LaneLen when more are left);
+// st[k] is the row base lane k starts from. Every row base is recorded in
+// rec, and the returned fold's bit 63 is clear when some lane visited an
+// accept state — the caller drains rec only then.
+//
+// Record, then drain, as in WalkBlock: the kernel decides nothing on the
+// states it loads. The accept compare of all four lanes is folded into one
+// word, m &= (a−sa)&(b−sa)&(c−sa)&(d−sa): a lane's difference has bit 63
+// set exactly when its state does not accept. One word rather than a mask
+// per lane, the windows copied side by side into rec, the strip ending at
+// a constant offset and the end states left in the record rather than
+// written through st: each of these frees a register, and without any one
+// of them a chain spills to the stack. Which byte accepted is read back
+// from the rows.
+//
+// It must stay a leaf of its own, for the reason WalkBlock does (CI's
+// bench-smoke job checks that lockstep calls it and that the fold holds no
+// flag instruction).
+//
+//go:noinline
+func WalkLanes(trans []uint32, classMap []uint8, scaledAccept uint32, st *[4]uint32, w *[4][]byte, at int, rec *Lanes) (fold uint64) {
+	classOf := (*[256]uint8)(classMap)
+	lo := 0
+	if n := len(w[0]) - at; n >= LaneLen {
+		for k := range rec.in {
+			rec.in[k] = [LaneLen]byte(w[k][at:])
+		}
+	} else {
+		lo = LaneLen - n
+		for k := range rec.in {
+			copy(rec.in[k][lo:], w[k][at:at+n])
+		}
+	}
+	a, b, c, d := st[0], st[1], st[2], st[3]
+	sa := uint64(scaledAccept)
+	m := ^uint64(0)
+	for i := lo; i < LaneLen; i++ {
+		a = trans[a+uint32(classOf[rec.in[0][i]])]
+		b = trans[b+uint32(classOf[rec.in[1][i]])]
+		c = trans[c+uint32(classOf[rec.in[2][i]])]
+		d = trans[d+uint32(classOf[rec.in[3][i]])]
+		rec.Rows[0][i], rec.Rows[1][i], rec.Rows[2][i], rec.Rows[3][i] = a, b, c, d
+		m &= (uint64(a) - sa) & (uint64(b) - sa) & (uint64(c) - sa) & (uint64(d) - sa)
+	}
+	return m
 }

@@ -348,6 +348,113 @@ func TestStripRecords(t *testing.T) {
 	}
 }
 
+// TestWalkLanesRecords calls the multi-flow kernel itself, over a Lanes
+// record filled with garbage, and requires what four byte-at-a-time walks
+// give: each lane's rows right-aligned in its record row and nothing before
+// them touched, and the fold's bit 63 clear exactly when some lane visited
+// an accept state. For every strip length 1…LaneLen the four lanes enter at
+// four distinct states — one of them a byte short of accepting — and a
+// quiet strip is walked, then one with an accept planted at every offset of
+// each lane in turn; then C8's fragment automaton over word-salted text,
+// strips taken from inside longer windows.
+func TestWalkLanesRecords(t *testing.T) {
+	const L = dfa.LaneLen
+	check := func(name string, d *dfa.DFA, entry [4]uint32, w [4][]byte, at int) {
+		t.Helper()
+		trans, classOf, stride := d.ScanTable()
+		scaled := entry
+		for k := range scaled {
+			scaled[k] *= uint32(stride)
+		}
+		var rec dfa.Lanes
+		for k := range rec.Rows {
+			for i := range rec.Rows[k] {
+				rec.Rows[k][i] = 0xdeadbeef
+			}
+		}
+		fold := dfa.WalkLanes(trans, classOf, d.AcceptStart()*uint32(stride), &scaled, &w, at, &rec)
+		n := min(len(w[0])-at, L)
+		accepted := false
+		for k, st := range entry {
+			for i, c := range w[k][at : at+n] {
+				st = d.Next(st, c)
+				accepted = accepted || st >= d.AcceptStart()
+				if got := rec.Rows[k][L-n+i]; got != st*uint32(stride) {
+					t.Fatalf("%s: lane %d byte %d of %d: row %#x, the byte-at-a-time walk %#x", name, k, i, n, got, st*uint32(stride))
+				}
+			}
+			for i, row := range rec.Rows[k][:L-n] {
+				if row != 0xdeadbeef {
+					t.Fatalf("%s: lane %d: row %d before a %d-byte strip written (%#x)", name, k, i, n, row)
+				}
+			}
+		}
+		if got := fold>>63 == 0; got != accepted {
+			t.Fatalf("%s: fold reports an accept visit: %v, the byte-at-a-time walk: %v", name, got, accepted)
+		}
+	}
+
+	// Entry states: the start, and "b", "bc", "bcd" walked — the last is
+	// one 'e' from accepting, and the strips below begin with a 'z', which
+	// takes every lane back to the start without a visit.
+	d := compileSources(t, "a", "bcde")
+	var entry [4]uint32
+	for k, prefix := range []string{"", "b", "bc", "bcd"} {
+		entry[k] = d.Start()
+		for _, c := range []byte(prefix) {
+			entry[k] = d.Next(entry[k], c)
+		}
+	}
+	if entry[0] == entry[1] || entry[1] == entry[2] || entry[2] == entry[3] || entry[0] == entry[3] {
+		t.Fatalf("entry states %v are not distinct", entry)
+	}
+	strip := func(n, lane, at int) [4][]byte {
+		var w [4][]byte
+		for k := range w {
+			w[k] = bytes.Repeat([]byte("z"), n)
+			if k == lane {
+				w[k][at] = 'a'
+			}
+		}
+		return w
+	}
+	for n := 1; n <= L; n++ {
+		check(fmt.Sprintf("quiet %d-byte strip", n), d, entry, strip(n, -1, 0), 0)
+		for lane := range 4 {
+			for at := range n {
+				check(fmt.Sprintf("%d-byte strip, lane %d accepts at %d", n, lane, at), d, entry, strip(n, lane, at), 0)
+			}
+		}
+	}
+	// The lane one byte from accepting, accepting on its first byte.
+	w := strip(L, -1, 0)
+	w[3][0] = 'e'
+	check("an accept on a lane's first byte", d, entry, w, 0)
+
+	c8, words := compileFragments(t, "C8")
+	text := trace.TextLike(1<<14, 131, words, 0.05)
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 200 {
+		// Windows of up to three strips, walked from a strip edge or not;
+		// a few of them leave more than a strip.
+		n, at := 1+rng.Intn(3*L), 0
+		if rng.Intn(2) == 0 {
+			at = rng.Intn(n)
+		}
+		var w [4][]byte
+		var entry [4]uint32
+		for k := range w {
+			lo := rng.Intn(len(text) - n)
+			w[k] = text[lo : lo+n]
+			entry[k] = c8.Start()
+			for _, c := range text[max(0, lo+at-16) : lo+at] {
+				entry[k] = c8.Next(entry[k], c)
+			}
+		}
+		check(fmt.Sprintf("C8 trial %d, bytes %d…%d", trial, at, n), c8, entry, w, at)
+	}
+}
+
 // TestFeedPanicMidStrip: a callback that panics on the k-th visit of a
 // block has been handed visits 1…k-1 and is handed none after, and the
 // runner still holds the state and position the call found — what the
