@@ -90,8 +90,9 @@ func run() error {
 	fmt.Printf("internal ids:    %d\n", st.InternalIDs)
 	fmt.Printf("image:           %.3f MB (DFA %.3f MB + filters %.4f MB)\n",
 		mb(st.MemoryImageBytes()), mb(st.DFABytes), mb(st.FilterBytes))
-	fmt.Printf("accept programs: %d distinct, %.4f MB resident beside the image, %d live guards; widest decision set %d ids -> %d ops (%d when quiet) per visit\n",
-		st.AcceptPrograms, mb(st.AcceptProgramBytes), st.AcceptLiveGuards, st.AcceptWidest.IDs, st.AcceptWidest.Ops, st.AcceptWidestQuiet)
+	fmt.Printf("accept programs: %d distinct, %.4f MB resident beside the image, %d live guards; widest decision set %d ids -> %d ops (%d when quiet) per visit; %d of %d accepting states reset-only (skipped on a quiet flow)\n",
+		st.AcceptPrograms, mb(st.AcceptProgramBytes), st.AcceptLiveGuards, st.AcceptWidest.IDs, st.AcceptWidest.Ops, st.AcceptWidestQuiet,
+		st.AcceptResetOnly, st.DFAStates-int(m.DFA().AcceptStart()))
 	fmt.Printf("build time:      %v (split %v, subset construction %v)\n",
 		st.BuildTime, st.SplitTime, st.DFATime)
 

@@ -91,7 +91,10 @@ func TestLoadedImageMatchesCompiled(t *testing.T) {
 // (live-all: each line end finds every counter live, the worst case for the
 // live guard, which then only adds its test) or of one (live-one: cost must
 // follow the live counters, not the declared ones). C8, whose decision sets
-// are one or two ids wide and use no counter, is the control.
+// are one or two ids wide and use no counter, is the control. skipped/visit
+// is the share of visits Feed skips (quietSkips): a line end on a flow with
+// nothing to reset — most of them on the quiet texts, next to none on the
+// live ones, where the row measures what deciding not to skip costs.
 func BenchmarkAcceptFanout(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -113,6 +116,7 @@ func BenchmarkAcceptFanout(b *testing.B) {
 			opening := "\n" + strings.Join(rec[:bc.live], " ")
 			data = bytes.ReplaceAll(data, []byte("\n"), []byte(opening))
 		}
+		skipped, visits := quietSkips(m, data)
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
@@ -123,6 +127,7 @@ func BenchmarkAcceptFanout(b *testing.B) {
 				matches = r.FeedCount(data)
 			}
 			st := m.Stats()
+			b.ReportMetric(float64(skipped)/float64(visits), "skipped/visit")
 			b.ReportMetric(float64(matches), "matches")
 			b.ReportMetric(float64(st.AcceptWidest.IDs), "widest-ids")
 			b.ReportMetric(float64(st.AcceptWidest.Ops), "widest-ops")

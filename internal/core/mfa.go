@@ -88,12 +88,15 @@ type BuildStats struct {
 	// programs' resident size. They are rebuilt on load, never
 	// serialized, and so reported beside the Figure 2 image, not in it.
 	// AcceptWidestQuiet is the ops a visit of the widest set runs when every
-	// guard fails and AcceptLiveGuards the live guards emitted; mfabuild
-	// prints them, and they stay out of /statsz, whose key set is pinned.
+	// guard fails, AcceptLiveGuards the live guards emitted and
+	// AcceptResetOnly the accepting states whose program only forgets (a
+	// visit Feed skips on a flow with nothing to forget); mfabuild prints
+	// them, and they stay out of /statsz, whose key set is pinned.
 	AcceptPrograms     int
 	AcceptWidest       struct{ IDs, Ops int }
 	AcceptWidestQuiet  int `json:"-"`
 	AcceptLiveGuards   int `json:"-"`
+	AcceptResetOnly    int `json:"-"`
 	AcceptProgramBytes int
 }
 
@@ -118,8 +121,12 @@ type MFA struct {
 	div         dfa.StrideDiv
 	acceptStart uint32
 	// fires[q-acceptStart] is the accept program of accepting state q:
-	// the filter actions of its decision set, composed.
-	fires []filter.AcceptProgram
+	// the filter actions of its decision set, composed. resetOnly says the
+	// same index's program only forgets, and quiet is what all such
+	// programs can forget: Feed skips them on a flow quiet holds for.
+	fires     []filter.AcceptProgram
+	resetOnly []bool
+	quiet     filter.Quiet
 }
 
 // newMFA is the one constructor behind Compile and ReadMFA: it derives
@@ -134,6 +141,13 @@ func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
 	m.div = dfa.NewStrideDiv(m.stride)
 	var composed filter.ComposeStats
 	m.fires, composed = prog.Compose(d.AcceptSets())
+	m.resetOnly = make([]bool, len(m.fires))
+	for i, ap := range m.fires {
+		if m.resetOnly[i] = ap.ResetOnly(); m.resetOnly[i] {
+			stats.AcceptResetOnly++
+		}
+	}
+	m.quiet = filter.NewQuiet(m.fires)
 
 	stats.DFAStates = d.NumStates()
 	stats.PosRegs = prog.NumRegs()
@@ -317,19 +331,47 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // byte it reports, with the same pos and the same Pos(). If onMatch (or an
 // accept program) panics, the block's later visits are not delivered and
 // the runner keeps the DFA state and position the call found.
+//
+// A visit whose program only forgets (a line end clearing guard bits and
+// resetting counters) is skipped while the flow is quiet — holds none of
+// the bits and no live counter any such program could touch — since it
+// would change nothing (DESIGN.md §21). Whether it is quiet is checked at
+// the call's first reset-only visit and at the first after a reset-only
+// program ran; any other program makes it "not quiet" unchecked, so a flow
+// whose every line records a witness never pays for the check. Every
+// visit still counts towards the routing verdict.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	m, div := r.mfa, r.mfa.div
 	st, scaledAccept := r.dfa.State()*uint32(m.stride), m.acceptStart*uint32(m.stride)
 	pos := r.dfa.Pos()
+	quiet, unsure := false, true // unsure: read quiet afresh before using it; quiet implies !unsure
 	var b dfa.Block
 	for len(data) > 0 {
 		st = dfa.WalkBlock(m.trans, m.classOf, st, scaledAccept, data, &b)
 		n := min(len(data), dfa.BlockLen)
-		for j, accepts := range b.Accepts[:(n+63)/64] {
+		words := b.Accepts[:(n+63)/64]
+		for _, accepts := range words {
 			r.visits += int64(bits.OnesCount64(accepts))
+		}
+		for j, accepts := range words {
 			for ; accepts != 0; accepts &= accepts - 1 {
 				i := (j*64 + bits.TrailingZeros64(accepts)) & (dfa.BlockLen - 1) // the mask only tells the compiler i is in range
-				m.fires[div.Quo(b.Rows[i]-scaledAccept)].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
+				q := div.Quo(b.Rows[i] - scaledAccept)
+				if m.resetOnly[q] {
+					if quiet {
+						continue
+					}
+					if unsure {
+						if quiet = m.quiet.Holds(r.mem, r.ctrs); quiet {
+							unsure = false
+							continue
+						}
+					}
+					unsure = true
+				} else {
+					quiet, unsure = false, false
+				}
+				m.fires[q].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
 			}
 		}
 		data, pos = data[n:], pos+int64(n)
