@@ -47,10 +47,11 @@ const MaxBatchFlows = 16
 // its next chunk is scanned by Feed. Read off BenchmarkRoutingSweep on C8
 // and S24 ∪ CTR24 (DESIGN.md §18) when Feed walked one chain: lockstep
 // won up to a visit per 33 bytes and lost by a quarter at one per 10. With
-// two chains per block Feed won that sweep at every density; with quads
-// through dfa.WalkLanes lockstep wins again up to about a visit per 100
-// bytes. The constant stays: the verdict is per scan, often one short
-// segment, and near 1/100 a single visit in a 96-byte segment would send
+// quads through dfa.WalkLanes lockstep won up to about a visit per 100
+// bytes; since Feed walks four chains a block, lockstep wins only on
+// visit-free text (Feed is ahead from a visit per 300 bytes). The
+// constant stays: the verdict is per scan, often one short segment, and
+// near either crossover a single visit in a 96-byte segment would send
 // the flow's next chunk to Feed. Real flows sit far to either side
 // (< 10⁻⁴, 0.002 or ≈ 0.1 per byte).
 const acceptDenseDiv = 32
@@ -126,6 +127,11 @@ type FlowBatcher struct {
 
 	// Cumulative work counters (Counts).
 	nLanes, nVisits, nLockstep, nSequential int64
+
+	// The block record of every Feed the batcher makes, kept so that a
+	// short one does not clear it (Runner.feed). Last, so that lockstep's
+	// cursors above keep their offsets.
+	blk dfa.Quarters
 }
 
 // NewFlowBatcher returns a batcher stepping up to k flows in lockstep;
@@ -157,7 +163,7 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 	}
 	if r.dense { // so not in the batch: the verdict is a finished scan's
 		visits := r.visits
-		r.Feed(data, onMatch)
+		r.feed(data, onMatch, &b.blk)
 		b.account(r, r.visits-visits, 0, int64(len(data)))
 		return true
 	}
@@ -288,9 +294,9 @@ func (b *FlowBatcher) feedLane(la *batchLane) {
 			b.kill(la, pv)
 		}
 	}()
-	la.r.Feed(la.data[la.i:], la.cb)
+	la.r.feed(la.data[la.i:], la.cb, &b.blk)
 	for _, d := range la.more[la.next:] {
-		la.r.Feed(d, la.cb)
+		la.r.feed(d, la.cb, &b.blk)
 	}
 	b.retire(la)
 }

@@ -321,16 +321,17 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // passed through the filter; onMatch is invoked only for confirmed
 // matches of original rules, in input order. It is the loop of
 // dfa.Runner.Feed — record, then drain — with the filter as the drain:
-// dfa.WalkBlock walks up to dfa.BlockLen bytes without a branch on the
-// states it reaches (two independent chains over a whole block, one class-
-// map load, one table load and one store per byte, over pre-scaled row
-// bases), and the accept programs of the visits its accept words name then
-// run in order. The filter is off the walk's dependent-load chains, so
-// match-dense text pays for its visits and not for a mispredicted branch
-// at each; a callback runs up to BlockLen-1 bytes of walking after the
-// byte it reports, with the same pos and the same Pos(). If onMatch (or an
-// accept program) panics, the block's later visits are not delivered and
-// the runner keeps the DFA state and position the call found.
+// dfa.WalkQuarters walks up to dfa.BlockLen bytes without a branch on the
+// states it reaches (four independent chains over a block of at least 64
+// bytes, one class-map load, one table load and one store per byte, over
+// pre-scaled row bases), and the accept programs of the visits its accept
+// words name then run in order. The filter is off the walk's
+// dependent-load chains, so match-dense text pays for its visits and not
+// for a mispredicted branch at each; a callback runs up to
+// dfa.BlockLen-1 = 255 bytes of walking after the byte it reports, with
+// the same pos and the same Pos(). If onMatch (or an accept program)
+// panics, the block's later visits are not delivered and the runner keeps
+// the DFA state and position the call found.
 //
 // A visit whose program only forgets (a line end clearing guard bits and
 // resetting counters) is skipped while the flow is quiet — holds none of
@@ -341,22 +342,30 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // whose every line records a witness never pays for the check. Every
 // visit still counts towards the routing verdict.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
+	var rec dfa.Quarters
+	r.feed(data, onMatch, &rec)
+}
+
+// feed is Feed walking into rec, a block record the caller owns and may
+// reuse: WalkQuarters reads no row it did not write in the same call. A
+// FlowBatcher keeps one, so the short calls it makes — a lone lane's
+// 96-byte segment — do not clear a kilobyte each.
+func (r *Runner) feed(data []byte, onMatch MatchFunc, rec *dfa.Quarters) {
 	m, div := r.mfa, r.mfa.div
 	st, scaledAccept := r.dfa.State()*uint32(m.stride), m.acceptStart*uint32(m.stride)
 	pos := r.dfa.Pos()
 	quiet, unsure := false, true // unsure: read quiet afresh before using it; quiet implies !unsure
-	var b dfa.Block
 	for len(data) > 0 {
-		st = dfa.WalkBlock(m.trans, m.classOf, st, scaledAccept, data, &b)
-		n := min(len(data), dfa.BlockLen)
-		words := b.Accepts[:(n+63)/64]
-		for _, accepts := range words {
+		st = dfa.WalkQuarters(m.trans, m.classOf, st, scaledAccept, data, rec)
+		for _, accepts := range rec.Accepts {
 			r.visits += int64(bits.OnesCount64(accepts))
 		}
-		for j, accepts := range words {
-			for ; accepts != 0; accepts &= accepts - 1 {
-				i := (j*64 + bits.TrailingZeros64(accepts)) & (dfa.BlockLen - 1) // the mask only tells the compiler i is in range
-				q := div.Quo(b.Rows[i] - scaledAccept)
+		for j, accepts := range rec.Accepts {
+			for accepts != 0 {
+				low := accepts // dies at the bit scan: see dfa.Runner.FeedCount
+				accepts &= accepts - 1
+				i := (j*64 + bits.TrailingZeros64(low)) & (dfa.BlockLen - 1) // the mask only tells the compiler i is in range
+				q := div.Quo(rec.Rows[i] - scaledAccept)
 				if m.resetOnly[q] {
 					if quiet {
 						continue
@@ -371,9 +380,10 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 				} else {
 					quiet, unsure = false, false
 				}
-				m.fires[q].Run(r.mem, r.regs, r.ctrs, pos+int64(i), onMatch)
+				m.fires[q].Run(r.mem, r.regs, r.ctrs, pos+int64(rec.Offset(i)), onMatch)
 			}
 		}
+		n := rec.Len()
 		data, pos = data[n:], pos+int64(n)
 	}
 	r.dfa.SetState(div.Quo(st), pos)

@@ -413,10 +413,14 @@ func scanModes(t testing.TB, m *MFA, inputs [][]byte, rng *rand.Rand, check func
 		check("chunks", i, chunked)
 
 		// Fixed chunkings around the sequential loop's edges: a call that
-		// ends a byte short of a mask word, of a block's half and of a
-		// whole block, on each edge and a byte past it.
-		const h = dfa.BlockLen / 2
-		for _, n := range []int{1, 63, 64, 65, h - 1, h, h + 1, 2*h - 1, 2 * h, 2*h + 1} {
+		// ends a byte short of a quarter (an accept word), of two quarters
+		// and of a block, on each edge and a byte past it, two blocks but a
+		// byte, and a full-size Ethernet payload. Every cut is a context
+		// round trip: the rest of the flow runs on a runner restored from
+		// the context saved there.
+		const q = dfa.BlockLen / 4
+		for _, n := range []int{1, q - 1, q, q + 1, 2*q - 1, 2 * q, 2*q + 1,
+			dfa.BlockLen - 1, dfa.BlockLen, dfa.BlockLen + 1, 2*dfa.BlockLen - 1, 1460} {
 			if n > 1 && n >= len(input) {
 				continue // one Feed call: the "whole" mode
 			}
@@ -424,6 +428,12 @@ func scanModes(t testing.TB, m *MFA, inputs [][]byte, rng *rand.Rand, check func
 			r := m.NewRunner()
 			for lo := 0; lo < len(input); lo += n {
 				r.Feed(input[lo:min(lo+n, len(input))], collect(&evs))
+				state, mem, regs, ctrs := r.Context()
+				next := m.NewRunner()
+				if err := next.SetContext(state, mem, regs, ctrs, r.Pos()); err != nil {
+					t.Fatal(err)
+				}
+				r = next
 			}
 			check(fmt.Sprintf("%d-byte chunks", n), i, evs)
 		}

@@ -7,26 +7,27 @@ import (
 	"testing"
 
 	"matchfilter/internal/dfa"
+	"matchfilter/internal/trace"
 )
 
-// half is the length of a block's half: dfa.WalkBlock walks a whole block
-// as two chains, the second from a guessed state.
-const half = dfa.BlockLen / 2
+// quarter is the length of a block's quarter: dfa.WalkQuarters walks a
+// block as four chains, each after the first from a guessed state.
+const quarter = dfa.BlockLen / 4
 
 // TestFeedStripBoundaries holds Feed's record-then-drain loop to the AST
-// oracle where a block can go wrong: an accept visit on either side of a
-// mask word's edge, of the edge between a block's halves and of the edge
-// between blocks, in the window the second half's state is guessed from,
-// and on every byte of three consecutive blocks (full accept words) — for
-// a rule the filter passes through (/a/), one it gates on a memory bit set
-// blocks earlier (ab.*xa) and one a line end in between must clear
-// (ab[^\n]*xa) — and on two automata that remember more than the guess
-// window, over text that keeps them live so that most guesses miss: one
-// that counts a's (it never forgets) and one that tracks the distance to
-// the last x. Every scan mode runs, the block-edge chunkings of scanModes
-// among them.
+// oracle where a block can go wrong: an accept visit on either side of the
+// edges between a block's quarters (its accept words) and between blocks,
+// in the windows the later quarters' states are guessed from, at the edges
+// of a tail's four quarters and in the bytes a tail leaves over, and on
+// every byte of three consecutive blocks (full accept words) — for a rule
+// the filter passes through (/a/), one it gates on a memory bit set blocks
+// earlier (ab.*xa) and one a line end in between must clear (ab[^\n]*xa) —
+// and on two automata that remember more than the guess window, over text
+// that keeps them live so that most guesses miss: one that counts a's (it
+// never forgets) and one that tracks the distance to the last x. Every
+// scan mode runs, the block-edge chunkings of scanModes among them.
 func TestFeedStripBoundaries(t *testing.T) {
-	const B = dfa.BlockLen
+	const B, q = dfa.BlockLen, quarter
 	quiet := func(n int) []byte { return bytes.Repeat([]byte("x"), n) }
 	at := func(n int, hits ...int) []byte {
 		b := quiet(n)
@@ -37,12 +38,13 @@ func TestFeedStripBoundaries(t *testing.T) {
 	}
 	head := func(b []byte) []byte { return append([]byte("ab"), b...) }
 	inputs := [][]byte{
-		at(3*B, 63, 64, B+63, B+64),
-		at(3*B, half-1, half, B-1, B),
-		at(3*B, half-17, half-16, half-9, half-8, half-1), // edges of the guess window
+		at(3*B, q-1, q, 2*q-1, 2*q, 3*q-1, 3*q, B+q-1, B+q),
+		at(3*B, B-1, B, 2*B-1, 2*B),
+		at(3*B, q-17, q-16, q-9, q-8, q-5, q-4, q-1, 2*q-5, 2*q-4, 3*q-9, 3*q-8, 3*q-1), // edges of guess windows of 4, 8 and 16 bytes
 		at(2*B+7, 2*B+6),
-		head(at(3*B, half-3, half-2, B-3, B-2)), // the same edges, two bytes on, behind a set bit
-		head(append(at(half, half-3), append([]byte("\n"), at(2*B, half-2, half-1)...)...)),
+		at(B+103, B, B+24, B+25, B+74, B+75, B+99, B+100, B+102), // a 100-byte tail's quarters and the 3 bytes it leaves
+		head(at(3*B, q-3, q-2, 3*q-3, 3*q-2, B-3, B-2)),          // the same edges, two bytes on, behind a set bit
+		head(append(at(q, q-3), append([]byte("\n"), at(2*B, 2*q-2, 2*q-1)...)...)),
 		append(append(quiet(5), bytes.Repeat([]byte("a"), 3*B)...), quiet(5)...),
 		bytes.Repeat([]byte("a"), 3*B),
 		head(bytes.Repeat([]byte("xa"), B)),
@@ -52,14 +54,22 @@ func TestFeedStripBoundaries(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	parity := make([]byte, 5*B+3) // an a to open each block, a's salted after the guess window
+	// An a to open each block and pairs of a's in the first half of each
+	// quarter, clear of any guess window of up to 16 bytes: the a's before
+	// every guess window of a block are odd in number, so every guess
+	// misses.
+	parity := make([]byte, 5*B+3)
 	distance := make([]byte, 0, 5*B+48)
 	for i := range parity {
-		switch {
-		case i%B == 0 || i%B >= half-16 && rng.Intn(8) == 0:
+		parity[i] = "bc"[rng.Intn(2)]
+	}
+	for i := 0; i+1 < len(parity); i++ {
+		switch at := i % B; {
+		case at == 0:
 			parity[i] = 'a'
-		default:
-			parity[i] = "bc"[rng.Intn(2)]
+		case at%q >= q/4 && at%q < q/2 && rng.Intn(8) == 0:
+			parity[i], parity[i+1] = 'a', 'a'
+			i++
 		}
 	}
 	for len(distance) < 5*B {
@@ -71,7 +81,7 @@ func TestFeedStripBoundaries(t *testing.T) {
 			distance = append(distance, 'y')
 		}
 	}
-	never := [][]byte{parity, distance, append(bytes.Clone(parity[:B+half]), distance[:2*B]...)}
+	never := [][]byte{parity, distance, append(bytes.Clone(parity[:B+2*q]), distance[:2*B]...)}
 	if matched := assertOracle(t, []string{"^(?:[bc]*a[bc]*a)*[bc]*a", "x[a-w]{40}y"}, never); matched != len(never) {
 		t.Fatalf("%d of %d never-synchronizing inputs match", matched, len(never))
 	}
@@ -81,20 +91,20 @@ func TestFeedStripBoundaries(t *testing.T) {
 // block has been handed the ones before it and is handed none after, and
 // the runner's DFA state and position are where the call found them — the
 // contract FlowBatcher's lane-death handling is built on. The panic comes
-// on the fifth match, and on the first match of a block's second half —
-// after a guess that held, and after one that missed (the a-counting rule:
-// the second half is walked again) — which must find every match of the
-// first half delivered.
+// on the fifth match, and on the first match of a block's last quarter —
+// after guesses that held, and after ones that missed (the a-counting
+// rule: the quarters are walked again) — which must find every match of
+// the first three quarters delivered.
 func TestFeedPanicMidStrip(t *testing.T) {
 	parity := append([]byte("a"), bytes.Repeat([]byte("bab"), dfa.BlockLen)...)
 	for _, c := range []struct {
 		name, rule    string
 		prefix, input []byte
-		secondHalf    bool
+		lastQuarter   bool
 	}{
 		{"fifth match", "a", []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), false},
-		{"second half", "a", []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), true},
-		{"second half of a missed guess", "^(?:[bc]*a[bc]*a)*[bc]*a", nil, parity, true},
+		{"last quarter", "a", []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), true},
+		{"last quarter of missed guesses", "^(?:[bc]*a[bc]*a)*[bc]*a", nil, parity, true},
 	} {
 		r := compileTest(t, dfa.LayoutClassed, c.rule).NewRunner()
 		r.Feed(c.prefix, func(int32, int64) {})
@@ -107,7 +117,7 @@ func TestFeedPanicMidStrip(t *testing.T) {
 		for _, ev := range oracleEvents(oracleFor(mustRules(t, c.rule)), append(bytes.Clone(c.prefix), c.input...)) {
 			switch {
 			case ev.pos < pos:
-			case c.secondHalf && ev.pos < pos+half || !c.secondHalf && len(want) < 4:
+			case c.lastQuarter && ev.pos < pos+3*quarter || !c.lastQuarter && len(want) < 4:
 				want = append(want, ev.pos)
 			case panicAt < 0:
 				panicAt = ev.pos
@@ -137,6 +147,50 @@ func TestFeedPanicMidStrip(t *testing.T) {
 		}
 		if got, _, _, _ := r.Context(); got != state || r.Pos() != pos {
 			t.Errorf("%s: after the panic the runner is at state %d pos %d; the call found it at %d, %d", c.name, got, r.Pos(), state, pos)
+		}
+	}
+}
+
+// BenchmarkFeedChunked times Feed alone on one flow cut into calls of 96
+// bytes (small_packets' segments, the call a lone lane makes), of a
+// full-size Ethernet payload and of the whole text, over the tables the
+// workloads walk: C8 and S24 ∪ CTR24 with an accept visit every tenth
+// byte, B217p over text that never matches and C10 at small_packets' word
+// density. The 96-byte rows are where the block record's size shows: a
+// call shorter than a block still sets one up.
+func BenchmarkFeedChunked(b *testing.B) {
+	const per = 256 << 10
+	for _, bc := range []struct {
+		name     string
+		sets     []string
+		wordProb float64
+	}{
+		{"C8", []string{"C8"}, 0.008},
+		{"S24+CTR24", []string{"S24", "CTR24"}, 0.008},
+		{"B217p", []string{"B217p"}, 0},
+		{"C10", []string{"C10"}, 0.002},
+	} {
+		m, words := compileSets(b, Options{}, bc.sets...)
+		if bc.wordProb == 0 {
+			words = nil // no word, and no draw for one: plain text
+		}
+		data := trace.TextLike(per, 131, words, bc.wordProb)
+		r := m.NewRunner()
+		cb := func(int32, int64) {}
+		for _, seg := range []int{96, benchSeg, per} {
+			name := fmt.Sprint(seg)
+			if seg == per {
+				name = "whole"
+			}
+			b.Run(bc.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(per)
+				for i := 0; i < b.N; i++ {
+					r.Reset()
+					for lo := 0; lo < per; lo += seg {
+						r.Feed(data[lo:min(lo+seg, per)], cb)
+					}
+				}
+			})
 		}
 	}
 }

@@ -5,8 +5,8 @@
 //
 // There is one table shape: a 256-byte class map plus a row-major
 // numStates × k table whose entries are pre-scaled row bases (next × k),
-// stepped as st = trans[st+uint32(classOf[b])] — by WalkBlock, the kernel
-// of every sequential loop, by WalkLanes, four flows a call for core's
+// stepped as st = trans[st+uint32(classOf[b])] — by WalkQuarters, the
+// kernel of every sequential loop, by WalkLanes, four flows a call for core's
 // lockstep loop, and by that loop's leftover lanes. Options.Layout
 // only chooses the columns. Classed (the default via LayoutAuto) keeps one
 // column per byte equivalence class, a table typically 5–20× smaller that
@@ -452,7 +452,7 @@ func (d *DFA) TransitionTable() []uint32 {
 // st = trans[st+uint32(classOf[b])], and st/stride recovers the state
 // number (for accept-set indexing and context save/restore). All three
 // are shared, read-only views; composite engines (the MFA) cache them
-// once and hand them to WalkBlock, or step them in a loop of their own
+// once and hand them to WalkQuarters, or step them in a loop of their own
 // (core.FlowBatcher).
 func (d *DFA) ScanTable() (trans []uint32, classOf []uint8, stride int) {
 	return d.trans, d.classOf, d.numClasses

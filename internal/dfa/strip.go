@@ -2,121 +2,188 @@ package dfa
 
 import "math/bits"
 
-// The block walk's shape (DESIGN.md §13): a block is two halves of
-// blockHalf bytes walked as two interleaved chains, the second started from
-// the state guessLen bytes of walking reach from the block's entry state.
-// Both were read off BenchmarkStrip's sweep (EXPERIMENTS.md "Two chains per
-// flow") and are constants, not options.
+// The sequential walk's shape (DESIGN.md §13): a block is four quarters of
+// quarterLen bytes walked as four interleaved chains, each after the first
+// started from the state guessLen bytes of walking reach from the block's
+// entry state. Both were read off BenchmarkStrip's sweep (EXPERIMENTS.md
+// "Four chains per flow") and are constants, not options.
 const (
-	blockHalf = 64
-	guessLen  = 8
+	quarterLen = 64
+	guessLen   = 4
 
-	// BlockLen is the most WalkBlock advances a flow by in one call: the
+	// BlockLen is the most WalkQuarters advances a flow by in one call: the
 	// caller drains a block's accept visits before it walks the next.
-	BlockLen = 2 * blockHalf
+	BlockLen = 4 * quarterLen
+
+	// An input shorter than four quarters of minQuarter bytes takes one
+	// chain: a quarter must hold the guess window before the next.
+	minQuarter = 16
 )
 
-// Block is what WalkBlock records of the bytes it walked: Rows[i] is the
-// row base after byte i, and bit i%64 of Accepts[i/64] is set when that
-// state accepts. Entries beyond the bytes walked are left as they were.
-type Block struct {
+// Quarters is what WalkQuarters records of the bytes it walked, one
+// quarter of quarterLen rows per chain, right-aligned: a call of four
+// quarters of q bytes fills Rows[64j+64−q, 64j+64) for quarter j, a call of
+// one chain over n bytes Rows[64−n, 64). Bit i of Accepts[j] is set when
+// the state in Rows[64j+i] accepts, and Offset(64j+i) is the offset of the
+// byte that reached it in the bytes walked. Rows outside the bytes walked
+// are left as they were.
+type Quarters struct {
 	Rows    [BlockLen]uint32
-	Accepts [BlockLen / 64]uint64
+	Accepts [4]uint64
+	n, q    int // bytes walked; bytes each quarter holds
 }
 
-// WalkBlock is the sequential walk kernel, one flow at a time; WalkLanes is
-// its multi-flow sibling (DESIGN.md §13). Over the ScanTable
-// views it walks the first BlockLen bytes of w (all of a shorter w) from
-// row base st, records each byte's row base and accept flag in b, and
-// returns the row base it reached.
+// Len returns how many bytes of its input the last WalkQuarters call
+// walked: BlockLen, four equal quarters of a shorter input (its last
+// n mod 4 bytes left for the next call), or all of an input too short for
+// four chains.
+func (rec *Quarters) Len() int { return rec.n }
+
+// Offset returns the offset, in the bytes walked, of the byte whose row is
+// Rows[i]: i itself for a whole block.
+func (rec *Quarters) Offset(i int) int {
+	return (i/quarterLen+1)*rec.q + i%quarterLen - quarterLen
+}
+
+// WalkQuarters is the sequential walk kernel, one flow at a time; WalkLanes
+// is its multi-flow sibling (DESIGN.md §13). Over the ScanTable views it
+// walks a block of w from row base st — BlockLen bytes, or as many of a
+// shorter w as Len reports — records each byte's row base and accept flag
+// in rec, and returns the row base it reached.
 //
-// Record, then drain: the kernel decides nothing on the state it loads. It
-// stores every row base at an address no state moves and folds the accept
-// compare into a mask word: (st−scaledAccept)>>63 is 1 exactly when st does
-// not accept; it is or-ed into bit 0 and the word rotated right by one, so
-// after 64 bytes byte i's flag is bit i and the word is inverted once. That
-// is a subtract, a shift, an or and a rotate a byte, with no flag
-// instruction and no 64-bit constant — the and with 1<<63 of the obvious
-// form takes a register, and the second chain spills for want of it. The
-// caller walks the set bits.
+// Four chains: a walk is a chain of dependent loads, one per byte. A block
+// is walked as four quarters, interleaved in one loop (walkChains): chain A
+// from st, chains B, C and D from guesses — the states reached by walking
+// the guessLen bytes before quarters 1, 2 and 3 from st. A decomposed
+// automaton forgets all but its last few bytes (the filter holds the
+// long-range memory), so the true walk almost always enters a quarter
+// where its guess started, and that quarter is then exact as recorded: the
+// DFA is deterministic. The quarters are checked in order; where the true
+// state entering one differs from its guess, the quarter is walked again
+// from the true state, rows rewritten, until the walk meets a row recorded
+// at the same offset; from there on the record is the true walk. A shorter
+// input of at least four quarters of minQuarter bytes is walked as four
+// quarters of ⌊n/4⌋ bytes, copied right-aligned into quarterLen-byte slots;
+// the n mod 4 bytes left over are the next call's. A shorter input still
+// takes one chain.
 //
-// Two chains: a walk is a chain of dependent loads, one per byte. A full
-// block is walked as two: chain A from st over the first half, chain B
-// over the second from a guess — the state reached by walking the guessLen
-// bytes before the half from st. A decomposed automaton forgets all but
-// its last few bytes (the filter holds the long-range memory), so A almost
-// always arrives where B's guess started, and B's half is then exact as
-// recorded: the DFA is deterministic. When it does not, the second half is
-// walked again from A's state, rows and mask bits rewritten, until the
-// walk meets a state B recorded at the same offset; from there on B's
-// record is the true walk. Inputs shorter than a block take one chain.
-//
-// It must stay a leaf of its own: inlined into a Feed loop the register
-// allocator parks the chains on the stack across the drain's calls (CI's
-// bench-smoke job checks the disassembly for the TEXT symbol and for the
-// folded flags, whose place a jump on the accept compare would take).
-//
-//go:noinline
-func WalkBlock(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []byte, b *Block) (end uint32) {
-	// Checked once here, not per byte: the class map covers every byte
-	// value and b is not nil.
+// Record, then drain: nothing decides on a state inside the walk. The
+// accept flags come after it, from a carry pass over the corrected rows
+// (carry), and the caller walks their set bits: bit i of Accepts[j] names
+// Rows[64j+i], one index for the row and, through Offset, the byte.
+func WalkQuarters(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []byte, rec *Quarters) (end uint32) {
 	classOf := (*[256]uint8)(classMap)
-	_ = b.Rows[0]
-	sa := uint64(scaledAccept)
-	var m uint64
-	if len(w) < BlockLen {
-		for i := range w {
-			st = trans[st+uint32(classOf[w[i]])]
-			b.Rows[i&(BlockLen-1)] = st
-			m = bits.RotateLeft64(m|(uint64(st)-sa)>>63, -1)
-			if i&63 == 63 || i == len(w)-1 { // a short last word is shifted down to its bytes
-				b.Accepts[i>>6&(BlockLen/64-1)] = ^m >> (63 - i&63)
-				m = 0
-			}
+	rows := &rec.Rows
+	if len(w) < 4*minQuarter {
+		lo := quarterLen - len(w)
+		for i, c := range w {
+			st = trans[st+uint32(classOf[c])]
+			rows[(lo+i)&(quarterLen-1)] = st
 		}
+		sa, m := uint64(scaledAccept), ^uint64(0)
+		for i := quarterLen; i > lo; {
+			i--
+			_, b := bits.Sub64(uint64(rows[i&(quarterLen-1)]), sa, 0)
+			m, _ = bits.Add64(m, m, b)
+		}
+		rec.n, rec.q = len(w), len(w)
+		rec.Accepts = [4]uint64{^m << lo}
 		return st
 	}
-	w = w[:BlockLen]
 
-	guess := st
-	for _, c := range w[blockHalf-guessLen : blockHalf] {
-		guess = trans[guess+uint32(classOf[c])]
-	}
-	x, y := st, guess
-	var my uint64
-	for i := 0; i < blockHalf; i++ {
-		x = trans[x+uint32(classOf[w[i]])]
-		y = trans[y+uint32(classOf[w[blockHalf+i]])]
-		b.Rows[i], b.Rows[blockHalf+i] = x, y
-		m = bits.RotateLeft64(m|(uint64(x)-sa)>>63, -1)
-		my = bits.RotateLeft64(my|(uint64(y)-sa)>>63, -1)
-		if i&63 == 63 {
-			j := i >> 6 & (blockHalf/64 - 1)
-			b.Accepts[j], b.Accepts[j+blockHalf/64] = ^m, ^my
-			m, my = 0, 0
+	q, in := quarterLen, (*[BlockLen]byte)(nil)
+	if len(w) >= BlockLen {
+		in = (*[BlockLen]byte)(w)
+	} else {
+		q = len(w) / 4
+		var tail [BlockLen]byte
+		for j := range 4 {
+			copy(tail[j*quarterLen+quarterLen-q:(j+1)*quarterLen], w[j*q:])
 		}
+		in = &tail
 	}
-	if x == guess {
-		return y
-	}
+	lo := quarterLen - q
 
-	// The guess missed: walk the second half from A's state until it meets
-	// B's record. Bits of the word in progress are rebuilt in m and merged
-	// below the offset where the walks meet.
-	for i := blockHalf; i < BlockLen; i++ {
-		x = trans[x+uint32(classOf[w[i]])]
-		if x == b.Rows[i] {
-			low := uint64(1)<<(i&63) - 1
-			b.Accepts[i>>6] = b.Accepts[i>>6]&^low | ^m>>(64-i&63)
-			return y
+	// The three guesses, interleaved: each walks the last guessLen bytes of
+	// the quarter before its own.
+	g1, g2, g3 := st, st, st
+	for i := quarterLen - guessLen; i < quarterLen; i++ {
+		g1 = trans[g1+uint32(classOf[in[i]])]
+		g2 = trans[g2+uint32(classOf[in[quarterLen+i]])]
+		g3 = trans[g3+uint32(classOf[in[2*quarterLen+i]])]
+	}
+	walkChains(trans, classOf, lo, st, g1, g2, g3, in, rows)
+
+	// Check quarters 1, 2 and 3 in order: the true state entering a quarter
+	// is the last row of the one before, exact by the time it is read.
+	for j, guess := range [3]uint32{g1, g2, g3} {
+		at := (j + 1) * quarterLen // the quarter's first row
+		x := rows[at-1]
+		if x == guess {
+			continue
 		}
-		b.Rows[i] = x
-		m = bits.RotateLeft64(m|(uint64(x)-sa)>>63, -1)
-		if i&63 == 63 {
-			b.Accepts[i>>6], m = ^m, 0
+		for i := at + lo; i < at+quarterLen; i++ {
+			x = trans[x+uint32(classOf[in[i]])]
+			if x == rows[i] {
+				break
+			}
+			rows[i] = x
 		}
 	}
-	return x
+	rec.n, rec.q = 4*q, q
+	rec.carry(lo, scaledAccept)
+	return rows[BlockLen-1]
+}
+
+// walkChains walks chain A from a over in[lo:64), B from b over
+// in[64+lo:128), C from c over in[128+lo:192) and D from d over
+// in[192+lo:256), four dependent loads in flight a step, and stores each
+// row base at the same index of rows. It records rows only: the guess, the
+// check and the accept flags sit around it, so the loop holds the table,
+// the class map, the two records, the index and the four chains — nothing
+// else stays live, and no chain spills.
+//
+// It must stay a leaf of its own: inlined into WalkQuarters or a Feed loop
+// the register allocator parks the chains on the stack (CI's bench-smoke
+// job checks the disassembly for the TEXT symbol and for a flag
+// instruction on its walk lines).
+//
+//go:noinline
+func walkChains(trans []uint32, classOf *[256]uint8, lo int, a, b, c, d uint32, in *[BlockLen]byte, rows *[BlockLen]uint32) {
+	_, _, _ = classOf[0], in[0], rows[0] // nil-checked once, not a step
+	for i := lo & (quarterLen - 1); i < quarterLen; i++ {
+		a = trans[a+uint32(classOf[in[i]])]
+		b = trans[b+uint32(classOf[in[quarterLen+i]])]
+		c = trans[c+uint32(classOf[in[2*quarterLen+i]])]
+		d = trans[d+uint32(classOf[in[3*quarterLen+i]])]
+		rows[i], rows[quarterLen+i], rows[2*quarterLen+i], rows[3*quarterLen+i] = a, b, c, d
+	}
+}
+
+// carry is the carry pass: Accepts[j] from quarter j's rows
+// Rows[64j+lo, 64j+64), bit i set when Rows[64j+i] ≥ scaledAccept. Row by
+// row from the last, the borrow of row − scaledAccept (1 exactly when the
+// row does not accept) is shifted into the word with an add-with-carry,
+// m = 2m + borrow: a load, a SUBQ and an ADCQ a row, no branch and no flag
+// materialized, the four words four independent chains. A word starts all
+// ones, so once inverted the bits above a short quarter's rows are clear,
+// and a shift by lo puts each bit at its row's index.
+func (rec *Quarters) carry(lo int, scaledAccept uint32) {
+	rows, sa := &rec.Rows, uint64(scaledAccept)
+	m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	for i := quarterLen; i > lo; {
+		i--
+		k := i & (quarterLen - 1) // the mask only tells the compiler k is in range
+		_, b := bits.Sub64(uint64(rows[k]), sa, 0)
+		m0, _ = bits.Add64(m0, m0, b)
+		_, b = bits.Sub64(uint64(rows[quarterLen+k]), sa, 0)
+		m1, _ = bits.Add64(m1, m1, b)
+		_, b = bits.Sub64(uint64(rows[2*quarterLen+k]), sa, 0)
+		m2, _ = bits.Add64(m2, m2, b)
+		_, b = bits.Sub64(uint64(rows[3*quarterLen+k]), sa, 0)
+		m3, _ = bits.Add64(m3, m3, b)
+	}
+	rec.Accepts = [4]uint64{^m0 << lo, ^m1 << lo, ^m2 << lo, ^m3 << lo}
 }
 
 // LaneLen is the most WalkLanes advances each of its lanes by in one call.
@@ -131,7 +198,7 @@ type Lanes struct {
 	in   [4][LaneLen]byte // the windows side by side: one register addresses all four
 }
 
-// WalkLanes is the multi-flow walk kernel, WalkBlock's sibling behind
+// WalkLanes is the multi-flow walk kernel, WalkQuarters' sibling behind
 // FlowBatcher's lockstep loop (DESIGN.md §13/§18): four flows over one
 // table, one chain each, so four independent table loads are in flight a
 // byte. Each w[k] is lane k's window, all four of one length, and the strip
@@ -140,7 +207,7 @@ type Lanes struct {
 // rec, and the returned fold's bit 63 is clear when some lane visited an
 // accept state — the caller drains rec only then.
 //
-// Record, then drain, as in WalkBlock: the kernel decides nothing on the
+// Record, then drain, as in WalkQuarters: the kernel decides nothing on the
 // states it loads. The accept compare of all four lanes is folded into one
 // word, m &= (a−sa)&(b−sa)&(c−sa)&(d−sa): a lane's difference has bit 63
 // set exactly when its state does not accept. One word rather than a mask
@@ -150,7 +217,7 @@ type Lanes struct {
 // of them a chain spills to the stack. Which byte accepted is read back
 // from the rows.
 //
-// It must stay a leaf of its own, for the reason WalkBlock does (CI's
+// It must stay a leaf of its own, for the reason walkChains does (CI's
 // bench-smoke job checks that lockstep calls it and that the fold holds no
 // flag instruction).
 //

@@ -19,12 +19,14 @@ import (
 // The sequential loops walk a block and then drain it (strip.go). These
 // tests hold them to a byte-at-a-time walk over the plain-state API
 // (Next/Matches) — the loop they replaced, kept here as the reference —
-// at the places a block can go wrong: the edges of its mask words and of
-// its halves, a guess that misses, a full accept mask, a callback that
-// panics half-way through a drain.
+// at the places a block can go wrong: the edges of its quarters and of
+// blocks, the guess windows, tails of every length, guesses that miss in
+// any quarter and re-walks that meet the record anywhere, a full accept
+// mask, a callback that panics half-way through a drain.
 
-// half is the length of a block's half, the span of each of its chains.
-const half = dfa.BlockLen / 2
+// quarter is the length of a whole block's quarter, the span of each of
+// its chains.
+const quarter = dfa.BlockLen / 4
 
 func compileSources(tb testing.TB, sources ...string) *dfa.DFA {
 	tb.Helper()
@@ -97,57 +99,104 @@ func referenceEvents(d *dfa.DFA, input []byte) []dfa.MatchEvent {
 	return out
 }
 
-// speculation replays WalkBlock's guess over data with the plain-state API,
-// one whole block after another from the start state: how many blocks are
-// walked as two chains, in how many the guess misses, and how many bytes
-// the re-walks step before they meet the guessed chain.
-func speculation(d *dfa.DFA, data []byte) (blocks, misses, rewalked int) {
-	walk := func(s uint32, w []byte) uint32 {
-		for _, c := range w {
-			s = d.Next(s, c)
-		}
-		return s
+func walk(d *dfa.DFA, st uint32, w []byte) uint32 {
+	for _, c := range w {
+		st = d.Next(st, c)
 	}
+	return st
+}
+
+// shape is how WalkQuarters splits an input of l bytes: n bytes walked, as
+// four quarters of q bytes or (chains 1) as one chain of q = n.
+func shape(l int) (n, q, chains int) {
+	switch {
+	case l >= dfa.BlockLen:
+		return dfa.BlockLen, quarter, 4
+	case l >= 4*dfa.MinQuarter:
+		return l / 4 * 4, l / 4, 4
+	}
+	return l, l, 1
+}
+
+// replay replays the speculation of one call of WalkQuarters over w from
+// state st (a state number) with the plain-state API. For quarters 1, 2
+// and 3: whether the guess — the state the GuessLen bytes before the
+// quarter reach from st — missed the true walk's state there, and if so
+// how many bytes the re-walk stepped (the one it met the guessed chain on
+// included, the whole quarter if it never met) and whether it met.
+func replay(d *dfa.DFA, st uint32, w []byte) (missed [3]bool, steps [3]int, met [3]bool) {
+	n, q, chains := shape(len(w))
+	if chains == 1 {
+		return
+	}
+	w = w[:n]
+	for k := 1; k < 4; k++ {
+		at := k * q
+		x, y := walk(d, st, w[:at]), walk(d, st, w[at-dfa.GuessLen:at])
+		if x == y {
+			continue
+		}
+		missed[k-1] = true
+		for _, c := range w[at : at+q] {
+			x, y = d.Next(x, c), d.Next(y, c)
+			steps[k-1]++
+			if x == y {
+				met[k-1] = true
+				break
+			}
+		}
+	}
+	return missed, steps, met
+}
+
+// speculation replays WalkQuarters' guesses over data, one whole block
+// after another from the start state: how many blocks are walked as four
+// chains, in how many the guess of quarter 1, 2 and 3 misses, and how many
+// bytes the re-walks step before they meet the guessed chains.
+func speculation(d *dfa.DFA, data []byte) (blocks int, misses [3]int, rewalked int) {
 	st := d.Start()
 	for ; len(data) >= dfa.BlockLen; data = data[dfa.BlockLen:] {
 		blocks++
-		x, y := walk(st, data[:half]), walk(st, data[half-dfa.GuessLen:half])
-		if x != y {
-			misses++
-			for _, c := range data[half:dfa.BlockLen] {
-				x, y = d.Next(x, c), d.Next(y, c)
-				rewalked++
-				if x == y {
-					break
-				}
+		missed, steps, _ := replay(d, st, data)
+		for k := range missed {
+			if missed[k] {
+				misses[k]++
 			}
+			rewalked += steps[k]
 		}
-		st = walk(st, data[:dfa.BlockLen])
+		st = walk(d, st, data[:dfa.BlockLen])
 	}
 	return blocks, misses, rewalked
 }
 
 // Two automata whose state remembers more than the GuessLen bytes the block
-// kernel guesses from, so that on their texts below most blocks miss.
+// kernel guesses from, so that on their texts below most guesses miss.
 // parityRule accepts at every odd-numbered a of a flow that has seen
 // only a, b and c: its state never forgets, so a miss is re-walked to the
-// end of the block and every accept flag of the guessed half is wrong.
+// end of its quarter and every accept flag of the guessed quarter is wrong.
 // distanceRule remembers how far back the last x was, up to 41 bytes; a
 // miss meets the guessed chain again at the next x.
 const parityRule, distanceRule = "^(?:[bc]*a[bc]*a)*[bc]*a", "x[a-w]{40}y"
 
-// parityText is b's and c's with an a at the start of every block — the
-// guess misses every block — and a's salted after the first half's guess
-// window, whose visits the re-walk must move.
+// parityText is b's and c's with an a at the start of every block, and
+// pairs of a's salted after the first guess window, none of them across
+// the start of a guess window: before every guess window of a whole block
+// the a's are odd in number, so every guess misses, and the salted visits
+// are the ones the re-walks must move.
 func parityText(n int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]byte, n)
 	for i := range out {
+		out[i] = "bc"[rng.Intn(2)]
+	}
+	for i := 0; i+1 < n; i++ {
+		at := i % dfa.BlockLen
 		switch {
-		case i%dfa.BlockLen == 0 || i%dfa.BlockLen >= half-dfa.GuessLen && rng.Intn(8) == 0:
+		case at == 0:
 			out[i] = 'a'
-		default:
-			out[i] = "bc"[rng.Intn(2)]
+		case at >= quarter-dfa.GuessLen && at < dfa.BlockLen-1 && (at+1)%quarter != quarter-dfa.GuessLen && rng.Intn(16) == 0:
+			out[i], out[i+1] = 'a', 'a'
+			i++
 		}
 	}
 	return out
@@ -176,10 +225,11 @@ func distanceText(n int, seed int64) []byte {
 }
 
 // stripInputs returns inputs over {a, x} whose a's (the accept visits of
-// /a/) sit on the edges of mask words, of halves and of blocks, on the
-// edges of the guess window, and fill three whole blocks.
+// /a/) sit on the edges of quarters (the accept words) and of blocks, on
+// the edges of the guess windows, at the end of tails of each shape, and
+// fill three whole blocks.
 func stripInputs() map[string][]byte {
-	const B, g = dfa.BlockLen, dfa.GuessLen
+	const B, q, g = dfa.BlockLen, quarter, dfa.GuessLen
 	quiet := func(n int) []byte { return bytes.Repeat([]byte("x"), n) }
 	at := func(n int, hits ...int) []byte {
 		b := quiet(n)
@@ -189,22 +239,26 @@ func stripInputs() map[string][]byte {
 		return b
 	}
 	return map[string][]byte{
-		"empty":                      {},
-		"one byte":                   []byte("a"),
-		"both sides of a word edge":  at(3*B, 63, 64, B+63, B+64),
-		"both sides of the halves":   at(3*B, half-1, half, B-1, B, B+half-1, B+half),
-		"the guess window's edges":   at(3*B, half-g-1, half-g, half-1),
-		"last byte of a short tail":  at(2*B+7, 2*B+6),
-		"every byte of three blocks": append(append(quiet(5), bytes.Repeat([]byte("a"), 3*B)...), quiet(5)...),
-		"three blocks exactly":       bytes.Repeat([]byte("a"), 3*B),
-		"all but one byte of words":  bytes.Repeat(append(bytes.Repeat([]byte("a"), 63), 'x'), 3*B/64),
+		"empty":                       {},
+		"one byte":                    []byte("a"),
+		"both sides of quarter edges": at(3*B, q-1, q, 2*q-1, 2*q, 3*q-1, 3*q, B+q-1, B+q),
+		"both sides of block edges":   at(3*B, B-1, B, 2*B-1, 2*B),
+		"the guess windows' edges":    at(3*B, q-g-1, q-g, q-1, 2*q-g-1, 2*q-g, 2*q-1, 3*q-g-1, 3*q-g, 3*q-1),
+		"last byte of a short tail":   at(2*B+7, 2*B+6),
+		"a four-quarter tail's edges": at(B+100, B, B+24, B+25, B+49, B+50, B+74, B+75, B+99),
+		"a tail's leftover bytes":     at(B+103, B+99, B+100, B+101, B+102),
+		"every byte of three blocks":  append(append(quiet(5), bytes.Repeat([]byte("a"), 3*B)...), quiet(5)...),
+		"three blocks exactly":        bytes.Repeat([]byte("a"), 3*B),
+		"all but one byte of words":   bytes.Repeat(append(bytes.Repeat([]byte("a"), 63), 'x'), 3*B/64),
 	}
 }
 
 // stripChunks are the chunkings every Feed test cuts its inputs into: a
-// byte at a time, and a byte short of, on and a byte past the edge of a
-// mask word, a block's half and a whole block.
-var stripChunks = []int{1, 63, 64, 65, half - 1, half, half + 1, 2*half - 1, 2 * half, 2*half + 1}
+// byte at a time, the shortest four-chain call and a byte short of it, a
+// byte short of, on and a byte past the edge of a quarter, of two quarters
+// and of a block, two blocks but a byte, and a full-size Ethernet payload.
+var stripChunks = []int{1, 4*dfa.MinQuarter - 1, 4 * dfa.MinQuarter, quarter - 1, quarter, quarter + 1,
+	2*quarter - 1, 2 * quarter, 2*quarter + 1, dfa.BlockLen - 1, dfa.BlockLen, dfa.BlockLen + 1, 2*dfa.BlockLen - 1, 1460}
 
 func TestFeedStripBoundaries(t *testing.T) {
 	for _, c := range []struct {
@@ -221,8 +275,11 @@ func TestFeedStripBoundaries(t *testing.T) {
 			want := referenceEvents(d, input)
 			if c.sources[0] != "a" {
 				// The never-synchronizing texts must do what they are for.
-				if blocks, misses, _ := speculation(d, input); 2*misses <= blocks || len(want) == 0 {
-					t.Fatalf("%s: the guess misses %d of %d blocks, %d visits; want most, and some", name, misses, blocks, len(want))
+				blocks, misses, _ := speculation(d, input)
+				for k, m := range misses {
+					if 2*m <= blocks || len(want) == 0 {
+						t.Fatalf("%s: the guess of quarter %d misses %d of %d blocks, %d visits; want most, and some", name, k+1, m, blocks, len(want))
+					}
 				}
 			}
 			for _, chunk := range append([]int{len(input) + 1}, stripChunks...) {
@@ -250,101 +307,158 @@ func TestFeedStripBoundaries(t *testing.T) {
 	}
 }
 
-// record is what WalkBlock must leave in a Block when it walks w from state
-// st (a state number), computed a byte at a time over the plain-state API,
-// with the number of accept words it must write and the row base it must
-// return.
-func record(d *dfa.DFA, st uint32, w []byte) (want dfa.Block, words int, end uint32) {
-	_, _, stride := d.ScanTable()
-	w = w[:min(len(w), dfa.BlockLen)]
-	for i, c := range w {
-		st = d.Next(st, c)
-		want.Rows[i] = st * uint32(stride)
-		if st >= d.AcceptStart() {
-			want.Accepts[i/64] |= 1 << (i % 64)
+// checkRecord calls the kernel itself on w from state st (a state number),
+// over a Quarters record filled with garbage, and requires the record of a
+// byte-at-a-time walk: the shape Len reports, the row of every byte walked
+// at its right-aligned index and no other row touched, the four accept
+// words with each bit at its row's index, Offset mapping every row walked
+// back to its byte, and the row base reached.
+func checkRecord(t *testing.T, name string, d *dfa.DFA, st uint32, w []byte) {
+	t.Helper()
+	trans, classOf, stride := d.ScanTable()
+	k := uint32(stride)
+	n, q, _ := shape(len(w))
+	var want dfa.Quarters
+	for i := range want.Rows {
+		want.Rows[i] = 0xdeadbeef
+	}
+	index := make([]int, n) // the row index of each byte walked
+	end := st
+	for b, c := range w[:n] {
+		end = d.Next(end, c)
+		j, i := b/q, quarter-q+b%q
+		index[b] = j*quarter + i
+		want.Rows[index[b]] = end * k
+		if end >= d.AcceptStart() {
+			want.Accepts[j] |= 1 << i
 		}
 	}
-	return want, (len(w) + 63) / 64, st * uint32(stride)
+	var got dfa.Quarters
+	for i := range got.Rows {
+		got.Rows[i] = 0xdeadbeef
+	}
+	for j := range got.Accepts {
+		got.Accepts[j] = 0xa5a5a5a5a5a5a5a5
+	}
+	if reached := dfa.WalkQuarters(trans, classOf, st*k, d.AcceptStart()*k, w, &got); reached != end*k {
+		t.Errorf("%s: WalkQuarters reached row base %d, the byte-at-a-time walk %d", name, reached, end*k)
+	}
+	if got.Len() != n {
+		t.Fatalf("%s: Len() = %d of %d bytes, want %d", name, got.Len(), len(w), n)
+	}
+	for i, row := range got.Rows {
+		if row != want.Rows[i] {
+			t.Errorf("%s: Rows[%d] = %#x, want %#x (%d bytes walked, quarters of %d)", name, i, row, want.Rows[i], n, q)
+			break
+		}
+	}
+	if got.Accepts != want.Accepts {
+		t.Errorf("%s: Accepts = %#x, want %#x (%d bytes walked, quarters of %d)", name, got.Accepts, want.Accepts, n, q)
+	}
+	for b, i := range index {
+		if off := got.Offset(i); off != b {
+			t.Fatalf("%s: Offset(%d) = %d, want %d (%d bytes walked, quarters of %d)", name, i, off, b, n, q)
+		}
+	}
 }
 
-// TestStripRecords calls the kernel itself, over a Block filled with
-// garbage, and requires the record of a byte-at-a-time walk: every row and
-// accept word the bytes walked cover, nothing past them, and the row base
-// reached. The cases: a block whose every byte accepts, a quiet one, a
-// longer input cut at BlockLen, short inputs, and guesses that miss — the
-// re-walk meeting the guessed chain on the second half's first byte, in
-// the middle of a word, on the last byte, and never — then whole texts of
-// the never-synchronizing automata, a block at a time.
+// TestStripRecords holds the kernel's record to checkRecord's: a block whose
+// every byte accepts, a quiet one, a longer input cut at BlockLen, short
+// inputs, every tail length from the shortest four-chain call to a byte
+// short of a block, and whole texts of the never-synchronizing automata, a
+// call at a time from wherever the last one ended, down to their tails.
 func TestStripRecords(t *testing.T) {
 	const B = dfa.BlockLen
-	check := func(name string, d *dfa.DFA, st uint32, w []byte) {
-		t.Helper()
-		trans, classOf, stride := d.ScanTable()
-		want, words, end := record(d, st, w)
-		var got dfa.Block
-		for i := range got.Rows {
-			got.Rows[i] = 0xdeadbeef
-		}
-		for i := range got.Accepts {
-			got.Accepts[i] = 0xa5a5a5a5a5a5a5a5
-		}
-		if reached := dfa.WalkBlock(trans, classOf, st*uint32(stride), d.AcceptStart()*uint32(stride), w, &got); reached != end {
-			t.Errorf("%s: WalkBlock reached row base %d, the byte-at-a-time walk %d", name, reached, end)
-		}
-		n := min(len(w), B)
-		for i, row := range got.Rows {
-			if i < n && row != want.Rows[i] || i >= n && row != 0xdeadbeef {
-				t.Errorf("%s: Rows[%d] = %#x, want %#x (%d bytes walked)", name, i, row, want.Rows[i], n)
-				break
-			}
-		}
-		for i, word := range got.Accepts {
-			if i < words && word != want.Accepts[i] || i >= words && word != 0xa5a5a5a5a5a5a5a5 {
-				t.Errorf("%s: Accepts[%d] = %#x, want %#x (%d bytes walked)", name, i, word, want.Accepts[i], n)
-			}
-		}
-	}
-
 	a := compileSources(t, "a")
-	check("every byte accepts", a, a.Start(), bytes.Repeat([]byte("a"), 2*B))
-	check("quiet block", a, a.Start(), bytes.Repeat([]byte("x"), B))
-	check("empty", a, a.Start(), nil)
-	check("xxaxa", a, a.Start(), []byte("xxaxa"))
-	check("a word and a byte", a, a.Start(), append(bytes.Repeat([]byte("xa"), 32), 'a'))
-	check("a byte short of a block", a, a.Start(), bytes.Repeat([]byte("ax"), B/2)[:B-1])
-
-	// A block with a single a at its start: the guess has the wrong parity,
-	// and an x (the walks' common dead end) puts where they meet again.
-	parity := compileSources(t, parityRule)
-	block := func(xAt int) []byte {
-		w := bytes.Repeat([]byte("b"), B)
-		w[0] = 'a'
-		for i := half; i < B; i += 3 {
-			w[i] = 'a'
+	checkRecord(t, "every byte accepts", a, a.Start(), bytes.Repeat([]byte("a"), 2*B))
+	checkRecord(t, "quiet block", a, a.Start(), bytes.Repeat([]byte("x"), B))
+	checkRecord(t, "empty", a, a.Start(), nil)
+	checkRecord(t, "xxaxa", a, a.Start(), []byte("xxaxa"))
+	checkRecord(t, "a byte short of four chains", a, a.Start(), bytes.Repeat([]byte("ax"), 32)[:4*dfa.MinQuarter-1])
+	rng := rand.New(rand.NewSource(9))
+	for n := 4 * dfa.MinQuarter; n < B; n++ {
+		w := make([]byte, n)
+		for i := range w {
+			w[i] = "ax"[rng.Intn(2)]
 		}
-		if xAt >= 0 {
-			w[xAt] = 'x'
-		}
-		return w
+		checkRecord(t, fmt.Sprintf("%d-byte tail", n), a, a.Start(), w)
 	}
-	check("missed, never met", parity, parity.Start(), block(-1))
-	check("missed, met on the second half's first byte", parity, parity.Start(), block(half))
-	check("missed, met mid-word", parity, parity.Start(), block(half+6))
-	check("missed, met on the last byte", parity, parity.Start(), block(B-1))
 
-	// Whole texts, a block at a time from wherever the last one ended.
 	for _, c := range []struct {
 		name string
 		d    *dfa.DFA
 		text []byte
-	}{{"parity text", parity, parityText(8*B, 3)}, {"distance text", compileSources(t, distanceRule), distanceText(8*B, 4)}} {
+	}{
+		{"parity text", compileSources(t, parityRule), parityText(8*B+103, 3)},
+		{"distance text", compileSources(t, distanceRule), distanceText(8*B+103, 4)},
+	} {
 		st := c.d.Start()
-		for lo := 0; lo < len(c.text); lo += B {
-			check(fmt.Sprintf("%s, block %d", c.name, lo/B), c.d, st, c.text[lo:])
-			for _, ch := range c.text[lo:min(lo+B, len(c.text))] {
-				st = c.d.Next(st, ch)
+		for lo := 0; lo < len(c.text); {
+			checkRecord(t, fmt.Sprintf("%s, bytes %d…", c.name, lo), c.d, st, c.text[lo:])
+			n, _, _ := shape(len(c.text) - lo)
+			st = walk(c.d, st, c.text[lo:lo+n])
+			lo += n
+		}
+	}
+}
+
+// TestQuartersMiss drives the parity automaton through blocks built to
+// make each guess miss or hold — a miss in quarter 1, 2 or 3 alone, all
+// three in one block, in a whole block and in a tail — and re-walks that
+// meet the guessed chain on a quarter's first byte, in its middle, on its
+// last byte and never. An a before a guess window flips the parity the
+// guess cannot see; an x sends both walks to the dead state, where they
+// meet. Each case first checks, by replay, that the speculation goes as
+// named, then holds the record to checkRecord's.
+func TestQuartersMiss(t *testing.T) {
+	const B, q = dfa.BlockLen, quarter
+	d := compileSources(t, parityRule)
+	block := func(n int, as []int, x int) []byte {
+		w := bytes.Repeat([]byte("b"), n)
+		for _, i := range as {
+			w[i] = 'a'
+		}
+		// a visit in every quarter, after its guess window: a pair, so
+		// which guesses miss does not change
+		for j := 0; j < 4; j++ {
+			at := j*(n/4) + n/8
+			w[at], w[at+1] = 'a', 'a'
+		}
+		if x >= 0 {
+			w[x] = 'x'
+		}
+		return w
+	}
+	never := -1
+	for _, c := range []struct {
+		name   string
+		w      []byte
+		missed [3]bool
+		meet   [3]int // the re-walk meets on the quarter's byte meet-1; 0: never, or no miss
+	}{
+		{"miss in quarter 1", block(B, []int{0, q + 36}, -1), [3]bool{true, false, false}, [3]int{}},
+		{"miss in quarter 2", block(B, []int{q - 4, 2*q + 22}, -1), [3]bool{false, true, false}, [3]int{}},
+		{"miss in quarter 3", block(B, []int{2*q + 2}, -1), [3]bool{false, false, true}, [3]int{}},
+		{"all three missed", block(B, []int{0}, never), [3]bool{true, true, true}, [3]int{}},
+		{"all three missed in a 160-byte tail", block(160, []int{0}, never), [3]bool{true, true, true}, [3]int{}},
+		{"missed, met on the quarter's first byte", block(B, []int{0}, q), [3]bool{true, true, true}, [3]int{1, 0, 0}},
+		{"missed, met mid-quarter", block(B, []int{0}, q+6), [3]bool{true, true, true}, [3]int{7, 0, 0}},
+		{"missed, met on quarter 1's last byte", block(B, []int{0}, 2*q-1), [3]bool{true, false, true}, [3]int{q, 0, 0}},
+		{"missed, met on quarter 2's last byte", block(B, []int{q - 4, 2*q + 22}, 3*q-1), [3]bool{false, true, false}, [3]int{0, q, 0}},
+		{"missed, met on the block's last byte", block(B, []int{2*q + 2}, B-1), [3]bool{false, false, true}, [3]int{0, 0, q}},
+	} {
+		missed, steps, met := replay(d, d.Start(), c.w)
+		for k := range missed {
+			meet := 0
+			if met[k] {
+				meet = steps[k]
+			}
+			if missed[k] != c.missed[k] || meet != c.meet[k] {
+				t.Fatalf("%s: quarter %d: the guess missed: %v, the re-walk met on byte %d; the case is built for %v, %d",
+					c.name, k+1, missed[k], meet, c.missed[k], c.meet[k])
 			}
 		}
+		checkRecord(t, c.name, d, d.Start(), c.w)
 	}
 }
 
@@ -459,19 +573,20 @@ func TestWalkLanesRecords(t *testing.T) {
 // block has been handed visits 1…k-1 and is handed none after, and the
 // runner still holds the state and position the call found — what the
 // branchy loop did, which wrote neither back until it returned. The panic
-// comes on the fifth visit, and on the first visit of a block's second
-// half — after a guess that held, and after one that missed and was walked
-// again — which must find every visit of the first half delivered.
+// comes on the fifth visit, and on the first visit of a block's last
+// quarter — after guesses that held, and after three that missed and were
+// walked again — which must find every visit of the first three quarters
+// delivered.
 func TestFeedPanicMidStrip(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		d             *dfa.DFA
 		prefix, input []byte
-		secondHalf    bool
+		lastQuarter   bool
 	}{
 		{"fifth visit", compileSources(t, "a"), []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), false},
-		{"second half", compileSources(t, "a"), []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), true},
-		{"second half of a missed guess", compileSources(t, parityRule), nil, parityText(2*dfa.BlockLen, 5), true},
+		{"last quarter", compileSources(t, "a"), []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), true},
+		{"last quarter of missed guesses", compileSources(t, parityRule), nil, parityText(2*dfa.BlockLen, 5), true},
 	} {
 		r := dfa.NewEngine(c.d).NewRunner()
 		r.Feed(c.prefix, func(int32, int64) {})
@@ -483,7 +598,7 @@ func TestFeedPanicMidStrip(t *testing.T) {
 		for _, ev := range referenceEvents(c.d, append(bytes.Clone(c.prefix), c.input...)) {
 			switch {
 			case ev.Pos < pos:
-			case c.secondHalf && ev.Pos < pos+half || !c.secondHalf && len(want) < 4:
+			case c.lastQuarter && ev.Pos < pos+3*quarter || !c.lastQuarter && len(want) < 4:
 				want = append(want, ev.Pos)
 			case panicAt < 0:
 				panicAt = ev.Pos
@@ -562,8 +677,10 @@ func fuzzPattern(p []byte) string {
 // byte-at-a-time walk on fuzzed automata: two patterns assembled from
 // atoms, a text over {a, b, c} or {a, b, c, x} (the fuzzed bytes, then
 // random ones to at least eight blocks), and chunks cut at random: half of
-// them at an edge of a mask word, of a half or of a block, half of them
-// long enough to hold whole blocks.
+// them at an edge of a quarter or of a block, or of a four-chain call's
+// shortest length, half of them long enough to hold whole blocks and a
+// four-quarter tail. The kernel's record of each chunk's first call, from
+// the state the flow is in, is held to checkRecord's.
 func FuzzStripSpeculation(f *testing.F) {
 	f.Add([]byte{1, 12}, []byte{0, 0}, []byte("abcabcxaab"), int64(2))          // ^(?:[bc]*a[bc]*a)*a over a, b, c: it never forgets
 	f.Add([]byte{3, 12, 1}, []byte{4, 16, 2}, []byte("aaaabbbbcccc"), int64(5)) // x[a-c]{20}cc: it remembers 22 bytes
@@ -584,13 +701,16 @@ func FuzzStripSpeculation(f *testing.F) {
 		r := dfa.NewEngine(d).NewRunner()
 		var got []dfa.MatchEvent
 		var cuts []int
+		st := d.Start()
 		for lo := 0; lo < len(input); {
 			n := stripChunks[rng.Intn(len(stripChunks))]
 			if rng.Intn(2) == 0 {
 				n = 1 + rng.Intn(4*dfa.BlockLen) // mostly whole blocks and a tail
 			}
 			n = min(n, len(input)-lo)
+			checkRecord(t, fmt.Sprintf("the call at byte %d", lo), d, st, input[lo:lo+n])
 			r.Feed(input[lo:lo+n], func(id int32, pos int64) { got = append(got, dfa.MatchEvent{ID: id, Pos: pos}) })
+			st = walk(d, st, input[lo:lo+n])
 			lo += n
 			cuts = append(cuts, n)
 		}
@@ -607,13 +727,12 @@ func FuzzStripSpeculation(f *testing.F) {
 // filter_dense walk), B217p over text that never reaches an accept state
 // (what the record costs a flow that does not need it), C8 undecomposed
 // (its dot-star memory lives in the state), /a/ over a's (every bit of
-// every mask set), and the two never-synchronizing automata above — the
-// distance automaton over its live text, and the parity automaton on the
-// worst case by construction: every block missed and walked again to its
-// end. misses/block and rewalk/B are the guess's record on the row's input
-// (replayed over the plain-state API, outside the timer). CI runs it once
-// and separately checks the kernel's disassembly for a jump on the accept
-// compare.
+// every accept word set), and the two never-synchronizing automata above —
+// the distance automaton over its live text, and the parity automaton on
+// the worst case by construction: every guess missed and its quarter walked
+// again to the end. q1…q3-misses/block and rewalk/B are the guesses'
+// record on the row's input (replayed over the plain-state API, outside the
+// timer). CI runs it once and separately checks the kernel's disassembly.
 func BenchmarkStrip(b *testing.B) {
 	c8, c8words := compileFragments(b, "C8")
 	wide, wideWords := compileFragments(b, "S24", "CTR24")
@@ -643,15 +762,15 @@ func BenchmarkStrip(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			trans, classOf, stride := bc.d.ScanTable()
 			scaledAccept := bc.d.AcceptStart() * uint32(stride)
-			var blk dfa.Block
+			var rec dfa.Quarters
 			var total int
 			b.SetBytes(int64(len(bc.data)))
 			for i := 0; i < b.N; i++ {
 				st := bc.d.Start() * uint32(stride)
 				total = 0
-				for data := bc.data; len(data) > 0; data = data[min(len(data), dfa.BlockLen):] {
-					st = dfa.WalkBlock(trans, classOf, st, scaledAccept, data, &blk)
-					for _, w := range blk.Accepts[:(min(len(data), dfa.BlockLen)+63)/64] {
+				for data := bc.data; len(data) > 0; data = data[rec.Len():] {
+					st = dfa.WalkQuarters(trans, classOf, st, scaledAccept, data, &rec)
+					for _, w := range rec.Accepts {
 						total += bits.OnesCount64(w)
 					}
 				}
@@ -659,7 +778,9 @@ func BenchmarkStrip(b *testing.B) {
 			b.StopTimer()
 			blocks, misses, rewalked := speculation(bc.d, bc.data)
 			b.ReportMetric(float64(total)/float64(len(bc.data)), "visits/B")
-			b.ReportMetric(float64(misses)/float64(blocks), "misses/block")
+			for k, m := range misses {
+				b.ReportMetric(float64(m)/float64(blocks), fmt.Sprintf("q%d-misses/block", k+1))
+			}
 			b.ReportMetric(float64(rewalked)/float64(len(bc.data)), "rewalk/B")
 		})
 	}

@@ -311,12 +311,9 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 			evClock:     events != nil,
 			hb:          cfg.StallDeadline > 0,
 		}
-		// Matches fire on the shard goroutine only, so the one-entry
-		// flow-string cache below needs no lock. Match-dense flows hit it
-		// on every event after the first; formatting the key is the
-		// dominant per-event cost otherwise.
-		var lastKey pcap.FlowKey
-		var lastFlow string
+		// Matches fire on the shard goroutine only, so the flow-string
+		// cache below needs no lock.
+		names := new(flowNames)
 		shardMatch := func(m Match) {
 			s.matches.Add(1)
 			var tn *tenant.Tenant
@@ -324,10 +321,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 				tn = tenants.Lookup(m.Flow.Tenant)
 			}
 			if events != nil || tn != nil {
-				if m.Flow != lastKey || lastFlow == "" {
-					lastKey, lastFlow = m.Flow, m.Flow.String()
-				}
-				ev := telemetry.Event{TimeUnixNano: s.evNano, Flow: lastFlow, Pattern: m.ID, Offset: m.Pos}
+				ev := telemetry.Event{TimeUnixNano: s.evNano, Flow: names.name(m.Flow), Pattern: m.ID, Offset: m.Pos}
 				if events != nil {
 					events.Add(ev)
 				}
@@ -593,6 +587,33 @@ func shardIndex(k pcap.FlowKey, n int) int {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return int(h % uint64(n))
+}
+
+// flowNameBits sizes a shard's flow-string cache: 1<<flowNameBits slots.
+const flowNameBits = 8
+
+// flowNames is a shard's cache of FlowKey strings for the per-match path
+// (event tracing, tenant match counts), where formatting a key allocates.
+// It is direct-mapped on a multiplicative hash of the key — two multiplies,
+// not shardIndex's byte-serial chain, whose cost an event would pay even
+// when one flow fires them all. A shard interleaving match-dense flows
+// formats a key once per flow rather than on most events, as long as the
+// flows do not share a slot.
+type flowNames [1 << flowNameBits]struct {
+	key  pcap.FlowKey
+	name string
+}
+
+// name returns k.String(), formatting it only when k's slot holds
+// another key.
+func (c *flowNames) name(k pcap.FlowKey) string {
+	addrs := uint64(k.SrcIP)<<32 | uint64(k.DstIP)
+	rest := uint64(k.SrcPort)<<48 | uint64(k.DstPort)<<32 | uint64(k.Tenant)
+	e := &c[(addrs*0x9e3779b97f4a7c15^rest)*0xbf58476d1ce4e5b9>>(64-flowNameBits)]
+	if e.key != k || e.name == "" {
+		e.key, e.name = k, k.String()
+	}
+	return e.name
 }
 
 // Stats is a point-in-time engine snapshot, aggregated over shards. While
