@@ -2,7 +2,6 @@ package matchfilter_test
 
 import (
 	"fmt"
-	"strings"
 
 	"matchfilter"
 )
@@ -52,31 +51,4 @@ func ExampleEngine_Stats() {
 		st.Patterns, st.Fragments, st.Decomposed, st.MemoryBits)
 	// Output:
 	// 3 patterns -> 6 fragments, 3 decomposed, 3 memory bits
-}
-
-func ExampleWithCountingGaps() {
-	// A minimum-distance constraint: MSG2 at least 8 bytes after MSG1. The
-	// gap compiles to a position register with or without the option.
-	engine := matchfilter.MustCompile([]string{"MSG1.{8,}MSG2"})
-	fmt.Println("near:", len(engine.Scan([]byte("MSG1..MSG2"))))
-	fmt.Println("far: ", len(engine.Scan([]byte("MSG1........MSG2"))))
-	// Output:
-	// near: 0
-	// far:  1
-}
-
-func ExampleWithBoundedRepeatCounters() {
-	// A bounded-distance constraint (Snort's distance/within): MSG2
-	// between 8 and 40 bytes after MSG1. The 40-wide window would cost
-	// thousands of expanded DFA states; the counter register Compile uses,
-	// with or without the option, costs none.
-	engine := matchfilter.MustCompile([]string{"MSG1.{8,40}MSG2"})
-	fmt.Println("near:", len(engine.Scan([]byte("MSG1..MSG2"))))
-	fmt.Println("mid: ", len(engine.Scan([]byte("MSG1........MSG2"))))
-	far := "MSG1" + strings.Repeat(".", 41) + "MSG2"
-	fmt.Println("far: ", len(engine.Scan([]byte(far))))
-	// Output:
-	// near: 0
-	// mid:  1
-	// far:  0
 }

@@ -9,11 +9,11 @@ import "matchfilter/internal/dfa"
 // the deferred scan work of up to MaxBatchFlows *independent* flows and
 // steps them in lockstep, so several independent table lookups are in
 // flight at once and the loads' latencies overlap (the Hyperflex
-// observation, realized without SIMD). Two loops share each round: four
-// lanes of one table walk together through dfa.WalkLanes — record, then
-// drain, as Feed's block loop does for one flow — and the lanes no such
-// quad takes are strip-mined through a byte step of their own. In both,
-// only each lane's own table load is on its carried chain.
+// observation, realized without SIMD). Four lanes of one table walk
+// together through dfa.WalkLanes — record, then drain through the drain
+// Feed's block loop uses, quiet skip included — with only each lane's own
+// table load on its carried chain. A lane no such quad takes leaves
+// lockstep for Feed, which walks four chains of one flow instead.
 //
 // Match-equivalence invariant: lockstep reorders work ACROSS flows,
 // never within one. Each lane consumes its own chunks strictly in
@@ -24,13 +24,14 @@ import "matchfilter/internal/dfa"
 //
 // A batch may mix runners from different MFAs (multi-tenant shards,
 // cross-generation drains) and of either layout: every automaton is the
-// one table shape of internal/dfa, so lanes carry their own table views;
-// each round gathers the lanes of one table into quads, and the leftover
-// loop steps lanes of any table side by side. Two kinds of flow take
-// Feed's block loop instead, because lockstep has nothing to give them: a
-// lane left alone (no second chain to overlap with), and a flow whose last
-// scan went to the filter rather than to waiting on table loads, which Add
-// scans on arrival (acceptDenseDiv).
+// one table shape of internal/dfa, so lanes carry their own table views and
+// each round gathers the lanes of one table into quads. Two kinds of flow
+// take Feed's block loop instead, because lockstep has nothing to give
+// them: the lanes no quad takes (fewer than four of a table, a lone lane
+// included, or the survivors of a quad a death broke), handed over where
+// lockstep stands, and a flow whose last scan went to the filter rather
+// than to waiting on table loads, which Add scans on arrival
+// (acceptDenseDiv).
 
 // MaxBatchFlows caps the lockstep width: four quads of the lane kernel
 // when one table serves the shard. 16 lanes saturate the load-miss
@@ -42,18 +43,12 @@ const MaxBatchFlows = 16
 // acceptDenseDiv is the routing constant: a flow whose last scan (a lane's
 // flush window, or one chunk) visited an accept state more than once per
 // acceptDenseDiv bytes is filter-bound — its time goes to accept programs
-// and callbacks, which lockstep cannot overlap and only interrupts, and
-// which Feed's block loop takes off the walk's load chains altogether — and
-// its next chunk is scanned by Feed. Read off BenchmarkRoutingSweep on C8
-// and S24 ∪ CTR24 (DESIGN.md §18) when Feed walked one chain: lockstep
-// won up to a visit per 33 bytes and lost by a quarter at one per 10. With
-// quads through dfa.WalkLanes lockstep won up to about a visit per 100
-// bytes; since Feed walks four chains a block, lockstep wins only on
-// visit-free text (Feed is ahead from a visit per 300 bytes). The
-// constant stays: the verdict is per scan, often one short segment, and
-// near either crossover a single visit in a 96-byte segment would send
-// the flow's next chunk to Feed. Real flows sit far to either side
-// (< 10⁻⁴, 0.002 or ≈ 0.1 per byte).
+// and callbacks, which lockstep cannot overlap and only interrupts — and
+// its next chunk is scanned by Feed. BenchmarkRoutingSweep (DESIGN.md §18)
+// has lockstep ahead only on visit-free text since Feed walks four chains;
+// the constant stays because the verdict is per scan, often one short
+// segment, where a single visit in 96 bytes would send a flow to Feed. Real
+// flows sit far to either side (< 10⁻⁴, 0.002 or ≈ 0.1 visits per byte).
 const acceptDenseDiv = 32
 
 // batchLane is one flow's deferred scan work plus its lockstep cursor.
@@ -79,12 +74,6 @@ type batchLane struct {
 	// The runner's position and accept visits when the flush began: what
 	// the lane's window is measured against when it retires.
 	pos0, visits0 int64
-
-	// dead marks a lane whose match callback (or filter program)
-	// panicked: the lane stops stepping, its remaining chunks are
-	// dropped and its runner state is not written back (the flow is
-	// about to be quarantined). Sibling lanes finish their window.
-	dead bool
 }
 
 // FlowBatcher implements batched lockstep scanning over core Runners.
@@ -97,12 +86,11 @@ type FlowBatcher struct {
 
 	// The lockstep window in progress. Its cursors live here, not in
 	// lockstep's frame, so that window's one recover can see which lane
-	// was being stepped, kill it, and re-enter the loop where it stopped:
+	// was being drained, kill it, and re-enter the loop where it stopped:
 	// active are the lanes still stepping, round marks a round begun (l,
-	// quads, st, win and rest filled in), x the lane whose user code runs.
-	// The first phase is at quad q's strip at offset s, its record in rec
-	// and being drained when draining is set; the second at the strip j0 and
-	// the lane rest[r], stepping each lane x from offset from[x].
+	// quads, st and win filled in; a lane's win is nil once it died or left
+	// in the round), and the round is at quad q's strip at offset s, its
+	// record in rec and lane x's visits being drained when draining is set.
 	active   []*batchLane
 	act      [MaxBatchFlows]*batchLane
 	st       [MaxBatchFlows]uint32
@@ -113,11 +101,6 @@ type FlowBatcher struct {
 	quads    int
 	q, s     int
 	draining bool
-	rec      dfa.Lanes
-	rest     []int
-	restOf   [MaxBatchFlows]int
-	from     [MaxBatchFlows]int
-	j0, r    int
 
 	// Tags of the lanes that died since TakeDead, and the first panic's
 	// value: re-raised by finish once every healthy lane has completed its
@@ -128,10 +111,11 @@ type FlowBatcher struct {
 	// Cumulative work counters (Counts).
 	nLanes, nVisits, nLockstep, nSequential int64
 
-	// The block record of every Feed the batcher makes, kept so that a
-	// short one does not clear it (Runner.feed). Last, so that lockstep's
-	// cursors above keep their offsets.
-	blk dfa.Quarters
+	// The one record of every walk the batcher makes — a quad's strip, and
+	// every Feed, kept so that a short one does not clear it (Runner.feed).
+	// A Feed runs only between strips, when no drain needs the record. Last,
+	// so that lockstep's cursors above keep their offsets.
+	rec dfa.Quarters
 }
 
 // NewFlowBatcher returns a batcher stepping up to k flows in lockstep;
@@ -163,7 +147,7 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 	}
 	if r.dense { // so not in the batch: the verdict is a finished scan's
 		visits := r.visits
-		r.feed(data, onMatch, &b.blk)
+		r.feed(data, onMatch, &b.rec)
 		b.account(r, r.visits-visits, 0, int64(len(data)))
 		return true
 	}
@@ -184,7 +168,7 @@ func (b *FlowBatcher) Add(runner, tag any, data []byte, onMatch func(int32, int6
 	b.lanes = b.lanes[:n+1]
 	la := &b.lanes[n]
 	la.r, la.tag, la.cb, la.data = r, tag, onMatch, data
-	la.more, la.next, la.i, la.dead = la.more[:0], 0, 0, false
+	la.more, la.next, la.i = la.more[:0], 0, 0
 	if full {
 		b.finish()
 	}
@@ -205,7 +189,9 @@ func (b *FlowBatcher) TakeDead() []any {
 
 // Counts returns the batcher's cumulative work: lanes flushed, the accept
 // states its flows visited, and the bytes the lockstep loop and the
-// single-flow loop scanned (dead lanes' not included).
+// single-flow loop scanned (dead lanes' not included). The single-flow
+// loop's bytes are those Add scanned on arrival and those of the lanes no
+// quad took.
 func (b *FlowBatcher) Counts() (lanes, acceptVisits, lockstepBytes, sequentialBytes int64) {
 	return b.nLanes, b.nVisits, b.nLockstep, b.nSequential
 }
@@ -257,14 +243,7 @@ func (b *FlowBatcher) scan() {
 		la.pos0, la.visits0 = la.r.dfa.Pos(), la.r.visits
 		la.pos = la.pos0
 	}
-	for len(b.active) > 1 && !b.window() {
-	}
-	if len(b.active) == 1 {
-		// A lane alone, from the start or as the last one standing, has
-		// no second chain to overlap with: the plain Feed loop is faster.
-		la := b.active[0]
-		la.r.dfa.SetState(la.div.Quo(la.st), la.pos)
-		b.feedLane(la)
+	for !b.window() {
 	}
 }
 
@@ -276,9 +255,10 @@ func (b *FlowBatcher) finish() {
 	}
 }
 
-// kill records the death of a lane whose user code panicked with pv.
+// kill records the death of a lane whose user code panicked with pv: its
+// remaining chunks are dropped and its runner is not written back (the flow
+// is about to be quarantined), while sibling lanes finish their window.
 func (b *FlowBatcher) kill(la *batchLane, pv any) {
-	la.dead = true
 	b.dead = append(b.dead, la.tag)
 	if b.pv == nil {
 		b.pv = pv
@@ -287,23 +267,29 @@ func (b *FlowBatcher) kill(la *batchLane, pv any) {
 
 // feedLane scans a lane — all of it, or what lockstep left of it —
 // through the ordinary single-flow loop, under a guard of its own: one
-// per lane, not one per accept visit.
+// per lane, not one per accept visit. A lane that dies here is left where
+// it was handed over, or where its last whole chunk took it.
 func (b *FlowBatcher) feedLane(la *batchLane) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			b.kill(la, pv)
 		}
 	}()
-	la.r.feed(la.data[la.i:], la.cb, &b.blk)
+	la.r.feed(la.data[la.i:], la.cb, &b.rec)
 	for _, d := range la.more[la.next:] {
-		la.r.feed(d, la.cb, &b.blk)
+		la.r.feed(d, la.cb, &b.rec)
 	}
-	b.retire(la)
+	b.account(la.r, la.r.visits-la.visits0, la.pos-la.pos0, la.r.dfa.Pos()-la.pos)
 }
 
-// retire accounts a lane whose runner holds its end-of-window state.
-func (b *FlowBatcher) retire(la *batchLane) {
-	b.account(la.r, la.r.visits-la.visits0, la.pos-la.pos0, la.r.dfa.Pos()-la.pos)
+// leave hands lane la over to Feed o bytes into the round, at row base st:
+// the state and position are written back into its runner, and the rest of
+// its window is fed there.
+func (b *FlowBatcher) leave(la *batchLane, st uint32, o int) {
+	la.i += o
+	la.pos += int64(o)
+	la.r.dfa.SetState(la.div.Quo(st), la.pos)
+	b.feedLane(la)
 }
 
 // account books a finished scan of r — its accept visits and the bytes
@@ -316,28 +302,15 @@ func (b *FlowBatcher) account(r *Runner, visits, lockstep, sequential int64) {
 	r.dense = visits*acceptDenseDiv > lockstep+sequential
 }
 
-// minRemaining returns the shortest current-chunk remainder across
-// active lanes — the number of positions the next lockstep round steps
-// every lane by.
-func minRemaining(active []*batchLane) int {
-	l := len(active[0].data) - active[0].i
-	for _, la := range active[1:] {
-		if r := len(la.data) - la.i; r < l {
-			l = r
-		}
-	}
-	return l
-}
-
-// advance moves every active lane past an L-byte round, rolling
+// advance moves every lane still in the round past its l bytes, rolling
 // exhausted lanes onto their next queued chunk and retiring lanes with
-// nothing left (writing the plain state number and position back into
-// the lane's runner). It returns the still-active lanes.
+// nothing left (writing the plain state number and position back into the
+// lane's runner). It returns the still-active lanes.
 func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 	n := 0
 	for x, la := range active {
-		if la.dead {
-			continue // no write-back: the flow is being quarantined
+		if b.win[x] == nil {
+			continue // dead, and not written back, or handed over to Feed
 		}
 		la.st = b.st[x]
 		la.i += l
@@ -349,7 +322,7 @@ func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 		}
 		if la.i == len(la.data) {
 			la.r.dfa.SetState(la.div.Quo(la.st), la.pos)
-			b.retire(la)
+			b.account(la.r, la.r.visits-la.visits0, la.pos-la.pos0, 0)
 		} else {
 			active[n] = la
 			n++
@@ -361,60 +334,54 @@ func (b *FlowBatcher) advance(active []*batchLane, l int) []*batchLane {
 // window runs lockstep from wherever the window's cursors stand and
 // reports whether it ran to the end. This is the window's one recover —
 // an accept visit costs no defer: after a panic in a lane's user code the
-// lane is killed and the caller re-enters, lockstep resuming at the next
+// lane is killed and the caller re-enters, the drain resuming at the next
 // lane of the same strip, so siblings neither repeat nor skip a byte.
 func (b *FlowBatcher) window() (done bool) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			b.kill(b.active[b.x], pv)
 			b.win[b.x] = nil
-			if b.q < b.quads {
-				b.x++ // the next lane of the quad's drain
-			} else {
-				b.r++ // the next lane of the leftover strip
-			}
+			b.x++
 		}
 	}()
 	b.lockstep()
 	return true
 }
 
-// batchBlock is the strip length of the leftover lanes' interleave: each
-// lane advances batchBlock bytes before the loop moves on to the next lane.
-// Per-lane bookkeeping (table views, cursor, window slice header) amortizes
-// over the strip while the out-of-order window still spans several lanes'
-// strips, keeping multiple independent table-load chains in flight. Longer
-// strips lose that overlap (DESIGN.md §18).
-const batchBlock = 8
+// laneLen is the most a quad's strip advances each lane by: a quarter of
+// the record, one accept word.
+const laneLen = dfa.BlockLen / 4
 
-// lockstep steps the active lanes, a round at a time, until at most one is
-// left: every active lane advances by the shortest remaining chunk. A round
-// runs in two phases over lanes that partition has ordered: first each
-// quad — four lanes of one table — walks the round through dfa.WalkLanes a
-// strip at a time, then the lanes no quad took step in the strip-mined
-// interleave. The accept path is a plain call of Runner.fire; the cursors
-// (round, q, s, x; j0, r) are stored before the user code it may run, which
+// lockstep steps the active lanes, a round at a time, until none is left.
+// A round begins by partitioning the lanes: the ones no quad takes leave
+// for Feed where they stand, and each quad — four lanes of one table —
+// walks the round through dfa.WalkLanes a strip at a time; every lane
+// still in lockstep advances by the shortest remaining chunk. The cursors
+// (round, q, s, x) are stored before the user code a drain may run, which
 // is all window's recover needs.
 func (b *FlowBatcher) lockstep() {
-	for len(b.active) > 1 {
-		active := b.active
+	for {
 		if !b.round {
-			b.quads = partition(active)
-			b.l = minRemaining(active)
-			b.rest = b.restOf[:0]
-			for x, la := range active {
+			b.quads = partition(b.active)
+			for _, la := range b.active[4*b.quads:] {
+				b.leave(la, la.st, 0)
+			}
+			if b.active = b.active[:4*b.quads]; b.quads == 0 {
+				return
+			}
+			b.l = len(b.active[0].data) - b.active[0].i // the shortest remaining chunk
+			for _, la := range b.active[1:] {
+				b.l = min(b.l, len(la.data)-la.i)
+			}
+			for x, la := range b.active {
 				b.st[x] = la.st
 				b.win[x] = la.data[la.i : la.i+b.l]
-				if x >= 4*b.quads {
-					b.rest, b.from[x] = append(b.rest, x), 0
-				}
 			}
-			b.round, b.q, b.s, b.draining, b.j0, b.r = true, 0, 0, false, 0, 0
+			b.round, b.q, b.s, b.draining = true, 0, 0, false
 		}
 		b.walkQuads()
-		b.walkRest()
 		b.round = false
-		b.active = b.advance(active, b.l)
+		b.active = b.advance(b.active, b.l)
 	}
 }
 
@@ -442,87 +409,49 @@ func partition(active []*batchLane) (quads int) {
 	return n / 4
 }
 
-// walkQuads is a round's first phase. Each quad walks the round a strip of
-// dfa.LaneLen bytes at a time, and a strip in which some lane visited an
-// accept state is drained from the record, lane by lane in position order.
-// A lane that dies in a drain breaks its quad: the drain goes on at the
-// next lane, and the quad's live lanes step the rest of the round in the
-// second phase.
+// walkQuads walks the round's quads. Each walks the round a strip of
+// laneLen bytes at a time, and a strip in which some lane visited an accept
+// state gets its accept words from the carry pass and is drained, lane by
+// lane in position order, through Feed's drain. A lane that dies in a drain
+// breaks its quad: the drain goes on at the next lane, and then the quad's
+// live lanes leave for Feed at the strip's end.
 func (b *FlowBatcher) walkQuads() {
 	l := b.l
 	for ; b.q < b.quads; b.q, b.s = b.q+1, 0 {
 		q := 4 * b.q
 		la := b.active[q] // the quad's table views are its first lane's
 		st, w := (*[4]uint32)(b.st[q:q+4]), (*[4][]byte)(b.win[q:q+4])
-		for ; b.s < l; b.s += dfa.LaneLen {
-			n := min(l-b.s, dfa.LaneLen)
+		for ; b.s < l; b.s += laneLen {
+			n := min(l-b.s, laneLen)
 			if !b.draining {
 				fold := dfa.WalkLanes(la.trans, la.classOf, la.scaledAccept, st, w, b.s, &b.rec)
 				for k := range st {
-					st[k] = b.rec.Rows[k][dfa.LaneLen-1]
+					st[k] = b.rec.Rows[k*laneLen+laneLen-1]
 				}
 				if fold>>63 == 1 {
 					continue // no lane accepted
 				}
+				b.rec.Carry(n, la.scaledAccept)
 				b.draining, b.x = true, q
 			}
 			for ; b.x < q+4; b.x++ {
-				if b.win[b.x] != nil {
-					drain(b.active[b.x], b.rec.Rows[b.x-q][dfa.LaneLen-n:], b.s)
+				k := b.x - q
+				if accepts := b.rec.Accepts[k]; accepts != 0 && b.win[b.x] != nil {
+					lk := b.active[b.x]
+					rows := (*[laneLen]uint32)(b.rec.Rows[k*laneLen:])
+					lk.r.drain(accepts, rows, lk.pos+int64(b.s+n-laneLen), lk.cb, false, true)
 				}
 			}
 			b.draining = false
 			if b.win[q] == nil || b.win[q+1] == nil || b.win[q+2] == nil || b.win[q+3] == nil {
-				for x := q; x < q+4 && b.s+n < l; x++ {
+				for x := q; x < q+4; x++ {
 					if b.win[x] != nil {
-						b.rest, b.from[x] = append(b.rest, x), b.s+n
+						b.win[x] = nil
+						b.leave(b.active[x], b.st[x], b.s+n)
 					}
 				}
 				break
 			}
 		}
-	}
-}
-
-// drain runs the accept visits recorded in rows, lane la's walk of the
-// strip at offset s of the round.
-func drain(la *batchLane, rows []uint32, s int) {
-	pos := la.pos + int64(s)
-	for i, row := range rows {
-		if row >= la.scaledAccept {
-			la.r.fire(la.div.Quo(row-la.scaledAccept), pos+int64(i), la.cb)
-		}
-	}
-}
-
-// walkRest is a round's second phase: the lanes no quad walks, each from
-// its own offset in the round (0, or where its broken quad stopped),
-// strip-mined so that their mutually independent table loads interleave.
-// Each lane's table views are read once per strip, so lanes of one MFA and
-// of several cost the same loop.
-func (b *FlowBatcher) walkRest() {
-	l, active, rest := b.l, b.active, b.rest
-	for j0 := b.j0; j0 < l; j0 += batchBlock {
-		b.j0 = j0
-		je := min(j0+batchBlock, l)
-		for r := b.r; r < len(rest); r++ {
-			x := rest[r]
-			w := b.win[x]
-			if w == nil || j0 < b.from[x] { // died earlier in the round, or not yet here
-				continue
-			}
-			b.r, b.x = r, x
-			la := active[x]
-			trans, classOf, scaledAccept := la.trans, la.classOf, la.scaledAccept
-			s := b.st[x]
-			for bi, c := range w[j0:je] {
-				s = trans[s+uint32(classOf[c])]
-				if s >= scaledAccept {
-					la.r.fire(la.div.Quo(s-scaledAccept), la.pos+int64(j0+bi), la.cb)
-				}
-			}
-			b.st[x] = s
-		}
-		b.r = 0
 	}
 }

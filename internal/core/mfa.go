@@ -238,8 +238,8 @@ type Runner struct {
 	regs filter.Registers
 	ctrs filter.Counters
 
-	// visits counts the flow's accept visits since Reset (added a mask
-	// word at a time by Feed, one at a time by fire), and dense is
+	// visits counts the flow's accept visits since Reset (added an accept
+	// word at a time by drain), and dense is
 	// FlowBatcher's verdict on the flow's last scan (batch.go). Both are
 	// scheduling state, not matching state: neither is part of Context.
 	visits int64
@@ -348,56 +348,60 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 
 // feed is Feed walking into rec, a block record the caller owns and may
 // reuse: WalkQuarters reads no row it did not write in the same call. A
-// FlowBatcher keeps one, so the short calls it makes — a lone lane's
-// 96-byte segment — do not clear a kilobyte each.
+// FlowBatcher keeps one, so the short calls it makes — a 96-byte segment of
+// a lane no quad took — do not clear a kilobyte each.
 func (r *Runner) feed(data []byte, onMatch MatchFunc, rec *dfa.Quarters) {
-	m, div := r.mfa, r.mfa.div
+	m := r.mfa
 	st, scaledAccept := r.dfa.State()*uint32(m.stride), m.acceptStart*uint32(m.stride)
 	pos := r.dfa.Pos()
 	quiet, unsure := false, true // unsure: read quiet afresh before using it; quiet implies !unsure
 	for len(data) > 0 {
 		st = dfa.WalkQuarters(m.trans, m.classOf, st, scaledAccept, data, rec)
-		for _, accepts := range rec.Accepts {
-			r.visits += int64(bits.OnesCount64(accepts))
-		}
 		for j, accepts := range rec.Accepts {
-			for accepts != 0 {
-				low := accepts // dies at the bit scan: see dfa.Runner.FeedCount
-				accepts &= accepts - 1
-				i := (j*64 + bits.TrailingZeros64(low)) & (dfa.BlockLen - 1) // the mask only tells the compiler i is in range
-				q := div.Quo(rec.Rows[i] - scaledAccept)
-				if m.resetOnly[q] {
-					if quiet {
-						continue
-					}
-					if unsure {
-						if quiet = m.quiet.Holds(r.mem, r.ctrs); quiet {
-							unsure = false
-							continue
-						}
-					}
-					unsure = true
-				} else {
-					quiet, unsure = false, false
-				}
-				m.fires[q].Run(r.mem, r.regs, r.ctrs, pos+int64(rec.Offset(i)), onMatch)
+			if accepts != 0 {
+				rows := (*[64]uint32)(rec.Rows[j*64:])
+				quiet, unsure = r.drain(accepts, rows, pos+int64(rec.Offset(j*64)), onMatch, quiet, unsure)
 			}
 		}
 		n := rec.Len()
 		data, pos = data[n:], pos+int64(n)
 	}
-	r.dfa.SetState(div.Quo(st), pos)
+	r.dfa.SetState(m.div.Quo(st), pos)
 }
 
-// fire hands one accept visit of lockstep (a quad's drain or a leftover
-// lane's step) to the filter: it runs the accept program of accepting
-// state acceptStart+accept — f composed over the state's decision set — on
-// the flow's memory, registers and counters, and onMatch receives the
-// rules it confirms. Feed's drain is the same call on a block's recorded
-// visits.
-func (r *Runner) fire(accept uint32, pos int64, onMatch MatchFunc) {
-	r.visits++
-	r.mfa.fires[accept].Run(r.mem, r.regs, r.ctrs, pos, onMatch)
+// drain is the accept path of both walks, Feed's block loop and lockstep's
+// quads: it runs, in order, the accept programs of the visits one accept
+// word names — bit i the state in rows[i], reached by the byte at base+i —
+// on the flow's memory, registers and counters, and onMatch receives the
+// rules they confirm. quiet and unsure carry Feed's quiet check (see Feed)
+// from word to word and are returned for the next; a caller with no
+// knowledge of the flow passes false, true.
+func (r *Runner) drain(accepts uint64, rows *[64]uint32, base int64, onMatch MatchFunc, quiet, unsure bool) (bool, bool) {
+	m := r.mfa
+	scaledAccept := m.acceptStart * uint32(m.stride)
+	r.visits += int64(bits.OnesCount64(accepts))
+	for accepts != 0 {
+		low := accepts // dies at the bit scan: see dfa.Runner.FeedCount
+		accepts &= accepts - 1
+		i := bits.TrailingZeros64(low) & 63 // the mask only tells the compiler i is in range
+		q := m.div.Quo(rows[i] - scaledAccept)
+		if m.resetOnly[q] {
+			if quiet {
+				continue
+			}
+			if unsure {
+				if quiet = m.quiet.Holds(r.mem, r.ctrs); quiet {
+					unsure = false
+					continue
+				}
+			}
+			unsure = true
+		} else {
+			quiet, unsure = false, false
+		}
+		m.fires[q].Run(r.mem, r.regs, r.ctrs, base+int64(i), onMatch)
+	}
+	return quiet, unsure
 }
 
 // FeedCount advances the flow and returns only the number of confirmed

@@ -6,9 +6,9 @@
 // There is one table shape: a 256-byte class map plus a row-major
 // numStates × k table whose entries are pre-scaled row bases (next × k),
 // stepped as st = trans[st+uint32(classOf[b])] — by WalkQuarters, the
-// kernel of every sequential loop, by WalkLanes, four flows a call for core's
-// lockstep loop, and by that loop's leftover lanes. Options.Layout
-// only chooses the columns. Classed (the default via LayoutAuto) keeps one
+// kernel of every sequential loop, and by WalkLanes, four flows a call for
+// core's lockstep loop; both record into a Quarters. Options.Layout only
+// chooses the columns. Classed (the default via LayoutAuto) keeps one
 // column per byte equivalence class, a table typically 5–20× smaller that
 // stays cache-resident as state counts grow; Flat is the k = 256,
 // identity-map case, the paper's 1 KiB-per-state table. See classes.go.

@@ -27,10 +27,18 @@ const (
 // the state in Rows[64j+i] accepts, and Offset(64j+i) is the offset of the
 // byte that reached it in the bytes walked. Rows outside the bytes walked
 // are left as they were.
+//
+// WalkLanes records into the same shape, one quarter a lane: lane k's rows
+// are Rows[64k+i], right-aligned as a one-quarter-a-chain call's.
 type Quarters struct {
 	Rows    [BlockLen]uint32
 	Accepts [4]uint64
 	n, q    int // bytes walked; bytes each quarter holds
+
+	// The quarters side by side, right-aligned as their rows, when they are
+	// not a whole block of one input: a tail's, or four lanes' windows. One
+	// register then addresses the bytes and the rows.
+	in [BlockLen]byte
 }
 
 // Len returns how many bytes of its input the last WalkQuarters call
@@ -69,7 +77,7 @@ func (rec *Quarters) Offset(i int) int {
 //
 // Record, then drain: nothing decides on a state inside the walk. The
 // accept flags come after it, from a carry pass over the corrected rows
-// (carry), and the caller walks their set bits: bit i of Accepts[j] names
+// (Carry), and the caller walks their set bits: bit i of Accepts[j] names
 // Rows[64j+i], one index for the row and, through Offset, the byte.
 func WalkQuarters(trans []uint32, classMap []uint8, st, scaledAccept uint32, w []byte, rec *Quarters) (end uint32) {
 	classOf := (*[256]uint8)(classMap)
@@ -95,12 +103,10 @@ func WalkQuarters(trans []uint32, classMap []uint8, st, scaledAccept uint32, w [
 	if len(w) >= BlockLen {
 		in = (*[BlockLen]byte)(w)
 	} else {
-		q = len(w) / 4
-		var tail [BlockLen]byte
+		q, in = len(w)/4, &rec.in
 		for j := range 4 {
-			copy(tail[j*quarterLen+quarterLen-q:(j+1)*quarterLen], w[j*q:])
+			copy(in[j*quarterLen+quarterLen-q:(j+1)*quarterLen], w[j*q:])
 		}
-		in = &tail
 	}
 	lo := quarterLen - q
 
@@ -131,7 +137,7 @@ func WalkQuarters(trans []uint32, classMap []uint8, st, scaledAccept uint32, w [
 		}
 	}
 	rec.n, rec.q = 4*q, q
-	rec.carry(lo, scaledAccept)
+	rec.Carry(q, scaledAccept)
 	return rows[BlockLen-1]
 }
 
@@ -160,16 +166,18 @@ func walkChains(trans []uint32, classOf *[256]uint8, lo int, a, b, c, d uint32, 
 	}
 }
 
-// carry is the carry pass: Accepts[j] from quarter j's rows
-// Rows[64j+lo, 64j+64), bit i set when Rows[64j+i] ≥ scaledAccept. Row by
-// row from the last, the borrow of row − scaledAccept (1 exactly when the
-// row does not accept) is shifted into the word with an add-with-carry,
-// m = 2m + borrow: a load, a SUBQ and an ADCQ a row, no branch and no flag
-// materialized, the four words four independent chains. A word starts all
-// ones, so once inverted the bits above a short quarter's rows are clear,
-// and a shift by lo puts each bit at its row's index.
-func (rec *Quarters) carry(lo int, scaledAccept uint32) {
-	rows, sa := &rec.Rows, uint64(scaledAccept)
+// Carry is the carry pass: Accepts[j] from the last q rows of quarter j,
+// Rows[64j+64−q, 64j+64), bit i set when Rows[64j+i] ≥ scaledAccept and
+// every bit below 64−q clear. WalkQuarters runs it on every block, lockstep
+// on a strip whose fold fired. Row by row from the last, the borrow of
+// row − scaledAccept (1 exactly when the row does not accept) is shifted
+// into the word with an add-with-carry, m = 2m + borrow: a load, a SUBQ and
+// an ADCQ a row, no branch and no flag materialized, the four words four
+// independent chains. A word starts all ones, so once inverted the bits
+// above a short quarter's rows are clear, and a shift by 64−q puts each bit
+// at its row's index.
+func (rec *Quarters) Carry(q int, scaledAccept uint32) {
+	rows, sa, lo := &rec.Rows, uint64(scaledAccept), quarterLen-q
 	m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	for i := quarterLen; i > lo; {
 		i--
@@ -186,26 +194,16 @@ func (rec *Quarters) carry(lo int, scaledAccept uint32) {
 	rec.Accepts = [4]uint64{^m0 << lo, ^m1 << lo, ^m2 << lo, ^m3 << lo}
 }
 
-// LaneLen is the most WalkLanes advances each of its lanes by in one call.
-const LaneLen = 64
-
-// Lanes is what WalkLanes records of a strip of n bytes, right-aligned:
-// Rows[k][LaneLen-n+i] is lane k's row base after its byte i, so
-// Rows[k][LaneLen-1] is the row base the lane reached. Entries before the
-// strip are left as they were.
-type Lanes struct {
-	Rows [4][LaneLen]uint32
-	in   [4][LaneLen]byte // the windows side by side: one register addresses all four
-}
-
 // WalkLanes is the multi-flow walk kernel, WalkQuarters' sibling behind
 // FlowBatcher's lockstep loop (DESIGN.md §13/§18): four flows over one
 // table, one chain each, so four independent table loads are in flight a
 // byte. Each w[k] is lane k's window, all four of one length, and the strip
-// walked is w[k][at:], n ≥ 1 bytes of it (LaneLen when more are left);
-// st[k] is the row base lane k starts from. Every row base is recorded in
-// rec, and the returned fold's bit 63 is clear when some lane visited an
-// accept state — the caller drains rec only then.
+// walked is w[k][at:], n ≥ 1 bytes of it (a quarter's 64 when more are
+// left); st[k] is the row base lane k starts from. Lane k's rows go to
+// quarter k of rec, right-aligned — Rows[64k+64−n+i] after its byte i, so
+// Rows[64k+63] is the row base it reached — and the returned fold's bit 63
+// is clear when some lane visited an accept state: the caller then builds
+// the accept words with rec.Carry(n, scaledAccept) and drains them.
 //
 // Record, then drain, as in WalkQuarters: the kernel decides nothing on the
 // states it loads. The accept compare of all four lanes is folded into one
@@ -214,36 +212,36 @@ type Lanes struct {
 // per lane, the windows copied side by side into rec, the strip ending at
 // a constant offset and the end states left in the record rather than
 // written through st: each of these frees a register, and without any one
-// of them a chain spills to the stack. Which byte accepted is read back
-// from the rows.
+// of them a chain spills to the stack. The carry pass stays out of the loop
+// (one leaf for both walks, with or without the fold, lost: DESIGN.md §13).
 //
 // It must stay a leaf of its own, for the reason walkChains does (CI's
 // bench-smoke job checks that lockstep calls it and that the fold holds no
 // flag instruction).
 //
 //go:noinline
-func WalkLanes(trans []uint32, classMap []uint8, scaledAccept uint32, st *[4]uint32, w *[4][]byte, at int, rec *Lanes) (fold uint64) {
+func WalkLanes(trans []uint32, classMap []uint8, scaledAccept uint32, st *[4]uint32, w *[4][]byte, at int, rec *Quarters) (fold uint64) {
 	classOf := (*[256]uint8)(classMap)
 	lo := 0
-	if n := len(w[0]) - at; n >= LaneLen {
-		for k := range rec.in {
-			rec.in[k] = [LaneLen]byte(w[k][at:])
+	if n := len(w[0]) - at; n >= quarterLen {
+		for k := range 4 {
+			*(*[quarterLen]byte)(rec.in[k*quarterLen:]) = [quarterLen]byte(w[k][at:])
 		}
 	} else {
-		lo = LaneLen - n
-		for k := range rec.in {
-			copy(rec.in[k][lo:], w[k][at:at+n])
+		lo = quarterLen - n
+		for k := range 4 {
+			copy((*[quarterLen]byte)(rec.in[k*quarterLen:])[lo:], w[k][at:at+n])
 		}
 	}
 	a, b, c, d := st[0], st[1], st[2], st[3]
 	sa := uint64(scaledAccept)
 	m := ^uint64(0)
-	for i := lo; i < LaneLen; i++ {
-		a = trans[a+uint32(classOf[rec.in[0][i]])]
-		b = trans[b+uint32(classOf[rec.in[1][i]])]
-		c = trans[c+uint32(classOf[rec.in[2][i]])]
-		d = trans[d+uint32(classOf[rec.in[3][i]])]
-		rec.Rows[0][i], rec.Rows[1][i], rec.Rows[2][i], rec.Rows[3][i] = a, b, c, d
+	for i := lo & (quarterLen - 1); i < quarterLen; i++ {
+		a = trans[a+uint32(classOf[rec.in[i]])]
+		b = trans[b+uint32(classOf[rec.in[quarterLen+i]])]
+		c = trans[c+uint32(classOf[rec.in[2*quarterLen+i]])]
+		d = trans[d+uint32(classOf[rec.in[3*quarterLen+i]])]
+		rec.Rows[i], rec.Rows[quarterLen+i], rec.Rows[2*quarterLen+i], rec.Rows[3*quarterLen+i] = a, b, c, d
 		m &= (uint64(a) - sa) & (uint64(b) - sa) & (uint64(c) - sa) & (uint64(d) - sa)
 	}
 	return m

@@ -462,42 +462,44 @@ func TestQuartersMiss(t *testing.T) {
 	}
 }
 
-// TestWalkLanesRecords calls the multi-flow kernel itself, over a Lanes
+// TestWalkLanesRecords calls the multi-flow kernel itself, over a Quarters
 // record filled with garbage, and requires what four byte-at-a-time walks
-// give: each lane's rows right-aligned in its record row and nothing before
-// them touched, and the fold's bit 63 clear exactly when some lane visited
-// an accept state. For every strip length 1…LaneLen the four lanes enter at
-// four distinct states — one of them a byte short of accepting — and a
-// quiet strip is walked, then one with an accept planted at every offset of
-// each lane in turn; then C8's fragment automaton over word-salted text,
-// strips taken from inside longer windows.
+// give: lane k's rows right-aligned in quarter k, Rows[64k+64−n, 64k+64),
+// and nothing before them touched; the fold's bit 63 clear exactly when
+// some lane visited an accept state; and, after the carry pass over the
+// strip, each Accepts[k] the per-row compare of lane k's rows. For every
+// strip length 1…64 the four lanes enter at four distinct states — one of
+// them a byte short of accepting — and a quiet strip is walked, then one
+// with an accept planted at every offset of each lane in turn; then C8's
+// fragment automaton over word-salted text, strips taken from inside longer
+// windows.
 func TestWalkLanesRecords(t *testing.T) {
-	const L = dfa.LaneLen
+	const L = quarter
 	check := func(name string, d *dfa.DFA, entry [4]uint32, w [4][]byte, at int) {
 		t.Helper()
 		trans, classOf, stride := d.ScanTable()
+		sa := d.AcceptStart() * uint32(stride)
 		scaled := entry
 		for k := range scaled {
 			scaled[k] *= uint32(stride)
 		}
-		var rec dfa.Lanes
-		for k := range rec.Rows {
-			for i := range rec.Rows[k] {
-				rec.Rows[k][i] = 0xdeadbeef
-			}
+		var rec dfa.Quarters
+		for i := range rec.Rows {
+			rec.Rows[i] = 0xdeadbeef
 		}
-		fold := dfa.WalkLanes(trans, classOf, d.AcceptStart()*uint32(stride), &scaled, &w, at, &rec)
+		fold := dfa.WalkLanes(trans, classOf, sa, &scaled, &w, at, &rec)
 		n := min(len(w[0])-at, L)
 		accepted := false
 		for k, st := range entry {
+			rows := rec.Rows[k*L : (k+1)*L]
 			for i, c := range w[k][at : at+n] {
 				st = d.Next(st, c)
 				accepted = accepted || st >= d.AcceptStart()
-				if got := rec.Rows[k][L-n+i]; got != st*uint32(stride) {
+				if got := rows[L-n+i]; got != st*uint32(stride) {
 					t.Fatalf("%s: lane %d byte %d of %d: row %#x, the byte-at-a-time walk %#x", name, k, i, n, got, st*uint32(stride))
 				}
 			}
-			for i, row := range rec.Rows[k][:L-n] {
+			for i, row := range rows[:L-n] {
 				if row != 0xdeadbeef {
 					t.Fatalf("%s: lane %d: row %d before a %d-byte strip written (%#x)", name, k, i, n, row)
 				}
@@ -505,6 +507,18 @@ func TestWalkLanesRecords(t *testing.T) {
 		}
 		if got := fold>>63 == 0; got != accepted {
 			t.Fatalf("%s: fold reports an accept visit: %v, the byte-at-a-time walk: %v", name, got, accepted)
+		}
+		rec.Carry(n, sa)
+		for k, word := range rec.Accepts {
+			var want uint64
+			for i := L - n; i < L; i++ {
+				if rec.Rows[k*L+i] >= sa {
+					want |= 1 << i
+				}
+			}
+			if word != want {
+				t.Fatalf("%s: lane %d: accept word %#x after the carry pass, the rows' compare %#x", name, k, word, want)
+			}
 		}
 	}
 

@@ -97,7 +97,7 @@ var shardRows = []telemetry.Row[shardStats]{
 	telemetry.GaugeRow("mfa_shard_queue_depth", "Segments queued on this shard right now.", func(a *shardStats) float64 { return float64(a.QueueDepth) }),
 	telemetry.CounterRow("mfa_scan_accept_visits_total", "Accept states visited by this shard's flows.", func(a *shardStats) float64 { return float64(a.AcceptVisits) }),
 	telemetry.CounterRow("mfa_scan_lockstep_bytes_total", "Payload bytes this shard scanned in the lockstep loop.", func(a *shardStats) float64 { return float64(a.LockstepBytes) }),
-	telemetry.CounterRow("mfa_scan_sequential_bytes_total", "Payload bytes this shard scanned in Feed, the sequential record-then-drain loop (lone or accept-dense lanes, inline fallbacks).", func(a *shardStats) float64 { return float64(a.SequentialBytes) }),
+	telemetry.CounterRow("mfa_scan_sequential_bytes_total", "Payload bytes this shard scanned in Feed, the sequential record-then-drain loop (lanes no lockstep quad takes, accept-dense lanes, inline fallbacks).", func(a *shardStats) float64 { return float64(a.SequentialBytes) }),
 }
 
 // registerMetrics wires the engine into reg; read is Engine.Stats. Called

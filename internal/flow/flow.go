@@ -123,7 +123,8 @@ type Assembler struct {
 	now   int64 // logical clock: segments handled so far
 	// st is where the assembler counts: Stats returns it with the derived
 	// fields filled in. SequentialBytes holds the bytes scanned on arrival
-	// (not through the batcher) until Stats adds the batcher's own.
+	// (not through the batcher) until Stats adds the batcher's own, which
+	// include the lanes it handed to Feed.
 	st         Stats
 	lanesTaken int64 // the batcher's lane count at the last TakeLanes
 	// Live gauge accounting (gauges.go); no-ops when Config.Gauges is nil.
@@ -223,9 +224,10 @@ type Stats struct {
 	// per-tenant split lives in each tenant's TenantAcct counters).
 	TenantDrops int64
 	// AcceptVisits, LockstepBytes and SequentialBytes are the batcher's
-	// Counts — accept states visited, and payload bytes by scan loop —
-	// with the bytes scanned inline (no batcher, or a runner the batcher
-	// refused) under sequential.
+	// Counts — accept states visited, and payload bytes by scan loop: its
+	// sequential bytes are the accept-dense flows' and those of the lanes no
+	// lockstep quad takes — with the bytes scanned inline (no batcher, or a
+	// runner the batcher refused) under sequential too.
 	AcceptVisits    int64
 	LockstepBytes   int64
 	SequentialBytes int64

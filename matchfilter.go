@@ -76,30 +76,6 @@ func WithoutDecomposition() Option {
 	return func(c *config) { c.core.Splitter.Construction = splitter.Whole }
 }
 
-// WithClassSizeThreshold once overrode the almost-dot-star class-size
-// threshold. The threshold is fixed at 128: a gap [^X]* is decomposed only
-// when |X| is below it.
-//
-// Deprecated: the option has no effect.
-func WithClassSizeThreshold(n int) Option { return func(*config) {} }
-
-// WithCountingGaps once enabled the counting-condition extension (the
-// paper's §VI future work). Compile now always decomposes a gap .{n,} on a
-// filter position register instead of expanding it into n automaton
-// states, provided the segment after the gap has a fixed length.
-//
-// Deprecated: the option has no effect.
-func WithCountingGaps() Option { return func(*config) {} }
-
-// WithBoundedRepeatCounters once enabled the counter-register extension.
-// Compile now always compiles a bounded gap X{n,m} with m ≥ 8 to a per-flow
-// counter register instead of up to m copies of automaton states, provided
-// the segment after the gap has a fixed length; windows too wide to expand
-// under WithMaxStates compile, with unchanged match streams.
-//
-// Deprecated: the option has no effect.
-func WithBoundedRepeatCounters() Option { return func(*config) {} }
-
 // WithMinimization enables DFA minimization after subset construction,
 // trading compile time for a smaller table.
 func WithMinimization() Option {

@@ -1,7 +1,6 @@
 package matchfilter
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -149,37 +148,10 @@ func TestWithMinimization(t *testing.T) {
 
 func TestWithClassSizeThreshold(t *testing.T) {
 	// [bq]* has X = 254 bytes (everything but b and q); the fixed threshold
-	// of 128 refuses it, and the deprecated option no longer raises it. The
-	// segments are chosen so every other safety condition passes: B uses
-	// only gap-class bytes and A ends in one.
-	for _, opts := range [][]Option{nil, {WithClassSizeThreshold(255)}} {
-		if st := MustCompile([]string{"zq[bq]*bq"}, opts...).Stats(); st.Decomposed != 0 {
-			t.Errorf("the threshold should refuse: %+v", st)
-		}
-	}
-}
-
-// TestDeprecatedOptionsAreNoOps: each option the default construction made
-// meaningless compiles a Save image byte-identical to no option at all, on
-// patterns it used to change.
-func TestDeprecatedOptionsAreNoOps(t *testing.T) {
-	pats := []string{"zq[bq]*bq", "hdr.{5,}tail", "aaa.{60,200}bbb", `ab[^\n]{0,9}cd`, "attack.*payload"}
-	image := func(opts ...Option) []byte {
-		var buf bytes.Buffer
-		if err := MustCompile(pats, opts...).Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := image()
-	for name, opt := range map[string]Option{
-		"WithClassSizeThreshold(255)": WithClassSizeThreshold(255),
-		"WithCountingGaps":            WithCountingGaps(),
-		"WithBoundedRepeatCounters":   WithBoundedRepeatCounters(),
-	} {
-		if !bytes.Equal(image(opt), want) {
-			t.Errorf("%s changed the compiled image", name)
-		}
+	// of 128 refuses it. The segments are chosen so every other safety
+	// condition passes: B uses only gap-class bytes and A ends in one.
+	if st := MustCompile([]string{"zq[bq]*bq"}).Stats(); st.Decomposed != 0 {
+		t.Errorf("the threshold should refuse: %+v", st)
 	}
 }
 
