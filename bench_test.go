@@ -20,8 +20,6 @@ import (
 	"matchfilter/internal/core"
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/nfa"
-	"matchfilter/internal/patterns"
-	"matchfilter/internal/prefilter"
 	"matchfilter/internal/regexparse"
 	"matchfilter/internal/splitter"
 	"matchfilter/internal/trace"
@@ -354,53 +352,4 @@ func BenchmarkSaveLoad(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSnortPrefilterVsMFA compares the §II-A related-work approach —
-// an Aho-Corasick content pre-filter with per-rule verification passes —
-// against the single-pass MFA, on clean traffic (pre-filter's best case:
-// almost nothing verifies) and content-dense traffic (its worst case:
-// many candidate rules each force a full re-scan of the payload).
-func BenchmarkSnortPrefilterVsMFA(b *testing.B) {
-	sources, err := patterns.Sources("C8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prules := make([]prefilter.Rule, len(sources))
-	for i, src := range sources {
-		p, err := regexparse.ParsePCRE(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prules[i] = prefilter.Rule{Pattern: p, ID: int32(i + 1)}
-	}
-	pf, err := prefilter.Compile(prules)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mfa := engines(b, "C8").MFA
-
-	words, err := patterns.AllWords("C8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	traffic := map[string][]byte{
-		"clean": trace.TextLike(256<<10, 6, nil, 0),
-		"dense": trace.TextLike(256<<10, 6, words, 0.02),
-	}
-	for _, kind := range []string{"clean", "dense"} {
-		data := traffic[kind]
-		b.Run("prefilter/"+kind, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				pf.FeedCount(data)
-			}
-		})
-		b.Run("mfa/"+kind, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				mfa.NewRunner().FeedCount(data)
-			}
-		})
-	}
 }

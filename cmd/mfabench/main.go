@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,8 +36,11 @@ func main() {
 	}
 }
 
+// experiments are the names -exp accepts.
+var experiments = []string{"table1", "table2", "table5", "fig2", "fig3", "fig4", "fig5", "active", "layout", "counters", "engine", "all"}
+
 func run() error {
-	exp := flag.String("exp", "all", "experiment: table1, table2, table5, fig2, fig3, fig4, fig5, active, prefilter, layout, counters, engine, all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
 	setsFlag := flag.String("sets", "", "comma-separated pattern sets (default: all seven)")
 	scale := flag.Float64("scale", 0.25, "trace size scale for fig4 and engine")
 	bytesN := flag.Int("bytes", 1<<20, "stream length per measurement for fig5")
@@ -44,6 +48,9 @@ func run() error {
 	shardsFlag := flag.String("shards", "1,2,4,8", "shard counts for the engine experiment")
 	jsonOut := flag.String("json", "", "also write raw measurement rows as JSON to this file (- for stdout)")
 	flag.Parse()
+	if !slices.Contains(experiments, *exp) {
+		return fmt.Errorf("unknown -exp %q (want one of %s)", *exp, strings.Join(experiments, ", "))
+	}
 
 	var sets []string
 	if *setsFlag != "" {
@@ -62,13 +69,6 @@ func run() error {
 	}
 	if wants("table2") {
 		if err := bench.TablesIIToIV(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-
-	if wants("prefilter") {
-		if err := bench.PrefilterComparison(out, sets, *bytesN/4, *seed); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

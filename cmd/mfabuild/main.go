@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/patterns"
 	"matchfilter/internal/rules"
 )
@@ -34,7 +33,6 @@ func run() error {
 	showFilters := flag.Bool("filters", false, "dump the generated filter program")
 	showFragments := flag.Bool("fragments", false, "list the decomposed fragments")
 	maxStates := flag.Int("max-states", 0, "DFA state budget (0 = default)")
-	layout := flag.String("layout", "", "transition-table layout: auto, flat, classed (empty = auto)")
 	output := flag.String("o", "", "write the compiled engine to this file for mfascan -engine")
 	check := flag.Bool("check", true, "self-check the compiled automaton (scan a built-in trace, round-trip a flow context) before reporting or writing it")
 	flag.Parse()
@@ -50,13 +48,6 @@ func run() error {
 
 	opts := core.Options{}
 	opts.DFA.MaxStates = *maxStates
-	if *layout != "" {
-		l, err := dfa.ParseLayout(*layout)
-		if err != nil {
-			return err
-		}
-		opts.DFA.Layout = l
-	}
 	m, err := core.Compile(rs, opts)
 	if err != nil {
 		return err
@@ -107,20 +98,31 @@ func run() error {
 		fmt.Print(m.Program().String())
 	}
 	if *output != "" {
-		f, err := os.Create(*output)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := core.WriteStrings(f, sources); err != nil {
-			return err
-		}
-		if _, err := m.WriteTo(f); err != nil {
+		if err := writeEngine(*output, m, sources); err != nil {
 			return err
 		}
 		fmt.Printf("engine written to %s\n", *output)
 	}
 	return nil
+}
+
+// writeEngine writes the image mfascan -engine and mfaserve -engine
+// load. Close's error is returned: a final write that fails there must
+// not be reported as a written engine.
+func writeEngine(path string, m *core.MFA, sources []string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := core.WriteStrings(f, sources); err != nil {
+		f.Close()
+		return err
+	}
+	if _, err := m.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func mb(n int) float64 { return float64(n) / (1 << 20) }

@@ -96,7 +96,6 @@ import (
 	"time"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/engine"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/guard"
@@ -157,7 +156,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	fs.Var(&tenSpecs, "tenant", "tenant rule set, repeatable: 'id=RULES.txt[,cidr=10.1.0.0/16][,max-flows=N][,max-buffered=SIZE]' (RULES may be set:NAME for a built-in set; cidr may repeat; a quota of 0 is unlimited)")
 	shards := fs.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 4096, "per-shard queue depth (segments)")
-	layoutFlag := fs.String("layout", "", "transition-table layout for compiled sets: auto, flat, classed (applies to -set/-rules, hot reloads and tenant rule sets; -engine images keep their baked layout)")
 	drop := fs.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
 	maxFlows := fs.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
 	idle := fs.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
@@ -177,11 +175,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return 2, nil // the flag package has reported it, with the usage
 	}
 
-	var g gate
 	var err error
-	if g.opts.DFA.Layout, err = dfa.ParseLayout(*layoutFlag); err != nil {
-		return exitError, err
-	}
 	var memLimit int64
 	if *maxMemory != "" {
 		if memLimit, err = parseCeiling(*maxMemory); err != nil {
@@ -312,9 +306,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		var spec tenant.PutSpec
 		var err error
 		if defSrc == "" {
-			spec, err = g.image(*engineFile)
+			spec, err = admitImage(*engineFile)
 		} else {
-			spec, err = g.source(defSrc)
+			spec, err = admitSource(defSrc)
 		}
 		if err != nil {
 			return nil, 0, err
@@ -377,7 +371,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		registerBuildMetrics(reg, func() core.BuildStats { return treg.Lookup(0).Build() })
 		for _, ts := range tenants {
-			spec, err := g.source(ts.src)
+			spec, err := admitSource(ts.src)
 			if err == nil {
 				spec.Quota = ts.quota
 				_, _, err = treg.Put(ts.id, spec)
@@ -452,7 +446,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				}{sup.Stats(), sup.Arena().Stats(), gst, e.Stats(), treg.List()[1:], treg.Lookup(0).Build()}
 			},
 			Reload:  reload,
-			Tenants: treg.AdminHandler(g.text),
+			Tenants: treg.AdminHandler(admitText),
 		}
 		var err error
 		if admin, err = a.Start(*adminAddr); err != nil {
@@ -555,41 +549,41 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	return exitOK, nil
 }
 
-// gate is the one door a rule set passes before it serves, whichever
+// The gate is the one door a rule set passes before it serves, whichever
 // entry it is for and however it was asked — startup, SIGHUP, POST
-// /reload, a -tenant spec, PUT /tenants/<id>/rules: parse, compile with
-// the daemon's build option (-layout), self-check scan.
-type gate struct{ opts core.Options }
+// /reload, a -tenant spec, PUT /tenants/<id>/rules: parse, compile under
+// default options, self-check scan. admitText, admitSource and admitImage
+// are its three entrances.
 
-// text admits rule text (the tenant.Compiler behind PUT bodies).
-func (g gate) text(text []byte) (tenant.PutSpec, error) {
+// admitText admits rule text (the tenant.Compiler behind PUT bodies).
+func admitText(text []byte) (tenant.PutSpec, error) {
 	rs, sources, err := rules.Parse(text)
 	if err != nil {
 		return tenant.PutSpec{}, err
 	}
-	m, err := core.Compile(rs, g.opts)
+	m, err := core.Compile(rs, core.Options{})
 	if err != nil {
 		return tenant.PutSpec{}, err
 	}
 	return vetted(m, sources, text)
 }
 
-// source admits a rules file or a built-in set ("set:NAME").
-func (g gate) source(src string) (tenant.PutSpec, error) {
+// admitSource admits a rules file or a built-in set ("set:NAME").
+func admitSource(src string) (tenant.PutSpec, error) {
 	text, err := rules.ReadText(src)
 	if err != nil {
 		return tenant.PutSpec{}, err
 	}
-	spec, err := g.text(text)
+	spec, err := admitText(text)
 	if err != nil {
 		return spec, fmt.Errorf("%s: %w", src, err)
 	}
 	return spec, nil
 }
 
-// image admits a compiled engine image, which keeps its baked layout; its
-// rule text is the sources it carries.
-func (g gate) image(path string) (tenant.PutSpec, error) {
+// admitImage admits a compiled engine image, which keeps its baked
+// layout; its rule text is the sources it carries.
+func admitImage(path string) (tenant.PutSpec, error) {
 	m, sources, err := rules.ReadImage(path)
 	if err != nil {
 		return tenant.PutSpec{}, err

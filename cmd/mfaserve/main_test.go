@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"matchfilter/internal/core"
+	"matchfilter/internal/dfa"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/input"
 	"matchfilter/internal/leakcheck"
@@ -531,26 +532,53 @@ func TestServeMatchesSequentialScan(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the sequential scan found nothing; the test would be vacuous")
 	}
-	var img bytes.Buffer
-	if err := core.WriteStrings(&img, sources); err != nil {
+	// Two images of the rules: the default build (classed under Auto) and
+	// a flat one, the only flat table the daemon can be given.
+	rs, _, err := rules.Parse([]byte(ruleText))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WriteTo(&img); err != nil {
+	var flatOpts core.Options
+	flatOpts.DFA.Layout = dfa.LayoutFlat
+	flat, err := core.Compile(rs, flatOpts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	imgPath := filepath.Join(dir, "rules.eng")
-	writeFile(t, imgPath, img.String())
+	images := make(map[string]string)
+	for layout, mi := range map[string]*core.MFA{"classed": m, "flat": flat} {
+		var img bytes.Buffer
+		if err := core.WriteStrings(&img, sources); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mi.WriteTo(&img); err != nil {
+			t.Fatal(err)
+		}
+		images[layout] = writeFile(t, filepath.Join(dir, layout+".eng"), img.String())
+	}
 
 	for _, args := range [][]string{
 		{"-rules", rulesPath, "-pcap", capPath, "-shards", "1"},
 		{"-rules", rulesPath, "-pcap", capPath, "-shards", "4"},
-		{"-engine", imgPath, "-source", "pcap:" + capPath, "-shards", "4"},
+		{"-engine", images["classed"], "-source", "pcap:" + capPath, "-shards", "4"},
 	} {
 		d := start(t, args...)
 		if code, err := d.finish(); code != exitOK || err != nil {
 			t.Fatalf("%v: exit %d, %v", args, code, err)
 		}
 		equalLines(t, strings.Join(args, " "), d.matchLines(), want)
+	}
+	// Each image serves in the layout it was built with; the capture
+	// arrives on stdin once /metrics has said so.
+	for _, layout := range []string{"classed", "flat"} {
+		d := start(t, "-engine", images[layout], "-pcap", "-", "-shards", "4", "-admin", "127.0.0.1:0")
+		d.wantMetrics(fmt.Sprintf("mfa_build_dfa_layout_info{layout=%q} 1", layout))
+		if _, err := d.stdin.Write(capture.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if code, err := d.finish(); code != exitOK || err != nil {
+			t.Fatalf("%s image: exit %d, %v", layout, code, err)
+		}
+		equalLines(t, layout+" image", d.matchLines(), want)
 	}
 }
 
@@ -617,7 +645,7 @@ func TestServeTuningFlags(t *testing.T) {
 	send(t, pcap.NewWriter(&capture), flows[1:], 256)
 	capPath := writeFile(t, filepath.Join(dir, "t.pcap"), capture.String())
 
-	d := start(t, "-set", "CTR8", "-layout", "classed", "-source", "pcap:"+capPath, "-pcap", "-",
+	d := start(t, "-set", "CTR8", "-source", "pcap:"+capPath, "-pcap", "-",
 		"-shards", "2", "-queue", "64", "-drop", "-max-flows", "8", "-idle", "100000",
 		"-soft-watermark", "0.05", "-hard-watermark", "2", "-max-memory", "64M",
 		"-stall-deadline", "5s", "-drain-timeout", "20s", "-stats", "5ms", "-q", "-admin", "127.0.0.1:0")

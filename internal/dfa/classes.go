@@ -64,23 +64,6 @@ func (l Layout) String() string {
 	}
 }
 
-// ParseLayout resolves a layout name as used by command-line flags and
-// reports ("auto", "flat", "classed").
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "auto":
-		return LayoutAuto, nil
-	case "flat":
-		return LayoutFlat, nil
-	case "classed":
-		return LayoutClassed, nil
-	case "classed2":
-		return LayoutAuto, fmt.Errorf("dfa: layout %q was removed in this release: its pair table "+
-			"multiplied the image by the class count and lost to classed end to end (DESIGN.md §18)", s)
-	}
-	return LayoutAuto, fmt.Errorf("dfa: unknown layout %q (want auto, flat or classed)", s)
-}
-
 // identityClasses is the class map of the flat layout.
 var identityClasses = func() (m [256]uint8) {
 	for b := range m {

@@ -293,38 +293,6 @@ func TestReadV1Format(t *testing.T) {
 	}
 }
 
-// TestParseLayout pins the names the -layout flags accept, and that the
-// removed layout is refused by name — with the reason, not as a typo.
-func TestParseLayout(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		want    Layout
-		errSays []string // nil = no error
-	}{
-		{"", LayoutAuto, nil},
-		{"auto", LayoutAuto, nil},
-		{"flat", LayoutFlat, nil},
-		{"classed", LayoutClassed, nil},
-		{"classed2", LayoutAuto, []string{"removed", "DESIGN.md §18"}},
-		{"Classed", LayoutAuto, []string{"unknown layout"}},
-	} {
-		got, err := ParseLayout(tc.in)
-		if got != tc.want || (err != nil) != (tc.errSays != nil) {
-			t.Errorf("ParseLayout(%q) = %v, %v; want %v, error %v", tc.in, got, err, tc.want, tc.errSays != nil)
-		}
-		for _, say := range tc.errSays {
-			if err != nil && !strings.Contains(err.Error(), say) {
-				t.Errorf("ParseLayout(%q) error %q does not say %q", tc.in, err, say)
-			}
-		}
-	}
-	for _, l := range []Layout{LayoutAuto, LayoutFlat, LayoutClassed} {
-		if got, err := ParseLayout(l.String()); err != nil || got != l {
-			t.Errorf("ParseLayout(%v.String()) = %v, %v", l, got, err)
-		}
-	}
-}
-
 // TestPreScaleInvariant checks the one precondition of the scan kernel:
 // row bases are next × k in a uint32, so a layout whose numStates × k
 // reaches 2³² must be refused (wrapped ErrTooManyStates), not wrapped

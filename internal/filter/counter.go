@@ -132,9 +132,6 @@ func (p *Program) ctrLayout() {
 // NumCounters returns the number of counter registers the program uses.
 func (p *Program) NumCounters() int { return len(p.counters) }
 
-// CounterBounds returns the descriptor of the 1-based counter c.
-func (p *Program) CounterBounds(c int16) Counter { return p.counters[c-1] }
-
 // CountersLen returns the per-flow counter-state size in words — the
 // length of the image a flow context saves and SetContext accepts.
 func (p *Program) CountersLen() int { return p.ctrTotal }
