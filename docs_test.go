@@ -14,8 +14,10 @@ import (
 )
 
 // TestDocsResolve keeps the prose pointing at code that exists: every
-// DESIGN.md section a .go file cites is a "## N." heading there, and
-// every flag README.md gives a command is in that command's flag set.
+// DESIGN.md section a .go file cites is a "## N." heading there, every
+// flag README.md gives a command is in that command's flag set, and every
+// metric family and /statsz key README.md names is in the daemon's
+// goldens.
 func TestDocsResolve(t *testing.T) {
 	t.Run("design citations", func(t *testing.T) {
 		design, err := os.ReadFile("DESIGN.md")
@@ -94,6 +96,44 @@ func TestDocsResolve(t *testing.T) {
 			if !flags[u.cmd][u.flag] {
 				t.Errorf("README.md gives %s -%s, which %s does not define", u.cmd, u.flag, u.cmd)
 			}
+		}
+	})
+
+	t.Run("readme metrics and statsz keys", func(t *testing.T) {
+		readme, err := os.ReadFile("README.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := os.ReadFile("cmd/mfaserve/testdata/metrics.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		statsz, err := os.ReadFile("cmd/mfaserve/testdata/statsz.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A family is named exactly ("mfa_generation") or by its prefix
+		// ("mfa_engine_*"); either must match some "# TYPE" line.
+		families := regexp.MustCompile(`\bmfa_[a-z0-9_]+\*?`).FindAllString(string(readme), -1)
+		for _, name := range families {
+			prefix, wild := strings.CutSuffix(name, "*")
+			if !wild {
+				prefix += " "
+			}
+			if !strings.Contains(string(metrics), "\n# TYPE "+prefix) {
+				t.Errorf("README.md names %s, which metrics.golden has no # TYPE line for", name)
+			}
+		}
+		// "`/statsz` `Engine`": a key path, a line of statsz.golden or the
+		// prefix of one.
+		keys := regexp.MustCompile("`/statsz` `([A-Za-z][A-Za-z0-9.]*)`").FindAllStringSubmatch(string(readme), -1)
+		for _, m := range keys {
+			if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(m[1]) + `(\.|$)`).Match(statsz) {
+				t.Errorf("README.md names /statsz key %s, which statsz.golden does not list", m[1])
+			}
+		}
+		if len(families) == 0 || len(keys) == 0 {
+			t.Fatalf("README.md names %d metric families and %d /statsz keys; the check would be vacuous", len(families), len(keys))
 		}
 	})
 }

@@ -142,6 +142,8 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 //     its residue closure \ C, and C's own successors and match ids are
 //     computed once per class instead of once per state and byte.
 //     Anchored-only rule sets have C = ∅ and residue = closure.
+//   - A set's successors on all classes come from one pass over its NFA
+//     transitions (spread), deduplicated by generation marks (step).
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
@@ -149,6 +151,12 @@ type constructor struct {
 
 	classOf []uint8 // byte → alphabet class
 	rep     []byte  // smallest byte of each class
+	edges   []edge  // NFA state s's transitions: edges[edgeOff[s]:edgeOff[s+1]]
+	edgeOff []int32
+	covers  []uint8         // an edge's bitmap holds classes covers[lo:hi]
+	raw     [][]nfa.StateID // per class: the targets spread found
+	mark    []uint64        // mark[q] == gen: q is in the set step builds
+	gen     uint64          // 64 bits, so it never wraps
 
 	inCore      []bool          // membership in C
 	coreSucc    [][]nfa.StateID // per class: succ(C, k) \ C, sorted
@@ -169,28 +177,33 @@ type constructor struct {
 	rows    []uint32          // per explored state: len(rep) targets
 }
 
+// edge is an NFA transition in class space: target to, classes covers[lo:hi].
+type edge struct{ to, lo, hi int32 }
+
 func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 	c := &constructor{
 		n:         n,
 		maxStates: maxStates,
 		closures:  n.Closures(),
+		mark:      make([]uint64, n.NumStates()),
 		inCore:    make([]bool, n.NumStates()),
 		off:       []uint32{0},
 		byHash:    make(map[uint64]uint32, 1024),
 	}
 	// One 0/1 membership row per distinct transition bitmap: two bytes
 	// are in the same class iff they agree on every row.
-	distinct := make(map[regexparse.Class]bool)
-	var member []uint32
-	for i := range n.States {
-		for _, t := range n.States[i].Trans {
-			if distinct[t.Class] {
-				continue
-			}
-			distinct[t.Class] = true
-			for b := 0; b < regexparse.AlphabetSize; b++ {
-				member = append(member, uint32(t.Class[b>>6]>>(b&63))&1)
-			}
+	distinct := make(map[regexparse.Class]edge)
+	numEdges := 0
+	for _, s := range n.States {
+		numEdges += len(s.Trans)
+		for _, t := range s.Trans {
+			distinct[t.Class] = edge{}
+		}
+	}
+	member := make([]uint32, 0, len(distinct)*regexparse.AlphabetSize)
+	for cl := range distinct { // in any order
+		for b := range regexparse.AlphabetSize {
+			member = append(member, uint32(cl[b>>6]>>(b&63))&1)
 		}
 	}
 	var k int
@@ -199,72 +212,98 @@ func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 	for b := regexparse.AlphabetSize - 1; b >= 0; b-- {
 		c.rep[c.classOf[b]] = byte(b)
 	}
+	// A bitmap is a union of classes, so it covers k iff it holds rep[k].
+	for cl := range distinct {
+		lo := int32(len(c.covers))
+		for k, b := range c.rep {
+			if cl.Contains(b) {
+				c.covers = append(c.covers, uint8(k))
+			}
+		}
+		distinct[cl] = edge{lo: lo, hi: int32(len(c.covers))}
+	}
+	c.edges = make([]edge, 0, numEdges)
+	c.edgeOff = make([]int32, 1, len(n.States)+1)
+	for _, s := range n.States {
+		for _, t := range s.Trans {
+			e := distinct[t.Class]
+			c.edges = append(c.edges, edge{t.To, e.lo, e.hi})
+		}
+		c.edgeOff = append(c.edgeOff, int32(len(c.edges)))
+	}
+	c.raw = make([][]nfa.StateID, k)
 	return c
 }
 
-// succ appends to dst the ε-closed successors of set on byte b that lie
-// outside the core, then sorts and deduplicates dst.
-func (c *constructor) succ(dst, set []nfa.StateID, b byte) []nfa.StateID {
+// spread appends to raw[k] the targets of set's transitions on class k,
+// for every k, in one pass over them; step empties raw[k] again.
+func (c *constructor) spread(set []nfa.StateID) {
 	for _, s := range set {
-		for _, t := range c.n.States[s].Trans {
-			if !t.Class.Contains(b) {
-				continue
+		for _, e := range c.edges[c.edgeOff[s]:c.edgeOff[s+1]] {
+			for _, k := range c.covers[e.lo:e.hi] {
+				c.raw[k] = append(c.raw[k], e.to)
 			}
-			for _, q := range c.closures[t.To] {
+		}
+	}
+}
+
+// step marks succ(set, k) for the set last spread, in a new generation, and
+// appends to dst its states outside C, unsorted; withCore adds succ(C, k) \ C.
+func (c *constructor) step(dst []nfa.StateID, k int, withCore bool) []nfa.StateID {
+	c.gen++
+	if withCore {
+		for _, q := range c.coreSucc[k] {
+			c.mark[q] = c.gen
+			dst = append(dst, q)
+		}
+	}
+	for _, t := range c.raw[k] {
+		if c.mark[t] == c.gen {
+			continue // it came with an ε-closed set, and so did its closure
+		}
+		for _, q := range c.closures[t] {
+			if c.mark[q] != c.gen {
+				c.mark[q] = c.gen
 				if !c.inCore[q] {
 					dst = append(dst, q)
 				}
 			}
 		}
 	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
+	c.raw[k] = c.raw[k][:0]
+	return dst
 }
 
 // findCore computes the invariant core from the start closure, fills
 // inCore, coreSucc and coreMatches, and returns the core's size.
 func (c *constructor) findCore(start []nfa.StateID) int {
-	// C starts as ∩ₖ succ(start, k) and shrinks until C ⊆ succ(C, k) for
-	// every k. Each step is monotone, so the fixed point is the greatest.
-	var core, buf []nfa.StateID
-	for k, b := range c.rep {
-		buf = c.succ(buf[:0], start, b)
-		if k == 0 {
-			core = slices.Clone(buf)
-		} else {
-			core = intersect(core, buf)
-		}
+	// C starts as every NFA state; round one cuts it to ∩ₖ succ(start, k),
+	// later ones to C ∩ ∩ₖ succ(C, k), until one removes nothing. No round
+	// drops a state of a set meeting both conditions: C is the greatest.
+	core := make([]nfa.StateID, c.n.NumStates())
+	for i := range core {
+		core[i] = nfa.StateID(i)
 	}
-	for shrunk := len(core) > 0; shrunk; {
-		shrunk = false
-		for _, b := range c.rep {
-			buf = c.succ(buf[:0], core, b)
-			if kept := intersect(core, buf); len(kept) < len(core) {
-				core, shrunk = kept, true
-			}
+	var buf []nfa.StateID
+	for set, n := start, 0; len(core) != n; set = core {
+		n = len(core)
+		c.spread(set)
+		for k := range c.rep {
+			buf = c.step(buf[:0], k, false)
+			core = slices.DeleteFunc(core, func(s nfa.StateID) bool { return c.mark[s] != c.gen })
 		}
 	}
 	for _, s := range core {
 		c.inCore[s] = true
 	}
+	c.spread(core)
 	c.coreSucc = make([][]nfa.StateID, len(c.rep))
-	for k, b := range c.rep {
-		c.coreSucc[k] = c.succ(nil, core, b)
+	for k := range c.rep {
+		c.coreSucc[k] = c.step(nil, k, false)
+		slices.Sort(c.coreSucc[k])
 	}
 	c.coreMatches = c.matchSet(core, nil)
 	return len(core)
-}
-
-// intersect filters sorted a down to its members also in sorted b, in
-// place.
-func intersect(a, b []nfa.StateID) []nfa.StateID {
-	out := a[:0]
-	for _, s := range a {
-		if _, ok := slices.BinarySearch(b, s); ok {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // add appends a new DFA state with the given stored set and match ids.
@@ -320,14 +359,13 @@ func (c *constructor) run() error {
 	}
 
 	for cur := 0; cur < len(c.accepts); cur++ {
-		set := c.arena[c.off[cur]:c.off[cur+1]]
-		withCore := cur > 0 || !c.startFull
-		for k, b := range c.rep {
-			residue = residue[:0]
-			if withCore {
-				residue = append(residue, c.coreSucc[k]...)
-			}
-			residue = c.succ(residue, set, b)
+		if len(c.rows)+len(c.rep) > cap(c.rows) {
+			c.rows = slices.Grow(c.rows, len(c.rows)+len(c.rep)) // double, not ×1.25
+		}
+		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
+		for k := range c.rep {
+			residue = c.step(residue[:0], k, cur > 0 || !c.startFull)
+			slices.Sort(residue)
 			id, err := c.intern(residue)
 			if err != nil {
 				return err

@@ -157,6 +157,10 @@ type Reader struct {
 	byteOrder binary.ByteOrder
 	linkType  uint32
 	alloc     func(int) []byte
+	// hdr holds the record header Next reads. It lives here rather than
+	// on Next's stack because io.ReadFull's interface call would move a
+	// local to the heap on every packet.
+	hdr [RecordHeaderLen]byte
 }
 
 // NewReader validates the global header and returns a packet reader.
@@ -184,14 +188,14 @@ func (pr *Reader) SetAlloc(alloc func(int) []byte) { pr.alloc = alloc }
 
 // Next returns the next packet, or io.EOF at the end of the stream.
 func (pr *Reader) Next() (Packet, error) {
-	var hdr [RecordHeaderLen]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
+	hdr := pr.hdr[:]
+	if _, err := io.ReadFull(pr.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Packet{}, io.EOF
 		}
 		return Packet{}, fmt.Errorf("%w: packet record header: %v", ErrTruncatedFrame, err)
 	}
-	inclLen, err := RecordLen(pr.byteOrder, hdr[:])
+	inclLen, err := RecordLen(pr.byteOrder, hdr)
 	if err != nil {
 		return Packet{}, err
 	}

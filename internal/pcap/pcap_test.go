@@ -285,3 +285,31 @@ func TestReaderTypedErrors(t *testing.T) {
 		t.Errorf("implausible length: err = %v, want ErrBadRecord", err)
 	}
 }
+
+// TestReaderNextDoesNotAllocate pins that a Reader with an allocator
+// installed reads a record without a heap allocation of its own: the
+// record header lives in the Reader, not on Next's stack, where
+// io.ReadFull's interface call would move it to the heap.
+func TestReaderNextDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+		if err := w.WritePacket(Packet{TsSec: uint32(i), Data: make([]byte, 96)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 96)
+	r.SetAlloc(func(n int) []byte { return body[:n] })
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Next allocates %v times per packet, want 0", allocs)
+	}
+}
