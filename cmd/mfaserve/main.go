@@ -25,8 +25,8 @@
 // Robustness posture (DESIGN.md §10, §16): malformed frames and records
 // are skipped and counted by default (-strict aborts on the first one
 // with exit code 2); shard panics quarantine single flows under a crash
-// budget; overload steps through the soft/hard degradation ladder; and
-// shutdown is bounded by -drain-timeout. -stall-deadline arms a scan
+// budget; memory pressure under -max-memory steps through the soft/hard
+// degradation ladder; and shutdown is bounded by -drain-timeout. -stall-deadline arms a scan
 // watchdog that poisons a flow stuck mid-scan and sheds traffic from a
 // wedged shard; -max-memory caps buffered payload memory end to end
 // (sources pause leasing near the ceiling); an infinite source that
@@ -159,8 +159,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	drop := fs.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
 	maxFlows := fs.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
 	idle := fs.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
-	softMark := fs.Float64("soft-watermark", 0, "pressure threshold for soft degradation (0 = default 0.5)")
-	hardMark := fs.Float64("hard-watermark", 0, "pressure threshold for hard degradation (0 = default 0.9)")
 	maxMemory := fs.String("max-memory", "", "ceiling on buffered payload memory (arena leases + flow buffers + queued segments), e.g. 256M or 1G; sources pause leasing near the ceiling and the degradation ladder reacts to memory pressure (empty = unbounded)")
 	stallDeadline := fs.Duration("stall-deadline", 0, "watchdog deadline for one flush window (up to 256 queued segments): a flow whose scan or match handler holds its window longer is poisoned on recovery, 4x the deadline marks the shard wedged and sheds its traffic (0 = watchdog off)")
 	drainTimeout := fs.Duration("drain-timeout", 0, "bound the shutdown drain; on expiry report per-shard progress and exit nonzero (0 = wait forever)")
@@ -281,8 +279,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		DropWhenFull:  *drop,
 		Flow:          flow.Config{MaxFlows: *maxFlows},
 		IdleAfter:     *idle,
-		SoftWatermark: *softMark,
-		HardWatermark: *hardMark,
 		StallDeadline: *stallDeadline,
 		Metrics:       reg,
 		Events:        events,

@@ -615,6 +615,7 @@ func TestExitCodes(t *testing.T) {
 		{"a ceiling of zero", []string{"-rules", rulesPath, "-pcap", whole, "-max-memory", "0"}, exitError, "-max-memory", ""},
 		{"a rate of zero", []string{"-rules", rulesPath, "-source", "pcap:" + whole + "?rate=0"}, exitError, "rate", ""},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "", ""},
+		{"a watermark flag, which -max-memory replaced", []string{"-soft-watermark", "0.5"}, 2, "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := start(t, tc.args...)
@@ -646,8 +647,7 @@ func TestServeTuningFlags(t *testing.T) {
 	capPath := writeFile(t, filepath.Join(dir, "t.pcap"), capture.String())
 
 	d := start(t, "-set", "CTR8", "-source", "pcap:"+capPath, "-pcap", "-",
-		"-shards", "2", "-queue", "64", "-drop", "-max-flows", "8", "-idle", "100000",
-		"-soft-watermark", "0.05", "-hard-watermark", "2", "-max-memory", "64M",
+		"-shards", "2", "-queue", "64", "-drop", "-max-flows", "8", "-idle", "100000", "-max-memory", "64M",
 		"-stall-deadline", "5s", "-drain-timeout", "20s", "-stats", "5ms", "-q", "-admin", "127.0.0.1:0")
 	send(t, d.pw, flows[:1], 256) // stdin stays open: the daemon serves until finish
 	d.waitFor("the capture to be scanned", func() bool {
@@ -676,12 +676,32 @@ func TestServeTuningFlags(t *testing.T) {
 	if strings.Contains(out, " offset ") {
 		t.Error("-q printed match lines")
 	}
-	// Forty round-robin connections thrash an 8-flow table: the cap evicts.
-	// With the default watermarks that full table is the hard tier; 0.05
-	// and 2 make it soft, always, and hard, never.
-	for _, re := range []string{`evicted [1-9]\d* \(cap\)`, `soft_enters=[1-9]\d* hard_enters=0 `} {
+	// Forty round-robin connections thrash an 8-flow table: the cap evicts,
+	// and a full table is not memory pressure, so the ladder stays put.
+	for _, re := range []string{`evicted [1-9]\d* \(cap\)`, `tier\{now=normal soft_enters=0 hard_enters=0 `} {
 		if !regexp.MustCompile(re).MatchString(out) {
 			t.Errorf("report does not match %s:\n%s", re, out)
+		}
+	}
+}
+
+// A file replay outruns one shard behind a 64-segment queue. That is
+// backpressure, not overload: every segment is scanned, none shed.
+func TestServeBackpressuredReplayLosesNothing(t *testing.T) {
+	leakcheck.Check(t)
+	const flows, size, mss = 40, 32 << 10, 256
+	var capture bytes.Buffer
+	send(t, pcap.NewWriter(&capture), streams(0x0a000000, flows, size, 5), mss)
+	capPath := writeFile(t, filepath.Join(t.TempDir(), "t.pcap"), capture.String())
+	d := start(t, "-set", "C8", "-pcap", capPath, "-shards", "1", "-queue", "64", "-q")
+	if code, err := d.finish(); code != exitOK || err != nil {
+		t.Fatalf("exit %d, %v", code, err)
+	}
+	out := d.stdout.String()
+	segs := flows * (size/mss + 2) // a SYN, the payload, a FIN per flow
+	for _, want := range []string{fmt.Sprintf("scanned %d TCP packets", segs), "drops{queue=0 hard=0 ", "tier{now=normal "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -72,8 +72,8 @@ func BenchmarkSequentialBaseline(b *testing.B) {
 
 // BenchmarkEngineDispatch isolates the engine's routing overhead: hash,
 // stage and queue append to shards that discard instantly, a segment per
-// call (the one-segment burst, as HandleSegment dispatches) and a full
-// burst per call (as the input pump dispatches under backlog). It bounds
+// call (the one-segment burst, as HandleSegment sends it) and a full
+// burst per call (as the input pump hands it over under backlog). It bounds
 // the per-segment tax the sharding layer adds over the sequential scanner.
 func BenchmarkEngineDispatch(b *testing.B) {
 	segs, payload := benchCapture(b)

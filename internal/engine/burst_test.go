@@ -109,9 +109,8 @@ func TestBurstDispatchEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/burst=%d", shards, size), func(t *testing.T) {
 				var mu sync.Mutex
 				var got []Match
-				// A queue shallower than the bursts, so Put blocks mid-burst; the
-				// ladder is kept out of the way, as it sheds under backpressure.
-				e := New(Config{Shards: shards, QueueDepth: 64, SoftWatermark: 1.1, HardWatermark: 1.2},
+				// A queue shallower than the bursts, so Put blocks mid-burst.
+				e := New(Config{Shards: shards, QueueDepth: 64},
 					func() flow.Runner { return m.NewRunner() },
 					func(mt Match) {
 						mu.Lock()
@@ -179,7 +178,7 @@ func TestBurstDropPathsCountAndRelease(t *testing.T) {
 	})
 
 	t.Run("hard tier", func(t *testing.T) {
-		e := New(Config{Shards: 2, MemPressure: func() float64 { return 1 }}, nop, nil)
+		e := New(Config{Shards: 2, DropWhenFull: true, MemPressure: func() float64 { return 1 }}, nop, nil)
 		defer e.Close()
 		e.evalPressure()
 		items, leases := leased(segsOn(k, 5))

@@ -3,9 +3,12 @@
 // A DPI engine's worth is decided under hostile load, not at peak
 // throughput: when traffic outruns the scanners the failure mode must be
 // a documented, accounted, reversible loss of service — never an OOM
-// kill or an unbounded latency cliff. The engine therefore tracks one
-// scalar "pressure" signal — the worst of aggregate queue occupancy and
-// flow-table occupancy — and steps through three tiers:
+// kill or an unbounded latency cliff. A flow's whole matching context is
+// a state and w filter bits (the paper's §III-B), so under load the one
+// thing that grows is the payload bytes the engine holds. The ladder's
+// one signal is therefore governed memory over its ceiling
+// (Config.MemPressure, the -max-memory governor); it steps through three
+// tiers:
 //
 //	normal  full service: buffered reassembly, configured idle policy.
 //	soft    pressure ≥ SoftWatermark: shards shrink per-flow
@@ -13,17 +16,22 @@
 //	        sweep idle flows aggressively on a short clock. Scanning
 //	        continues for every segment; matches on in-order traffic are
 //	        unaffected.
-//	hard    pressure ≥ HardWatermark: dispatch drops new segments with
-//	        accounting (Stats.HardDrops) before they touch a queue, so
-//	        queued work drains and memory recedes. Already-queued
-//	        segments are still scanned.
+//	hard    pressure ≥ HardWatermark: under DropWhenFull, dispatch drops
+//	        new segments with accounting (Stats.HardDrops) before they
+//	        touch a queue, so queued work drains and memory recedes.
+//	        Under backpressure nothing is shed: the governor's Admit gate
+//	        already holds leasing producers below the ceiling, and a
+//	        shard that is truly stuck is the watchdog's to shed.
 //
-// Tiers exit with hysteresis at 3/4 of their entry threshold so the
-// ladder doesn't flap at a boundary. Pressure is evaluated on the
-// dispatch path every evalEvery segments and by each shard every
-// statsEvery segments, so the ladder steps down as queues drain even if
-// producers have gone quiet. Every transition is counted and timed in
-// Stats (TierEnters, TierTime).
+// A full queue or a capped flow table is not pressure: the queue blocks
+// or drops by itself and the table evicts LRU, so neither cap can grow
+// memory past what it bounds. Tiers exit with hysteresis at 3/4 of their
+// entry threshold so the ladder doesn't flap at a boundary. Pressure is
+// evaluated once per dispatched burst and by each shard whose queue runs
+// dry while degraded, so the ladder steps down even if producers have
+// gone quiet — and only when a governor is wired: with none the ladder
+// costs nothing and stays normal. Every transition is counted and timed
+// in Stats (TierEnters, TierTime).
 package engine
 
 import "time"
@@ -50,41 +58,13 @@ func (t Tier) String() string {
 	}
 }
 
-// pressure computes the load signal in [0,1]: the worst of queue
-// occupancy, (when flow tables are capped) flow-table occupancy, and
-// (when a memory governor is wired in) governed memory usage over its
-// ceiling — so the ladder reacts to an approaching -max-memory limit
-// exactly as it reacts to a filling queue.
-func (e *Engine) pressure() float64 {
-	queued := 0
-	for _, s := range e.shards {
-		queued += s.in.Len() // the queue's occupancy, not the window in hand
-	}
-	p := float64(queued) / float64(e.queueCap)
-	if e.flowCap > 0 {
-		var live int64
-		for _, s := range e.shards {
-			live += int64(s.snap.Load().Flows)
-		}
-		if fp := float64(live) / float64(e.flowCap); fp > p {
-			p = fp
-		}
-	}
-	if e.cfg.MemPressure != nil {
-		if mp := e.cfg.MemPressure(); mp > p {
-			p = mp
-		}
-	}
-	return p
-}
-
-// evalPressure recomputes the tier from current pressure, applying exit
-// hysteresis, and records the transition (count and wall-clock time per
-// tier) under tierMu.
+// evalPressure recomputes the tier from the governor's pressure, applying
+// exit hysteresis, and records the transition (count and wall-clock time
+// per tier) under tierMu. Callers hold a non-nil Config.MemPressure.
 func (e *Engine) evalPressure() {
 	e.tierMu.Lock()
 	defer e.tierMu.Unlock()
-	p := e.pressure()
+	p := e.cfg.MemPressure()
 	soft, hard := e.cfg.SoftWatermark, e.cfg.HardWatermark
 	cur := Tier(e.tier.Load())
 	next := cur

@@ -23,10 +23,10 @@
 //     serving; a shard that exhausts its crash budget is marked
 //     unhealthy and drop-counts its traffic instead of crashing the
 //     process. See shard.go.
-//   - Graceful degradation: watermarks on aggregate queue depth and
-//     flow-table occupancy step the engine through a documented ladder
-//     (normal → soft → hard) instead of letting it fall over. See
-//     degrade.go and DESIGN.md §10.
+//   - Graceful degradation: watermarks on governed memory — buffered
+//     bytes over the -max-memory ceiling — step the engine through a
+//     documented ladder (normal → soft → hard) instead of letting it fall
+//     over. See degrade.go and DESIGN.md §10.
 //   - Deterministic shutdown: Close drains every queued segment before
 //     returning, and Stats after Close is exact. CloseContext bounds the
 //     drain with a deadline and reports per-shard progress when a shard
@@ -71,8 +71,9 @@ type Config struct {
 	// backpressure — dispatch blocks until the shard drains; true drops
 	// the segment and counts it in Stats.QueueDrops. Inline scanners
 	// want backpressure; live-capture front-ends usually prefer drops.
-	// Independent of this policy, the hard degradation tier drops at
-	// dispatch with accounting (Stats.HardDrops).
+	// The policy also decides what the hard degradation tier does: with
+	// drops it sheds at dispatch (Stats.HardDrops); under backpressure it
+	// sheds nothing.
 	DropWhenFull bool
 	// Flow configures each shard's reassembler. Flow.MaxFlows is a
 	// per-shard cap, so the engine tracks at most Shards×MaxFlows flows.
@@ -96,13 +97,12 @@ type Config struct {
 	// drop-counted (Stats.UnhealthyDrops) instead of scanned, and the
 	// engine keeps serving on the other shards. 0 means 8.
 	CrashBudget int
-	// SoftWatermark and HardWatermark are pressure thresholds in (0,1]
-	// over max(queued/queueCapacity, liveFlows/flowCapacity); the flow
-	// term only applies when Flow.MaxFlows > 0. Crossing soft triggers
-	// aggressive idle eviction and shrinks reassembly buffers; crossing
-	// hard additionally drops new segments at dispatch with accounting.
-	// Tiers exit with hysteresis at 3/4 of their entry threshold.
-	// 0 means 0.5 (soft) and 0.9 (hard).
+	// SoftWatermark and HardWatermark are fractions of the memory
+	// ceiling behind MemPressure. Crossing soft triggers aggressive idle
+	// eviction and shrinks reassembly buffers; crossing hard additionally
+	// drops new segments at dispatch under DropWhenFull. Tiers exit with
+	// hysteresis at 3/4 of their entry threshold. 0 means 0.5 (soft) and
+	// 0.9 (hard).
 	SoftWatermark float64
 	HardWatermark float64
 	// StallDeadline arms the shard stall watchdog: a window (one burst of
@@ -120,10 +120,9 @@ type Config struct {
 	// wedged/unhealthy marks are lifted (crash budget permitting).
 	// 0 means 4×StallDeadline.
 	WedgeAfter time.Duration
-	// MemPressure, when non-nil, is an external pressure signal in
-	// [0,1] — usage over limit from the unified memory governor
-	// (guard.Governor.Pressure) — folded into the degradation ladder's
-	// pressure computation alongside queue and flow occupancy.
+	// MemPressure is the degradation ladder's one signal: usage over
+	// limit from the unified memory governor (guard.Governor.Pressure).
+	// Nil leaves the ladder at the normal tier.
 	MemPressure func() float64
 	// Metrics, when non-nil, receives the engine's telemetry: the row
 	// tables over Stats (metrics.go), shared reassembly
@@ -236,10 +235,6 @@ type Engine struct {
 
 	// Degradation ladder state (degrade.go).
 	tier       atomic.Int32
-	dispatches atomic.Int64
-	evalEvery  int64
-	queueCap   int
-	flowCap    int
 	tierMu     sync.Mutex
 	tierSince  time.Time
 	tierTime   [3]time.Duration
@@ -276,8 +271,6 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		cfg:       cfg,
 		closing:   make(chan struct{}),
 		drained:   make(chan struct{}),
-		queueCap:  cfg.Shards * cfg.QueueDepth,
-		flowCap:   cfg.Shards * cfg.Flow.MaxFlows,
 		tierSince: time.Now(),
 	}
 	e.flowGauges = fg
@@ -290,15 +283,6 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		// takes. There are no shards to post to yet: each one's first
 		// assembler picks it up by replay. It cannot fail on an open engine.
 		_, _ = e.Reload(newRunner, false)
-	}
-	// Re-evaluate pressure well before any single queue can fill between
-	// two evaluations; cheap enough that small queues check every call.
-	e.evalEvery = int64(cfg.QueueDepth / 4)
-	if e.evalEvery < 1 {
-		e.evalEvery = 1
-	}
-	if e.evalEvery > 256 {
-		e.evalEvery = 256
 	}
 	events := cfg.Events
 	tenants := cfg.Tenants
@@ -407,18 +391,18 @@ func (e *Engine) HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) error {
 // flow keep their order. It may race with Close: after Close has begun
 // it returns ErrClosed, with every lease it was handed released.
 func (e *Engine) HandleBurst(items []burst.Item) error {
-	n := int64(len(items))
-	if d := e.dispatches.Add(n); d/e.evalEvery != (d-n)/e.evalEvery {
+	if e.cfg.MemPressure != nil {
 		e.evalPressure()
 	}
 	if e.isClosed() {
 		burst.Release(items)
 		return ErrClosed
 	}
-	if Tier(e.tier.Load()) == TierHard {
-		// Hard degradation: shed at the cheapest possible point, before
-		// the burst touches a queue, and account for it.
-		e.hardDrops.Add(n)
+	if e.cfg.DropWhenFull && Tier(e.tier.Load()) == TierHard {
+		// Hard degradation under the drop policy: shed at the cheapest
+		// possible point, before the burst touches a queue, and account
+		// for it.
+		e.hardDrops.Add(int64(len(items)))
 		burst.Release(items)
 		return nil
 	}
@@ -727,7 +711,7 @@ func (e *Engine) Stats() Stats {
 		Generation:         e.Generation(),
 		SkippedFrames:      e.skipped.Load(),
 		QueueDrops:         e.queueDrops.Load(),
-		QueueCap:           int64(e.queueCap),
+		QueueCap:           int64(len(e.shards) * e.cfg.QueueDepth),
 		HardDrops:          e.hardDrops.Load(),
 		UnknownTenantDrops: e.tenantUnknown.Load(),
 		QueuedBytes:        e.queuedBytes.Load(),

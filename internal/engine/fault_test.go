@@ -8,7 +8,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,101 +256,157 @@ func TestCloseContextDeadline(t *testing.T) {
 	}
 }
 
-// TestDegradationLadder drives the engine through normal → hard and back:
-// a wedged shard fills its queue, the hard watermark flips dispatch into
-// drop-with-accounting (even under the backpressure policy, so the
-// producer is never stranded), and draining steps the ladder back down.
-func TestDegradationLadder(t *testing.T) {
-	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 8},
-		func() flow.Runner { return faultinject.Stall(gate, faultinject.Discard) }, nil)
-	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
-	const total = 40
-	seg := func(i int) pcap.Segment {
-		return pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}
-	}
-	// Wedge the shard on the first segment before the flood, so what
-	// follows fills the queue rather than riding into the stalled window.
-	if err := e.HandleSegment(seg(0)); err != nil {
-		t.Fatal(err)
-	}
-	waitProcessed(t, e, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 1; i < total; i++ {
-			if err := e.HandleSegment(seg(i)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer stranded: hard tier did not engage on a full queue")
-	}
-	st := e.Stats()
-	if st.Tier != TierHard {
-		t.Fatalf("Tier = %v with a wedged full queue, want hard", st.Tier)
-	}
-	if st.HardDrops == 0 {
-		t.Fatal("no HardDrops recorded")
-	}
-	if st.TierEnters[TierHard] == 0 {
-		t.Error("hard entry not counted")
-	}
+// dial is a test-set Config.MemPressure: the ladder's one signal, moved
+// by hand.
+type dial struct{ bits atomic.Uint64 }
 
-	close(gate)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st = e.Stats()
-	if st.Tier != TierNormal {
-		t.Errorf("Tier = %v after drain, want normal (pressure receded)", st.Tier)
-	}
-	if st.TierTime[TierHard] <= 0 {
-		t.Errorf("no time accounted to the hard tier: %+v", st.TierTime)
-	}
-	if got := st.Packets + st.HardDrops + st.QueueDrops; got != total {
-		t.Errorf("accounting: scanned %d + hard %d + queue %d != sent %d",
-			st.Packets, st.HardDrops, st.QueueDrops, total)
+func (d *dial) set(p float64) { d.bits.Store(math.Float64bits(p)) }
+func (d *dial) read() float64 { return math.Float64frombits(d.bits.Load()) }
+
+// TestDegradationLadder drives the engine through normal → hard and back
+// on governed memory alone: at hard pressure a drop-policy engine sheds at
+// dispatch with accounting, a backpressured one sheds nothing (the
+// governor's Admit gate holds its producers), and once pressure recedes
+// the next dispatch steps the ladder back down.
+func TestDegradationLadder(t *testing.T) {
+	const total = 40
+	k1 := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
+	k2 := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 5}
+	for _, drop := range []bool{true, false} {
+		t.Run(fmt.Sprintf("DropWhenFull=%t", drop), func(t *testing.T) {
+			var mem dial
+			mem.set(1)
+			e := New(Config{Shards: 1, QueueDepth: 2 * total, DropWhenFull: drop, MemPressure: mem.read},
+				func() flow.Runner { return faultinject.Discard }, nil)
+			for _, seg := range segsOn(k1, total) {
+				if err := e.HandleSegment(seg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := e.Stats()
+			if st.Tier != TierHard || st.TierEnters[TierHard] != 1 {
+				t.Fatalf("Tier = %v, hard entries %d at pressure 1, want hard, 1", st.Tier, st.TierEnters[TierHard])
+			}
+			wantShed := int64(0)
+			if drop {
+				wantShed = total
+			}
+			if st.HardDrops != wantShed {
+				t.Fatalf("HardDrops = %d at the hard tier, want %d", st.HardDrops, wantShed)
+			}
+
+			mem.set(0)
+			for _, seg := range segsOn(k2, total) {
+				if err := e.HandleSegment(seg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = e.Stats()
+			if st.Tier != TierNormal {
+				t.Errorf("Tier = %v after pressure receded, want normal", st.Tier)
+			}
+			if st.TierTime[TierHard] <= 0 {
+				t.Errorf("no time accounted to the hard tier: %+v", st.TierTime)
+			}
+			if st.HardDrops != wantShed || st.QueueDrops != 0 || st.Packets != 2*total-wantShed {
+				t.Errorf("scanned %d, hard %d, queue %d of %d sent; want %d hard, no queue drops",
+					st.Packets, st.HardDrops, st.QueueDrops, 2*total, wantShed)
+			}
+		})
 	}
 }
 
-// TestSoftTierDegradesAndRecovers: soft watermark shrinks reassembly
-// buffers and steps back to normal with hysteresis once pressure
-// recedes, with every segment still scanned (no drops at soft).
+// TestSoftTierDegradesAndRecovers: pressure between the watermarks puts
+// the engine at the soft tier, which scans every segment, and the shard
+// itself steps the ladder back down once its queue runs dry — no dispatch
+// needed. The test's governed memory is the payload dispatched and not
+// yet scanned, so draining the queue is what makes pressure recede.
 func TestSoftTierDegradesAndRecovers(t *testing.T) {
-	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 8, SoftWatermark: 0.5, HardWatermark: 0.95},
-		func() flow.Runner { return faultinject.Stall(gate, faultinject.Discard) }, nil)
+	const total, ceiling = 6, 10 // 6 of 10 bytes held: above soft (0.5), below hard
+	var held atomic.Int64
+	e := New(Config{Shards: 1, MemPressure: func() float64 { return float64(held.Load()) / ceiling }},
+		func() flow.Runner { return drainRunner{&held} }, nil)
 	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
-	const total = 6 // fills to 5/8 = 0.625: above soft, below hard
-	for i := 0; i < total; i++ {
-		if err := e.HandleSegment(pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
+	held.Add(total)
+	items, _ := leased(segsOn(k, total))
+	if err := e.HandleBurst(items); err != nil {
+		t.Fatal(err)
+	}
+	st := waitStats(t, e, "the drained shard to step the ladder down", func(st Stats) bool {
+		return st.Tier == TierNormal && st.TierEnters[TierSoft] > 0
+	})
+	if st.TierEnters[TierHard] != 0 || st.TierTime[TierSoft] <= 0 {
+		t.Errorf("soft transition not accounted: enters=%v time=%v", st.TierEnters, st.TierTime)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Packets != total || st.HardDrops != 0 || st.QueueDrops != 0 {
+		t.Errorf("soft tier must scan everything: %+v", st)
+	}
+}
+
+// drainRunner withdraws what it scans from held.
+type drainRunner struct{ held *atomic.Int64 }
+
+func (r drainRunner) Feed(data []byte, onMatch func(int32, int64)) { r.held.Add(-int64(len(data))) }
+func (drainRunner) Reset()                                         {}
+
+// TestBackpressureFloodLosesNothing: a shallow queue kept full by a
+// producer that outruns its shard is backpressure doing its job, not
+// overload. Every segment is scanned and the ladder never sheds.
+func TestBackpressureFloodLosesNothing(t *testing.T) {
+	e := New(Config{Shards: 1, QueueDepth: 8}, func() flow.Runner { return slowRunner{} }, nil)
+	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
+	const sent = 2000
+	items, _ := leased(segsOn(k, sent))
+	for len(items) > 0 { // bursts of three: the queue fills at every phase of a burst
+		n := min(3, len(items))
+		if err := e.HandleBurst(items[:n]); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			waitProcessed(t, e, 1) // the shard is wedged; the rest queue behind it
+		items = items[n:]
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Packets != sent || st.HardDrops != 0 || st.Tier != TierNormal {
+		t.Errorf("scanned %d of %d, HardDrops %d, Tier %v; want all scanned, none shed, normal",
+			st.Packets, sent, st.HardDrops, st.Tier)
+	}
+}
+
+// slowRunner scans slower than a producer sends.
+type slowRunner struct{}
+
+func (slowRunner) Feed(data []byte, onMatch func(int32, int64)) { time.Sleep(10 * time.Microsecond) }
+func (slowRunner) Reset()                                       {}
+
+// TestFlowCapIsNotPressure: a full flow table evicts LRU by itself; it is
+// not overload. Sixty-four round-robin flows thrash a 4-flow table, and
+// every segment is still scanned at the normal tier.
+func TestFlowCapIsNotPressure(t *testing.T) {
+	e := New(Config{Shards: 1, Flow: flow.Config{MaxFlows: 4}}, func() flow.Runner { return nopRunner{} }, nil)
+	const flows, rounds = 64, 8
+	for r := 0; r < rounds; r++ {
+		for f := 0; f < flows; f++ {
+			seg := pcap.Segment{Key: pcap.FlowKey{SrcIP: uint32(f), DstIP: 2, SrcPort: 3, DstPort: 4},
+				Seq: uint32(1 + r), Flags: pcap.FlagACK, Payload: []byte("x")}
+			if err := e.HandleSegment(seg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if st := e.Stats(); st.Tier != TierSoft {
-		t.Fatalf("Tier = %v at 0.625 occupancy, want soft", st.Tier)
-	}
-	close(gate)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Tier != TierNormal {
-		t.Errorf("Tier = %v after drain, want normal", st.Tier)
-	}
-	if st.Packets != total || st.HardDrops != 0 || st.QueueDrops != 0 {
-		t.Errorf("soft tier must scan everything: %+v", st)
-	}
-	if st.TierEnters[TierSoft] == 0 || st.TierTime[TierSoft] <= 0 {
-		t.Errorf("soft transition not accounted: enters=%v time=%v", st.TierEnters, st.TierTime)
+	if st.EvictedCap == 0 || st.HardDrops != 0 || st.Packets != flows*rounds || st.Tier != TierNormal {
+		t.Errorf("EvictedCap %d, HardDrops %d, scanned %d of %d, Tier %v; want evictions, none shed, all scanned, normal",
+			st.EvictedCap, st.HardDrops, st.Packets, flows*rounds, st.Tier)
 	}
 }
 

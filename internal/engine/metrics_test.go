@@ -16,16 +16,16 @@ import (
 	"matchfilter/internal/telemetry"
 )
 
-// TestTierGaugeTracksLadder drives the soft/hard watermark ladder the
-// way fault_test.go does — a stalled shard filling its bounded queue —
-// and asserts at every rung that the telemetry gauge, the tier-enter
-// counters, and engine.Stats agree. The gauge is the live serving
-// signal; Stats is the source of truth; they must never diverge.
+// TestTierGaugeTracksLadder drives the ladder the way fault_test.go
+// does — a test-set memory pressure under the drop policy — and asserts
+// at every rung that the telemetry gauge, the tier-enter counters, and
+// engine.Stats agree. The gauge is the live serving signal; Stats is the
+// source of truth; they must never diverge.
 func TestTierGaugeTracksLadder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 8, Metrics: reg},
-		func() flow.Runner { return faultinject.Stall(gate, faultinject.Discard) }, nil)
+	var mem dial
+	e := New(Config{Shards: 1, DropWhenFull: true, MemPressure: mem.read, Metrics: reg},
+		func() flow.Runner { return faultinject.Discard }, nil)
 	k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 
 	tierGauge := func() Tier {
@@ -43,20 +43,17 @@ func TestTierGaugeTracksLadder(t *testing.T) {
 		t.Fatalf("initial tier gauge = %v, want normal", got)
 	}
 
-	// Wedge the shard and push until the hard watermark trips (dispatch
-	// then drops instead of blocking, so this loop cannot strand).
+	// Past the hard watermark, dispatch drops the flood.
+	mem.set(1)
 	const total = 40
-	for i := 0; i < total; i++ {
-		if err := e.HandleSegment(pcap.Segment{Key: k, Seq: uint32(1 + i), Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
+	for _, seg := range segsOn(k, total) {
+		if err := e.HandleSegment(seg); err != nil {
 			t.Fatal(err)
-		}
-		if i == 0 {
-			waitProcessed(t, e, 1) // wedged on the first segment; the rest fill the queue
 		}
 	}
 	st := e.Stats()
 	if st.Tier != TierHard {
-		t.Fatalf("Stats.Tier = %v with a wedged full queue, want hard", st.Tier)
+		t.Fatalf("Stats.Tier = %v at pressure 1, want hard", st.Tier)
 	}
 	if got := tierGauge(); got != TierHard {
 		t.Errorf("tier gauge = %v while Stats.Tier = %v", got, st.Tier)
@@ -66,25 +63,29 @@ func TestTierGaugeTracksLadder(t *testing.T) {
 			t.Errorf("tier_enters_total{tier=%q} = %v, Stats.TierEnters = %v", tier, got, want)
 		}
 	}
-	if hd := reg.Snapshot().Value("mfa_engine_hard_drops_total"); hd != float64(st.HardDrops) || hd == 0 {
-		t.Errorf("hard_drops_total = %v, Stats.HardDrops = %d (want equal, nonzero)", hd, st.HardDrops)
+	if hd := reg.Snapshot().Value("mfa_engine_hard_drops_total"); hd != float64(st.HardDrops) || hd != total {
+		t.Errorf("hard_drops_total = %v, Stats.HardDrops = %d (want both %d)", hd, st.HardDrops, total)
 	}
 
-	// Unwedge and drain: the ladder steps back down and the gauge follows.
-	close(gate)
+	// Pressure recedes: the next dispatch steps the ladder back down and
+	// the gauge follows.
+	mem.set(0)
+	if err := e.HandleSegment(pcap.Segment{Key: k, Seq: total + 1, Flags: pcap.FlagACK, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
 	if st.Tier != TierNormal {
-		t.Fatalf("Stats.Tier = %v after drain, want normal", st.Tier)
+		t.Fatalf("Stats.Tier = %v after pressure receded, want normal", st.Tier)
 	}
 	if got := tierGauge(); got != TierNormal {
-		t.Errorf("tier gauge = %v after drain, want normal", got)
+		t.Errorf("tier gauge = %v after pressure receded, want normal", got)
 	}
 	for tier := TierNormal; tier <= TierHard; tier++ {
 		if got, want := enters(tier), float64(st.TierEnters[tier]); got != want {
-			t.Errorf("after drain: tier_enters_total{tier=%q} = %v, Stats.TierEnters = %v", tier, got, want)
+			t.Errorf("back at normal: tier_enters_total{tier=%q} = %v, Stats.TierEnters = %v", tier, got, want)
 		}
 	}
 	// Time spent at the hard tier must be accounted in the seconds

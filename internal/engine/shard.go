@@ -125,8 +125,7 @@ const statsEvery = 64
 
 // queued is the shard's backlog in segments: what waits in its queue plus
 // what the window in progress has taken and not yet consumed. It feeds
-// the depth gauges, Stats and drain progress; the pressure signal reads
-// the queue alone (degrade.go).
+// the depth gauges, Stats and drain progress.
 func (s *shard) queued() int {
 	done := s.processed.Load() // before taken: the difference never reads negative
 	return s.in.Len() + int(s.taken.Load()-done)
@@ -176,6 +175,12 @@ func (s *shard) run(e *Engine) {
 			continue
 		}
 		s.window(e, items, ls)
+		// A degraded engine must be able to step back down with no new
+		// burst arriving: when this shard's queue runs dry — its window's
+		// leases released — re-read the pressure.
+		if Tier(e.tier.Load()) != TierNormal && s.queued() == 0 {
+			e.evalPressure()
+		}
 	}
 }
 
@@ -253,9 +258,6 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 	ls.n++
 	if ls.n%statsEvery == 0 {
 		s.publish()
-		// Shards re-evaluate pressure too, so the ladder steps back
-		// down as queues drain even when dispatch has gone quiet.
-		e.evalPressure()
 	}
 	s.processed.Add(1)
 	if s.wedged.Load() {
@@ -297,11 +299,6 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 	}
 	if idleAfter > 0 && ls.n%sweepEvery == 0 {
 		s.sweep(e, idleAfter)
-	}
-	// A degraded engine must be able to step back down without new
-	// dispatches: when this shard's queue runs dry, re-check pressure.
-	if ls.appliedTier != TierNormal && s.queued() == 0 {
-		e.evalPressure()
 	}
 }
 

@@ -8,9 +8,9 @@
 // callback (a few atomic loads each), the governor aggregates them
 // against one byte ceiling, and two consumers read the result:
 //
-//   - The engine's degradation ladder folds Pressure() (usage/limit)
-//     into its watermark signal, so memory pressure steps the engine
-//     through soft/hard degradation exactly like queue pressure does.
+//   - The engine's degradation ladder reads Pressure() (usage/limit)
+//     as its one signal: memory pressure, and nothing else, steps the
+//     engine through soft/hard degradation.
 //   - Producers call Admit before leasing payload buffers; Admit blocks
 //     while usage sits above the pause threshold, so sources stop
 //     pulling bytes off the wire before the allocator can OOM the
@@ -120,7 +120,7 @@ func (g *Governor) Usage() int64 {
 }
 
 // Pressure is usage over limit — the signal the degradation ladder
-// folds into its watermark comparison. It may exceed 1.0 transiently.
+// compares with its watermarks. It may exceed 1.0 transiently.
 func (g *Governor) Pressure() float64 {
 	if g == nil {
 		return 0
