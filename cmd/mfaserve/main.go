@@ -124,10 +124,6 @@ const (
 	exitUnhealthy = 3 // a shard ended unhealthy (crash budget exhausted)
 )
 
-// eventsCap is the capacity of the /events match ring, and of each
-// tenant's private one.
-const eventsCap = 1024
-
 func main() {
 	code, err := run(context.Background(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
 	if err != nil {
@@ -155,7 +151,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	var tenSpecs sourceSpecs
 	fs.Var(&tenSpecs, "tenant", "tenant rule set, repeatable: 'id=RULES.txt[,cidr=10.1.0.0/16][,max-flows=N][,max-buffered=SIZE]' (RULES may be set:NAME for a built-in set; cidr may repeat; a quota of 0 is unlimited)")
 	shards := fs.Int("shards", 0, "shard goroutines (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 4096, "per-shard queue depth (segments)")
+	queue := fs.Int("queue", engine.DefaultQueueDepth, "per-shard queue depth (segments)")
 	drop := fs.Bool("drop", false, "drop segments when a shard queue is full instead of applying backpressure")
 	maxFlows := fs.Int("max-flows", 0, "per-shard flow-table cap, LRU-evicted (0 = unbounded)")
 	idle := fs.Int64("idle", 0, "evict flows idle for this many segments (0 = never)")
@@ -232,7 +228,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	// The daemon is always instrumented; -admin additionally exposes the
 	// registry over HTTP.
 	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventRing(eventsCap)
+	events := telemetry.NewEventRing(tenant.EventRingLen)
 	telemetry.RegisterRuntimeMetrics(reg, time.Now())
 
 	// The memory governor aggregates every payload-buffering component
@@ -242,13 +238,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	// ladder sees the same pressure.
 	var gov *guard.Governor
 	if memLimit > 0 {
-		gov = guard.NewGovernor(guard.GovernorConfig{Limit: memLimit}, reg)
+		gov = guard.NewGovernor(memLimit, reg)
 	}
 
 	// Every rule set is an entry of treg, the default one included; the
 	// registry is created before the engine (whose dispatch gate consults
 	// it) and bound after (swaps ride the engine's command path).
-	treg := tenant.NewRegistry(tenant.Config{Metrics: reg, Governor: gov, EventsCap: eventsCap})
+	treg := tenant.NewRegistry(tenant.Config{Metrics: reg, Governor: gov})
 
 	// Matches arrive concurrently from shard goroutines; serialize the
 	// report lines. A match resolves its rule text against its entry's
@@ -277,7 +273,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		Shards:        *shards,
 		QueueDepth:    *queue,
 		DropWhenFull:  *drop,
-		Flow:          flow.Config{MaxFlows: *maxFlows},
+		MaxFlows:      *maxFlows,
 		IdleAfter:     *idle,
 		StallDeadline: *stallDeadline,
 		Metrics:       reg,

@@ -82,7 +82,7 @@ func EngineScaling(w io.Writer, engines []*Engines, profile TraceProfile, shardC
 			seq.MBps(), seq.CyclesPerByte, seq.Matches)
 
 		for _, shards := range shardCounts {
-			cfg := engine.Config{Shards: shards, QueueDepth: 4096}
+			cfg := engine.Config{Shards: shards}
 			// Warmup, then measured.
 			if _, err := engine.ScanPcap(bytes.NewReader(pcapBytes), cfg, newRunner, nil); err != nil {
 				return nil, err

@@ -259,7 +259,7 @@ func TestMidWindowLifecycleFlushIsSupervised(t *testing.T) {
 		cfg    Config
 		reload bool
 	}{
-		{"idle sweep", Config{Shards: 1, QueueDepth: 64, IdleAfter: 1, SweepEvery: 1}, false},
+		{"idle sweep", Config{Shards: 1, QueueDepth: 64, IdleAfter: 1}, false},
 		{"reload", Config{Shards: 1, QueueDepth: 64}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -40,7 +40,7 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.SetBytes(payload)
 			for i := 0; i < b.N; i++ {
-				e := New(Config{Shards: shards, QueueDepth: 4096},
+				e := New(Config{Shards: shards},
 					func() flow.Runner { return m.NewRunner() }, nil)
 				for _, seg := range segs {
 					if err := e.HandleSegment(seg); err != nil {
@@ -83,7 +83,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	}
 	for _, size := range []int{1, burst.Max} {
 		b.Run(fmt.Sprintf("burst=%d", size), func(b *testing.B) {
-			e := New(Config{Shards: 4, QueueDepth: 4096},
+			e := New(Config{Shards: 4},
 				func() flow.Runner { return nopRunner{} }, nil)
 			defer e.Close()
 			b.SetBytes(payload)
@@ -131,9 +131,8 @@ func BenchmarkShardScalingInstrumented(b *testing.B) {
 				b.SetBytes(payload)
 				for i := 0; i < b.N; i++ {
 					cfg := Config{
-						Shards:     shards,
-						QueueDepth: 4096,
-						Metrics:    telemetry.NewRegistry(),
+						Shards:  shards,
+						Metrics: telemetry.NewRegistry(),
 					}
 					if mode == "metrics+events" {
 						cfg.Events = telemetry.NewEventRing(1024)

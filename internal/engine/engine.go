@@ -60,12 +60,18 @@ type Match = flow.Match
 // ErrClosed is returned by HandleFrame after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Config sizes the engine.
+// Config sizes the engine. Every shard scans through a core.FlowBatcher
+// of core.MaxBatchFlows lanes (DESIGN.md §18): it defers the in-order
+// payload its queue already holds and flushes once, stepping those flows
+// in lockstep so their transition loads overlap. Per-flow match streams
+// are byte-identical to the sequential scanner's; only cross-flow
+// emission order differs.
 type Config struct {
 	// Shards is the number of shard goroutines (and private flow
 	// tables). 0 means GOMAXPROCS.
 	Shards int
-	// QueueDepth bounds each shard's input queue (segments). 0 means 1024.
+	// QueueDepth bounds each shard's input queue (segments). 0 means
+	// DefaultQueueDepth.
 	QueueDepth int
 	// DropWhenFull selects the overload policy: false (default) applies
 	// backpressure — dispatch blocks until the shard drains; true drops
@@ -75,28 +81,16 @@ type Config struct {
 	// drops it sheds at dispatch (Stats.HardDrops); under backpressure it
 	// sheds nothing.
 	DropWhenFull bool
-	// Flow configures each shard's reassembler. Flow.MaxFlows is a
-	// per-shard cap, so the engine tracks at most Shards×MaxFlows flows.
-	// Unless Flow.NewBatcher supplies another, every shard scans through
-	// a core.FlowBatcher of core.MaxBatchFlows lanes (DESIGN.md §18): it
-	// defers the in-order payload its queue already holds and flushes
-	// once, stepping those flows in lockstep so their transition loads
-	// overlap. Per-flow match streams are byte-identical to the sequential
-	// scanner's; only cross-flow emission order differs.
-	Flow flow.Config
+	// MaxFlows caps each shard's flow table, LRU-evicted (flow.Config),
+	// so the engine tracks at most Shards×MaxFlows flows. 0 means
+	// unlimited.
+	MaxFlows int
 	// IdleAfter evicts flows whose last segment is more than this many
 	// segments in the past on the owning shard's clock. 0 disables
 	// idle sweeping at the normal tier (degraded tiers still sweep, at
-	// degradedIdle).
+	// degradedIdle). The sweep cadence follows the idle age in force
+	// (sweepEvery).
 	IdleAfter int64
-	// SweepEvery is how often (in segments) a shard runs its idle sweep.
-	// 0 means 4096.
-	SweepEvery int64
-	// CrashBudget is how many recovered panics a shard tolerates before
-	// it is marked unhealthy: its remaining and future segments are
-	// drop-counted (Stats.UnhealthyDrops) instead of scanned, and the
-	// engine keeps serving on the other shards. 0 means 8.
-	CrashBudget int
 	// SoftWatermark and HardWatermark are fractions of the memory
 	// ceiling behind MemPressure. Crossing soft triggers aggressive idle
 	// eviction and shrinks reassembly buffers; crossing hard additionally
@@ -146,18 +140,16 @@ type Config struct {
 	Tenants *tenant.Registry
 }
 
+// DefaultQueueDepth is the per-shard queue depth, in segments, that a
+// zero Config.QueueDepth means.
+const DefaultQueueDepth = 4096
+
 func (c *Config) setDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 4096
-	}
-	if c.CrashBudget <= 0 {
-		c.CrashBudget = 8
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.SoftWatermark <= 0 {
 		c.SoftWatermark = 0.5
@@ -263,9 +255,10 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 			BufferedBytes:   &telemetry.Gauge{},
 		}
 	}
-	cfg.Flow.Gauges = fg
-	if cfg.Flow.NewBatcher == nil {
-		cfg.Flow.NewBatcher = func() flow.Batcher { return core.NewFlowBatcher(core.MaxBatchFlows) }
+	asmCfg := flow.Config{
+		MaxFlows:   cfg.MaxFlows,
+		Gauges:     fg,
+		NewBatcher: func() flow.Batcher { return core.NewFlowBatcher(core.MaxBatchFlows) },
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -318,7 +311,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 			}
 		}
 		s.rebuild = func() *flow.Assembler {
-			a := flow.NewAssembler(cfg.Flow, nil, shardMatch)
+			a := flow.NewAssembler(asmCfg, nil, shardMatch)
 			e.replay(a)
 			return a
 		}

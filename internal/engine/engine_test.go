@@ -273,7 +273,7 @@ func TestDropWhenFull(t *testing.T) {
 // TestIdleSweep verifies shards run the idle eviction policy.
 func TestIdleSweep(t *testing.T) {
 	m := buildMFA(t, "x")
-	e := New(Config{Shards: 1, IdleAfter: 8, SweepEvery: 4},
+	e := New(Config{Shards: 1, IdleAfter: 8},
 		func() flow.Runner { return m.NewRunner() }, nil)
 	quiet := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 	busy := pcap.FlowKey{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8}

@@ -148,11 +148,12 @@ func TestQuarantineIsSticky(t *testing.T) {
 	}
 }
 
-// TestCrashBudget: a shard that keeps panicking is marked unhealthy
-// after CrashBudget panics; its traffic is drop-counted and the engine
-// survives to Close with exact accounting.
+// TestCrashBudget: a shard that keeps panicking stays healthy through
+// crashBudget-1 panics and is marked unhealthy by the crashBudget-th;
+// its traffic is then drop-counted and the engine survives to Close with
+// exact accounting.
 func TestCrashBudget(t *testing.T) {
-	e := New(Config{Shards: 1, CrashBudget: 2}, func() flow.Runner {
+	e := New(Config{Shards: 1}, func() flow.Runner {
 		return faultinject.PanicOn([]byte("BAD"), faultinject.Discard)
 	}, nil)
 	mkKey := func(i int) pcap.FlowKey {
@@ -166,10 +167,19 @@ func TestCrashBudget(t *testing.T) {
 		}
 		sent++
 	}
-	send(0, "BAD", 1) // panic 1: flow 0 quarantined
-	send(1, "BAD", 1) // panic 2: flow 1 quarantined, budget exhausted
+	for i := 0; i < crashBudget-1; i++ {
+		send(i, "BAD", 1) // one panic each: flow i quarantined
+	}
+	waitStats(t, e, "one panic short of the budget", func(st Stats) bool { return st.ShardPanics == crashBudget-1 })
+	if st := e.Stats(); st.UnhealthyShards != 0 {
+		t.Fatalf("unhealthy after %d panics, budget %d (stats %+v)", st.ShardPanics, crashBudget, st)
+	}
+	for i := 0; i < 3; i++ {
+		send(100, "clean traffic", uint32(1+13*i)) // scanned by the still-healthy shard
+	}
+	send(crashBudget-1, "BAD", 1) // the last panic: budget exhausted
 	for i := 0; i < 5; i++ {
-		send(2, "clean traffic", uint32(1+13*i)) // lands on an unhealthy shard
+		send(101, "clean traffic", uint32(1+13*i)) // lands on an unhealthy shard
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -178,8 +188,8 @@ func TestCrashBudget(t *testing.T) {
 	if st.UnhealthyShards != 1 {
 		t.Fatalf("UnhealthyShards = %d, want 1 (stats %+v)", st.UnhealthyShards, st)
 	}
-	if st.PoisonedFlows != 2 || st.ShardPanics != 2 {
-		t.Errorf("poisoned=%d panics=%d, want 2/2", st.PoisonedFlows, st.ShardPanics)
+	if st.PoisonedFlows != crashBudget || st.ShardPanics != crashBudget {
+		t.Errorf("poisoned=%d panics=%d, want %d/%d", st.PoisonedFlows, st.ShardPanics, crashBudget, crashBudget)
 	}
 	if st.UnhealthyDrops != 5 {
 		t.Errorf("UnhealthyDrops = %d, want 5", st.UnhealthyDrops)
@@ -389,7 +399,7 @@ func (slowRunner) Reset()                                       {}
 // not overload. Sixty-four round-robin flows thrash a 4-flow table, and
 // every segment is still scanned at the normal tier.
 func TestFlowCapIsNotPressure(t *testing.T) {
-	e := New(Config{Shards: 1, Flow: flow.Config{MaxFlows: 4}}, func() flow.Runner { return nopRunner{} }, nil)
+	e := New(Config{Shards: 1, MaxFlows: 4}, func() flow.Runner { return nopRunner{} }, nil)
 	const flows, rounds = 64, 8
 	for r := 0; r < rounds; r++ {
 		for f := 0; f < flows; f++ {

@@ -19,7 +19,7 @@
 //     counters across the swap.
 //
 // A shard that keeps panicking is burning CPU on a hostile input or a
-// real matcher bug; after CrashBudget recovered panics it is marked
+// real matcher bug; after crashBudget recovered panics it is marked
 // unhealthy and its segments are drop-counted (never crashing the
 // engine), keeping the other shards' service intact.
 package engine
@@ -117,6 +117,21 @@ type shard struct {
 	stallRecovered atomic.Int64
 	wedgeDrops     atomic.Int64
 }
+
+// crashBudget is how many recovered panics a shard tolerates before it
+// is marked unhealthy: its remaining and future segments are
+// drop-counted (Stats.UnhealthyDrops) instead of scanned, and the engine
+// keeps serving on the other shards.
+const crashBudget = 8
+
+// sweepEvery caps how often (in segments) a shard runs its idle sweep at
+// the normal tier, degradedSweepEvery while degraded. A shorter idle age
+// sweeps every age segments instead, so an idle flow is gone within two
+// ages.
+const (
+	sweepEvery         = 4096
+	degradedSweepEvery = sweepEvery / 8
+)
 
 // statsEvery is how often (in segments) a shard refreshes its published
 // stats snapshot. Snapshots are therefore at most this stale while the
@@ -243,7 +258,6 @@ func (s *shard) beat(now int64) int64 {
 // degradation reactions, reassembly (which defers the scan into the
 // batcher) and the periodic sweeps.
 func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
-	cfg := &e.cfg
 	// Apply a pending swap before scanning, so every segment dispatched
 	// after the install returned is scanned post-swap (a flow it creates
 	// starts on the new generation). Deferred work never crosses a
@@ -266,7 +280,7 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 		// step returned (stallReturned clears it in the normal order).
 		// Lift it before the unhealthy gate below drops scannable work.
 		s.wedged.Store(false)
-		if s.panics.Load() < int64(e.cfg.CrashBudget) {
+		if s.panics.Load() < crashBudget {
 			s.unhealthy.Store(false)
 		}
 	}
@@ -293,11 +307,11 @@ func (s *shard) step(e *Engine, seg pcap.Segment, ls *loopState) {
 		ls.payload = true
 	}
 	s.process(e, seg)
-	idleAfter, sweepEvery := cfg.IdleAfter, cfg.SweepEvery
+	idleAfter, every := e.cfg.IdleAfter, int64(sweepEvery)
 	if ls.appliedTier >= TierSoft {
-		idleAfter, sweepEvery = ls.degradedIdle, max(cfg.SweepEvery/8, 1)
+		idleAfter, every = ls.degradedIdle, degradedSweepEvery
 	}
-	if idleAfter > 0 && ls.n%sweepEvery == 0 {
+	if idleAfter > 0 && ls.n%min(idleAfter, every) == 0 {
 		s.sweep(e, idleAfter)
 	}
 }
@@ -350,7 +364,7 @@ func (s *shard) supervise(e *Engine, inline *pcap.FlowKey) {
 			s.quarantine(key)
 		}
 		s.publish()
-		if s.panics.Load() >= int64(e.cfg.CrashBudget) {
+		if s.panics.Load() >= crashBudget {
 			s.unhealthy.Store(true)
 		}
 	}
@@ -397,7 +411,7 @@ func (s *shard) quarantine(key pcap.FlowKey) {
 func (s *shard) stallReturned(e *Engine) {
 	s.stallRecovered.Add(1)
 	e.lastStallRecovery.Store(time.Now().UnixNano())
-	if s.wedged.Swap(false) && s.panics.Load() < int64(e.cfg.CrashBudget) {
+	if s.wedged.Swap(false) && s.panics.Load() < crashBudget {
 		s.unhealthy.Store(false)
 	}
 	s.publish()

@@ -60,7 +60,8 @@ func TestDropFlowExcisesWithoutPooling(t *testing.T) {
 // restores capacity for future segments.
 func TestSetMaxBufferedShrinksEagerly(t *testing.T) {
 	r := &countingRunner{}
-	a := flow.NewAssembler(flow.Config{MaxBufferedSegments: 8}, func() flow.Runner { return r }, nil)
+	a := flow.NewAssembler(flow.Config{}, func() flow.Runner { return r }, nil)
+	a.SetMaxBuffered(8)
 	k := fkey(1)
 	// Establish origin at seq 1, then send 6 future segments (a gap at 2).
 	a.HandleSegment(pcap.Segment{Key: k, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("a")})

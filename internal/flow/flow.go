@@ -72,9 +72,6 @@ type Batcher interface {
 
 // Config bounds the reassembler.
 type Config struct {
-	// MaxBufferedSegments caps out-of-order segments held per flow;
-	// overflow drops the oldest. 0 means 64.
-	MaxBufferedSegments int
 	// MaxFlows caps tracked flows; 0 means unlimited. When the table is
 	// full, a new flow evicts the least-recently-seen one (counted in
 	// Stats.EvictedCap) rather than being silently rejected.
@@ -127,11 +124,18 @@ type Assembler struct {
 	// include the lanes it handed to Feed.
 	st         Stats
 	lanesTaken int64 // the batcher's lane count at the last TakeLanes
+	// maxBuffered caps out-of-order segments held per flow; overflow
+	// drops the oldest. It starts at defaultMaxBuffered (SetMaxBuffered).
+	maxBuffered int
 	// Live gauge accounting (gauges.go); no-ops when Config.Gauges is nil.
 	gLive    gaugeAcct
 	gPending gaugeAcct
 	gBytes   gaugeAcct
 }
+
+// defaultMaxBuffered is an assembler's per-flow out-of-order segment
+// cap until SetMaxBuffered moves it.
+const defaultMaxBuffered = 64
 
 // maxFreeRunners bounds the recycled-runner free list. sync.Pool shed
 // entries on GC; a slice does not, so a burst of concurrent flows must
@@ -169,16 +173,14 @@ type flowCtx struct {
 // segments drop as unknown-tenant meanwhile. onMatch (may be nil)
 // receives every confirmed match.
 func NewAssembler(cfg Config, newRunner func() Runner, onMatch func(Match)) *Assembler {
-	if cfg.MaxBufferedSegments <= 0 {
-		cfg.MaxBufferedSegments = 64
-	}
 	a := &Assembler{
-		cfg:     cfg,
-		flows:   make(map[pcap.FlowKey]*flowCtx),
-		lru:     list.New(),
-		gens:    make(map[uint64]*genState),
-		def:     &tenantState{},
-		onMatch: onMatch,
+		cfg:         cfg,
+		maxBuffered: defaultMaxBuffered,
+		flows:       make(map[pcap.FlowKey]*flowCtx),
+		lru:         list.New(),
+		gens:        make(map[uint64]*genState),
+		def:         &tenantState{},
+		onMatch:     onMatch,
 	}
 	if newRunner != nil {
 		a.SetGeneration(0, Generation{New: newRunner}, nil, false)
@@ -456,10 +458,10 @@ func (a *Assembler) DropFlow(key pcap.FlowKey) bool {
 // restores normal buffering (already-trimmed segments stay dropped).
 func (a *Assembler) SetMaxBuffered(n int) {
 	if n <= 0 {
-		n = 64
+		n = defaultMaxBuffered
 	}
-	shrink := n < a.cfg.MaxBufferedSegments
-	a.cfg.MaxBufferedSegments = n
+	shrink := n < a.maxBuffered
+	a.maxBuffered = n
 	if !shrink {
 		return
 	}
@@ -485,7 +487,7 @@ func (a *Assembler) removePending(ctx *flowCtx, seq uint32) {
 }
 
 // MaxBuffered reports the current per-flow out-of-order buffer cap.
-func (a *Assembler) MaxBuffered() int { return a.cfg.MaxBufferedSegments }
+func (a *Assembler) MaxBuffered() int { return a.maxBuffered }
 
 // evictOldest reclaims the least-recently-seen flow to make room under
 // MaxFlows.
@@ -541,7 +543,7 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 				return
 			}
 		}
-		if len(ctx.pending) >= a.cfg.MaxBufferedSegments {
+		if len(ctx.pending) >= a.maxBuffered {
 			oldest := ctx.order[0]
 			ctx.order = ctx.order[1:]
 			a.removePending(ctx, oldest)

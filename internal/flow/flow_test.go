@@ -229,7 +229,8 @@ func TestEvictIdle(t *testing.T) {
 
 func TestBufferedSegmentCap(t *testing.T) {
 	m := buildMFA(t, "x")
-	a := NewAssembler(Config{MaxBufferedSegments: 4}, func() Runner { return m.NewRunner() }, nil)
+	a := NewAssembler(Config{}, func() Runner { return m.NewRunner() }, nil)
+	a.SetMaxBuffered(4)
 	k := key(7)
 	for i := 0; i < 10; i++ {
 		a.HandleSegment(pcap.Segment{Key: k, Seq: uint32(100 + 10*i), Flags: pcap.FlagACK, Payload: []byte("zzz")})

@@ -64,8 +64,9 @@ func TestGaugesTrackLifecycle(t *testing.T) {
 // oldest pending segment, SetMaxBuffered trims, and DropFlow quarantine.
 func TestGaugesOnEvictionAndTrim(t *testing.T) {
 	g, read := gaugeSet()
-	a := NewAssembler(Config{MaxFlows: 2, MaxBufferedSegments: 2, Gauges: g},
+	a := NewAssembler(Config{MaxFlows: 2, Gauges: g},
 		func() Runner { return &countRunner{} }, nil)
+	a.SetMaxBuffered(2)
 	k1 := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 	k2 := pcap.FlowKey{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8}
 	k3 := pcap.FlowKey{SrcIP: 9, DstIP: 10, SrcPort: 11, DstPort: 12}

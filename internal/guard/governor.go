@@ -26,26 +26,13 @@ import (
 	"matchfilter/internal/telemetry"
 )
 
-// GovernorConfig sizes the governor.
-type GovernorConfig struct {
-	// Limit is the memory ceiling in bytes. Required (> 0).
-	Limit int64
-	// PauseAt is the fraction of Limit at which Admit starts blocking
-	// producers. 0 means 0.9 — leasing pauses before the ceiling so
-	// in-flight work can land under it.
-	PauseAt float64
-	// Poll is how often a blocked Admit re-checks usage. 0 means 2ms.
-	Poll time.Duration
-}
-
-func (c *GovernorConfig) setDefaults() {
-	if c.PauseAt <= 0 || c.PauseAt > 1 {
-		c.PauseAt = 0.9
-	}
-	if c.Poll <= 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-}
+// pauseAt is the fraction of the limit at which Admit starts blocking
+// producers: leasing pauses before the ceiling so in-flight work can
+// land under it. admitPoll is how often a blocked Admit re-checks usage.
+const (
+	pauseAt   = 0.9
+	admitPoll = 2 * time.Millisecond
+)
 
 // component is one registered usage source.
 type component struct {
@@ -57,7 +44,7 @@ type component struct {
 // All methods are safe for concurrent use; a nil *Governor is a valid
 // no-op (Admit admits, Pressure is zero), so callers need not branch.
 type Governor struct {
-	cfg GovernorConfig
+	limit int64
 
 	mu    sync.Mutex // guards registration
 	comps atomic.Pointer[[]component]
@@ -67,15 +54,14 @@ type Governor struct {
 	pausedNanos atomic.Int64
 }
 
-// NewGovernor creates a governor; reg, when non-nil, serves it as the
-// mfa_guard_mem_* family. Register components before exposing it to
-// producers.
-func NewGovernor(cfg GovernorConfig, reg *telemetry.Registry) *Governor {
-	if cfg.Limit <= 0 {
-		panic("guard: GovernorConfig.Limit is required")
+// NewGovernor creates a governor over a ceiling of limit bytes (> 0);
+// reg, when non-nil, serves it as the mfa_guard_mem_* family. Register
+// components before exposing it to producers.
+func NewGovernor(limit int64, reg *telemetry.Registry) *Governor {
+	if limit <= 0 {
+		panic("guard: NewGovernor needs a positive limit")
 	}
-	cfg.setDefaults()
-	g := &Governor{cfg: cfg}
+	g := &Governor{limit: limit}
 	g.comps.Store(&[]component{})
 	if reg != nil {
 		g.rows = telemetry.Rows(reg, g.Stats, governorRows)
@@ -104,7 +90,7 @@ func (g *Governor) Limit() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.cfg.Limit
+	return g.limit
 }
 
 // Usage sums the registered components' current bytes.
@@ -125,7 +111,7 @@ func (g *Governor) Pressure() float64 {
 	if g == nil {
 		return 0
 	}
-	p := float64(g.Usage()) / float64(g.cfg.Limit)
+	p := float64(g.Usage()) / float64(g.limit)
 	if p < 0 {
 		p = 0
 	}
@@ -134,13 +120,13 @@ func (g *Governor) Pressure() float64 {
 
 // overPause reports whether producers should be held at the gate.
 func (g *Governor) overPause() bool {
-	return float64(g.Usage()) >= g.cfg.PauseAt*float64(g.cfg.Limit)
+	return float64(g.Usage()) >= pauseAt*float64(g.limit)
 }
 
 // Admit blocks while usage sits above the pause threshold, re-checking
-// every Poll, and returns when the producer may lease again. It returns
-// ctx.Err() if the context ends first — the producer is shutting down
-// and should stop producing rather than wait out the pressure.
+// every admitPoll, and returns when the producer may lease again. It
+// returns ctx.Err() if the context ends first — the producer is shutting
+// down and should stop producing rather than wait out the pressure.
 func (g *Governor) Admit(ctx context.Context) error {
 	if g == nil || !g.overPause() {
 		return nil
@@ -148,7 +134,7 @@ func (g *Governor) Admit(ctx context.Context) error {
 	g.pauses.Add(1)
 	t0 := time.Now()
 	defer func() { g.pausedNanos.Add(int64(time.Since(t0))) }()
-	tick := time.NewTicker(g.cfg.Poll)
+	tick := time.NewTicker(admitPoll)
 	defer tick.Stop()
 	for {
 		select {
@@ -181,7 +167,7 @@ func (g *Governor) Stats() GovernorStats {
 		return GovernorStats{}
 	}
 	st := GovernorStats{
-		LimitBytes:  g.cfg.Limit,
+		LimitBytes:  g.limit,
 		Pauses:      g.pauses.Load(),
 		PausedNanos: g.pausedNanos.Load(),
 		Components:  make(map[string]int64),

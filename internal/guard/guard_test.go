@@ -97,7 +97,7 @@ func TestWatchdogStopIsIdempotent(t *testing.T) {
 
 func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 	var usage atomic.Int64
-	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond}, nil)
+	g := NewGovernor(1000, nil)
 	g.Register("test", usage.Load)
 
 	// Under threshold: Admit returns immediately.
@@ -110,7 +110,7 @@ func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 	}
 
 	// Over threshold: Admit blocks until usage falls.
-	usage.Store(600)
+	usage.Store(950)
 	released := make(chan error, 1)
 	go func() { released <- g.Admit(context.Background()) }()
 	select {
@@ -136,7 +136,7 @@ func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 func TestGovernorAdmitHonoursContext(t *testing.T) {
 	var usage atomic.Int64
 	usage.Store(999)
-	g := NewGovernor(GovernorConfig{Limit: 1000, PauseAt: 0.5, Poll: time.Millisecond}, nil)
+	g := NewGovernor(1000, nil)
 	g.Register("test", usage.Load)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -172,7 +172,7 @@ func TestGovernorStatsAndMetrics(t *testing.T) {
 	a.Store(300)
 	b.Store(200)
 	reg := telemetry.NewRegistry()
-	g := NewGovernor(GovernorConfig{Limit: 1000}, reg)
+	g := NewGovernor(1000, reg)
 	g.Register("arena", a.Load)
 	g.Register("engine", b.Load)
 

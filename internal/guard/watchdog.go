@@ -49,21 +49,11 @@ type WatchdogConfig struct {
 	Deadline time.Duration
 	// WedgeAfter is the escalation threshold. 0 means 4×Deadline.
 	WedgeAfter time.Duration
-	// Poll is the heartbeat sampling interval. 0 means Deadline/4,
-	// floored at one millisecond. Detection latency is at most
-	// Deadline + Poll.
-	Poll time.Duration
 }
 
 func (c *WatchdogConfig) setDefaults() {
 	if c.WedgeAfter <= 0 {
 		c.WedgeAfter = 4 * c.Deadline
-	}
-	if c.Poll <= 0 {
-		c.Poll = c.Deadline / 4
-	}
-	if c.Poll < time.Millisecond {
-		c.Poll = time.Millisecond
 	}
 }
 
@@ -122,7 +112,9 @@ func (w *Watchdog) Wedges() int64 { return w.wedges.Load() }
 
 func (w *Watchdog) run() {
 	defer close(w.done)
-	tick := time.NewTicker(w.cfg.Poll)
+	// Sample heartbeats every quarter deadline, floored at one
+	// millisecond: detection latency is at most Deadline plus one tick.
+	tick := time.NewTicker(max(w.cfg.Deadline/4, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {

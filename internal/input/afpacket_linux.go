@@ -19,9 +19,10 @@ import (
 // AFPacket captures live traffic from one Linux network interface.
 type AFPacket struct {
 	Iface string
-	// SnapLen bounds one captured frame; 0 means 64KiB.
-	SnapLen int
 }
+
+// snapLen bounds one captured frame.
+const snapLen = 64 << 10
 
 // NewAFPacket returns a live-capture source on iface ("eth0").
 func NewAFPacket(iface string) *AFPacket { return &AFPacket{Iface: iface} }
@@ -34,10 +35,6 @@ func (a *AFPacket) Describe() Description {
 // Run implements Source. The socket gets a short receive timeout so
 // cancellation is observed within one beat even on a silent wire.
 func (a *AFPacket) Run(ctx context.Context, em *Emitter) error {
-	snapLen := a.SnapLen
-	if snapLen <= 0 {
-		snapLen = 64 << 10
-	}
 	ifi, err := net.InterfaceByName(a.Iface)
 	if err != nil {
 		return Permanent(fmt.Errorf("input: afpacket: %w", err))

@@ -14,8 +14,6 @@ import (
 // On this platform it is a stub that fails permanently.
 type AFPacket struct {
 	Iface string
-	// SnapLen bounds one captured frame; 0 means 64KiB. Unused here.
-	SnapLen int
 }
 
 // NewAFPacket returns the stub source for iface.

@@ -284,7 +284,7 @@ func TestGovernorPausesLeasing(t *testing.T) {
 	leakcheck.Check(t)
 	const limit = 64 << 10
 	arena := &Arena{}
-	gov := guard.NewGovernor(guard.GovernorConfig{Limit: limit, PauseAt: 0.5, Poll: time.Millisecond}, nil)
+	gov := guard.NewGovernor(limit, nil)
 	gov.Register("arena", arena.BytesLeased)
 
 	sink := &holdSink{}
@@ -299,7 +299,7 @@ func TestGovernorPausesLeasing(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(ctx) }()
 
-	// The source must hit the gate: usage ≥ PauseAt×limit with the sink
+	// The source must hit the gate: usage ≥ 0.9×limit with the sink
 	// holding every lease.
 	deadline := time.Now().Add(5 * time.Second)
 	for gov.Stats().Pauses == 0 {

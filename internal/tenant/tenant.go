@@ -216,9 +216,11 @@ type Config struct {
 	// ("tenant:<id>", the tenant's buffered reassembly bytes) so tenant
 	// memory counts against the daemon ceiling under its own name.
 	Governor *guard.Governor
-	// EventsCap bounds each tenant's match-event ring; <= 0 means 256.
-	EventsCap int
 }
+
+// EventRingLen bounds each tenant's match-event ring; mfaserve's /events
+// ring holds as many.
+const EventRingLen = 1024
 
 // telemetryBlock is the per-id accounting that survives delete and
 // re-create, so a recreated tenant keeps its metric series, its event
@@ -254,9 +256,6 @@ type Registry struct {
 
 // NewRegistry creates an empty registry. Call Bind before Put.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.EventsCap <= 0 {
-		cfg.EventsCap = 256
-	}
 	return &Registry{
 		cfg:    cfg,
 		byID:   make(map[string]*Tenant),
@@ -451,7 +450,7 @@ func (r *Registry) setSlotLocked(idx uint32, t *Tenant) {
 func (r *Registry) newBlock(id string) *telemetryBlock {
 	blk := &telemetryBlock{
 		acct:   &flow.TenantAcct{},
-		events: telemetry.NewEventRing(r.cfg.EventsCap),
+		events: telemetry.NewEventRing(EventRingLen),
 	}
 	// The default entry's series are the engine-wide ones (mfa_generation,
 	// mfa_engine_*): it registers nothing under the tenant label.
