@@ -534,8 +534,11 @@ func release(o pcap.Owner) {
 // ports whose parities correlate, which collapses `fnv % n` onto a few
 // shards — so the hash is finished with a 64-bit avalanche (splitmix64's
 // finalizer) that diffuses every input bit into the low bits the modulo
-// looks at.
+// looks at. One shard needs no hash.
 func shardIndex(k pcap.FlowKey, n int) int {
+	if n == 1 {
+		return 0
+	}
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

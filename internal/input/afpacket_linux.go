@@ -21,7 +21,7 @@ type AFPacket struct {
 	Iface string
 }
 
-// snapLen bounds one captured frame.
+// snapLen sizes the buffer a frame is received into before it is leased.
 const snapLen = 64 << 10
 
 // NewAFPacket returns a live-capture source on iface ("eth0").
@@ -58,14 +58,13 @@ func (a *AFPacket) Run(ctx context.Context, em *Emitter) error {
 		return fmt.Errorf("input: afpacket: SO_RCVTIMEO: %w", err)
 	}
 
+	frame := make([]byte, snapLen)
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		lease := em.Lease(snapLen)
-		n, _, err := syscall.Recvfrom(fd, lease.Data(), 0)
+		n, _, err := syscall.Recvfrom(fd, frame, 0)
 		if err != nil {
-			lease.Release()
 			if errors.Is(err, syscall.EAGAIN) || errors.Is(err, syscall.EWOULDBLOCK) ||
 				errors.Is(err, syscall.EINTR) {
 				continue // receive timeout: poll cancellation and retry
@@ -73,10 +72,11 @@ func (a *AFPacket) Run(ctx context.Context, em *Emitter) error {
 			return fmt.Errorf("input: afpacket: recvfrom %s: %w", a.Iface, err)
 		}
 		if n == 0 {
-			lease.Release()
 			continue
 		}
-		if err := em.Frame(lease.Data()[:n], lease); err != nil {
+		lease := em.Lease(n)
+		copy(lease.Data(), frame)
+		if err := em.Frame(lease.Data(), lease); err != nil {
 			return err
 		}
 	}

@@ -4,13 +4,13 @@
 // lease to the sink as the segment's pcap.Owner; the engine's shard
 // releases it after the scan (the assembler copies anything it must
 // retain, so post-scan release is safe). Leases are carved out of slabs:
-// one pooled allocation per size class holds a run of frames back to back
-// together with their Buf headers, so the pool round trip and the shared
-// counters are touched once per slab, a lease is a bump of the slab's
-// cursor, and a release is one atomic decrement that hands the slab back
-// when its last frame returns. N concurrent sources keep a working set
-// proportional to in-flight segments — queue depth, not traffic — instead
-// of allocating per packet.
+// one pooled allocation holds leases of any size back to back, each
+// rounded up to a cache line, together with their Buf headers, so the
+// pool round trip and the shared counters are touched once per slab, a
+// lease is a bump of the slab's cursor, and a release is one atomic add
+// that hands the slab back when its last lease returns. N concurrent
+// sources keep a working set proportional to in-flight segments — queue
+// depth, not traffic — instead of allocating per packet.
 package input
 
 import (
@@ -21,58 +21,65 @@ import (
 	"sync/atomic"
 )
 
-// arenaClasses are the lease size classes. Most Ethernet frames fit the
-// first class; socket reads and jumbo captures use the larger ones.
-// Leases beyond the last class fall back to a plain allocation that is
-// handed to the garbage collector on release.
-var arenaClasses = [...]int{2 << 10, 16 << 10, 64 << 10, 256 << 10}
+// A lease takes its length rounded up to a whole cache line, at least one
+// line, so leases carved back to back share no line: a 150-byte frame
+// takes 192 bytes, a 1,514-byte one 1,536. A slab holds slabBytes of
+// leases and slabBufs Buf headers: a maximal IPv4 frame (65,549 bytes)
+// fits, so every frame a source reads is pooled, and 512 headers fill it
+// with 192-byte leases. A longer lease is a plain allocation that the
+// garbage collector takes on release.
+const (
+	lineBytes = 64
+	slabBytes = 96 << 10
+	slabBufs  = 512
+)
 
-// slabBytes is the slab size the frame count of a class aims for; the
-// largest classes still get two frames, so a slab always amortizes
-// something.
-const slabBytes = 64 << 10
-
-// slabBias is a current slab's reference count before any release: far
-// above any frame count, so releases of a slab still being carved never
+// A slab's reference count packs leases above bytes, so a release is one
+// atomic add of leaseUnit plus the lease's capacity, and split reads both
+// back. slabBias is a current slab's count before any release: far above
+// anything a slab carves, so releases of a slab still being carved never
 // reach zero.
-const slabBias = 1 << 30
+const (
+	leaseUnit = 1 << 32
+	slabBias  = 1 << 62
+)
 
-// slab is one pooled allocation: frames of one class back to back, and
-// the Buf headers that lease them.
+// split unpacks a reference count into leases and bytes.
+func split(v int64) (leases, bytes int64) { return v / leaseUnit, v % leaseUnit }
+
+// slab is one pooled allocation: leases back to back in arrival order,
+// and the Buf headers that lease them.
 type slab struct {
 	arena *Arena
-	class int // index into arenaClasses; -1 = oversize, one frame, GC-owned
-	frame int // bytes per frame
 	mem   []byte
 	bufs  []Buf
-	// carved counts the frames handed out since the slab became current;
-	// written under the arena's mu, fixed once the slab is retired.
-	carved int
-	// refs is slabBias minus the releases so far while the slab is current.
-	// Retiring it trades the bias for the frames carved, leaving the
-	// leases still out — live, written just before that trade — and the
+	// carved and off count the leases and bytes handed out while the
+	// slab is current, under the arena's mu.
+	carved, off int
+	// refs is slabBias minus the releases so far while the slab is
+	// current. Retiring it trades the bias for what was carved, leaving
+	// what is still out — live, written just before that trade — and the
 	// release that takes refs to zero returns the slab.
 	refs atomic.Int64
 	live int64
 }
 
-// Arena leases payload buffers carved from size-classed, pooled slabs.
-// The zero value is ready to use; an Arena must not be copied after first
-// use.
+// Arena leases payload buffers carved from pooled slabs. The zero value
+// is ready to use; an Arena must not be copied after first use.
 type Arena struct {
-	// mu guards the carving side: each class's current slab and the two
-	// counters a lease bumps. It is held for a cursor bump, or once per
-	// slab for the swap.
+	// mu guards the carving side: the current slab and the two counters
+	// a lease bumps. It is held for a cursor bump, or once per slab for
+	// the swap.
 	mu     sync.Mutex
-	cur    [len(arenaClasses)]*slab
+	cur    *slab
 	leases int64
 	misses int64 // fresh allocations: a slab pool miss, or an oversize lease
 
-	pools [len(arenaClasses)]sync.Pool // fully released slabs
+	pool sync.Pool // fully released slabs
 
 	// releases and bytesOut move once per slab — when it is retired and
-	// when its last lease returns — and Stats adds what the slabs still
-	// being carved know exactly. A slab retired with leases out reports
+	// when its last lease returns — and Stats adds what the slab still
+	// being carved knows exactly. A slab retired with leases out reports
 	// those until the last of them is back, so the accounting (exposed as
 	// telemetry by the supervisor, and to the memory governor) is exact
 	// whenever nothing is in flight and lags by less than a slab per slab
@@ -113,7 +120,7 @@ func (a *Arena) debugOn() bool {
 	}
 }
 
-// BytesLeased reports the bytes currently out on lease (buffer
+// BytesLeased reports the bytes currently out on lease (line-rounded
 // capacities, not requested lengths) — what the arena pins until the
 // engine releases the buffers back.
 func (a *Arena) BytesLeased() int64 { return a.Stats().BytesLeased }
@@ -148,12 +155,12 @@ type Buf struct {
 	origin string
 }
 
-// Data returns the leased storage, sized as requested by Lease. Its
-// capacity may be larger (the size class).
+// Data returns the leased storage, sized as requested by Lease; its
+// capacity is the lease's size in the arena's books.
 func (b *Buf) Data() []byte { return b.data }
 
 // Release returns the buffer to the arena: a double-release check and one
-// decrement of its slab's count. Safe to call from any goroutine; only
+// atomic add to its slab's count. Safe to call from any goroutine; only
 // the first call has effect.
 func (b *Buf) Release() {
 	sl := b.slab
@@ -169,58 +176,61 @@ func (b *Buf) Release() {
 		}
 		return
 	}
-	if sl.refs.Add(-1) == 0 {
+	if sl.refs.Add(-(leaseUnit + int64(cap(b.data)))) == 0 {
 		sl.arena.returned(sl)
 	}
 }
 
 // returned settles a retired slab whose last lease came back.
 func (a *Arena) returned(sl *slab) {
-	a.releases.Add(sl.live)
-	a.bytesOut.Add(-sl.live * int64(sl.frame))
-	if sl.class >= 0 { // oversize: let the GC have it
-		a.pools[sl.class].Put(sl)
+	leases, bytes := split(sl.live)
+	a.releases.Add(leases)
+	a.bytesOut.Add(-bytes)
+	if len(sl.mem) == slabBytes { // else oversize: let the GC have it
+		a.pool.Put(sl)
 	}
 }
 
-// newSlab allocates a slab of n frames of frame bytes each.
-func (a *Arena) newSlab(class, n, frame int) *slab {
-	sl := &slab{arena: a, class: class, frame: frame, mem: make([]byte, n*frame), bufs: make([]Buf, n)}
+// newSlab allocates a slab of size bytes and n Buf headers.
+func (a *Arena) newSlab(size, n int) *slab {
+	sl := &slab{arena: a, mem: make([]byte, size), bufs: make([]Buf, n)}
 	for i := range sl.bufs {
 		sl.bufs[i].slab = sl
 	}
 	return sl
 }
 
-// next retires a class's exhausted slab and returns the one to carve
+// next retires the exhausted current slab and returns the one to carve
 // from now. Caller holds a.mu.
-func (a *Arena) next(class int) *slab {
-	sl := a.cur[class]
+func (a *Arena) next() *slab {
+	sl := a.cur
 	if sl != nil {
-		// Trade the bias for the frames carved. live must be in place
+		// Trade the bias for what was carved. live must be in place
 		// before the trade lets a release see zero, hence the CAS.
+		carved := int64(sl.carved)*leaseUnit + int64(sl.off)
 		for {
 			r := sl.refs.Load()
-			sl.live = r - slabBias + int64(sl.carved)
+			sl.live = r - slabBias + carved
 			if sl.refs.CompareAndSwap(r, sl.live) {
 				break
 			}
 		}
-		a.releases.Add(int64(sl.carved) - sl.live)
-		a.bytesOut.Add(sl.live * int64(sl.frame))
+		released, _ := split(carved - sl.live)
+		_, out := split(sl.live)
+		a.releases.Add(released)
+		a.bytesOut.Add(out)
 	}
-	if sl == nil || sl.live > 0 { // else every frame is back already: carve it again
-		if v := a.pools[class].Get(); v != nil {
+	if sl == nil || sl.live > 0 { // else every lease is back already: carve it again
+		if v := a.pool.Get(); v != nil {
 			sl = v.(*slab)
 		} else {
 			a.misses++
-			frame := arenaClasses[class]
-			sl = a.newSlab(class, max(slabBytes/frame, 2), frame)
+			sl = a.newSlab(slabBytes, slabBufs)
 		}
 	}
-	sl.carved = 0
+	sl.carved, sl.off = 0, 0
 	sl.refs.Store(slabBias)
-	a.cur[class] = sl
+	a.cur = sl
 	return sl
 }
 
@@ -233,37 +243,31 @@ func (a *Arena) Lease(n int) *Buf {
 	if a.debugOn() {
 		origin = leaseOrigin()
 	}
-	class := -1
-	for i, size := range arenaClasses {
-		if n <= size {
-			class = i
-			break
-		}
-	}
+	size := max(n+lineBytes-1, lineBytes) &^ (lineBytes - 1)
 	a.mu.Lock()
 	a.leases++
-	if class < 0 {
+	if size > slabBytes {
 		a.misses++
 		a.mu.Unlock()
 		// A slab of its own, born retired with its one lease out.
 		a.bytesOut.Add(int64(n))
-		sl := a.newSlab(-1, 1, n)
-		sl.live = 1
-		sl.refs.Store(1)
+		sl := a.newSlab(n, 1)
+		sl.live = leaseUnit + int64(n)
+		sl.refs.Store(sl.live)
 		b := &sl.bufs[0]
 		b.data, b.origin = sl.mem, origin
 		return b
 	}
-	sl := a.cur[class]
-	if sl == nil || sl.carved == len(sl.bufs) {
-		sl = a.next(class)
+	sl := a.cur
+	if sl == nil || sl.carved == slabBufs || sl.off+size > slabBytes {
+		sl = a.next()
 	}
 	b := &sl.bufs[sl.carved]
-	off := sl.carved * sl.frame
+	off := sl.off
 	sl.carved++
+	sl.off += size
 	a.mu.Unlock()
-	b.data = sl.mem[off : off+n : off+sl.frame]
-	b.origin = origin
+	b.data, b.origin = sl.mem[off:off+n:off+size], origin
 	b.released.Store(false)
 	return b
 }
@@ -287,12 +291,10 @@ func (a *Arena) Stats() ArenaStats {
 		DoubleReleases: a.doubleReleases.Load(),
 		BytesLeased:    a.bytesOut.Load(),
 	}
-	for _, sl := range a.cur {
-		if sl != nil {
-			released := slabBias - sl.refs.Load()
-			st.Releases += released
-			st.BytesLeased += (int64(sl.carved) - released) * int64(sl.frame)
-		}
+	if sl := a.cur; sl != nil {
+		released, bytes := split(slabBias - sl.refs.Load())
+		st.Releases += released
+		st.BytesLeased += int64(sl.off) - bytes
 	}
 	a.mu.Unlock()
 	return st

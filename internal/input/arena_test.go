@@ -2,9 +2,11 @@ package input
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestArenaLeaseSizing(t *testing.T) {
@@ -24,23 +26,41 @@ func TestArenaLeaseSizing(t *testing.T) {
 
 func TestArenaRecycles(t *testing.T) {
 	var a Arena
-	// Same size class, strictly sequential: the second lease should come
-	// from the pool. sync.Pool may shed entries under GC pressure, so
-	// accept recycling on any of a few attempts.
+	// Fill a slab and keep its leases out, so the next lease retires it
+	// with leases out and allocates a second slab; once they are back the
+	// first slab sits in the pool, and retiring the second (also with a
+	// lease out) must take it from there rather than allocate. sync.Pool
+	// may shed entries under GC pressure, so accept recycling on any of
+	// a few attempts.
 	recycled := false
 	for i := 0; i < 8 && !recycled; i++ {
-		b := a.Lease(1000)
+		first := make([]*Buf, slabBufs)
+		for j := range first {
+			first[j] = a.Lease(100)
+		}
+		held := a.Lease(1500) // retires the full slab
+		if len(held.Data()) != 1500 {
+			t.Fatalf("resized lease: got %d bytes", len(held.Data()))
+		}
+		for _, b := range first {
+			b.Release()
+		}
+		var rest []*Buf
 		before := a.Stats().Misses
-		b.Release()
-		b2 := a.Lease(1500) // same class, different length
-		if len(b2.Data()) != 1500 {
-			t.Fatalf("resized lease: got %d bytes", len(b2.Data()))
+		for j := 0; j < slabBufs; j++ { // fills the second slab and retires it
+			rest = append(rest, a.Lease(100))
 		}
 		recycled = a.Stats().Misses == before
-		b2.Release()
+		held.Release()
+		for _, b := range rest {
+			b.Release()
+		}
 	}
 	if !recycled {
-		t.Fatal("pool never recycled a released buffer")
+		t.Fatal("pool never recycled a released slab")
+	}
+	if st := a.Stats(); st.Leases != st.Releases || st.BytesLeased != 0 {
+		t.Fatalf("books do not balance: %+v", st)
 	}
 }
 
@@ -83,10 +103,10 @@ func TestArenaDoubleReleaseDebugGuard(t *testing.T) {
 
 func TestArenaBytesLeased(t *testing.T) {
 	var a Arena
-	b1 := a.Lease(100)     // 2K class
-	b2 := a.Lease(3 << 10) // 16K class
+	b1 := a.Lease(100)     // two lines
+	b2 := a.Lease(3 << 10) // 48 lines exactly
 	b3 := a.Lease(1 << 20) // oversize: exact
-	want := int64(2<<10 + 16<<10 + 1<<20)
+	want := int64(128 + 3<<10 + 1<<20)
 	if got := a.BytesLeased(); got != want {
 		t.Fatalf("BytesLeased with three leases out = %d, want %d", got, want)
 	}
@@ -101,15 +121,15 @@ func TestArenaBytesLeased(t *testing.T) {
 	}
 }
 
-// TestArenaOversizeBypassesSlabs: a lease beyond the last class is a
+// TestArenaOversizeBypassesSlabs: a lease longer than a slab is a
 // plain allocation of its own — it shares no slab, counts as a miss, and
 // goes to the garbage collector, not to a pool, on release.
 func TestArenaOversizeBypassesSlabs(t *testing.T) {
 	var a Arena
 	small := a.Lease(100)
 	b := a.Lease(1 << 20)
-	if b.slab.class != -1 || len(b.slab.bufs) != 1 || b.slab == small.slab {
-		t.Fatalf("oversize lease rides a class-%d slab of %d frames", b.slab.class, len(b.slab.bufs))
+	if len(b.slab.bufs) != 1 || b.slab == small.slab {
+		t.Fatalf("oversize lease rides a slab of %d headers", len(b.slab.bufs))
 	}
 	if cap(b.Data()) != 1<<20 {
 		t.Fatalf("oversize lease holds %d bytes, want exactly what was asked", cap(b.Data()))
@@ -119,10 +139,8 @@ func TestArenaOversizeBypassesSlabs(t *testing.T) {
 	if st := a.Stats(); st.Misses != 2 || st.Leases != 2 || st.Releases != 2 || st.BytesLeased != 0 {
 		t.Fatalf("after one slab lease and one oversize lease: %+v", st)
 	}
-	for i := range a.cur {
-		if a.cur[i] == b.slab {
-			t.Fatal("oversize slab became a class's current slab")
-		}
+	if a.cur == b.slab {
+		t.Fatal("oversize slab became the current slab")
 	}
 }
 
@@ -131,13 +149,13 @@ func TestArenaOversizeBypassesSlabs(t *testing.T) {
 func TestArenaFramesAreDisjoint(t *testing.T) {
 	var a Arena
 	var bufs []*Buf
-	for i := 0; i < 100; i++ { // crosses several 2K-class slabs
+	for i := 0; i < 100; i++ { // about 100 KiB: crosses into a second slab
 		b := a.Lease(1 + i*20)
 		for j := range b.Data() {
 			b.Data()[j] = byte(i)
 		}
-		if c := cap(b.Data()); c != 2<<10 {
-			t.Fatalf("lease %d: capacity %d, want its frame's 2048", i, c)
+		if c, want := cap(b.Data()), (1+i*20+lineBytes-1)/lineBytes*lineBytes; c != want {
+			t.Fatalf("lease %d: capacity %d, want its length rounded up to a line, %d", i, c, want)
 		}
 		bufs = append(bufs, b)
 	}
@@ -154,6 +172,44 @@ func TestArenaFramesAreDisjoint(t *testing.T) {
 	}
 	if st := a.Stats(); st.Leases != 100 || st.Releases != 100 || st.BytesLeased != 0 {
 		t.Fatalf("after 100 leases and releases: %+v", st)
+	}
+}
+
+// TestArenaPacksByLine: small leases sit back to back in one slab, each
+// rounded up to whole cache lines, so no two share a line and the books
+// charge the rounded size, not a fixed slot.
+func TestArenaPacksByLine(t *testing.T) {
+	var a Arena
+	const n, frame, stride = 100, 150, 192
+	bufs := make([]*Buf, n)
+	for i := range bufs {
+		bufs[i] = a.Lease(frame)
+	}
+	base := unsafe.Pointer(unsafe.SliceData(bufs[0].slab.mem))
+	lines := make(map[uintptr]int)
+	for i, b := range bufs {
+		if b.slab != bufs[0].slab {
+			t.Fatalf("lease %d left the first slab", i)
+		}
+		off := uintptr(unsafe.Pointer(unsafe.SliceData(b.Data()))) - uintptr(base)
+		if off != uintptr(i*stride) {
+			t.Fatalf("lease %d at offset %d, want %d", i, off, i*stride)
+		}
+		for l := off / lineBytes; l <= (off+frame-1)/lineBytes; l++ {
+			if j, ok := lines[l]; ok {
+				t.Fatalf("leases %d and %d share cache line %d", j, i, l)
+			}
+			lines[l] = i
+		}
+	}
+	if got := a.BytesLeased(); got > n*stride {
+		t.Fatalf("BytesLeased with %d %d-byte leases out = %d, want at most %d", n, frame, got, n*stride)
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+	if st := a.Stats(); st.Leases != n || st.Releases != n || st.BytesLeased != 0 {
+		t.Fatalf("after %d leases and releases: %+v", n, st)
 	}
 }
 
@@ -209,5 +265,39 @@ func TestArenaChaosBalances(t *testing.T) {
 	}
 	if got := a.BytesLeased(); got != 0 {
 		t.Fatalf("BytesLeased = %d after every release", got)
+	}
+}
+
+// BenchmarkArenaHandoff is the source-to-shard round trip of one frame:
+// a lease filled on one goroutine, read and released on another, at the
+// two frame sizes that dominate traffic (a small TCP segment and a full
+// Ethernet frame).
+func BenchmarkArenaHandoff(b *testing.B) {
+	for _, size := range []int{150, 1514} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			var a Arena
+			frame := make([]byte, size)
+			handoff := make(chan *Buf, 256)
+			done := make(chan int)
+			go func() {
+				sum := 0
+				for buf := range handoff {
+					sum += int(buf.Data()[0])
+					buf.Release()
+				}
+				done <- sum
+			}()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				buf := a.Lease(size)
+				copy(buf.Data(), frame)
+				handoff <- buf
+			}
+			close(handoff)
+			<-done
+			if st := a.Stats(); st.Leases != st.Releases || st.BytesLeased != 0 {
+				b.Fatalf("books do not balance: %+v", st)
+			}
+		})
 	}
 }

@@ -288,7 +288,7 @@ func TestGovernorPausesLeasing(t *testing.T) {
 	gov.Register("arena", arena.BytesLeased)
 
 	sink := &holdSink{}
-	// 50 leases in the 2K class = 100K total churn, well past the 64K
+	// 50 leases of 2K each = 100K total churn, well past the 64K
 	// ceiling if nothing paused.
 	src := &leasingSource{name: "burst", segs: 50, lease: 2 << 10}
 	sup := NewSupervisor(Config{Sink: sink, Arena: arena, Governor: gov})

@@ -19,7 +19,7 @@ import (
 )
 
 // streamChunk bounds the payload bytes of one synthesized segment — a
-// single socket read, hence a single arena lease.
+// single socket read, leased at the length it read.
 const streamChunk = 16 << 10
 
 // maxUDPPeers bounds a UDP listener's peer→flow table; when full, the
@@ -173,15 +173,15 @@ func pumpStreamConn(em *Emitter, conn net.Conn, key pcap.FlowKey) {
 	if em.Segment(fr.syn(), nil) != nil {
 		return
 	}
+	buf := make([]byte, streamChunk)
 	for {
-		lease := em.Lease(streamChunk)
-		n, err := conn.Read(lease.Data())
+		n, err := conn.Read(buf)
 		if n > 0 {
-			if em.Segment(fr.data(lease.Data()[:n]), lease) != nil {
+			lease := em.Lease(n)
+			copy(lease.Data(), buf)
+			if em.Segment(fr.data(lease.Data()), lease) != nil {
 				return // lease ownership transferred (released inside)
 			}
-		} else {
-			lease.Release()
 		}
 		if err != nil {
 			_ = em.Segment(fr.fin(), nil)
@@ -265,11 +265,10 @@ func (u *UDPListener) Run(ctx context.Context, em *Emitter) error {
 	peers := make(map[string]*udpPeer)
 	var conns uint32
 	var tick uint64
+	buf := make([]byte, 64<<10) // max datagram, leased at the length received
 	for {
-		lease := em.Lease(64 << 10) // max datagram
-		n, addr, kdrops, haveKD, err := readUDP(pc, lease.Data(), oob)
+		n, addr, kdrops, haveKD, err := readUDP(pc, buf, oob)
 		if err != nil {
-			lease.Release()
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -298,15 +297,13 @@ func (u *UDPListener) Run(ctx context.Context, em *Emitter) error {
 			peer = &udpPeer{fr: newFramer(synthFlowKey(u.id, conns, addr, localPort))}
 			peers[pk] = peer
 			if em.Segment(peer.fr.syn(), nil) != nil {
-				lease.Release()
 				return nil
 			}
 		}
 		peer.tick = tick
-		payload := lease.Data()[:n]
+		payload := buf[:n]
 		if u.Seq {
 			if n < 4 {
-				lease.Release()
 				if err := em.Malformed(fmt.Errorf("input: udp %s: seq-mode datagram shorter than its 4-byte header (%d bytes)", u.Addr, n)); err != nil {
 					return err
 				}
@@ -328,10 +325,11 @@ func (u *UDPListener) Run(ctx context.Context, em *Emitter) error {
 			}
 		}
 		if len(payload) == 0 {
-			lease.Release()
 			continue
 		}
-		if em.Segment(peer.fr.data(payload), lease) != nil {
+		lease := em.Lease(len(payload))
+		copy(lease.Data(), payload)
+		if em.Segment(peer.fr.data(lease.Data()), lease) != nil {
 			return nil
 		}
 	}

@@ -16,6 +16,14 @@ import (
 func startSocketSupervisor(t *testing.T, src Source) (*collectSink, *Supervisor, func()) {
 	t.Helper()
 	sink := newCollectSink()
+	sup, shutdown := startSupervisor(t, sink, src)
+	return sink, sup, shutdown
+}
+
+// startSupervisor runs one source against sink and returns the
+// supervisor plus a shutdown func.
+func startSupervisor(t *testing.T, sink Sink, src Source) (*Supervisor, func()) {
+	t.Helper()
 	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 64})
 	sup.Add(src)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -27,7 +35,7 @@ func startSocketSupervisor(t *testing.T, src Source) (*collectSink, *Supervisor,
 			t.Fatal(err)
 		}
 	}
-	return sink, sup, shutdown
+	return sup, shutdown
 }
 
 func TestTCPListenerScansConnections(t *testing.T) {
@@ -97,6 +105,40 @@ func TestUDPListenerScansPeers(t *testing.T) {
 		if string(stream) != "first datagram second datagram" {
 			t.Fatalf("reassembled stream: %q", stream)
 		}
+	}
+}
+
+// TestUDPLeasesWhatItReceived: a datagram is leased at the length it
+// arrived with, not at the largest a datagram can be, so small datagrams
+// held downstream pin (and charge the memory governor) a few cache lines
+// each.
+func TestUDPLeasesWhatItReceived(t *testing.T) {
+	const n, size = 32, 100
+	src := NewUDPListener("127.0.0.1:0")
+	sink := &holdSink{}
+	sup, shutdown := startSupervisor(t, sink, src)
+	defer sink.releaseAll()
+	defer shutdown()
+	waitFor(t, 5*time.Second, "socket bound", func() bool { return src.Bound() != nil })
+
+	conn, err := net.Dial("udp", src.Bound().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	dgram := bytes.Repeat([]byte("u"), size)
+	for i := 0; i < n; i++ {
+		if _, err := conn.Write(dgram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "datagrams held by the sink", func() bool {
+		sink.mu.Lock()
+		defer sink.mu.Unlock()
+		return len(sink.held) == n
+	})
+	if got := sup.Arena().BytesLeased(); got > n*128 {
+		t.Fatalf("%d held %d-byte datagrams pin %d bytes, want at most %d", n, size, got, n*128)
 	}
 }
 
