@@ -7,6 +7,7 @@ package core
 // runner with residue from its previous flow.
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -167,7 +168,7 @@ func TestCrossLayoutContextRoundTrip(t *testing.T) {
 }
 
 // SelfCheck accepts healthy builds of both layouts (the reload gate must
-// not reject good automata) and its trace is deterministic.
+// not reject good automata) and its trace is the pinned one.
 func TestSelfCheckPasses(t *testing.T) {
 	for _, opts := range []Options{
 		{},
@@ -179,8 +180,11 @@ func TestSelfCheckPasses(t *testing.T) {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
 	}
-	if string(selfCheckTrace()) != string(selfCheckTrace()) {
-		t.Fatal("self-check trace is not deterministic")
+	// The trace is pinned: every reload validates against these bytes, so
+	// a change to them must change this hash too.
+	const want = "61418f95d318fd367b94cfe5add855a61ba6fea95dd350c7dda2dccfaaf5b5cf"
+	if got := fmt.Sprintf("%x", sha256.Sum256(selfCheckTrace())); got != want {
+		t.Fatalf("self-check trace SHA-256 %s, want %s", got, want)
 	}
 }
 

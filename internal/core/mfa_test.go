@@ -9,6 +9,7 @@ import (
 
 	"matchfilter/internal/dfa"
 	"matchfilter/internal/nfa"
+	"matchfilter/internal/patterns"
 	"matchfilter/internal/regexparse"
 )
 
@@ -393,5 +394,49 @@ func TestDFAStateCapPropagates(t *testing.T) {
 	_, err := Compile(mustRules(t, sources...), Options{DFA: dfa.Options{MaxStates: 100}})
 	if err == nil {
 		t.Fatal("expected state-budget error")
+	}
+}
+
+// BenchmarkCompile times the whole set-up path a start or a reload pays,
+// from rule text to a validated automaton: parse, split, NFA, DFA, filter
+// program and SelfCheck, with allocations. B217p is the largest serving
+// automaton, S24 ∪ CTR24 adds counters and C8 is small.
+func BenchmarkCompile(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sets []string
+	}{
+		{"B217p", []string{"B217p"}},
+		{"S24+CTR24", []string{"S24", "CTR24"}},
+		{"C8", []string{"C8"}},
+	} {
+		var sources []string
+		for _, set := range bc.sets {
+			src, err := patterns.Sources(set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sources = append(sources, src...)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rules := make([]Rule, len(sources))
+				for j, src := range sources {
+					p, err := regexparse.ParsePCRE(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rules[j] = Rule{Pattern: p, ID: int32(j + 1)}
+				}
+				m, err := Compile(rules, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.SelfCheck(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

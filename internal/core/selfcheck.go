@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"matchfilter/internal/filter"
 )
@@ -23,11 +24,12 @@ import (
 // validation costs well under a millisecond on the sets of Table V.
 const selfCheckBytes = 64 << 10
 
-// selfCheckTrace builds the deterministic validation input: xorshift
+// selfCheckTrace returns the deterministic validation input: xorshift
 // noise covering the full byte alphabet, periodically interleaved with
 // protocol-flavoured ASCII so rule sets anchored on printable text also
-// visit their accept states.
-func selfCheckTrace() []byte {
+// visit their accept states. It is built once per process and shared, so
+// callers must not modify it.
+var selfCheckTrace = sync.OnceValue(func() []byte {
 	const overlay = "GET /index.html HTTP/1.1\r\nHost: example.com\r\nUser-Agent: selfcheck\r\n\r\n" +
 		"attack evil root admin select union passwd cmd.exe /bin/sh 0123456789 "
 	buf := make([]byte, 0, selfCheckBytes)
@@ -42,7 +44,7 @@ func selfCheckTrace() []byte {
 		buf = append(buf, overlay...)
 	}
 	return buf[:selfCheckBytes]
-}
+})
 
 // SelfCheck validates that the automaton can serve: it scans the
 // built-in trace start to finish (any panic — e.g. a corrupt transition
@@ -60,7 +62,7 @@ func (m *MFA) SelfCheck() (err error) {
 	}()
 
 	data := selfCheckTrace()
-	half := len(data) / 2
+	head, tail := data[:len(data)/2], data[len(data)/2:]
 	r := m.NewRunner()
 	var full []MatchEvent
 	collect := func(out *[]MatchEvent) MatchFunc {
@@ -68,27 +70,27 @@ func (m *MFA) SelfCheck() (err error) {
 			*out = append(*out, MatchEvent{RuleID: id, Pos: pos})
 		}
 	}
-	r.Feed(data[:half], collect(&full))
+	r.Feed(head, collect(&full))
 	state, mem, regs, ctrs := r.Context()
 	pos := r.Pos()
 	headMatches := len(full)
-	r.Feed(data[half:], collect(&full))
+	r.Feed(tail, collect(&full))
 
 	r2 := m.NewRunner()
 	if err := r2.SetContext(state, mem, regs, ctrs, pos); err != nil {
 		return fmt.Errorf("core: self-check: restoring a just-saved context: %w", err)
 	}
-	var tail []MatchEvent
-	r2.Feed(data[half:], collect(&tail))
+	var got []MatchEvent
+	r2.Feed(tail, collect(&got))
 	want := full[headMatches:]
-	if len(tail) != len(want) {
+	if len(got) != len(want) {
 		return fmt.Errorf("core: self-check: context round trip produced %d matches, want %d",
-			len(tail), len(want))
+			len(got), len(want))
 	}
 	for i := range want {
-		if tail[i] != want[i] {
+		if got[i] != want[i] {
 			return fmt.Errorf("core: self-check: context round trip diverged at match %d: got %v want %v",
-				i, tail[i], want[i])
+				i, got[i], want[i])
 		}
 	}
 

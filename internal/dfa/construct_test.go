@@ -2,6 +2,7 @@ package dfa
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,5 +116,115 @@ func BenchmarkFromNFAUndecomposed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestInternIgnoresOrder checks that a residue is keyed as a set: every
+// stored residue of a constructed automaton, reversed, or split into a
+// core part and the rest, interns to the state that holds it.
+func TestInternIgnoresOrder(t *testing.T) {
+	n := buildNFA(t, "ab.*cd", "x[^y]*z", "a.*b.*c", "^q[a-c]{2}r")
+	c := newConstructor(n, DefaultMaxStates)
+	if err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	states, checked := len(c.accepts), 0
+	for i := range states {
+		if i == 0 && c.startFull {
+			continue // never interned
+		}
+		set := slices.Clone(c.arena[c.off[i]:c.off[i+1]])
+		if len(set) < 2 {
+			continue
+		}
+		slices.Reverse(set)
+		if id, err := c.internFresh(set); err != nil || id != uint32(i) {
+			t.Fatalf("state %d reversed: got %d, %v", i, id, err)
+		}
+		c.gen++
+		for _, q := range set {
+			c.mark[q] = c.gen
+		}
+		h := len(set) / 2
+		if id, err := c.intern(set[h:], sumMix(0, set[h:]), set[:h]); err != nil || id != uint32(i) {
+			t.Fatalf("state %d split: got %d, %v", i, id, err)
+		}
+		checked++
+	}
+	if len(c.accepts) != states || checked < 10 {
+		t.Fatalf("%d states became %d; %d residues checked", states, len(c.accepts), checked)
+	}
+}
+
+// TestInternMarkDecides plants a stored residue under the hash key of a
+// different one and checks that the marks and the length, not the key,
+// decide equality: a same-length residue differing in one state and a
+// superset both get states of their own, and are found again behind the
+// planted one in their key's chain.
+func TestInternMarkDecides(t *testing.T) {
+	n := buildNFA(t, "^abcdef")
+	c := newConstructor(n, DefaultMaxStates)
+	c.findCore(c.closures[n.Start])
+	if slices.Contains(c.inCore, true) {
+		t.Fatal("want an empty core for an anchored rule")
+	}
+	a := []nfa.StateID{1, 2, 3}
+	idA, err := c.internFresh(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range [][]nfa.StateID{{1, 2, 4}, {1, 2, 3, 4}} {
+		h := sumMix(0, other)
+		if c.byHash[h] != 0 {
+			t.Fatalf("%v: key already taken", other)
+		}
+		c.byHash[h] = idA + 1
+		id, err := c.internFresh(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == idA {
+			t.Fatalf("%v interned as %v, the residue planted under its key", other, a)
+		}
+		c.byHash[h], c.chain[idA], c.chain[id] = idA+1, id+1, 0 // a's state first
+		if again, _ := c.internFresh(slices.Clone(other)); again != id {
+			t.Fatalf("%v: interned again as %d, want %d", other, again, id)
+		}
+		c.chain[idA] = 0
+	}
+	if again, _ := c.internFresh([]nfa.StateID{3, 1, 2}); again != idA || len(c.accepts) != 3 {
+		t.Fatalf("a permutation of %v interned as %d of %d states, want %d of 3", a, again, len(c.accepts), idA)
+	}
+}
+
+// TestInternStartResidue covers the start residue's own generation: when
+// the start closure holds the core (state 1's dot-star) and more, state 0
+// is interned as start \ C = {0, 3} like any other residue, and "ab"
+// leads back to it through the lookup.
+func TestInternStartResidue(t *testing.T) {
+	n := &nfa.NFA{States: []nfa.State{
+		{Eps: []nfa.StateID{1, 3}, Trans: []nfa.Transition{{Class: regexparse.SingleClass('a'), To: 2}}},
+		{Trans: []nfa.Transition{{Class: regexparse.AnyClass(), To: 1}}},
+		{Trans: []nfa.Transition{{Class: regexparse.SingleClass('b'), To: 0}}, Matches: []int{1}},
+		{Trans: []nfa.Transition{{Class: regexparse.SingleClass('c'), To: 2}}},
+	}}
+	assertSameAsReference(t, "start residue", n, DefaultMaxStates)
+	c := newConstructor(n, DefaultMaxStates)
+	if err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	start := slices.Clone(c.arena[c.off[0]:c.off[1]])
+	slices.Sort(start)
+	if c.startFull || !slices.Equal(start, []nfa.StateID{0, 3}) {
+		t.Fatalf("startFull=%v, state 0 stores %v: want the residue {0, 3}", c.startFull, start)
+	}
+	k := len(c.rep)
+	a := c.rows[c.classOf['a']]
+	if to := c.rows[int(a)*k+int(c.classOf['b'])]; a == 0 || to != 0 {
+		t.Fatalf("'a' goes to %d and 'ab' to %d, want 'ab' back at 0", a, to)
+	}
+	states := len(c.accepts)
+	if id, err := c.internFresh([]nfa.StateID{3, 0}); err != nil || id != 0 || len(c.accepts) != states {
+		t.Fatalf("start residue reversed: got %d, %d states of %d, %v", id, len(c.accepts), states, err)
 	}
 }

@@ -144,6 +144,15 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 //     Anchored-only rule sets have C = ∅ and residue = closure.
 //   - A set's successors on all classes come from one pass over its NFA
 //     transitions (spread), deduplicated by generation marks (step).
+//   - Residues are interned as unordered sets: the key is an order-free sum
+//     of per-state mixes, and a stored set equals the residue when the
+//     lengths match and each stored state carries the current generation's
+//     mark. Numbering depends only on discovery order, never on order
+//     within a residue.
+//   - The successor on k of a state that contains C holds succ(C, k) \ C,
+//     the class's core successors, which are most of a residue when C
+//     holds dot-stars. step marks them but does not copy them; intern
+//     takes them and their precomputed hash sum as a separate part.
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
@@ -159,7 +168,8 @@ type constructor struct {
 	gen     uint64          // 64 bits, so it never wraps
 
 	inCore      []bool          // membership in C
-	coreSucc    [][]nfa.StateID // per class: succ(C, k) \ C, sorted
+	coreSucc    [][]nfa.StateID // per class: succ(C, k) \ C
+	coreSum     []uint64        // per class: Σ mix over coreSucc[k]
 	coreMatches []int32         // match ids of C, sorted
 	// startFull marks state 0 as holding the whole start closure because
 	// it does not contain C. No other state can equal it, so it is never
@@ -168,11 +178,11 @@ type constructor struct {
 
 	// DFA states in discovery order, which is also exploration order.
 	// State i is C ∪ arena[off[i]:off[i+1]] (state 0 without C when
-	// startFull).
+	// startFull), its residue in the order it was discovered.
 	arena   []nfa.StateID
 	off     []uint32
 	accepts [][]int32         // per state: sorted match ids (nil if none)
-	byHash  map[uint64]uint32 // residue hash → newest state with it, +1
+	byHash  map[uint64]uint32 // residue's Σ mix → newest state with it, +1
 	chain   []uint32          // per state: older state with the same hash, +1
 	rows    []uint32          // per explored state: len(rep) targets
 }
@@ -247,15 +257,15 @@ func (c *constructor) spread(set []nfa.StateID) {
 	}
 }
 
-// step marks succ(set, k) for the set last spread, in a new generation, and
-// appends to dst its states outside C, unsorted; withCore adds succ(C, k) \ C.
-func (c *constructor) step(dst []nfa.StateID, k int, withCore bool) []nfa.StateID {
+// step marks succ(set, k) for the set last spread, in a new generation,
+// and appends to dst its states outside C and outside core, unsorted. The
+// caller passes core = succ(C, k) \ C when the set contains C, or nil; it
+// is marked first and not copied, so the residue, exactly the marked
+// states outside C, is core ∪ dst.
+func (c *constructor) step(dst []nfa.StateID, k int, core []nfa.StateID) []nfa.StateID {
 	c.gen++
-	if withCore {
-		for _, q := range c.coreSucc[k] {
-			c.mark[q] = c.gen
-			dst = append(dst, q)
-		}
+	for _, q := range core {
+		c.mark[q] = c.gen
 	}
 	for _, t := range c.raw[k] {
 		if c.mark[t] == c.gen {
@@ -275,7 +285,7 @@ func (c *constructor) step(dst []nfa.StateID, k int, withCore bool) []nfa.StateI
 }
 
 // findCore computes the invariant core from the start closure, fills
-// inCore, coreSucc and coreMatches, and returns the core's size.
+// inCore, coreSucc, coreSum and coreMatches, and returns the core's size.
 func (c *constructor) findCore(start []nfa.StateID) int {
 	// C starts as every NFA state; round one cuts it to ∩ₖ succ(start, k),
 	// later ones to C ∩ ∩ₖ succ(C, k), until one removes nothing. No round
@@ -289,7 +299,7 @@ func (c *constructor) findCore(start []nfa.StateID) int {
 		n = len(core)
 		c.spread(set)
 		for k := range c.rep {
-			buf = c.step(buf[:0], k, false)
+			buf = c.step(buf[:0], k, nil)
 			core = slices.DeleteFunc(core, func(s nfa.StateID) bool { return c.mark[s] != c.gen })
 		}
 	}
@@ -298,39 +308,60 @@ func (c *constructor) findCore(start []nfa.StateID) int {
 	}
 	c.spread(core)
 	c.coreSucc = make([][]nfa.StateID, len(c.rep))
+	c.coreSum = make([]uint64, len(c.rep))
 	for k := range c.rep {
-		c.coreSucc[k] = c.step(nil, k, false)
-		slices.Sort(c.coreSucc[k])
+		succ := c.step(nil, k, nil)
+		c.coreSucc[k], c.coreSum[k] = succ, sumMix(0, succ)
 	}
 	c.coreMatches = c.matchSet(core, nil)
 	return len(core)
 }
 
-// add appends a new DFA state with the given stored set and match ids.
-func (c *constructor) add(set []nfa.StateID, matches []int32) (uint32, error) {
+// mix is a state's term in a residue's hash, the splitmix64 finalizer: a
+// sum of mixes keys a set whatever the order of its states.
+func mix(s nfa.StateID) uint64 {
+	z := uint64(uint32(s)) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// sumMix returns h plus the mixes of set.
+func sumMix(h uint64, set []nfa.StateID) uint64 {
+	for _, s := range set {
+		h += mix(s)
+	}
+	return h
+}
+
+// add appends a new DFA state storing core then extra, with base plus
+// their match ids.
+func (c *constructor) add(base []int32, core, extra []nfa.StateID) (uint32, error) {
 	if len(c.accepts) >= c.maxStates {
 		return 0, fmt.Errorf("%w: more than %d states", ErrTooManyStates, c.maxStates)
 	}
-	c.arena = append(c.arena, set...)
+	lo := len(c.arena)
+	c.arena = append(append(c.arena, core...), extra...)
 	c.off = append(c.off, uint32(len(c.arena)))
-	c.accepts = append(c.accepts, matches)
+	c.accepts = append(c.accepts, c.matchSet(c.arena[lo:], base))
 	c.chain = append(c.chain, 0)
 	return uint32(len(c.accepts) - 1), nil
 }
 
-// intern returns the DFA state C ∪ residue, creating it if new.
-func (c *constructor) intern(residue []nfa.StateID) (uint32, error) {
-	h := uint64(len(residue))
-	for _, s := range residue {
-		h = (h ^ uint64(uint32(s))) * 0x9e3779b97f4a7c15
-		h ^= h >> 29
-	}
+// intern returns the DFA state C ∪ core ∪ extra, creating it if new. core
+// and extra are disjoint and, together, exactly the states outside C that
+// carry the current generation's mark; sum is Σ mix over core. A stored
+// residue holds distinct states outside C, so it equals this one when the
+// lengths match and all of its states are marked.
+func (c *constructor) intern(core []nfa.StateID, sum uint64, extra []nfa.StateID) (uint32, error) {
+	h := sumMix(sum, extra)
+	n := uint32(len(core) + len(extra))
 	for p := c.byHash[h]; p != 0; p = c.chain[p-1] {
-		if slices.Equal(c.arena[c.off[p-1]:c.off[p]], residue) {
+		if lo, hi := c.off[p-1], c.off[p]; hi-lo == n && c.marked(c.arena[lo:hi]) {
 			return p - 1, nil
 		}
 	}
-	id, err := c.add(residue, c.matchSet(residue, c.coreMatches))
+	id, err := c.add(c.coreMatches, core, extra)
 	if err != nil {
 		return 0, err
 	}
@@ -339,20 +370,32 @@ func (c *constructor) intern(residue []nfa.StateID) (uint32, error) {
 	return id, nil
 }
 
+// marked reports whether every state of set carries the current mark.
+func (c *constructor) marked(set []nfa.StateID) bool {
+	for _, q := range set {
+		if c.mark[q] != c.gen {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *constructor) run() error {
 	start := c.closures[c.n.Start]
 	coreSize := c.findCore(start)
 	var residue []nfa.StateID
+	c.gen++ // the start residue's own generation, which intern tests against
 	for _, s := range start {
 		if !c.inCore[s] {
+			c.mark[s] = c.gen
 			residue = append(residue, s)
 		}
 	}
 	var err error
 	if c.startFull = len(start)-len(residue) < coreSize; c.startFull {
-		_, err = c.add(start, c.matchSet(start, nil))
+		_, err = c.add(nil, nil, start)
 	} else {
-		_, err = c.intern(residue)
+		_, err = c.intern(nil, 0, residue)
 	}
 	if err != nil {
 		return err
@@ -364,9 +407,12 @@ func (c *constructor) run() error {
 		}
 		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
 		for k := range c.rep {
-			residue = c.step(residue[:0], k, cur > 0 || !c.startFull)
-			slices.Sort(residue)
-			id, err := c.intern(residue)
+			core, sum := c.coreSucc[k], c.coreSum[k]
+			if cur == 0 && c.startFull {
+				core, sum = nil, 0 // state 0 does not hold C
+			}
+			residue = c.step(residue[:0], k, core)
+			id, err := c.intern(core, sum, residue)
 			if err != nil {
 				return err
 			}

@@ -100,9 +100,12 @@ func pumpPcapStream(ctx context.Context, em *Emitter, r io.Reader) error {
 		lease = em.Lease(n)
 		return lease.Data()
 	})
+	done := ctx.Done() // ctx.Err() would take the context's lock per frame
 	for {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			return nil
+		default:
 		}
 		lease = nil
 		pkt, err := pr.Next()

@@ -308,14 +308,23 @@ func (n *NFA) EpsClosure(dst, states []StateID, seen []bool) []StateID {
 
 // Closures returns the epsilon closure of every state, indexed by state
 // and sorted. It is the one closure precompute shared by the simulation
-// engine, subset construction and the splitter's product searches.
+// engine, subset construction and the splitter's product searches. The
+// closures are capped sub-slices of one backing array.
 func (n *NFA) Closures() [][]StateID {
 	closures := make([][]StateID, len(n.States))
+	end := make([]int, len(n.States))
 	seen := make([]bool, len(n.States))
-	var buf []StateID
+	var all []StateID
+	one := []StateID{0}
 	for s := range closures {
-		buf = n.EpsClosure(buf[:0], []StateID{StateID(s)}, seen)
-		closures[s] = slices.Clone(buf)
+		one[0] = StateID(s)
+		all = n.EpsClosure(all, one, seen)
+		end[s] = len(all)
+	}
+	lo := 0
+	for s, hi := range end {
+		closures[s] = all[lo:hi:hi]
+		lo = hi
 	}
 	return closures
 }
