@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -101,7 +102,8 @@ func start(t *testing.T, args ...string) *daemon {
 }
 
 // waitFor polls cond, failing the test if the daemon exits or the wall
-// bound passes first.
+// bound passes first. It yields rather than sleeps between polls: it
+// waits on the daemon's progress, never on a timer.
 func (d *daemon) waitFor(what string, cond func() bool) {
 	d.t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
@@ -114,7 +116,7 @@ func (d *daemon) waitFor(what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			d.t.Fatalf("timed out waiting for %s\nstdout:\n%s\nstderr:\n%s", what, d.stdout.String(), d.stderr.String())
 		}
-		time.Sleep(2 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 

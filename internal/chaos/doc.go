@@ -9,9 +9,12 @@
 //     scanned or counted in exactly one drop bucket.
 //   - Liveness: the watchdog detects a stuck scan within its deadline,
 //     the stalled flow is quarantined, and sibling shards keep serving.
-//   - Recovery: flapping sources re-enter service through half-open
-//     probing, wedged shards return to healthy, and a memory burst
-//     plateaus below -max-memory instead of growing without bound.
+//   - Recovery: stalled and wedged shards return to healthy, and a
+//     memory burst plateaus below -max-memory instead of growing
+//     without bound. (A flapping source's half-open re-entry waits out
+//     a restart schedule of seconds to minutes, so it is tested on
+//     internal/input's manual clock instead:
+//     TestFlappingSourceBreakerEndToEnd.)
 //   - Hygiene: no goroutine leaks (internal/leakcheck) and no data
 //     races (the suite is meant to run under -race).
 //

@@ -233,7 +233,7 @@ func (m *MFA) DFA() *dfa.DFA { return m.engine.DFA() }
 // them.
 type Runner struct {
 	mfa  *MFA
-	dfa  *dfa.Runner
+	dfa  dfa.Runner // by value: one allocation and one pointer chase fewer
 	mem  filter.Memory
 	regs filter.Registers
 	ctrs filter.Counters
@@ -251,7 +251,7 @@ type Runner struct {
 func (m *MFA) NewRunner() *Runner {
 	return &Runner{
 		mfa:  m,
-		dfa:  m.engine.NewRunner(),
+		dfa:  *m.engine.NewRunner(),
 		mem:  m.prog.NewMemory(),
 		regs: m.prog.NewRegisters(),
 		ctrs: m.prog.NewCounters(),

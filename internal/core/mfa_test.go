@@ -440,3 +440,16 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// runnerSink keeps NewRunner's result on the heap, as a flow table does.
+var runnerSink *Runner
+
+// TestNewRunnerAllocs pins a runner's allocations on a set with neither
+// position nor counter registers: the Runner and its filter memory. The
+// DFA runner lives inside the Runner, not behind a pointer of its own.
+func TestNewRunnerAllocs(t *testing.T) {
+	m := compileMFA(t, Options{}, "ab.*cd", "x[^\n]*yz")
+	if got := testing.AllocsPerRun(100, func() { runnerSink = m.NewRunner() }); got != 2 {
+		t.Fatalf("NewRunner allocates %v times, want 2", got)
+	}
+}

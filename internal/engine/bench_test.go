@@ -7,13 +7,16 @@ package engine
 // EXPERIMENTS.md ("Shard scaling").
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"matchfilter/internal/burst"
 	"matchfilter/internal/flow"
+	"matchfilter/internal/patterns"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/telemetry"
+	"matchfilter/internal/trace"
 )
 
 // benchCapture builds a 32-flow interleaved capture and pre-decodes its
@@ -148,6 +151,57 @@ func BenchmarkShardScalingInstrumented(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkShardSmallSegments probes the shard path on small_packets'
+// shape without the benchmark harness around it: 2,048 C10 flows of
+// 8 KiB text at small_packets' word probability, cut into 96-byte
+// segments with 5 % reordering, pre-decoded and handed to a one-shard
+// engine with Metrics and Events in bursts of burst.Max, as the input pump
+// hands them over under backlog. Run it at -cpu 1,2: at GOMAXPROCS 1 the
+// dispatcher and the shard share one core, so a saving on the shard path
+// shows undiluted.
+func BenchmarkShardSmallSegments(b *testing.B) {
+	srcs, err := patterns.Sources("C10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	words, err := patterns.AllWords("C10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := buildMFA(b, srcs...)
+	payloads := make([][]byte, 2048)
+	var payload int64
+	for i := range payloads {
+		payloads[i] = trace.TextLike(8<<10, int64(1+i*7919), words, 0.002)
+		payload += int64(len(payloads[i]))
+	}
+	var capture bytes.Buffer
+	if err := pcap.Synthesize(&capture, payloads, 96, 0.05, 11); err != nil {
+		b.Fatal(err)
+	}
+	segs := decodeCapture(b, capture.Bytes())
+	items := make([]burst.Item, len(segs))
+	for i, seg := range segs {
+		items[i] = burst.Item{Seg: seg}
+	}
+	b.SetBytes(payload)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := New(Config{Shards: 1, Metrics: telemetry.NewRegistry(), Events: telemetry.NewEventRing(1024)},
+			func() flow.Runner { return m.NewRunner() }, nil)
+		for rest := items; len(rest) > 0; {
+			k := min(burst.Max, len(rest))
+			if err := e.HandleBurst(rest[:k]); err != nil {
+				b.Fatal(err)
+			}
+			rest = rest[k:]
+		}
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

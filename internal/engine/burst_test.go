@@ -260,13 +260,14 @@ func TestCloseUnblocksDispatcherMidBurst(t *testing.T) {
 	sent := make(chan error, 1)
 	go func() { sent <- e.HandleBurst(items) }()
 	waitStats(t, e, "shard 0's queue to fill", func(st Stats) bool { return st.QueueDepth == 2 })
+	waitParked(t, "burst.(*Queue).put")
 	select {
 	case err := <-sent:
 		t.Fatalf("HandleBurst returned %v with 6 segments still waiting for room", err)
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now()) // already past
 	defer cancel()
 	var sderr *ShutdownError
 	if err := e.CloseContext(ctx); !errors.As(err, &sderr) {

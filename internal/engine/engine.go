@@ -105,15 +105,13 @@ type Config struct {
 	// match handler call or inline scan the flag landed in once that
 	// returns (Stats.StallsRecovered). 0 disables the watchdog. It costs
 	// three atomic stores per window and two loads per match, no locks.
-	StallDeadline time.Duration
-	// WedgeAfter escalates a stall that is still stuck: the shard is
-	// marked wedged (and unhealthy), and dispatch sheds its traffic
-	// with accounting (Stats.WedgeDrops) instead of queueing behind a
+	// A stall still stuck at four deadlines is a wedge: the shard is
+	// marked wedged (and unhealthy), and dispatch sheds its traffic with
+	// accounting (Stats.WedgeDrops) instead of queueing behind a
 	// goroutine that may never return. If the step does eventually
 	// return, the shard recovers: the flow is quarantined and the
 	// wedged/unhealthy marks are lifted (crash budget permitting).
-	// 0 means 4×StallDeadline.
-	WedgeAfter time.Duration
+	StallDeadline time.Duration
 	// MemPressure is the degradation ladder's one signal: usage over
 	// limit from the unified memory governor (guard.Governor.Pressure).
 	// Nil leaves the ladder at the normal tier.
@@ -172,6 +170,11 @@ func (c *Config) degradedIdle() int64 {
 	return 1024
 }
 
+// clock stamps the shards' heartbeats and drives the stall watchdog that
+// reads them, so both compare readings of one clock. Only export_test.go
+// rebinds it.
+var clock = guard.Runtime
+
 // Engine fans TCP segments out to per-shard flow scanners.
 //
 // HandleFrame/HandleSegment may be called from many goroutines
@@ -180,6 +183,7 @@ func (c *Config) degradedIdle() int64 {
 // Handle calls: once Close has begun, Handle calls return ErrClosed.
 type Engine struct {
 	cfg    Config
+	clock  guard.Clock
 	shards []*shard
 	wg     sync.WaitGroup
 
@@ -262,6 +266,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	}
 	e := &Engine{
 		cfg:       cfg,
+		clock:     clock,
 		closing:   make(chan struct{}),
 		drained:   make(chan struct{}),
 		tierSince: time.Now(),
@@ -307,7 +312,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 				}
 			}
 			if onMatch != nil {
-				s.deliver(onMatch, m)
+				s.deliver(e, onMatch, m)
 			}
 		}
 		s.rebuild = func() *flow.Assembler {
@@ -328,10 +333,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		for i, s := range e.shards {
 			targets[i] = &shardTarget{e: e, s: s}
 		}
-		e.dog = guard.NewWatchdog(guard.WatchdogConfig{
-			Deadline:   cfg.StallDeadline,
-			WedgeAfter: cfg.WedgeAfter,
-		}, targets...)
+		e.dog = guard.NewWatchdog(e.clock, cfg.StallDeadline, targets...)
 	}
 	if cfg.Metrics != nil {
 		// Register before the shard goroutines start: registration also
@@ -438,7 +440,7 @@ func (e *Engine) HandleBurst(items []burst.Item) error {
 // overload policy, settling whatever the queue does not take.
 func (e *Engine) enqueue(s *shard, part []burst.Item) error {
 	if s.wedged.Load() {
-		// The shard is stuck mid-scan past WedgeAfter: queueing behind a
+		// The shard is stuck mid-scan, wedged: queueing behind a
 		// goroutine that may never return would strand these buffers (and,
 		// under backpressure, this dispatcher). Shed with accounting;
 		// sibling shards are unaffected.
@@ -645,10 +647,10 @@ type Stats struct {
 	UnhealthyDrops  int64
 
 	// Stall-watchdog state (watchdog.go). StallFires counts scan steps
-	// flagged past StallDeadline, StallWedges those still stuck past
-	// WedgeAfter; StallsRecovered counts flagged steps
+	// flagged past StallDeadline, StallWedges those still stuck at four
+	// deadlines; StallsRecovered counts flagged steps
 	// that returned and had their flow quarantined. WedgedShards is the
-	// shards currently stuck past WedgeAfter; WedgeDrops counts
+	// shards currently wedged; WedgeDrops counts
 	// segments shed at dispatch because their shard was wedged.
 	// QueuedBytes is the engine's non-leased queued payload footprint.
 	StallFires      int64

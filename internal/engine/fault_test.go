@@ -215,7 +215,10 @@ func TestCloseContextDeadline(t *testing.T) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	// A deadline already past once the shard is wedged inside Feed: the
+	// drain cannot finish, and CloseContext must not wait for it.
+	waitProcessed(t, e, 1)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
 	defer cancel()
 	start := time.Now()
 	err := e.CloseContext(ctx)
@@ -389,7 +392,8 @@ func TestBackpressureFloodLosesNothing(t *testing.T) {
 	}
 }
 
-// slowRunner scans slower than a producer sends.
+// slowRunner scans slower than a producer sends: its sleep models slow
+// work, not a wait for a timer.
 type slowRunner struct{}
 
 func (slowRunner) Feed(data []byte, onMatch func(int32, int64)) { time.Sleep(10 * time.Microsecond) }

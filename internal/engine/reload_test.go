@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +22,8 @@ import (
 )
 
 // waitProcessed blocks until the shards have consumed n segments (the
-// processed counter is exact, unlike the periodic stats snapshots).
+// processed counter is exact, unlike the periodic stats snapshots),
+// yielding between polls: it waits on shard progress, not on a timer.
 func waitProcessed(t *testing.T, e *Engine, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -35,7 +38,7 @@ func waitProcessed(t *testing.T, e *Engine, n int64) {
 		if time.Now().After(deadline) {
 			t.Fatalf("shards processed %d segments, want %d", got, n)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
@@ -234,6 +237,25 @@ func TestReloadErrors(t *testing.T) {
 	}
 }
 
+// waitParked blocks until some goroutine is parked inside fn (a function
+// name as goroutine dumps print it), yielding between looks.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, fn) && !strings.Contains(g, "[running]") && !strings.Contains(g, "[runnable]") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine parked in %s", fn)
+		}
+		runtime.Gosched()
+	}
+}
+
 // Regression: a backpressure dispatcher blocked on a full queue holds the
 // engine mutex's read side; CloseContext must still be able to proceed
 // (it unblocks the dispatcher via the closing channel before taking the
@@ -259,11 +281,11 @@ func TestCloseUnblocksBackpressure(t *testing.T) {
 		sendErr <- last
 	}()
 	waitProcessed(t, e, 1) // the shard is now inside the stalled Feed
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, "burst.(*Queue).put")
 
 	done := make(chan error, 1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now()) // already past
 		defer cancel()
 		done <- e.CloseContext(ctx)
 	}()

@@ -105,7 +105,8 @@ type shard struct {
 	// off), around the code that can stall — a match handler call (deliver),
 	// an inline scan (process) — and collects the flows to blame in stalled
 	// until the supervised call returns. wedged flips when the scan outlives
-	// WedgeAfter, making dispatch shed this shard's traffic into wedgeDrops.
+	// four deadlines, making dispatch shed this shard's traffic into
+	// wedgeDrops.
 	// stallRecovered counts flagged scans that did return.
 	hb             bool
 	hbSeq          atomic.Int64
@@ -210,7 +211,7 @@ func (s *shard) run(e *Engine) {
 func (s *shard) window(e *Engine, items []burst.Item, ls *loopState) {
 	var t0 time.Time
 	if s.hb || s.scanHist != nil || s.evClock {
-		t0 = time.Now()
+		t0 = e.clock.Now()
 		s.evNano = t0.UnixNano()
 	}
 	s.hseq, ls.payload = s.beat(s.evNano), false
@@ -223,7 +224,7 @@ func (s *shard) window(e *Engine, items []burst.Item, ls *loopState) {
 	if ls.payload && s.scanHist != nil {
 		// Only windows that fed the matcher: pure SYN/ACK/FIN bookkeeping
 		// would just pile sub-microsecond noise into the lowest bucket.
-		s.scanHist.ObserveDuration(time.Since(t0))
+		s.scanHist.ObserveDuration(e.clock.Now().Sub(t0))
 		s.flowsHist.Observe(float64(s.asm.TakeLanes()))
 	}
 	if s.hseq != 0 {
@@ -325,7 +326,7 @@ func (s *shard) process(e *Engine, seg pcap.Segment) {
 	inline := s.asm.InlineBytes()
 	s.asm.HandleSegment(seg)
 	if s.hseq != 0 && s.stalledSeq.Load() == s.hseq && s.asm.InlineBytes() != inline {
-		s.blameStall(seg.Key)
+		s.blameStall(e, seg.Key)
 	}
 }
 
@@ -379,19 +380,19 @@ func (s *shard) supervise(e *Engine, inline *pcap.FlowKey) {
 // the flow whose handler call the watchdog's flag lands in is the one that
 // stalled the window; a flag already up before the call is not this
 // flow's doing (window reports it, blaming nobody).
-func (s *shard) deliver(onMatch func(Match), m Match) {
+func (s *shard) deliver(e *Engine, onMatch func(Match), m Match) {
 	late := s.hseq == 0 || s.stalledSeq.Load() == s.hseq
 	onMatch(m)
 	if !late && s.stalledSeq.Load() == s.hseq {
-		s.blameStall(m.Flow)
+		s.blameStall(e, m.Flow)
 	}
 }
 
 // blameStall records key for quarantine when the supervised call in
 // progress returns, and gives the rest of the window a fresh beat.
-func (s *shard) blameStall(key pcap.FlowKey) {
+func (s *shard) blameStall(e *Engine, key pcap.FlowKey) {
 	s.stalled = append(s.stalled, key)
-	s.hseq = s.beat(time.Now().UnixNano())
+	s.hseq = s.beat(e.clock.Now().UnixNano())
 }
 
 // quarantine blacklists a flow and excises it from the assembler. A scan
@@ -410,7 +411,7 @@ func (s *shard) quarantine(key pcap.FlowKey) {
 // demonstrably live — unless its crash budget is already spent.
 func (s *shard) stallReturned(e *Engine) {
 	s.stallRecovered.Add(1)
-	e.lastStallRecovery.Store(time.Now().UnixNano())
+	e.lastStallRecovery.Store(e.clock.Now().UnixNano())
 	if s.wedged.Swap(false) && s.panics.Load() < crashBudget {
 		s.unhealthy.Store(false)
 	}

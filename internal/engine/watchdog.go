@@ -1,7 +1,7 @@
 // Shard-side adapter for the guard stall watchdog.
 //
 // Policy lives here, detection in internal/guard: the watchdog tells us
-// a shard's scan step has run past StallDeadline (stall) or WedgeAfter
+// a shard's scan step has run past StallDeadline (stall) or four of them
 // (wedge), and this adapter translates that into the engine's existing
 // fault vocabulary — the poison path for the flow, the unhealthy mark
 // for the shard. The division of labor with the shard goroutine is

@@ -2,10 +2,13 @@
 // within the configured deadline, the offending flow is quarantined
 // through the poison path when the step returns, and a wedged shard
 // sheds its traffic with exact accounting — all without stalling
-// sibling shards or leaking goroutines.
+// sibling shards or leaking goroutines. The stall timing runs on a
+// manual clock, stated in watchdog polls (a quarter deadline each).
 package engine
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +28,8 @@ func keyOnShard(t *testing.T, want, shards int) pcap.FlowKey {
 }
 
 // waitStats polls the engine until cond holds or the deadline passes.
+// It yields rather than sleeps between polls: what it waits for is shard
+// progress, never a timer.
 func waitStats(t *testing.T, e *Engine, what string, cond func(Stats) bool) Stats {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -34,26 +39,54 @@ func waitStats(t *testing.T, e *Engine, what string, cond func(Stats) bool) Stat
 		if cond(st) {
 			return st
 		}
-		time.Sleep(2 * time.Millisecond)
+		runtime.Gosched()
 	}
 	t.Fatalf("timed out waiting for %s; stats %+v", what, st)
 	return st
 }
 
+// The stall deadline of the clock-driven tests, and the watchdog's poll
+// period at it.
+const (
+	stallDeadline = 10 * time.Millisecond
+	poll          = stallDeadline / 4
+)
+
+// feedHook runs hook before every Feed of the runner it wraps.
+type feedHook struct {
+	flow.Runner
+	hook func()
+}
+
+func (f feedHook) Feed(data []byte, onMatch func(int32, int64)) {
+	f.hook()
+	f.Runner.Feed(data, onMatch)
+}
+
+// stallOnSignalled is faultinject.StallOn that also closes entered when a
+// runner is first fed: the shard is inside its window, its heartbeat
+// stamped, once entered is closed.
+func stallOnSignalled(token string, gate <-chan struct{}, entered chan struct{}) func() flow.Runner {
+	var once sync.Once
+	return func() flow.Runner {
+		return feedHook{faultinject.StallOn([]byte(token), gate, faultinject.Discard), func() { once.Do(func() { close(entered) }) }}
+	}
+}
+
 // TestStallWatchdogQuarantinesFlow is the acceptance scenario: a flow
-// that wedges its shard mid-scan is detected within the deadline and
-// quarantined when the scan returns, while a sibling shard keeps
-// scanning throughout, and the accounting identity holds.
+// that wedges its shard mid-scan is detected on the poll that finds it a
+// deadline old and quarantined when the scan returns, while a sibling
+// shard keeps scanning throughout, and the accounting identity holds.
 func TestStallWatchdogQuarantinesFlow(t *testing.T) {
 	leakcheck.Check(t)
+	clk := useManualClock(t)
 	const token = "\x00WEDGE\x00"
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{})
 	e := New(Config{
 		Shards: 2, QueueDepth: 64,
-		StallDeadline: 10 * time.Millisecond,
-		WedgeAfter:    time.Hour, // stall only; wedging is the next test
+		StallDeadline: stallDeadline,
 		SoftWatermark: 1.1, HardWatermark: 1.2,
-	}, func() flow.Runner { return faultinject.StallOn([]byte(token), gate, faultinject.Discard) }, nil)
+	}, stallOnSignalled(token, gate, entered), nil)
 	defer e.Close()
 
 	stallKey := keyOnShard(t, 0, 2)
@@ -65,10 +98,18 @@ func TestStallWatchdogQuarantinesFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent++
+	<-entered
 
-	// The watchdog must flag the stuck step within the deadline (plus
-	// polling slack) — while the step is still stuck.
-	waitStats(t, e, "watchdog fire", func(st Stats) bool { return st.StallFires >= 1 })
+	// The watchdog flags the stuck step on its fourth poll, a deadline
+	// in, and not before — while the step is still stuck.
+	clk.Ticks(t, poll, 3)
+	if st := e.Stats(); st.StallFires != 0 {
+		t.Fatalf("StallFires = %d three polls into a four-poll deadline", st.StallFires)
+	}
+	clk.Ticks(t, poll, 1)
+	if st := e.Stats(); st.StallFires != 1 {
+		t.Fatalf("StallFires = %d on the deadline's poll, want 1", st.StallFires)
+	}
 
 	// The sibling shard keeps scanning while shard 0 is stuck. (The
 	// published Stats snapshot lags by up to statsEvery segments, so
@@ -123,20 +164,20 @@ func TestStallWatchdogQuarantinesFlow(t *testing.T) {
 	}
 }
 
-// TestWedgeEscalationShedsAndRecovers: a stall that outlives WedgeAfter
-// benches the shard — dispatch sheds its traffic with accounting instead
-// of blocking — and the shard re-enters service when the stuck step
-// finally returns.
+// TestWedgeEscalationShedsAndRecovers: a stall still stuck at four
+// deadlines benches the shard — dispatch sheds its traffic with
+// accounting instead of blocking — and the shard re-enters service when
+// the stuck step finally returns.
 func TestWedgeEscalationShedsAndRecovers(t *testing.T) {
 	leakcheck.Check(t)
+	clk := useManualClock(t)
 	const token = "\x00WEDGE\x00"
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{})
 	e := New(Config{
 		Shards: 1, QueueDepth: 64,
-		StallDeadline: 5 * time.Millisecond,
-		WedgeAfter:    20 * time.Millisecond,
+		StallDeadline: stallDeadline,
 		SoftWatermark: 1.1, HardWatermark: 1.2,
-	}, func() flow.Runner { return faultinject.StallOn([]byte(token), gate, faultinject.Discard) }, nil)
+	}, stallOnSignalled(token, gate, entered), nil)
 	defer e.Close()
 
 	wedgeKey := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
@@ -145,11 +186,17 @@ func TestWedgeEscalationShedsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent++
+	<-entered
 
-	// Escalation: the shard is benched and counts as unhealthy.
-	waitStats(t, e, "wedge", func(st Stats) bool { return st.WedgedShards == 1 })
-	if st := e.Stats(); st.UnhealthyShards != 1 {
-		t.Fatalf("wedged shard not counted unhealthy: %+v", st)
+	// Escalation, on the poll that finds the step four deadlines old: the
+	// shard is benched and counts as unhealthy.
+	clk.Ticks(t, poll, 15)
+	if st := e.Stats(); st.WedgedShards != 0 || st.StallFires != 1 {
+		t.Fatalf("a poll short of four deadlines: WedgedShards %d, StallFires %d; want 0, 1", st.WedgedShards, st.StallFires)
+	}
+	clk.Ticks(t, poll, 1)
+	if st := e.Stats(); st.WedgedShards != 1 || st.UnhealthyShards != 1 {
+		t.Fatalf("at four deadlines: WedgedShards %d, UnhealthyShards %d; want 1, 1", st.WedgedShards, st.UnhealthyShards)
 	}
 
 	// Dispatch now sheds instead of blocking behind the stuck goroutine
@@ -223,7 +270,6 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 // whose segment happened to trigger a full batch's flush, and not nobody
 // when the handler stalls in the window's final flush.
 func TestStallBlamesTheSlowHandler(t *testing.T) {
-	const deadline = 10 * time.Millisecond
 	m := buildMFA(t, "xmrig")
 	key := func(i int) pcap.FlowKey {
 		return pcap.FlowKey{SrcIP: 0x0a000001 + uint32(i), DstIP: 0xc0a80101, SrcPort: 20000, DstPort: 80}
@@ -237,20 +283,24 @@ func TestStallBlamesTheSlowHandler(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakcheck.Check(t)
+			clk := useManualClock(t)
 			h := newHeldWindow()
 			slow := key(3)
 			got := map[pcap.FlowKey]int{}
 			var slept atomic.Bool
+			slowIn, slowOut := make(chan struct{}), make(chan struct{})
 			e := New(Config{
 				Shards: 1, QueueDepth: 64,
-				StallDeadline: deadline,
-				WedgeAfter:    time.Hour,
+				StallDeadline: stallDeadline,
 			}, func() flow.Runner { return m.NewRunner() },
 				func(mt Match) {
 					h.hold(mt)
 					got[mt.Flow]++
 					if mt.Flow == slow {
-						time.Sleep(8 * deadline)
+						// Slow work: the handler runs until the test has
+						// driven a deadline of watchdog polls past it.
+						close(slowIn)
+						<-slowOut
 						slept.Store(true)
 					}
 				})
@@ -260,6 +310,9 @@ func TestStallBlamesTheSlowHandler(t *testing.T) {
 				segs = append(segs, pcap.Segment{Key: key(i), Seq: 1, Flags: pcap.FlagACK, Payload: []byte("..xmrig..")})
 			}
 			h.run(t, e, "xmrig", segs)
+			<-slowIn
+			clk.Ticks(t, poll, 4) // the last poll flags the handler
+			close(slowOut)
 			// Once the handler has returned, the flow is quarantined before
 			// the shard steps another segment: this one is dropped.
 			waitStats(t, e, "the slow handler", func(Stats) bool { return slept.Load() })
@@ -273,10 +326,10 @@ func TestStallBlamesTheSlowHandler(t *testing.T) {
 			if _, ok := e.shards[0].quarantined[slow]; !ok || st.StallsRecovered < 1 {
 				t.Errorf("slow flow not quarantined (StallsRecovered %d): %v", st.StallsRecovered, e.shards[0].quarantined)
 			}
-			// The parking flow may itself be flagged if the test goroutine
-			// is slow to release it; every other flow is innocent.
+			// The clock stands still while the parking flow waits, so it
+			// is as innocent as every other flow.
 			for k := range e.shards[0].quarantined {
-				if k != slow && k != h.key {
+				if k != slow {
 					t.Errorf("innocent flow %v quarantined", k)
 				}
 			}

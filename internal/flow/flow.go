@@ -158,7 +158,8 @@ type flowCtx struct {
 	started  bool
 	lastSeen int64 // assembler clock at the flow's latest segment
 	elem     *list.Element
-	// pending holds out-of-order segments keyed by sequence number.
+	// pending holds out-of-order segments keyed by sequence number; nil
+	// until the first one, so an in-order flow allocates no map.
 	pending map[uint32][]byte
 	order   []uint32 // insertion order, for bounded eviction
 	// pendingBytes is the payload total held in pending, maintained so
@@ -306,13 +307,12 @@ func (a *Assembler) HandleSegment(seg pcap.Segment) {
 			a.evictOldest()
 		}
 		ctx = &flowCtx{
-			key:     seg.Key,
-			tag:     seg.Key,
-			ten:     ts,
-			runner:  a.getRunner(ts),
-			gen:     ts.cur,
-			cb:      a.matchCB(seg.Key),
-			pending: make(map[uint32][]byte),
+			key:    seg.Key,
+			tag:    seg.Key,
+			ten:    ts,
+			runner: a.getRunner(ts),
+			gen:    ts.cur,
+			cb:     a.matchCB(seg.Key),
 		}
 		ctx.elem = a.lru.PushFront(ctx)
 		a.flows[seg.Key] = ctx
@@ -416,7 +416,7 @@ func (a *Assembler) restartFlow(ctx *flowCtx) {
 		a.gPending.add(-int64(len(ctx.pending)))
 		a.gBytes.add(-ctx.pendingBytes)
 		ctx.ten.gBytes.add(-ctx.pendingBytes)
-		ctx.pending = make(map[uint32][]byte)
+		ctx.pending = nil
 		ctx.order = ctx.order[:0]
 		ctx.pendingBytes = 0
 	}
@@ -549,6 +549,9 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 			a.removePending(ctx, oldest)
 			a.st.DroppedSegs++
 		}
+		if ctx.pending == nil {
+			ctx.pending = make(map[uint32][]byte)
+		}
 		if _, dup := ctx.pending[seq]; !dup {
 			buf := make([]byte, len(payload))
 			copy(buf, payload)
@@ -570,7 +573,7 @@ func (a *Assembler) deliver(key pcap.FlowKey, ctx *flowCtx, seq uint32, payload 
 		a.feed(key, ctx, payload[skip:])
 	}
 	// Drain any buffered segments that are now in order.
-	for {
+	for len(ctx.pending) > 0 {
 		p, ok := ctx.pending[ctx.nextSeq]
 		if !ok {
 			return

@@ -282,3 +282,42 @@ func TestScanPcapEndToEnd(t *testing.T) {
 		t.Fatalf("matches: evil=%d benign=%d (%v)", evil, benign, matches)
 	}
 }
+
+// TestInOrderFlowAllocatesNoPendingMap: a flow whose data arrives in
+// order allocates no out-of-order map — three allocations a flow, where
+// an eager map made four; the map appears with the first segment that
+// arrives early, and a restart on the same 4-tuple drops it.
+func TestInOrderFlowAllocatesNoPendingMap(t *testing.T) {
+	m := buildMFA(t, "needle")
+	a := NewAssembler(Config{}, func() Runner { return m.NewRunner() }, nil)
+	payload := []byte("some in-order text with no match in it")
+	var n uint32
+	segs := func(k pcap.FlowKey) {
+		a.HandleSegment(pcap.Segment{Key: k, Seq: 0, Flags: pcap.FlagSYN})
+		for i := 0; i < 4; i++ {
+			a.HandleSegment(pcap.Segment{Key: k, Seq: 1 + uint32(i*len(payload)), Flags: pcap.FlagACK, Payload: payload})
+		}
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		n++
+		k := pcap.FlowKey{SrcIP: n, DstIP: 2, SrcPort: 3, DstPort: 4}
+		segs(k)
+		a.HandleSegment(pcap.Segment{Key: k, Seq: 1 + uint32(4*len(payload)), Flags: pcap.FlagFIN})
+	}); got != 3 {
+		t.Fatalf("a new in-order flow allocates %v times, want 3", got)
+	}
+
+	k := pcap.FlowKey{SrcIP: 1 << 30, DstIP: 2, SrcPort: 3, DstPort: 4}
+	segs(k)
+	if a.flows[k].pending != nil {
+		t.Fatal("in-order data allocated the out-of-order map")
+	}
+	a.HandleSegment(pcap.Segment{Key: k, Seq: 1 << 20, Flags: pcap.FlagACK, Payload: payload})
+	if len(a.flows[k].pending) != 1 {
+		t.Fatal("an early segment was not buffered")
+	}
+	a.HandleSegment(pcap.Segment{Key: k, Seq: 0, Flags: pcap.FlagSYN}) // 4-tuple reuse
+	if ctx := a.flows[k]; ctx.pending != nil || ctx.pendingBytes != 0 {
+		t.Fatalf("a restart kept the previous connection's map: %v", ctx.pending)
+	}
+}

@@ -44,56 +44,26 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes one breaker.
-type BreakerConfig struct {
-	// FailureBudget is how many failures the closed state tolerates
-	// before opening. 0 means 8.
-	FailureBudget int
-	// BackoffBase is the wait after the first closed-state failure; each
-	// further one doubles it up to BackoffMax. 0 means 100ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// OpenBase is the first open interval; each consecutive open
-	// doubles it up to OpenMax. 0 means 10s (OpenBase) / 2m (OpenMax).
-	OpenBase time.Duration
-	OpenMax  time.Duration
-	// HealthyAfter is how long a run must last for the failure budget
-	// to refill and the backoff to rewind — a source that served for
-	// minutes and then hiccuped is not crash-looping. 0 means 30s.
-	HealthyAfter time.Duration
-}
-
-func (c *BreakerConfig) setDefaults() {
-	if c.FailureBudget <= 0 {
-		c.FailureBudget = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.OpenBase <= 0 {
-		c.OpenBase = 10 * time.Second
-	}
-	if c.OpenMax <= 0 {
-		c.OpenMax = 2 * time.Minute
-	}
-	if c.OpenMax < c.OpenBase {
-		c.OpenMax = c.OpenBase
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = 30 * time.Second
-	}
-}
+// The restart policy, one for every source. FailureBudget failures in a
+// row open the breaker; the closed-state backoff starts at backoffBase
+// and doubles up to backoffMax; the open interval starts at openBase and
+// doubles up to openMax. A run that lasts HealthyAfter refills the budget
+// and rewinds both: a source that served for minutes and then hiccuped is
+// not crash-looping.
+const (
+	FailureBudget = 8
+	backoffBase   = 100 * time.Millisecond
+	backoffMax    = 5 * time.Second
+	openBase      = 10 * time.Second
+	openMax       = 2 * time.Minute
+	HealthyAfter  = 30 * time.Second
+)
 
 // Breaker is one circuit. The state field is atomic so observers
 // (metrics callbacks, /statsz) read it without taking the mutex the
 // transition logic uses; Healthy may fire from a timer goroutine while
 // Failure runs on the supervisor goroutine.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu       sync.Mutex
 	failures int
 	backoff  time.Duration // next closed-state wait
@@ -106,13 +76,7 @@ type Breaker struct {
 }
 
 // NewBreaker creates a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg.setDefaults()
-	return &Breaker{cfg: cfg, backoff: cfg.BackoffBase, interval: cfg.OpenBase}
-}
-
-// Config reports the breaker's configuration, defaults applied.
-func (b *Breaker) Config() BreakerConfig { return b.cfg }
+func NewBreaker() *Breaker { return &Breaker{backoff: backoffBase, interval: openBase} }
 
 // State reports the current circuit state.
 func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
@@ -134,20 +98,20 @@ func (b *Breaker) Resets() int64 { return b.resets.Load() }
 func (b *Breaker) Failure(ranFor time.Duration) (state BreakerState, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if ranFor >= b.cfg.HealthyAfter {
+	if ranFor >= HealthyAfter {
 		b.resetLocked()
 	}
 	b.failures++
-	if BreakerState(b.state.Load()) == BreakerHalfOpen || b.failures > b.cfg.FailureBudget {
+	if BreakerState(b.state.Load()) == BreakerHalfOpen || b.failures > FailureBudget {
 		wait = b.interval
-		b.interval = min(2*b.interval, b.cfg.OpenMax)
-		b.backoff = b.cfg.BackoffBase // the probe's own failures start over
+		b.interval = min(2*b.interval, openMax)
+		b.backoff = backoffBase // the probe's own failures start over
 		b.state.Store(int32(BreakerOpen))
 		b.opens.Add(1)
 		return BreakerOpen, wait
 	}
 	wait = b.backoff
-	b.backoff = min(2*b.backoff, b.cfg.BackoffMax)
+	b.backoff = min(2*b.backoff, backoffMax)
 	return BreakerClosed, wait
 }
 
@@ -178,6 +142,6 @@ func (b *Breaker) resetLocked() {
 	}
 	b.state.Store(int32(BreakerClosed))
 	b.failures = 0
-	b.backoff = b.cfg.BackoffBase
-	b.interval = b.cfg.OpenBase
+	b.backoff = backoffBase
+	b.interval = openBase
 }

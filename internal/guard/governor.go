@@ -124,23 +124,24 @@ func (g *Governor) overPause() bool {
 }
 
 // Admit blocks while usage sits above the pause threshold, re-checking
-// every admitPoll, and returns when the producer may lease again. It
-// returns ctx.Err() if the context ends first — the producer is shutting
-// down and should stop producing rather than wait out the pressure.
-func (g *Governor) Admit(ctx context.Context) error {
+// every admitPoll of clock, and returns when the producer may lease
+// again. It returns ctx.Err() if the context ends first — the producer is
+// shutting down and should stop producing rather than wait out the
+// pressure.
+func (g *Governor) Admit(ctx context.Context, clock Clock) error {
 	if g == nil || !g.overPause() {
 		return nil
 	}
 	g.pauses.Add(1)
-	t0 := time.Now()
-	defer func() { g.pausedNanos.Add(int64(time.Since(t0))) }()
-	tick := time.NewTicker(admitPoll)
-	defer tick.Stop()
+	t0 := clock.Now()
+	defer func() { g.pausedNanos.Add(int64(clock.Now().Sub(t0))) }()
 	for {
+		tick, stop := After(clock, admitPoll)
 		select {
 		case <-ctx.Done():
+			stop()
 			return ctx.Err()
-		case <-tick.C:
+		case <-tick:
 			if !g.overPause() {
 				return nil
 			}

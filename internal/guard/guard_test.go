@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"matchfilter/internal/clocktest"
 	"matchfilter/internal/telemetry"
 )
 
@@ -34,31 +35,44 @@ func (f *fakeTarget) begin(at time.Time) int64 {
 
 func (f *fakeTarget) finish() { f.start.Store(0) }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
+// The watchdog's poll period at the deadlines below: a quarter deadline.
+const (
+	deadline = 10 * time.Millisecond
+	tick     = deadline / 4
+)
 
+// TestWatchdogFiresOncePerStuckStep: a stuck step stalls on the poll
+// that finds it a deadline old (the fourth tick), wedges on the one that
+// finds it wedgeAfter deadlines old (the sixteenth), and neither callback
+// repeats for the same step.
 func TestWatchdogFiresOncePerStuckStep(t *testing.T) {
+	clk := clocktest.New()
 	ft := &fakeTarget{}
-	w := NewWatchdog(WatchdogConfig{Deadline: 10 * time.Millisecond, WedgeAfter: 40 * time.Millisecond}, ft)
+	w := NewWatchdog(clk, deadline, ft)
 	defer w.Stop()
 
-	seq := ft.begin(time.Now())
-	waitFor(t, "stall fire", func() bool { return ft.stalls.Load() == 1 })
+	seq := ft.begin(clk.Now())
+	clk.Ticks(t, tick, 3)
+	if n := ft.stalls.Load(); n != 0 {
+		t.Fatalf("stall fired %d times three ticks into a four-tick deadline", n)
+	}
+	clk.Ticks(t, tick, 1)
+	if n := ft.stalls.Load(); n != 1 {
+		t.Fatalf("stalls = %d on the deadline's tick, want 1", n)
+	}
 	if got := ft.lastStall.Load(); got != seq {
 		t.Fatalf("Stall(seq) = %d, want %d", got, seq)
 	}
-	waitFor(t, "wedge fire", func() bool { return ft.wedges.Load() == 1 })
+	clk.Ticks(t, tick, 4*wedgeAfter-5)
+	if n := ft.wedges.Load(); n != 0 {
+		t.Fatalf("wedge fired a tick before %d deadlines", wedgeAfter)
+	}
+	clk.Ticks(t, tick, 1)
+	if n := ft.wedges.Load(); n != 1 {
+		t.Fatalf("wedges = %d at %d deadlines, want 1", n, wedgeAfter)
+	}
 	// Stays stuck: neither callback fires again for the same step.
-	time.Sleep(60 * time.Millisecond)
+	clk.Ticks(t, tick, 24)
 	if s, wd := ft.stalls.Load(), ft.wedges.Load(); s != 1 || wd != 1 {
 		t.Fatalf("repeated callbacks for one step: stalls=%d wedges=%d", s, wd)
 	}
@@ -67,42 +81,74 @@ func TestWatchdogFiresOncePerStuckStep(t *testing.T) {
 	}
 
 	// A new step resets the per-step flags and can stall again.
-	ft.begin(time.Now())
-	waitFor(t, "second stall fire", func() bool { return ft.stalls.Load() == 2 })
+	ft.begin(clk.Now())
+	clk.Ticks(t, tick, 4)
+	if n := ft.stalls.Load(); n != 2 {
+		t.Fatalf("stalls = %d after a second stuck step, want 2", n)
+	}
 }
 
-func TestWatchdogIgnoresIdleAndFastSteps(t *testing.T) {
+// TestWedgeAfterFourDeadlines pins the escalation threshold: a step is
+// wedged at four stall deadlines, not three or five.
+func TestWedgeAfterFourDeadlines(t *testing.T) {
+	if wedgeAfter != 4 {
+		t.Fatalf("wedgeAfter = %d deadlines, want 4", wedgeAfter)
+	}
+	clk := clocktest.New()
 	ft := &fakeTarget{}
-	w := NewWatchdog(WatchdogConfig{Deadline: 25 * time.Millisecond}, ft)
+	w := NewWatchdog(clk, deadline, ft)
+	defer w.Stop()
+	ft.begin(clk.Now())
+	clk.Ticks(t, tick, 15)
+	if ft.wedges.Load() != 0 {
+		t.Fatal("wedged a tick before four deadlines")
+	}
+	clk.Ticks(t, tick, 1)
+	if ft.wedges.Load() != 1 {
+		t.Fatal("not wedged at four deadlines")
+	}
+}
+
+// TestWatchdogIgnoresIdleAndFastSteps: steps that each last one tick,
+// and an idle stretch of several deadlines, never stall.
+func TestWatchdogIgnoresIdleAndFastSteps(t *testing.T) {
+	clk := clocktest.New()
+	ft := &fakeTarget{}
+	w := NewWatchdog(clk, deadline, ft)
 	defer w.Stop()
 
-	// Fast steps: begin/finish well under the deadline, repeatedly.
 	for i := 0; i < 20; i++ {
-		ft.begin(time.Now())
-		time.Sleep(time.Millisecond)
+		ft.begin(clk.Now())
+		clk.Ticks(t, tick, 1)
 		ft.finish()
 	}
-	// Idle for several deadlines.
-	time.Sleep(80 * time.Millisecond)
+	clk.Ticks(t, tick, 32) // idle for eight deadlines
 	if s := ft.stalls.Load(); s != 0 {
 		t.Fatalf("false positive: %d stalls on fast/idle target", s)
 	}
 }
 
 func TestWatchdogStopIsIdempotent(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Deadline: time.Millisecond}, &fakeTarget{})
+	w := NewWatchdog(Runtime, time.Millisecond, &fakeTarget{})
 	w.Stop()
 	w.Stop()
 }
 
+// TestGovernorAdmitBlocksOverThreshold: over the threshold Admit holds
+// through every re-check that still finds usage high, and returns on the
+// first that does not; the pause is as long as those re-checks.
 func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
+	if admitPoll != 2*time.Millisecond {
+		t.Fatalf("admitPoll = %v, want 2ms", admitPoll)
+	}
+	clk := clocktest.New()
 	var usage atomic.Int64
 	g := NewGovernor(1000, nil)
 	g.Register("test", usage.Load)
 
 	// Under threshold: Admit returns immediately.
 	usage.Store(400)
-	if err := g.Admit(context.Background()); err != nil {
+	if err := g.Admit(context.Background(), clk); err != nil {
 		t.Fatalf("Admit under threshold: %v", err)
 	}
 	if got := g.Stats().Pauses; got != 0 {
@@ -112,28 +158,26 @@ func TestGovernorAdmitBlocksOverThreshold(t *testing.T) {
 	// Over threshold: Admit blocks until usage falls.
 	usage.Store(950)
 	released := make(chan error, 1)
-	go func() { released <- g.Admit(context.Background()) }()
+	go func() { released <- g.Admit(context.Background(), clk) }()
+	clk.Ticks(t, admitPoll, 1) // the first re-check still finds it high: re-armed
 	select {
 	case <-released:
 		t.Fatal("Admit returned while over threshold")
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 	usage.Store(100)
-	select {
-	case err := <-released:
-		if err != nil {
-			t.Fatalf("Admit after pressure relief: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Admit did not return after pressure relief")
+	clk.Step(t, admitPoll)
+	if err := <-released; err != nil {
+		t.Fatalf("Admit after pressure relief: %v", err)
 	}
 	st := g.Stats()
-	if st.Pauses != 1 || st.PausedNanos <= 0 {
-		t.Fatalf("stats after pause: pauses=%d pausedNanos=%d", st.Pauses, st.PausedNanos)
+	if st.Pauses != 1 || st.PausedNanos != int64(2*admitPoll) {
+		t.Fatalf("stats after pause: pauses=%d pausedNanos=%d, want 1 and two re-checks", st.Pauses, st.PausedNanos)
 	}
 }
 
 func TestGovernorAdmitHonoursContext(t *testing.T) {
+	clk := clocktest.New()
 	var usage atomic.Int64
 	usage.Store(999)
 	g := NewGovernor(1000, nil)
@@ -141,22 +185,17 @@ func TestGovernorAdmitHonoursContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	released := make(chan error, 1)
-	go func() { released <- g.Admit(ctx) }()
-	time.Sleep(5 * time.Millisecond)
+	go func() { released <- g.Admit(ctx, clk) }()
+	clk.Await(t, admitPoll) // blocked at the gate
 	cancel()
-	select {
-	case err := <-released:
-		if err != context.Canceled {
-			t.Fatalf("Admit on cancel = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Admit ignored context cancellation")
+	if err := <-released; err != context.Canceled {
+		t.Fatalf("Admit on cancel = %v, want context.Canceled", err)
 	}
 }
 
 func TestGovernorNilIsNoOp(t *testing.T) {
 	var g *Governor
-	if err := g.Admit(context.Background()); err != nil {
+	if err := g.Admit(context.Background(), Runtime); err != nil {
 		t.Fatalf("nil Admit: %v", err)
 	}
 	if g.Pressure() != 0 || g.Usage() != 0 || g.Limit() != 0 {
@@ -244,46 +283,42 @@ func TestGovernorStatsAndMetrics(t *testing.T) {
 	}
 }
 
+// TestBreakerLifecycle walks the restart policy's constants: eight
+// failures in a row are tolerated behind a backoff of 100ms doubling to
+// 5s, the ninth opens the breaker for 10s, and each failed probe doubles
+// the open interval up to 2m. Moving any constant one step fails it.
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{
-		FailureBudget: 2,
-		BackoffBase:   time.Millisecond,
-		OpenBase:      10 * time.Millisecond,
-		OpenMax:       25 * time.Millisecond,
-		HealthyAfter:  time.Hour,
-	})
+	b := NewBreaker()
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state = %v", b.State())
 	}
-
-	// Budget tolerates FailureBudget failures, each behind a doubling
-	// backoff, then opens.
-	for i := 0; i < 2; i++ {
-		if st, wait := b.Failure(0); st != BreakerClosed || wait != time.Millisecond<<i {
-			t.Fatalf("failure %d: state=%v wait=%v", i, st, wait)
+	ms := time.Millisecond
+	for i, want := range []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5 * time.Second, 5 * time.Second} {
+		if st, wait := b.Failure(0); st != BreakerClosed || wait != want {
+			t.Fatalf("failure %d: state=%v wait=%v, want closed and %v", i+1, st, wait, want)
 		}
 	}
 	st, wait := b.Failure(0)
-	if st != BreakerOpen || wait != 10*time.Millisecond {
-		t.Fatalf("open transition: state=%v wait=%v", st, wait)
+	if st != BreakerOpen || wait != 10*time.Second {
+		t.Fatalf("failure %d: state=%v wait=%v, want open for 10s", FailureBudget+1, st, wait)
 	}
 	if b.Opens() != 1 {
 		t.Fatalf("opens = %d, want 1", b.Opens())
 	}
 
-	// Probe → half-open; a half-open failure re-opens with doubled wait.
-	b.Probe()
-	if b.State() != BreakerHalfOpen || b.Probes() != 1 {
-		t.Fatalf("after probe: state=%v probes=%d", b.State(), b.Probes())
+	// Probe → half-open; a half-open failure re-opens with doubled wait,
+	// capped at 2m.
+	for _, want := range []time.Duration{20 * time.Second, 40 * time.Second, 80 * time.Second, 2 * time.Minute, 2 * time.Minute} {
+		b.Probe()
+		if b.State() != BreakerHalfOpen {
+			t.Fatalf("after probe: state=%v", b.State())
+		}
+		if st, wait = b.Failure(0); st != BreakerOpen || wait != want {
+			t.Fatalf("half-open failure: state=%v wait=%v, want open for %v", st, wait, want)
+		}
 	}
-	st, wait = b.Failure(0)
-	if st != BreakerOpen || wait != 20*time.Millisecond {
-		t.Fatalf("half-open failure: state=%v wait=%v", st, wait)
-	}
-	// Next open interval is capped at OpenMax.
-	b.Probe()
-	if _, wait = b.Failure(0); wait != 25*time.Millisecond {
-		t.Fatalf("capped wait = %v, want 25ms", wait)
+	if b.Probes() != 5 {
+		t.Fatalf("probes = %d, want 5", b.Probes())
 	}
 
 	// A successful probe closes the breaker and refills the budget.
@@ -292,34 +327,41 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatalf("after success: state=%v", b.State())
 	}
-	if st, wait := b.Failure(0); st != BreakerClosed || wait != time.Millisecond {
+	if st, wait := b.Failure(0); st != BreakerClosed || wait != 100*ms {
 		t.Fatalf("budget not refilled or backoff not rewound: state=%v wait=%v", st, wait)
 	}
-	// And the open interval restarts from OpenBase.
-	b.Failure(0)
-	if st, wait := b.Failure(0); st != BreakerOpen || wait != 10*time.Millisecond {
+	// And the open interval restarts from 10s.
+	for i := 1; i < FailureBudget; i++ {
+		b.Failure(0)
+	}
+	if st, wait := b.Failure(0); st != BreakerOpen || wait != 10*time.Second {
 		t.Fatalf("interval not reset: state=%v wait=%v", st, wait)
 	}
 }
 
+// TestBreakerHealthyRunRefillsBudget: a failing run that lasted 30s
+// refills the budget first; one that lasted a nanosecond less does not.
 func TestBreakerHealthyRunRefillsBudget(t *testing.T) {
-	b := NewBreaker(BreakerConfig{
-		FailureBudget: 1,
-		OpenBase:      10 * time.Millisecond,
-		HealthyAfter:  50 * time.Millisecond,
-	})
-	// Spend the budget with crash-loop failures.
-	b.Failure(0)
-	// A failure after a long healthy run refills first: it counts as
-	// failure #1 against a fresh budget, so the breaker stays closed.
-	if st, _ := b.Failure(time.Second); st != BreakerClosed {
-		t.Fatalf("state after healthy-run failure = %v, want closed", st)
+	b := NewBreaker()
+	for i := 0; i < FailureBudget; i++ {
+		b.Failure(0) // the budget spent with crash-loop failures
 	}
-	if b.Resets() == 0 {
-		t.Fatal("healthy run did not count as a reset")
+	if st, _ := b.Failure(30*time.Second - 1); st != BreakerOpen || b.Resets() != 0 {
+		t.Fatalf("a run 1ns short of 30s refilled the budget: state %v, resets %d", st, b.Resets())
+	}
+	b.Probe()
+	// A failure after a healthy run refills first: it counts as failure
+	// #1 against a fresh budget, so the breaker closes.
+	if st, wait := b.Failure(30 * time.Second); st != BreakerClosed || wait != 100*time.Millisecond {
+		t.Fatalf("after a 30s run: state %v wait %v, want closed and 100ms", st, wait)
+	}
+	if b.Resets() != 1 {
+		t.Fatalf("resets = %d, want 1", b.Resets())
 	}
 	// Healthy() (the mid-run timer path) also refills.
-	b.Failure(0) // budget spent again (failures=2 > 1 would open — check)
+	for i := 1; i < FailureBudget; i++ {
+		b.Failure(0)
+	}
 	b.Healthy()
 	if st, _ := b.Failure(0); st != BreakerClosed {
 		t.Fatalf("state after Healthy+failure = %v, want closed", st)

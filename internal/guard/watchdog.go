@@ -5,16 +5,17 @@
 // backs up and the backpressure reaches producers. The watchdog makes
 // the stall itself observable: each monitored target publishes a
 // heartbeat of two atomics (a monotonically increasing step sequence
-// and the wall-clock start of the step in progress, zero when idle),
-// and one goroutine polls every heartbeat against two thresholds:
+// and the start of the step in progress on the watchdog's Clock, zero
+// when idle), and one goroutine polls every heartbeat against two
+// thresholds:
 //
-//	Deadline    the step is a *stall*: Stall(seq) fires once. The
+//	deadline    the step is a *stall*: Stall(seq) fires once. The
 //	            target is expected to remember the flagged sequence and
 //	            quarantine the offending work when the step returns.
-//	WedgeAfter  the step is still stuck: Wedge(seq) fires once. The
-//	            target is expected to fail over — mark itself unhealthy,
-//	            shed its traffic with accounting — because the step may
-//	            never return.
+//	4×deadline  the step is still stuck (wedgeAfter deadlines in):
+//	            Wedge(seq) fires once. The target is expected to fail over
+//	            — mark itself unhealthy, shed its traffic with accounting —
+//	            because the step may never return.
 //
 // The protocol is race-clean without locks: the writer's order is
 // start=0 (step done), seq=n+1, start=now (step begins), so a reader
@@ -32,30 +33,20 @@ import (
 // Target is one monitored worker.
 type Target interface {
 	// Beat reports the worker's heartbeat: the sequence number of the
-	// step in progress and its start time in Unix nanoseconds. A zero
-	// start means the worker is idle between steps.
+	// step in progress and its start time in Unix nanoseconds, read from
+	// the watchdog's Clock. A zero start means the worker is idle
+	// between steps.
 	Beat() (seq, startNano int64)
 	// Stall is called at most once per stuck step, when the step has
-	// run past Deadline. seq identifies the step.
+	// run past the deadline. seq identifies the step.
 	Stall(seq int64)
 	// Wedge is called at most once per stuck step, when the step has
-	// run past WedgeAfter and the worker must be presumed lost.
+	// run past wedgeAfter deadlines and the worker must be presumed lost.
 	Wedge(seq int64)
 }
 
-// WatchdogConfig tunes the detector.
-type WatchdogConfig struct {
-	// Deadline is the stall threshold for one step. Required (> 0).
-	Deadline time.Duration
-	// WedgeAfter is the escalation threshold. 0 means 4×Deadline.
-	WedgeAfter time.Duration
-}
-
-func (c *WatchdogConfig) setDefaults() {
-	if c.WedgeAfter <= 0 {
-		c.WedgeAfter = 4 * c.Deadline
-	}
-}
+// wedgeAfter is the escalation threshold, in stall deadlines.
+const wedgeAfter = 4
 
 // targetState is the watchdog's memory of one target between polls.
 type targetState struct {
@@ -66,9 +57,10 @@ type targetState struct {
 
 // Watchdog polls a set of Targets from one goroutine.
 type Watchdog struct {
-	cfg     WatchdogConfig
-	targets []Target
-	states  []targetState
+	clock    Clock
+	deadline time.Duration
+	targets  []Target
+	states   []targetState
 
 	fires  atomic.Int64
 	wedges atomic.Int64
@@ -78,20 +70,21 @@ type Watchdog struct {
 	stopOnce sync.Once
 }
 
-// NewWatchdog starts a watchdog over targets. Stop must be called to
-// release its goroutine. A zero Deadline panics: an unarmed watchdog is
-// a configuration bug, not a policy.
-func NewWatchdog(cfg WatchdogConfig, targets ...Target) *Watchdog {
-	if cfg.Deadline <= 0 {
-		panic("guard: WatchdogConfig.Deadline is required")
+// NewWatchdog starts a watchdog over targets, polling on clock — the
+// clock their heartbeats are stamped with — against a stall deadline.
+// Stop must be called to release its goroutine. A zero deadline panics:
+// an unarmed watchdog is a configuration bug, not a policy.
+func NewWatchdog(clock Clock, deadline time.Duration, targets ...Target) *Watchdog {
+	if deadline <= 0 {
+		panic("guard: NewWatchdog needs a positive deadline")
 	}
-	cfg.setDefaults()
 	w := &Watchdog{
-		cfg:     cfg,
-		targets: targets,
-		states:  make([]targetState, len(targets)),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		clock:    clock,
+		deadline: deadline,
+		targets:  targets,
+		states:   make([]targetState, len(targets)),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go w.run()
 	return w
@@ -107,21 +100,24 @@ func (w *Watchdog) Stop() {
 // Fires reports the stalls detected so far (one per stuck step).
 func (w *Watchdog) Fires() int64 { return w.fires.Load() }
 
-// Wedges reports the escalations so far (stuck steps past WedgeAfter).
+// Wedges reports the escalations so far (stuck steps past wedgeAfter
+// deadlines).
 func (w *Watchdog) Wedges() int64 { return w.wedges.Load() }
 
 func (w *Watchdog) run() {
 	defer close(w.done)
 	// Sample heartbeats every quarter deadline, floored at one
-	// millisecond: detection latency is at most Deadline plus one tick.
-	tick := time.NewTicker(max(w.cfg.Deadline/4, time.Millisecond))
-	defer tick.Stop()
+	// millisecond: detection latency is at most the deadline plus one
+	// tick.
+	every := max(w.deadline/4, time.Millisecond)
 	for {
+		tick, stop := After(w.clock, every)
 		select {
 		case <-w.stop:
+			stop()
 			return
-		case <-tick.C:
-			w.poll(time.Now().UnixNano())
+		case <-tick:
+			w.poll(w.clock.Now().UnixNano())
 		}
 	}
 }
@@ -139,12 +135,12 @@ func (w *Watchdog) poll(now int64) {
 			continue // idle
 		}
 		age := time.Duration(now - start)
-		if age >= w.cfg.Deadline && !ts.stalled {
+		if age >= w.deadline && !ts.stalled {
 			ts.stalled = true
 			w.fires.Add(1)
 			t.Stall(seq)
 		}
-		if age >= w.cfg.WedgeAfter && !ts.wedged {
+		if age >= wedgeAfter*w.deadline && !ts.wedged {
 			ts.wedged = true
 			w.wedges.Add(1)
 			t.Wedge(seq)

@@ -85,13 +85,17 @@ func TestQuietSourceSegmentIsDeliveredAlone(t *testing.T) {
 // for a backlog to form behind it.
 type gatedBurstSink struct {
 	*collectSink
-	gate   chan struct{}
-	once   sync.Once
-	bursts []int
+	gate    chan struct{}
+	entered chan struct{} // closed once the first burst is parked at gate
+	once    sync.Once
+	bursts  []int
 }
 
 func (g *gatedBurstSink) HandleBurst(items []burst.Item) error {
-	g.once.Do(func() { <-g.gate })
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
 	g.mu.Lock()
 	g.bursts = append(g.bursts, len(items))
 	g.mu.Unlock()
@@ -109,7 +113,7 @@ func (g *gatedBurstSink) HandleBurst(items []burst.Item) error {
 // the per-source counters still count segments.
 func TestBurstsFormBehindABusySink(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sink := &gatedBurstSink{collectSink: newCollectSink(), gate: make(chan struct{})}
+	sink := &gatedBurstSink{collectSink: newCollectSink(), gate: make(chan struct{}), entered: make(chan struct{})}
 	// 302 segments: however many the pump's first burst took, more than a
 	// queueful is left.
 	src := &memSource{name: "busy", flows: [][]byte{make([]byte, 150<<10)}, chunk: 512}
@@ -120,6 +124,7 @@ func TestBurstsFormBehindABusySink(t *testing.T) {
 
 	// The pump is parked in the sink with its first burst; the source
 	// fills the queue behind it and blocks.
+	<-sink.entered
 	waitFor(t, 10*time.Second, "the queue to fill behind the busy sink", func() bool {
 		return sup.Stats()[0].QueueDepth == 64
 	})

@@ -25,7 +25,6 @@ type flakyInfiniteSource struct {
 	name       string
 	failBefore int32
 	segs       int
-	runFor     time.Duration // how long each failing run lasts
 	attempts   atomic.Int32
 }
 
@@ -35,13 +34,6 @@ func (f *flakyInfiniteSource) Describe() Description {
 
 func (f *flakyInfiniteSource) Run(ctx context.Context, em *Emitter) error {
 	if f.attempts.Add(1) <= f.failBefore {
-		if f.runFor > 0 {
-			select {
-			case <-time.After(f.runFor):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
 		return errors.New("scripted flap")
 	}
 	srcID := sourceIDs.Add(1)
@@ -58,30 +50,41 @@ func (f *flakyInfiniteSource) Run(ctx context.Context, em *Emitter) error {
 	return em.Segment(fr.fin(), nil)
 }
 
+// runAsync starts sup.Run and returns the channel its error arrives on.
+func runAsync(sup *Supervisor) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- sup.Run(context.Background()) }()
+	return done
+}
+
 // TestBreakerReentersViaHalfOpenProbe is the acceptance scenario: a
 // flapping infinite source exhausts its restart budget, the breaker
 // opens with a doubling capped interval instead of abandoning the
-// source, and a half-open probe re-enters service.
+// source, and a half-open probe re-enters service. Each wait is stepped
+// on the manual clock at exactly its length.
 func TestBreakerReentersViaHalfOpenProbe(t *testing.T) {
 	leakcheck.Check(t)
+	clk := useManualClock(t)
 	sink := newCollectSink()
-	// Budget 2: failures 1-2 restart normally, failure 3 opens the
-	// breaker, the first probe (attempt 4) fails and re-opens it, the
-	// second probe (attempt 5) succeeds.
-	flaky := &flakyInfiniteSource{name: "flap", failBefore: 4, segs: 8}
-	sup := NewSupervisor(Config{
-		Sink: sink, Restart: guard.BreakerConfig{FailureBudget: 2,
-			BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
-			OpenBase: 2 * time.Millisecond, OpenMax: 8 * time.Millisecond},
-	})
+	// Budget 8: failures 1-8 restart after the doubling backoff, failure
+	// 9 opens the breaker for 10s, the first probe (attempt 10) fails and
+	// re-opens it for 20s, the second probe (attempt 11) succeeds.
+	flaky := &flakyInfiniteSource{name: "flap", failBefore: guard.FailureBudget + 2, segs: 8}
+	sup := NewSupervisor(Config{Sink: sink})
 	sup.Add(flaky)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := sup.Run(ctx); err != nil {
-		t.Fatal(err)
+	done := runAsync(sup)
+	ms := time.Millisecond
+	for _, wait := range []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5000 * ms, 5000 * ms} {
+		clk.Step(t, wait)
 	}
-	if ctx.Err() != nil {
-		t.Fatal("supervisor did not finish")
+	clk.Await(t, 10*time.Second)
+	if row := sup.Stats()[0]; row.State != "open" || row.Breaker != "open" || sup.OpenBreakers() != 1 {
+		t.Fatalf("after the budget: state %q, breaker %q, %d open; want open, open, 1", row.State, row.Breaker, sup.OpenBreakers())
+	}
+	clk.Advance(10 * time.Second)
+	clk.Step(t, 20*time.Second)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	row := sup.Stats()[0]
 	if row.State != "done" {
@@ -90,11 +93,11 @@ func TestBreakerReentersViaHalfOpenProbe(t *testing.T) {
 	if row.Breaker != "closed" {
 		t.Fatalf("breaker %q after successful probe, want closed", row.Breaker)
 	}
-	if row.BreakerOpens != 2 {
-		t.Fatalf("BreakerOpens = %d, want 2 (budget spend + failed probe)", row.BreakerOpens)
+	if row.BreakerOpens != 2 || row.BreakerProbes != 2 {
+		t.Fatalf("BreakerOpens = %d, BreakerProbes = %d; want 2 (budget spend + failed probe) and 2", row.BreakerOpens, row.BreakerProbes)
 	}
-	if row.Restarts != 4 {
-		t.Fatalf("Restarts = %d, want 4", row.Restarts)
+	if row.Restarts != guard.FailureBudget+2 {
+		t.Fatalf("Restarts = %d, want %d", row.Restarts, guard.FailureBudget+2)
 	}
 	if n := sup.OpenBreakers(); n != 0 {
 		t.Fatalf("OpenBreakers = %d after recovery, want 0", n)
@@ -108,23 +111,28 @@ func TestBreakerReentersViaHalfOpenProbe(t *testing.T) {
 // budget bugfix: a finite source whose failures are separated by
 // sustained healthy running must not be abandoned, even when lifetime
 // failures exceed the budget — only consecutive quick failures spend
-// it.
+// it. Each run lasts a second past HealthyAfter on the manual clock.
 func TestBudgetRefillsAfterHealthyRun(t *testing.T) {
 	leakcheck.Check(t)
-	src := &healthyThenFailSource{name: "steady", failBefore: 6, runFor: 8 * time.Millisecond}
-	stats, err := runSupervisor(t, Config{
-		Sink: newCollectSink(), Restart: guard.BreakerConfig{FailureBudget: 2, HealthyAfter: 2 * time.Millisecond,
-			BackoffBase: time.Microsecond, BackoffMax: time.Millisecond},
-	}, src)
-	if err != nil {
+	clk := useManualClock(t)
+	runFor := guard.HealthyAfter + time.Second
+	src := &healthyThenFailSource{name: "steady", failBefore: guard.FailureBudget + 2, runFor: runFor}
+	sup := NewSupervisor(Config{Sink: newCollectSink()})
+	sup.Add(src)
+	done := runAsync(sup)
+	for i := 0; i < guard.FailureBudget+2; i++ {
+		clk.Step(t, runFor)
+		clk.Step(t, 100*time.Millisecond) // the backoff rewound every time
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	row := stats[0]
+	row := sup.Stats()[0]
 	if row.State != "done" {
 		t.Fatalf("source abandoned despite healthy runs between failures: %+v", row)
 	}
-	if row.Restarts != 6 {
-		t.Fatalf("Restarts = %d, want 6 (more than budget 2, each after a healthy run)", row.Restarts)
+	if row.Restarts != guard.FailureBudget+2 {
+		t.Fatalf("Restarts = %d, want %d (more than the budget, each after a healthy run)", row.Restarts, guard.FailureBudget+2)
 	}
 }
 
@@ -132,22 +140,23 @@ func TestBudgetRefillsAfterHealthyRun(t *testing.T) {
 // source that flapped at start-up and then served through a healthy
 // stretch restarts after the base backoff again, whether it is finite or
 // not — an infinite source used to keep its doubled interval for life,
-// and after a few isolated hiccups always waited BackoffMax.
+// and after a few isolated hiccups always waited the capped backoff.
 func TestBackoffRewindsAfterHealthyRun(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		finite bool
 	}{{"finite", true}, {"infinite", false}} {
 		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			clk := useManualClock(t)
 			var mu sync.Mutex
 			var waits []time.Duration
 			// Three instant failures, a run that outlives HealthyAfter and
 			// then fails, then a clean finish.
-			src := &scriptedSource{name: tc.name, finite: tc.finite, runs: []time.Duration{0, 0, 0, 80 * time.Millisecond}}
-			stats, err := runSupervisor(t, Config{
+			healthy := guard.HealthyAfter + time.Second
+			src := &scriptedSource{name: tc.name, finite: tc.finite, runs: []time.Duration{0, 0, 0, healthy}}
+			sup := NewSupervisor(Config{
 				Sink: newCollectSink(),
-				Restart: guard.BreakerConfig{BackoffBase: time.Millisecond, BackoffMax: time.Second,
-					HealthyAfter: 50 * time.Millisecond},
 				Logf: func(format string, args ...any) {
 					if strings.Contains(format, "restarting in") {
 						mu.Lock()
@@ -155,23 +164,29 @@ func TestBackoffRewindsAfterHealthyRun(t *testing.T) {
 						mu.Unlock()
 					}
 				},
-			}, src)
-			if err != nil {
+			})
+			sup.Add(src)
+			done := runAsync(sup)
+			ms := time.Millisecond
+			for _, d := range []time.Duration{100 * ms, 200 * ms, 400 * ms, healthy, 100 * ms} {
+				clk.Step(t, d)
+			}
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if row := stats[0]; row.State != "done" || row.Restarts != 4 {
+			if row := sup.Stats()[0]; row.State != "done" || row.Restarts != 4 {
 				t.Fatalf("state %s after %d restarts, want done after 4", row.State, row.Restarts)
 			}
-			ms := time.Millisecond
-			if want := []time.Duration{ms, 2 * ms, 4 * ms, ms}; !reflect.DeepEqual(waits, want) {
+			if want := []time.Duration{100 * ms, 200 * ms, 400 * ms, 100 * ms}; !reflect.DeepEqual(waits, want) {
 				t.Errorf("restart waits %v, want %v: the healthy run did not rewind the backoff", waits, want)
 			}
 		})
 	}
 }
 
-// scriptedSource fails once per entry of runs, after running that long,
-// then finishes cleanly.
+// scriptedSource fails once per entry of runs, after running that long
+// on the pipeline's clock (at once for a zero entry), then finishes
+// cleanly.
 type scriptedSource struct {
 	name     string
 	finite   bool
@@ -188,9 +203,21 @@ func (s *scriptedSource) Run(ctx context.Context, em *Emitter) error {
 	if n >= len(s.runs) {
 		return nil
 	}
+	if s.runs[n] > 0 {
+		if err := runOnClock(ctx, s.runs[n]); err != nil {
+			return err
+		}
+	}
+	return errors.New("scripted failure")
+}
+
+// runOnClock stands for a run that lasts d on the pipeline's clock.
+func runOnClock(ctx context.Context, d time.Duration) error {
+	wake, stop := guard.After(clock, d)
+	defer stop()
 	select {
-	case <-time.After(s.runs[n]):
-		return errors.New("scripted failure")
+	case <-wake:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -211,10 +238,8 @@ func (h *healthyThenFailSource) Describe() Description {
 
 func (h *healthyThenFailSource) Run(ctx context.Context, em *Emitter) error {
 	if h.attempts.Add(1) <= h.failBefore {
-		select {
-		case <-time.After(h.runFor):
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := runOnClock(ctx, h.runFor); err != nil {
+			return err
 		}
 		return errors.New("scripted late failure")
 	}
@@ -279,9 +304,12 @@ func (l *leasingSource) Run(ctx context.Context, em *Emitter) error {
 // the input layer: with leases retained downstream, a burst that would
 // have grown the arena past the ceiling instead pauses the source at
 // the admission gate, and leased bytes plateau below the limit until
-// the pressure drains.
+// the pressure drains. The gate's re-checks run on the manual clock: the
+// test lets one pass only after draining, and the paused time is exactly
+// the re-checks it let pass.
 func TestGovernorPausesLeasing(t *testing.T) {
 	leakcheck.Check(t)
+	clk := useManualClock(t)
 	const limit = 64 << 10
 	arena := &Arena{}
 	gov := guard.NewGovernor(limit, nil)
@@ -293,49 +321,44 @@ func TestGovernorPausesLeasing(t *testing.T) {
 	src := &leasingSource{name: "burst", segs: 50, lease: 2 << 10}
 	sup := NewSupervisor(Config{Sink: sink, Arena: arena, Governor: gov})
 	sup.Add(src)
+	done, finished := make(chan error, 1), make(chan struct{})
+	go func() {
+		done <- sup.Run(context.Background())
+		close(finished)
+	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-
-	// The source must hit the gate: usage ≥ 0.9×limit with the sink
-	// holding every lease.
-	deadline := time.Now().Add(5 * time.Second)
-	for gov.Stats().Pauses == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("governor never paused; leased=%d", arena.BytesLeased())
+	// Each time the source sits at the gate (its re-check armed), check
+	// the plateau, drain like a recovering engine would, and let the
+	// re-check run.
+	var rechecks int
+	var paused time.Duration
+	for {
+		d, ok := clk.Wait(func(d time.Duration) bool { return d < shortWaits }, finished)
+		if !ok {
+			break
 		}
-		time.Sleep(time.Millisecond)
+		if leased := arena.BytesLeased(); leased > limit {
+			t.Fatalf("leased bytes %d exceeded the %d ceiling", leased, limit)
+		}
+		sink.releaseAll()
+		clk.Advance(d)
+		rechecks++
+		paused += d
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	if leased := arena.BytesLeased(); leased > limit {
 		t.Fatalf("leased bytes %d exceeded the %d ceiling", leased, limit)
 	}
-
-	// Drain like a recovering engine would, watching the plateau.
-	var maxLeased int64
-	for {
-		if l := arena.BytesLeased(); l > maxLeased {
-			maxLeased = l
-		}
-		sink.releaseAll()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink.releaseAll()
-			if maxLeased > limit {
-				t.Fatalf("leased bytes peaked at %d, above the %d ceiling", maxLeased, limit)
-			}
-			if st := gov.Stats(); st.Pauses == 0 || st.PausedNanos <= 0 {
-				t.Fatalf("pause accounting missing: %+v", st)
-			}
-			if got := arena.BytesLeased(); got != 0 {
-				t.Fatalf("leaked leases: %d bytes still out", got)
-			}
-			return
-		case <-time.After(time.Millisecond):
-		}
+	sink.releaseAll()
+	if rechecks == 0 {
+		t.Fatalf("governor never paused; leased=%d", arena.BytesLeased())
+	}
+	if st := gov.Stats(); st.Pauses == 0 || st.PausedNanos != int64(paused) {
+		t.Fatalf("pause accounting: %+v, want PausedNanos %d over %d re-checks", st, paused, rechecks)
+	}
+	if got := arena.BytesLeased(); got != 0 {
+		t.Fatalf("leaked leases: %d bytes still out", got)
 	}
 }

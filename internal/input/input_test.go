@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -142,7 +143,13 @@ func (m *memSource) byteCount() int64 {
 	return n
 }
 
-// waitFor polls cond until it holds or the deadline passes.
+// shortWaits is the Drive bound of tests that step the manual clock
+// through waits they do not single out: every backoff (capped at 5s),
+// admission re-check and pacing sleep, never a health timer (30s).
+const shortWaits = 6 * time.Second
+
+// waitFor polls cond until it holds or the deadline passes, yielding
+// between polls: it waits on pipeline progress, never on a timer.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -150,7 +157,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		if cond() {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }

@@ -64,8 +64,8 @@ func unserved[T any](tables ...[]telemetry.Row[T]) []string {
 func TestMetricsMirrorStats(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()
-	sup := NewSupervisor(Config{Sink: newCollectSink(), Metrics: reg,
-		Restart: guard.BreakerConfig{BackoffBase: time.Microsecond}})
+	useManualClock(t).Drive(t, shortWaits) // pacing and backoffs
+	sup := NewSupervisor(Config{Sink: newCollectSink(), Metrics: reg})
 	sup.AddOptions(&leasingSource{name: "paced", segs: 20, lease: 1000}, SourceOptions{RateBytesPerSec: 1 << 20, Tenant: 3})
 	sup.Add(&flakyInfiniteSource{name: "flap", failBefore: 2, segs: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

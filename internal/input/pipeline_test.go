@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"matchfilter/internal/engine"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/guard"
+	"matchfilter/internal/leakcheck"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/regexparse"
 )
@@ -206,7 +208,8 @@ func TestPerSourceCountersSumToEngineTotals(t *testing.T) {
 	rec := &matchRecorder{}
 	e := newTestEngine(m, rec)
 	flaky := &memSource{name: "flaky", flows: [][]byte{make([]byte, 4096)}, failBefore: 2}
-	sup := NewSupervisor(Config{Sink: e, QueueDepth: 8, Restart: guard.BreakerConfig{BackoffBase: time.Millisecond}})
+	useManualClock(t).Drive(t, shortWaits) // through flaky's backoffs
+	sup := NewSupervisor(Config{Sink: e, QueueDepth: 8})
 	sup.Add(NewPcapFile(pathA))
 	sup.Add(NewPcapFile(pathB))
 	sup.Add(flaky)
@@ -249,6 +252,79 @@ func TestPerSourceCountersSumToEngineTotals(t *testing.T) {
 	ast := sup.Arena().Stats()
 	if ast.Leases != ast.Releases || ast.DoubleReleases != 0 {
 		t.Fatalf("arena imbalance after drain: %+v", ast)
+	}
+}
+
+// flappingSource is an infinite source that fails its first failBefore
+// runs, then serves a burst of leased segments into the engine.
+type flappingSource struct {
+	name       string
+	failBefore int32
+	segs       int
+	payload    string
+	attempts   atomic.Int32
+}
+
+func (f *flappingSource) Describe() Description {
+	return Description{Name: f.name, Kind: "mem", Detail: "test", Finite: false}
+}
+
+func (f *flappingSource) Run(ctx context.Context, em *Emitter) error {
+	if f.attempts.Add(1) <= f.failBefore {
+		return fmt.Errorf("flap %d", f.attempts.Load())
+	}
+	key := synthFlowKey(sourceIDs.Add(1), 1, nil, 80)
+	for i := 0; i < f.segs; i++ {
+		lease := em.Lease(len(f.payload))
+		copy(lease.Data(), f.payload)
+		seg := pcap.Segment{Key: key, Seq: uint32(i * len(f.payload)), Flags: pcap.FlagACK, Payload: lease.Data()}
+		if err := em.Segment(seg, lease); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFlappingSourceBreakerEndToEnd runs the full pipeline — supervisor,
+// arena, engine — with a source that flaps past its restart budget: the
+// breaker must open, probe half-open, and re-enter service; the burst it
+// finally delivers is scanned end to end. The restart schedule (eight
+// backoffs, then 10s and 20s open) passes on the manual clock.
+func TestFlappingSourceBreakerEndToEnd(t *testing.T) {
+	leakcheck.Check(t)
+	useManualClock(t).Drive(t, guard.HealthyAfter) // every wait short of a health timer
+	m := buildMFA(t, "attack")
+	e := engine.New(engine.Config{Shards: 2, QueueDepth: 64},
+		func() flow.Runner { return m.NewRunner() }, nil)
+	const payload = "flapping source attack burst...."
+	src := &flappingSource{name: "flap", failBefore: guard.FailureBudget + 2, segs: 64, payload: payload}
+	sup := NewSupervisor(Config{Sink: e})
+	sup.Add(src)
+	if err := sup.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	row := sup.Stats()[0]
+	if row.State != "done" || row.Breaker != "closed" {
+		t.Fatalf("source did not re-enter service: %+v", row)
+	}
+	if row.BreakerOpens != 2 {
+		t.Fatalf("BreakerOpens = %d, want 2 (budget spend + failed probe): %+v", row.BreakerOpens, row)
+	}
+	st := e.Stats()
+	if want := int64(src.segs * len(payload)); st.PayloadBytes != want {
+		t.Fatalf("engine scanned %d payload bytes, want %d", st.PayloadBytes, want)
+	}
+	if st.Matches == 0 {
+		t.Fatal("delivered burst produced no matches")
+	}
+	if bal := sup.Arena().Stats(); bal.Leases != bal.Releases {
+		t.Fatalf("lease imbalance after recovery: %+v", bal)
+	}
+	if got := st.Packets + st.QueueDrops + st.HardDrops + st.PoisonedDrops + st.UnhealthyDrops + st.WedgeDrops; got != row.Segments {
+		t.Fatalf("accounting: engine accounted %d of %d segments (%+v)", got, row.Segments, st)
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"matchfilter/internal/guard"
 )
 
 // bucketWindow is the burst the token bucket tolerates, expressed as
@@ -31,6 +33,7 @@ const bucketWindow = 10 * time.Millisecond
 // guarded by a mutex because socket sources emit from per-connection
 // goroutines.
 type rateLimiter struct {
+	clock  guard.Clock
 	mu     sync.Mutex
 	rate   float64 // tokens (bytes) per second
 	burst  float64 // bucket capacity
@@ -40,13 +43,13 @@ type rateLimiter struct {
 	pausedNanos atomic.Int64 // cumulative time spent sleeping (SourceStats.RatePausedNanos)
 }
 
-func newRateLimiter(bytesPerSec int64) *rateLimiter {
+func newRateLimiter(bytesPerSec int64, clock guard.Clock) *rateLimiter {
 	r := float64(bytesPerSec)
 	burst := r * bucketWindow.Seconds()
 	if burst < 1 {
 		burst = 1
 	}
-	return &rateLimiter{rate: r, burst: burst, tokens: burst}
+	return &rateLimiter{clock: clock, rate: r, burst: burst, tokens: burst}
 }
 
 // wait debits n bytes and blocks until the bucket is non-negative again
@@ -54,7 +57,7 @@ func newRateLimiter(bytesPerSec int64) *rateLimiter {
 // burst still pass — they just sleep proportionally longer.
 func (l *rateLimiter) wait(ctx context.Context, n int) error {
 	l.mu.Lock()
-	now := time.Now()
+	now := l.clock.Now()
 	l.tokens += now.Sub(l.last).Seconds() * l.rate
 	l.last = now
 	if l.tokens > l.burst {
@@ -67,13 +70,13 @@ func (l *rateLimiter) wait(ctx context.Context, n int) error {
 		return nil
 	}
 	d := time.Duration(debt / l.rate * float64(time.Second))
-	t := time.NewTimer(d)
-	defer t.Stop()
+	wake, stop := guard.After(l.clock, d)
 	select {
-	case <-t.C:
+	case <-wake:
 		l.pausedNanos.Add(int64(d))
 		return nil
 	case <-ctx.Done():
+		stop()
 		return ctx.Err()
 	}
 }

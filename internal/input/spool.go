@@ -30,17 +30,20 @@ import (
 	"path/filepath"
 	"time"
 
+	"matchfilter/internal/guard"
 	"matchfilter/internal/pcap"
 )
 
-// spoolPattern selects the directory entries a spool tails.
-const spoolPattern = "*.pcap"
+// spoolPattern selects the directory entries a spool tails; spoolPoll is
+// how long a spool waits between directory scans.
+const (
+	spoolPattern = "*.pcap"
+	spoolPoll    = 500 * time.Millisecond
+)
 
 // Spool tails rotating capture files in a directory.
 type Spool struct {
 	Dir string
-	// Poll is the directory scan interval; 0 means 500ms.
-	Poll time.Duration
 }
 
 // NewSpool returns a spool source over dir.
@@ -53,10 +56,6 @@ func (s *Spool) Describe() Description {
 
 // Run implements Source.
 func (s *Spool) Run(ctx context.Context, em *Emitter) error {
-	poll := s.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
 	if st, err := os.Stat(s.Dir); err != nil {
 		return fmt.Errorf("input: spool: %w", err)
 	} else if !st.IsDir() {
@@ -69,16 +68,16 @@ func (s *Spool) Run(ctx context.Context, em *Emitter) error {
 			tf.close()
 		}
 	}()
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
 	for {
 		if err := s.sweep(ctx, em, tails); err != nil {
 			return err
 		}
+		wake, stop := guard.After(em.sup.clock, spoolPoll)
 		select {
 		case <-ctx.Done():
+			stop()
 			return nil
-		case <-ticker.C:
+		case <-wake:
 		}
 	}
 }

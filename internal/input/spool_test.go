@@ -8,11 +8,42 @@ import (
 	"time"
 )
 
+// TestSpoolPollsEveryHalfSecond pins the spool's poll: a file that
+// appears after a sweep is picked up by the one 500ms later.
+func TestSpoolPollsEveryHalfSecond(t *testing.T) {
+	clk := useManualClock(t)
+	dir := t.TempDir()
+	capA := synthCapture(t, 1, 1000, nil, 5)
+	framesA, _ := countCapture(t, capA)
+	sink := newCollectSink()
+	sup := NewSupervisor(Config{Sink: sink})
+	sup.Add(NewSpool(dir))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- sup.Run(ctx) }()
+
+	clk.Await(t, 500*time.Millisecond) // the first sweep is done
+	if err := os.WriteFile(filepath.Join(dir, "a.pcap"), capA, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(500 * time.Millisecond)
+	clk.Await(t, 500*time.Millisecond) // and the second
+	waitFor(t, 10*time.Second, "the second sweep's records", func() bool {
+		s, _ := sink.counts()
+		return s == framesA
+	})
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSpoolTailsAndRotates walks a spool directory through the life of a
 // rotating capture daemon: initial file, append, rename rotation with a
 // fresh file, truncate-in-place. Every phase's bytes must be delivered
-// exactly once.
+// exactly once, each by the one poll after the phase.
 func TestSpoolTailsAndRotates(t *testing.T) {
+	clk := useManualClock(t)
 	dir := t.TempDir()
 	live := filepath.Join(dir, "live.pcap")
 
@@ -27,13 +58,14 @@ func TestSpoolTailsAndRotates(t *testing.T) {
 
 	sink := newCollectSink()
 	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 64})
-	sup.Add(&Spool{Dir: dir, Poll: 5 * time.Millisecond})
+	sup.Add(NewSpool(dir))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(ctx) }()
 
 	atLeast := func(wantSegs, wantBytes int64, phase string) {
 		t.Helper()
+		clk.Step(t, spoolPoll)
 		waitFor(t, 10*time.Second, phase, func() bool {
 			s, b := sink.counts()
 			return s >= wantSegs && b >= wantBytes
@@ -145,6 +177,7 @@ func TestSpoolRotationRaceDeliversOnce(t *testing.T) {
 // TestSpoolDeadFileSkipped: a file with a bad magic is counted malformed
 // once and then ignored, without killing the source.
 func TestSpoolDeadFileSkipped(t *testing.T) {
+	clk := useManualClock(t)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "junk.pcap"),
 		make([]byte, 100), 0o644); err != nil {
@@ -155,7 +188,7 @@ func TestSpoolDeadFileSkipped(t *testing.T) {
 
 	sink := newCollectSink()
 	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 16})
-	sup.Add(&Spool{Dir: dir, Poll: 5 * time.Millisecond})
+	sup.Add(NewSpool(dir))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(ctx) }()
@@ -163,6 +196,7 @@ func TestSpoolDeadFileSkipped(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "good.pcap"), capA, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	clk.Step(t, spoolPoll) // a sweep after the good file landed
 	waitFor(t, 10*time.Second, "good file scanned past dead one", func() bool {
 		s, b := sink.counts()
 		return s == framesA && b == bytesA

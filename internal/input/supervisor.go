@@ -34,14 +34,6 @@ type Config struct {
 	// 0 means 256. A full queue backpressures the producing source
 	// without touching the others.
 	QueueDepth int
-	// Restart is every source's restart policy: how many failures a
-	// source is granted, the backoff between restarts, and how long a
-	// clean run refills the budget. Spending the budget opens the
-	// source's breaker: a finite source (files) is then abandoned (state
-	// "failed") while the others keep serving, an infinite one (sockets,
-	// spools, live capture) moves to capped-interval half-open probing
-	// rather than dying permanently. Zero fields take guard's defaults.
-	Restart guard.BreakerConfig
 	// Governor, when non-nil, gates buffer leasing against the unified
 	// memory ceiling: Emitter.Lease blocks while governed usage sits
 	// above the governor's pause threshold, so sources stop pulling
@@ -185,9 +177,15 @@ func (st *sourceState) lastError() string {
 	return st.lastErr
 }
 
+// clock is the pipeline's time source (guard.Clock): run timing, health
+// timer, restart waits, admission re-checks, replay pacing and the spool
+// poll. Only export_test.go rebinds it.
+var clock = guard.Runtime
+
 // Supervisor runs registered sources concurrently into one sink.
 type Supervisor struct {
 	cfg     Config
+	clock   guard.Clock
 	sources []*sourceState
 	names   map[string]int // dedup: name -> count
 
@@ -205,7 +203,7 @@ func NewSupervisor(cfg Config) *Supervisor {
 		panic("input: Config.Sink is required")
 	}
 	cfg.setDefaults()
-	s := &Supervisor{cfg: cfg, names: make(map[string]int)}
+	s := &Supervisor{cfg: cfg, clock: clock, names: make(map[string]int)}
 	if cfg.Metrics != nil {
 		telemetry.Rows(cfg.Metrics, cfg.Arena.Stats, arenaRows)
 	}
@@ -280,9 +278,9 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 		q:    burst.NewQueue(s.cfg.QueueDepth),
 	}
 	if opts.RateBytesPerSec > 0 {
-		st.rl = newRateLimiter(opts.RateBytesPerSec)
+		st.rl = newRateLimiter(opts.RateBytesPerSec, s.clock)
 	}
-	st.br = guard.NewBreaker(s.cfg.Restart)
+	st.br = guard.NewBreaker()
 	s.sources = append(s.sources, st)
 	if reg := s.cfg.Metrics; reg != nil {
 		label := telemetry.L("source", desc.Name)
@@ -411,17 +409,17 @@ func (s *Supervisor) supervise(ctx context.Context, st *sourceState) {
 		} else {
 			st.state.Store(int32(StateRunning))
 		}
-		started := time.Now()
+		started := s.clock.Now()
 		// If this run survives HealthyAfter, refill the breaker's budget
 		// mid-run (a later crash starts from a full budget) and promote a
 		// half-open probe to plain running.
-		healthTimer := time.AfterFunc(st.br.Config().HealthyAfter, func() {
+		stopHealth := s.clock.AfterFunc(guard.HealthyAfter, func() {
 			st.br.Healthy()
 			st.state.CompareAndSwap(int32(StateHalfOpen), int32(StateRunning))
 		})
 		err := runGuarded(ctx, st.src, em)
-		ranFor := time.Since(started)
-		healthTimer.Stop()
+		ranFor := s.clock.Now().Sub(started)
+		stopHealth()
 		switch {
 		case err == nil:
 			st.br.Healthy()
@@ -461,16 +459,18 @@ func (s *Supervisor) supervise(ctx context.Context, st *sourceState) {
 		case st.desc.Finite:
 			st.state.Store(int32(StateFailed))
 			s.cfg.Logf("input: source %s exhausted its restart budget (%d): %v",
-				st.desc.Name, st.br.Config().FailureBudget, err)
+				st.desc.Name, guard.FailureBudget, err)
 			return
 		default:
 			s.cfg.Logf("input: source %s opened its circuit breaker (%v), probing in %v",
 				st.desc.Name, err, wait)
 			st.state.Store(int32(StateOpen))
 		}
+		wake, stop := guard.After(s.clock, wait)
 		select {
-		case <-time.After(wait):
+		case <-wake:
 		case <-ctx.Done():
+			stop()
 			st.state.Store(int32(StateDone))
 			return
 		}
@@ -606,7 +606,7 @@ type Emitter struct {
 // pipeline stops while paused, the lease proceeds anyway — the source's
 // next Segment/Frame call observes the cancellation and returns.
 func (em *Emitter) Lease(n int) *Buf {
-	_ = em.sup.cfg.Governor.Admit(em.ctx)
+	_ = em.sup.cfg.Governor.Admit(em.ctx, em.sup.clock)
 	return em.sup.cfg.Arena.Lease(n)
 }
 

@@ -36,7 +36,8 @@ func TestAccountingSumsToSinkTotals(t *testing.T) {
 	a := &memSource{name: "a", flows: [][]byte{make([]byte, 4096), make([]byte, 100)}}
 	b := &memSource{name: "b", flows: [][]byte{make([]byte, 10000)}, chunk: 333}
 	flaky := &memSource{name: "flaky", flows: [][]byte{make([]byte, 2048)}, failBefore: 2}
-	stats, err := runSupervisor(t, Config{Sink: sink, QueueDepth: 4, Restart: guard.BreakerConfig{BackoffBase: time.Millisecond}}, a, b, flaky)
+	useManualClock(t).Drive(t, shortWaits) // through flaky's backoffs
+	stats, err := runSupervisor(t, Config{Sink: sink, QueueDepth: 4}, a, b, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +94,25 @@ func TestFailingSourceDoesNotPerturbOthers(t *testing.T) {
 }
 
 // TestRestartBudgetExhaustion: a source that never stops failing is
-// abandoned after its budget, with the restart count visible.
+// abandoned after its budget of eight, with the restart count visible,
+// having waited out the whole doubling backoff on the way.
 func TestRestartBudgetExhaustion(t *testing.T) {
 	sink := newCollectSink()
 	hopeless := &memSource{name: "hopeless", failBefore: 1 << 30}
-	stats, err := runSupervisor(t, Config{
-		Sink: sink, Restart: guard.BreakerConfig{FailureBudget: 3, BackoffBase: time.Microsecond, BackoffMax: time.Millisecond},
-	}, hopeless)
+	clk := useManualClock(t)
+	start := clk.Now()
+	clk.Drive(t, shortWaits)
+	stats, err := runSupervisor(t, Config{Sink: sink}, hopeless)
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := stats[0]
-	if row.State != "failed" || row.Restarts != 4 {
-		t.Fatalf("hopeless source: state %s, restarts %d (want failed after budget 3)", row.State, row.Restarts)
+	if row.State != "failed" || row.Restarts != guard.FailureBudget+1 {
+		t.Fatalf("hopeless source: state %s, restarts %d (want failed after budget %d)", row.State, row.Restarts, guard.FailureBudget)
+	}
+	// 100ms doubling to 5s, eight times.
+	if waited := clk.Now().Sub(start); waited != 16300*time.Millisecond {
+		t.Fatalf("backoffs summed to %v, want 16.3s", waited)
 	}
 }
 
@@ -125,9 +132,9 @@ func (p *panicSource) Run(ctx context.Context, em *Emitter) error {
 }
 
 func TestSourcePanicIsAFailure(t *testing.T) {
-	stats, err := runSupervisor(t, Config{
-		Sink: newCollectSink(), Restart: guard.BreakerConfig{BackoffBase: time.Microsecond},
-	}, &panicSource{})
+	clk := useManualClock(t)
+	clk.Drive(t, shortWaits)
+	stats, err := runSupervisor(t, Config{Sink: newCollectSink()}, &panicSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +183,7 @@ func TestStrictPolicy(t *testing.T) {
 func TestStrictAbortStopsPeers(t *testing.T) {
 	sink := newCollectSink()
 	sup := NewSupervisor(Config{Sink: sink, Strict: true})
-	sup.Add(&Spool{Dir: t.TempDir(), Poll: time.Millisecond}) // infinite
+	sup.Add(&Spool{Dir: t.TempDir()}) // infinite
 	sup.Add(malformedSource{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

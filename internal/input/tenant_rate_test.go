@@ -8,27 +8,35 @@ import (
 	"testing"
 	"time"
 
+	"matchfilter/internal/clocktest"
 	"matchfilter/internal/pcap"
 )
 
+// paceSlack is the rounding a paced schedule may lose: the limiter
+// truncates each sleep to whole nanoseconds.
+const paceSlack = time.Microsecond
+
+// TestRateLimiterPacing: the limiter's sleeps, stepped on the manual
+// clock, add up to the bytes past the burst at the configured rate.
 func TestRateLimiterPacing(t *testing.T) {
-	rl := newRateLimiter(1 << 20) // 1 MiB/s, 10 ms burst = ~10 KiB
+	clk := clocktest.New()
+	clk.Drive(t, time.Second)
+	rl := newRateLimiter(1<<20, clk) // 1 MiB/s, 10 ms burst = ~10 KiB
 	ctx := context.Background()
-	start := time.Now()
+	start := clk.Now()
 	const chunk, chunks = 8 << 10, 12 // 96 KiB total
 	for i := 0; i < chunks; i++ {
 		if err := rl.wait(ctx, chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	// 96 KiB minus the burst window at 1 MiB/s is ~84 ms of required
-	// pacing; accept generous slop above, none below.
-	if min := 60 * time.Millisecond; elapsed < min {
-		t.Fatalf("96 KiB at 1 MiB/s took %v, want >= %v", elapsed, min)
+	elapsed := clk.Now().Sub(start)
+	// 96 KiB minus the burst window at 1 MiB/s is 83.75 ms of pacing.
+	if want := 83750 * time.Microsecond; elapsed > want || elapsed < want-paceSlack {
+		t.Fatalf("96 KiB at 1 MiB/s took %v, want %v", elapsed, want)
 	}
-	if rl.pausedNanos.Load() <= 0 {
-		t.Fatal("limiter paced without accounting paused time")
+	if got := time.Duration(rl.pausedNanos.Load()); got != elapsed {
+		t.Fatalf("limiter accounted %v paused, the clock moved %v", got, elapsed)
 	}
 
 	// A cancelled context unblocks the debt sleep promptly.
@@ -69,18 +77,19 @@ func (m *policySource) Run(ctx context.Context, em *Emitter) error {
 }
 
 func TestSourceRateLimitsEmission(t *testing.T) {
+	clk := useManualClock(t)
+	clk.Drive(t, time.Second)
 	sink := newCollectSink()
 	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 64})
-	// 32 KiB at 256 KiB/s is ~125 ms of pacing beyond the burst.
+	// 32 KiB at 256 KiB/s, less a 10 ms burst, is 115 ms of pacing.
 	src := &policySource{name: "paced", segs: 32, payload: string(make([]byte, 1024)), key: synthFlowKey(9001, 1, nil, 80)}
 	sup.AddOptions(src, SourceOptions{RateBytesPerSec: 256 << 10})
-	start := time.Now()
+	start := clk.Now()
 	if err := sup.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if min := 80 * time.Millisecond; elapsed < min {
-		t.Fatalf("32 KiB at 256 KiB/s replayed in %v, want >= %v", elapsed, min)
+	if elapsed, want := clk.Now().Sub(start), 115*time.Millisecond; elapsed > want || elapsed < want-paceSlack {
+		t.Fatalf("32 KiB at 256 KiB/s replayed in %v, want %v", elapsed, want)
 	}
 	if _, b := sink.counts(); b != 32<<10 {
 		t.Fatalf("delivered %d bytes, want %d", b, 32<<10)
