@@ -254,9 +254,9 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 }
 
 // BenchmarkAblationTableLayout isolates DESIGN.md ablation 1: identical
-// automaton semantics scanned through a flat 4-byte table (DFA) versus
-// 16-byte conditional cells (HFA) on benign traffic, measuring the pure
-// per-byte layout cost.
+// automaton semantics scanned through the byte-class table of 4-byte
+// entries (DFA) versus the flat table of 16-byte conditional cells (HFA)
+// on benign traffic, measuring the pure per-byte layout cost.
 func BenchmarkAblationTableLayout(b *testing.B) {
 	e := engines(b, "C8")
 	data := trace.Random(256<<10, 2)

@@ -8,7 +8,7 @@
 //	mfabench -exp table5 -sets C7p,C8
 //	mfabench -exp fig4 -scale 0.25    # smaller traces, faster run
 //	mfabench -exp fig5 -bytes 524288
-//	mfabench -exp layout -json layout.json    # flat/classed + batching
+//	mfabench -exp layout -json layout.json    # table sizes + K-sweep
 //	mfabench -exp engine -json results.json   # machine-readable rows too
 //
 // -json writes the raw measurement rows of the row-producing experiments

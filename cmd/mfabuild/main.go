@@ -74,8 +74,7 @@ func run() error {
 	fmt.Printf("counters:        %d\n", st.Counters)
 	fmt.Printf("NFA states:      %d\n", st.NFAStates)
 	fmt.Printf("MFA states:      %d\n", st.DFAStates)
-	fmt.Printf("table layout:    %s (%d classes, table %.3f MB)\n",
-		st.DFALayout, st.DFAClasses, mb(st.DFATableBytes))
+	fmt.Printf("table:           %d classes, %.3f MB\n", st.DFAClasses, mb(st.DFATableBytes))
 	fmt.Printf("memory bits (w): %d, position registers: %d, open-window counters: %d\n",
 		st.MemBits, st.PosRegs, st.Split.AlmostPositionSplits)
 	fmt.Printf("internal ids:    %d\n", st.InternalIDs)

@@ -361,7 +361,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if _, _, err := putDefault(false); err != nil {
 			return err
 		}
-		registerBuildMetrics(reg, func() core.BuildStats { return treg.Lookup(0).Build() })
+		telemetry.Rows(reg, func() core.BuildStats { return treg.Lookup(0).Build() }, buildRows)
 		for _, ts := range tenants {
 			spec, err := admitSource(ts.src)
 			if err == nil {
@@ -410,8 +410,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				if n := sup.OpenBreakers(); n > 0 {
 					reasons = append(reasons, fmt.Sprintf("%d source circuit breaker(s) open", n))
 				}
-				if lr := e.LastStallRecovery(); !lr.IsZero() && time.Since(lr) < time.Minute {
-					reasons = append(reasons, fmt.Sprintf("scan stall recovered %s ago", time.Since(lr).Round(time.Second)))
+				if ago, recent := e.RecentStallRecovery(); recent {
+					reasons = append(reasons, fmt.Sprintf("scan stall recovered %s ago", ago.Round(time.Second)))
 				}
 				return strings.Join(reasons, "; ")
 			},
@@ -755,9 +755,9 @@ func progressLoop(w io.Writer, e *engine.Engine, every time.Duration, stop <-cha
 }
 
 // buildRows serves the static shape of the default set's automaton: what
-// the scan loop is actually walking (table layout, byte-class count,
-// table bytes) and the image split. The rows read the registry's default
-// entry, so a hot reload is reflected on the next scrape.
+// the scan loop is actually walking (byte-class count, table bytes) and
+// the image split. The rows read the registry's default entry, so a hot
+// reload is reflected on the next scrape.
 var buildRows = []telemetry.Row[core.BuildStats]{
 	telemetry.GaugeRow("mfa_build_dfa_states", "states in the character DFA", func(st *core.BuildStats) float64 { return float64(st.DFAStates) }),
 	telemetry.GaugeRow("mfa_build_dfa_table_bytes", "transition-table image bytes in its serving layout (classed includes the class map)", func(st *core.BuildStats) float64 { return float64(st.DFATableBytes) }),
@@ -768,23 +768,6 @@ var buildRows = []telemetry.Row[core.BuildStats]{
 	telemetry.GaugeRow("mfa_build_accept_programs", "distinct decision sets compiled to accept programs", func(st *core.BuildStats) float64 { return float64(st.AcceptPrograms) }),
 	telemetry.GaugeRow("mfa_build_accept_program_bytes", "resident bytes of the accept programs, derived at load and not part of the image", func(st *core.BuildStats) float64 { return float64(st.AcceptProgramBytes) }),
 	telemetry.GaugeRow("mfa_build_seconds", "wall time core.Compile spent on the serving pattern set: what the last start or reload cost (0 for a loaded -engine image)", func(st *core.BuildStats) float64 { return st.BuildTime.Seconds() }),
-}
-
-func registerBuildMetrics(reg *telemetry.Registry, cur func() core.BuildStats) {
-	rows := telemetry.Rows(reg, cur, buildRows)
-	// Info-style metric: the layout name rides in the label, value is 1
-	// on the serving layout's series. All layouts are registered so the
-	// series set is stable across reloads that change layout.
-	for _, layout := range []string{"flat", "classed"} {
-		rows.Add([]telemetry.Row[core.BuildStats]{telemetry.GaugeRow("mfa_build_dfa_layout_info",
-			"transition-table layout of the serving engine (1 on the active layout's series)",
-			func(st *core.BuildStats) float64 {
-				if st.DFALayout == layout {
-					return 1
-				}
-				return 0
-			})}, telemetry.L("layout", layout))
-	}
 }
 
 // inputReport renders one accounting row per source plus the arena's

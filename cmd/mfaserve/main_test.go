@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/input"
 	"matchfilter/internal/leakcheck"
@@ -380,7 +379,7 @@ func TestServeLifecycle(t *testing.T) {
 		"mfa_tenant_buffered_bytes", "mfa_tenant_quota_flow_drops_total", "mfa_tenant_quota_byte_drops_total",
 		"mfa_build_dfa_states", "mfa_build_dfa_table_bytes", "mfa_build_dfa_classes", "mfa_build_image_bytes",
 		"mfa_build_mem_bits", "mfa_build_counters", "mfa_build_accept_programs", "mfa_build_accept_program_bytes",
-		"mfa_build_seconds", "mfa_build_dfa_layout_info",
+		"mfa_build_seconds",
 	} {
 		if !strings.Contains("\n"+metrics, "\n"+fam) {
 			t.Errorf("missing metric family %s", fam)
@@ -534,34 +533,19 @@ func TestServeMatchesSequentialScan(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the sequential scan found nothing; the test would be vacuous")
 	}
-	// Two images of the rules: the default build (classed under Auto) and
-	// a flat one, the only flat table the daemon can be given.
-	rs, _, err := rules.Parse([]byte(ruleText))
-	if err != nil {
+	var img bytes.Buffer
+	if err := core.WriteStrings(&img, sources); err != nil {
 		t.Fatal(err)
 	}
-	var flatOpts core.Options
-	flatOpts.DFA.Layout = dfa.LayoutFlat
-	flat, err := core.Compile(rs, flatOpts)
-	if err != nil {
+	if _, err := m.WriteTo(&img); err != nil {
 		t.Fatal(err)
 	}
-	images := make(map[string]string)
-	for layout, mi := range map[string]*core.MFA{"classed": m, "flat": flat} {
-		var img bytes.Buffer
-		if err := core.WriteStrings(&img, sources); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mi.WriteTo(&img); err != nil {
-			t.Fatal(err)
-		}
-		images[layout] = writeFile(t, filepath.Join(dir, layout+".eng"), img.String())
-	}
+	image := writeFile(t, filepath.Join(dir, "rules.eng"), img.String())
 
 	for _, args := range [][]string{
 		{"-rules", rulesPath, "-pcap", capPath, "-shards", "1"},
 		{"-rules", rulesPath, "-pcap", capPath, "-shards", "4"},
-		{"-engine", images["classed"], "-source", "pcap:" + capPath, "-shards", "4"},
+		{"-engine", image, "-source", "pcap:" + capPath, "-shards", "4"},
 	} {
 		d := start(t, args...)
 		if code, err := d.finish(); code != exitOK || err != nil {
@@ -569,19 +553,17 @@ func TestServeMatchesSequentialScan(t *testing.T) {
 		}
 		equalLines(t, strings.Join(args, " "), d.matchLines(), want)
 	}
-	// Each image serves in the layout it was built with; the capture
-	// arrives on stdin once /metrics has said so.
-	for _, layout := range []string{"classed", "flat"} {
-		d := start(t, "-engine", images[layout], "-pcap", "-", "-shards", "4", "-admin", "127.0.0.1:0")
-		d.wantMetrics(fmt.Sprintf("mfa_build_dfa_layout_info{layout=%q} 1", layout))
-		if _, err := d.stdin.Write(capture.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if code, err := d.finish(); code != exitOK || err != nil {
-			t.Fatalf("%s image: exit %d, %v", layout, code, err)
-		}
-		equalLines(t, layout+" image", d.matchLines(), want)
+	// The image serves the table it was built with; the capture arrives
+	// on stdin once /metrics has said so.
+	d := start(t, "-engine", image, "-pcap", "-", "-shards", "4", "-admin", "127.0.0.1:0")
+	d.wantMetrics(fmt.Sprintf("mfa_build_dfa_classes %d", m.Stats().DFAClasses))
+	if _, err := d.stdin.Write(capture.Bytes()); err != nil {
+		t.Fatal(err)
 	}
+	if code, err := d.finish(); code != exitOK || err != nil {
+		t.Fatalf("image on stdin: exit %d, %v", code, err)
+	}
+	equalLines(t, "image on stdin", d.matchLines(), want)
 }
 
 func TestExitCodes(t *testing.T) {
@@ -656,8 +638,7 @@ func TestServeTuningFlags(t *testing.T) {
 		return strings.Contains(d.get("/statsz"), `"State": "done"`)
 	})
 	d.waitFor("a -stats line", func() bool { return strings.Contains(d.stderr.String(), "mfaserve: pkts=") })
-	d.wantMetrics("mfa_engine_queue_capacity 128", "mfa_engine_shards 2",
-		`mfa_build_dfa_layout_info{layout="classed"} 1`, "mfa_guard_mem_limit_bytes 67108864")
+	d.wantMetrics("mfa_engine_queue_capacity 128", "mfa_engine_shards 2", "mfa_guard_mem_limit_bytes 67108864")
 	metrics := d.get("/metrics")
 	for _, s := range []string{`mfa_guard_mem_component_bytes{component="arena"}`, `mfa_guard_mem_component_bytes{component="engine"}`} {
 		if !strings.Contains(metrics, s) {
@@ -713,7 +694,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // closedLabels are the label keys whose values are part of the surface;
 // every other label's value (tenant ids, generation numbers, le bounds)
 // is data and reads as * in the series golden.
-var closedLabels = map[string]bool{"shard": true, "tier": true, "layout": true, "component": true, "source": true}
+var closedLabels = map[string]bool{"shard": true, "tier": true, "component": true, "source": true}
 
 var labelRE = regexp.MustCompile(`(\w+)="((?:[^"\\]|\\.)*)"`)
 

@@ -38,15 +38,14 @@ type JSONRow struct {
 	MeanActive float64 `json:"mean_active,omitempty"`
 	MaxActive  int     `json:"max_active,omitempty"`
 
-	// Table-layout columns (experiment "layout"): the layout under
-	// measurement, its transition-table image size and, for classed rows,
-	// the byte equivalence-class count. BatchK is the lockstep width on
-	// batched rows; 1 is the single-lane path through the batcher, hence
-	// the pointer (1 must still render).
-	Layout     string `json:"layout,omitempty"`
-	TableBytes int    `json:"table_bytes,omitempty"`
-	Classes    int    `json:"classes,omitempty"`
-	BatchK     *int   `json:"batch_k,omitempty"`
+	// Table-layout columns (experiment "layout", which sets States too):
+	// the transition table's image size with its class map and the byte
+	// equivalence-class count. BatchK is the lockstep width; 1 is the
+	// single-lane path through the batcher, hence the pointer (1 must
+	// still render).
+	TableBytes int  `json:"table_bytes,omitempty"`
+	Classes    int  `json:"classes,omitempty"`
+	BatchK     *int `json:"batch_k,omitempty"`
 
 	// Counter-experiment columns (experiment "counters"): the
 	// bounded-repeat encoding under measurement ("expanded" or
@@ -170,28 +169,16 @@ func (r *JSONReport) AddEngineScaling(results []EngineScalingResult) {
 	}
 }
 
-// AddLayout appends table-layout rows (experiment "layout"): one
-// single-flow row per (set, layout) plus one batched row per (set,
-// layout, K) lockstep measurement.
+// AddLayout appends table-layout rows (experiment "layout"): one row per
+// (set, K) lockstep measurement, each carrying the set's table shape.
 func (r *JSONReport) AddLayout(results []LayoutResult) {
 	for _, lr := range results {
-		flat := r.throughputRow("layout", lr.Set, lr.Flat)
-		flat.Engine = EngineMFA.String()
-		flat.Layout = "flat"
-		flat.TableBytes = lr.FlatTableBytes
-		r.Rows = append(r.Rows, flat)
-
-		classed := r.throughputRow("layout", lr.Set, lr.Classed)
-		classed.Engine = EngineMFA.String()
-		classed.Layout = "classed"
-		classed.TableBytes = lr.ClassedTableBytes
-		classed.Classes = lr.Classes
-		r.Rows = append(r.Rows, classed)
-
 		for _, bt := range lr.Batched {
 			row := r.throughputRow("layout", lr.Set, bt.Throughput)
 			row.Engine = EngineMFA.String()
-			row.Layout = bt.Layout
+			row.States = lr.States
+			row.Classes = lr.Classes
+			row.TableBytes = lr.TableBytes
 			k := bt.K
 			row.BatchK = &k
 			r.Rows = append(r.Rows, row)

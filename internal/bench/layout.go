@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/patterns"
 	"matchfilter/internal/trace"
 )
@@ -26,49 +25,31 @@ var BatchKs = []int{1, 4, 8, 16}
 // split into K equal sub-streams scanned as K concurrent flows by one
 // core.FlowBatcher.
 type BatchThroughput struct {
-	Layout string // layout the lanes ran on ("flat" or "classed")
-	K      int
+	K int
 	Throughput
 }
 
-// LayoutResult compares the transition-table layouts of one set's MFA:
-// identical automaton, all 256 columns or the byte-class quotient.
+// LayoutResult is one set's MFA table beside the paper's flat table of
+// the same automaton, and its lockstep K-sweep.
 type LayoutResult struct {
 	Set     string
 	States  int
 	Classes int
-	// FlatTableBytes and ClassedTableBytes are the transition-table image
-	// sizes (the classed figure includes its 256-byte class map);
-	// Reduction is flat divided by classed.
-	FlatTableBytes    int
-	ClassedTableBytes int
-	Reduction         float64
-	// Flat and Classed are single-flow scan throughputs over the same
-	// payload: a text-like trace salted with the set's own literals, the
-	// Figure 4 payload model.
-	Flat    Throughput
-	Classed Throughput
-	// Batched holds the lockstep measurements: layout × K over the same
-	// payload split into K concurrent flows.
+	// TableBytes is the transition table with its 256-byte class map;
+	// PaperFlatBytes is the paper's flat table, states × 1 KiB, computed;
+	// Reduction is the second divided by the first.
+	TableBytes     int
+	PaperFlatBytes int
+	Reduction      float64
+	// Batched holds the lockstep measurements over one payload, a
+	// text-like trace salted with the set's own literals (the Figure 4
+	// payload model), split into K concurrent flows.
 	Batched []BatchThroughput
 }
 
-// compileLayout builds one set's MFA with an explicit table layout.
-func compileLayout(set string, layout dfa.Layout) (*core.MFA, error) {
-	rules, err := patterns.Load(set)
-	if err != nil {
-		return nil, err
-	}
-	coreRules := make([]core.Rule, len(rules))
-	for i, r := range rules {
-		coreRules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
-	}
-	m, err := core.Compile(coreRules, core.Options{DFA: dfa.Options{Layout: layout}})
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s %v MFA: %w", set, layout, err)
-	}
-	return m, nil
-}
+// paperFlatTable is the size of the paper's flat table: 256 four-byte
+// entries a state.
+func paperFlatTable(states int) int { return states * 256 * 4 }
 
 // layoutPayload synthesizes the scan payload for one set: text-like
 // traffic salted with the set's literals so the automaton leaves its
@@ -85,8 +66,6 @@ func layoutPayload(set string, n int, seed int64) ([]byte, error) {
 // lockstep: k equal sub-streams, one fresh runner each, one flush
 // window. This is the steady-state cost of the lockstep loop itself —
 // the shard's drain/flush cadence is measured by the engine experiment.
-// Match counts differ from the single-stream scans (splitting severs
-// cross-boundary matches) and are not compared.
 func measureBatched(m *core.MFA, payload []byte, k int) Throughput {
 	return Measure(func(data []byte) int64 {
 		var events int64
@@ -108,53 +87,46 @@ func measureBatched(m *core.MFA, payload []byte, k int) Throughput {
 	}, payload)
 }
 
-// MeasureLayout builds both layouts of one set's MFA and measures them
-// over the same payload, single-flow and batched.
+// MeasureLayout builds one set's MFA and measures its table and its
+// lockstep K-sweep.
 func MeasureLayout(set string, bytesN int, seed int64) (LayoutResult, error) {
-	flat, err := compileLayout(set, dfa.LayoutFlat)
+	rules, err := patterns.Load(set)
 	if err != nil {
 		return LayoutResult{}, err
 	}
-	classed, err := compileLayout(set, dfa.LayoutClassed)
+	m, err := core.Compile(coreRules(rules), core.Options{})
 	if err != nil {
-		return LayoutResult{}, err
+		return LayoutResult{}, fmt.Errorf("bench: %s MFA: %w", set, err)
 	}
 	payload, err := layoutPayload(set, bytesN, seed)
 	if err != nil {
 		return LayoutResult{}, err
 	}
-	fs, cs := flat.Stats(), classed.Stats()
+	st := m.Stats()
 	res := LayoutResult{
-		Set:               set,
-		States:            cs.DFAStates,
-		Classes:           cs.DFAClasses,
-		FlatTableBytes:    fs.DFATableBytes,
-		ClassedTableBytes: cs.DFATableBytes,
-		Flat:              Measure(func(data []byte) int64 { return flat.NewRunner().FeedCount(data) }, payload),
-		Classed:           Measure(func(data []byte) int64 { return classed.NewRunner().FeedCount(data) }, payload),
+		Set:            set,
+		States:         st.DFAStates,
+		Classes:        st.DFAClasses,
+		TableBytes:     st.DFATableBytes,
+		PaperFlatBytes: paperFlatTable(st.DFAStates),
 	}
-	if cs.DFATableBytes > 0 {
-		res.Reduction = float64(fs.DFATableBytes) / float64(cs.DFATableBytes)
-	}
+	res.Reduction = float64(res.PaperFlatBytes) / float64(res.TableBytes)
 	for _, k := range BatchKs {
-		res.Batched = append(res.Batched,
-			BatchThroughput{Layout: "flat", K: k, Throughput: measureBatched(flat, payload, k)},
-			BatchThroughput{Layout: "classed", K: k, Throughput: measureBatched(classed, payload, k)},
-		)
+		res.Batched = append(res.Batched, BatchThroughput{K: k, Throughput: measureBatched(m, payload, k)})
 	}
 	return res, nil
 }
 
-// LayoutComparison runs the layout-and-batching experiment over the
-// given sets (default LayoutSets) and renders the size and throughput
-// tables that DESIGN.md §13/§18 and EXPERIMENTS.md discuss.
+// LayoutComparison runs the table-and-batching experiment over the given
+// sets (default LayoutSets) and renders the size and throughput tables
+// that DESIGN.md §13/§18 and EXPERIMENTS.md discuss.
 func LayoutComparison(w io.Writer, sets []string, bytesN int, seed int64) ([]LayoutResult, error) {
 	if len(sets) == 0 {
 		sets = LayoutSets
 	}
-	fmt.Fprintln(w, "Transition-table layouts: flat (256-wide) vs byte-class compressed")
+	fmt.Fprintln(w, "Transition tables: byte-class table vs the paper's flat table (computed)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Set\tstates\tclasses\tflat table\tclassed table\treduction\tflat MB/s\tclassed MB/s")
+	fmt.Fprintln(tw, "Set\tstates\tclasses\ttable bytes\tpaper flat bytes\treduction")
 	var all []LayoutResult
 	for _, set := range sets {
 		res, err := MeasureLayout(set, bytesN, seed)
@@ -162,40 +134,27 @@ func LayoutComparison(w io.Writer, sets []string, bytesN int, seed int64) ([]Lay
 			return nil, err
 		}
 		all = append(all, res)
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1fx\t%.0f\t%.0f\n",
-			res.Set, res.States, res.Classes,
-			res.FlatTableBytes, res.ClassedTableBytes, res.Reduction,
-			res.Flat.MBps(), res.Classed.MBps())
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1fx\n",
+			res.Set, res.States, res.Classes, res.TableBytes, res.PaperFlatBytes, res.Reduction)
 	}
 	if err := tw.Flush(); err != nil {
 		return nil, err
 	}
-	fmt.Fprintln(w, "(classed table bytes include the 256-byte class map.")
-	fmt.Fprintln(w, " Same automaton, same match stream — see the layout equivalence tests.)")
+	fmt.Fprintln(w, "(table bytes include the 256-byte class map; paper flat bytes are states × 1 KiB)")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Batched lockstep: K concurrent flows per flush window (MB/s, aggregate)")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	header := "Set\tlayout"
+	header := "Set"
 	for _, k := range BatchKs {
 		header += fmt.Sprintf("\tK=%d", k)
 	}
 	fmt.Fprintln(tw, header)
 	for _, res := range all {
-		byLayout := map[string][]BatchThroughput{}
-		var order []string
+		row := res.Set
 		for _, bt := range res.Batched {
-			if _, seen := byLayout[bt.Layout]; !seen {
-				order = append(order, bt.Layout)
-			}
-			byLayout[bt.Layout] = append(byLayout[bt.Layout], bt)
+			row += fmt.Sprintf("\t%.0f", bt.MBps())
 		}
-		for _, layout := range order {
-			row := fmt.Sprintf("%s\t%s", res.Set, layout)
-			for _, bt := range byLayout[layout] {
-				row += fmt.Sprintf("\t%.0f", bt.MBps())
-			}
-			fmt.Fprintln(tw, row)
-		}
+		fmt.Fprintln(tw, row)
 	}
 	if err := tw.Flush(); err != nil {
 		return nil, err

@@ -20,10 +20,10 @@ import "matchfilter/internal/dfa"
 // order, runs its own filter memory/registers, and reports through its
 // own callback, so every flow's (ruleID, pos) stream is byte-identical
 // to what the sequential scanner produces — property-tested in
-// batch_test.go and layout_equiv_test.go across both layouts.
+// batch_test.go and layout_equiv_test.go.
 //
 // A batch may mix runners from different MFAs (multi-tenant shards,
-// cross-generation drains) and of either layout: every automaton is the
+// cross-generation drains) and of any class count: every automaton is the
 // one table shape of internal/dfa, so lanes carry their own table views and
 // each round gathers the lanes of one table into quads. Two kinds of flow
 // take Feed's block loop instead, because lockstep has nothing to give

@@ -8,12 +8,11 @@ import (
 	"strings"
 	"testing"
 
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/regexparse"
 	"matchfilter/internal/trace"
 )
 
-func compileTest(t testing.TB, layout dfa.Layout, sources ...string) *MFA {
+func compileTest(t testing.TB, sources ...string) *MFA {
 	t.Helper()
 	rules := make([]Rule, len(sources))
 	for i, src := range sources {
@@ -23,19 +22,35 @@ func compileTest(t testing.TB, layout dfa.Layout, sources ...string) *MFA {
 		}
 		rules[i] = Rule{Pattern: p, ID: int32(i + 1)}
 	}
-	m, err := Compile(rules, Options{DFA: dfa.Options{Layout: layout}})
+	m, err := Compile(rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// everyByte is 256 one-byte rules, \x00 … \xff: every byte value is its
+// own class, so the automaton walks 256 columns under the identity map.
+func everyByte() []string {
+	srcs := make([]string, 256)
+	for b := range srcs {
+		srcs[b] = fmt.Sprintf(`\x%02x`, b)
+	}
+	return srcs
+}
+
+// bothWidths returns the MFA of sources and that of everyByte: a class
+// quotient and the 256 columns of the identity map.
+func bothWidths(t testing.TB, sources ...string) []*MFA {
+	return []*MFA{compileTest(t, sources...), compileTest(t, everyByte()...)}
+}
+
 // TestBatcherSameRunnerChunkOrder checks that multiple Adds for one
 // flow inside a single batch scan in arrival order: a match spanning
 // the chunk boundary must be found exactly as in a sequential scan.
 func TestBatcherSameRunnerChunkOrder(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
-		m := compileTest(t, layout, "attack.*payload", "abc")
+	for _, m := range bothWidths(t, "attack.*payload", "abc") {
+		classes := m.Stats().DFAClasses
 		input := []byte("xx abc attack with payload yy")
 		want := fmt.Sprint(m.Run(input))
 
@@ -54,27 +69,24 @@ func TestBatcherSameRunnerChunkOrder(t *testing.T) {
 		b.Add(r, "f1", input[9:23], cb)
 		b.Add(r, "f1", input[23:], cb)
 		if b.Len() != 4 {
-			t.Fatalf("layout %v: Len = %d, want 4 lanes", layout, b.Len())
+			t.Fatalf("%d classes: Len = %d, want 4 lanes", classes, b.Len())
 		}
 		if !b.Contains(r) || b.Contains(m.NewRunner()) {
-			t.Fatalf("layout %v: Contains misreports", layout)
+			t.Fatalf("%d classes: Contains misreports", classes)
 		}
 		b.Flush()
 		if fmt.Sprint(got) != want {
-			t.Fatalf("layout %v: batched %v, want %s", layout, got, want)
+			t.Fatalf("%d classes: batched %v, want %s", classes, got, want)
 		}
 	}
 }
 
-// TestBatcherMixedLayouts puts runners of both layouts (two distinct
-// MFAs) into one batch — the multi-tenant shard case — and checks every
-// flow's stream against its own sequential reference.
+// TestBatcherMixedLayouts puts runners of two MFAs whose tables differ in
+// width — a class quotient and 256 columns — into one batch, the
+// multi-tenant shard case, and checks every flow's stream against its own
+// sequential reference.
 func TestBatcherMixedLayouts(t *testing.T) {
-	sources := []string{"attack.*payload", "abc", "x[0-9]+y"}
-	mfas := []*MFA{
-		compileTest(t, dfa.LayoutFlat, sources...),
-		compileTest(t, dfa.LayoutClassed, sources...),
-	}
+	mfas := bothWidths(t, "attack.*payload", "abc", "x[0-9]+y")
 	inputs := [][]byte{
 		[]byte("xx abc attack with payload x12y"),
 		[]byte("abcabcabc x999y zz"),
@@ -102,34 +114,32 @@ func TestBatcherMixedLayouts(t *testing.T) {
 }
 
 // TestBatcherMixedMFAsSameLayout puts runners of two *different* MFAs
-// sharing one layout into a batch, so lanes walk different tables. Every
-// flow's stream must still match its own sequential reference.
+// into a batch, so lanes walk different tables. Every flow's stream must
+// still match its own sequential reference.
 func TestBatcherMixedMFAsSameLayout(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
-		mfas := []*MFA{
-			compileTest(t, layout, "attack.*payload", "abc"),
-			compileTest(t, layout, "x[0-9]+y", "payload"),
-		}
-		inputs := [][]byte{
-			[]byte("xx abc attack with payload x12y"),
-			[]byte("abc x999y payload zz"),
-			[]byte(strings.Repeat("attack payload x1y ", 4)),
-			[]byte("no hits at all. odd len"),
-		}
-		b := NewFlowBatcher(MaxBatchFlows)
-		streams := make([][]MatchEvent, len(inputs))
-		for fi, input := range inputs {
-			fi := fi
-			b.Add(mfas[fi%2].NewRunner(), fi, input, func(id int32, pos int64) {
-				streams[fi] = append(streams[fi], MatchEvent{RuleID: id, Pos: pos})
-			})
-		}
-		b.Flush()
-		for fi, input := range inputs {
-			want := fmt.Sprint(mfas[fi%2].Run(input))
-			if got := fmt.Sprint(streams[fi]); got != want {
-				t.Fatalf("layout %v flow %d: got %s, want %s", layout, fi, got, want)
-			}
+	mfas := []*MFA{
+		compileTest(t, "attack.*payload", "abc"),
+		compileTest(t, "x[0-9]+y", "payload"),
+	}
+	inputs := [][]byte{
+		[]byte("xx abc attack with payload x12y"),
+		[]byte("abc x999y payload zz"),
+		[]byte(strings.Repeat("attack payload x1y ", 4)),
+		[]byte("no hits at all. odd len"),
+	}
+	b := NewFlowBatcher(MaxBatchFlows)
+	streams := make([][]MatchEvent, len(inputs))
+	for fi, input := range inputs {
+		fi := fi
+		b.Add(mfas[fi%2].NewRunner(), fi, input, func(id int32, pos int64) {
+			streams[fi] = append(streams[fi], MatchEvent{RuleID: id, Pos: pos})
+		})
+	}
+	b.Flush()
+	for fi, input := range inputs {
+		want := fmt.Sprint(mfas[fi%2].Run(input))
+		if got := fmt.Sprint(streams[fi]); got != want {
+			t.Fatalf("flow %d: got %s, want %s", fi, got, want)
 		}
 	}
 }
@@ -153,7 +163,7 @@ func TestBatcherRejectsForeignRunner(t *testing.T) {
 // TestBatcherFullBatchSelfFlush checks that Add beyond the batch width
 // flushes the pending lanes first — no silent eviction, no lost work.
 func TestBatcherFullBatchSelfFlush(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "abc")
+	m := compileTest(t, "abc")
 	b := NewFlowBatcher(2)
 	var total int
 	cb := func(int32, int64) { total++ }
@@ -175,7 +185,7 @@ func TestBatcherFullBatchSelfFlush(t *testing.T) {
 // back state — then the panic re-raises out of Flush with TakeDead
 // naming the offending flow's tag, and the batcher is left empty.
 func TestBatcherPanicLeavesBatchEmpty(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "abc")
+	m := compileTest(t, "abc")
 	var ok1, ok2 int
 	b := NewFlowBatcher(8)
 	b.Add(m.NewRunner(), "ok-1", []byte("abc abc"), func(int32, int64) { ok1++ })
@@ -213,8 +223,8 @@ func TestBatcherPanicLeavesBatchEmpty(t *testing.T) {
 // the property flow teardown and hot reload rely on when they capture
 // contexts from recently batched runners.
 func TestBatcherWriteBackState(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
-		m := compileTest(t, layout, "attack.*payload", "abc")
+	for _, m := range bothWidths(t, "attack.*payload", "abc") {
+		classes := m.Stats().DFAClasses
 		inputs := [][]byte{
 			[]byte("xx abc attack wi"),   // even length
 			[]byte("odd abc attack wi."), // odd length
@@ -233,32 +243,32 @@ func TestBatcherWriteBackState(t *testing.T) {
 			bs, _, _, _ := batched[fi].Context()
 			ss, _, _, _ := seq.Context()
 			if bs != ss || batched[fi].Pos() != seq.Pos() {
-				t.Fatalf("layout %v flow %d: batched context (%d,%d) != sequential (%d,%d)",
-					layout, fi, bs, batched[fi].Pos(), ss, seq.Pos())
+				t.Fatalf("%d classes flow %d: batched context (%d,%d) != sequential (%d,%d)",
+					classes, fi, bs, batched[fi].Pos(), ss, seq.Pos())
 			}
 			if bs >= uint32(m.Stats().DFAStates) {
-				t.Fatalf("layout %v flow %d: written-back state %d is not a plain state number", layout, fi, bs)
+				t.Fatalf("%d classes flow %d: written-back state %d is not a plain state number", classes, fi, bs)
 			}
 		}
 	}
 }
 
-// TestBatcherMixedWindow: one flush window whose lanes walk a flat table, a
-// classed table of a different rule set and a counter-bearing automaton,
-// arriving interleaved — the partition must gather five flat lanes into a
-// quad and a leftover, four classed ones into a quad, and leave the two
-// counter lanes over — with uneven chunk lengths and second Adds for live
-// lanes. Two callbacks panic: a flat lane's in the middle of its quad's
-// first drain, which breaks the quad (its survivors leave for Feed at the
-// strip's end), and a counter lane's, which no quad took, in Feed. After the
-// first round the classed quad's three survivors leave for Feed too.
-// Sibling streams and contexts must equal sequential Feed, the lane that
-// died in lockstep must not be written back, the one that died in Feed must
-// be left where its last whole chunk took it (the lone-lane contract), and
-// TakeDead must name both.
+// TestBatcherMixedWindow: one flush window whose lanes walk a 256-column
+// table, a class quotient of a different rule set and a counter-bearing
+// automaton, arriving interleaved — the partition must gather five wide
+// lanes into a quad and a leftover, four classed ones into a quad, and
+// leave the two counter lanes over — with uneven chunk lengths and second
+// Adds for live lanes. Two callbacks panic: a wide lane's in the middle of
+// its quad's first drain, which breaks the quad (its survivors leave for
+// Feed at the strip's end), and a counter lane's, which no quad took, in
+// Feed. After the first round the classed quad's three survivors leave for
+// Feed too. Sibling streams and contexts must equal sequential Feed, the
+// lane that died in lockstep must not be written back, the one that died
+// in Feed must be left where its last whole chunk took it (the lone-lane
+// contract), and TakeDead must name both.
 func TestBatcherMixedWindow(t *testing.T) {
-	flat := compileTest(t, dfa.LayoutFlat, "attack.*payload", "abc")
-	classed := compileTest(t, dfa.LayoutClassed, "x[0-9]+y", "payload")
+	wide := compileTest(t, everyByte()...)
+	classed := compileTest(t, "x[0-9]+y", "payload")
 	counted, err := Compile(mustRules(t, "gh[^\n]{10,20}ij", "ab\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -272,18 +282,18 @@ func TestBatcherMixedWindow(t *testing.T) {
 		chunks []string // the first goes in with Add, the rest queue behind it
 	}
 	lanes := []lane{
-		{flat, []string{"xx abc attack with ", "payload abc"}},
+		{wide, []string{"xx abc attack with ", "payload abc"}},
 		{classed, []string{"x12y payload x999y and a much longer tail: payload x1y"}},
 		{counted, []string{"gh..........ij\nab\ngh.", "...\n......ij ab\n"}},
-		{flat, []string{"abc"}},
+		{wide, []string{"abc"}},
 		{classed, []string{"x7y"}},
-		{flat, []string{strings.Repeat("attack abc ", 12), "payload"}},
+		{wide, []string{strings.Repeat("attack abc ", 12), "payload"}},
 		{classed, []string{strings.Repeat("x1y payload ", 10)}},
-		{flat, []string{strings.Repeat("abc.", 30)}},
+		{wide, []string{strings.Repeat("abc.", 30)}},
 		{classed, []string{strings.Repeat("..x42y", 20)}},
 	}
-	// The hostile lanes, added after lane 2: a flat one whose first match
-	// lands at offset 2, in the first round's one strip (three bytes, the
+	// The hostile lanes, added after lane 2: a wide one whose first match
+	// lands at offset 0, in the first round's one strip (three bytes, the
 	// length of lanes 3 and 4), where it walks in a quad with lanes 0, 3 and
 	// 5; and a counter lane, left over with lane 2, whose second match is in
 	// its second chunk.
@@ -295,34 +305,34 @@ func TestBatcherMixedWindow(t *testing.T) {
 	for li, la := range lanes {
 		arrival = append(arrival, &batchLane{r: la.m.NewRunner()})
 		if li == 2 {
-			arrival = append(arrival, &batchLane{r: flat.NewRunner()}, &batchLane{r: counted.NewRunner()})
+			arrival = append(arrival, &batchLane{r: wide.NewRunner()}, &batchLane{r: counted.NewRunner()})
 		}
 	}
 	if quads := partition(arrival); quads != 2 {
-		t.Fatalf("partition made %d quads of 5 flat, 4 classed and 2 counter lanes, want 2", quads)
+		t.Fatalf("partition made %d quads of 5 wide, 4 classed and 2 counter lanes, want 2", quads)
 	}
 	for x, la := range arrival {
 		if x < 8 && la.r.mfa != arrival[x&^3].r.mfa {
 			t.Fatalf("partition: lane %d of quad %d walks another table", x%4, x/4)
 		}
 	}
-	var flats, counters int
+	var wides, counters int
 	for _, la := range arrival[8:] {
 		switch la.r.mfa {
-		case flat:
-			flats++
+		case wide:
+			wides++
 		case counted:
 			counters++
 		}
 	}
-	if flats != 1 || counters != 2 {
-		t.Fatalf("partition: %d flat and %d counter lanes left over, want 1 and 2", flats, counters)
+	if wides != 1 || counters != 2 {
+		t.Fatalf("partition: %d wide and %d counter lanes left over, want 1 and 2", wides, counters)
 	}
 
 	b := NewFlowBatcher(MaxBatchFlows)
 	runners := make([]*Runner, len(lanes))
 	streams := make([][]MatchEvent, len(lanes))
-	hostile := flat.NewRunner()
+	hostile := wide.NewRunner()
 	hostile.Feed([]byte("zz"), func(int32, int64) {}) // a context to not write over
 	left := counted.NewRunner()
 	var leftHits []int64
@@ -381,7 +391,7 @@ func TestBatcherMixedWindow(t *testing.T) {
 	if len(streams[2]) == 0 {
 		t.Error("the counter lane confirmed no match; the window did not exercise its accept path")
 	}
-	if st, _, _, _ := hostile.Context(); hostile.Pos() != 2 || st != flat.DFA().Next(flat.DFA().Next(flat.DFA().Start(), 'z'), 'z') {
+	if st, _, _, _ := hostile.Context(); hostile.Pos() != 2 || st != wide.DFA().Next(wide.DFA().Next(wide.DFA().Start(), 'z'), 'z') {
 		t.Errorf("dead lane was written back: state %d pos %d", st, hostile.Pos())
 	}
 	// Fed its first chunk whole, it died in its second: the first chunk's
@@ -438,7 +448,7 @@ func flushDead(t *testing.T, b *FlowBatcher, want ...string) {
 // kernel and drained a strip at a time, and a death breaks the quad; at
 // K = 6 two more lanes take the leftover interleave beside it.
 func TestBatcherResumeEveryOffset(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "a", "aaa")
+	m := compileTest(t, "a", "aaa")
 	as := func(n int) []byte { return []byte(strings.Repeat("a", n)) }
 	// Uneven lengths, rounds longer than a strip and not a multiple of one,
 	// and second chunks queued behind lanes 1 and 5.
@@ -503,7 +513,7 @@ func TestBatcherResumeEveryOffset(t *testing.T) {
 // runner one window behind its bytes — the panic re-raises once, and the
 // other thirteen streams and contexts equal sequential Feed.
 func TestBatcherEveryDeadLaneNamed(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "attack.*payload", "abc")
+	m := compileTest(t, "attack.*payload", "abc")
 	hostile := map[int]int64{2: 2, 7: 13, 11: 29} // lane → offset of its first "abc" match: strips 0, 1 and 3
 	b := NewFlowBatcher(MaxBatchFlows)
 	inputs := make([][]byte, MaxBatchFlows)
@@ -547,7 +557,7 @@ func TestBatcherEveryDeadLaneNamed(t *testing.T) {
 // being added belongs to an innocent flow whose reassembler has already
 // counted it delivered, so it must be queued regardless.
 func TestBatcherSelfFlushPanicKeepsChunk(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "abc")
+	m := compileTest(t, "abc")
 	b := NewFlowBatcher(2)
 	b.Add(m.NewRunner(), "boom", []byte("abc"), func(int32, int64) { panic("hostile callback") })
 	b.Add(m.NewRunner(), "ok", []byte("abc"), func(int32, int64) {})
@@ -807,7 +817,7 @@ func BenchmarkRoutingSweep(b *testing.B) {
 // caller knows which flow it was adding) and leaves the lanes pending in
 // the batch untouched.
 func TestBatcherDenseFlowPanicsInAdd(t *testing.T) {
-	m := compileTest(t, dfa.LayoutClassed, "a")
+	m := compileTest(t, "a")
 	b := NewFlowBatcher(4)
 	hot, hostile := m.NewRunner(), false
 	cb := func(int32, int64) {

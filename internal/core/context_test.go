@@ -13,9 +13,7 @@ import (
 	"slices"
 	"testing"
 
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/filter"
-	"matchfilter/internal/trace"
 )
 
 func feedEvents(r *Runner, data []byte) []event {
@@ -123,62 +121,18 @@ func TestSetContextClearsStaleRegisters(t *testing.T) {
 	}
 }
 
-// A context saved under one table layout restores into a runner of the
-// other layout: state numbering and filter state are layout-independent,
-// which is what lets a hot reload swap a flat build for a classed one
-// (or vice versa) under live flows that reset onto it.
-func TestCrossLayoutContextRoundTrip(t *testing.T) {
-	sources := []string{"attack.*payload", "evil(roo|admin)t?", "GET /[a-z]+"}
-	flat := compileMFA(t, Options{DFA: dfa.Options{Layout: dfa.LayoutFlat}}, sources...)
-	classed := compileMFA(t, Options{DFA: dfa.Options{Layout: dfa.LayoutClassed}}, sources...)
-
-	gen := trace.NewGenerator(flat.DFA(), 7)
-	input := gen.Generate(nil, 8192, 0.5)
-	half := len(input) / 2
-
-	layouts := []struct {
-		name     string
-		src, dst *MFA
-	}{
-		{"flat to classed", flat, classed},
-		{"classed to flat", classed, flat},
-	}
-	for _, lo := range layouts {
-		t.Run(lo.name, func(t *testing.T) {
-			// One runner scans the whole input on the source layout...
-			cont := lo.src.NewRunner()
-			cont.Feed(input[:half], func(int32, int64) {})
-			state, mem, regs, ctrs := cont.Context()
-			pos := cont.Pos()
-			wantTail := feedEvents(cont, input[half:])
-
-			// ...and a runner on the destination layout picks up its
-			// mid-stream context. The tail streams must be identical.
-			moved := lo.dst.NewRunner()
-			if err := moved.SetContext(state, mem, regs, ctrs, pos); err != nil {
-				t.Fatal(err)
-			}
-			gotTail := feedEvents(moved, input[half:])
-			if fmt.Sprint(gotTail) != fmt.Sprint(wantTail) {
-				t.Fatalf("tail streams differ after cross-layout restore:\nsrc: %v\ndst: %v",
-					wantTail, gotTail)
-			}
-		})
-	}
-}
-
-// SelfCheck accepts healthy builds of both layouts (the reload gate must
-// not reject good automata) and its trace is the pinned one.
+// SelfCheck accepts healthy builds of both constructions and of a
+// 256-column table (the reload gate must not reject good automata) and
+// its trace is the pinned one.
 func TestSelfCheckPasses(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{DFA: dfa.Options{Layout: dfa.LayoutFlat}},
-		paperConditions,
-	} {
+	for _, opts := range []Options{{}, paperConditions} {
 		m := compileMFA(t, opts, "attack.*payload", "evil", "aa.{3,}bb")
 		if err := m.SelfCheck(); err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
+	}
+	if err := compileTest(t, everyByte()...).SelfCheck(); err != nil {
+		t.Fatalf("256 classes: %v", err)
 	}
 	// The trace is pinned: every reload validates against these bytes, so
 	// a change to them must change this hash too.

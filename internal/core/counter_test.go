@@ -262,13 +262,11 @@ func TestCounterBadContext(t *testing.T) {
 // rules over bounded gaps (plain and classed), random rule subsets,
 // random inputs — the counter-compiled MFA must emit a byte-identical
 // (id, pos) match stream to the undecomposed expanded DFAs, whole-payload
-// and under random chunking, in every table layout, and through the
-// lockstep batcher. Runs under -race in CI.
+// and under random chunking, and through the lockstep batcher. Runs under -race in CI.
 func TestCounterEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	words := []string{"aa", "bb", "cc", "xy"}
 	gaps := []string{".{2,8}", ".{3,9}", ".{5,12}", "[^x]{2,8}", "[^\n]{3,8}", ".{4,}", ".*"}
-	layouts := []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed}
 	trials := 25
 	if testing.Short() {
 		trials = 5
@@ -339,70 +337,63 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			inputs = append(inputs, []byte("klab\ncdxxefgh..........ij\nab\ngh....\n......ij cd\nef"))
 		}
 
-		for _, layout := range layouts {
-			m, err := Compile(rules, Options{DFA: dfa.Options{Layout: layout}})
-			if err != nil {
-				t.Fatalf("trial %d layout %v rules %v: %v", trial, layout, sources, err)
+		m, err := Compile(rules, Options{})
+		if err != nil {
+			t.Fatalf("trial %d rules %v: %v", trial, sources, err)
+		}
+		// The line end's program: report; live guard +1; reset gh's
+		// counter; test kl's bit +1; report; clear cd's bit — and when
+		// the counter is not live and the bit not set: report, the two
+		// failing guards, the clear.
+		if st := m.Stats(); trial == 0 && (st.AcceptWidest.IDs != 4 || st.AcceptWidest.Ops != 6 || st.AcceptWidestQuiet != 4) {
+			t.Fatalf("mixed set: widest decision set %+v, %d ops when quiet, want 4 ids (report, reset, guarded report, clear group) in 6 ops, 4 when quiet",
+				st.AcceptWidest, st.AcceptWidestQuiet)
+		}
+		for ii, input := range inputs {
+			want := truth(input)
+			if got := mfaEvents(m, input); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d rules %v input %q:\nMFA  %v\ntruth %v",
+					trial, sources, input, got, want)
 			}
-			// The line end's program: report; live guard +1; reset gh's
-			// counter; test kl's bit +1; report; clear cd's bit — and when
-			// the counter is not live and the bit not set: report, the two
-			// failing guards, the clear.
-			if st := m.Stats(); trial == 0 && (st.AcceptWidest.IDs != 4 || st.AcceptWidest.Ops != 6 || st.AcceptWidestQuiet != 4) {
-				t.Fatalf("mixed set: widest decision set %+v, %d ops when quiet, want 4 ids (report, reset, guarded report, clear group) in 6 ops, 4 when quiet",
-					st.AcceptWidest, st.AcceptWidestQuiet)
+			// Same payload in random odd-biased chunks: counter state
+			// must carry across Feed boundaries identically.
+			r := m.NewRunner()
+			var stream []event
+			for off := 0; off < len(input); {
+				n := 1 + rng.Intn(9)
+				if off+n > len(input) {
+					n = len(input) - off
+				}
+				r.Feed(input[off:off+n], func(id int32, pos int64) {
+					stream = append(stream, event{id, pos})
+				})
+				off += n
 			}
-			for ii, input := range inputs {
-				want := truth(input)
-				if got := mfaEvents(m, input); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v rules %v input %q:\nMFA  %v\ntruth %v",
-						trial, layout, sources, input, got, want)
-				}
-				// Same payload in random odd-biased chunks: counter state
-				// must carry across Feed boundaries identically.
-				r := m.NewRunner()
-				var stream []event
-				for off := 0; off < len(input); {
-					n := 1 + rng.Intn(9)
-					if off+n > len(input) {
-						n = len(input) - off
-					}
-					r.Feed(input[off:off+n], func(id int32, pos int64) {
-						stream = append(stream, event{id, pos})
-					})
-					off += n
-				}
-				sortEvents(stream)
-				if fmt.Sprint(stream) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v input %d: chunked stream diverges from truth",
-						trial, layout, ii)
-				}
-				// Mid-stream context round trip through a second runner.
-				r1 := m.NewRunner()
-				var roundTrip []event
-				cb := func(id int32, pos int64) { roundTrip = append(roundTrip, event{id, pos}) }
-				half := len(input) / 2
-				r1.Feed(input[:half], cb)
-				state, mem, regs, ctrs := r1.Context()
-				r2 := m.NewRunner()
-				if err := r2.SetContext(state, mem, regs, ctrs, r1.Pos()); err != nil {
-					t.Fatalf("trial %d: mid-stream restore: %v", trial, err)
-				}
-				r2.Feed(input[half:], cb)
-				sortEvents(roundTrip)
-				if fmt.Sprint(roundTrip) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v input %d: context round trip diverges\ngot  %v\ntruth %v",
-						trial, layout, ii, roundTrip, want)
-				}
+			sortEvents(stream)
+			if fmt.Sprint(stream) != fmt.Sprint(want) {
+				t.Fatalf("trial %d input %d: chunked stream diverges from truth", trial, ii)
+			}
+			// Mid-stream context round trip through a second runner.
+			r1 := m.NewRunner()
+			var roundTrip []event
+			cb := func(id int32, pos int64) { roundTrip = append(roundTrip, event{id, pos}) }
+			half := len(input) / 2
+			r1.Feed(input[:half], cb)
+			state, mem, regs, ctrs := r1.Context()
+			r2 := m.NewRunner()
+			if err := r2.SetContext(state, mem, regs, ctrs, r1.Pos()); err != nil {
+				t.Fatalf("trial %d: mid-stream restore: %v", trial, err)
+			}
+			r2.Feed(input[half:], cb)
+			sortEvents(roundTrip)
+			if fmt.Sprint(roundTrip) != fmt.Sprint(want) {
+				t.Fatalf("trial %d input %d: context round trip diverges\ngot  %v\ntruth %v",
+					trial, ii, roundTrip, want)
 			}
 		}
 
 		// Batched lockstep: all inputs as concurrent flows through one
 		// FlowBatcher must reproduce each flow's sequential stream.
-		m, err := Compile(rules, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, k := range []int{1, 3, MaxBatchFlows} {
 			b := NewFlowBatcher(k)
 			frs := make([]*Runner, len(inputs))

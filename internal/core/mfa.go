@@ -10,17 +10,13 @@
 // w-bit memory — so multiplexing many flows costs a few bytes per flow
 // (§III-B).
 //
-// Layout-independence invariant: the DFA has one table shape (a class map
-// plus pre-scaled rows, see internal/dfa), and dfa.Options.Layout only
-// chooses its columns — the byte-class quotient, or all 256 under the
-// identity map. That changes the memory footprint, never behaviour. Feed
-// produces byte-identical (ruleID, pos) match streams in both layouts,
-// and the contexts exchanged through Runner.Context/SetContext carry
-// plain DFA state numbers — never scaled row bases — so a context saved
-// under one layout (or one generation of a hot-reloaded rule set
-// compiled with another layout) restores correctly. FlowBatcher
-// (batch.go) preserves the same invariant: batched lockstep scanning
-// reorders work across flows, never within one.
+// The DFA has one table shape (a class map plus pre-scaled rows, see
+// internal/dfa), and the contexts exchanged through
+// Runner.Context/SetContext carry plain DFA state numbers — never scaled
+// row bases — so a context saved under one table of an automaton (a flat
+// image of an earlier release loads as the 256-class one) restores into
+// any other. FlowBatcher (batch.go) reorders work across flows, never
+// within one, so every flow's (ruleID, pos) stream is the one Feed makes.
 package core
 
 import (
@@ -73,15 +69,12 @@ type BuildStats struct {
 	// the paper reports filters averaging under 0.2% of the image.
 	DFABytes    int
 	FilterBytes int
-	// DFATableBytes is the transition table's share of DFABytes in its
-	// actual layout (classed tables include the 256-byte class map);
-	// DFAClasses is the byte equivalence-class count (256 when flat) and
-	// DFALayout names the layout ("flat" or "classed"). Exposed to
-	// telemetry so /metrics and /statsz report what the scan loop is
-	// actually walking.
+	// DFATableBytes is the transition table's share of DFABytes, the
+	// 256-byte class map included; DFAClasses is the byte
+	// equivalence-class count. Exposed to telemetry so /metrics and
+	// /statsz report what the scan loop is actually walking.
 	DFATableBytes int
 	DFAClasses    int
-	DFALayout     string
 	// The accept programs derived from the decision sets (DESIGN.md §21):
 	// how many distinct sets were compiled, the widest set as ids → ops
 	// (what one visit of the costliest accepting state runs), and the
@@ -157,7 +150,6 @@ func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
 	stats.FilterBytes = prog.MemoryImageBytes()
 	stats.DFATableBytes = d.TableBytes()
 	stats.DFAClasses = d.NumClasses()
-	stats.DFALayout = d.Layout().String()
 	stats.AcceptPrograms = composed.Programs
 	stats.AcceptWidest = composed.Widest
 	stats.AcceptWidestQuiet = composed.WidestQuiet

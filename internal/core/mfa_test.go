@@ -249,12 +249,7 @@ func TestEquivalenceRandom(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	// The §V-C filter-fraction claim is stated against the paper's flat
-	// transition table; pin that layout so the ratio check keeps
-	// measuring what the paper measured. Layout stats are checked on a
-	// default (byte-class) build below.
-	m := compileMFA(t, Options{DFA: dfa.Options{Layout: dfa.LayoutFlat}},
-		"vi.*emacs", "bsd.*gnu", "abc.*mm?o.*xyz")
+	m := compileMFA(t, Options{}, "vi.*emacs", "bsd.*gnu", "abc.*mm?o.*xyz")
 	st := m.Stats()
 	if st.NumRules != 3 || st.NumFragments != 7 {
 		t.Errorf("rules=%d fragments=%d", st.NumRules, st.NumFragments)
@@ -274,26 +269,20 @@ func TestStats(t *testing.T) {
 	if st.MemoryImageBytes() != st.DFABytes+st.FilterBytes {
 		t.Errorf("image bytes inconsistent: %+v", st)
 	}
-	// The filter must be a tiny fraction of the image (§V-C: <0.2%).
-	if frac := float64(st.FilterBytes) / float64(st.MemoryImageBytes()); frac > 0.05 {
+	// The filter must be a tiny fraction of the image (§V-C: <0.2%). The
+	// claim is stated against the paper's flat table, 1 KiB a state in
+	// place of the class table, so the ratio measures what the paper did.
+	paperDFA := st.DFAStates*1024 + st.DFABytes - st.DFATableBytes
+	if frac := float64(st.FilterBytes) / float64(paperDFA+st.FilterBytes); frac > 0.05 {
 		t.Errorf("filter fraction %f too large", frac)
 	}
-	if st.DFALayout != "flat" || st.DFAClasses != 256 {
-		t.Errorf("flat build stats: layout=%q classes=%d", st.DFALayout, st.DFAClasses)
+	// Byte-class compression: far fewer than 256 classes, a
+	// proportionally smaller table.
+	if st.DFAClasses <= 0 || st.DFAClasses >= 256 {
+		t.Errorf("classed build used %d classes", st.DFAClasses)
 	}
-
-	// The default build applies byte-class compression: far fewer than
-	// 256 classes, a proportionally smaller table, identical matching.
-	md := compileMFA(t, Options{}, "vi.*emacs", "bsd.*gnu", "abc.*mm?o.*xyz")
-	std := md.Stats()
-	if std.DFALayout != "classed" {
-		t.Fatalf("default layout = %q, want classed", std.DFALayout)
-	}
-	if std.DFAClasses <= 0 || std.DFAClasses >= 256 {
-		t.Errorf("classed build used %d classes", std.DFAClasses)
-	}
-	if std.DFATableBytes >= st.DFATableBytes {
-		t.Errorf("classed table %d B not smaller than flat %d B", std.DFATableBytes, st.DFATableBytes)
+	if st.DFATableBytes >= st.DFAStates*1024 {
+		t.Errorf("classed table %d B not smaller than flat %d B", st.DFATableBytes, st.DFAStates*1024)
 	}
 }
 

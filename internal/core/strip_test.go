@@ -106,7 +106,7 @@ func TestFeedPanicMidStrip(t *testing.T) {
 		{"last quarter", "a", []byte("xxa"), bytes.Repeat([]byte("xa"), dfa.BlockLen), true},
 		{"last quarter of missed guesses", "^(?:[bc]*a[bc]*a)*[bc]*a", nil, parity, true},
 	} {
-		r := compileTest(t, dfa.LayoutClassed, c.rule).NewRunner()
+		r := compileTest(t, c.rule).NewRunner()
 		r.Feed(c.prefix, func(int32, int64) {})
 		state, _, _, _ := r.Context()
 		pos := r.Pos()

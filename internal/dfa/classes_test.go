@@ -4,16 +4,25 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 )
 
+// everyByte is 256 one-byte rules, \x00 … \xff: every byte value is its
+// own class, so the table is 256 columns under the identity map.
+func everyByte() []string {
+	srcs := make([]string, 256)
+	for b := range srcs {
+		srcs[b] = fmt.Sprintf(`\x%02x`, b)
+	}
+	return srcs
+}
+
 // TestClassMapIsExactQuotient checks the defining property of the byte
-// equivalence classes against the flat table: two bytes share a class
+// equivalence classes against the 256-wide table: two bytes share a class
 // iff every state maps them to the same successor — no over-merging
 // (which would corrupt matching) and no under-splitting (which would
-// waste table space).
+// waste table space) — for the class map a build keeps and for
+// computeClasses over the 256-wide table.
 func TestClassMapIsExactQuotient(t *testing.T) {
 	sources := [][]string{
 		{"abc"},
@@ -21,46 +30,67 @@ func TestClassMapIsExactQuotient(t *testing.T) {
 		{`/^GET[^\n]*passwd/i`, "attack.*payload"},
 		{"vi.*emacs", "bsd.*gnu", "abc.*mm?o.*xyz"},
 		{"[0-9]+[a-f]*xyz", "zz.*[^q]*end"},
+		everyByte(),
 	}
 	for _, srcs := range sources {
-		flat, err := FromNFA(buildNFA(t, srcs...), Options{Layout: LayoutFlat})
+		d, err := FromNFA(buildNFA(t, srcs...), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		classOf, k := computeClasses(flat.trans, 256)
-		if k < 1 || k > 256 {
-			t.Fatalf("%v: %d classes", srcs, k)
+		table := d.TransitionTable()
+		classOf, k := computeClasses(table, 256)
+		if k != d.NumClasses() || !bytes.Equal(classOf, d.ClassMap()) {
+			t.Fatalf("%d rules: computeClasses found %d classes, the build keeps %d", len(srcs), k, d.NumClasses())
 		}
 		for b1 := 0; b1 < 256; b1++ {
 			for b2 := b1 + 1; b2 < 256; b2++ {
 				same := true
-				for s := 0; s < flat.numStates && same; s++ {
-					same = flat.trans[s*256+b1] == flat.trans[s*256+b2]
+				for s := 0; s < d.numStates && same; s++ {
+					same = table[s*256+b1] == table[s*256+b2]
 				}
 				if got := classOf[b1] == classOf[b2]; got != same {
-					t.Fatalf("%v: bytes %#x,%#x: same class %v, same columns %v",
-						srcs, b1, b2, got, same)
+					t.Fatalf("%d rules: bytes %#x,%#x: same class %v, same columns %v",
+						len(srcs), b1, b2, got, same)
 				}
 			}
 		}
 	}
 }
 
-// TestClassedNextMatchesFlat checks the repacked table pointwise: for
-// every (state, byte), the classed automaton's successor equals the flat
-// one's.
+// TestEveryByteIsItsOwnClass: a set that tells every byte value apart
+// builds the 256-column table under the identity map, the shape a flat
+// image loads as, and scans like its rules say.
+func TestEveryByteIsItsOwnClass(t *testing.T) {
+	d, err := FromNFA(buildNFA(t, everyByte()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumClasses() != 256 || !bytes.Equal(d.ClassMap(), identityClasses[:]) {
+		t.Fatalf("%d classes, map %v; want 256 under the identity map", d.NumClasses(), d.ClassMap())
+	}
+	if got, want := d.TableBytes(), d.NumStates()*256*4+256; got != want {
+		t.Fatalf("TableBytes = %d, want %d", got, want)
+	}
+	input := []byte("\x00a\xff")
+	if got := fmt.Sprint(NewEngine(d).Run(input)); got != "[{1 0} {98 1} {256 2}]" {
+		t.Fatalf("scan of %q: %s", input, got)
+	}
+}
+
+// TestClassedNextMatchesFlat checks the two tables of C10's automaton
+// pointwise: for every (state, byte), the classed image's successor
+// equals that of the flat image, loaded under the identity map.
 func TestClassedNextMatchesFlat(t *testing.T) {
-	srcs := []string{"attack.*payload", `/^get[^\n]*passwd/i`, "[0-9]{2}x"}
-	flat, err := FromNFA(buildNFA(t, srcs...), Options{Layout: LayoutFlat})
+	flat, err := ReadDFA(bytes.NewReader(golden(t, "c10_v2_flat.dfa")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	classed, err := FromNFA(buildNFA(t, srcs...), Options{Layout: LayoutClassed})
+	classed, err := ReadDFA(bytes.NewReader(golden(t, "c10_v2_classed.dfa")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classed.Layout() != LayoutClassed || flat.Layout() != LayoutFlat {
-		t.Fatalf("layouts: flat=%v classed=%v", flat.Layout(), classed.Layout())
+	if flat.NumClasses() != 256 || classed.NumClasses() >= 256 {
+		t.Fatalf("classes: flat=%d classed=%d", flat.NumClasses(), classed.NumClasses())
 	}
 	if classed.NumStates() != flat.NumStates() {
 		t.Fatalf("state counts differ: %d vs %d", classed.NumStates(), flat.NumStates())
@@ -81,120 +111,30 @@ func TestClassedNextMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestLayoutEquivalenceRandom property-checks the tentpole invariant at
-// the dfa level: flat and classed engines built from the same NFA
-// produce identical (id, pos) match streams on random inputs, across
-// random rule sets, with and without minimization — whole, and fed in
-// random chunks with the context moved to the other layout's runner at
-// every chunk boundary (State/SetState speak plain state numbers).
-func TestLayoutEquivalenceRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	words := []string{"ab", "abc", "bc", "ca", "aab", "cc", "GET", "pass"}
-
-	for trial := 0; trial < 40; trial++ {
-		var sources []string
-		for ri := 0; ri < 1+rng.Intn(4); ri++ {
-			var sb strings.Builder
-			if rng.Intn(4) == 0 {
-				sb.WriteByte('^')
-			}
-			sb.WriteString(words[rng.Intn(len(words))])
-			switch rng.Intn(4) {
-			case 0:
-				sb.WriteString("|" + words[rng.Intn(len(words))])
-			case 1:
-				sb.WriteString("?" + words[rng.Intn(len(words))])
-			case 2:
-				sb.WriteString(".*" + words[rng.Intn(len(words))])
-			}
-			sources = append(sources, sb.String())
-		}
-		minimize := trial%2 == 0
-
-		n := buildNFA(t, sources...)
-		flat, err := FromNFA(n, Options{Layout: LayoutFlat, Minimize: minimize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		classed, err := FromNFA(n, Options{Layout: LayoutClassed, Minimize: minimize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flatE, classedE := NewEngine(flat), NewEngine(classed)
-		for ii := 0; ii < 5; ii++ {
-			input := make([]byte, 10+rng.Intn(120))
-			for i := range input {
-				input[i] = "abcGETps "[rng.Intn(9)]
-			}
-			want := flatE.Run(input)
-			if fmt.Sprint(want) != fmt.Sprint(classedE.Run(input)) {
-				t.Fatalf("rules %v input %q: flat %v vs classed %v",
-					sources, input, want, classedE.Run(input))
-			}
-			var got []MatchEvent
-			cb := func(id int32, pos int64) { got = append(got, MatchEvent{ID: id, Pos: pos}) }
-			r, other := classedE.NewRunner(), flatE.NewRunner()
-			for rest := input; len(rest) > 0; r, other = other, r {
-				n := 1 + rng.Intn(len(rest))
-				r.Feed(rest[:n], cb)
-				if st := r.State(); st >= uint32(flat.NumStates()) {
-					t.Fatalf("rules %v: saved state %d is not a plain state number", sources, st)
-				}
-				other.SetState(r.State(), r.Pos())
-				rest = rest[n:]
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("rules %v input %q chunked across layouts: %v, want %v", sources, input, got, want)
-			}
-		}
-	}
-}
-
-// TestLayoutAutoPicksClassed checks the Auto policy: pattern sets with
-// few distinct byte behaviours compress and Auto keeps the classed form.
-func TestLayoutAutoPicksClassed(t *testing.T) {
-	d, err := FromNFA(buildNFA(t, "abc.*def", "xy?z"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Layout() != LayoutClassed {
-		t.Fatalf("auto layout = %v, want classed", d.Layout())
-	}
-	if d.NumClasses() > autoClassThreshold {
-		t.Fatalf("%d classes exceeds the auto threshold yet classed was kept", d.NumClasses())
-	}
-	if got := d.TableBytes(); got >= d.NumStates()*256*4 {
-		t.Fatalf("classed table %d B not smaller than flat %d B", got, d.NumStates()*256*4)
-	}
-}
-
-// TestMarshalRoundTripBothLayouts checks WriteTo/ReadDFA over both
-// layouts: the decoded automaton must preserve layout, class map and
-// match behaviour exactly.
+// TestMarshalRoundTripBothLayouts checks WriteTo/ReadDFA over both table
+// widths a build can have, a class quotient and the 256 columns of the
+// identity map: the decoded automaton must preserve class map and match
+// behaviour exactly.
 func TestMarshalRoundTripBothLayouts(t *testing.T) {
-	for _, layout := range []Layout{LayoutFlat, LayoutClassed} {
-		d, err := FromNFA(buildNFA(t, "attack.*payload", "x[0-9]+y"), Options{Layout: layout})
+	for _, srcs := range [][]string{{"attack.*payload", "x[0-9]+y"}, everyByte()} {
+		d, err := FromNFA(buildNFA(t, srcs...), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if _, err := d.WriteTo(&buf); err != nil {
-			t.Fatalf("%v: write: %v", layout, err)
+			t.Fatalf("%d classes: write: %v", d.NumClasses(), err)
 		}
 		got, err := ReadDFA(&buf)
 		if err != nil {
-			t.Fatalf("%v: read: %v", layout, err)
+			t.Fatalf("%d classes: read: %v", d.NumClasses(), err)
 		}
-		if got.Layout() != layout || got.NumClasses() != d.NumClasses() {
-			t.Fatalf("%v: round-trip layout=%v classes=%d, want classes=%d",
-				layout, got.Layout(), got.NumClasses(), d.NumClasses())
-		}
-		if !bytes.Equal(got.ClassMap(), d.ClassMap()) {
-			t.Fatalf("%v: class map changed across round trip", layout)
+		if got.NumClasses() != d.NumClasses() || !bytes.Equal(got.ClassMap(), d.ClassMap()) {
+			t.Fatalf("%d classes: round trip has %d classes or another class map", d.NumClasses(), got.NumClasses())
 		}
 		input := []byte("zz attack with payload x129y zz")
 		if fmt.Sprint(NewEngine(got).Run(input)) != fmt.Sprint(NewEngine(d).Run(input)) {
-			t.Fatalf("%v: decoded engine disagrees with original", layout)
+			t.Fatalf("%d classes: decoded engine disagrees with original", d.NumClasses())
 		}
 	}
 }
@@ -205,7 +145,7 @@ func TestMarshalRoundTripBothLayouts(t *testing.T) {
 // (and ErrBadFormat for callers matching the broader class), not decode
 // shifted.
 func TestMarshalTableSizeValidated(t *testing.T) {
-	d, err := FromNFA(buildNFA(t, "abc"), Options{Layout: LayoutClassed})
+	d, err := FromNFA(buildNFA(t, "abc"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +180,7 @@ func TestMarshalTableSizeValidated(t *testing.T) {
 // class beyond numClasses — which would index past the table rows at
 // scan time — is rejected at decode.
 func TestMarshalRejectsBadClassMap(t *testing.T) {
-	d, err := FromNFA(buildNFA(t, "abc"), Options{Layout: LayoutClassed})
+	d, err := FromNFA(buildNFA(t, "abc"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,20 +197,21 @@ func TestMarshalRejectsBadClassMap(t *testing.T) {
 }
 
 // TestReadV1Format checks that flat v1 images written before the layout
-// header keep decoding (the versioned-header compatibility contract).
+// header keep decoding (the versioned-header compatibility contract), as
+// the 256-class table under the identity map.
 func TestReadV1Format(t *testing.T) {
-	d, err := FromNFA(buildNFA(t, "ab.*cd"), Options{Layout: LayoutFlat})
+	d, err := FromNFA(buildNFA(t, "ab.*cd"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-frame the flat automaton in the v1 layout by hand.
+	// Frame the automaton's 256-wide table in the v1 layout by hand.
 	var buf bytes.Buffer
 	buf.WriteString(dfaMagicV1)
 	le := func(v uint32) { buf.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}) }
 	le(uint32(d.numStates))
 	le(d.start)
 	le(d.acceptStart)
-	for _, to := range d.plainTable() {
+	for _, to := range d.TransitionTable() {
 		le(to)
 	}
 	le(uint32(len(d.accepts)))
@@ -284,8 +225,8 @@ func TestReadV1Format(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 decode: %v", err)
 	}
-	if got.Layout() != LayoutFlat || got.NumClasses() != 256 {
-		t.Fatalf("v1 decode: layout=%v classes=%d", got.Layout(), got.NumClasses())
+	if got.NumClasses() != 256 || !bytes.Equal(got.ClassMap(), identityClasses[:]) {
+		t.Fatalf("v1 decode: %d classes, want 256 under the identity map", got.NumClasses())
 	}
 	input := []byte("xx ab 123 cd yy")
 	if fmt.Sprint(NewEngine(got).Run(input)) != fmt.Sprint(NewEngine(d).Run(input)) {
@@ -294,13 +235,17 @@ func TestReadV1Format(t *testing.T) {
 }
 
 // TestPreScaleInvariant checks the one precondition of the scan kernel:
-// row bases are next × k in a uint32, so a layout whose numStates × k
+// row bases are next × k in a uint32, so a table whose numStates × k
 // reaches 2³² must be refused (wrapped ErrTooManyStates), not wrapped
-// around. The rows are hand-assembled and carry no table — pack checks
-// before it reads one, so no 16 GiB build is needed to get there.
+// around. The rows are hand-assembled and carry one row, which splits
+// every column — classed checks before it reads another, so no 16 GiB
+// build is needed to get there.
 func TestPreScaleInvariant(t *testing.T) {
-	r := &rows{numStates: 1 << 24, k: 1, classOf: make([]uint8, 256), acceptStart: 1 << 24}
-	if _, err := r.applyLayout(LayoutFlat); !errors.Is(err, ErrTooManyStates) { // 2²⁴ × 256 = 2³²
-		t.Fatalf("2²⁴ states flat: got %v, want ErrTooManyStates", err)
+	r := &rows{numStates: 1 << 24, next: make([]uint32, 256), k: 256, classOf: identityClasses[:], acceptStart: 1 << 24}
+	for c := range r.next {
+		r.next[c] = uint32(c)
+	}
+	if _, err := r.classed(); !errors.Is(err, ErrTooManyStates) { // 2²⁴ × 256 = 2³²
+		t.Fatalf("2²⁴ states × 256 classes: got %v, want ErrTooManyStates", err)
 	}
 }

@@ -42,8 +42,8 @@ func fuzzRules(spec []byte) []string {
 }
 
 // FuzzFromNFA holds the constructor to the per-byte reference on fuzzed
-// rule sets: the same automaton bit for bit under every layout and
-// minimization setting, or ErrTooManyStates from both at the same small
+// rule sets: the same automaton bit for bit under both minimization
+// settings, or ErrTooManyStates from both at the same small
 // budget. loopStart adds a consuming self-loop on the start state, the one
 // shape nfa.Build never produces: it can put the whole core inside the
 // start closure.

@@ -4,25 +4,22 @@
 // matching engine and an optional minimization pass.
 //
 // There is one table shape: a 256-byte class map plus a row-major
-// numStates × k table whose entries are pre-scaled row bases (next × k),
-// stepped as st = trans[st+uint32(classOf[b])] — by WalkQuarters, the
-// kernel of every sequential loop, and by WalkLanes, four flows a call for
-// core's lockstep loop; both record into a Quarters. Options.Layout only
-// chooses the columns. Classed (the default via LayoutAuto) keeps one
-// column per byte equivalence class, a table typically 5–20× smaller that
-// stays cache-resident as state counts grow; Flat is the k = 256,
-// identity-map case, the paper's 1 KiB-per-state table. See classes.go.
+// numStates × k table, one column per byte equivalence class, whose
+// entries are pre-scaled row bases (next × k), stepped as
+// st = trans[st+uint32(classOf[b])] — by WalkQuarters, the kernel of every
+// sequential loop, and by WalkLanes, four flows a call for core's lockstep
+// loop; both record into a Quarters. The class table is typically 5–20×
+// smaller than the paper's 1 KiB-per-state table and stays cache-resident
+// as state counts grow; a flat image of an earlier release loads as the
+// k = 256 case under the identity map. See classes.go.
 //
-// Layout-independence invariant: both layouts encode the identical
-// successor function and produce byte-for-byte identical (id, pos) match
-// streams; only the memory footprint differs. All APIs that cross the
-// package boundary — Next, Runner.State/SetState, Matches, and the wire
-// format — speak plain state numbers, never scaled row bases, so a
-// context saved from a flat engine restores into a classed one built from
-// the same NFA (and vice versa). States are renumbered so that all
-// accepting states form a contiguous tail, making the per-byte "did we
-// match" test a single integer compare — one the sequential kernel turns
-// into a mask bit instead of a branch (strip.go).
+// All APIs that cross the package boundary — Next, Runner.State/SetState,
+// Matches, and the wire format — speak plain state numbers, never scaled
+// row bases, so a context saved from one table restores into any table of
+// the same automaton, a flat image's included. States are renumbered so
+// that all accepting states form a contiguous tail, making the per-byte
+// "did we match" test a single integer compare — one the sequential kernel
+// turns into a mask bit instead of a branch (strip.go).
 //
 // Concurrency: a *DFA and the Engine wrapping it are immutable after
 // construction and safe for unlimited concurrent readers. All mutable
@@ -30,7 +27,6 @@
 package dfa
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -43,8 +39,8 @@ import (
 // DefaultMaxStates is the construction budget used when Options.MaxStates
 // is zero. During construction a state costs its residue (a few NFA
 // state ids for decomposed sets) and one row of 4 bytes per alphabet
-// class; only a flat-layout result pays 1 KiB of table per state, which
-// the default bounds at 128 MiB. That is comfortably above every
+// class, at most 1 KiB of table per state, which the default bounds at
+// 128 MiB. That is comfortably above every
 // constructible pattern set shipped in internal/patterns, and exceeded
 // (by design) by the B217p-style sets.
 const DefaultMaxStates = 1 << 17
@@ -62,12 +58,6 @@ type Options struct {
 	// Distinct match-id sets are kept distinguishable, so minimization
 	// never merges states that report different matches.
 	Minimize bool
-	// Layout selects the transition-table representation. The zero value
-	// (LayoutAuto) applies byte-class compression whenever it shrinks the
-	// table at least 2×; LayoutFlat forces the paper's one-load-per-byte
-	// table and exists so baselines and equivalence tests can compare the
-	// two layouts on identical automata.
-	Layout Layout
 }
 
 // DFA is a deterministic multi-match automaton. It is immutable after
@@ -81,18 +71,16 @@ type DFA struct {
 	// Entries are pre-scaled row bases, next × numClasses (pack in
 	// classes.go is the one place that scales them).
 	trans []uint32
-	// numClasses is the row stride k: the byte equivalence-class count,
-	// 256 for the flat layout.
+	// numClasses is the row stride k: the byte equivalence-class count.
 	numClasses int
-	// classOf maps each input byte to its column; the identity for the
-	// flat layout.
+	// classOf maps each input byte to its column.
 	classOf     []uint8
 	acceptStart uint32    // states >= acceptStart are accepting
 	accepts     [][]int32 // match ids for states >= acceptStart, indexed by state-acceptStart
 }
 
-// rows is an automaton between construction and layout: what the
-// constructor emits, the minimizer rewrites and pack turns into a DFA.
+// rows is an automaton between construction and its table: what the
+// constructor emits, the minimizer rewrites and classed turns into a DFA.
 // next holds plain successor numbers, numStates × k over the columns
 // classOf maps bytes to; columns may still be equal.
 type rows struct {
@@ -107,9 +95,8 @@ type rows struct {
 
 // FromNFA runs subset construction on n. Construction and minimization
 // work on class-width rows (one column per NFA byte class, see
-// constructor); the requested layout is applied as a final repacking
-// step, so layout choice can never change the automaton's language or
-// decision sets.
+// constructor); the byte-class quotient is taken as a final repacking
+// step, which keeps the successor function exactly.
 func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -124,7 +111,7 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 	if opts.Minimize {
 		r = r.minimize()
 	}
-	return r.applyLayout(opts.Layout)
+	return r.classed()
 }
 
 // constructor holds the working state of subset construction. It works
@@ -515,8 +502,8 @@ func (d *DFA) Matches(state uint32) []int32 {
 }
 
 // TransitionTable returns a freshly materialized NumStates×256 row-major
-// table of plain state numbers, whatever the layout: the form the HFA and
-// XFA baselines repack into their own cells.
+// table of plain state numbers: the form the HFA and XFA baselines repack
+// into their own cells.
 func (d *DFA) TransitionTable() []uint32 {
 	k := uint32(d.numClasses)
 	out := make([]uint32, d.numStates*256)
@@ -562,36 +549,15 @@ func NewStrideDiv(k int) StrideDiv {
 // Quo returns x/k for x a multiple of k (the mask makes the shift a bare SHR).
 func (v StrideDiv) Quo(x uint32) uint32 { return x >> (v.shift & 31) * v.inv }
 
-// Layout reports the table representation actually applied, LayoutFlat or
-// LayoutClassed (never LayoutAuto — Auto resolves at construction time).
-// Flat is a property of the table, not of how it was requested: 256
-// columns under the identity map.
-func (d *DFA) Layout() Layout {
-	if d.numClasses == 256 && bytes.Equal(d.classOf, identityClasses[:]) {
-		return LayoutFlat
-	}
-	return LayoutClassed
-}
-
 // NumClasses returns the number of table columns, which is also the row
-// stride: the byte equivalence-class count, 256 for the flat layout.
+// stride: the byte equivalence-class count.
 func (d *DFA) NumClasses() int { return d.numClasses }
 
-// ClassMap returns the 256-entry byte→column map (the identity for the
-// flat layout). Shared, read-only.
+// ClassMap returns the 256-entry byte→column map. Shared, read-only.
 func (d *DFA) ClassMap() []uint8 { return d.classOf }
 
-// TableBytes returns the size of the transition table plus, for the
-// classed layout, the class map — the footprint the layout choice trades.
-// A flat table's identity map is derived, not part of the image (WriteTo
-// does not carry it), and is not counted.
-func (d *DFA) TableBytes() int {
-	n := len(d.trans) * 4
-	if d.Layout() != LayoutFlat {
-		n += len(d.classOf)
-	}
-	return n
-}
+// TableBytes returns the size of the transition table plus its class map.
+func (d *DFA) TableBytes() int { return len(d.trans)*4 + len(d.classOf) }
 
 // AcceptStart returns the first accepting state id; states in
 // [AcceptStart, NumStates) are exactly the accepting states.
@@ -603,8 +569,8 @@ func (d *DFA) AcceptStart() uint32 { return d.acceptStart }
 func (d *DFA) AcceptSets() [][]int32 { return d.accepts }
 
 // MemoryImageBytes returns the contiguous memory needed for matching:
-// the transition table in its actual layout (plus class map), and the
-// accept-set arrays with their index.
+// the transition table with its class map, and the accept-set arrays
+// with their index.
 func (d *DFA) MemoryImageBytes() int {
 	total := d.TableBytes()
 	total += len(d.accepts) * 8 // offset/length index per accepting state

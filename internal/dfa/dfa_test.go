@@ -261,23 +261,16 @@ func TestFeedCountMatchesFeed(t *testing.T) {
 }
 
 func TestMemoryImage(t *testing.T) {
-	flat, err := FromNFA(buildNFA(t, "abcdef"), Options{Layout: LayoutFlat})
+	d, err := FromNFA(buildNFA(t, "abcdef"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := flat.NumStates() * 256 * 4; flat.MemoryImageBytes() < want {
-		t.Fatalf("flat image %d smaller than bare table %d", flat.MemoryImageBytes(), want)
+	if want := d.NumStates()*d.NumClasses()*4 + 256; d.MemoryImageBytes() < want {
+		t.Fatalf("image %d smaller than bare table and class map %d", d.MemoryImageBytes(), want)
 	}
-	classed, err := FromNFA(buildNFA(t, "abcdef"), Options{Layout: LayoutClassed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := classed.NumStates() * classed.NumClasses() * 4; classed.MemoryImageBytes() < want {
-		t.Fatalf("classed image %d smaller than bare table %d", classed.MemoryImageBytes(), want)
-	}
-	if classed.MemoryImageBytes() >= flat.MemoryImageBytes() {
-		t.Fatalf("classed image %d not smaller than flat %d (only %d classes used)",
-			classed.MemoryImageBytes(), flat.MemoryImageBytes(), classed.NumClasses())
+	if flat := d.NumStates() * 256 * 4; d.MemoryImageBytes() >= flat {
+		t.Fatalf("image %d not smaller than the 256-wide table %d (only %d classes used)",
+			d.MemoryImageBytes(), flat, d.NumClasses())
 	}
 }
 

@@ -8,8 +8,7 @@ type MatchFunc = func(id int32, pos int64)
 
 // Engine wraps a DFA for scanning. It is immutable and safe for
 // concurrent use by any number of goroutines; per-flow state lives in
-// Runner. There is one scan loop: both layouts are the same table shape
-// (see classes.go) and differ only in which columns the table keeps.
+// Runner. There is one scan loop over the one table shape (classes.go).
 type Engine struct {
 	d   *DFA
 	div StrideDiv // row base → state number, for the drain and the write-back
@@ -51,9 +50,9 @@ func (r *Runner) Pos() int64 { return r.pos }
 
 // State returns the current DFA state, exposed so composite engines (the
 // MFA) can persist and restore per-flow contexts. State numbering is a
-// property of the automaton, not the table layout: a state saved from a
-// classed engine restores into a flat one built from the same NFA, and
-// vice versa.
+// property of the automaton, not of its table: a state saved from an
+// engine restores into any table of the same automaton, a flat image
+// loaded by ReadDFA included, and vice versa.
 func (r *Runner) State() uint32 { return r.state }
 
 // SetState restores a previously saved state.
@@ -73,7 +72,7 @@ func (r *Runner) SetState(s uint32, pos int64) {
 // moves only when Feed returns). The walk runs over pre-scaled row bases
 // (st = trans[st+classOf[b]], no multiply per byte); conversion to and
 // from state numbers happens per visit and once per call, so
-// State/SetState stay layout-independent. If onMatch panics the runner
+// State/SetState speak plain state numbers. If onMatch panics the runner
 // keeps the state and position the call found.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	d, div := r.e.d, r.e.div

@@ -9,97 +9,68 @@ import (
 )
 
 // ExampleFromNFA compiles a small pattern set, scans a payload as one
-// flow, and shows the effect of the byte-class table layout: the classed
-// automaton matches identically while its transition table stores one
-// column per byte equivalence class instead of one per byte value.
+// flow, and shows the byte-class table: one column per byte equivalence
+// class instead of one per byte value.
 func ExampleFromNFA() {
-	sources := []string{"attack.*payload", "abc"}
-	rules := make([]nfa.Rule, len(sources))
-	for i, src := range sources {
-		p, err := regexparse.ParsePCRE(src)
-		if err != nil {
-			fmt.Println("parse:", err)
-			return
-		}
-		rules[i] = nfa.Rule{Pattern: p, MatchID: i + 1}
-	}
-	n, err := nfa.Build(rules)
+	n, err := buildExampleNFA("attack.*payload", "abc")
 	if err != nil {
-		fmt.Println("nfa:", err)
+		fmt.Println(err)
 		return
 	}
-
-	flat, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutFlat})
-	if err != nil {
-		fmt.Println("dfa:", err)
-		return
-	}
-	classed, err := dfa.FromNFA(n, dfa.Options{}) // LayoutAuto compresses
+	d, err := dfa.FromNFA(n, dfa.Options{})
 	if err != nil {
 		fmt.Println("dfa:", err)
 		return
 	}
 
-	for _, m := range dfa.NewEngine(classed).Run([]byte("xx abc attack with payload")) {
+	for _, m := range dfa.NewEngine(d).Run([]byte("xx abc attack with payload")) {
 		fmt.Printf("match id %d at offset %d\n", m.ID, m.Pos)
 	}
-	fmt.Println("layouts:", flat.Layout(), "vs", classed.Layout())
-	fmt.Println("classed table smaller:", classed.TableBytes() < flat.TableBytes())
+	fmt.Printf("%d states × %d classes\n", d.NumStates(), d.NumClasses())
+	fmt.Println("smaller than 1 KiB a state:", d.TableBytes() < d.NumStates()*1024)
 	// Output:
 	// match id 2 at offset 5
 	// match id 1 at offset 25
-	// layouts: flat vs classed
-	// classed table smaller: true
+	// 26 states × 11 classes
+	// smaller than 1 KiB a state: true
 }
 
-// ExampleRunner_SetState shows the layout-independence invariant in
-// action: the classed engine reports the identical (id, pos) match stream
-// as the flat one, and a context saved from it restores into the flat
-// engine built from the same NFA, because both layouts speak plain state
-// numbers at their API boundary.
+// ExampleRunner_SetState saves a flow's context mid-payload and finishes
+// the scan on another runner: contexts are plain state numbers, so they
+// restore into any runner of the same automaton.
 func ExampleRunner_SetState() {
-	sources := []string{"attack.*payload", "abc"}
-	rules := make([]nfa.Rule, len(sources))
-	for i, src := range sources {
-		p, err := regexparse.ParsePCRE(src)
-		if err != nil {
-			fmt.Println("parse:", err)
-			return
-		}
-		rules[i] = nfa.Rule{Pattern: p, MatchID: i + 1}
-	}
-	n, err := nfa.Build(rules)
+	n, err := buildExampleNFA("attack.*payload", "abc")
 	if err != nil {
-		fmt.Println("nfa:", err)
+		fmt.Println(err)
 		return
 	}
-
-	flat, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutFlat})
-	if err != nil {
-		fmt.Println("dfa:", err)
-		return
-	}
-	classed, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutClassed})
+	d, err := dfa.FromNFA(n, dfa.Options{})
 	if err != nil {
 		fmt.Println("dfa:", err)
 		return
 	}
 
 	payload := []byte("xx abc attack with payload!")
-	fmt.Println("layout:", classed.Layout())
-	fmt.Println("streams equal:",
-		fmt.Sprint(dfa.NewEngine(classed).Run(payload)) == fmt.Sprint(dfa.NewEngine(flat).Run(payload)))
-
-	// Save a context mid-flow from the classed engine, restore it into
-	// the flat one, and finish the scan there.
-	r := dfa.NewEngine(classed).NewRunner()
+	e := dfa.NewEngine(d)
+	r := e.NewRunner()
 	r.Feed(payload[:9], func(id int32, pos int64) { fmt.Printf("match id %d at offset %d\n", id, pos) })
-	r2 := dfa.NewEngine(flat).NewRunner()
+	r2 := e.NewRunner()
 	r2.SetState(r.State(), r.Pos())
 	r2.Feed(payload[9:], func(id int32, pos int64) { fmt.Printf("match id %d at offset %d\n", id, pos) })
 	// Output:
-	// layout: classed
-	// streams equal: true
 	// match id 2 at offset 5
 	// match id 1 at offset 25
+}
+
+// buildExampleNFA parses sources, rule i+1 for the i-th, into one NFA.
+func buildExampleNFA(sources ...string) (*nfa.NFA, error) {
+	rules := make([]nfa.Rule, len(sources))
+	for i, src := range sources {
+		p, err := regexparse.ParsePCRE(src)
+		if err != nil {
+			return nil, fmt.Errorf("parse: %w", err)
+		}
+		rules[i] = nfa.Rule{Pattern: p, MatchID: i + 1}
+	}
+	return nfa.Build(rules)
 }

@@ -15,8 +15,9 @@ import (
 // Version 2 (the only version WriteTo emits):
 //
 //	magic "MFDFA2\n", u32 numStates, u32 start, u32 acceptStart
-//	u8 layout (0 = flat, 1 = classed), u32 numClasses
-//	classed only: 256 × u8 byte→class map
+//	u8 layout code, u32 numClasses
+//	code 1 (classed, the only code WriteTo emits): 256 × u8 byte→class map
+//	code 0 (flat, read only): no map; numClasses is 256, the identity
 //	u32 tableLen — must equal numStates × numClasses (ErrTableSize)
 //	tableLen × u32 transition table, plain state numbers
 //	u32 numAccept, then per accepting state: u32 count, count × i32 ids
@@ -38,11 +39,12 @@ const (
 	dfaMagicV3 = "MFDFA3\n"
 )
 
-// Layout wire codes of the v2/v3 header.
+// Layout wire codes of the v2/v3 header. Flat images (code 0, and all of
+// v1) load as 256-class tables under the identity map.
 const (
-	wireLayoutFlat    = 0
-	wireLayoutClassed = 1
-	wireLayoutPairs   = 2 // v3 only: a classed body
+	wireFlat    = 0 // read only
+	wireClassed = 1
+	wirePairs   = 2 // v3 only: a classed body
 )
 
 // ErrBadFormat is returned (wrapped) when decoding unrecognized or
@@ -79,16 +81,9 @@ func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 	write(uint32(d.numStates))
 	write(d.start)
 	write(d.acceptStart)
-	// A flat table travels without its class map: the identity is implied
-	// by the layout code.
-	if d.Layout() == LayoutFlat {
-		write(uint8(wireLayoutFlat))
-		write(uint32(d.numClasses))
-	} else {
-		write(uint8(wireLayoutClassed))
-		write(uint32(d.numClasses))
-		write(d.classOf)
-	}
+	write(uint8(wireClassed))
+	write(uint32(d.numClasses))
+	write(d.classOf)
 	// The wire format always carries plain state numbers: tables are
 	// unscaled on encode and rescaled on decode, keeping stored images
 	// portable and the per-entry bounds check meaningful.
@@ -165,12 +160,12 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 			return nil, fmt.Errorf("%w: class count: %v", ErrBadFormat, err)
 		}
 		switch layout {
-		case wireLayoutFlat:
+		case wireFlat:
 			if numClasses != 256 {
 				return nil, fmt.Errorf("%w: flat layout with %d classes", ErrBadFormat, numClasses)
 			}
-		case wireLayoutClassed, wireLayoutPairs:
-			if layout == wireLayoutPairs && version < 3 {
+		case wireClassed, wirePairs:
+			if layout == wirePairs && version < 3 {
 				return nil, fmt.Errorf("%w: layout code %d in a v%d stream", ErrBadFormat, layout, version)
 			}
 			if numClasses == 0 || numClasses > 256 {

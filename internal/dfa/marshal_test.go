@@ -6,22 +6,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"matchfilter/internal/splitter"
 )
 
 // goldenImages are C10's fragment automaton as earlier releases wrote it
 // (testdata/, generated once by the last release that could write v3;
 // v1 was framed by hand, as no writer has existed since v2), with the v2
-// image each must re-serialize to.
-var goldenImages = []struct {
-	file, rewrites string
-	layout         Layout
-}{
-	{"c10_v1_flat.dfa", "c10_v2_flat.dfa", LayoutFlat},
-	{"c10_v2_flat.dfa", "c10_v2_flat.dfa", LayoutFlat},
-	{"c10_v2_classed.dfa", "c10_v2_classed.dfa", LayoutClassed},
-	{"c10_v3_classed2.dfa", "c10_v2_classed.dfa", LayoutClassed},
+// image each must re-serialize to: "" for a flat image, which re-encodes
+// as the identity-class table it loads as (flatAsClassed).
+var goldenImages = []struct{ file, rewrites string }{
+	{"c10_v1_flat.dfa", ""},
+	{"c10_v2_flat.dfa", ""},
+	{"c10_v2_classed.dfa", "c10_v2_classed.dfa"},
+	{"c10_v3_classed2.dfa", "c10_v2_classed.dfa"},
 }
 
 func golden(tb testing.TB, name string) []byte {
@@ -33,10 +34,21 @@ func golden(tb testing.TB, name string) []byte {
 	return raw
 }
 
+// flatAsClassed returns what WriteTo makes of a flat v2 image: the same
+// bytes with layout code 1 and the 256-byte identity map after the class
+// count.
+func flatAsClassed(flat []byte) []byte {
+	const code = len(dfaMagicV2) + 12 // after the magic and three u32
+	out := bytes.Clone(flat[:code+5])
+	out[code] = wireClassed
+	out = append(out, identityClasses[:]...)
+	return append(out, flat[code+5:]...)
+}
+
 // TestReadGoldenImages is the wire-compatibility contract: every image an
-// earlier release wrote still loads, scans the recorded payload to the
-// recorded (id, pos) stream, and re-serializes as v2 — a v3 image as the
-// classed automaton it always carried.
+// earlier release wrote still loads — a flat one as the 256-class table
+// under the identity map — scans the recorded payload to the recorded
+// (id, pos) stream, and re-serializes as classed v2.
 func TestReadGoldenImages(t *testing.T) {
 	payload := golden(t, "c10_payload.bin")
 	want := string(golden(t, "c10_matches.txt"))
@@ -45,8 +57,14 @@ func TestReadGoldenImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.file, err)
 		}
-		if d.Layout() != g.layout {
-			t.Errorf("%s: loaded as %v, want %v", g.file, d.Layout(), g.layout)
+		var rewrites []byte
+		if g.rewrites == "" {
+			if d.NumClasses() != 256 || !bytes.Equal(d.ClassMap(), identityClasses[:]) {
+				t.Errorf("%s: loaded with %d classes, want 256 under the identity map", g.file, d.NumClasses())
+			}
+			rewrites = flatAsClassed(golden(t, "c10_v2_flat.dfa"))
+		} else {
+			rewrites = golden(t, g.rewrites)
 		}
 		var got strings.Builder
 		for _, ev := range NewEngine(d).Run(payload) {
@@ -59,9 +77,55 @@ func TestReadGoldenImages(t *testing.T) {
 		if _, err := d.WriteTo(&out); err != nil {
 			t.Fatalf("%s: %v", g.file, err)
 		}
-		if !bytes.Equal(out.Bytes(), golden(t, g.rewrites)) {
-			t.Errorf("%s: re-serialized image differs from %s", g.file, g.rewrites)
+		if !bytes.Equal(out.Bytes(), rewrites) {
+			t.Errorf("%s: re-serialized image differs from the expected classed v2 bytes", g.file)
 		}
+	}
+}
+
+// TestFlatImageContextRoundTrip: a state saved from the table a flat image
+// loads as restores into a freshly built C10 automaton, and back, at every
+// cut of the recorded payload, with the (id, pos) stream unchanged — state
+// numbering is a property of the automaton, not of its table.
+func TestFlatImageContextRoundTrip(t *testing.T) {
+	flat, err := ReadDFA(bytes.NewReader(golden(t, "c10_v2_flat.dfa")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragments, _ := patternNFAs(t, "C10", splitter.Options{})
+	built, err := FromNFA(fragments, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if _, err := built.WriteTo(&image); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image.Bytes(), golden(t, "c10_v2_classed.dfa")) {
+		t.Fatal("a fresh C10 build no longer writes c10_v2_classed.dfa")
+	}
+	payload := golden(t, "c10_payload.bin")
+	want := NewEngine(flat).Run(payload) // the recorded stream (TestReadGoldenImages)
+	for _, dir := range []struct {
+		name     string
+		src, dst *DFA
+	}{{"flat_to_classed", flat, built}, {"classed_to_flat", built, flat}} {
+		t.Run(dir.name, func(t *testing.T) {
+			src, dst := NewEngine(dir.src), NewEngine(dir.dst)
+			var got []MatchEvent
+			cb := func(id int32, pos int64) { got = append(got, MatchEvent{ID: id, Pos: pos}) }
+			for cut := 1; cut < len(payload); cut++ {
+				got = got[:0]
+				head := src.NewRunner()
+				head.Feed(payload[:cut], cb)
+				tail := dst.NewRunner()
+				tail.SetState(head.State(), head.Pos())
+				tail.Feed(payload[cut:], cb)
+				if !slices.Equal(got, want) {
+					t.Fatalf("cut at %d: the stream differs from the recorded one", cut)
+				}
+			}
+		})
 	}
 }
 
@@ -104,10 +168,10 @@ func TestReadV3CorruptStreams(t *testing.T) {
 	}
 }
 
-// FuzzReadDFA fuzzes the decoder from one valid seed per wire version and
-// layout: any mutation must either decode to a structurally valid
-// automaton (probed by a short scan and a re-serialization) or fail with
-// a typed error — no panics, no out-of-range state visits. Run by the CI
+// FuzzReadDFA fuzzes the decoder from the four golden images, one per
+// wire version and layout code: any mutation must either decode to a
+// structurally valid automaton (probed by a short scan and a
+// re-serialization) or fail with a typed error — no panics, no out-of-range state visits. Run by the CI
 // fuzz-smoke job.
 func FuzzReadDFA(f *testing.F) {
 	for _, g := range goldenImages {

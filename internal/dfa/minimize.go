@@ -13,7 +13,7 @@ import (
 // pairwise-equivalent successors on every byte.
 //
 // minimize runs over the receiver's own columns (FromNFA calls it on the
-// constructor's class-width rows, before applyLayout): states agree on
+// constructor's class-width rows, before classed): states agree on
 // every byte iff they agree on every column, so the partition, and with
 // it the numbering of the result, is the one a 256-wide refinement would
 // reach. The result keeps the receiver's class map; merging states can

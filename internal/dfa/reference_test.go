@@ -21,8 +21,8 @@ import (
 // shipped before construction moved to class space: one ε-closure per
 // state and byte, states keyed by their whole closure, a 256-wide row per
 // state. It is kept as the oracle the production constructor must equal
-// bit for bit, and returns its 256-wide rows before minimization and
-// layout.
+// bit for bit, and returns its 256-wide rows before minimization and the
+// class quotient.
 func referenceFromNFA(n *nfa.NFA, maxStates int) (*rows, error) {
 	seen := make([]bool, n.NumStates())
 	subset := make(map[string]uint32)
@@ -126,11 +126,10 @@ func closureKey(states []nfa.StateID) string {
 }
 
 // assertSameAsReference builds n with the reference constructor once and
-// with FromNFA under every layout and minimization setting, and requires
-// the serialized automata — state count and numbering, class map, table,
+// with FromNFA under both minimization settings, and requires the
+// serialized automata — state count and numbering, class map, table,
 // accept sets — to be equal byte for byte. The reference's rows go
-// through the same minimize and applyLayout steps, there over 256
-// columns, so the class-width forms of both are checked as well.
+// through the same minimize and classed steps, there over 256 columns.
 //
 // Both sides get the same state budget; when the reference exceeds it,
 // FromNFA must too, and assertSameAsReference reports false.
@@ -148,26 +147,24 @@ func assertSameAsReference(t *testing.T, label string, n *nfa.NFA, budget int) b
 		if minimize {
 			want = ref.minimize()
 		}
-		for _, layout := range []Layout{LayoutFlat, LayoutClassed} {
-			got, err := FromNFA(n, Options{MaxStates: budget, Layout: layout, Minimize: minimize})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			var g, w bytes.Buffer
-			if _, err := got.WriteTo(&g); err != nil {
-				t.Fatal(err)
-			}
-			wantDFA, err := want.applyLayout(layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wantDFA.WriteTo(&w); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(g.Bytes(), w.Bytes()) {
-				t.Fatalf("%s layout=%v minimize=%v: %d states, %d classes, %d image bytes; reference %d states, %d image bytes",
-					label, layout, minimize, got.NumStates(), got.NumClasses(), g.Len(), want.numStates, w.Len())
-			}
+		got, err := FromNFA(n, Options{MaxStates: budget, Minimize: minimize})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var g, w bytes.Buffer
+		if _, err := got.WriteTo(&g); err != nil {
+			t.Fatal(err)
+		}
+		wantDFA, err := want.classed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wantDFA.WriteTo(&w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s minimize=%v: %d states, %d classes, %d image bytes; reference %d states, %d image bytes",
+				label, minimize, got.NumStates(), got.NumClasses(), g.Len(), want.numStates, w.Len())
 		}
 	}
 	return true

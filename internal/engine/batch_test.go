@@ -9,56 +9,49 @@ import (
 	"testing"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/faultinject"
 	"matchfilter/internal/flow"
 	"matchfilter/internal/pcap"
-	"matchfilter/internal/regexparse"
 )
 
-func buildLayoutMFA(t testing.TB, layout dfa.Layout, sources ...string) *core.MFA {
-	t.Helper()
-	rules := make([]core.Rule, len(sources))
-	for i, src := range sources {
-		p, err := regexparse.ParsePCRE(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rules[i] = core.Rule{Pattern: p, ID: int32(i + 1)}
+// everyByte is 256 one-byte rules, \x00 … \xff: every byte value is its
+// own class, so the automaton walks 256 columns under the identity map.
+func everyByte() []string {
+	srcs := make([]string, 256)
+	for b := range srcs {
+		srcs[b] = fmt.Sprintf(`\x%02x`, b)
 	}
-	m, err := core.Compile(rules, core.Options{DFA: dfa.Options{Layout: layout}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return srcs
 }
 
 // TestShardedLayoutEquivalence extends the core soundness claim across
-// table layouts: for every (shards, layout) combination, per-flow match
-// sets are byte-identical to the sequential scanner's, and no payload is
-// lost at close (the final lockstep window flushes before the shard
-// exits).
+// table widths — a class quotient, and the 256 columns of everyByte — and
+// shard counts: per-flow match sets are byte-identical to the sequential
+// scanner's, and no payload is lost at close (the final lockstep window
+// flushes before the shard exits).
 func TestShardedLayoutEquivalence(t *testing.T) {
-	sources := []string{"attack.*payload", "evil[^\n]*string", "xmrig"}
 	capture := interleavedCapture(t, 12, 8<<10, []string{"attack", "payload", "evil", "string", "xmrig"})
-
-	flat := buildLayoutMFA(t, dfa.LayoutFlat, sources...)
-	var seq []Match
-	seqStats, err := flow.ScanPcap(bytes.NewReader(capture), flow.Config{},
-		func() flow.Runner { return flat.NewRunner() },
-		func(mt flow.Match) { seq = append(seq, mt) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) == 0 {
-		t.Fatal("capture produced no matches; test would be vacuous")
-	}
-	want := flowMatches(seq)
-
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
-		m := buildLayoutMFA(t, layout, sources...)
+	for _, row := range []struct {
+		name    string
+		sources []string
+	}{
+		{"classed", []string{"attack.*payload", "evil[^\n]*string", "xmrig"}},
+		{"everyByte", everyByte()},
+	} {
+		m := buildMFA(t, row.sources...)
+		var seq []Match
+		seqStats, err := flow.ScanPcap(bytes.NewReader(capture), flow.Config{},
+			func() flow.Runner { return m.NewRunner() },
+			func(mt flow.Match) { seq = append(seq, mt) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) == 0 {
+			t.Fatalf("%s: capture produced no matches; test would be vacuous", row.name)
+		}
+		want := flowMatches(seq)
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", layout, shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/shards=%d", row.name, shards), func(t *testing.T) {
 				var mu sync.Mutex
 				var got []Match
 				st, err := ScanPcap(bytes.NewReader(capture), Config{Shards: shards},
@@ -126,7 +119,7 @@ func TestBatchedCallbackPanicQuarantinesOneFlow(t *testing.T) {
 	sources := []string{"attack.*payload", "evil[^\n]*string", "xmrig"}
 	words := []string{"attack", "payload", "evil", "string", "xmrig"}
 	capture, poisonKey := poisonedCapture(t, 10, words, "xmrig", 3)
-	m := buildLayoutMFA(t, dfa.LayoutClassed, sources...)
+	m := buildMFA(t, sources...)
 
 	var seq []Match
 	_, err := flow.ScanPcap(bytes.NewReader(capture), flow.Config{},
@@ -181,7 +174,7 @@ func TestBatchedCallbackPanicQuarantinesOneFlow(t *testing.T) {
 // and excised, and the other thirteen flows' match streams are exactly
 // the sequential scanner's.
 func TestWindowQuarantinesEveryDeadLane(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload", "xmrig")
+	m := buildMFA(t, "attack.*payload", "xmrig")
 	h := newHeldWindow()
 	hostile := map[pcap.FlowKey]bool{}
 	var got []Match
@@ -250,7 +243,7 @@ func TestWindowQuarantinesEveryDeadLane(t *testing.T) {
 // in the window's own flush: one recovered panic, one quarantine, every
 // other flow's matches delivered, and the swap still applied.
 func TestMidWindowLifecycleFlushIsSupervised(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed, "xmrig")
+	m := buildMFA(t, "xmrig")
 	key := func(i int) pcap.FlowKey {
 		return pcap.FlowKey{SrcIP: 0x0a000001 + uint32(i), DstIP: 0xc0a80101, SrcPort: 20000, DstPort: 80}
 	}

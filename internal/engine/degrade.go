@@ -34,8 +34,6 @@
 // in Stats (TierEnters, TierTime).
 package engine
 
-import "time"
-
 // Tier is a degradation level. Higher is more degraded.
 type Tier int32
 
@@ -59,8 +57,9 @@ func (t Tier) String() string {
 }
 
 // evalPressure recomputes the tier from the governor's pressure, applying
-// exit hysteresis, and records the transition (count and wall-clock time
-// per tier) under tierMu. Callers hold a non-nil Config.MemPressure.
+// exit hysteresis, and records the transition (count and time per tier,
+// on the engine's clock) under tierMu. Callers hold a non-nil
+// Config.MemPressure.
 func (e *Engine) evalPressure() {
 	e.tierMu.Lock()
 	defer e.tierMu.Unlock()
@@ -93,7 +92,7 @@ func (e *Engine) evalPressure() {
 	if next == cur {
 		return
 	}
-	now := time.Now()
+	now := e.clock.Now()
 	e.tierTime[cur] += now.Sub(e.tierSince)
 	e.tierSince = now
 	e.tierEnters[next]++

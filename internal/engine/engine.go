@@ -269,7 +269,7 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 		clock:     clock,
 		closing:   make(chan struct{}),
 		drained:   make(chan struct{}),
-		tierSince: time.Now(),
+		tierSince: clock.Now(),
 	}
 	e.flowGauges = fg
 	e.staging.New = func() any {
@@ -511,15 +511,22 @@ func (e *Engine) MemoryUsage() int64 {
 	return n
 }
 
-// LastStallRecovery reports when a stall was last recovered (a flagged
-// scan step returned and its flow was quarantined); the zero time if
-// never. The admin layer uses it for the /healthz degraded window.
-func (e *Engine) LastStallRecovery() time.Time {
+// stallDegradedFor is how long a recovered stall keeps the engine's
+// health reading degraded (/healthz answers "degraded: ...").
+const stallDegradedFor = time.Minute
+
+// RecentStallRecovery reports how long ago, on the engine's clock, a
+// stall was last recovered (a flagged scan step returned and its flow was
+// quarantined), and whether that was within the last minute
+// (stallDegradedFor). The admin layer uses it for the /healthz degraded
+// window.
+func (e *Engine) RecentStallRecovery() (ago time.Duration, recent bool) {
 	n := e.lastStallRecovery.Load()
 	if n == 0 {
-		return time.Time{}
+		return 0, false
 	}
-	return time.Unix(0, n)
+	ago = e.clock.Now().Sub(time.Unix(0, n))
+	return ago, ago < stallDegradedFor
 }
 
 // release settles a leased buffer; nil means the payload was ordinarily
@@ -662,8 +669,8 @@ type Stats struct {
 
 	// Degradation-ladder state (degrade.go). Tier is the current tier;
 	// TierEnters counts entries into each tier and TierTime the
-	// cumulative wall-clock time spent there (index by Tier). HardDrops
-	// counts segments shed at dispatch while at the hard tier.
+	// cumulative time spent there on the engine's clock (index by Tier).
+	// HardDrops counts segments shed at dispatch while at the hard tier.
 	Tier       Tier
 	HardDrops  int64
 	TierEnters [3]int64
@@ -745,7 +752,7 @@ func (e *Engine) Stats() Stats {
 	st.Tier = Tier(e.tier.Load())
 	st.TierEnters = e.tierEnters
 	st.TierTime = e.tierTime
-	st.TierTime[st.Tier] += time.Since(e.tierSince)
+	st.TierTime[st.Tier] += e.clock.Now().Sub(e.tierSince)
 	e.tierMu.Unlock()
 	return st
 }

@@ -332,6 +332,29 @@ func TestDegradationLadder(t *testing.T) {
 	}
 }
 
+// TestTierTimeOnEngineClock: the ladder times its tiers on the engine's
+// clock, so TierTime reads exactly the manual clock's steps, the open
+// tier's share included.
+func TestTierTimeOnEngineClock(t *testing.T) {
+	clk := useManualClock(t)
+	var mem dial
+	e := New(Config{Shards: 1, MemPressure: mem.read}, func() flow.Runner { return faultinject.Discard }, nil)
+	defer e.Close()
+	clk.Advance(2 * time.Second)
+	mem.set(1)
+	e.evalPressure()
+	clk.Advance(3 * time.Second)
+	if st := e.Stats(); st.Tier != TierHard || st.TierTime != [3]time.Duration{2 * time.Second, 0, 3 * time.Second} {
+		t.Fatalf("Tier %v, TierTime %v; want hard, [2s 0s 3s]", st.Tier, st.TierTime)
+	}
+	mem.set(0)
+	e.evalPressure()
+	clk.Advance(time.Second)
+	if st := e.Stats(); st.Tier != TierNormal || st.TierTime != [3]time.Duration{3 * time.Second, 0, 3 * time.Second} {
+		t.Fatalf("Tier %v, TierTime %v; want normal, [3s 0s 3s]", st.Tier, st.TierTime)
+	}
+}
+
 // TestSoftTierDegradesAndRecovers: pressure between the watermarks puts
 // the engine at the soft tier, which scans every segment, and the shard
 // itself steps the ladder back down once its queue runs dry — no dispatch

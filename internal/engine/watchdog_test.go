@@ -164,6 +164,41 @@ func TestStallWatchdogQuarantinesFlow(t *testing.T) {
 	}
 }
 
+// TestStallRecoveryDegradedWindow: a recovered stall reads as recent on
+// the engine's clock for one minute — still at 59 s, no longer at 60 s —
+// which is the window /healthz reports it in.
+func TestStallRecoveryDegradedWindow(t *testing.T) {
+	leakcheck.Check(t)
+	clk := useManualClock(t)
+	const token = "\x00WEDGE\x00"
+	gate, entered := make(chan struct{}), make(chan struct{})
+	e := New(Config{Shards: 1, QueueDepth: 64, StallDeadline: stallDeadline},
+		stallOnSignalled(token, gate, entered), nil)
+	defer e.Close()
+	if _, recent := e.RecentStallRecovery(); recent {
+		t.Fatal("a recent stall recovery before any stall")
+	}
+	if err := e.HandleSegment(pcap.Segment{Key: keyOnShard(t, 0, 1), Seq: 1, Flags: pcap.FlagACK, Payload: []byte(token)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	clk.Ticks(t, poll, 4)
+	if st := e.Stats(); st.StallFires != 1 {
+		t.Fatalf("StallFires = %d a deadline in, want 1", st.StallFires)
+	}
+	close(gate)
+	waitStats(t, e, "stall recovery", func(st Stats) bool { return st.StallsRecovered == 1 })
+
+	clk.Advance(59 * time.Second)
+	if ago, recent := e.RecentStallRecovery(); !recent || ago != 59*time.Second {
+		t.Fatalf("59 s after the recovery: ago %v, recent %v; want 59s, true", ago, recent)
+	}
+	clk.Advance(time.Second)
+	if ago, recent := e.RecentStallRecovery(); recent || ago != time.Minute {
+		t.Fatalf("60 s after the recovery: ago %v, recent %v; want 1m0s, false", ago, recent)
+	}
+}
+
 // TestWedgeEscalationShedsAndRecovers: a stall still stuck at four
 // deadlines benches the shard — dispatch sheds its traffic with
 // accounting instead of blocking — and the shard re-enters service when

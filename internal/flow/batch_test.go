@@ -7,27 +7,18 @@ import (
 	"testing"
 
 	"matchfilter/internal/core"
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/pcap"
-	"matchfilter/internal/regexparse"
 	"matchfilter/internal/trace"
 )
 
-func buildLayoutMFA(t *testing.T, layout dfa.Layout, sources ...string) *core.MFA {
-	t.Helper()
-	rules := make([]core.Rule, len(sources))
-	for i, src := range sources {
-		p, err := regexparse.ParsePCRE(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rules[i] = core.Rule{Pattern: p, ID: int32(i + 1)}
+// everyByte is 256 one-byte rules, \x00 … \xff: every byte value is its
+// own class, so the automaton walks 256 columns under the identity map.
+func everyByte() []string {
+	srcs := make([]string, 256)
+	for b := range srcs {
+		srcs[b] = fmt.Sprintf(`\x%02x`, b)
 	}
-	m, err := core.Compile(rules, core.Options{DFA: dfa.Options{Layout: layout}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return srcs
 }
 
 func batchedCfg(k int) Config {
@@ -54,13 +45,14 @@ func sortedMatches(ms []Match) string {
 
 // TestBatchedAssemblerEquivalence drives identical interleaved traffic
 // through a scan-on-arrival assembler and batched assemblers of several
-// widths and layouts: the match sets must agree exactly, and per-flow
-// emission order must be position-sorted within each flow.
+// widths, over a class quotient and the 256 columns of everyByte: the
+// match sets must agree exactly, and per-flow emission order must be
+// position-sorted within each flow.
 func TestBatchedAssemblerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	sources := []string{"attack.*payload", "abc", "x[0-9]+y"}
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed} {
-		m := buildLayoutMFA(t, layout, sources...)
+	for _, sources := range [][]string{{"attack.*payload", "abc", "x[0-9]+y"}, everyByte()} {
+		m := buildMFA(t, sources...)
+		classes := m.Stats().DFAClasses
 		// Per-flow byte streams, odd lengths included.
 		flows := make([][]byte, 5)
 		gen := trace.NewGenerator(m.DFA(), 7)
@@ -121,13 +113,13 @@ func TestBatchedAssemblerEquivalence(t *testing.T) {
 		for _, k := range []int{1, 4, core.MaxBatchFlows} {
 			got := run(batchedCfg(k))
 			if sortedMatches(got) != want {
-				t.Fatalf("layout %v k=%d: batched match set differs from sequential", layout, k)
+				t.Fatalf("%d classes k=%d: batched match set differs from sequential", classes, k)
 			}
 			// Per-flow position order must be preserved.
 			last := map[pcap.FlowKey]int64{}
 			for _, mt := range got {
 				if mt.Pos < last[mt.Flow] {
-					t.Fatalf("layout %v k=%d: flow %v positions out of order", layout, k, mt.Flow)
+					t.Fatalf("%d classes k=%d: flow %v positions out of order", classes, k, mt.Flow)
 				}
 				last[mt.Flow] = mt.Pos
 			}
@@ -139,7 +131,7 @@ func TestBatchedAssemblerEquivalence(t *testing.T) {
 // same batch window must still deliver the match (flush-before-recycle),
 // and the recycled runner must be start-of-flow for the next connection.
 func TestBatchFlushOnFin(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
+	m := buildMFA(t, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -172,7 +164,7 @@ func TestBatchFlushOnFin(t *testing.T) {
 // deferred payload scans (and matches) before the restart resets the
 // runner.
 func TestBatchFlushOnSynRestart(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
+	m := buildMFA(t, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -195,8 +187,8 @@ func TestBatchFlushOnSynRestart(t *testing.T) {
 // scanned on the generation that buffered it before resetExisting moves
 // flows to the new automaton.
 func TestBatchFlushOnGenerationSwap(t *testing.T) {
-	m1 := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
-	m2 := buildLayoutMFA(t, dfa.LayoutClassed, "abc")
+	m1 := buildMFA(t, "attack.*payload")
+	m2 := buildMFA(t, "abc")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m1.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })
@@ -221,7 +213,7 @@ func TestBatchFlushOnGenerationSwap(t *testing.T) {
 // TestBatchFlushOnDropPaths checks DropFlow and DropTenant flush
 // deferred work before discarding runners.
 func TestBatchFlushOnDropPaths(t *testing.T) {
-	m := buildLayoutMFA(t, dfa.LayoutClassed, "attack.*payload")
+	m := buildMFA(t, "attack.*payload")
 	var ms []Match
 	a := NewAssembler(batchedCfg(8), func() Runner { return m.NewRunner() },
 		func(mt Match) { ms = append(ms, mt) })

@@ -118,10 +118,9 @@ func Compile(rules []Rule, opts Options) (*HFA, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hfa: %w", err)
 	}
-	// The HFA repacks the flat 256-wide table into its 8-byte history
-	// cells below; request that layout directly rather than expanding a
-	// classed table back out.
-	d, err := dfa.FromNFA(n, dfa.Options{MaxStates: opts.MaxStates, Layout: dfa.LayoutFlat})
+	// The HFA repacks the 256-wide table (TransitionTable) into its
+	// 8-byte history cells below.
+	d, err := dfa.FromNFA(n, dfa.Options{MaxStates: opts.MaxStates})
 	if err != nil {
 		return nil, fmt.Errorf("hfa: %w", err)
 	}

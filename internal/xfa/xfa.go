@@ -108,7 +108,7 @@ func Compile(rules []Rule, opts Options) (*XFA, error) {
 	// The XFA baseline keeps the paper's flat one-load-per-byte table —
 	// it is the layout the original XFA work assumes — as its own copy
 	// (TransitionTable); the DFA is not retained.
-	d, err := dfa.FromNFA(n, dfa.Options{MaxStates: opts.MaxStates, Layout: dfa.LayoutFlat})
+	d, err := dfa.FromNFA(n, dfa.Options{MaxStates: opts.MaxStates})
 	if err != nil {
 		return nil, fmt.Errorf("xfa: %w", err)
 	}
