@@ -760,8 +760,8 @@ func progressLoop(w io.Writer, e *engine.Engine, every time.Duration, stop <-cha
 // reload is reflected on the next scrape.
 var buildRows = []telemetry.Row[core.BuildStats]{
 	telemetry.GaugeRow("mfa_build_dfa_states", "states in the character DFA", func(st *core.BuildStats) float64 { return float64(st.DFAStates) }),
-	telemetry.GaugeRow("mfa_build_dfa_table_bytes", "transition-table image bytes in its serving layout (classed includes the class map)", func(st *core.BuildStats) float64 { return float64(st.DFATableBytes) }),
-	telemetry.GaugeRow("mfa_build_dfa_classes", "byte equivalence classes of the transition table (256 = flat)", func(st *core.BuildStats) float64 { return float64(st.DFAClasses) }),
+	telemetry.GaugeRow("mfa_build_dfa_table_bytes", "transition-table image bytes: states x classes 4-byte entries plus the 256-byte class map", func(st *core.BuildStats) float64 { return float64(st.DFATableBytes) }),
+	telemetry.GaugeRow("mfa_build_dfa_classes", "byte equivalence classes of the transition table: its columns per state", func(st *core.BuildStats) float64 { return float64(st.DFAClasses) }),
 	telemetry.GaugeRow("mfa_build_image_bytes", "total static memory image (DFA + filter program)", func(st *core.BuildStats) float64 { return float64(st.MemoryImageBytes()) }),
 	telemetry.GaugeRow("mfa_build_mem_bits", "per-flow filter memory width w", func(st *core.BuildStats) float64 { return float64(st.MemBits) }),
 	telemetry.GaugeRow("mfa_build_counters", "filter counter registers compiled from bounded repeats", func(st *core.BuildStats) float64 { return float64(st.Counters) }),

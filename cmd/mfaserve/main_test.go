@@ -373,7 +373,7 @@ func TestServeLifecycle(t *testing.T) {
 		"mfa_engine_packets_total", "mfa_engine_matches_total", "mfa_engine_tier", "mfa_engine_unhealthy_shards",
 		"mfa_reasm_live_flows", "mfa_shard_scan_seconds_bucket", "mfa_shard_window_flows_bucket",
 		"mfa_scan_accept_visits_total", "mfa_scan_lockstep_bytes_total", "mfa_scan_sequential_bytes_total",
-		"mfa_go_goroutines", "mfa_process_uptime_seconds", "mfa_input_burst_segments_bucket",
+		"mfa_go_goroutines", "mfa_process_uptime_seconds", "mfa_input_segments_total",
 		"mfa_generation", "mfa_generation_live_flows", "mfa_reload_success_total", "mfa_reload_failure_total",
 		"mfa_tenant_generation", "mfa_tenant_generation_live_flows", "mfa_tenant_live_flows", "mfa_tenant_matches_total",
 		"mfa_tenant_buffered_bytes", "mfa_tenant_quota_flow_drops_total", "mfa_tenant_quota_byte_drops_total",

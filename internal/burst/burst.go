@@ -1,21 +1,30 @@
-// Package burst is the hand-off leaf shared by internal/input (source →
-// pump) and internal/engine (dispatcher → shard): the one {segment, lease}
-// pair that crosses both, and the one bounded multi-producer /
-// single-consumer queue that carries it.
+// Package burst is the hand-off leaf between internal/input and
+// internal/engine: the one {segment, lease} pair that crosses from a
+// source into a shard, and the one bounded multi-producer /
+// single-consumer queue in front of each shard that carries it.
 //
 // The queue moves bursts, not segments. Producers append under a short
-// lock into chunks of at most Max segments and wake the consumer only
-// when the queue goes from empty to non-empty; the consumer swaps out the
+// lock into chunks of at most Max segments; the consumer swaps out the
 // oldest chunk whole — one operation however many segments it holds — and
-// hands its previous, emptied chunk back for producers to refill. There
-// is no timer and nothing to tune: a burst is whatever accumulated while
-// the consumer was busy, so bursts form only where there is backlog and a
-// quiet queue delivers the one-segment burst immediately (DESIGN.md §9).
+// hands its previous, emptied chunk back for producers to refill. A burst
+// is whatever accumulated while the consumer was busy, so bursts form only
+// where there is backlog.
+//
+// An empty queue's consumer does not sleep at once: it polls one flag for
+// pollWindow, yielding between polls, and parks only when nothing arrived.
+// Go runs a goroutine woken by a channel send on the sender's processor,
+// and a sender that never blocks — a NIC poll loop, a paced generator —
+// keeps it from running until an idle processor steals it, which takes
+// one timer slack (DESIGN.md §9); a consumer that is still polling needs
+// no wake-up.
 package burst
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"matchfilter/internal/pcap"
 )
@@ -38,8 +47,17 @@ func Release(items []Item) {
 }
 
 // Max is the most segments one Take returns: the chunk size, and so the
-// upper bound on a shard's lockstep window and on a pump's dispatch burst.
+// upper bound on a shard's lockstep window. Sources that stage what they
+// read hand the engine at most Max segments per call as well.
 const Max = 256
+
+// pollWindow is how long a consumer that finds its queue empty polls for
+// an arrival before it parks: the size of the runtime's steal backoff it
+// replaces (a usleep(3) that Linux stretches to the 50 µs default timer
+// slack), and the best point of the sweep in EXPERIMENTS.md "Quiet
+// hand-off". A backlogged consumer never polls; an idle one burns at most
+// one window per quiet gap.
+const pollWindow = 50 * time.Microsecond
 
 var (
 	// ErrClosed is returned by Put and Offer once Close has been called.
@@ -64,8 +82,17 @@ type Queue struct {
 	parked int      // producers waiting for room
 	poked  bool
 	closed bool
+	// asleep: the consumer polled its window out and is blocked on ready,
+	// or about to be. Whoever clears it owes ready one token.
+	asleep bool
 
-	ready chan struct{} // consumer wake-up: empty → non-empty, Poke, Close
+	// stirred is what a polling consumer watches: set under mu by the
+	// empty → non-empty append, Poke and Close, cleared by the consumer
+	// before it polls.
+	stirred atomic.Bool
+	parks   atomic.Int64 // times the consumer blocked on ready
+
+	ready chan struct{} // wakes a parked consumer
 	room  chan struct{} // producer wake-up: a Take made room
 	done  chan struct{} // closed by Close, for producers parked in Put
 }
@@ -86,6 +113,19 @@ func signal(c chan struct{}) {
 	case c <- struct{}{}:
 	default:
 	}
+}
+
+// stir tells the consumer that the queue changed under the caller's lock:
+// a polling consumer sees the flag, a parked one is owed a ready token,
+// which the caller sends after unlocking when stir returns true. Caller
+// holds mu.
+func (q *Queue) stir() (woke bool) {
+	if q.asleep {
+		q.asleep = false
+		return true
+	}
+	q.stirred.Store(true)
+	return false
 }
 
 // fill appends as many of items as the bound admits and returns how many.
@@ -136,7 +176,7 @@ func (q *Queue) put(cancel <-chan struct{}, block bool, items []Item) (int, erro
 		}
 		k := q.fill(items[n:])
 		n += k
-		wake := k > 0 && q.n == k // was empty: the consumer may be asleep
+		woke := k > 0 && q.n == k && q.stir() // was empty: the consumer may be parked
 		parked = block && n < len(items)
 		if parked {
 			q.parked++
@@ -144,7 +184,7 @@ func (q *Queue) put(cancel <-chan struct{}, block bool, items []Item) (int, erro
 			signal(q.room) // room left over: pass the wake-up on
 		}
 		q.mu.Unlock()
-		if wake {
+		if woke {
 			signal(q.ready)
 		}
 		if !parked {
@@ -167,11 +207,14 @@ func (q *Queue) put(cancel <-chan struct{}, block bool, items []Item) (int, erro
 // is the burst the previous Take returned (nil the first time): the
 // consumer is done with it, and its backing array goes back to the
 // producers. An empty burst with open true answers a Poke; open is false
-// once the queue is closed and drained.
+// once the queue is closed and drained. An empty queue is polled for
+// pollWindow before Take parks.
 func (q *Queue) Take(prev []Item) (items []Item, open bool) {
 	clear(prev) // drop the payload and lease references before reuse
+	polled := false
 	for {
 		q.mu.Lock()
+		q.asleep = false // awake, whoever sent the token
 		if cap(prev) > 0 {
 			q.free = append(q.free, prev[:0])
 			prev = nil
@@ -190,14 +233,35 @@ func (q *Queue) Take(prev []Item) (items []Item, open bool) {
 		}
 		poked, closed := q.poked, q.closed
 		q.poked = false
+		if !poked && !closed {
+			if polled {
+				q.asleep = true
+			} else {
+				q.stirred.Store(false)
+			}
+		}
 		q.mu.Unlock()
-		if poked {
+		switch {
+		case poked:
 			return nil, true
-		}
-		if closed {
+		case closed:
 			return nil, false
+		case !polled:
+			polled = true
+			q.poll()
+			continue
 		}
+		q.parks.Add(1)
 		<-q.ready
+	}
+}
+
+// poll waits up to pollWindow for stirred, yielding between looks so a
+// polling consumer never keeps runnable work off its processor.
+func (q *Queue) poll() {
+	start := time.Now()
+	for !q.stirred.Load() && time.Since(start) < pollWindow {
+		runtime.Gosched()
 	}
 }
 
@@ -206,8 +270,11 @@ func (q *Queue) Take(prev []Item) (items []Item, open bool) {
 func (q *Queue) Poke() {
 	q.mu.Lock()
 	q.poked = true
+	woke := q.stir()
 	q.mu.Unlock()
-	signal(q.ready)
+	if woke {
+		signal(q.ready)
+	}
 }
 
 // Close stops intake: Put and Offer return ErrClosed from now on, parked
@@ -215,12 +282,16 @@ func (q *Queue) Poke() {
 // Close is idempotent.
 func (q *Queue) Close() {
 	q.mu.Lock()
+	woke := false
 	if !q.closed {
 		q.closed = true
 		close(q.done)
+		woke = q.stir()
 	}
 	q.mu.Unlock()
-	signal(q.ready)
+	if woke {
+		signal(q.ready)
+	}
 }
 
 // Len returns the number of queued segments.

@@ -2,6 +2,7 @@ package burst
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,7 +145,8 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // The quiet-queue property: one segment is handed over as the one-segment
-// burst, at once — the consumer does not wait for a second to arrive.
+// burst, at once — the consumer does not wait for a second to arrive, also
+// when it has parked.
 func TestLoneItemIsTakenAtOnce(t *testing.T) {
 	q := NewQueue(64)
 	got := make(chan int, 1)
@@ -164,6 +166,44 @@ func TestLoneItemIsTakenAtOnce(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("consumer still waiting with one item queued")
 	}
+}
+
+// The poll window is a constant read off the sweep in EXPERIMENTS.md
+// "Quiet hand-off"; moving it means running that sweep again.
+func TestPollWindowIsTheSweptConstant(t *testing.T) {
+	if pollWindow != 50*time.Microsecond {
+		t.Fatalf("pollWindow = %v; re-run the sweep in EXPERIMENTS.md \"Quiet hand-off\" and update this test with it", pollWindow)
+	}
+}
+
+// A Put that lands while the consumer polls its window is taken without
+// the consumer ever blocking. One processor makes the interleaving
+// plain: the consumer yields between polls, and the producer runs then.
+func TestPutInsideTheWindowIsTakenWithoutAPark(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for attempt := 0; attempt < 50; attempt++ {
+		q := NewQueue(8)
+		q.stirred.Store(true) // the consumer clears it as it starts polling
+		got := make(chan int, 1)
+		go func() {
+			items, _ := q.Take(nil)
+			got <- len(items)
+		}()
+		for q.stirred.Load() {
+			runtime.Gosched()
+		}
+		if _, err := q.Put(nil, item(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if n := <-got; n != 1 {
+			t.Fatalf("burst of %d, want the lone item", n)
+		}
+		if q.Parks() == 0 {
+			return
+		}
+		// The thread was descheduled past the window: try again.
+	}
+	t.Fatal("in 50 attempts the consumer parked every time, though each item arrived as it began polling")
 }
 
 func TestPokeWakesAnIdleConsumer(t *testing.T) {

@@ -195,17 +195,10 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 		declaredLen = int(tableLen)
 	}
 
-	// Read the table in bounded chunks, growing with the data actually
-	// present, so a corrupt header on a truncated stream fails after at
-	// most one chunk instead of allocating the full claimed table.
-	d.trans = make([]uint32, 0, min(declaredLen, 1<<18))
-	chunk := make([]uint32, 1<<18)
-	for len(d.trans) < declaredLen {
-		k := min(declaredLen-len(d.trans), len(chunk))
-		if err := binary.Read(r, binary.LittleEndian, chunk[:k]); err != nil {
-			return nil, fmt.Errorf("%w: transition table: %v", ErrBadFormat, err)
-		}
-		d.trans = append(d.trans, chunk[:k]...)
+	buf := make([]byte, 4*min(declaredLen, 1<<10))
+	var err error
+	if d.trans, err = readWords(r, buf, make([]uint32, 0, min(declaredLen, 1<<14)), declaredLen); err != nil {
+		return nil, fmt.Errorf("%w: transition table: %v", ErrBadFormat, err)
 	}
 	for _, to := range d.trans {
 		if to >= numStates {
@@ -232,13 +225,29 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 		if count == 0 || count > 1<<20 {
 			return nil, fmt.Errorf("%w: accept set %d has %d ids", ErrBadFormat, i, count)
 		}
-		ids := make([]int32, count)
-		if err := binary.Read(r, binary.LittleEndian, ids); err != nil {
+		if d.accepts[i], err = readWords(r, buf, make([]int32, 0, min(count, 1<<10)), int(count)); err != nil {
 			return nil, fmt.Errorf("%w: accept set %d: %v", ErrBadFormat, i, err)
 		}
-		d.accepts[i] = ids
 	}
 	return d, nil
+}
+
+// readWords appends n little-endian 32-bit words from r to dst, reading
+// through buf. Memory grows with the data actually present, so a corrupt
+// count on a short stream fails after one buffer instead of allocating
+// what it claims; dst's capacity is the caller's first guess.
+func readWords[T uint32 | int32](r io.Reader, buf []byte, dst []T, n int) ([]T, error) {
+	for n > 0 {
+		k := min(n, len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return dst, err
+		}
+		for i := range k {
+			dst = append(dst, T(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+		n -= k
+	}
+	return dst, nil
 }
 
 // countingWriter tracks bytes written and latches the first error.

@@ -9,7 +9,10 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"matchfilter/internal/burst"
 	"matchfilter/internal/flow"
@@ -76,7 +79,7 @@ func BenchmarkSequentialBaseline(b *testing.B) {
 // BenchmarkEngineDispatch isolates the engine's routing overhead: hash,
 // stage and queue append to shards that discard instantly, a segment per
 // call (the one-segment burst, as HandleSegment sends it) and a full
-// burst per call (as the input pump hands it over under backlog). It bounds
+// burst per call (as a capture source stages what it has read). It bounds
 // the per-segment tax the sharding layer adds over the sequential scanner.
 func BenchmarkEngineDispatch(b *testing.B) {
 	segs, payload := benchCapture(b)
@@ -108,6 +111,51 @@ type nopRunner struct{}
 
 func (nopRunner) Feed(data []byte, onMatch func(int32, int64)) {}
 func (nopRunner) Reset()                                       {}
+
+// BenchmarkQuietHandoff times an idle pipeline's hand-off: a producer
+// that spins, never blocking, between one-segment bursts about 30 µs
+// apart — a NIC poll loop, the benchmark's paced generator — into one
+// shard whose runner reports a match per segment. It reports the median
+// handoff-ns from the HandleSegmentOwned call to the match callback: one
+// timer slack (~50 µs on Linux) when the woken shard waits for an idle
+// processor to steal it, a few µs when it does not (DESIGN.md §9). Run
+// it at -cpu 2, with -benchtime in segments (2000x); it gates nothing.
+func BenchmarkQuietHandoff(b *testing.B) {
+	const gap = 30 * time.Microsecond
+	start := time.Now()
+	var sent, matched atomic.Int64
+	lat := make([]float64, 0, b.N)
+	e := New(Config{Shards: 1}, func() flow.Runner { return hitRunner{} }, func(Match) {
+		lat = append(lat, float64(time.Since(start).Nanoseconds()-sent.Load()))
+		matched.Add(1)
+	})
+	segs := segsOn(pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}, b.N)
+	b.ResetTimer()
+	next := time.Since(start)
+	for i := range segs {
+		for time.Since(start) < next {
+		}
+		sent.Store(time.Since(start).Nanoseconds())
+		if err := e.HandleSegmentOwned(segs[i], nil); err != nil {
+			b.Fatal(err)
+		}
+		for matched.Load() <= int64(i) {
+		}
+		next = time.Since(start) + gap
+	}
+	b.StopTimer()
+	if err := e.Close(); err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(lat)
+	b.ReportMetric(lat[len(lat)/2], "handoff-ns")
+}
+
+// hitRunner reports one match per Feed: every segment is an alert.
+type hitRunner struct{}
+
+func (hitRunner) Feed(data []byte, onMatch func(int32, int64)) { onMatch(0, int64(len(data))) }
+func (hitRunner) Reset()                                       {}
 
 // BenchmarkShardScalingInstrumented repeats the shard-scaling
 // measurement with telemetry attached — the delta against

@@ -1,10 +1,11 @@
-// The pump's burst hand-off: a quiet source is the one-segment burst
-// delivered at once, bursts form only behind a busy sink, and both sink
-// shapes — BurstSink and the per-segment fallback — own every lease they
-// are handed.
+// The source's hand-off: a quiet source's segment reaches the sink alone
+// and at once, a capture's frames read back to back cross as staged bursts
+// of at most burst.Max, and both sink shapes — BurstSink and the
+// per-segment fallback — own every lease they are handed.
 package input
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -13,7 +14,6 @@ import (
 
 	"matchfilter/internal/burst"
 	"matchfilter/internal/pcap"
-	"matchfilter/internal/telemetry"
 )
 
 // oneThenBlock emits a single leased segment and then stays in Run, silent,
@@ -35,24 +35,49 @@ func (oneThenBlock) Run(ctx context.Context, em *Emitter) error {
 	return nil
 }
 
-// burstHistogram reads the named source's mfa_input_burst_segments series.
-func burstHistogram(t *testing.T, reg *telemetry.Registry, source string) telemetry.HistogramSnapshot {
-	t.Helper()
-	m, ok := reg.Snapshot().Get("mfa_input_burst_segments", telemetry.L("source", source))
-	if !ok || m.Hist == nil {
-		t.Fatalf("mfa_input_burst_segments{source=%q} not registered", source)
-	}
-	return *m.Hist
+// callSink is a BurstSink that records how many segments each call of
+// either kind carried.
+type callSink struct {
+	*collectSink
+	callMu sync.Mutex
+	calls  []int
 }
 
-// TestQuietSourceSegmentIsDeliveredAlone is the latency property of
-// natural batching: a burst never waits to fill. The lone segment of a
+func (c *callSink) record(n int) {
+	c.callMu.Lock()
+	c.calls = append(c.calls, n)
+	c.callMu.Unlock()
+}
+
+func (c *callSink) sizes() []int {
+	c.callMu.Lock()
+	defer c.callMu.Unlock()
+	return append([]int(nil), c.calls...)
+}
+
+func (c *callSink) HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) error {
+	c.record(1)
+	return c.collectSink.HandleSegmentOwned(seg, owner)
+}
+
+func (c *callSink) HandleBurst(items []burst.Item) error {
+	c.record(len(items))
+	for i, it := range items {
+		if err := c.collectSink.HandleSegmentOwned(it.Seg, it.Owner); err != nil {
+			burst.Release(items[i+1:])
+			return err
+		}
+	}
+	return nil
+}
+
+// TestQuietSourceSegmentIsDeliveredAlone is the latency property of the
+// hand-off: a segment never waits for company. The lone segment of a
 // source that then goes silent reaches the sink while the source is still
-// blocked, as a burst of one.
+// blocked, in one call carrying that one segment.
 func TestQuietSourceSegmentIsDeliveredAlone(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sink := newCollectSink()
-	sup := NewSupervisor(Config{Sink: sink, Metrics: reg})
+	sink := &callSink{collectSink: newCollectSink()}
+	sup := NewSupervisor(Config{Sink: sink})
 	sup.Add(oneThenBlock{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -68,8 +93,11 @@ func TestQuietSourceSegmentIsDeliveredAlone(t *testing.T) {
 		t.Fatalf("source returned (%v) before the test released it", err)
 	default:
 	}
-	if h := burstHistogram(t, reg, "quiet"); h.Count != 1 || h.Sum != 1 {
-		t.Fatalf("burst histogram: %d bursts totalling %v segments, want one burst of one", h.Count, h.Sum)
+	if calls := sink.sizes(); len(calls) != 1 || calls[0] != 1 {
+		t.Fatalf("sink calls %v, want one call carrying one segment", calls)
+	}
+	if row := sup.Stats()[0]; row.Segments != 1 || row.PayloadBytes != 5 {
+		t.Fatalf("source row: %+v", row)
 	}
 	cancel()
 	if err := <-done; err != nil {
@@ -80,92 +108,43 @@ func TestQuietSourceSegmentIsDeliveredAlone(t *testing.T) {
 	}
 }
 
-// gatedBurstSink is a BurstSink that records the size of every burst and
-// parks inside the first one until the gate opens — a sink busy enough
-// for a backlog to form behind it.
-type gatedBurstSink struct {
-	*collectSink
-	gate    chan struct{}
-	entered chan struct{} // closed once the first burst is parked at gate
-	once    sync.Once
-	bursts  []int
-}
-
-func (g *gatedBurstSink) HandleBurst(items []burst.Item) error {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.gate
-	})
-	g.mu.Lock()
-	g.bursts = append(g.bursts, len(items))
-	g.mu.Unlock()
-	for i, it := range items {
-		if err := g.HandleSegmentOwned(it.Seg, it.Owner); err != nil {
-			burst.Release(items[i+1:])
-			return err
-		}
-	}
-	return nil
-}
-
-// TestBurstsFormBehindABusySink: what queues while the sink is busy
-// crosses in one call, the histogram sees one observation per burst, and
-// the per-source counters still count segments.
+// TestBurstsFormBehindABusySink: a capture's frames are read faster than
+// one call each is worth, so what the reader already holds crosses to a
+// BurstSink staged, in calls of at most burst.Max, and the per-source
+// counters still count segments.
 func TestBurstsFormBehindABusySink(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sink := &gatedBurstSink{collectSink: newCollectSink(), gate: make(chan struct{}), entered: make(chan struct{})}
-	// 302 segments: however many the pump's first burst took, more than a
-	// queueful is left.
-	src := &memSource{name: "busy", flows: [][]byte{make([]byte, 150<<10)}, chunk: 512}
-	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 64, Metrics: reg})
-	sup.Add(src)
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(context.Background()) }()
-
-	// The pump is parked in the sink with its first burst; the source
-	// fills the queue behind it and blocks.
-	<-sink.entered
-	waitFor(t, 10*time.Second, "the queue to fill behind the busy sink", func() bool {
-		return sup.Stats()[0].QueueDepth == 64
-	})
-	close(sink.gate)
-	if err := <-done; err != nil {
+	capture := synthCapture(t, 4, 40000, []string{"kabra"}, 3)
+	frames, payload := countCapture(t, capture)
+	sink := &callSink{collectSink: newCollectSink()}
+	sup := NewSupervisor(Config{Sink: sink})
+	sup.Add(NewPcapStream("busy", bytes.NewReader(capture)))
+	if err := sup.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	total := 0
-	for _, n := range sink.bursts {
+	calls := sink.sizes()
+	total, widest := 0, 0
+	for _, n := range calls {
 		total += n
+		widest = max(widest, n)
 	}
-	if len(sink.bursts) < 2 || sink.bursts[1] != 64 {
-		t.Fatalf("bursts %v: want the full queue to cross as the second burst", sink.bursts)
+	if widest != burst.Max || int64(total) != frames || frames <= burst.Max {
+		t.Fatalf("%d calls carrying %d segments, the widest %d; want %d frames in calls of at most and up to %d",
+			len(calls), total, widest, frames, burst.Max)
 	}
-	if int64(total) != src.segCount() {
-		t.Fatalf("bursts %v carry %d segments, source emitted %d", sink.bursts, total, src.segCount())
-	}
-	if h := burstHistogram(t, reg, "busy"); h.Count != uint64(len(sink.bursts)) || h.Sum != float64(total) {
-		t.Fatalf("burst histogram: %d observations summing to %v, want %d summing to %d",
-			h.Count, h.Sum, len(sink.bursts), total)
-	}
-	row := sup.Stats()[0]
-	if row.Segments != src.segCount() || row.PayloadBytes != src.byteCount() || row.QueueDepth != 0 || row.QueueCap != 64 {
-		t.Fatalf("source row after the run: %+v", row)
+	if row := sup.Stats()[0]; row.Segments != frames || row.PayloadBytes != payload {
+		t.Fatalf("source row after the run: %+v, want %d segments, %d bytes", row, frames, payload)
 	}
 	if ast := sup.Arena().Stats(); ast.Leases != ast.Releases || ast.BytesLeased != 0 {
 		t.Fatalf("arena imbalance: %+v", ast)
 	}
 }
 
-// failAfterSink is a plain Sink — no HandleBurst — that parks in its first
-// call until the gate opens and rejects its third.
-type failAfterSink struct {
-	*collectSink
-	gate chan struct{}
-	once sync.Once
-}
+// failAfterSink is a plain Sink — no HandleBurst — that rejects its third
+// segment.
+type failAfterSink struct{ *collectSink }
 
 func (f *failAfterSink) HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) error {
-	f.once.Do(func() { <-f.gate })
 	if s, _ := f.counts(); s == 2 {
 		f.mu.Lock()
 		f.fail = errors.New("scripted sink failure")
@@ -175,26 +154,22 @@ func (f *failAfterSink) HandleSegmentOwned(seg pcap.Segment, owner pcap.Owner) e
 }
 
 // TestSinkErrorMidBurstReleasesTheRest: when a per-segment sink rejects a
-// segment in the middle of a burst, the pump settles the leases the sink
-// never saw, and the pipeline stops with the sink's error.
+// segment in the middle of a staged burst, the source settles the leases
+// the sink never saw — each lease exactly once — and the pipeline stops
+// with the sink's error.
 func TestSinkErrorMidBurstReleasesTheRest(t *testing.T) {
-	sink := &failAfterSink{collectSink: newCollectSink(), gate: make(chan struct{})}
-	sup := NewSupervisor(Config{Sink: sink, QueueDepth: 32})
-	sup.Add(&memSource{name: "doomed", flows: [][]byte{make([]byte, 40<<10)}, chunk: 512})
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(context.Background()) }()
-	waitFor(t, 10*time.Second, "a burst to queue behind the parked sink", func() bool {
-		return sup.Stats()[0].QueueDepth == 32
-	})
-	close(sink.gate)
-	err := <-done
+	sink := &failAfterSink{collectSink: newCollectSink()}
+	sup := NewSupervisor(Config{Sink: sink})
+	sup.Add(NewPcapStream("doomed", bytes.NewReader(synthCapture(t, 2, 40000, nil, 5))))
+	err := sup.Run(context.Background())
 	if err == nil || !errors.Is(err, sink.fail) {
 		t.Fatalf("Run = %v, want the sink's error", err)
 	}
 	if s, _ := sink.counts(); s != 2 {
 		t.Fatalf("sink accepted %d segments, want the 2 before its failure", s)
 	}
-	if ast := sup.Arena().Stats(); ast.Leases != ast.Releases || ast.DoubleReleases != 0 || ast.BytesLeased != 0 {
-		t.Fatalf("arena imbalance after a mid-burst failure: %+v", ast)
+	ast := sup.Arena().Stats()
+	if ast.Leases <= 3 || ast.Leases != ast.Releases || ast.DoubleReleases != 0 || ast.BytesLeased != 0 {
+		t.Fatalf("arena after a mid-burst failure: %+v, want a staged burst's leases each released once", ast)
 	}
 }

@@ -11,11 +11,11 @@
 //     returns when the source is exhausted (finite sources: a capture
 //     file) or its context is cancelled (live sources: sockets, spools,
 //     interfaces).
-//   - The Supervisor runs every source on its own goroutine with a
-//     bounded handoff queue (internal/burst) into the sink, so one slow
-//     or bursty source backpressures against its own queue without
-//     starving the others; what queues up while the sink is busy crosses
-//     as one burst. A source that fails is restarted with exponential backoff
+//   - The Supervisor runs every source on its own goroutine, which hands
+//     what it reads straight to the sink — the frames a read already holds
+//     as one burst — and is backpressured by the shard queue
+//     (internal/burst) the segments land in: one hand-off between a
+//     source and a shard. A source that fails is restarted with exponential backoff
 //     under a restart budget (the crash-budget idiom from the shard
 //     supervisor); a source that keeps failing is abandoned — counted
 //     and reported — while the rest keep serving.
@@ -31,7 +31,7 @@
 //     of slabs.
 //
 // Every source gets per-source telemetry (segments, bytes, skips,
-// malformed, restarts, queue depth) on the shared registry and a row in
+// malformed, restarts, state) on the shared registry and a row in
 // the supervisor's Stats, which cmd/mfaserve serves under /statsz.
 package input
 
@@ -86,8 +86,9 @@ type Sink interface {
 }
 
 // BurstSink is the optional upgrade of Sink that internal/engine's
-// *Engine implements: the pump hands it everything it swapped out of a
-// source's queue in one call instead of one call per segment. The sink
+// *Engine implements: a source that reads frames back to back (a capture
+// file or stream, a spool) hands it what it staged in one call instead of
+// one call per segment. The sink
 // owns every item's lease from the call on, error or not; the slice
 // itself stays the caller's and is reused after the call returns.
 type BurstSink interface {

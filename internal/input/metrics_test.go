@@ -56,6 +56,23 @@ func unserved[T any](tables ...[]telemetry.Row[T]) []string {
 	return names
 }
 
+// sequenced runs its source once wait is closed (nil: at once) and closes
+// done (nil: none) when that run returns.
+type sequenced struct {
+	Source
+	wait, done chan struct{}
+}
+
+func (s *sequenced) Run(ctx context.Context, em *Emitter) error {
+	if s.wait != nil {
+		<-s.wait
+	}
+	if s.done != nil {
+		defer close(s.done)
+	}
+	return s.Source.Run(ctx, em)
+}
+
 // TestMetricsMirrorStats runs a paced finite source and a flapping
 // infinite one to completion and checks every row table against the
 // structs /statsz serves: each series is its SourceStats or ArenaStats
@@ -66,8 +83,13 @@ func TestMetricsMirrorStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	useManualClock(t).Drive(t, shortWaits) // pacing and backoffs
 	sup := NewSupervisor(Config{Sink: newCollectSink(), Metrics: reg})
-	sup.AddOptions(&leasingSource{name: "paced", segs: 20, lease: 1000}, SourceOptions{RateBytesPerSec: 1 << 20, Tenant: 3})
-	sup.Add(&flakyInfiniteSource{name: "flap", failBefore: 2, segs: 8})
+	// The flap starts once the paced source is done: its backoffs advance
+	// the shared manual clock, and one landing mid-emission refills the
+	// paced source's bucket so that it never pauses.
+	pacedDone := make(chan struct{})
+	sup.AddOptions(&sequenced{Source: &leasingSource{name: "paced", segs: 20, lease: 1000}, done: pacedDone},
+		SourceOptions{RateBytesPerSec: 1 << 20, Tenant: 3})
+	sup.Add(&sequenced{Source: &flakyInfiniteSource{name: "flap", failBefore: 2, segs: 8}, wait: pacedDone})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sup.Run(ctx); err != nil || ctx.Err() != nil {

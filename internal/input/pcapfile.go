@@ -3,7 +3,7 @@
 //
 // Concurrency note: each file is its own source, so two files scan in
 // parallel. Per-flow segment order is preserved within a file (one
-// source, one handoff queue), which is the property flow reassembly
+// goroutine hands them over in order), which is the property flow reassembly
 // needs; when the same 4-tuple appears in two files the interleaving
 // across them is nondeterministic — capture sets split by flow (the
 // normal rotation shape) are match-equivalent to a sequential scan.
@@ -82,9 +82,11 @@ func (p *PcapStream) Run(ctx context.Context, em *Emitter) error {
 }
 
 // pumpPcapStream is the one capture-scanning loop both file and stream
-// sources share: packet bodies land in leased arena buffers and ride to
-// the engine as frame leases.
-func pumpPcapStream(ctx context.Context, em *Emitter, r io.Reader) error {
+// sources share: packet bodies land in leased arena buffers, and the
+// segments of the frames r already holds reach the engine as one burst
+// of at most burst.Max. The burst is flushed before a read that may
+// block (r has nothing buffered) and on every return.
+func pumpPcapStream(ctx context.Context, em *Emitter, r *bufio.Reader) (err error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		// An unusable header (bad magic, non-Ethernet) is a malformed
@@ -100,6 +102,8 @@ func pumpPcapStream(ctx context.Context, em *Emitter, r io.Reader) error {
 		lease = em.Lease(n)
 		return lease.Data()
 	})
+	b := stager{em: em}
+	defer b.close(&err)
 	done := ctx.Done() // ctx.Err() would take the context's lock per frame
 	for {
 		select {
@@ -108,24 +112,26 @@ func pumpPcapStream(ctx context.Context, em *Emitter, r io.Reader) error {
 		default:
 		}
 		lease = nil
-		pkt, err := pr.Next()
-		if err == io.EOF {
+		pkt, rerr := pr.Next()
+		if rerr == io.EOF {
 			return nil
 		}
-		if err != nil {
+		if rerr != nil {
 			if lease != nil {
 				lease.Release() // body read failed after the lease
-			}
-			if serr := em.Malformed(err); serr != nil {
-				return serr
 			}
 			// Both failure shapes end the stream: a truncated tail has
 			// nothing after it, and an implausible record header cannot
 			// be resynchronized past.
-			return nil
+			return em.Malformed(rerr)
 		}
-		if err := em.Frame(pkt.Data, lease); err != nil {
+		if err := em.frame(pkt.Data, lease, &b); err != nil {
 			return err
+		}
+		if r.Buffered() == 0 {
+			if err := b.flush(); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ package input
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -191,6 +192,51 @@ func TestMultiPcapParallelEqualsSequential(t *testing.T) {
 	if !equalFlowMatches(seqRec.flowMatches(), parRec.flowMatches()) {
 		t.Fatalf("parallel scan diverged from sequential:\nseq: %v\npar: %v",
 			seqRec.flowMatches(), parRec.flowMatches())
+	}
+}
+
+// gateRunner parks every Feed until gate closes: a shard that stops
+// draining its queue.
+type gateRunner struct{ gate chan struct{} }
+
+func (g gateRunner) Feed([]byte, func(int32, int64)) { <-g.gate }
+func (gateRunner) Reset()                            {}
+
+// TestSourceBlockedOnAFullShardReturnsWhenTheEngineCloses: a source is
+// backpressured by the shard queue its segments land in, and once the
+// engine begins closing it stops waiting — the pipeline ends with the
+// engine's refusal while the shard is still stalled, and every lease is
+// settled once the shard drains.
+func TestSourceBlockedOnAFullShardReturnsWhenTheEngineCloses(t *testing.T) {
+	gate := make(chan struct{})
+	e := engine.New(engine.Config{Shards: 1, QueueDepth: 4, SoftWatermark: 1, HardWatermark: 1},
+		func() flow.Runner { return gateRunner{gate} }, nil)
+	sup := NewSupervisor(Config{Sink: e})
+	sup.Add(&memSource{name: "stuck", flows: [][]byte{make([]byte, 64<<10)}, chunk: 512})
+	done := make(chan error, 1)
+	go func() { done <- sup.Run(context.Background()) }()
+	waitFor(t, 10*time.Second, "the shard queue to fill", func() bool { return e.Stats().QueueDepth >= 4 })
+	select {
+	case err := <-done:
+		t.Fatalf("Run returned (%v) while its shard was stalled", err)
+	default:
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, engine.ErrClosed) {
+			t.Fatalf("Run = %v, want the engine's ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the source is still blocked after the engine began closing")
+	}
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if ast := sup.Arena().Stats(); ast.Leases != ast.Releases || ast.BytesLeased != 0 {
+		t.Fatalf("arena imbalance: %+v", ast)
 	}
 }
 

@@ -7,7 +7,7 @@
 // live), and driving a staging instance at a controlled offered load. A
 // source created with SourceOptions.RateBytesPerSec paces its payload
 // bytes through a token bucket: Emitter.Segment debits the bucket and
-// sleeps off any debt before enqueueing, so the handoff queue sees
+// sleeps off any debt before the hand-off, so the engine sees
 // traffic at the configured rate regardless of how fast the file reads.
 //
 // The bucket allows a burst of one bucketWindow's worth of bytes, so

@@ -211,10 +211,12 @@ func (tf *tailFile) consume(ctx context.Context, em *Emitter, size int64) error 
 	return tf.parse(ctx, em)
 }
 
-// parse emits every complete record in partial, keeping the remainder.
-// Header and record validation are internal/pcap's: a file it refuses is
-// marked dead.
-func (tf *tailFile) parse(ctx context.Context, em *Emitter) error {
+// parse emits every complete record in partial as one staged burst,
+// keeping the remainder. Header and record validation are internal/pcap's:
+// a file it refuses is marked dead.
+func (tf *tailFile) parse(ctx context.Context, em *Emitter) (err error) {
+	b := stager{em: em}
+	defer b.close(&err)
 	p := tf.partial
 	if tf.order == nil {
 		if len(p) < pcap.GlobalHeaderLen {
@@ -237,7 +239,7 @@ func (tf *tailFile) parse(ctx context.Context, em *Emitter) error {
 		lease := em.Lease(n)
 		copy(lease.Data(), p[pcap.RecordHeaderLen:])
 		p = p[pcap.RecordHeaderLen+n:]
-		if err := em.Frame(lease.Data(), lease); err != nil {
+		if err := em.frame(lease.Data(), lease, &b); err != nil {
 			tf.partial = nil
 			return err
 		}

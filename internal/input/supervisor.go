@@ -1,8 +1,7 @@
-// Supervisor: the plugin runner. One goroutine pair per source — the
-// source's Run producing into a bounded handoff queue, and a pump
-// swapping out whatever that queue holds and handing it to the sink as
-// one burst — plus restart supervision under one guard.Breaker policy and
-// centralized strict/lenient malformed-input policy. SourceStats and
+// Supervisor: the plugin runner. One goroutine per source — the source's
+// Run, handing what it reads straight to the sink — plus restart
+// supervision under one guard.Breaker policy and centralized
+// strict/lenient malformed-input policy. SourceStats and
 // ArenaStats are the listings of the pipeline's counters: /statsz serves
 // them as they are, /metrics through the row tables below.
 package input
@@ -30,9 +29,8 @@ type Config struct {
 	// record anywhere (Run returns a *StrictError); the default counts
 	// and skips, as a daemon on a hostile wire must.
 	Strict bool
-	// QueueDepth bounds each source's handoff queue (segments).
-	// 0 means 256. A full queue backpressures the producing source
-	// without touching the others.
+	// Deprecated: QueueDepth is ignored: a source hands its segments
+	// straight to the sink, backpressured by the shard queue they land in.
 	QueueDepth int
 	// Governor, when non-nil, gates buffer leasing against the unified
 	// memory ceiling: Emitter.Lease blocks while governed usage sits
@@ -40,7 +38,7 @@ type Config struct {
 	// bytes off the wire before the arena can OOM the process.
 	Governor *guard.Governor
 	// Metrics, when non-nil, receives per-source series (segments,
-	// bytes, skips, malformed, restarts, queue depth/capacity, state)
+	// bytes, skips, malformed, restarts, state)
 	// labeled source=<name>, plus the arena's lease accounting.
 	Metrics *telemetry.Registry
 	// Arena overrides the buffer arena; nil allocates a private one.
@@ -58,9 +56,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.Arena == nil {
 		c.Arena = &Arena{}
 	}
@@ -136,11 +131,6 @@ type sourceState struct {
 	desc Description
 	opts SourceOptions
 	rl   *rateLimiter // non-nil iff opts.RateBytesPerSec > 0
-	q    *burst.Queue
-	// burstHist, when non-nil, observes the size of every burst the pump
-	// hands to the sink: all ones on a quiet source, up to burst.Max
-	// where the sink is the bottleneck.
-	burstHist *telemetry.Histogram
 	// br is the source's restart policy. Only an infinite source's is on
 	// the admin surface: a finite one that opens it is abandoned (probing
 	// a consumed file forever would just hold Run open after the
@@ -230,8 +220,6 @@ var sourceRows = []telemetry.Row[SourceStats]{
 	telemetry.CounterRow("mfa_input_gaps_total", "Sender-numbered datagrams this source never received (udp ?seq mode).", func(s *SourceStats) float64 { return float64(s.Gaps) }),
 	telemetry.CounterRow("mfa_input_reorders_total", "Datagrams this source received behind a higher sequence number (udp ?seq mode).", func(s *SourceStats) float64 { return float64(s.Reorders) }),
 	telemetry.CounterRow("mfa_input_kernel_drops_total", "Datagrams the kernel dropped on this source's socket buffer (SO_RXQ_OVFL; Linux only).", func(s *SourceStats) float64 { return float64(s.KernelDrops) }),
-	telemetry.GaugeRow("mfa_input_queue_depth", "Segments waiting in this source's handoff queue right now.", func(s *SourceStats) float64 { return float64(s.QueueDepth) }),
-	telemetry.GaugeRow("mfa_input_queue_capacity", "Handoff queue capacity of this source.", func(s *SourceStats) float64 { return float64(s.QueueCap) }),
 	telemetry.GaugeRow("mfa_input_state", "Source lifecycle: 0 pending, 1 running, 2 backoff, 3 done, 4 failed, 5 open, 6 half-open.", func(s *SourceStats) float64 { return float64(s.state) }),
 }
 
@@ -275,7 +263,6 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 		src:  src,
 		desc: desc,
 		opts: opts,
-		q:    burst.NewQueue(s.cfg.QueueDepth),
 	}
 	if opts.RateBytesPerSec > 0 {
 		st.rl = newRateLimiter(opts.RateBytesPerSec, s.clock)
@@ -291,9 +278,6 @@ func (s *Supervisor) AddOptions(src Source, opts SourceOptions) {
 		if !desc.Finite {
 			rows.Add(breakerRows, label)
 		}
-		st.burstHist = reg.Histogram("mfa_input_burst_segments",
-			"Segments per burst this source's pump handed to the engine: 1 on a quiet source, more only under backlog.",
-			burstBuckets, label)
 	}
 }
 
@@ -313,14 +297,9 @@ func (s *Supervisor) Run(ctx context.Context) error {
 
 	var wg sync.WaitGroup
 	for _, st := range s.sources {
-		wg.Add(2)
+		wg.Add(1)
 		go func(st *sourceState) {
 			defer wg.Done()
-			s.pump(st)
-		}(st)
-		go func(st *sourceState) {
-			defer wg.Done()
-			defer st.q.Close()
 			s.supervise(ctx, st)
 		}(st)
 	}
@@ -340,59 +319,6 @@ func (s *Supervisor) fatal(err error) {
 	}
 	s.fatalMu.Unlock()
 	s.cancel()
-}
-
-// burstBuckets spans the one-segment burst of a quiet source to a full
-// burst.Max.
-var burstBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// pump drains one source's handoff queue into the sink, a burst at a
-// time: whatever accumulated while the sink was busy with the previous
-// one. A sink error is terminal for the whole pipeline: the pump keeps
-// draining (so the producer can finish and close the queue) but releases
-// instead of delivering.
-func (s *Supervisor) pump(st *sourceState) {
-	dead := false
-	var items []burst.Item
-	for {
-		var open bool
-		if items, open = st.q.Take(items); !open {
-			return
-		}
-		if dead {
-			burst.Release(items)
-			continue
-		}
-		var bytes int64
-		for i := range items {
-			bytes += int64(len(items[i].Seg.Payload))
-		}
-		if st.burstHist != nil {
-			st.burstHist.Observe(float64(len(items)))
-		}
-		if err := s.deliver(items); err != nil {
-			dead = true
-			s.fatal(fmt.Errorf("input: sink rejected segment from %s: %w", st.desc.Name, err))
-			continue
-		}
-		st.segments.Add(int64(len(items)))
-		st.bytes.Add(bytes)
-	}
-}
-
-// deliver hands one burst to the sink, which owns every item's lease
-// from here on: whole to a BurstSink, segment by segment otherwise.
-func (s *Supervisor) deliver(items []burst.Item) error {
-	if bs, ok := s.cfg.Sink.(BurstSink); ok {
-		return bs.HandleBurst(items)
-	}
-	for i, it := range items {
-		if err := s.cfg.Sink.HandleSegmentOwned(it.Seg, it.Owner); err != nil {
-			burst.Release(items[i+1:])
-			return err
-		}
-	}
-	return nil
 }
 
 // supervise runs one source through its restart policy: the breaker
@@ -500,8 +426,6 @@ type SourceStats struct {
 	SkippedFrames int64
 	Malformed     int64
 	Restarts      int64
-	QueueDepth    int
-	QueueCap      int
 	// Datagram delivery accounting; nonzero only for sources that can
 	// observe it (udp ?seq mode, SO_RXQ_OVFL).
 	Gaps        int64 `json:",omitempty"`
@@ -540,8 +464,6 @@ func (st *sourceState) stats() SourceStats {
 		SkippedFrames:   st.skips.Load(),
 		Malformed:       st.malformed.Load(),
 		Restarts:        st.restarts.Load(),
-		QueueDepth:      st.q.Len(),
-		QueueCap:        st.q.Cap(),
 		Gaps:            st.gaps.Load(),
 		Reorders:        st.reorders.Load(),
 		KernelDrops:     st.kernelDrops.Load(),
@@ -611,38 +533,48 @@ func (em *Emitter) Lease(n int) *Buf {
 }
 
 // Segment hands one pre-decoded segment (socket and live sources
-// synthesize their own flow keys) to the sink via the source's bounded
-// handoff queue, transferring ownership of owner. It blocks while the
-// queue is full — that is the per-source backpressure — and returns a
-// non-nil error only when the pipeline is stopping; the source should
-// return that error from Run.
+// synthesize their own flow keys) straight to the sink, transferring
+// ownership of owner. It blocks while the segment's shard queue is full —
+// that is the per-source backpressure — and returns a non-nil error only
+// when the pipeline is stopping; the source should return that error
+// from Run.
 //
 // Ingest policy is applied here, once, for every source kind: the
 // segment is tenant-tagged (per-source binding first, then the
 // classifier callback) and paced through the source's replay rate
 // limiter when one is configured.
 func (em *Emitter) Segment(seg pcap.Segment, owner pcap.Owner) error {
-	if seg.Key.Tenant == 0 {
-		if t := em.st.opts.Tenant; t != 0 {
-			seg.Key.Tenant = t
-		} else if tag := em.sup.cfg.Tagger; tag != nil {
-			seg.Key.Tenant = tag(seg.Key)
-		}
-	}
+	em.tag(&seg)
 	if em.st.rl != nil && len(seg.Payload) > 0 {
 		if err := em.st.rl.wait(em.ctx, len(seg.Payload)); err != nil {
 			release(owner)
 			return err
 		}
 	}
-	if _, err := em.st.q.Put(em.ctx.Done(), burst.Item{Seg: seg, Owner: owner}); err != nil {
-		release(owner)
-		if errors.Is(err, burst.ErrCanceled) {
-			return em.ctx.Err()
-		}
-		return err
+	if err := em.sup.cfg.Sink.HandleSegmentOwned(seg, owner); err != nil {
+		return em.rejected(err)
 	}
+	em.st.segments.Add(1)
+	em.st.bytes.Add(int64(len(seg.Payload)))
 	return nil
+}
+
+// tag applies the tenant binding: the source's own, else the classifier's.
+func (em *Emitter) tag(seg *pcap.Segment) {
+	switch {
+	case seg.Key.Tenant != 0:
+	case em.st.opts.Tenant != 0:
+		seg.Key.Tenant = em.st.opts.Tenant
+	case em.sup.cfg.Tagger != nil:
+		seg.Key.Tenant = em.sup.cfg.Tagger(seg.Key)
+	}
+}
+
+// rejected makes a sink error terminal for the whole pipeline.
+func (em *Emitter) rejected(err error) error {
+	err = fmt.Errorf("input: sink rejected segment from %s: %w", em.st.desc.Name, err)
+	em.sup.fatal(err)
+	return err
 }
 
 // Frame decodes one Ethernet frame and hands its segment to the sink,
@@ -651,16 +583,74 @@ func (em *Emitter) Segment(seg pcap.Segment, owner pcap.Owner) error {
 // policy (counted in lenient mode, pipeline abort in strict mode). The
 // returned error is non-nil only when the pipeline is stopping.
 func (em *Emitter) Frame(frame []byte, owner pcap.Owner) error {
+	return em.frame(frame, owner, nil)
+}
+
+// frame is Frame, staging the segment in b unless b is nil or the source
+// is paced (a paced segment goes out when it is due).
+func (em *Emitter) frame(frame []byte, owner pcap.Owner, b *stager) error {
 	seg, err := pcap.DecodeTCP(frame)
-	if err != nil {
+	switch {
+	case errors.Is(err, pcap.ErrNotTCP):
 		release(owner)
-		if errors.Is(err, pcap.ErrNotTCP) {
-			em.st.skips.Add(1)
-			return nil
-		}
+		em.st.skips.Add(1)
+		return nil
+	case err != nil:
+		release(owner)
 		return em.Malformed(err)
+	case b == nil || em.st.rl != nil:
+		return em.Segment(seg, owner)
 	}
-	return em.Segment(seg, owner)
+	em.tag(&seg)
+	b.items = append(b.items, burst.Item{Seg: seg, Owner: owner})
+	b.bytes += int64(len(seg.Payload))
+	if len(b.items) == burst.Max {
+		return b.flush()
+	}
+	return nil
+}
+
+// stager collects the segments of frames a source reads back to back and
+// hands them to the sink as one burst: HandleBurst on a BurstSink,
+// segment by segment otherwise. The source flushes it before a read that
+// may block and before it returns; it flushes itself at burst.Max.
+type stager struct {
+	em    *Emitter
+	items []burst.Item
+	bytes int64 // payload bytes of items
+}
+
+// flush hands the staged burst to the sink, which owns every lease in it
+// from here on, and counts it once the sink has accepted it all.
+func (b *stager) flush() (err error) {
+	items, bytes := b.items, b.bytes
+	if len(items) == 0 {
+		return nil
+	}
+	defer func() { clear(items); b.items, b.bytes = items[:0], 0 }()
+	if bs, ok := b.em.sup.cfg.Sink.(BurstSink); ok {
+		err = bs.HandleBurst(items)
+	} else {
+		for i, it := range items {
+			if err = b.em.sup.cfg.Sink.HandleSegmentOwned(it.Seg, it.Owner); err != nil {
+				burst.Release(items[i+1:])
+				break
+			}
+		}
+	}
+	if err != nil {
+		return b.em.rejected(err)
+	}
+	b.em.st.segments.Add(int64(len(items)))
+	b.em.st.bytes.Add(bytes)
+	return nil
+}
+
+// close is the source's deferred last flush: err keeps its first error.
+func (b *stager) close(err *error) {
+	if ferr := b.flush(); *err == nil {
+		*err = ferr
+	}
 }
 
 // Malformed reports one unparseable frame or record. In lenient mode it
