@@ -52,12 +52,14 @@ func Release(items []Item) {
 const Max = 256
 
 // pollWindow is how long a consumer that finds its queue empty polls for
-// an arrival before it parks: the size of the runtime's steal backoff it
-// replaces (a usleep(3) that Linux stretches to the 50 µs default timer
-// slack), and the best point of the sweep in EXPERIMENTS.md "Quiet
-// hand-off". A backlogged consumer never polls; an idle one burns at most
+// an arrival before it parks, read off the sweep in EXPERIMENTS.md "Quiet
+// hand-off". A parked consumer wakes one runtime steal backoff late (a
+// usleep(3) that Linux stretches to the 50 µs default timer slack), and a
+// packet gap near the window decides per run whether the consumer parks,
+// so the window sits well clear of the longest gap the benchmark paces
+// (127 µs). A backlogged consumer never polls; an idle one burns at most
 // one window per quiet gap.
-const pollWindow = 50 * time.Microsecond
+const pollWindow = 200 * time.Microsecond
 
 var (
 	// ErrClosed is returned by Put and Offer once Close has been called.

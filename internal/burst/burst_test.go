@@ -171,7 +171,7 @@ func TestLoneItemIsTakenAtOnce(t *testing.T) {
 // The poll window is a constant read off the sweep in EXPERIMENTS.md
 // "Quiet hand-off"; moving it means running that sweep again.
 func TestPollWindowIsTheSweptConstant(t *testing.T) {
-	if pollWindow != 50*time.Microsecond {
+	if pollWindow != 200*time.Microsecond {
 		t.Fatalf("pollWindow = %v; re-run the sweep in EXPERIMENTS.md \"Quiet hand-off\" and update this test with it", pollWindow)
 	}
 }
