@@ -96,16 +96,6 @@ func computeClasses(trans []uint32, width int) (classOf []uint8, numClasses int)
 	return classOf, numClasses
 }
 
-// plainTable returns a copy of the transition table with plain state
-// numbers as entries, the wire form.
-func (d *DFA) plainTable() []uint32 {
-	plain := make([]uint32, len(d.trans))
-	for i, to := range d.trans {
-		plain[i] = to / uint32(d.numClasses)
-	}
-	return plain
-}
-
 // classed returns the byte-class form of r: the exact column quotient of
 // its rows (the constructor hands over columns that no state may tell
 // apart any more, most of all after minimization), classes numbered by

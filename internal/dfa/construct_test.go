@@ -228,3 +228,45 @@ func TestInternStartResidue(t *testing.T) {
 		t.Fatalf("start residue reversed: got %d, %d states of %d, %v", id, len(c.accepts), states, err)
 	}
 }
+
+// cacheUse is how the class cache served a construction, replayed from
+// its rows: reused counts the (state, class) pairs run answered from it,
+// filledNew the classes whose cache entry is a state interned by the
+// transition that filled it.
+type cacheUse struct{ transitions, reused, filledNew int }
+
+// replayCache re-spreads every state of a finished construction. A state
+// whose residue has no transition on k goes to C ∪ succ(C, k): the first
+// such transition on k fills the cache, and every later one must land on
+// the same state. A startFull state 0 must have a transition on every
+// class, or it could touch the cache.
+func replayCache(t testing.TB, c *constructor) cacheUse {
+	t.Helper()
+	k := len(c.rep)
+	u := cacheUse{transitions: len(c.rows)}
+	cached := make([]uint32, k) // +1
+	newest := uint32(0)         // highest state id met so far: state 0, then the rows
+	for cur := range len(c.accepts) {
+		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
+		for j := range k {
+			empty, to := len(c.raw[j]) == 0, c.rows[cur*k+j]
+			c.raw[j] = c.raw[j][:0]
+			switch {
+			case empty && cur == 0 && c.startFull:
+				t.Fatalf("startFull state 0 has no transition on class %d", j)
+			case empty && cached[j] != 0:
+				if to != cached[j]-1 {
+					t.Fatalf("state %d class %d: %d, but the cache holds %d", cur, j, to, cached[j]-1)
+				}
+				u.reused++
+			case empty:
+				cached[j] = to + 1
+				if to > newest {
+					u.filledNew++
+				}
+			}
+			newest = max(newest, to)
+		}
+	}
+	return u
+}

@@ -140,6 +140,8 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 //     the class's core successors, which are most of a residue when C
 //     holds dot-stars. step marks them but does not copy them; intern
 //     takes them and their precomputed hash sum as a separate part.
+//   - When the residue has no transition on k, that successor is
+//     C ∪ succ(C, k) whatever the state: run looks it up per class.
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
@@ -181,34 +183,51 @@ func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 	c := &constructor{
 		n:         n,
 		maxStates: maxStates,
-		closures:  n.Closures(),
 		mark:      make([]uint64, n.NumStates()),
 		inCore:    make([]bool, n.NumStates()),
 		off:       []uint32{0},
 		byHash:    make(map[uint64]uint32, 1024),
 	}
-	// One 0/1 membership row per distinct transition bitmap: two bytes
-	// are in the same class iff they agree on every row.
+	// Two bytes are in the same class iff every distinct transition
+	// bitmap holds both or neither: refine the alphabet by each bitmap.
 	distinct := make(map[regexparse.Class]edge)
 	numEdges := 0
+	parts := []regexparse.Class{regexparse.AnyClass()}
 	for _, s := range n.States {
 		numEdges += len(s.Trans)
 		for _, t := range s.Trans {
+			if _, ok := distinct[t.Class]; ok {
+				continue
+			}
 			distinct[t.Class] = edge{}
+			for i, p := range parts {
+				in, out := p.Intersect(t.Class), p.Minus(t.Class)
+				if !in.IsEmpty() && !out.IsEmpty() {
+					parts[i] = in
+					parts = append(parts, out)
+				}
+			}
 		}
 	}
-	member := make([]uint32, 0, len(distinct)*regexparse.AlphabetSize)
-	for cl := range distinct { // in any order
-		for b := range regexparse.AlphabetSize {
-			member = append(member, uint32(cl[b>>6]>>(b&63))&1)
+	// Classes are numbered by smallest member byte.
+	c.classOf = make([]uint8, regexparse.AlphabetSize)
+	num := make([]int, len(parts)) // part → class + 1
+	for i, p := range parts {
+		for w, word := range p {
+			for ; word != 0; word &= word - 1 {
+				c.classOf[w*64+bits.TrailingZeros64(word)] = uint8(i)
+			}
 		}
 	}
-	var k int
-	c.classOf, k = computeClasses(member, regexparse.AlphabetSize)
-	c.rep = make([]byte, k)
-	for b := regexparse.AlphabetSize - 1; b >= 0; b-- {
-		c.rep[c.classOf[b]] = byte(b)
+	for b := range regexparse.AlphabetSize {
+		i := c.classOf[b]
+		if num[i] == 0 {
+			c.rep = append(c.rep, byte(b))
+			num[i] = len(c.rep)
+		}
+		c.classOf[b] = uint8(num[i] - 1)
 	}
+	k := len(c.rep)
 	// A bitmap is a union of classes, so it covers k iff it holds rep[k].
 	for cl := range distinct {
 		lo := int32(len(c.covers))
@@ -229,7 +248,37 @@ func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 		c.edgeOff = append(c.edgeOff, int32(len(c.edges)))
 	}
 	c.raw = make([][]nfa.StateID, k)
+	c.closures = targetClosures(n, c.edges)
 	return c
+}
+
+// targetClosures returns the ε-closures of n's start state and of the
+// targets of edges, the only ones subset construction looks up; the
+// others stay nil. They are capped sub-slices of one backing array.
+func targetClosures(n *nfa.NFA, edges []edge) [][]nfa.StateID {
+	need := make([]bool, len(n.States))
+	order := []nfa.StateID{n.Start}
+	need[n.Start] = true
+	for _, e := range edges {
+		if !need[e.to] {
+			need[e.to] = true
+			order = append(order, nfa.StateID(e.to))
+		}
+	}
+	clear(need) // EpsClosure's all-false scratch from here on
+	var all []nfa.StateID
+	end := make([]int, len(order))
+	for i := range order {
+		all = n.EpsClosure(all, order[i:i+1], need)
+		end[i] = len(all)
+	}
+	closures := make([][]nfa.StateID, len(n.States))
+	lo := 0
+	for i, s := range order {
+		closures[s] = all[lo:end[i]:end[i]]
+		lo = end[i]
+	}
+	return closures
 }
 
 // spread appends to raw[k] the targets of set's transitions on class k,
@@ -277,28 +326,38 @@ func (c *constructor) findCore(start []nfa.StateID) int {
 	// C starts as every NFA state; round one cuts it to ∩ₖ succ(start, k),
 	// later ones to C ∩ ∩ₖ succ(C, k), until one removes nothing. No round
 	// drops a state of a set meeting both conditions: C is the greatest.
+	// inCore holds the candidates, so step keeps what falls outside them:
+	// in the last round, which removes nothing, succ(C, k) \ C.
 	core := make([]nfa.StateID, c.n.NumStates())
 	for i := range core {
 		core[i] = nfa.StateID(i)
+		c.inCore[i] = true
 	}
-	var buf []nfa.StateID
+	ends := make([]int, len(c.rep)+1)
+	var succ []nfa.StateID // the round's steps, class after class
 	for set, n := start, 0; len(core) != n; set = core {
 		n = len(core)
 		c.spread(set)
+		succ = succ[:0]
 		for k := range c.rep {
-			buf = c.step(buf[:0], k, nil)
-			core = slices.DeleteFunc(core, func(s nfa.StateID) bool { return c.mark[s] != c.gen })
+			succ = c.step(succ, k, nil)
+			ends[k+1] = len(succ)
+			kept := core[:0]
+			for _, s := range core {
+				if c.mark[s] == c.gen {
+					kept = append(kept, s)
+				} else {
+					c.inCore[s] = false
+				}
+			}
+			core = kept
 		}
 	}
-	for _, s := range core {
-		c.inCore[s] = true
-	}
-	c.spread(core)
 	c.coreSucc = make([][]nfa.StateID, len(c.rep))
 	c.coreSum = make([]uint64, len(c.rep))
 	for k := range c.rep {
-		succ := c.step(nil, k, nil)
-		c.coreSucc[k], c.coreSum[k] = succ, sumMix(0, succ)
+		own := succ[ends[k]:ends[k+1]:ends[k+1]]
+		c.coreSucc[k], c.coreSum[k] = own, sumMix(0, own)
 	}
 	c.coreMatches = c.matchSet(core, nil)
 	return len(core)
@@ -388,12 +447,22 @@ func (c *constructor) run() error {
 		return err
 	}
 
+	// coreOnly[k] is the state C ∪ succ(C, k), +1 once interned: the
+	// successor on k of every state holding C whose residue has no
+	// transition on k (DESIGN.md §20). A startFull state 0 has one on
+	// every k, since C ⊆ succ(start, k) and C ≠ ∅, so it never meets it.
+	coreOnly := make([]uint32, len(c.rep))
 	for cur := 0; cur < len(c.accepts); cur++ {
 		if len(c.rows)+len(c.rep) > cap(c.rows) {
 			c.rows = slices.Grow(c.rows, len(c.rows)+len(c.rep)) // double, not ×1.25
 		}
 		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
 		for k := range c.rep {
+			fromCore := len(c.raw[k]) == 0
+			if fromCore && coreOnly[k] != 0 {
+				c.rows = append(c.rows, coreOnly[k]-1)
+				continue
+			}
 			core, sum := c.coreSucc[k], c.coreSum[k]
 			if cur == 0 && c.startFull {
 				core, sum = nil, 0 // state 0 does not hold C
@@ -402,6 +471,9 @@ func (c *constructor) run() error {
 			id, err := c.intern(core, sum, residue)
 			if err != nil {
 				return err
+			}
+			if fromCore {
+				coreOnly[k] = id + 1
 			}
 			c.rows = append(c.rows, id)
 		}

@@ -1,7 +1,6 @@
 package dfa
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,44 +59,38 @@ var ErrBadFormat = errors.New("dfa: bad serialized format")
 var ErrTableSize = errors.New("dfa: transition table size mismatch")
 
 // WriteTo serializes the automaton in the v2 format. It implements
-// io.WriterTo. An internally inconsistent receiver (table length not
-// equal to numStates × numClasses — impossible for automata built by this
-// package, but conceivable for a hand-assembled one) is rejected with
-// ErrTableSize rather than written as an undecodable stream.
+// io.WriterTo, and encodes through one small buffer whatever the table's
+// size. An internally inconsistent receiver (table length not equal to
+// numStates × numClasses — impossible for automata built by this package,
+// but conceivable for a hand-assembled one) is rejected with ErrTableSize
+// rather than written as an undecodable stream.
 func (d *DFA) WriteTo(w io.Writer) (int64, error) {
 	if len(d.trans) != d.numStates*d.numClasses {
 		return 0, fmt.Errorf("%w: table has %d entries, want %d states × %d classes = %d",
 			ErrTableSize, len(d.trans), d.numStates, d.numClasses, d.numStates*d.numClasses)
 	}
-	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	write := func(v any) {
-		if cw.err == nil {
-			cw.err = binary.Write(cw, binary.LittleEndian, v)
-		}
-	}
-	if _, err := cw.Write([]byte(dfaMagicV2)); err != nil {
-		return cw.n, err
-	}
-	write(uint32(d.numStates))
-	write(d.start)
-	write(d.acceptStart)
-	write(uint8(wireClassed))
-	write(uint32(d.numClasses))
-	write(d.classOf)
+	e := &imageWriter{w: w, buf: make([]byte, 0, 4096)}
+	e.bytes([]byte(dfaMagicV2))
+	e.u32(uint32(d.numStates))
+	e.u32(d.start)
+	e.u32(d.acceptStart)
+	e.bytes([]byte{wireClassed})
+	e.u32(uint32(d.numClasses))
+	e.bytes(d.classOf)
 	// The wire format always carries plain state numbers: tables are
 	// unscaled on encode and rescaled on decode, keeping stored images
 	// portable and the per-entry bounds check meaningful.
-	write(uint32(len(d.trans)))
-	write(d.plainTable())
-	write(uint32(len(d.accepts)))
+	e.u32(uint32(len(d.trans)))
+	for _, to := range d.trans {
+		e.u32(to / uint32(d.numClasses))
+	}
+	e.u32(uint32(len(d.accepts)))
 	for _, ids := range d.accepts {
-		write(uint32(len(ids)))
-		write(ids)
+		e.u32(uint32(len(ids)))
+		writeWords(e, ids)
 	}
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
+	e.flush()
+	return e.n, e.err
 }
 
 // ReadDFA deserializes an automaton written by WriteTo, now or by any
@@ -250,19 +243,53 @@ func readWords[T uint32 | int32](r io.Reader, buf []byte, dst []T, n int) ([]T, 
 	return dst, nil
 }
 
-// countingWriter tracks bytes written and latches the first error.
-type countingWriter struct {
+// imageWriter encodes little-endian words and bytes into buf, handing
+// it to w each time it fills; n counts the bytes w took, and err latches
+// w's first error, after which nothing more is written.
+type imageWriter struct {
 	w   io.Writer
+	buf []byte
 	n   int64
 	err error
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
+// writeWords encodes words through e, as many at a time as its buffer
+// holds: the counterpart of readWords.
+func writeWords[T uint32 | int32](e *imageWriter, words []T) {
+	for {
+		n := min(len(words), (cap(e.buf)-len(e.buf))/4)
+		for _, v := range words[:n] {
+			e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+		}
+		if words = words[n:]; len(words) == 0 {
+			return
+		}
+		e.flush()
 	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-	return n, err
+}
+
+func (e *imageWriter) u32(v uint32) {
+	if len(e.buf)+4 > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+func (e *imageWriter) bytes(p []byte) {
+	for len(p) > 0 {
+		if len(e.buf) == cap(e.buf) {
+			e.flush()
+		}
+		k := copy(e.buf[len(e.buf):cap(e.buf)], p)
+		e.buf, p = e.buf[:len(e.buf)+k], p[k:]
+	}
+}
+
+func (e *imageWriter) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
+	}
+	e.buf = e.buf[:0]
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"matchfilter/internal/patterns"
 	"matchfilter/internal/splitter"
 )
 
@@ -204,4 +206,80 @@ func FuzzReadDFA(f *testing.F) {
 			t.Fatalf("decoded automaton does not re-serialize: %v", err)
 		}
 	})
+}
+
+// imageSizes are the automata the WriteTo allocation checks serialize: the
+// C10 golden image (2.8 KB) and B217p's fragment automaton (≈ 135 KB).
+func imageSizes(tb testing.TB) map[string]*DFA {
+	tb.Helper()
+	small, err := ReadDFA(bytes.NewReader(golden(tb, "c10_v2_classed.dfa")))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loaded, err := patterns.Load("B217p")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rules := make([]splitter.Rule, len(loaded))
+	for i, r := range loaded {
+		rules[i] = splitter.Rule{Pattern: r.Pattern, RuleID: r.ID}
+	}
+	n, _ := fragmentNFA(tb, rules, splitter.Options{})
+	large, err := FromNFA(n, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*DFA{"C10": small, "B217p": large}
+}
+
+// BenchmarkWriteTo times serializing an automaton to io.Discard, with
+// allocations.
+func BenchmarkWriteTo(b *testing.B) {
+	for name, d := range imageSizes(b) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteToAllocatesOnce pins WriteTo's allocations: its one encode
+// buffer, whatever the table's size, and the bytes of a 135 KB image
+// reach the writer unchanged through it. A writer that fails before the
+// image's end stops the encode with its error.
+func TestWriteToAllocatesOnce(t *testing.T) {
+	for name, d := range imageSizes(t) {
+		if allocs := testing.AllocsPerRun(20, func() { d.WriteTo(io.Discard) }); allocs != 1 {
+			t.Errorf("%s: %v allocations per WriteTo, want 1", name, allocs)
+		}
+		var image bytes.Buffer
+		n, err := d.WriteTo(&image)
+		if err != nil || n != int64(image.Len()) {
+			t.Fatalf("%s: wrote %d bytes of %d, %v", name, n, image.Len(), err)
+		}
+		again, err := ReadDFA(bytes.NewReader(image.Bytes()))
+		if err != nil || again.NumStates() != d.NumStates() || !slices.Equal(again.trans, d.trans) {
+			t.Fatalf("%s: image does not read back: %v", name, err)
+		}
+		if n, err := d.WriteTo(&failingWriter{budget: image.Len() - 1}); !errors.Is(err, errWriteFailed) || n >= int64(image.Len()) {
+			t.Errorf("%s: a writer failing before the image's end: %d of %d bytes, %v", name, n, image.Len(), err)
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter takes writes until budget bytes are spent, then fails.
+type failingWriter struct{ budget int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.budget {
+		return 0, errWriteFailed
+	}
+	f.budget -= len(p)
+	return len(p), nil
 }

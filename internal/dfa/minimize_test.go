@@ -47,7 +47,7 @@ func TestMinimizeEquivalenceRandom(t *testing.T) {
 			t.Fatalf("rules %v: minimize grew %d -> %d", sources, raw.NumStates(), min.NumStates())
 		}
 		again := (&rows{
-			numStates: min.numStates, start: min.start, next: min.plainTable(), k: min.numClasses,
+			numStates: min.numStates, start: min.start, next: plainTable(min), k: min.numClasses,
 			classOf: min.classOf, acceptStart: min.acceptStart, accepts: min.accepts,
 		}).minimize()
 		if again.numStates != min.NumStates() {
@@ -100,4 +100,14 @@ func TestMinimizePreservesDistinctMatchIDs(t *testing.T) {
 	if len(got) != 2 || got[0].ID == got[1].ID {
 		t.Fatalf("distinct ids must survive minimization: %v", got)
 	}
+}
+
+// plainTable returns a copy of d's transition table with plain state
+// numbers as entries.
+func plainTable(d *DFA) []uint32 {
+	plain := make([]uint32, len(d.trans))
+	for i, to := range d.trans {
+		plain[i] = to / uint32(d.numClasses)
+	}
+	return plain
 }

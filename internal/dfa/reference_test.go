@@ -218,23 +218,29 @@ func mustBuild(t testing.TB, rules []nfa.Rule) *nfa.NFA {
 // the undecomposed NFA of the three smallest. B217p is also built as the
 // paper's conditions leave it — three overlapping dot-stars whole, 9,921
 // states, the largest automaton the differential sees; the reference needs
-// ~9 s for it, so -short runs leave that one out.
+// ~9 s for it, so it runs as a subtest of its own beside the others and
+// the rest of the package's tests, and -short runs leave it out.
 func TestReferencePatternSets(t *testing.T) {
+	t.Parallel() // beside TestReferenceRandomRuleSets, once the serial tests are done
 	for _, name := range append(patterns.Names(), patterns.CounterNames()...) {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel() // the reference needs ~10 s for B217p
+			t.Parallel() // the reference needs seconds for B217p
 			fragments, whole := patternNFAs(t, name, splitter.Options{})
 			assertSameAsReference(t, name+" fragments", fragments, DefaultMaxStates)
-			if name == "B217p" && !testing.Short() {
-				unsplit, _ := patternNFAs(t, name, splitter.Options{Construction: splitter.Paper})
-				assertSameAsReference(t, name+" fragments, paper conditions", unsplit, DefaultMaxStates)
-			}
 			switch name {
 			case "C7p", "C8", "C10":
 				assertSameAsReference(t, name+" undecomposed", whole, DefaultMaxStates)
 			}
 		})
 	}
+	t.Run("B217p paper conditions", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("the reference needs ~9 s")
+		}
+		t.Parallel()
+		unsplit, _ := patternNFAs(t, "B217p", splitter.Options{Construction: splitter.Paper})
+		assertSameAsReference(t, "B217p fragments, paper conditions", unsplit, DefaultMaxStates)
+	})
 }
 
 // TestReferenceStateBudget checks that both constructors give up at the
@@ -273,6 +279,7 @@ func TestReferenceStateBudget(t *testing.T) {
 // and always-accepting rules (accept states inside the core) — and
 // requires each corner to have been hit.
 func TestReferenceRandomRuleSets(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(12))
 	words := []string{"ab", "abc", "bc", "GET", "pass", "x", "Host", "q"}
 	atoms := []string{"[0-9]", "[^a-c]", "[^\\n]*", ".*", "(ab|cd)", "x?", "y+", "[a-f]{2,4}", "[^\\n]{3,12}", ".", "\\x00"}
@@ -342,9 +349,17 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 			if len(c.rep) > 1 && len(c.rep) < 256 {
 				hit["proper alphabet partition"]++
 			}
+			u := replayCache(t, c)
+			if u.reused > 0 {
+				hit["successor read from the class cache"]++
+			}
+			if u.filledNew > 0 {
+				hit["class cache filled by a newly interned state"]++
+			}
 		}
 	}
-	for _, corner := range []string{"empty core", "start without core", "accepting core", "counter fragments", "proper alphabet partition"} {
+	for _, corner := range []string{"empty core", "start without core", "accepting core", "counter fragments", "proper alphabet partition",
+		"successor read from the class cache", "class cache filled by a newly interned state"} {
 		if hit[corner] < 10 {
 			t.Errorf("corner %q reached by only %d automata: %v", corner, hit[corner], hit)
 		}
@@ -374,7 +389,8 @@ func TestReferenceStartInsideCore(t *testing.T) {
 
 // BenchmarkFromNFA times subset construction on the automata the serving
 // path builds, with allocations: the largest fragment NFA (B217p), one
-// with counters (S24 ∪ CTR24) and a small one (C8).
+// with counters (S24 ∪ CTR24) and a small one (C8). reused/transition is
+// the share of (state, class) transitions the class cache answered.
 func BenchmarkFromNFA(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -395,6 +411,11 @@ func BenchmarkFromNFA(b *testing.B) {
 			}
 		}
 		n, _ := fragmentNFA(b, rules, splitter.Options{})
+		c := newConstructor(n, DefaultMaxStates)
+		if err := c.run(); err != nil {
+			b.Fatal(err)
+		}
+		u := replayCache(b, c)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -404,6 +425,7 @@ func BenchmarkFromNFA(b *testing.B) {
 				}
 				b.ReportMetric(float64(d.NumStates()), "states")
 			}
+			b.ReportMetric(float64(u.reused)/float64(u.transitions), "reused/transition")
 		})
 	}
 }

@@ -88,14 +88,19 @@ type frag struct {
 // given a leading .* so they match anywhere in the flow, mirroring how the
 // paper treats the implicit search semantics of security rules.
 func Build(rules []Rule) (*NFA, error) {
-	b := &builder{states: make([]State, 0, 64)}
-	start := b.newState()
-	for _, r := range rules {
-		root := r.Pattern.Root
+	roots := make([]*regexparse.Node, len(rules))
+	size := 1
+	for i, r := range rules {
+		roots[i] = r.Pattern.Root
 		if !r.Pattern.Anchored {
-			root = regexparse.NewConcat(regexparse.DotStar(), root.Clone())
+			roots[i] = regexparse.NewConcat(regexparse.DotStar(), roots[i].Clone())
 		}
-		f, err := b.compile(root)
+		size += compiledSize(roots[i])
+	}
+	b := &builder{states: make([]State, 0, min(size, MaxBuildStates))}
+	start := b.newState()
+	for i, r := range rules {
+		f, err := b.compile(roots[i])
 		if err == nil {
 			err = b.err
 		}
@@ -113,7 +118,7 @@ func Build(rules []Rule) (*NFA, error) {
 // accepts exactly the language of the node. It is used by the splitter's
 // overlap analysis.
 func BuildSingle(node *regexparse.Node) (*NFA, error) {
-	b := &builder{}
+	b := &builder{states: make([]State, 0, compiledSize(node))}
 	f, err := b.compile(node)
 	if err == nil {
 		err = b.err
@@ -213,6 +218,38 @@ func (b *builder) compile(n *regexparse.Node) (frag, error) {
 	default:
 		return frag{}, fmt.Errorf("unknown AST op %v", n.Op)
 	}
+}
+
+// compiledSize returns the number of states compile creates for n, at
+// most MaxBuildStates, so the builder allocates its state slice once.
+func compiledSize(n *regexparse.Node) int {
+	total := 2 // OpEmpty, OpClass, and the entry and exit of the others
+	switch n.Op {
+	case regexparse.OpConcat:
+		total = 0
+		for _, sub := range n.Subs {
+			total += compiledSize(sub)
+		}
+	case regexparse.OpAlternate:
+		for _, sub := range n.Subs {
+			total += compiledSize(sub)
+		}
+	case regexparse.OpStar, regexparse.OpQuest:
+		total += compiledSize(n.Sub)
+	case regexparse.OpPlus:
+		total = compiledSize(n.Sub) + 1
+	case regexparse.OpRepeat:
+		if n.Max > MaxExpandedRepeat || n.Min > MaxExpandedRepeat || n.Max == 0 {
+			break // refused, or compiled as OpEmpty
+		}
+		sub := compiledSize(n.Sub)
+		if n.Max == regexparse.InfiniteRepeat {
+			total = n.Min*sub + sub + 2
+		} else {
+			total = n.Min*sub + (n.Max-n.Min)*(sub+2)
+		}
+	}
+	return min(total, MaxBuildStates)
 }
 
 // compileRepeat expands {n,m} by duplication: n mandatory copies followed

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"matchfilter/internal/patterns"
 	"matchfilter/internal/regexparse"
 )
 
@@ -321,6 +322,48 @@ func assertEvents(t *testing.T, got, want []MatchEvent) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("event %d: got %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestBuildSizesStatesOnce checks that compiledSize counts exactly the
+// states compile creates, so Build and BuildSingle fill the state slice
+// they allocate and never grow it: on every shipped pattern set and on
+// shapes reaching each operator, including {0,0}, {n,} and an empty
+// alternative.
+func TestBuildSizesStatesOnce(t *testing.T) {
+	sets := map[string][]string{"shapes": {
+		"a{0,0}b", "(ab|c|)d", "x(a|b)+y", "[a-c]{2,5}z", "(ab){3,}c?", "^q.*r[^s]*t", "(a?b*)+c{0,2}",
+	}}
+	for _, name := range append(patterns.Names(), patterns.CounterNames()...) {
+		src, err := patterns.Sources(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name] = src
+	}
+	for name, sources := range sets {
+		rules := make([]Rule, len(sources))
+		for i, src := range sources {
+			p, err := regexparse.ParsePCRE(src)
+			if err != nil {
+				t.Fatalf("%s: parse %q: %v", name, src, err)
+			}
+			rules[i] = Rule{Pattern: p, MatchID: i + 1}
+			single, err := BuildSingle(p.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(single.States) != cap(single.States) {
+				t.Errorf("%s: BuildSingle(%q): %d states in a slice of %d", name, src, len(single.States), cap(single.States))
+			}
+		}
+		n, err := Build(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.States) != cap(n.States) {
+			t.Errorf("%s: Build made %d states in a slice of %d", name, len(n.States), cap(n.States))
 		}
 	}
 }
