@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -425,6 +426,82 @@ func BenchmarkCompile(b *testing.B) {
 				if err := m.SelfCheck(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// adversarialSets are rule sets written to make set-up work hard, one
+// per way a hostile tenant PUT could: bounded repeats one short of the
+// counter threshold (expanded, not counted), nested {n,m}, wide
+// case-folded classes, many overlapping dot-stars, deep alternation, and
+// rules that each start on a byte of their own, which gives subset
+// construction a part of core successors on almost every one of 256
+// classes.
+func adversarialSets() []struct {
+	name    string
+	sources []string
+} {
+	each := func(n int, rule func(i int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = rule(i)
+		}
+		return out
+	}
+	var alternation func(i, depth int) string // depth levels of two-way alternation
+	alternation = func(i, depth int) string {
+		if depth == 0 {
+			return fmt.Sprintf("%c%c", 'a'+i, 'k'+i%5)
+		}
+		return fmt.Sprintf("(%s|%c%s)", alternation(i, depth-1), 'a'+(i+depth)%26, alternation(i+1, depth-1))
+	}
+	return []struct {
+		name    string
+		sources []string
+	}{
+		{"repeat-under-counter", each(4, func(i int) string { return fmt.Sprintf("%c%c[^\\n]{1,7}%c", 'a'+i, 'b'+i, 'm'+i) })},
+		{"nested-repeat", []string{"((ab){1,3}c){2,4}d", "(x(yz){2,5}){1,6}w", "((p|q){1,4}r){3,5}s", "(m{1,3}n{2,3}){2,5}o"}},
+		{"wide-nocase", each(8, func(i int) string { return fmt.Sprintf("/%c[a-z0-9_]{2,5}%c[^\\s]+%c/i", 'a'+i, 'n'+i, 'z'-i) })},
+		{"overlapping-dotstars", each(24, func(i int) string {
+			return fmt.Sprintf("%c%c.*%c%c.*%c", 'a'+i%26, 'a'+(i+3)%26, 'a'+(i+7)%26, 'a'+(i+11)%26, 'a'+(i+5)%26)
+		})},
+		{"deep-alternation", each(8, func(i int) string { return alternation(i, 5) })},
+		{"distinct-first-bytes", each(250, func(i int) string { return fmt.Sprintf("\\x%02x[^\\n]*\\x%02x", i*7%256, (i*13+5)%256) })},
+	}
+}
+
+// BenchmarkCompileAdversarial times the set-up path of BenchmarkCompile on
+// adversarialSets at the default state budget: the DFA's states and
+// classes when the set builds, and refused-states when the budget refuses
+// it (ErrTooManyStates), with the time and allocation the refusal cost.
+// It measures; it asserts no bound.
+func BenchmarkCompileAdversarial(b *testing.B) {
+	for _, bc := range adversarialSets() {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rules := make([]Rule, len(bc.sources))
+				for j, src := range bc.sources {
+					p, err := regexparse.ParsePCRE(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rules[j] = Rule{Pattern: p, ID: int32(j + 1)}
+				}
+				m, err := Compile(rules, Options{})
+				if errors.Is(err, dfa.ErrTooManyStates) {
+					b.ReportMetric(1, "refused-states")
+					continue
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.SelfCheck(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(m.Stats().DFAStates), "states")
+				b.ReportMetric(float64(m.Stats().DFAClasses), "classes")
 			}
 		})
 	}

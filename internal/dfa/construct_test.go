@@ -2,6 +2,7 @@ package dfa
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -120,39 +121,42 @@ func BenchmarkFromNFAUndecomposed(b *testing.B) {
 }
 
 // TestInternIgnoresOrder checks that a residue is keyed as a set: every
-// stored residue of a constructed automaton, reversed, or split into a
-// core part and the rest, interns to the state that holds it.
+// stored residue of a constructed automaton, its own states reversed,
+// interns to the state that holds it; and so does one that holds a part
+// when its part and own states are given together as the own states of
+// the empty part, which intern decides by the part's states too.
 func TestInternIgnoresOrder(t *testing.T) {
 	n := buildNFA(t, "ab.*cd", "x[^y]*z", "a.*b.*c", "^q[a-c]{2}r")
 	c := newConstructor(n, DefaultMaxStates)
 	if err := c.run(); err != nil {
 		t.Fatal(err)
 	}
-	states, checked := len(c.accepts), 0
+	states, checked, merged := len(c.accepts), 0, 0
 	for i := range states {
 		if i == 0 && c.startFull {
 			continue // never interned
 		}
-		set := slices.Clone(c.arena[c.off[i]:c.off[i+1]])
+		own := c.arena[c.off[i]:c.off[i+1]]
+		if p := c.part[i]; p != 0 {
+			set := append(slices.Clone(c.parts[p].states), own...)
+			slices.Reverse(set)
+			if id, err := c.internFresh(0, set); err != nil || id != uint32(i) {
+				t.Fatalf("state %d without its part %d: got %d, %v", i, p, id, err)
+			}
+			merged++
+		}
+		set := slices.Clone(own)
 		if len(set) < 2 {
 			continue
 		}
 		slices.Reverse(set)
-		if id, err := c.internFresh(set); err != nil || id != uint32(i) {
+		if id, err := c.internFresh(c.part[i], set); err != nil || id != uint32(i) {
 			t.Fatalf("state %d reversed: got %d, %v", i, id, err)
-		}
-		c.gen++
-		for _, q := range set {
-			c.mark[q] = c.gen
-		}
-		h := len(set) / 2
-		if id, err := c.intern(set[h:], sumMix(0, set[h:]), set[:h]); err != nil || id != uint32(i) {
-			t.Fatalf("state %d split: got %d, %v", i, id, err)
 		}
 		checked++
 	}
-	if len(c.accepts) != states || checked < 10 {
-		t.Fatalf("%d states became %d; %d residues checked", states, len(c.accepts), checked)
+	if len(c.accepts) != states || checked < 10 || merged < 10 {
+		t.Fatalf("%d states became %d; %d residues reversed, %d without their part", states, len(c.accepts), checked, merged)
 	}
 }
 
@@ -160,40 +164,81 @@ func TestInternIgnoresOrder(t *testing.T) {
 // different one and checks that the marks and the length, not the key,
 // decide equality: a same-length residue differing in one state and a
 // superset both get states of their own, and are found again behind the
-// planted one in their key's chain.
+// planted one in their key's probe sequence.
 func TestInternMarkDecides(t *testing.T) {
 	n := buildNFA(t, "^abcdef")
 	c := newConstructor(n, DefaultMaxStates)
-	c.findCore(c.closures[n.Start])
-	if slices.Contains(c.inCore, true) {
+	if c.findCore(c.closure(n.Start)) != 0 {
 		t.Fatal("want an empty core for an anchored rule")
 	}
 	a := []nfa.StateID{1, 2, 3}
-	idA, err := c.internFresh(a)
+	idA, err := c.internFresh(0, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, other := range [][]nfa.StateID{{1, 2, 4}, {1, 2, 3, 4}} {
 		h := sumMix(0, other)
-		if c.byHash[h] != 0 {
+		if slices.Contains(c.hashes, h) {
 			t.Fatalf("%v: key already taken", other)
 		}
-		c.byHash[h] = idA + 1
-		id, err := c.internFresh(other)
+		key := c.hashes[idA]
+		c.hashes[idA] = h
+		c.place(idA) // a's state first under other's key
+		id, err := c.internFresh(0, other)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if id == idA {
 			t.Fatalf("%v interned as %v, the residue planted under its key", other, a)
 		}
-		c.byHash[h], c.chain[idA], c.chain[id] = idA+1, id+1, 0 // a's state first
-		if again, _ := c.internFresh(slices.Clone(other)); again != id {
+		if again, _ := c.internFresh(0, slices.Clone(other)); again != id {
 			t.Fatalf("%v: interned again as %d, want %d", other, again, id)
 		}
-		c.chain[idA] = 0
+		c.hashes[idA] = key
 	}
-	if again, _ := c.internFresh([]nfa.StateID{3, 1, 2}); again != idA || len(c.accepts) != 3 {
+	if again, _ := c.internFresh(0, []nfa.StateID{3, 1, 2}); again != idA || len(c.accepts) != 3 {
 		t.Fatalf("a permutation of %v interned as %d of %d states, want %d of 3", a, again, len(c.accepts), idA)
+	}
+}
+
+// TestInternPartDecides plants a stored state that holds a part under the
+// hash key of a same-size set that differs from it in one of the part's
+// states, given as the own states of the empty part: a set intern must
+// decide by the part's states, which it does not otherwise read.
+func TestInternPartDecides(t *testing.T) {
+	n := buildNFA(t, "ab.*cd", "x[^y]*z", "a.*b.*c", "^q[a-c]{2}r")
+	c := newConstructor(n, DefaultMaxStates)
+	if err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	planted := 0
+	for i := range len(c.accepts) {
+		p := c.part[i]
+		if p == 0 {
+			continue
+		}
+		set := append(slices.Clone(c.parts[p].states), c.arena[c.off[i]:c.off[i+1]]...)
+		for q := range nfa.StateID(n.NumStates()) {
+			if !c.parts[0].in.has(q) && !slices.Contains(set, q) {
+				set[0] = q // a state of the part swapped for one outside the state
+				break
+			}
+		}
+		h := sumMix(0, set)
+		if slices.Contains(c.hashes, h) {
+			t.Fatalf("state %d: key already taken", i)
+		}
+		key := c.hashes[i]
+		c.hashes[i] = h
+		c.place(uint32(i))
+		if id, err := c.internFresh(0, set); err != nil || id == uint32(i) {
+			t.Fatalf("state %d with one state of part %d swapped: got %d, %v", i, p, id, err)
+		}
+		c.hashes[i] = key
+		planted++
+	}
+	if planted < 5 {
+		t.Fatalf("%d states with a part planted", planted)
 	}
 }
 
@@ -218,55 +263,87 @@ func TestInternStartResidue(t *testing.T) {
 	if c.startFull || !slices.Equal(start, []nfa.StateID{0, 3}) {
 		t.Fatalf("startFull=%v, state 0 stores %v: want the residue {0, 3}", c.startFull, start)
 	}
-	k := len(c.rep)
-	a := c.rows[c.classOf['a']]
-	if to := c.rows[int(a)*k+int(c.classOf['b'])]; a == 0 || to != 0 {
+	a := c.row(0)[c.classOf['a']]
+	if to := c.row(int(a))[c.classOf['b']]; a == 0 || to != 0 {
 		t.Fatalf("'a' goes to %d and 'ab' to %d, want 'ab' back at 0", a, to)
 	}
 	states := len(c.accepts)
-	if id, err := c.internFresh([]nfa.StateID{3, 0}); err != nil || id != 0 || len(c.accepts) != states {
+	if id, err := c.internFresh(0, []nfa.StateID{3, 0}); err != nil || id != 0 || len(c.accepts) != states {
 		t.Fatalf("start residue reversed: got %d, %d states of %d, %v", id, len(c.accepts), states, err)
 	}
 }
 
-// cacheUse is how the class cache served a construction, replayed from
-// its rows: reused counts the (state, class) pairs run answered from it,
-// filledNew the classes whose cache entry is a state interned by the
-// transition that filled it.
-type cacheUse struct{ transitions, reused, filledNew int }
+// cacheUse is how the (part, class) table served a construction, replayed
+// from its rows: reused counts the (state, class) pairs run answered from
+// it and partReused those of them a part's own row answered; partMoves
+// counts the pairs whose own states have no transition on a class the
+// state's part has one on, and filledNew the entries that are a state
+// interned by the transition that filled them.
+type cacheUse struct{ transitions, reused, partReused, partMoves, filledNew int }
 
-// replayCache re-spreads every state of a finished construction. A state
-// whose residue has no transition on k goes to C ∪ succ(C, k): the first
-// such transition on k fills the cache, and every later one must land on
-// the same state. A startFull state 0 must have a transition on every
-// class, or it could touch the cache.
+// replayCache re-spreads every state of a finished construction, its part
+// and its own states apart. A state whose own states have no transition
+// on k goes to C ∪ succ(C, k) ∪ succ(part, k), a function of the part and
+// k, or of k alone when the part has no transition on k either: the first
+// such transition per key fills the table, and every later one must land
+// on the same state. A startFull state 0 must have an own transition on
+// every class, or it would read or fill the table.
 func replayCache(t testing.TB, c *constructor) cacheUse {
 	t.Helper()
 	k := len(c.rep)
-	u := cacheUse{transitions: len(c.rows)}
-	cached := make([]uint32, k) // +1
-	newest := uint32(0)         // highest state id met so far: state 0, then the rows
+	u := cacheUse{transitions: len(c.accepts) * k}
+	table := make([]uint32, len(c.parts)*k) // +1
+	partMoves := make([]bool, k)
+	newest := uint32(0) // highest state id met so far: state 0, then the rows
 	for cur := range len(c.accepts) {
+		c.spread(c.parts[c.part[cur]].states)
+		for j := range k {
+			partMoves[j] = len(c.raw[j])+len(c.raw[k]) > 0
+			c.raw[j] = c.raw[j][:0]
+		}
+		c.raw[k] = c.raw[k][:0] // the targets on every class
 		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
 		for j := range k {
-			empty, to := len(c.raw[j]) == 0, c.rows[cur*k+j]
+			silent, to := len(c.raw[j])+len(c.raw[k]) == 0, c.row(cur)[j]
 			c.raw[j] = c.raw[j][:0]
-			switch {
-			case empty && cur == 0 && c.startFull:
+			if silent && cur == 0 && c.startFull {
 				t.Fatalf("startFull state 0 has no transition on class %d", j)
-			case empty && cached[j] != 0:
-				if to != cached[j]-1 {
-					t.Fatalf("state %d class %d: %d, but the cache holds %d", cur, j, to, cached[j]-1)
+			}
+			key := j
+			if partMoves[j] {
+				key += int(c.part[cur]) * k
+			}
+			switch {
+			case !silent:
+			case table[key] != 0:
+				if to != table[key]-1 {
+					t.Fatalf("state %d class %d: %d, but the table holds %d", cur, j, to, table[key]-1)
 				}
 				u.reused++
-			case empty:
-				cached[j] = to + 1
+				if key >= k {
+					u.partReused++
+				}
+			default:
+				table[key] = to + 1
 				if to > newest {
 					u.filledNew++
 				}
 			}
+			if silent && key >= k {
+				u.partMoves++
+			}
 			newest = max(newest, to)
 		}
+		c.raw[k] = c.raw[k][:0]
 	}
 	return u
+}
+
+// coreSize returns |C|, the states of the empty part's in.
+func coreSize(c *constructor) int {
+	n := 0
+	for _, w := range c.parts[0].in {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

@@ -129,52 +129,89 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 //     its residue closure \ C, and C's own successors and match ids are
 //     computed once per class instead of once per state and byte.
 //     Anchored-only rule sets have C = ∅ and residue = closure.
-//   - A set's successors on all classes come from one pass over its NFA
-//     transitions (spread), deduplicated by generation marks (step).
-//   - Residues are interned as unordered sets: the key is an order-free sum
-//     of per-state mixes, and a stored set equals the residue when the
-//     lengths match and each stored state carries the current generation's
-//     mark. Numbering depends only on discovery order, never on order
-//     within a residue.
 //   - The successor on k of a state that contains C holds succ(C, k) \ C,
 //     the class's core successors, which are most of a residue when C
-//     holds dot-stars. step marks them but does not copy them; intern
-//     takes them and their precomputed hash sum as a separate part.
-//   - When the residue has no transition on k, that successor is
-//     C ∪ succ(C, k) whatever the state: run looks it up per class.
+//     holds dot-stars. A residue is stored as that part and its own
+//     states: spread walks the own states, a part's transitions are
+//     spread once, and step, intern and add never copy or mark a part.
+//   - Residues are interned as unordered sets: the key is an order-free sum
+//     of per-state mixes, and a stored set equals the residue when the
+//     sizes match and each stored state is in it (an own state carries the
+//     current generation's mark). Numbering depends only on discovery
+//     order, never on order within a residue.
+//   - When a state's own states have no transition on k, its successor is
+//     C ∪ succ(C, k) ∪ succ(part, k) whatever the own states: run looks it
+//     up in a (part, class) table.
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
-	closures  [][]nfa.StateID // ε-closure of each NFA state
+	closed    []nfa.StateID // ε-closures: state s's is closure(s)
+	closeOff  []int32
 
 	classOf []uint8 // byte → alphabet class
 	rep     []byte  // smallest byte of each class
 	edges   []edge  // NFA state s's transitions: edges[edgeOff[s]:edgeOff[s+1]]
 	edgeOff []int32
 	covers  []uint8         // an edge's bitmap holds classes covers[lo:hi]
-	raw     [][]nfa.StateID // per class: the targets spread found
+	raw     [][]nfa.StateID // per class, then one for every class: the targets spread found
 	mark    []uint64        // mark[q] == gen: q is in the set step builds
 	gen     uint64          // 64 bits, so it never wraps
 
-	inCore      []bool          // membership in C
-	coreSucc    [][]nfa.StateID // per class: succ(C, k) \ C
-	coreSum     []uint64        // per class: Σ mix over coreSucc[k]
-	coreMatches []int32         // match ids of C, sorted
+	// parts[0] is the empty part: its in is C and its matches C's. Then
+	// one part per class with core successors; partOf maps a class to its
+	// part, 0 if it has none.
+	parts  []part
+	partOf []uint16
 	// startFull marks state 0 as holding the whole start closure because
 	// it does not contain C. No other state can equal it, so it is never
 	// interned.
 	startFull bool
 
 	// DFA states in discovery order, which is also exploration order.
-	// State i is C ∪ arena[off[i]:off[i+1]] (state 0 without C when
-	// startFull), its residue in the order it was discovered.
+	// State i is C ∪ parts[part[i]].states ∪ arena[off[i]:off[i+1]] (state
+	// 0 without C when startFull), its own states in the order they were
+	// discovered.
 	arena   []nfa.StateID
 	off     []uint32
-	accepts [][]int32         // per state: sorted match ids (nil if none)
-	byHash  map[uint64]uint32 // residue's Σ mix → newest state with it, +1
-	chain   []uint32          // per state: older state with the same hash, +1
-	rows    []uint32          // per explored state: len(rep) targets
+	part    []uint16
+	accepts [][]int32  // per state: sorted match ids (nil if none)
+	hashes  []uint64   // per state: its residue's Σ mix
+	slots   []uint32   // interned states by hash, +1: linear probing, at most half full
+	rows    [][]uint32 // explored states' targets, rowChunk states a slice: see row
 }
+
+// rowChunk is how many states' targets share a slice of rows, so rows
+// grow without copying.
+const rowChunk = 128
+
+// row returns the targets of explored state s, one per class.
+func (c *constructor) row(s int) []uint32 {
+	k := len(c.rep)
+	return c.rows[s/rowChunk][s%rowChunk*k:][:k]
+}
+
+// part is succ(C, k) \ C for a class k: the core successors every state
+// found on k holds beside its own states.
+type part struct {
+	states  []nfa.StateID
+	sum     uint64  // Σ mix over states
+	in      bitset  // C ∪ states
+	matches []int32 // match ids of C ∪ states, sorted
+	// The states' transition targets on class k are
+	// targets[end[k]:end[k+1]]; end is nil until a state holding the part
+	// is explored.
+	targets []nfa.StateID
+	end     []int32
+}
+
+// bitset is a set of NFA states, one bit each.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(q nfa.StateID) bool { return b[uint32(q)>>6]&(1<<(q&63)) != 0 }
+func (b bitset) add(q nfa.StateID)      { b[uint32(q)>>6] |= 1 << (q & 63) }
+func (b bitset) del(q nfa.StateID)      { b[uint32(q)>>6] &^= 1 << (q & 63) }
 
 // edge is an NFA transition in class space: target to, classes covers[lo:hi].
 type edge struct{ to, lo, hi int32 }
@@ -184,36 +221,45 @@ func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 		n:         n,
 		maxStates: maxStates,
 		mark:      make([]uint64, n.NumStates()),
-		inCore:    make([]bool, n.NumStates()),
 		off:       []uint32{0},
-		byHash:    make(map[uint64]uint32, 1024),
+		slots:     make([]uint32, 64),
 	}
 	// Two bytes are in the same class iff every distinct transition
 	// bitmap holds both or neither: refine the alphabet by each bitmap.
-	distinct := make(map[regexparse.Class]edge)
+	// Until the classes are known, an edge's lo is its bitmap's number.
 	numEdges := 0
-	parts := []regexparse.Class{regexparse.AnyClass()}
 	for _, s := range n.States {
 		numEdges += len(s.Trans)
+	}
+	number := make(map[regexparse.Class]int32)
+	var bitmaps []regexparse.Class
+	blocks := []regexparse.Class{regexparse.AnyClass()}
+	c.edges = make([]edge, 0, numEdges)
+	c.edgeOff = make([]int32, 1, len(n.States)+1)
+	for _, s := range n.States {
 		for _, t := range s.Trans {
-			if _, ok := distinct[t.Class]; ok {
-				continue
-			}
-			distinct[t.Class] = edge{}
-			for i, p := range parts {
-				in, out := p.Intersect(t.Class), p.Minus(t.Class)
-				if !in.IsEmpty() && !out.IsEmpty() {
-					parts[i] = in
-					parts = append(parts, out)
+			i, ok := number[t.Class]
+			if !ok {
+				i = int32(len(bitmaps))
+				number[t.Class] = i
+				bitmaps = append(bitmaps, t.Class)
+				for j, b := range blocks {
+					in, out := b.Intersect(t.Class), b.Minus(t.Class)
+					if !in.IsEmpty() && !out.IsEmpty() {
+						blocks[j] = in
+						blocks = append(blocks, out)
+					}
 				}
 			}
+			c.edges = append(c.edges, edge{to: t.To, lo: i})
 		}
+		c.edgeOff = append(c.edgeOff, int32(len(c.edges)))
 	}
 	// Classes are numbered by smallest member byte.
 	c.classOf = make([]uint8, regexparse.AlphabetSize)
-	num := make([]int, len(parts)) // part → class + 1
-	for i, p := range parts {
-		for w, word := range p {
+	num := make([]int, len(blocks)) // block → class + 1
+	for i, b := range blocks {
+		for w, word := range b {
 			for ; word != 0; word &= word - 1 {
 				c.classOf[w*64+bits.TrailingZeros64(word)] = uint8(i)
 			}
@@ -227,65 +273,71 @@ func newConstructor(n *nfa.NFA, maxStates int) *constructor {
 		}
 		c.classOf[b] = uint8(num[i] - 1)
 	}
-	k := len(c.rep)
 	// A bitmap is a union of classes, so it covers k iff it holds rep[k].
-	for cl := range distinct {
-		lo := int32(len(c.covers))
+	ends := make([]int32, len(bitmaps)+1)
+	for i, bm := range bitmaps {
 		for k, b := range c.rep {
-			if cl.Contains(b) {
+			if bm.Contains(b) {
 				c.covers = append(c.covers, uint8(k))
 			}
 		}
-		distinct[cl] = edge{lo: lo, hi: int32(len(c.covers))}
+		ends[i+1] = int32(len(c.covers))
 	}
-	c.edges = make([]edge, 0, numEdges)
-	c.edgeOff = make([]int32, 1, len(n.States)+1)
-	for _, s := range n.States {
-		for _, t := range s.Trans {
-			e := distinct[t.Class]
-			c.edges = append(c.edges, edge{t.To, e.lo, e.hi})
-		}
-		c.edgeOff = append(c.edgeOff, int32(len(c.edges)))
+	for i, e := range c.edges {
+		c.edges[i].lo, c.edges[i].hi = ends[e.lo], ends[e.lo+1]
 	}
-	c.raw = make([][]nfa.StateID, k)
-	c.closures = targetClosures(n, c.edges)
+	c.raw = make([][]nfa.StateID, len(c.rep)+1)
+	c.closeTargets()
 	return c
 }
 
-// targetClosures returns the ε-closures of n's start state and of the
-// targets of edges, the only ones subset construction looks up; the
-// others stay nil. They are capped sub-slices of one backing array.
-func targetClosures(n *nfa.NFA, edges []edge) [][]nfa.StateID {
-	need := make([]bool, len(n.States))
-	order := []nfa.StateID{n.Start}
-	need[n.Start] = true
-	for _, e := range edges {
-		if !need[e.to] {
-			need[e.to] = true
-			order = append(order, nfa.StateID(e.to))
+// closeTargets computes the ε-closures of n's start state and of the
+// edges' targets, the only ones subset construction looks up; the others
+// stay empty. They are unsorted.
+func (c *constructor) closeTargets() {
+	states := c.n.States
+	need := make([]bool, len(states))
+	need[c.n.Start] = true
+	for _, e := range c.edges {
+		need[e.to] = true
+	}
+	c.closeOff = make([]int32, len(states)+1)
+	for s := range states {
+		if need[s] {
+			c.gen++
+			lo := len(c.closed)
+			c.closed = append(c.closed, nfa.StateID(s))
+			c.mark[s] = c.gen
+			for i := lo; i < len(c.closed); i++ {
+				for _, t := range states[c.closed[i]].Eps {
+					if c.mark[t] != c.gen {
+						c.mark[t] = c.gen
+						c.closed = append(c.closed, t)
+					}
+				}
+			}
 		}
+		c.closeOff[s+1] = int32(len(c.closed))
 	}
-	clear(need) // EpsClosure's all-false scratch from here on
-	var all []nfa.StateID
-	end := make([]int, len(order))
-	for i := range order {
-		all = n.EpsClosure(all, order[i:i+1], need)
-		end[i] = len(all)
-	}
-	closures := make([][]nfa.StateID, len(n.States))
-	lo := 0
-	for i, s := range order {
-		closures[s] = all[lo:end[i]:end[i]]
-		lo = end[i]
-	}
-	return closures
+}
+
+// closure returns the ε-closure of NFA state s, a start or target state.
+func (c *constructor) closure(s nfa.StateID) []nfa.StateID {
+	return c.closed[c.closeOff[s]:c.closeOff[s+1]]
 }
 
 // spread appends to raw[k] the targets of set's transitions on class k,
-// for every k, in one pass over them; step empties raw[k] again.
+// for every k, in one pass over them, and to raw[K], K = len(rep), the
+// targets of those on every class. step empties raw[k] again, and its
+// caller raw[K].
 func (c *constructor) spread(set []nfa.StateID) {
+	every := len(c.rep)
 	for _, s := range set {
 		for _, e := range c.edges[c.edgeOff[s]:c.edgeOff[s+1]] {
+			if int(e.hi-e.lo) == every {
+				c.raw[every] = append(c.raw[every], e.to)
+				continue
+			}
 			for _, k := range c.covers[e.lo:e.hi] {
 				c.raw[k] = append(c.raw[k], e.to)
 			}
@@ -293,74 +345,137 @@ func (c *constructor) spread(set []nfa.StateID) {
 	}
 }
 
-// step marks succ(set, k) for the set last spread, in a new generation,
-// and appends to dst its states outside C and outside core, unsorted. The
-// caller passes core = succ(C, k) \ C when the set contains C, or nil; it
-// is marked first and not copied, so the residue, exactly the marked
-// states outside C, is core ∪ dst.
-func (c *constructor) step(dst []nfa.StateID, k int, core []nfa.StateID) []nfa.StateID {
+// step marks, in a new generation, the ε-closures of targets and of the
+// targets spread found on class k and on every class, and appends to dst
+// the states it marks outside in, unsorted. run passes the in of the
+// successor's part, C ∪ (succ(C, k) \ C), so dst is the successor's own
+// states; findCore passes its candidates.
+func (c *constructor) step(dst []nfa.StateID, k int, in bitset, targets []nfa.StateID) []nfa.StateID {
 	c.gen++
-	for _, q := range core {
-		c.mark[q] = c.gen
-	}
-	for _, t := range c.raw[k] {
+	dst = c.close(dst, in, targets)
+	dst = c.close(dst, in, c.raw[len(c.rep)])
+	dst = c.close(dst, in, c.raw[k])
+	c.raw[k] = c.raw[k][:0]
+	return dst
+}
+
+// close marks the ε-closures of targets and appends the states it marks
+// outside in to dst.
+func (c *constructor) close(dst []nfa.StateID, in bitset, targets []nfa.StateID) []nfa.StateID {
+	for _, t := range targets {
 		if c.mark[t] == c.gen {
 			continue // it came with an ε-closed set, and so did its closure
 		}
-		for _, q := range c.closures[t] {
+		for _, q := range c.closure(t) {
 			if c.mark[q] != c.gen {
 				c.mark[q] = c.gen
-				if !c.inCore[q] {
+				if !in.has(q) {
 					dst = append(dst, q)
 				}
 			}
 		}
 	}
-	c.raw[k] = c.raw[k][:0]
 	return dst
 }
 
 // findCore computes the invariant core from the start closure, fills
-// inCore, coreSucc, coreSum and coreMatches, and returns the core's size.
+// parts and partOf, and returns the core's size.
 func (c *constructor) findCore(start []nfa.StateID) int {
 	// C starts as every NFA state; round one cuts it to ∩ₖ succ(start, k),
 	// later ones to C ∩ ∩ₖ succ(C, k), until one removes nothing. No round
 	// drops a state of a set meeting both conditions: C is the greatest.
-	// inCore holds the candidates, so step keeps what falls outside them:
-	// in the last round, which removes nothing, succ(C, k) \ C.
-	core := make([]nfa.StateID, c.n.NumStates())
+	// The closure of the targets on every class, every, is in each
+	// succ(set, k): a round closes it once and keeps the candidates in it
+	// without a test. in holds the candidates and every, so step keeps
+	// what falls outside both: in the last round, which removes nothing,
+	// succ(C, k) \ C \ every.
+	n, K := c.n.NumStates(), len(c.rep)
+	core := make([]nfa.StateID, n)
+	cand, every, in := newBitset(n), newBitset(n), newBitset(n)
 	for i := range core {
 		core[i] = nfa.StateID(i)
-		c.inCore[i] = true
+		cand.add(core[i])
 	}
-	ends := make([]int, len(c.rep)+1)
-	var succ []nfa.StateID // the round's steps, class after class
-	for set, n := start, 0; len(core) != n; set = core {
-		n = len(core)
+	ends := make([]int, K+1)
+	var succ, common, rest []nfa.StateID // succ: the round's steps, class after class
+	for set, size := start, 0; len(core) != size; set = core {
+		size = len(core)
 		c.spread(set)
+		clear(every)
+		c.gen++
+		common = c.close(common[:0], every, c.raw[K])
+		c.raw[K] = c.raw[K][:0]
+		for _, q := range common {
+			every.add(q)
+		}
+		for i := range in {
+			in[i] = cand[i] | every[i]
+		}
+		kept := core[:0]
+		rest = rest[:0]
+		for _, s := range core {
+			if every.has(s) {
+				kept = append(kept, s)
+			} else {
+				rest = append(rest, s)
+			}
+		}
 		succ = succ[:0]
-		for k := range c.rep {
-			succ = c.step(succ, k, nil)
+		for k := range K {
+			succ = c.step(succ, k, in, nil)
 			ends[k+1] = len(succ)
-			kept := core[:0]
-			for _, s := range core {
+			left := rest[:0]
+			for _, s := range rest {
 				if c.mark[s] == c.gen {
-					kept = append(kept, s)
+					left = append(left, s)
 				} else {
-					c.inCore[s] = false
+					cand.del(s)
+					in.del(s)
 				}
 			}
-			core = kept
+			rest = left
+		}
+		core = append(kept, rest...)
+	}
+	var beyond []nfa.StateID // every \ C, in each succ(C, k) \ C
+	for _, q := range common {
+		if !cand.has(q) {
+			beyond = append(beyond, q)
 		}
 	}
-	c.coreSucc = make([][]nfa.StateID, len(c.rep))
-	c.coreSum = make([]uint64, len(c.rep))
-	for k := range c.rep {
-		own := succ[ends[k]:ends[k+1]:ends[k+1]]
-		c.coreSucc[k], c.coreSum[k] = own, sumMix(0, own)
+	coreMatches := c.matchSet(core, nil)
+	c.parts = []part{{in: cand, matches: coreMatches}}
+	c.partOf = make([]uint16, K)
+	for k := range K {
+		states := succ[ends[k]:ends[k+1]:ends[k+1]]
+		if len(beyond) > 0 {
+			states = append(slices.Clip(beyond), states...)
+		}
+		if len(states) == 0 {
+			continue
+		}
+		p := part{states: states, sum: sumMix(0, states), in: slices.Clone(cand), matches: c.matchSet(states, coreMatches)}
+		for _, q := range states {
+			p.in.add(q)
+		}
+		c.partOf[k] = uint16(len(c.parts))
+		c.parts = append(c.parts, p)
 	}
-	c.coreMatches = c.matchSet(core, nil)
 	return len(core)
+}
+
+// spreadPart fills p's targets per class, once, before the first state
+// holding p is spread.
+func (c *constructor) spreadPart(p *part) {
+	c.spread(p.states)
+	p.end = make([]int32, len(c.rep)+1)
+	every := c.raw[len(c.rep)]
+	for k := range c.rep {
+		p.targets = append(append(p.targets, every...), c.raw[k]...)
+		p.end[k+1] = int32(len(p.targets))
+		c.raw[k] = c.raw[k][:0]
+	}
+	c.raw[len(c.rep)] = every[:0]
 }
 
 // mix is a state's term in a residue's hash, the splitmix64 finalizer: a
@@ -380,46 +495,71 @@ func sumMix(h uint64, set []nfa.StateID) uint64 {
 	return h
 }
 
-// add appends a new DFA state storing core then extra, with base plus
-// their match ids.
-func (c *constructor) add(base []int32, core, extra []nfa.StateID) (uint32, error) {
+// add appends a new DFA state holding part p and own, with base plus the
+// match ids of own.
+func (c *constructor) add(base []int32, p uint16, own []nfa.StateID) (uint32, error) {
 	if len(c.accepts) >= c.maxStates {
 		return 0, fmt.Errorf("%w: more than %d states", ErrTooManyStates, c.maxStates)
 	}
-	lo := len(c.arena)
-	c.arena = append(append(c.arena, core...), extra...)
+	c.arena = append(c.arena, own...)
 	c.off = append(c.off, uint32(len(c.arena)))
-	c.accepts = append(c.accepts, c.matchSet(c.arena[lo:], base))
-	c.chain = append(c.chain, 0)
+	c.part = append(c.part, p)
+	c.accepts = append(c.accepts, c.matchSet(own, base))
+	c.hashes = append(c.hashes, 0)
 	return uint32(len(c.accepts) - 1), nil
 }
 
-// intern returns the DFA state C ∪ core ∪ extra, creating it if new. core
-// and extra are disjoint and, together, exactly the states outside C that
-// carry the current generation's mark; sum is Σ mix over core. A stored
-// residue holds distinct states outside C, so it equals this one when the
-// lengths match and all of its states are marked.
-func (c *constructor) intern(core []nfa.StateID, sum uint64, extra []nfa.StateID) (uint32, error) {
-	h := sumMix(sum, extra)
-	n := uint32(len(core) + len(extra))
-	for p := c.byHash[h]; p != 0; p = c.chain[p-1] {
-		if lo, hi := c.off[p-1], c.off[p]; hi-lo == n && c.marked(c.arena[lo:hi]) {
-			return p - 1, nil
+// intern returns the DFA state C ∪ parts[p].states ∪ own, creating it if
+// new. own is exactly the states outside parts[p].in that carry the
+// current generation's mark. A stored state holds distinct states outside
+// C, so it equals this one when the sizes match and each of its states
+// is in this one: marked or in parts[p].in. A stored state of the same
+// part is decided by its own states alone.
+func (c *constructor) intern(p uint16, own []nfa.StateID) (uint32, error) {
+	pt := &c.parts[p]
+	h := sumMix(pt.sum, own)
+	n := len(pt.states) + len(own)
+	mask := uint64(len(c.slots) - 1)
+	i := h & mask
+	for ; c.slots[i] != 0; i = (i + 1) & mask {
+		s := c.slots[i] - 1
+		q, stored := c.part[s], c.arena[c.off[s]:c.off[s+1]]
+		if c.hashes[s] == h && len(c.parts[q].states)+len(stored) == n && (q == p || c.within(c.parts[q].states, pt.in)) && c.within(stored, pt.in) {
+			return s, nil
 		}
 	}
-	id, err := c.add(c.coreMatches, core, extra)
+	id, err := c.add(pt.matches, p, own)
 	if err != nil {
 		return 0, err
 	}
-	c.chain[id] = c.byHash[h]
-	c.byHash[h] = id + 1
+	c.hashes[id] = h
+	c.slots[i] = id + 1
+	if 2*len(c.accepts) > len(c.slots) {
+		c.slots = make([]uint32, 2*len(c.slots))
+		for s := range c.accepts {
+			if s != 0 || !c.startFull {
+				c.place(uint32(s))
+			}
+		}
+	}
 	return id, nil
 }
 
-// marked reports whether every state of set carries the current mark.
-func (c *constructor) marked(set []nfa.StateID) bool {
+// place puts interned state s in the first free slot from its hash.
+func (c *constructor) place(s uint32) {
+	mask := uint64(len(c.slots) - 1)
+	i := c.hashes[s] & mask
+	for c.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.slots[i] = s + 1
+}
+
+// within reports whether every state of set carries the current mark or
+// is in in.
+func (c *constructor) within(set []nfa.StateID, in bitset) bool {
 	for _, q := range set {
-		if c.mark[q] != c.gen {
+		if c.mark[q] != c.gen && !in.has(q) {
 			return false
 		}
 	}
@@ -427,56 +567,77 @@ func (c *constructor) marked(set []nfa.StateID) bool {
 }
 
 func (c *constructor) run() error {
-	start := c.closures[c.n.Start]
+	start := c.closure(c.n.Start)
 	coreSize := c.findCore(start)
+	core := c.parts[0].in
 	var residue []nfa.StateID
 	c.gen++ // the start residue's own generation, which intern tests against
 	for _, s := range start {
-		if !c.inCore[s] {
+		if !core.has(s) {
 			c.mark[s] = c.gen
 			residue = append(residue, s)
 		}
 	}
 	var err error
 	if c.startFull = len(start)-len(residue) < coreSize; c.startFull {
-		_, err = c.add(nil, nil, start)
+		_, err = c.add(nil, 0, start)
 	} else {
-		_, err = c.intern(nil, 0, residue)
+		_, err = c.intern(0, residue)
 	}
 	if err != nil {
 		return err
 	}
 
-	// coreOnly[k] is the state C ∪ succ(C, k), +1 once interned: the
-	// successor on k of every state holding C whose residue has no
-	// transition on k (DESIGN.md §20). A startFull state 0 has one on
-	// every k, since C ⊆ succ(start, k) and C ≠ ∅, so it never meets it.
-	coreOnly := make([]uint32, len(c.rep))
+	// table[p*K+k] is the successor on k, +1 once interned, of every state
+	// holding C and part p whose own states have no transition on k:
+	// C ∪ succ(C, k) ∪ succ(part p, k) (DESIGN.md §20). A part with no
+	// transition on k reads row 0, the empty part's, C ∪ succ(C, k). A
+	// startFull state 0 has own transitions on every k, since
+	// C ⊆ succ(start, k) and C ≠ ∅, so it never meets the table.
+	K := len(c.rep)
+	table := make([]uint32, len(c.parts)*K)
+	var out []uint32 // the rows of the states explored since the last chunk began
 	for cur := 0; cur < len(c.accepts); cur++ {
-		if len(c.rows)+len(c.rep) > cap(c.rows) {
-			c.rows = slices.Grow(c.rows, len(c.rows)+len(c.rep)) // double, not ×1.25
+		if cur%rowChunk == 0 {
+			out = make([]uint32, 0, rowChunk*K)
+			c.rows = append(c.rows, nil)
 		}
+		p := &c.parts[c.part[cur]]
+		if p.end == nil {
+			c.spreadPart(p)
+		}
+		row, end := int(c.part[cur])*K, p.end[:K+1]
 		c.spread(c.arena[c.off[cur]:c.off[cur+1]])
-		for k := range c.rep {
-			fromCore := len(c.raw[k]) == 0
-			if fromCore && coreOnly[k] != 0 {
-				c.rows = append(c.rows, coreOnly[k]-1)
-				continue
+		raw := c.raw[:K+1]
+		silent, full := len(raw[K]) == 0, cur == 0 && c.startFull
+		for k := range K {
+			key := -1
+			if silent && len(raw[k]) == 0 {
+				key = k
+				if end[k] != end[k+1] {
+					key += row
+				}
+				if table[key] != 0 {
+					out = append(out, table[key]-1)
+					continue
+				}
 			}
-			core, sum := c.coreSucc[k], c.coreSum[k]
-			if cur == 0 && c.startFull {
-				core, sum = nil, 0 // state 0 does not hold C
+			to := c.partOf[k]
+			if full {
+				to = 0 // state 0 does not hold C
 			}
-			residue = c.step(residue[:0], k, core)
-			id, err := c.intern(core, sum, residue)
+			residue = c.step(residue[:0], k, c.parts[to].in, p.targets[end[k]:end[k+1]])
+			id, err := c.intern(to, residue)
 			if err != nil {
 				return err
 			}
-			if fromCore {
-				coreOnly[k] = id + 1
+			if key >= 0 {
+				table[key] = id + 1
 			}
-			c.rows = append(c.rows, id)
+			out = append(out, id)
 		}
+		raw[K] = raw[K][:0]
+		c.rows[len(c.rows)-1] = out
 	}
 	return nil
 }
@@ -497,7 +658,7 @@ func (c *constructor) finish() *rows {
 	}
 	for old := 0; old < numStates; old++ {
 		base := int(perm[old]) * k
-		for j, to := range c.rows[old*k : (old+1)*k] {
+		for j, to := range c.row(old) {
 			r.next[base+j] = perm[to]
 		}
 		if m := c.accepts[old]; m != nil {

@@ -7,12 +7,13 @@ import "matchfilter/internal/nfa"
 // misses. MinQuarter is the shortest quarter it splits a tail into.
 const GuessLen, MinQuarter = guessLen, minQuarter
 
-// internFresh interns set as a residue with no core part, in a generation
-// of its own whose marks it sets first: the path the start residue takes.
-func (c *constructor) internFresh(set []nfa.StateID) (uint32, error) {
+// internFresh interns set as the own states of part p, in a generation of
+// its own whose marks it sets first: the path the start residue takes,
+// with part 0.
+func (c *constructor) internFresh(p uint16, set []nfa.StateID) (uint32, error) {
 	c.gen++
 	for _, q := range set {
 		c.mark[q] = c.gen
 	}
-	return c.intern(nil, 0, set)
+	return c.intern(p, set)
 }

@@ -336,30 +336,37 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch {
-			case !slices.Contains(c.inCore, true):
+			case coreSize(c) == 0:
 				hit["empty core"]++
 			case c.startFull:
 				hit["start without core"]++
 			default:
 				hit["start with core"]++
 			}
-			if c.coreMatches != nil {
+			if c.parts[0].matches != nil {
 				hit["accepting core"]++
 			}
 			if len(c.rep) > 1 && len(c.rep) < 256 {
 				hit["proper alphabet partition"]++
 			}
 			u := replayCache(t, c)
-			if u.reused > 0 {
-				hit["successor read from the class cache"]++
+			if u.partReused > 0 {
+				hit["successor read from a part's row"]++
+			}
+			if u.partMoves > 0 {
+				hit["own states silent where the part moves"]++
+			}
+			if u.reused > u.partReused {
+				hit["successor read from the empty part's row"]++
 			}
 			if u.filledNew > 0 {
-				hit["class cache filled by a newly interned state"]++
+				hit["table entry filled by a newly interned state"]++
 			}
 		}
 	}
 	for _, corner := range []string{"empty core", "start without core", "accepting core", "counter fragments", "proper alphabet partition",
-		"successor read from the class cache", "class cache filled by a newly interned state"} {
+		"successor read from a part's row", "own states silent where the part moves", "successor read from the empty part's row",
+		"table entry filled by a newly interned state"} {
 		if hit[corner] < 10 {
 			t.Errorf("corner %q reached by only %d automata: %v", corner, hit[corner], hit)
 		}
@@ -382,15 +389,16 @@ func TestReferenceStartInsideCore(t *testing.T) {
 	if err := c.run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.startFull || !c.inCore[0] || c.coreMatches == nil {
-		t.Fatalf("want the start state inside an accepting core: startFull=%v inCore=%v coreMatches=%v", c.startFull, c.inCore, c.coreMatches)
+	if c.startFull || !c.parts[0].in.has(0) || c.parts[0].matches == nil {
+		t.Fatalf("want the start state inside an accepting core: startFull=%v core size %d, core matches %v", c.startFull, coreSize(c), c.parts[0].matches)
 	}
 }
 
 // BenchmarkFromNFA times subset construction on the automata the serving
 // path builds, with allocations: the largest fragment NFA (B217p), one
 // with counters (S24 ∪ CTR24) and a small one (C8). reused/transition is
-// the share of (state, class) transitions the class cache answered.
+// the share of (state, class) transitions the (part, class) table
+// answered, part-reused/transition the share a part's own row answered.
 func BenchmarkFromNFA(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -426,6 +434,7 @@ func BenchmarkFromNFA(b *testing.B) {
 				b.ReportMetric(float64(d.NumStates()), "states")
 			}
 			b.ReportMetric(float64(u.reused)/float64(u.transitions), "reused/transition")
+			b.ReportMetric(float64(u.partReused)/float64(u.transitions), "part-reused/transition")
 		})
 	}
 }

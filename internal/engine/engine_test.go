@@ -212,8 +212,8 @@ func TestCloseSemantics(t *testing.T) {
 	m := buildMFA(t, "ab")
 	e := New(Config{Shards: 2}, func() flow.Runner { return m.NewRunner() }, nil)
 	seg := pcap.Segment{
-		Key:     pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4},
-		Seq:     1, Flags: pcap.FlagACK, Payload: []byte("ab"),
+		Key: pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4},
+		Seq: 1, Flags: pcap.FlagACK, Payload: []byte("ab"),
 	}
 	if err := e.HandleSegment(seg); err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestCloseSemantics(t *testing.T) {
 type blockingRunner struct{ gate chan struct{} }
 
 func (r *blockingRunner) Feed(data []byte, onMatch func(int32, int64)) { <-r.gate }
-func (r *blockingRunner) Reset()                                      {}
+func (r *blockingRunner) Reset()                                       {}
 
 // TestDropWhenFull verifies explicit drop accounting under overload: with
 // the shard stalled, a bounded queue overflows into QueueDrops and no

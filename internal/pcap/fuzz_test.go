@@ -21,7 +21,7 @@ func FuzzPcapParse(f *testing.F) {
 	if err := w.WritePacket(Packet{Data: EncodeTCP(key, 1, FlagSYN, nil)}); err != nil {
 		f.Fatal(err)
 	}
-	if err := w.WritePacket(Packet{Data: EncodeTCP(key, 1, FlagACK | FlagPSH, []byte("hello fuzzer"))}); err != nil {
+	if err := w.WritePacket(Packet{Data: EncodeTCP(key, 1, FlagACK|FlagPSH, []byte("hello fuzzer"))}); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
