@@ -60,6 +60,9 @@ func TestGoldenManifest(t *testing.T) {
 		{"S24", []string{"S24"}},
 		{"B217p", []string{"B217p"}},
 		{"C10", []string{"C10"}},
+		{"C7p", []string{"C7p"}},
+		{"S31p", []string{"S31p"}},
+		{"S34", []string{"S34"}},
 	} {
 		m, words := compileSets(t, Options{}, gc.sets...)
 		name := gc.name + "/classed"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -391,6 +392,48 @@ func TestDFAStateCapPropagates(t *testing.T) {
 // from rule text to a validated automaton: parse, split, NFA, DFA, filter
 // program and SelfCheck, with allocations. B217p is the largest serving
 // automaton, S24 ∪ CTR24 adds counters and C8 is small.
+// TestCompileLeavesRulesAsParsed compiles one parsed rule list twice.
+// The splitter's fragments and the NFA builder's implicit .* share the
+// rules' subtrees instead of copying them, so set-up may change no node:
+// every rule still renders as parsed, and the second image equals the
+// first.
+func TestCompileLeavesRulesAsParsed(t *testing.T) {
+	for _, sets := range [][]string{{"S24", "CTR24"}, {"B217p"}, {"C7p"}} {
+		var rules []Rule
+		for _, set := range sets {
+			loaded, err := patterns.Load(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range loaded {
+				rules = append(rules, Rule{Pattern: r.Pattern, ID: int32(len(rules) + 1)})
+			}
+		}
+		parsed := make([]string, len(rules))
+		for i, r := range rules {
+			parsed[i] = r.Pattern.Root.String()
+		}
+		var images [2]bytes.Buffer
+		for i := range images {
+			m, err := Compile(rules, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.WriteTo(&images[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, r := range rules {
+			if got := r.Pattern.Root.String(); got != parsed[i] {
+				t.Errorf("%v rule %d: %q after Compile, parsed as %q", sets, r.ID, got, parsed[i])
+			}
+		}
+		if !bytes.Equal(images[0].Bytes(), images[1].Bytes()) {
+			t.Errorf("%v: the second Compile of the same rules wrote a different image", sets)
+		}
+	}
+}
+
 func BenchmarkCompile(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -93,7 +93,7 @@ func Build(rules []Rule) (*NFA, error) {
 	for i, r := range rules {
 		roots[i] = r.Pattern.Root
 		if !r.Pattern.Anchored {
-			roots[i] = regexparse.NewConcat(regexparse.DotStar(), roots[i].Clone())
+			roots[i] = regexparse.NewConcat(regexparse.DotStar(), roots[i])
 		}
 		size += compiledSize(roots[i])
 	}
@@ -344,9 +344,10 @@ func (n *NFA) EpsClosure(dst, states []StateID, seen []bool) []StateID {
 }
 
 // Closures returns the epsilon closure of every state, indexed by state
-// and sorted. It is the one closure precompute shared by the simulation
-// engine, subset construction and the splitter's product searches. The
-// closures are capped sub-slices of one backing array.
+// and sorted: the simulation engine's precompute, and each splitter
+// segment's. Subset construction does not use it; it closes only the
+// start and the transition targets (dfa's closeTargets). The closures are
+// capped sub-slices of one backing array.
 func (n *NFA) Closures() [][]StateID {
 	closures := make([][]StateID, len(n.States))
 	end := make([]int, len(n.States))

@@ -50,7 +50,8 @@ func (op Op) String() string {
 
 // Node is a regular-expression AST node. Which fields are meaningful
 // depends on Op: Class for OpClass; Subs for OpConcat and OpAlternate;
-// Sub for the quantifiers; Min and Max additionally for OpRepeat.
+// Sub for the quantifiers; Min and Max additionally for OpRepeat. A node
+// is never modified after construction, so trees share subtrees freely.
 type Node struct {
 	Op    Op
 	Class Class
@@ -142,24 +143,6 @@ func NewStar(sub *Node) *Node { return &Node{Op: OpStar, Sub: sub} }
 // DotStar returns the node .* (any byte, repeated), the pattern the
 // splitter treats as a decomposition point.
 func DotStar() *Node { return NewStar(NewClassNode(AnyClass())) }
-
-// Clone returns a deep copy of the node.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	out := &Node{Op: n.Op, Class: n.Class, Min: n.Min, Max: n.Max}
-	if n.Sub != nil {
-		out.Sub = n.Sub.Clone()
-	}
-	if n.Subs != nil {
-		out.Subs = make([]*Node, len(n.Subs))
-		for i, s := range n.Subs {
-			out.Subs[i] = s.Clone()
-		}
-	}
-	return out
-}
 
 // MatchesEmpty reports whether the language of n contains the empty string.
 func (n *Node) MatchesEmpty() bool {

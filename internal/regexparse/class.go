@@ -10,6 +10,10 @@
 // matches any byte including newline ("dotall" semantics); patterns that
 // want line-bounded gaps write [^\n]* explicitly, which is exactly the
 // almost-dot-star construct the splitter targets.
+//
+// A Node is immutable once the parser returns it: nothing downstream
+// changes a node, so the splitter's fragments and the NFA builder's
+// implicit .* share a rule's subtrees instead of copying them.
 package regexparse
 
 import (

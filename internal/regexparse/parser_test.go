@@ -367,19 +367,6 @@ func TestClassContainsMatchesBytes(t *testing.T) {
 	}
 }
 
-func TestNodeClone(t *testing.T) {
-	p := mustParse(t, "a(b|c)*d{2,4}")
-	clone := p.Root.Clone()
-	if clone.String() != p.Root.String() {
-		t.Fatalf("clone renders differently: %q vs %q", clone.String(), p.Root.String())
-	}
-	// Mutating the clone must not affect the original.
-	clone.Subs[0].Class.Add('z')
-	if p.Root.Subs[0].Class.Contains('z') {
-		t.Error("clone shares class storage with original")
-	}
-}
-
 func TestShorthandClasses(t *testing.T) {
 	tests := []struct {
 		src    string

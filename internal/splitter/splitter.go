@@ -402,10 +402,11 @@ func (st *splitState) splitRule(r Rule) error {
 	xs := make([]regexparse.Class, len(seps))
 	gaps := make([]int, len(seps)) // minimum gap for countSep/boundedSep entries
 	maxs := make([]int, len(seps)) // maximum gap for boundedSep entries
+	auts := &automata{nodes: segments, built: make([]*segment, len(segments))}
 	k := 0
 	for i := len(seps) - 1; i >= 0; i-- {
 		kind, x, minGap, maxGap := st.classify(seps[i])
-		kind, why, err := st.admit(kind, x, maxGap, segments[i], segments[i+1], len(seps))
+		kind, why, err := st.admit(kind, x, maxGap, auts, i, len(seps))
 		if err != nil {
 			return err
 		}
@@ -423,10 +424,9 @@ func (st *splitState) splitRule(r Rule) error {
 	// guard-bit chaining.
 	head := make([]*regexparse.Node, 0, 2*k+1)
 	for i := 0; i < k; i++ {
-		head = append(head, segments[i].Clone(), seps[i].Clone())
+		head = append(head, segments[i], seps[i])
 	}
-	head = append(head, segments[k].Clone())
-	pending := regexparse.NewConcat(head...)
+	pending := regexparse.NewConcat(append(head, segments[k])...)
 
 	if k == len(seps) {
 		// Every separator was refused: the rule stays whole.
@@ -507,7 +507,7 @@ func (st *splitState) splitRule(r Rule) error {
 			}
 		}
 		st.emit(r, pending, st.allocID(act), i == k && r.Pattern.Anchored)
-		pending = segments[i+1].Clone()
+		pending = segments[i+1]
 	}
 
 	finalID := st.allocID(filter.Action{
@@ -549,15 +549,16 @@ func (st *splitState) classify(sep *regexparse.Node) (separatorKind, regexparse.
 	return notSeparator, regexparse.Class{}, 0, 0
 }
 
-// admit decides whether the separator between adjacent segments a and b
-// may be split, and how: it returns the kind to split with — a dot-star
-// that fails the overlap conditions becomes a positionSep, an
+// admit decides whether the separator between adjacent segments a = i
+// and b = i+1 may be split, and how: it returns the kind to split with — a
+// dot-star that fails the overlap conditions becomes a positionSep, an
 // almost-dot-star that does, or whose A can end in X, an openSep — or the
 // reason the separator is refused.
-func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, a, b *regexparse.Node, numSeps int) (separatorKind, refusal, error) {
+func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, auts *automata, i, numSeps int) (separatorKind, refusal, error) {
 	if kind == notSeparator {
 		return kind, notSplittable, nil
 	}
+	a, b := auts.nodes[i], auts.nodes[i+1]
 	// Every split, bit or register, needs each end of A to be a position
 	// its fragment fires at, and fragments fire only after a byte. An A that
 	// matches the empty string also ends before byte 0 — and, mid-chain,
@@ -571,7 +572,7 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 		if st.c == unchecked {
 			return kind, accepted, nil
 		}
-		why, err := checkSafety(kind, x, a, b)
+		why, err := checkSafety(kind, x, auts, i)
 		if err != nil || why == accepted {
 			return kind, why, err
 		}
@@ -615,7 +616,8 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 		// kill a still-valid witness, so this condition (like fixed length)
 		// is not skippable. checkSafety stops at the first condition that
 		// fails, so an openSep has not necessarily been through it.
-		if inB, err := classAppearsIn(x, b); err != nil || inB {
+		sb, err := auts.get(i + 1)
+		if err != nil || classAppearsIn(x, sb) {
 			if kind == openSep {
 				return kind, refusedXInB, err
 			}
@@ -626,24 +628,25 @@ func (st *splitState) admit(kind separatorKind, x regexparse.Class, maxGap int, 
 }
 
 // checkSafety applies the guard-bit validity conditions to a candidate
-// split between adjacent segments a and b and names the first that fails:
-// the paper's suffix/prefix condition, the infix condition its rationale
-// implies (see InfixOverlap), and for almost-dot-star the two class
-// conditions of §IV-B.
-func checkSafety(kind separatorKind, x regexparse.Class, a, b *regexparse.Node) (refusal, error) {
-	if overlap, err := SuffixPrefixOverlap(a, b); err != nil || overlap {
+// split between adjacent segments a = i and b = i+1 and names the first
+// that fails: the paper's suffix/prefix condition, the infix condition its
+// rationale implies (see infixOverlap), and for almost-dot-star the two
+// class conditions of §IV-B.
+func checkSafety(kind separatorKind, x regexparse.Class, auts *automata, i int) (refusal, error) {
+	a, err := auts.get(i)
+	if err != nil {
 		return refusedOverlap, err
 	}
-	if infix, err := InfixOverlap(a, b); err != nil || infix {
-		return refusedInfix, err
-	}
-	if kind == almostSep {
-		if inB, err := classAppearsIn(x, b); err != nil || inB {
-			return refusedXInB, err
-		}
-		if finalA, err := classInFinalPosition(x, a); err != nil || finalA {
-			return refusedXFinalInA, err
-		}
+	b, err := auts.get(i + 1)
+	switch {
+	case err != nil || suffixPrefixOverlap(a, b):
+		return refusedOverlap, err
+	case infixOverlap(a, b):
+		return refusedInfix, nil
+	case kind == almostSep && classAppearsIn(x, b):
+		return refusedXInB, nil
+	case kind == almostSep && classInFinalPosition(x, a):
+		return refusedXFinalInA, nil
 	}
 	return accepted, nil
 }
@@ -651,9 +654,10 @@ func checkSafety(kind separatorKind, x regexparse.Class, a, b *regexparse.Node) 
 // topLevelSegments decomposes the pattern's root into alternating segments
 // and separators: seg[0] sep[0] seg[1] sep[1] ... seg[n]. Leading
 // separators of unanchored patterns are redundant with the implicit .*
-// search prefix and are dropped; other degenerate shapes (top-level
-// alternation, empty segments around a separator) yield ok=false and the
-// rule is kept whole.
+// search prefix and are dropped; a separator with an empty segment on
+// either side is merged into its neighbour. A pattern without a separator
+// yields no segments, and one that is nothing but separators ok=false:
+// either way the rule is kept whole.
 func (st *splitState) topLevelSegments(p *regexparse.Pattern) (segments []*regexparse.Node, seps []*regexparse.Node, ok bool) {
 	root := p.Root
 	if root.Op != regexparse.OpConcat {
@@ -661,7 +665,7 @@ func (st *splitState) topLevelSegments(p *regexparse.Pattern) (segments []*regex
 			// The whole pattern is .*-like; nothing to split.
 			return nil, nil, false
 		}
-		return []*regexparse.Node{root}, nil, true
+		return nil, nil, true
 	}
 
 	subs := root.Subs
@@ -678,40 +682,32 @@ func (st *splitState) topLevelSegments(p *regexparse.Pattern) (segments []*regex
 		return nil, nil, false
 	}
 
-	var cur []*regexparse.Node
-	flush := func() bool {
-		if len(cur) == 0 {
-			return false
-		}
-		segments = append(segments, regexparse.NewConcat(cur...))
-		cur = nil
-		return true
-	}
-	for _, sub := range subs {
-		if st.isSeparatorShape(sub) {
-			if !flush() {
-				// Empty segment before a separator (e.g. ".*.*A" after
-				// trimming, or an anchored "^.*A"): merge the separator
-				// into the segment instead of splitting.
-				cur = append(cur, sub)
-				continue
-			}
-			seps = append(seps, sub)
+	lo := 0 // the current segment is subs[lo:i]
+	for i, sub := range subs {
+		if !st.isSeparatorShape(sub) {
 			continue
 		}
-		cur = append(cur, sub)
+		if i == lo {
+			// Empty segment before a separator (e.g. ".*.*A" after
+			// trimming, or an anchored "^.*A"): merge the separator into
+			// the segment instead of splitting.
+			continue
+		}
+		segments = append(segments, regexparse.NewConcat(subs[lo:i]...))
+		seps = append(seps, sub)
+		lo = i + 1
 	}
-	if !flush() {
+	switch {
+	case len(seps) == 0:
+		return nil, nil, true
+	case lo < len(subs):
+		segments = append(segments, regexparse.NewConcat(subs[lo:]...))
+	default:
 		// Trailing separator: "A.*" — fold it back into the last segment,
 		// since an empty right side cannot be split off.
-		if len(seps) > 0 {
-			last := seps[len(seps)-1]
-			seps = seps[:len(seps)-1]
-			segments[len(segments)-1] = regexparse.NewConcat(segments[len(segments)-1], last)
-		}
-	}
-	if len(segments) != len(seps)+1 {
-		return nil, nil, false
+		last := len(seps) - 1
+		segments[last] = regexparse.NewConcat(segments[last], seps[last])
+		seps = seps[:last]
 	}
 	return segments, seps, true
 }
