@@ -1,6 +1,7 @@
 package splitter
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -502,6 +503,20 @@ func TestMixedSeparators(t *testing.T) {
 	}
 }
 
+// parseSegment builds the overlap automaton of one segment's source.
+func parseSegment(t *testing.T, src string) *segment {
+	t.Helper()
+	p, err := regexparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSegment(p.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSuffixPrefixOverlapDirect(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -519,21 +534,32 @@ func TestSuffixPrefixOverlapDirect(t *testing.T) {
 		{"(ab|cd)", "ex", false},
 	}
 	for _, tc := range cases {
-		pa, err := regexparse.Parse(tc.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := regexparse.Parse(tc.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SuffixPrefixOverlap(pa.Root, pb.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := suffixPrefixOverlap(parseSegment(t, tc.a), parseSegment(t, tc.b))
 		if got != tc.want {
 			t.Errorf("overlap(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestOverlapProductBounded: two segments whose product exceeds maxPairs
+// are taken to overlap without a search, so a hostile rule cannot make
+// the visited set |A|·|B| bits large. The classes are disjoint, so a
+// search would find no overlap and the Paper construction would split.
+func TestOverlapProductBounded(t *testing.T) {
+	const a, b = "(a{1000}){5}", "(b{1000}){5}"
+	pairs := parseSegment(t, a).NumStates() * parseSegment(t, b).NumStates()
+	if pairs <= maxPairs {
+		t.Fatalf("%d pairs, want more than %d", pairs, maxPairs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := split(t, Options{Construction: Paper}, a+".*"+b)
+	runtime.ReadMemStats(&after)
+	if st := res.Stats; st.RefusedOverlap != 1 || st.RulesDecomposed != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(pairs/8) {
+		t.Errorf("Split allocated %d bytes; a visited set of %d pairs is %d", got, pairs, pairs/8)
 	}
 }
 
