@@ -393,10 +393,11 @@ func TestDFAStateCapPropagates(t *testing.T) {
 // program and SelfCheck, with allocations. B217p is the largest serving
 // automaton, S24 ∪ CTR24 adds counters and C8 is small.
 // TestCompileLeavesRulesAsParsed compiles one parsed rule list twice.
-// The splitter's fragments and the NFA builder's implicit .* share the
-// rules' subtrees instead of copying them, so set-up may change no node:
-// every rule still renders as parsed, and the second image equals the
-// first.
+// The splitter's fragments share the rules' subtrees instead of copying
+// them, and the parser gives every occurrence of a literal byte one shared
+// leaf, so set-up may change no node: every rule still renders as parsed,
+// and the second image equals the first. Every literal byte of a set
+// points at its byte's one leaf.
 func TestCompileLeavesRulesAsParsed(t *testing.T) {
 	for _, sets := range [][]string{{"S24", "CTR24"}, {"B217p"}, {"C7p"}} {
 		var rules []Rule
@@ -410,8 +411,26 @@ func TestCompileLeavesRulesAsParsed(t *testing.T) {
 			}
 		}
 		parsed := make([]string, len(rules))
+		leaves, shared := map[byte]*regexparse.Node{}, 0
 		for i, r := range rules {
 			parsed[i] = r.Pattern.Root.String()
+			walkNodes(r.Pattern.Root, func(n *regexparse.Node) {
+				c, ok := n.Class.SingleByte()
+				if n.Op != regexparse.OpClass || !ok {
+					return
+				}
+				switch leaf := leaves[c]; {
+				case leaf == nil:
+					leaves[c] = n
+				case leaf != n:
+					t.Errorf("%v rule %d: byte %q has two leaves", sets, r.ID, c)
+				default:
+					shared++
+				}
+			})
+		}
+		if shared == 0 {
+			t.Errorf("%v: no literal byte occurs twice", sets)
 		}
 		var images [2]bytes.Buffer
 		for i := range images {
@@ -431,6 +450,17 @@ func TestCompileLeavesRulesAsParsed(t *testing.T) {
 		if !bytes.Equal(images[0].Bytes(), images[1].Bytes()) {
 			t.Errorf("%v: the second Compile of the same rules wrote a different image", sets)
 		}
+	}
+}
+
+// walkNodes calls visit on n and every node below it.
+func walkNodes(n *regexparse.Node, visit func(*regexparse.Node)) {
+	visit(n)
+	if n.Sub != nil {
+		walkNodes(n.Sub, visit)
+	}
+	for _, sub := range n.Subs {
+		walkNodes(sub, visit)
 	}
 }
 

@@ -45,9 +45,9 @@ func fuzzRules(spec []byte) []string {
 // FuzzFromNFA holds the constructor to the per-byte reference on fuzzed
 // rule sets: the same automaton bit for bit under both minimization
 // settings, or ErrTooManyStates from both at the same small
-// budget. loopStart adds a consuming self-loop on the start state, the one
-// shape nfa.Build never produces: it can put the whole core inside the
-// start closure.
+// budget. loopStart adds a consuming self-loop on the start state, a
+// shape nfa.Build never produces: it can put the start state itself
+// inside the core.
 func FuzzFromNFA(f *testing.F) {
 	f.Add([]byte("\x0a\x11\x06"), false, uint16(200))             // [^a]*[^c][^\n]*
 	f.Add([]byte("\x5d\x8e\xc8\x51"), true, uint16(64))           // the start closure holds an accepting core

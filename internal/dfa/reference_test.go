@@ -274,7 +274,9 @@ func TestReferenceStateBudget(t *testing.T) {
 
 // TestReferenceRandomRuleSets draws seeded rule sets over a grammar that
 // reaches the constructor's corners — anchored-only sets (empty core),
-// mixed sets (start closure without the core), case folding, negated
+// rules that begin with an every-byte class (start closure without the
+// core: the class's target is in C but not in the start closure), mixed
+// sets (start closure with the core), case folding, negated
 // classes, [^\n]* gaps, bounded repeats compiled to counter fragments,
 // and always-accepting rules (accept states inside the core) — and
 // requires each corner to have been hit.
@@ -305,6 +307,11 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 		}
 		if !allAnchored && rng.Intn(6) == 0 {
 			sources = append(sources, []string{"z*", "(ab)?", "[0-9]*"}[rng.Intn(3)])
+		}
+		if !allAnchored && rng.Intn(5) == 0 {
+			// An unanchored rule that begins with an every-byte class puts
+			// a state in the core that the start closure lacks.
+			sources = append(sources, []string{".x", "[\\x00-\\xff]{2}y", ".q[^\\n]*ab"}[rng.Intn(3)])
 		}
 
 		direct := make([]nfa.Rule, len(sources))
@@ -364,6 +371,7 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("automata per corner: %v", hit)
 	for _, corner := range []string{"empty core", "start without core", "accepting core", "counter fragments", "proper alphabet partition",
 		"successor read from a part's row", "own states silent where the part moves", "successor read from the empty part's row",
 		"table entry filled by a newly interned state"} {
@@ -373,11 +381,11 @@ func TestReferenceRandomRuleSets(t *testing.T) {
 	}
 }
 
-// TestReferenceStartInsideCore covers the one shape nfa.Build never
-// produces: a start closure that contains a non-empty core (here a
-// consuming self-loop on the start state), so state 0 is an interned
-// residue like every other. Two transitions on one state and an
-// accepting state inside the core ride along.
+// TestReferenceStartInsideCore covers a shape nfa.Build never produces:
+// the start state itself inside a non-empty core (a consuming self-loop
+// on the start state; nfa.Build's loop is a state of its own), so state 0
+// is an interned residue like every other. Two transitions on one state
+// and an accepting state inside the core ride along.
 func TestReferenceStartInsideCore(t *testing.T) {
 	n := &nfa.NFA{States: []nfa.State{
 		{Trans: []nfa.Transition{{Class: regexparse.AnyClass(), To: 0}, {Class: regexparse.SingleClass('a'), To: 1}}, Matches: []int{3}},

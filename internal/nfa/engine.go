@@ -1,5 +1,7 @@
 package nfa
 
+import "slices"
+
 // MatchFunc receives a match event: the rule's match id and the 0-based
 // offset of the byte at which the match completed.
 type MatchFunc func(id int, pos int64)
@@ -84,7 +86,9 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 					r.inNext[q] = true
 					r.next = append(r.next, q)
 					for _, id := range n.States[q].Matches {
-						r.ids = appendUniqueID(r.ids, id)
+						if !slices.Contains(r.ids, id) { // a position's ids are few
+							r.ids = append(r.ids, id)
+						}
 					}
 				}
 			}
@@ -100,17 +104,6 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 		r.cur, r.next = r.next, r.cur
 		r.pos++
 	}
-}
-
-// appendUniqueID appends id unless already present. Match sets at a single
-// position are tiny, so a linear scan beats any map.
-func appendUniqueID(ids []int, id int) []int {
-	for _, v := range ids {
-		if v == id {
-			return ids
-		}
-	}
-	return append(ids, id)
 }
 
 // Run scans data from the start of a fresh flow and returns all matches in

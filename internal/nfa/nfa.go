@@ -54,9 +54,9 @@ const MaxBuildStates = 1 << 20
 
 type builder struct {
 	states []State
-	// err latches the first construction failure (state-budget overflow)
-	// so newState can keep a simple signature; Build checks it once per
-	// compiled rule.
+	// err latches the first construction failure (state budget, repeat
+	// expansion) so compile can keep a simple signature; rule checks it
+	// once per compiled rule.
 	err error
 }
 
@@ -84,188 +84,199 @@ type frag struct {
 	start, end StateID
 }
 
-// Build constructs the union NFA of all rules. Unanchored patterns are
-// given a leading .* so they match anywhere in the flow, mirroring how the
-// paper treats the implicit search semantics of security rules.
+// Build constructs the union NFA of all rules. Unanchored patterns match
+// anywhere in the flow, the implicit search semantics the paper gives
+// security rules: rather than a .* per rule, one loop state, consuming
+// every byte back to itself, is entered from the start state, and each
+// unanchored rule is compiled from it; anchored rules are compiled from
+// the start state. A set with no unanchored rule has no loop.
 func Build(rules []Rule) (*NFA, error) {
-	roots := make([]*regexparse.Node, len(rules))
-	size := 1
-	for i, r := range rules {
-		roots[i] = r.Pattern.Root
+	size, loop := 1, StateID(0) // the loop, if any, is state 1
+	for _, r := range rules {
+		size += compiledSize(r.Pattern.Root, true)
 		if !r.Pattern.Anchored {
-			roots[i] = regexparse.NewConcat(regexparse.DotStar(), roots[i])
+			loop = 1
 		}
-		size += compiledSize(roots[i])
 	}
-	b := &builder{states: make([]State, 0, min(size, MaxBuildStates))}
+	b := &builder{states: make([]State, 0, min(size+int(loop), MaxBuildStates))}
 	start := b.newState()
-	for i, r := range rules {
-		f, err := b.compile(roots[i])
-		if err == nil {
-			err = b.err
+	if loop != 0 {
+		b.addTrans(b.newState(), regexparse.AnyClass(), loop)
+		b.addEps(start, loop)
+	}
+	for _, r := range rules {
+		from := start
+		if !r.Pattern.Anchored {
+			from = loop
 		}
-		if err != nil {
+		if _, err := b.rule(r.Pattern.Root, from, r.MatchID); err != nil {
 			return nil, fmt.Errorf("nfa: rule %d (%s): %w", r.MatchID, r.Pattern.Source, err)
 		}
-		b.addEps(start, f.start)
-		b.states[f.end].Matches = append(b.states[f.end].Matches, r.MatchID)
 	}
 	return &NFA{States: b.states, Start: start}, nil
 }
 
 // BuildSingle constructs an NFA for a bare AST node with its accepting
-// state reporting match id 0. No implicit .* is prepended: the automaton
+// state reporting match id 0. It has no unanchored loop: the automaton
 // accepts exactly the language of the node. It is used by the splitter's
 // overlap analysis.
 func BuildSingle(node *regexparse.Node) (*NFA, error) {
-	b := &builder{states: make([]State, 0, compiledSize(node))}
-	f, err := b.compile(node)
-	if err == nil {
-		err = b.err
-	}
+	b := &builder{states: make([]State, 0, compiledSize(node, false))}
+	f, err := b.rule(node, none, 0)
 	if err != nil {
 		return nil, fmt.Errorf("nfa: %w", err)
 	}
-	b.states[f.end].Matches = append(b.states[f.end].Matches, 0)
 	return &NFA{States: b.states, Start: f.start}, nil
 }
 
-func (b *builder) compile(n *regexparse.Node) (frag, error) {
-	if b.err != nil {
-		// The state budget is already blown; stop walking what may be an
-		// enormous expanded tree.
-		return frag{}, b.err
+// rule compiles root from entry, its exit reporting match id id.
+func (b *builder) rule(root *regexparse.Node, entry StateID, id int) (frag, error) {
+	f := b.compile(root, entry)
+	if b.err == nil {
+		b.states[f.end].Matches = append(b.states[f.end].Matches, id)
 	}
-	switch n.Op {
-	case regexparse.OpEmpty:
-		s := b.newState()
-		e := b.newState()
-		b.addEps(s, e)
-		return frag{s, e}, nil
-
-	case regexparse.OpClass:
-		s := b.newState()
-		e := b.newState()
-		b.addTrans(s, n.Class, e)
-		return frag{s, e}, nil
-
-	case regexparse.OpConcat:
-		cur, err := b.compile(n.Subs[0])
-		if err != nil {
-			return frag{}, err
-		}
-		for _, sub := range n.Subs[1:] {
-			next, err := b.compile(sub)
-			if err != nil {
-				return frag{}, err
-			}
-			b.addEps(cur.end, next.start)
-			cur = frag{cur.start, next.end}
-		}
-		return cur, nil
-
-	case regexparse.OpAlternate:
-		s := b.newState()
-		e := b.newState()
-		for _, sub := range n.Subs {
-			f, err := b.compile(sub)
-			if err != nil {
-				return frag{}, err
-			}
-			b.addEps(s, f.start)
-			b.addEps(f.end, e)
-		}
-		return frag{s, e}, nil
-
-	case regexparse.OpStar:
-		f, err := b.compile(n.Sub)
-		if err != nil {
-			return frag{}, err
-		}
-		s := b.newState()
-		e := b.newState()
-		b.addEps(s, f.start)
-		b.addEps(s, e)
-		b.addEps(f.end, f.start)
-		b.addEps(f.end, e)
-		return frag{s, e}, nil
-
-	case regexparse.OpPlus:
-		f, err := b.compile(n.Sub)
-		if err != nil {
-			return frag{}, err
-		}
-		e := b.newState()
-		b.addEps(f.end, f.start)
-		b.addEps(f.end, e)
-		return frag{f.start, e}, nil
-
-	case regexparse.OpQuest:
-		f, err := b.compile(n.Sub)
-		if err != nil {
-			return frag{}, err
-		}
-		s := b.newState()
-		e := b.newState()
-		b.addEps(s, f.start)
-		b.addEps(s, e)
-		b.addEps(f.end, e)
-		return frag{s, e}, nil
-
-	case regexparse.OpRepeat:
-		return b.compileRepeat(n)
-
-	default:
-		return frag{}, fmt.Errorf("unknown AST op %v", n.Op)
-	}
+	return f, b.err
 }
 
-// compiledSize returns the number of states compile creates for n, at
-// most MaxBuildStates, so the builder allocates its state slice once.
-func compiledSize(n *regexparse.Node) int {
-	total := 2 // OpEmpty, OpClass, and the entry and exit of the others
+// none is the entry of a fragment that makes a start state of its own.
+const none StateID = -1
+
+// enter returns entry, or a new state when entry is none.
+func (b *builder) enter(entry StateID) StateID {
+	if entry == none {
+		return b.newState()
+	}
+	return entry
+}
+
+// compile builds n's Thompson fragment from entry, or from a new start
+// state when entry is none, to a new exit state without edges. A
+// fragment is entered only from outside it, except a Plus, which loops
+// back to its start: so a start is merged into entry, the exit before it
+// or the state its parent branches from, and a Plus alone keeps a start
+// one ε-edge from entry. A merged pair was in the same subsets of states
+// before, so subset construction builds the same DFA from fewer NFA
+// states. A failure latches in b.err, and compile returns at once while
+// one is set.
+func (b *builder) compile(n *regexparse.Node, entry StateID) frag {
+	if b.err != nil {
+		return frag{} // stop walking what may be an enormous expanded tree
+	}
+	switch n.Op {
+	case regexparse.OpEmpty, regexparse.OpClass:
+		s, e := b.enter(entry), b.newState()
+		if n.Op == regexparse.OpEmpty {
+			b.addEps(s, e)
+		} else {
+			b.addTrans(s, n.Class, e)
+		}
+		return frag{s, e}
+
+	case regexparse.OpConcat:
+		f := b.compile(n.Subs[0], entry)
+		for _, sub := range n.Subs[1:] {
+			f.end = b.compile(sub, f.end).end
+		}
+		return f
+
+	case regexparse.OpAlternate:
+		s, e := b.enter(entry), b.newState()
+		for _, sub := range n.Subs {
+			b.addEps(b.compile(sub, s).end, e)
+		}
+		return frag{s, e}
+
+	case regexparse.OpStar:
+		s := b.enter(entry)
+		f := b.compile(n.Sub, none)
+		e := b.newState()
+		b.addEps(s, f.start)
+		b.addEps(s, e)
+		b.addEps(f.end, f.start)
+		b.addEps(f.end, e)
+		return frag{s, e}
+
+	case regexparse.OpPlus:
+		f := b.compile(n.Sub, none)
+		e := b.newState()
+		b.addEps(f.end, f.start)
+		b.addEps(f.end, e)
+		if entry != none {
+			b.addEps(entry, f.start)
+			f.start = entry
+		}
+		return frag{f.start, e}
+
+	case regexparse.OpQuest:
+		s := b.enter(entry)
+		f := b.compile(n.Sub, s)
+		e := b.newState()
+		b.addEps(s, e)
+		b.addEps(f.end, e)
+		return frag{s, e}
+
+	case regexparse.OpRepeat:
+		return b.compileRepeat(n, entry)
+	}
+	b.err = fmt.Errorf("unknown AST op %v", n.Op)
+	return frag{}
+}
+
+// compiledSize returns the number of states compile creates for n, with
+// an entry state when entered, at most MaxBuildStates, so the builder
+// allocates its state slice once.
+func compiledSize(n *regexparse.Node, entered bool) int {
+	own := 1 // the start, unless entered
+	if entered {
+		own = 0
+	}
+	total := 1 + own // OpEmpty, OpClass and the exit of the others
 	switch n.Op {
 	case regexparse.OpConcat:
-		total = 0
-		for _, sub := range n.Subs {
-			total += compiledSize(sub)
+		total = compiledSize(n.Subs[0], entered)
+		for _, sub := range n.Subs[1:] {
+			total += compiledSize(sub, true)
 		}
 	case regexparse.OpAlternate:
 		for _, sub := range n.Subs {
-			total += compiledSize(sub)
+			total += compiledSize(sub, true)
 		}
-	case regexparse.OpStar, regexparse.OpQuest:
-		total += compiledSize(n.Sub)
+	case regexparse.OpStar:
+		total += compiledSize(n.Sub, false)
+	case regexparse.OpQuest:
+		total += compiledSize(n.Sub, true)
 	case regexparse.OpPlus:
-		total = compiledSize(n.Sub) + 1
+		total = compiledSize(n.Sub, false) + 1
 	case regexparse.OpRepeat:
 		if n.Max > MaxExpandedRepeat || n.Min > MaxExpandedRepeat || n.Max == 0 {
 			break // refused, or compiled as OpEmpty
 		}
-		sub := compiledSize(n.Sub)
+		// A Concat of Min copies of Sub, then Max-Min Quests or one Star.
+		in, out := compiledSize(n.Sub, true), compiledSize(n.Sub, false)
+		total = n.Min*in + (n.Max-n.Min)*(1+in)
 		if n.Max == regexparse.InfiniteRepeat {
-			total = n.Min*sub + sub + 2
-		} else {
-			total = n.Min*sub + (n.Max-n.Min)*(sub+2)
+			total = n.Min*in + 1 + out
 		}
+		if n.Min > 0 {
+			own *= out - in // the first copy's start: none for a Plus
+		}
+		total += own
 	}
 	return min(total, MaxBuildStates)
 }
 
 // compileRepeat expands {n,m} by duplication: n mandatory copies followed
 // by m-n optional copies, or a trailing star for an unbounded tail.
-func (b *builder) compileRepeat(n *regexparse.Node) (frag, error) {
-	// Count the exact number of fragment copies the expansion below
-	// creates: a bounded {n,m} becomes m copies (n mandatory, m-n
-	// optional); an unbounded {n,} becomes n mandatory copies plus one
-	// trailing star. The former guard charged every repeat for the
-	// trailing star and so rejected bounded repeats one copy early.
+func (b *builder) compileRepeat(n *regexparse.Node, entry StateID) frag {
+	// A bounded {n,m} becomes m copies, an unbounded {n,} n copies and
+	// one trailing star.
 	count := n.Min + 1
 	if n.Max != regexparse.InfiniteRepeat {
 		count = n.Max
 	}
 	if count > MaxExpandedRepeat {
-		return frag{}, fmt.Errorf("repeat {%d,%d} expands beyond %d copies", n.Min, n.Max, MaxExpandedRepeat)
+		b.err = fmt.Errorf("repeat {%d,%d} expands beyond %d copies", n.Min, n.Max, MaxExpandedRepeat)
+		return frag{}
 	}
 	parts := make([]*regexparse.Node, 0, count)
 	for i := 0; i < n.Min; i++ {
@@ -279,9 +290,9 @@ func (b *builder) compileRepeat(n *regexparse.Node) (frag, error) {
 		}
 	}
 	if len(parts) == 0 {
-		return b.compile(&regexparse.Node{Op: regexparse.OpEmpty})
+		return b.compile(&regexparse.Node{Op: regexparse.OpEmpty}, entry)
 	}
-	return b.compile(regexparse.NewConcat(parts...))
+	return b.compile(regexparse.NewConcat(parts...), entry)
 }
 
 // NumStates returns the number of states, the "NFA Qs" column of Table V.

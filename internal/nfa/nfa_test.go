@@ -1,8 +1,10 @@
 package nfa
 
 import (
+	"maps"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -330,10 +332,13 @@ func assertEvents(t *testing.T, got, want []MatchEvent) {
 // states compile creates, so Build and BuildSingle fill the state slice
 // they allocate and never grow it: on every shipped pattern set and on
 // shapes reaching each operator, including {0,0}, {n,} and an empty
-// alternative.
+// alternative, each compiled from an entry state (Build) and from none
+// (BuildSingle), and a Plus, which keeps a start of its own, first in a
+// rule, a repeat and an alternative.
 func TestBuildSizesStatesOnce(t *testing.T) {
 	sets := map[string][]string{"shapes": {
 		"a{0,0}b", "(ab|c|)d", "x(a|b)+y", "[a-c]{2,5}z", "(ab){3,}c?", "^q.*r[^s]*t", "(a?b*)+c{0,2}",
+		"a+b", "x(a+){2,3}", "y(a+|b){0,2}c", "(c+)*d", "^(a+)?e", "(f+){2,}", "^(g+){0,}",
 	}}
 	for _, name := range append(patterns.Names(), patterns.CounterNames()...) {
 		src, err := patterns.Sources(name)
@@ -366,4 +371,132 @@ func TestBuildSizesStatesOnce(t *testing.T) {
 			t.Errorf("%s: Build made %d states in a slice of %d", name, len(n.States), cap(n.States))
 		}
 	}
+}
+
+// TestBuildSharesOneLoop checks the shape of Build's unanchored search:
+// however many unanchored rules a set holds, it has exactly one state that
+// consumes every byte back to itself, entered by ε from the start state;
+// an anchored-only set has none, and nothing leads back to the start.
+// A rule's first state is the state it is compiled from, and a literal
+// byte costs one state. Every rule matches where regexp says, an anchored
+// one only from the flow's start, built alone and beside the others.
+func TestBuildSharesOneLoop(t *testing.T) {
+	cases := []struct {
+		src, std string
+		anchored bool
+	}{
+		{"abc", "abc", false},
+		{"x.*y", "x.*y", false},
+		{"/def/i", "(?i)def", false},
+		{"^ghi", "ghi", true},
+		{".q", ".q", false},
+		{"^j[0-9]+", "j[0-9]+", true},
+		{"(ab|c)+d", "(ab|c)+d", false},
+		{"^(a+|b)c", "(a+|b)c", true}, // a Plus's loop must not re-enter its alternation
+		{"^(a*|b)d", "(a*|b)d", true}, // nor a Star's
+	}
+	loops := func(n *NFA) []StateID {
+		var found []StateID
+		for s := range n.States {
+			for _, tr := range n.States[s].Trans {
+				if tr.To == StateID(s) && tr.Class == regexparse.AnyClass() {
+					found = append(found, StateID(s))
+				}
+			}
+		}
+		return found
+	}
+	build := func(picked ...int) *NFA {
+		rules := make([]Rule, len(picked))
+		for i, c := range picked {
+			p, err := regexparse.ParsePCRE(cases[c].src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules[i] = Rule{Pattern: p, MatchID: c + 1}
+		}
+		n, err := Build(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	all, anchored := make([]int, len(cases)), []int{}
+	for c := range cases {
+		all[c] = c
+		if cases[c].anchored {
+			anchored = append(anchored, c)
+		}
+	}
+	if n := build(anchored...); len(loops(n)) != 0 {
+		t.Fatalf("anchored-only set: loops at %v, want none", loops(n))
+	}
+	n := build(all...)
+	found := loops(n)
+	if len(found) != 1 || !slices.Contains(n.States[n.Start].Eps, found[0]) {
+		t.Fatalf("%d unanchored rules: loops at %v, start's ε-edges %v: want one loop, entered from the start",
+			len(cases)-len(anchored), found, n.States[n.Start].Eps)
+	}
+	for s := range n.States {
+		for _, tr := range n.States[s].Trans {
+			if tr.To == n.Start {
+				t.Fatalf("state %d leads back to the start on %v", s, tr.Class)
+			}
+		}
+		if slices.Contains(n.States[s].Eps, n.Start) {
+			t.Fatalf("state %d leads back to the start by ε", s)
+		}
+	}
+	if got := build(0).NumStates(); got != 5 {
+		t.Errorf("abc: %d states, want the start, the loop and one a byte", got)
+	}
+	if got := build(3).NumStates(); got != 4 {
+		t.Errorf("^ghi: %d states, want the start and one a byte", got)
+	}
+
+	rng := rand.New(rand.NewSource(50))
+	alphabet := "abcdefghijqxy0123 DEF\n"
+	whole := NewEngine(n)
+	for c, tc := range cases {
+		alone := NewEngine(build(c))
+		for trial := 0; trial < 40; trial++ {
+			var sb strings.Builder
+			for i := 0; i < 1+rng.Intn(30); i++ {
+				sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
+			}
+			input := sb.String()
+			if trial%4 == 0 {
+				input = "ghij12 " + input + " abcd xqy DeF ghij3"
+			}
+			want := stdlibEnds(regexp.MustCompile(tc.std), input, tc.anchored)
+			for label, eng := range map[string]*Engine{"alone": alone, "beside the others": whole} {
+				got := map[int64]bool{}
+				for _, ev := range eng.Run([]byte(input)) {
+					if ev.ID == c+1 || label == "alone" {
+						got[ev.Pos] = true
+					}
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("%q %s on %q: ends %v, regexp %v", tc.src, label, input, got, want)
+				}
+			}
+		}
+	}
+}
+
+// stdlibEnds is stdlibMatchEnds, or for an anchored pattern the ends of
+// the matches that start at offset 0.
+func stdlibEnds(re *regexp.Regexp, input string, anchored bool) map[int64]bool {
+	if !anchored {
+		return stdlibMatchEnds(re, input)
+	}
+	anch := regexp.MustCompile("^(?s)(?:" + re.String() + ")$")
+	ends := map[int64]bool{}
+	for end := 1; end <= len(input); end++ {
+		if anch.MatchString(input[:end]) {
+			ends[int64(end-1)] = true
+		}
+	}
+	return ends
 }

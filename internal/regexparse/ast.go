@@ -25,27 +25,14 @@ const (
 // as in {3,}.
 const InfiniteRepeat = -1
 
+var opNames = [...]string{OpEmpty: "Empty", OpClass: "Class", OpConcat: "Concat", OpAlternate: "Alternate",
+	OpStar: "Star", OpPlus: "Plus", OpQuest: "Quest", OpRepeat: "Repeat"}
+
 func (op Op) String() string {
-	switch op {
-	case OpEmpty:
-		return "Empty"
-	case OpClass:
-		return "Class"
-	case OpConcat:
-		return "Concat"
-	case OpAlternate:
-		return "Alternate"
-	case OpStar:
-		return "Star"
-	case OpPlus:
-		return "Plus"
-	case OpQuest:
-		return "Quest"
-	case OpRepeat:
-		return "Repeat"
-	default:
-		return fmt.Sprintf("Op(%d)", int(op))
+	if op >= OpEmpty && int(op) < len(opNames) {
+		return opNames[op]
 	}
+	return fmt.Sprintf("Op(%d)", int(op))
 }
 
 // Node is a regular-expression AST node. Which fields are meaningful
@@ -81,18 +68,28 @@ func NewClassNode(cl Class) *Node {
 	return &Node{Op: OpClass, Class: cl}
 }
 
+// literals holds the one OpClass leaf per byte value that every parsed
+// tree points at where it matches that byte alone: nodes are never
+// modified, so a literal needs no node of its own.
+var literals = func() (l [AlphabetSize]Node) {
+	for c := range l {
+		l[c] = Node{Op: OpClass, Class: SingleClass(byte(c))}
+	}
+	return l
+}()
+
 // NewLiteralNode returns a node matching exactly the bytes of s, as an
-// OpConcat of single-byte classes (or OpEmpty when s is empty).
+// OpConcat of the shared single-byte leaves (or OpEmpty when s is empty).
 func NewLiteralNode(s string) *Node {
 	if s == "" {
 		return &Node{Op: OpEmpty}
 	}
 	if len(s) == 1 {
-		return NewClassNode(SingleClass(s[0]))
+		return &literals[s[0]]
 	}
 	subs := make([]*Node, len(s))
 	for i := 0; i < len(s); i++ {
-		subs[i] = NewClassNode(SingleClass(s[i]))
+		subs[i] = &literals[s[i]]
 	}
 	return &Node{Op: OpConcat, Subs: subs}
 }
@@ -139,10 +136,6 @@ func NewAlternate(nodes ...*Node) *Node {
 
 // NewStar returns sub*.
 func NewStar(sub *Node) *Node { return &Node{Op: OpStar, Sub: sub} }
-
-// DotStar returns the node .* (any byte, repeated), the pattern the
-// splitter treats as a decomposition point.
-func DotStar() *Node { return NewStar(NewClassNode(AnyClass())) }
 
 // MatchesEmpty reports whether the language of n contains the empty string.
 func (n *Node) MatchesEmpty() bool {

@@ -12,8 +12,9 @@
 // almost-dot-star construct the splitter targets.
 //
 // A Node is immutable once the parser returns it: nothing downstream
-// changes a node, so the splitter's fragments and the NFA builder's
-// implicit .* share a rule's subtrees instead of copying them.
+// changes a node, so the splitter's fragments share a rule's subtrees
+// instead of copying them, and every leaf matching a single byte is that
+// byte's one shared leaf, not a node of its own.
 package regexparse
 
 import (
@@ -108,7 +109,11 @@ func (cl Class) SingleByte() (c byte, ok bool) {
 	if cl.Count() != 1 {
 		return 0, false
 	}
-	return cl.Bytes()[0], true
+	w := 0
+	for cl[w] == 0 {
+		w++
+	}
+	return byte(w*64 + bits.TrailingZeros64(cl[w])), true
 }
 
 // SingleClass returns a class containing only byte c.
@@ -142,18 +147,9 @@ func StringClass(s string) Class {
 // FoldCase returns the class closed under ASCII case folding: for every
 // letter in the class, the opposite-case letter is added.
 func (cl Class) FoldCase() Class {
-	out := cl
-	for c := byte('a'); c <= 'z'; c++ {
-		if cl.Contains(c) {
-			out.Add(c - 'a' + 'A')
-		}
-	}
-	for c := byte('A'); c <= 'Z'; c++ {
-		if cl.Contains(c) {
-			out.Add(c - 'A' + 'a')
-		}
-	}
-	return out
+	const upper = 0x3ffffff << ('A' - 64) // 'A'..'Z' in word 1; 'a'..'z' sit 32 bits above
+	cl[1] |= (cl[1]&upper)<<32 | (cl[1]>>32)&upper
+	return cl
 }
 
 // String renders the class in regex syntax, preferring the shortest of a

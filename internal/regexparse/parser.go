@@ -83,7 +83,7 @@ func splitSlashed(pattern string) (body, flags string, ok bool) {
 			end = i
 			break
 		}
-		if !isFlagChar(pattern[i]) {
+		if pattern[i] < 'a' || pattern[i] > 'z' { // not a flag
 			return "", "", false
 		}
 	}
@@ -91,10 +91,6 @@ func splitSlashed(pattern string) (body, flags string, ok bool) {
 		return "", "", false
 	}
 	return pattern[1:end], pattern[end+1:], true
-}
-
-func isFlagChar(c byte) bool {
-	return c >= 'a' && c <= 'z'
 }
 
 type parser struct {
@@ -302,13 +298,23 @@ func (p *parser) parseAtom() (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewClassNode(p.fold(cl)), nil
+		return p.leaf(cl), nil
 	case 0:
 		return nil, p.errorf("unexpected end of pattern")
 	default:
 		p.pos++
-		return NewClassNode(p.fold(SingleClass(c))), nil
+		return p.leaf(SingleClass(c)), nil
 	}
+}
+
+// leaf returns the node matching one byte of cl, folded under /i: the
+// shared leaf of that byte when the folded class holds one.
+func (p *parser) leaf(cl Class) *Node {
+	cl = p.fold(cl)
+	if c, ok := cl.SingleByte(); ok {
+		return &literals[c]
+	}
+	return NewClassNode(cl)
 }
 
 // fold applies case-insensitive closure when the /i flag is active.
@@ -368,11 +374,10 @@ func (p *parser) parseClass() (*Node, error) {
 	if negate {
 		cl = cl.Negate()
 	}
-	cl = p.fold(cl)
 	if cl.IsEmpty() {
 		return nil, p.errorf("empty character class")
 	}
-	return NewClassNode(cl), nil
+	return p.leaf(cl), nil
 }
 
 // parseClassAtom parses one class member: a literal byte or an escape.

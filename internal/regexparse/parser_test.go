@@ -242,6 +242,15 @@ func TestCaseFoldClasses(t *testing.T) {
 			t.Errorf("folded [a-c] missing %q", c)
 		}
 	}
+	for c := range AlphabetSize {
+		want := SingleClass(byte(c))
+		if other := byte(c) ^ 0x20; other|0x20 >= 'a' && other|0x20 <= 'z' {
+			want.Add(other)
+		}
+		if got := SingleClass(byte(c)).FoldCase(); got != want {
+			t.Errorf("%q folds to %v, want %v", c, got, want)
+		}
+	}
 }
 
 func TestSyntaxErrorFields(t *testing.T) {
